@@ -8,6 +8,7 @@ knots are rejected at construction.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,11 @@ __all__ = [
     "KnotVector",
     "ScalarSpline",
     "eval_basis",
+    "basis_values",
+    "spline_values",
+    "aligned_values",
+    "design_matrix",
+    "gauss_nodes",
     "moment",
     "gram",
     "GramOperator",
@@ -131,6 +137,43 @@ def eval_basis(kv: KnotVector, t: float) -> list[tuple[int, float]]:
     return out
 
 
+def basis_values(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero B-spline values at every point of the 1-D array ts.
+
+    Returns (first, vals) with vals[p, r] = N_{first[p] + r}(ts[p]). It runs
+    the recurrence of eval_basis over all points at once, in the same
+    operation order and with the same span clamp, so every value is
+    bit-identical to the single-point path.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not np.all((ts >= 0.0) & (ts <= 1.0)):  # NaN fails both comparisons
+        raise DomainError("evaluation points outside [0, 1]")
+    k = kv.k
+    kn = kv._knots_f
+    m = np.clip(np.searchsorted(kn, ts, side="right") - 1, k - 1, kv.dim - 1)
+    vals = np.zeros((len(ts), k))
+    vals[:, 0] = 1.0
+    for d in range(1, k):
+        saved = np.zeros(len(ts))
+        for r in range(d):
+            lo = kn[m - d + 1 + r]
+            hi = kn[m + 1 + r]
+            term = np.divide(vals[:, r], hi - lo, out=np.zeros(len(ts)), where=hi > lo)
+            vals[:, r] = saved + term * (hi - ts)
+            saved = term * (ts - lo)
+        vals[:, d] = saved
+    return m - k + 1, vals
+
+
+def spline_values(coeffs: np.ndarray, first: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """sum_r coeffs[..., first + r] * vals[:, r], accumulated in order of r
+    like ScalarSpline.eval; coeffs may stack several splines along axis 0."""
+    out = coeffs[..., first] * vals[:, 0]
+    for r in range(1, vals.shape[1]):
+        out = out + coeffs[..., first + r] * vals[:, r]
+    return out
+
+
 class ScalarSpline:
     """A spline as a coefficient sequence over a knot vector."""
 
@@ -149,7 +192,7 @@ class ScalarSpline:
         return sum(self.coeffs[i] * v for i, v in eval_basis(self.kv, t))
 
     def eval_many(self, ts) -> np.ndarray:
-        return np.array([self.eval(t) for t in ts])
+        return spline_values(self.coeffs, *basis_values(self.kv, ts))
 
     @classmethod
     def constant(cls, kv: KnotVector, value: float = 1.0) -> "ScalarSpline":
@@ -163,23 +206,37 @@ def moment(kv: KnotVector, i: int, j: int, cap: int | None = None) -> float:
         raise ValueError(f"moment order {j} above cap {cap}")
     sup = kv.support(i)
     nodes = (kv.k + j + 1) // 2 + 1
+    ts, wts = gauss_nodes([b for b in kv.breakpoints if sup.lo <= b <= sup.hi], nodes)
+    first, vals = basis_values(kv, ts)
+    val = aligned_values(first, vals, np.full(len(ts), i))[:, 0]
+    return float((wts * ts**j) @ val)
+
+
+def aligned_values(first: np.ndarray, vals: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Re-index basis_values so that column r holds N_{base[p] + r}(ts[p]),
+    zero where that basis function vanishes at ts[p]."""
+    k = vals.shape[1]
+    cols = np.arange(k) + (base - first)[:, None]
+    inside = (cols >= 0) & (cols < k)
+    return np.where(inside, np.take_along_axis(vals, np.clip(cols, 0, k - 1), axis=1), 0.0)
+
+
+def design_matrix(kv: KnotVector, ts) -> np.ndarray:
+    """Dense matrix B[p, i] = N_i(ts[p])."""
+    first, vals = basis_values(kv, ts)
+    mat = np.zeros((len(first), kv.dim))
+    np.put_along_axis(mat, first[:, None] + np.arange(kv.k), vals, axis=1)
+    return mat
+
+
+def gauss_nodes(breakpoints: Sequence, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre points and weights of every cell of a breakpoint
+    sequence, cell by cell: two arrays of length cells * nodes."""
     x, w = _gauss(nodes)
-    total = 0.0
-    for a, b in zip(kv.breakpoints, kv.breakpoints[1:]):
-        lo, hi = max(a, sup.lo), min(b, sup.hi)
-        if lo >= hi:
-            continue
-        lof, hif = float(lo), float(hi)
-        mid, half = 0.5 * (lof + hif), 0.5 * (hif - lof)
-        ts = mid + half * x
-        for t, wt in zip(ts, w):
-            val = 0.0
-            for idx, v in eval_basis(kv, t):
-                if idx == i:
-                    val = v
-                    break
-            total += half * wt * (t**j) * val
-    return total
+    bps = np.array([float(b) for b in breakpoints])
+    lo, hi = bps[:-1, None], bps[1:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 class GramOperator:
@@ -193,20 +250,16 @@ class GramOperator:
         self.kv = kv
         k, dim = kv.k, kv.dim
         self.bandwidth = k - 1
-        ab = np.zeros((k, dim))  # lower form: ab[r, j] = G[j + r, j]
-        nodes = k  # exact for degree 2k-2
-        x, w = _gauss(nodes)
-        for a, b in zip(kv.breakpoints, kv.breakpoints[1:]):
-            af, bf = float(a), float(b)
-            mid, half = 0.5 * (af + bf), 0.5 * (bf - af)
-            for t, wt in zip(mid + half * x, w):
-                active = eval_basis(kv, t)
-                for (i1, v1) in active:
-                    for (i2, v2) in active:
-                        if 0 <= i2 - i1 <= self.bandwidth:
-                            ab[i2 - i1, i1] += half * wt * v1 * v2
-        self.ab_lower = ab
-        self._chol = cholesky_banded(ab, lower=True)
+        ts, wts = gauss_nodes(kv.breakpoints, k)  # exact for degree 2k-2
+        first, vals = basis_values(kv, ts)
+        # lower band form ab[r2 - r1, j] = G[j + r2 - r1, j] with j = first + r1;
+        # bincount adds in point order, the order of a running sum
+        r1, r2 = np.triu_indices(k)
+        terms = wts[:, None] * vals[:, r1] * vals[:, r2]
+        slots = (r2 - r1) * dim + first[:, None] + r1
+        ab = np.bincount(slots.ravel(), weights=terms.ravel(), minlength=k * dim)
+        self.ab_lower = ab.reshape(k, dim)
+        self._chol = cholesky_banded(self.ab_lower, lower=True)
 
     @property
     def dim(self) -> int:
@@ -257,25 +310,22 @@ def refine_coeffs(coarse: ScalarSpline, fine_kv: KnotVector) -> ScalarSpline:
         raise NestingError("coarse breakpoints are not a subset of fine breakpoints")
     k = coarse.kv.k
     knots = list(coarse.kv.knots)
-    coeffs = list(map(float, coarse.coeffs))
+    coeffs = coarse.coeffs.astype(float)
     missing = sorted(set(fine_kv.breakpoints) - set(coarse.kv.breakpoints))
     for u in missing:
-        # span with knots[m] <= u < knots[m+1]
-        m = max(i for i in range(len(knots) - 1) if knots[i] <= u < knots[i + 1])
-        new = []
-        dim = len(coeffs)
-        for i in range(dim + 1):
-            if i <= m - k + 1:
-                new.append(coeffs[i])
-            elif i <= m:
-                wfr = (u - knots[i]) / (knots[i + k - 1] - knots[i])
-                w = float(wfr)
-                new.append(w * coeffs[i] + (1.0 - w) * coeffs[i - 1])
-            else:
-                new.append(coeffs[i - 1])
+        # span with knots[m] <= u < knots[m+1]; u is interior, so m >= k - 1
+        m = bisect.bisect_right(knots, u) - 1
+        lo = m - k + 2  # coefficients lo..m mix with their left neighbour
+        w = np.array(
+            [float((u - knots[i]) / (knots[i + k - 1] - knots[i])) for i in range(lo, m + 1)]
+        )
+        new = np.empty(len(coeffs) + 1)
+        new[:lo] = coeffs[:lo]
+        new[lo : m + 1] = w * coeffs[lo : m + 1] + (1.0 - w) * coeffs[lo - 1 : m]
+        new[m + 1 :] = coeffs[m:]
         knots.insert(m + 1, u)
         coeffs = new
-    return ScalarSpline(fine_kv, np.array(coeffs))
+    return ScalarSpline(fine_kv, coeffs)
 
 
 class PiecewiseConstant:
@@ -374,10 +424,6 @@ def greville(kv: KnotVector) -> list[Fraction]:
 
 def interpolate(kv: KnotVector, f) -> ScalarSpline:
     """Spline interpolating f at the Greville points (dense solve)."""
-    pts = greville(kv)
-    mat = np.zeros((kv.dim, kv.dim))
-    for r, t in enumerate(pts):
-        for i, v in eval_basis(kv, float(t)):
-            mat[r, i] = v
-    rhs = np.array([f(float(t)) for t in pts])
-    return ScalarSpline(kv, np.linalg.solve(mat, rhs))
+    pts = [float(t) for t in greville(kv)]
+    rhs = np.array([f(t) for t in pts])
+    return ScalarSpline(kv, np.linalg.solve(design_matrix(kv, pts), rhs))

@@ -156,5 +156,16 @@ def _faulhaber(n: int, r: int) -> Fraction:
         return Fraction(n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1), 30)
     if r == 5:
         return Fraction(n * n * (n + 1) * (n + 1) * (2 * n * n + 2 * n - 1), 12)
-    # generic fallback (slow, unused for spline orders <= 4)
-    return sum((Fraction(i) ** r for i in range(1, n + 1)), Fraction(0))
+    # Faulhaber's formula with B_1 = +1/2: a polynomial in n, so it holds
+    # for every integer n, negative ones included
+    b = _bernoulli_plus(r)
+    return sum(comb(r + 1, j) * b[j] * n ** (r + 1 - j) for j in range(r + 1)) / (r + 1)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_plus(r: int) -> tuple[Fraction, ...]:
+    """Bernoulli numbers B_0..B_r with B_1 = +1/2."""
+    b: list[Fraction] = []
+    for m in range(r + 1):
+        b.append(1 - sum((comb(m, j) * b[j] / (m - j + 1) for j in range(m)), Fraction(0)))
+    return tuple(b)

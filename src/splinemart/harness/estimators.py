@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..bspline import ScalarSpline, eval_basis, refine_coeffs
+from ..bspline import ScalarSpline, basis_values, gauss_nodes, refine_coeffs, spline_values
+from ..bspline import eval_basis  # noqa: F401  unused; bench/test_bench.py traces it here
 from ..projection import ProjectionContext, VectorSpline
 
 F0 = Fraction(0)
@@ -41,38 +42,26 @@ def random_martingale(
     return seq
 
 
-def _atom_grid(kv, nodes: int):
-    """Per-atom sample points and quadrature weights (Gauss-Legendre)."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    pts, wts = [], []
-    for a, b in zip(kv.breakpoints, kv.breakpoints[1:]):
-        af, bf = float(a), float(b)
-        mid, half = 0.5 * (af + bf), 0.5 * (bf - af)
-        pts.append(mid + half * x)
-        wts.append(half * w)
-    return np.concatenate(pts), np.concatenate(wts)
-
-
 def _sup_process(seq: list[VectorSpline], nodes: int = 64):
-    """Pointwise sup_n ||f_n(t)|| sampled on the finest atom grid."""
-    kv = seq[-1].kv
-    pts, wts = _atom_grid(kv, nodes)
-    sup = np.zeros(len(pts))
-    norms_l1 = []
-    for f in seq:
-        vals = np.zeros(len(pts))
-        for _c, comp in f.components.items():
-            s = ScalarSpline(f.kv, comp)
-            vals = np.maximum(vals, np.abs(s.eval_many(pts)))
-        sup = np.maximum(sup, vals)
-        norms_l1.append(float(vals @ wts))
-    return pts, wts, sup, norms_l1
+    """Quadrature weights of the finest atom grid, the pointwise
+    sup_n ||f_n(t)|| on it, and the pointwise norms ||f_n(t)|| of every level."""
+    pts, wts = gauss_nodes(seq[-1].kv.breakpoints, nodes)
+    levels = [_max_norm(f, pts) for f in seq]
+    return wts, np.max(levels, axis=0), levels
+
+
+def _max_norm(f: VectorSpline, pts: np.ndarray) -> np.ndarray:
+    """||f(t)||_inf at every point, zero where f has no coordinates."""
+    vals = np.zeros(len(pts))
+    for comp in f.components.values():
+        vals = np.maximum(vals, np.abs(ScalarSpline(f.kv, comp).eval_many(pts)))
+    return vals
 
 
 def weak_type_ratio(seq: list[VectorSpline], lambdas=None, nodes: int = 64) -> float:
     """max over lambda of lambda |{sup_n ||f_n|| > lambda}| / sup_n ||f_n||_L1."""
-    _pts, wts, sup, norms = _sup_process(seq, nodes)
-    denom = max(norms)
+    wts, sup, levels = _sup_process(seq, nodes)
+    denom = max(float(vals @ wts) for vals in levels)
     if denom == 0:
         return 0.0
     if lambdas is None:
@@ -89,15 +78,9 @@ def doob_ratio(seq: list[VectorSpline], p: float, nodes: int = 64) -> float:
     """|| sup_n ||f_n|| ||_p / sup_n ||f_n||_p."""
     if not 1 < p < float("inf"):
         raise ValueError("p must lie in (1, inf)")
-    pts, wts, sup, _ = _sup_process(seq, nodes)
+    wts, sup, levels = _sup_process(seq, nodes)
     num = float((sup**p) @ wts) ** (1.0 / p)
-    denom = 0.0
-    for f in seq:
-        vals = np.zeros(len(pts))
-        for _c, comp in f.components.items():
-            s = ScalarSpline(f.kv, comp)
-            vals = np.maximum(vals, np.abs(s.eval_many(pts)))
-        denom = max(denom, float((vals**p) @ wts) ** (1.0 / p))
+    denom = max(float((vals**p) @ wts) ** (1.0 / p) for vals in levels)
     return num / denom if denom else 0.0
 
 
@@ -171,12 +154,8 @@ def unconditionality_ratio(
         fine = refine_coeffs(g, fine_kv) if g.kv != fine_kv else g
         diffs.append(fine.coeffs - prev)
         prev = fine.coeffs
-    pts, wts = _atom_grid(fine_kv, nodes)
-    basis = np.zeros((fine_kv.dim, len(pts)))
-    for col, t in enumerate(pts):
-        for i, v in eval_basis(fine_kv, float(t)):
-            basis[i, col] = v
-    dvals = np.array([d @ basis for d in diffs])  # (N+1) x pts
+    pts, wts = gauss_nodes(fine_kv.breakpoints, nodes)
+    dvals = spline_values(np.array(diffs), *basis_values(fine_kv, pts))  # (N+1) x pts
     fnorm = float((np.abs(dvals.sum(axis=0)) ** p) @ wts) ** (1.0 / p)
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -208,21 +187,13 @@ def uniform_integrability_profile(
 ) -> list[tuple[float, float]]:
     """(delta, sup_n ∫_A ||f_n||) over greedy worst sets A with |A| <= delta."""
     kv = seq[-1].kv
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    atom_mass = []  # per atom: (length, sup_n ∫_atom ||f_n||)
-    for a, b in zip(kv.breakpoints, kv.breakpoints[1:]):
-        af, bf = float(a), float(b)
-        mid, half = 0.5 * (af + bf), 0.5 * (bf - af)
-        pts = mid + half * x
-        wts = half * w
-        best = 0.0
-        for f in seq:
-            vals = np.zeros(len(pts))
-            for _c, comp in f.components.items():
-                s = ScalarSpline(f.kv, comp)
-                vals = np.maximum(vals, np.abs(s.eval_many(pts)))
-            best = max(best, float(vals @ wts))
-        atom_mass.append((bf - af, best))
+    pts, wts = gauss_nodes(kv.breakpoints, nodes)
+    wts = wts.reshape(-1, nodes)
+    # per atom: (length, sup_n ∫_atom ||f_n||), one evaluation per level
+    masses = [(_max_norm(f, pts).reshape(-1, nodes) * wts).sum(axis=1) for f in seq]
+    bps = [float(b) for b in kv.breakpoints]
+    lengths = [b - a for a, b in zip(bps, bps[1:])]
+    atom_mass = list(zip(lengths, np.max(masses, axis=0).tolist()))
     atom_mass.sort(key=lambda t: t[1] / t[0], reverse=True)
     out = []
     for delta in deltas:

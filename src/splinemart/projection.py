@@ -11,9 +11,20 @@ kernel row integrals ∫ |K_n(t, s)| ds.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_solve_banded
 
-from .bspline import GramOperator, KnotVector, ScalarSpline, eval_basis, gram
+from .bspline import (
+    GramOperator,
+    KnotVector,
+    ScalarSpline,
+    aligned_values,
+    basis_values,
+    design_matrix,
+    eval_basis,
+    gauss_nodes,
+    gram,
+)
 from .errors import LevelError
 from .witness import XVec
 
@@ -84,19 +95,12 @@ class ProjectionContext:
 
     def _rhs(self, f: ScalarSpline, target_kv: KnotVector) -> np.ndarray:
         """rhs_i = ∫ f N_i for the target basis, exact Gauss quadrature."""
-        rhs = np.zeros(target_kv.dim)
-        nodes = self.k + 1
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        for a, b in zip(f.kv.breakpoints, f.kv.breakpoints[1:]):
-            af, bf = float(a), float(b)
-            mid, half = 0.5 * (af + bf), 0.5 * (bf - af)
-            for t, wt in zip(mid + half * x, w):
-                fv = f.eval(t)
-                if fv == 0.0:
-                    continue
-                for i, v in eval_basis(target_kv, t):
-                    rhs[i] += half * wt * fv * v
-        return rhs
+        ts, wts = gauss_nodes(f.kv.breakpoints, self.k + 1)
+        first, vals = basis_values(target_kv, ts)
+        terms = (wts * f.eval_many(ts))[:, None] * vals
+        slots = first[:, None] + np.arange(self.k)
+        # bincount adds in point order, the order of a running sum
+        return np.bincount(slots.ravel(), weights=terms.ravel(), minlength=target_kv.dim)
 
     def project_scalar(self, f: ScalarSpline, level: int) -> ScalarSpline:
         kv, g = self.space(level)
@@ -134,19 +138,12 @@ class ProjectionContext:
         w = window if window is not None else 48 + 16 * self.k
         bps = [float(b) for b in kv.breakpoints]
 
-        # quadrature data per s-atom
-        gx, gw = np.polynomial.legendre.leggauss(s_nodes)
-        s_vals = np.empty((natoms, self.k, s_nodes))
-        s_wts = np.empty((natoms, s_nodes))
-        for b in range(natoms):
-            lo, hi = bps[b], bps[b + 1]
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            pts = mid + half * gx
-            s_wts[b] = half * gw
-            for col, t in enumerate(pts):
-                active = dict(eval_basis(kv, t))
-                for r in range(self.k):
-                    s_vals[b, r, col] = active.get(b + r, 0.0)
+        # quadrature data of the s-atoms, atom-major: node p of atom b has
+        # weight s_wts[b * s_nodes + p] and s_vals[b, p, r] = N_{b+r} there
+        pts, s_wts = gauss_nodes(kv.breakpoints, s_nodes)
+        first, vals = basis_values(kv, pts)
+        atom = np.repeat(np.arange(natoms), s_nodes)
+        s_vals = aligned_values(first, vals, atom).reshape(natoms, s_nodes, self.k)
 
         # t-atoms to scan: everything when feasible, else boundary bands plus
         # centre (uniform levels repeat interior atom environments)
@@ -161,16 +158,19 @@ class ProjectionContext:
 
         best = 0.0
         for a in t_atoms:
-            lo, hi = bps[a], bps[a + 1]
-            ts = np.linspace(lo, hi, t_per_atom)
-            bmat = np.zeros((kv.dim, len(ts)))
-            for col, t in enumerate(ts):
-                for i, v in eval_basis(kv, float(t)):
-                    bmat[i, col] = v
-            coef = cho_solve_banded((g._chol, True), bmat)  # dim x T
-            totals = np.zeros(len(ts))
-            for b in range(max(0, a - w), min(natoms, a + w + 1)):
-                kvals = coef[b : b + self.k, :].T @ s_vals[b]  # T x s_nodes
-                totals += np.abs(kvals) @ s_wts[b]
+            ts = np.linspace(bps[a], bps[a + 1], t_per_atom)
+            basis = design_matrix(kv, ts)
+            # coef = G^{-1} basis^T (dim x T); basis is zero outside the k or
+            # so columns cols, so solve for those columns of G^{-1} only
+            cols = np.flatnonzero(basis.any(axis=0))
+            unit = np.zeros((kv.dim, len(cols)))
+            unit[cols, np.arange(len(cols))] = 1.0
+            coef = cho_solve_banded((g._chol, True), unit) @ basis[:, cols].T
+            # kernel on the s-atoms b of the window, one (s_nodes x T) block per b:
+            # K[b, p, t] = sum_r s_vals[b, p, r] coef[b + r, t]
+            lo, hi = max(0, a - w), min(natoms, a + w + 1)
+            win = sliding_window_view(coef, self.k, axis=0)[lo:hi].transpose(0, 2, 1)
+            kvals = np.abs(s_vals[lo:hi] @ win).reshape(-1, len(ts))
+            totals = s_wts[lo * s_nodes : hi * s_nodes] @ kvals
             best = max(best, float(totals.max()))
         return best

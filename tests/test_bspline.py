@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinemart.bspline import (
     KnotVector,
     PiecewiseConstant,
     ScalarSpline,
+    basis_values,
     composition_det,
     eval_basis,
     gram,
@@ -17,8 +20,8 @@ from splinemart.bspline import (
     refine_coeffs,
 )
 from splinemart.errors import DomainError, NestingError, PreconditionError
-from splinemart.filtration import dyadic
-from splinemart.intervals import Interval
+from splinemart.filtration import FileFiltration, dyadic, parse_filtration_spec
+from splinemart.intervals import Interval, MeasurableUnion
 
 F = Fraction
 
@@ -295,3 +298,113 @@ def test_interpolate_polynomial_reproduction():
     for _ in range(50):
         t = rng.random()
         assert abs(s.eval(t) - t * t) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the single-point path
+
+FILTRATIONS = {
+    "dyadic": parse_filtration_spec("dyadic"),
+    "padic:3": parse_filtration_spec("padic:3"),
+    "accum:1/3": parse_filtration_spec("accum:1/3"),
+    "file": FileFiltration(
+        MeasurableUnion.full(),
+        [
+            [F(0), F(1)],
+            [F(0), F(2, 7), F(1)],
+            [F(0), F(1, 9), F(2, 7), F(5, 8), F(1)],
+            [F(0), F(1, 9), F(1, 5), F(2, 7), F(1, 3), F(5, 8), F(31, 32), F(1)],
+        ],
+    ),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.sampled_from(sorted(FILTRATIONS)),
+    k=st.integers(1, 5),
+    level=st.integers(0, 3),
+    extra=st.lists(st.floats(0.0, 1.0), max_size=40),
+)
+def test_basis_values_bit_identical_to_eval_basis(spec, k, level, extra):
+    kv = KnotVector.from_filtration(FILTRATIONS[spec], level, k)
+    ts = [0.0, 1.0] + [float(b) for b in kv.breakpoints] + extra
+    first, vals = basis_values(kv, ts)
+    assert vals.shape == (len(ts), k)
+    for t, f0, row in zip(ts, first, vals):
+        ref = eval_basis(kv, t)
+        assert [i for i, _ in ref] == list(range(f0, f0 + k))
+        assert np.array([v for _, v in ref]).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("t", [-1e-300, -0.5, 1.0 + 2**-52, 2.0, float("nan")])
+def test_domain_error_on_both_paths(t):
+    kv = KnotVector(3, [0, F(1, 3), 1])
+    with pytest.raises(DomainError):
+        eval_basis(kv, t)
+    with pytest.raises(DomainError):
+        basis_values(kv, [0.5, t])
+    with pytest.raises(DomainError):
+        ScalarSpline.constant(kv).eval_many([t])
+
+
+@pytest.mark.parametrize("spec", sorted(FILTRATIONS))
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_right_end_clamp(spec, k):
+    kv = KnotVector.from_filtration(FILTRATIONS[spec], 3, k)
+    assert eval_basis(kv, 1.0)[-1] == (kv.dim - 1, 1.0)
+    assert all(v == 0.0 for _, v in eval_basis(kv, 1.0)[:-1])
+    first, vals = basis_values(kv, [1.0])
+    assert first[0] + k - 1 == kv.dim - 1
+    assert vals[0, -1] == 1.0 and not vals[0, :-1].any()
+
+
+def test_eval_many_bit_identical_to_eval():
+    rng = np.random.default_rng(7)
+    for spec in ("dyadic", "padic:3", "accum:1/3"):
+        for k in (1, 2, 3, 4):
+            kv = KnotVector.from_filtration(FILTRATIONS[spec], 4, k)
+            s = ScalarSpline(kv, rng.uniform(-1, 1, kv.dim))
+            ts = np.concatenate([[0.0, 1.0], [float(b) for b in kv.breakpoints], rng.random(200)])
+            assert s.eval_many(ts).tolist() == [s.eval(t) for t in ts]
+
+
+def boehm_reference(coarse, fine_kv):
+    """Knot insertion one knot at a time by linear search, coefficient by
+    coefficient in Python floats."""
+    k = coarse.kv.k
+    knots = list(coarse.kv.knots)
+    coeffs = [float(c) for c in coarse.coeffs]
+    for u in sorted(set(fine_kv.breakpoints) - set(coarse.kv.breakpoints)):
+        m = max(i for i in range(len(knots) - 1) if knots[i] <= u < knots[i + 1])
+        new = []
+        for i in range(len(coeffs) + 1):
+            if i <= m - k + 1:
+                new.append(coeffs[i])
+            elif i <= m:
+                w = float((u - knots[i]) / (knots[i + k - 1] - knots[i]))
+                new.append(w * coeffs[i] + (1.0 - w) * coeffs[i - 1])
+            else:
+                new.append(coeffs[i - 1])
+        knots.insert(m + 1, u)
+        coeffs = new
+    return coeffs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_refine_accum_one_call_and_chained(k):
+    filt = FILTRATIONS["accum:1/3"]
+    kvs = {level: KnotVector.from_filtration(filt, level, k) for level in (2, 4, 6)}
+    coarse = ScalarSpline(kvs[2], np.random.default_rng(k).uniform(-1, 1, kvs[2].dim))
+    once = refine_coeffs(coarse, kvs[6])
+    chained = refine_coeffs(refine_coeffs(coarse, kvs[4]), kvs[6])
+    # bit for bit against the per-coefficient reference, for both routes
+    assert once.coeffs.tolist() == boehm_reference(coarse, kvs[6])
+    middle = ScalarSpline(kvs[4], boehm_reference(coarse, kvs[4]))
+    assert chained.coeffs.tolist() == boehm_reference(middle, kvs[6])
+    # the two routes insert knots in different orders, so they agree to
+    # rounding only (each insertion is a convex combination: a few ulps)
+    assert np.max(np.abs(once.coeffs - chained.coeffs)) <= 1e-14
+    ts = np.concatenate([[0.0, 1.0], np.random.default_rng(0).random(300)])
+    for fine in (once, chained):
+        assert np.max(np.abs(fine.eval_many(ts) - coarse.eval_many(ts))) <= 1e-12

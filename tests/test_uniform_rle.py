@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinemart.cardinal import (
     cardinal_moment,
@@ -69,6 +71,17 @@ def test_power_sum():
     for a, b, r in [(1, 10, 0), (1, 10, 1), (-3, 5, 2), (0, 7, 3), (2, 9, 4)]:
         assert power_sum(a, b, r) == sum(F(i) ** r for i in range(a, b + 1))
     assert power_sum(5, 4, 2) == 0
+    assert power_sum(-3, 2, 6) == 859
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.integers(0, 12),
+    ends=st.tuples(st.integers(-50, 50), st.integers(-50, 50)).map(sorted),
+)
+def test_power_sum_matches_brute_force(r, ends):
+    a, b = ends
+    assert power_sum(a, b, r) == sum(F(i) ** r for i in range(a, b + 1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
