@@ -8,16 +8,22 @@ but an eps_n fraction of the atom's mass. Atoms whose value is not
 constant (B-spline ramps and correction bumps, a set whose total measure
 is kept below an explicit budget) are carried along unchanged.
 
-Atoms are never enumerated: congruent atoms share one pattern per
-decomposition profile, and all counts and measures are products of exact
-per-pattern data with class censuses.
+Atoms are never enumerated. A census row is one congruence class of the
+atoms of a step: atoms whose values agree up to relabelling the bush below
+a common node prefix (`BushRep.shape`) and that share kind, cell kind,
+membership of C_n and E_n, norm bound and norm history. The row keeps one
+representative value and the summed length of its atoms. Congruent atoms
+decompose alike, share one lemma pattern per decomposition profile and
+spawn congruent children, so every count and measure is a product of exact
+per-pattern data with the class lengths, and the census grows with the
+number of classes, not of atoms.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -32,20 +38,32 @@ DELTA = F1  # bush separation
 
 @dataclass
 class ClassRow:
-    """All atoms of one congruence class at one step."""
+    """One congruence class of atoms at one step.
 
-    cid: int
+    The class holds every atom whose row fields agree with `key`: kind,
+    cell kind, `in_c`, `in_e`, `norm_bound`, `chain_sup` and the shape of
+    its value under bush relabelling. `rep_value` is the value of one of
+    them and `total_length` the summed length of all. Zombie classes carry
+    no value and key on shape None.
+    """
+
     step: int                      # atoms of F_{m_step}
     kind: str                      # 'const' | 'zombie'
     cell_kind: str                 # cell kind that created the class
     rep_value: Optional[BushRep]   # representative value (const classes)
-    parent: Optional[int]
     total_length: Fraction
     in_c: bool                     # class is part of C_step
     in_e: bool                     # part of C_step ∩ C_{step-1}
     norm_bound: Fraction = F0
     chain_sup: Fraction = F0       # max value norm along the class history
-    zombie_info: tuple = ()
+
+    @property
+    def key(self) -> tuple:
+        shape = None if self.rep_value is None else self.rep_value.shape()
+        return (
+            self.kind, self.cell_kind, self.in_c, self.in_e,
+            self.norm_bound, self.chain_sup, shape,
+        )
 
 
 @dataclass
@@ -72,7 +90,9 @@ class SequenceResult:
         self.steps: list[StepData] = steps
         self.m_levels: list[int] = m_levels
         self.final_rows: list[ClassRow] = rows
-        self._value_override = None  # test hook for fault injection
+        # (step, binding) -> (pattern, parts, slot vectors); queries walk
+        # few distinct bindings per step, so this stays small
+        self._bound: dict = {}
 
     @property
     def num_steps(self) -> int:
@@ -104,55 +124,29 @@ class SequenceResult:
         for j in range(n):
             if binding is None:
                 break  # zombie region: later perturbations vanish here
-            sd = self.steps[j]
-            pattern, parts = self._pattern_for(sd, binding)
-            h = Fraction(1, self.filt.uniform_base ** sd.m_level)
+            pattern, parts, slots = self._bind(j, binding)
+            h = Fraction(1, self.filt.uniform_base ** self.steps[j].m_level)
             atom_lo = math.floor(t / h) * h
             tau = t - atom_lo + pattern.interval.lo
-            slot_vecs = self._slot_vectors(binding, parts, pattern)
             for key, coef in pattern.eval_slotwise(tau).items():
-                acc = acc.add(slot_vecs[key].scale(coef))
+                acc = acc.add(slots[key].scale(coef))
             cell, _shift = pattern.locate(tau)
-            binding = self._descend(binding, parts, pattern, cell)
-        if self._value_override is not None:
-            acc = self._value_override(t, n, acc)
+            binding = _child_value(binding, parts, pattern, slots, cell)
         return acc
 
     def sup_diff_at(self, t, n: int) -> Fraction:
         """||f_n(t) - f_{n-1}(t)|| in the sup norm, exact."""
         return self.value_at(t, n).sub(self.value_at(t, n - 1)).sup_norm
 
-    def _pattern_for(self, sd: StepData, binding: BushRep):
-        parts = bush_decompose(binding, DELTA, target_count=2)
-        profile = tuple(w for w, _ in parts)
-        return sd.patterns[profile], parts
-
-    @staticmethod
-    def _slot_vectors(binding: BushRep, parts, pattern: LemmaPattern) -> dict:
-        base = binding.value()
-        diffs = [rep.value().sub(base) for _, rep in parts]
-        vecs = {("d", m): dv for m, dv in enumerate(diffs)}
-        betas = pattern.inner.trace.betas if pattern.inner is not None else ()
-        mix = XVec.zero()
-        for b, dv in zip(betas, diffs):
-            mix = mix.add(dv.scale(b))
-        vecs[("dmix",)] = mix
-        return vecs
-
-    def _descend(self, binding, parts, pattern, cell: CellSpec):
-        if cell.kind == "zone":
-            return parts[cell.m][1]
-        if cell.kind == "keep":
-            return binding
-        if cell.kind == "mix":
-            return _mix_value(parts, pattern.inner.trace.betas)
-        if cell.kind == "rconst":
-            slot_vecs = self._slot_vectors(binding, parts, pattern)
-            w = XVec.zero()
-            for coef, key in pattern.w_data[cell.m]:
-                w = w.add(slot_vecs[key].scale(coef))
-            return binding.with_pert(w)
-        return None  # ramp / rbump / edge: the class goes non-constant
+    def _bind(self, j: int, binding: BushRep):
+        """Pattern, decomposed parts and slot vectors of `binding` at step j."""
+        key = (j, binding)
+        hit = self._bound.get(key)
+        if hit is None:
+            parts = bush_decompose(binding, DELTA, target_count=2)
+            pattern = self.steps[j].patterns[tuple(w for w, _ in parts)]
+            hit = self._bound[key] = (pattern, parts, _slot_vectors(binding, parts, pattern))
+        return hit
 
     # -- sampling ---------------------------------------------------------------
 
@@ -175,12 +169,12 @@ class SequenceResult:
             first = math.ceil(lo / h)
             last = math.floor(hi / h) - 1
             atom_lo = rng.randint(first, last) * h
-            pattern, parts = self._pattern_for(sd, binding)
+            pattern, parts, slots = self._bind(j, binding)
             force_zone = j >= n - 2
             cell, shift = self._random_cell(rng, pattern, force_zone)
             base = atom_lo - pattern.interval.lo
             lo, hi = base + shift + cell.lo, base + shift + cell.hi
-            binding = self._descend(binding, parts, pattern, cell)
+            binding = _child_value(binding, parts, pattern, slots, cell)
             if binding is None:
                 raise AssertionError("sampler entered a non-constant cell")
         return lo, hi
@@ -305,12 +299,10 @@ def build_sequence(
 
     rows = [
         ClassRow(
-            cid=0,
             step=0,
             kind="const",
             cell_kind="zone",
             rep_value=BushRep.point(""),
-            parent=None,
             total_length=F1,
             in_c=True,
             in_e=True,
@@ -318,7 +310,6 @@ def build_sequence(
     ]
     m_levels = [0]
     step_data: list[StepData] = []
-    next_cid = 1
 
     for n in range(steps):
         m_n = m_levels[-1]
@@ -328,10 +319,11 @@ def build_sequence(
         rep_interval = Interval(0, 1) if m_n == 0 else Interval(h_n, 2 * h_n)
 
         patterns: dict = {}
-        child_rows: dict = {}
+        census: dict = {}  # ClassRow.key -> class of f_{n+1}
         new_m = m_n + 1
         for row in rows:
             if row.kind != "const":
+                _add_class(census, replace(row, step=n + 1))
                 continue
             parts = bush_decompose(row.rep_value, DELTA, target_count=2)
             profile = tuple(w for w, _ in parts)
@@ -351,33 +343,9 @@ def build_sequence(
             atom_count = row.total_length / h_n
             if atom_count.denominator != 1:
                 raise AssertionError("class length not atom-aligned")
-            _spawn_children(row, pat, parts, int(atom_count), child_rows, n)
+            _spawn_children(row, pat, parts, int(atom_count), census, n)
 
-        new_rows = []
-        for new in child_rows.values():
-            new.cid = next_cid
-            next_cid += 1
-            new_rows.append(new)
-        for row in rows:
-            if row.kind == "zombie":
-                new_rows.append(
-                    ClassRow(
-                        cid=next_cid,
-                        step=n + 1,
-                        kind="zombie",
-                        cell_kind=row.cell_kind,
-                        rep_value=None,
-                        parent=row.parent,
-                        total_length=row.total_length,
-                        in_c=False,
-                        in_e=False,
-                        norm_bound=row.norm_bound,
-                        chain_sup=row.chain_sup,
-                        zombie_info=row.zombie_info,
-                    )
-                )
-                next_cid += 1
-
+        new_rows = list(census.values())
         total = sum((r.total_length for r in new_rows), F0)
         if total != 1:
             raise AssertionError(f"class lengths sum to {total}, not 1")
@@ -416,60 +384,79 @@ def _mix_value(parts, betas) -> BushRep:
     )
 
 
+def _slot_vectors(binding: BushRep, parts, pattern: LemmaPattern) -> dict:
+    base = binding.value()
+    diffs = [rep.value().sub(base) for _, rep in parts]
+    vecs = {("d", m): dv for m, dv in enumerate(diffs)}
+    betas = pattern.inner.trace.betas if pattern.inner is not None else ()
+    mix = XVec.zero()
+    for b, dv in zip(betas, diffs):
+        mix = mix.add(dv.scale(b))
+    vecs[("dmix",)] = mix
+    return vecs
+
+
+def _child_value(binding: BushRep, parts, pattern: LemmaPattern, slots, cell: CellSpec):
+    """The value on `cell` of an atom valued `binding`; None off the constant cells."""
+    if cell.kind == "zone":
+        return parts[cell.m][1]
+    if cell.kind == "keep":
+        return binding
+    if cell.kind == "mix":
+        return _mix_value(parts, pattern.inner.trace.betas)
+    if cell.kind == "rconst":
+        w = XVec.zero()
+        for coef, key in pattern.w_data[cell.m]:
+            w = w.add(slots[key].scale(coef))
+        return binding.with_pert(w)
+    return None  # ramp / rbump / edge: the class goes non-constant
+
+
+def _add_class(census: dict, row: ClassRow):
+    key = row.key
+    if key in census:
+        census[key].total_length += row.total_length
+    else:
+        census[key] = row
+
+
 def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
-    vecs = SequenceResult._slot_vectors(rep_value, parts, pat)
-    pat.bind(vecs)
+    pat.bind(_slot_vectors(rep_value, parts, pat))
     failed = [name for name, ok in pat.trace.checks if not ok]
     if failed:
         raise AssertionError(f"pattern checks failed after binding: {failed}")
 
 
-def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, child_rows, n):
+def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, census, n):
     base_norm = row.rep_value.value().sup_norm
-    part_norm = max(rep.value().sup_norm for _, rep in parts)
-    betas = pat.inner.trace.betas if pat.inner is not None else ()
+    part_norms = [rep.value().sup_norm for _, rep in parts]
+    slots = _slot_vectors(row.rep_value, parts, pat)
 
     def add(cell: CellSpec, length_per_atom: Fraction):
-        key = (row.cid, cell.kind, cell.m, cell.data)
-        total = length_per_atom * atom_count
-        if key in child_rows:
-            child_rows[key].total_length += total
-            return
-        kind = "const" if cell.is_constant else "zombie"
-        rep_value = None
-        norm = base_norm
+        rep_value = _child_value(row.rep_value, parts, pat, slots, cell)
         if cell.kind == "zone":
-            rep_value = parts[cell.m][1]
-            norm = rep_value.value().sup_norm
+            norm = part_norms[cell.m]
         elif cell.kind == "keep":
-            rep_value = row.rep_value
-        elif cell.kind == "mix":
-            rep_value = _mix_value(parts, betas)
-            norm = rep_value.value().sup_norm
-        elif cell.kind == "rconst":
-            vecs = SequenceResult._slot_vectors(row.rep_value, parts, pat)
-            w = XVec.zero()
-            for coef, skey in pat.w_data[cell.m]:
-                w = w.add(vecs[skey].scale(coef))
-            rep_value = row.rep_value.with_pert(w)
+            norm = base_norm
+        elif rep_value is not None:  # mix / rconst
             norm = rep_value.value().sup_norm
         elif cell.kind == "rbump":
             norm = base_norm + (pat.trace.w_bound or F0)
         else:  # ramp: convex combination of a child and the parent value
-            norm = max(base_norm, part_norm)
-        child_rows[key] = ClassRow(
-            cid=-1,
-            step=n + 1,
-            kind=kind,
-            cell_kind=cell.kind,
-            rep_value=rep_value,
-            parent=row.cid,
-            total_length=total,
-            in_c=cell.kind == "zone",
-            in_e=cell.kind == "zone" and row.in_c,
-            norm_bound=norm,
-            chain_sup=max(row.chain_sup, norm),
-            zombie_info=(pat, cell) if kind == "zombie" else (),
+            norm = max(base_norm, *part_norms)
+        _add_class(
+            census,
+            ClassRow(
+                step=n + 1,
+                kind="const" if rep_value is not None else "zombie",
+                cell_kind=cell.kind,
+                rep_value=rep_value,
+                total_length=length_per_atom * atom_count,
+                in_c=cell.kind == "zone",
+                in_e=cell.kind == "zone" and row.in_c,
+                norm_bound=norm,
+                chain_sup=max(row.chain_sup, norm),
+            ),
         )
 
     for entry in pat.cells:

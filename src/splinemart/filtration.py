@@ -267,7 +267,8 @@ def equal_measure_split(iv: Interval, v: MeasurableUnion, n: int) -> list[Interv
         acc += seg
         if len(cuts) == n - 1:
             break
-    assert len(cuts) == n - 1
+    if len(cuts) != n - 1:
+        raise AssertionError(f"found {len(cuts)} cuts, not {n - 1}")
     bounds = [iv.lo] + cuts + [iv.hi]
     return [Interval(a, b) for a, b in zip(bounds, bounds[1:])]
 

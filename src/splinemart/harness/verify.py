@@ -108,7 +108,6 @@ def verify_sequence(
     sep_min = None
     for n in range(1, n_steps + 1):
         pts = seq.sample_e_points(n, rng, samples_per_step)
-        base_vals = [seq.value_at(t, n) for t in pts]
         diffs = [seq.sup_diff_at(t, n) for t in pts]
         if any(d < seq.delta for d in diffs):
             sep_ok = False
@@ -120,7 +119,6 @@ def verify_sequence(
             for off in (h_fine / 7, -h_fine / 9):
                 if seq.value_at(t + off, n) != seq.value_at(t, n):
                     const_ok = False
-        _ = base_vals
     rep.add(
         "zone constancy (3a)",
         const_ok,

@@ -48,7 +48,8 @@ class VectorSpline:
         return cls(f.kv, {c: f.coeffs * float(v) for c, v in x.items()})
 
     def plus(self, other: "VectorSpline") -> "VectorSpline":
-        assert self.kv == other.kv
+        if self.kv != other.kv:
+            raise ValueError("splines live on different knot vectors")
         out = {c: v.copy() for c, v in self.components.items()}
         for c, v in other.components.items():
             out[c] = out.get(c, np.zeros(self.kv.dim)) + v

@@ -144,7 +144,8 @@ class RleSpline:
         return RleSpline(self.space, [(j0, j1, c * v) for j0, j1, v in self.runs])
 
     def plus(self, other: "RleSpline") -> "RleSpline":
-        assert self.space == other.space
+        if self.space != other.space:
+            raise ValueError("splines live in different spaces")
         events: list[int] = []
         for r in self.runs + other.runs:
             events.append(r[0])

@@ -11,6 +11,7 @@ what makes every point of the bush non-extremal at scale delta = 1.
 
 from __future__ import annotations
 
+import os.path
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -147,6 +148,27 @@ class BushRep:
     def with_pert(self, extra: XVec) -> "BushRep":
         return BushRep(self.weights, self.pert.add(extra))
 
+    def shape(self) -> tuple:
+        """This value up to relabelling the bush below a common node prefix.
+
+        Returns (prefix is empty, node weights, perturbation entries), with
+        node paths and perturbation coordinates (each as the path of the
+        node that allocated it) rewritten relative to the longest common
+        prefix q of all of them. Two reps of equal shape under prefixes q
+        and q' differ by the relabelling q + s -> q' + s, which keeps sup
+        norms, `bush_decompose` profiles and every later perturbation in
+        step. The prefix node's own vector x_q adds only +-1 entries on
+        coordinates no later step touches; it is absent exactly when q is
+        empty, hence the flag.
+        """
+        coords = {format(c, "b")[1:]: v for c, v in self.pert.items()}
+        cut = len(os.path.commonprefix([p for p, _ in self.weights] + list(coords)))
+        return (
+            cut == 0,
+            tuple((p[cut:], w) for p, w in self.weights),
+            tuple(sorted((path[cut:], v) for path, v in coords.items())),
+        )
+
     def to_json(self) -> dict:
         return {
             "nodes": {path or '""': str(w) for path, w in self.weights},
@@ -161,7 +183,9 @@ def mix_reps(parts: list[tuple[Fraction, BushRep]]) -> BushRep:
     out non-negative (the construction keeps its correction coefficients
     far smaller than the bush weights, so this holds with a large margin).
     """
-    assert sum((c for c, _ in parts), Fraction(0)) == 1
+    total = sum((c for c, _ in parts), Fraction(0))
+    if total != 1:
+        raise ValueError(f"coefficients sum to {total}, not 1")
     pert = parts[0][1].pert
     acc: dict[str, Fraction] = {}
     for c, rep in parts:

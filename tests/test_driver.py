@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -10,9 +12,11 @@ from splinemart.filtration import (
     FileFiltration,
     UniformFiltration,
     dyadic,
+    parse_filtration_spec,
 )
 from splinemart.intervals import MeasurableUnion
-from splinemart.witness import XVec
+from splinemart.harness import verify_sequence
+from splinemart.witness import BushRep, XVec, bush_decompose, node_coordinate
 
 F = Fraction
 HALF = F(1, 2)
@@ -135,3 +139,93 @@ def test_json_roundtrip(seq_k1):
     assert back["k"] == 1
     assert len(back["E"]) == 3
     assert all(not row["failed"] for row in back["trace_summary"])
+
+
+# sha256 of `_fingerprint` per (spec, k, N, eta), recorded before the census
+# was keyed by congruence class; the quotient must not move a single output
+GOLDEN = [
+("dyadic", 1, 2, "1/2", "0ef22372d60b3aea9e7d167d634e667bf3f3920e6f74cc117e6d67c35902d1ec"),
+    ("dyadic", 1, 2, "2/5", "3fe70afad6d603fc7b90dc475913ef0b0c32978bc80676eb427d1b01ffb96cec"),
+    ("dyadic", 1, 4, "1/2", "80d7b4ca8229cc6b4b59881dea9829455d509ddc9185707494080067edab8384"),
+    ("dyadic", 1, 4, "2/5", "7f33aa81d13eb4fd390ac6f22b688547268e5e9774925c3d9cc859e516cdfae5"),
+    ("dyadic", 2, 2, "1/2", "f1ea86af5e5038f2b3f0d2ba5e2878e51f247ba1f420baf1f90ee62ec6746a4e"),
+    ("dyadic", 2, 2, "2/5", "424276bb89908f3ff971739a39cecfd764ae50dc81b61b0592f8c8e43d68c872"),
+    ("dyadic", 2, 4, "1/2", "4bd3780f5f12ffc0705c76a6bc02a1c464af1742151640ffaf8b4736c726ccc3"),
+    ("dyadic", 2, 4, "2/5", "afaa22ce900ccca8ae2389aaaefafdb06ef9606b3b8c66acf35e877318d4b58e"),
+    ("dyadic", 3, 2, "1/2", "b9244276a475b978e98e25daccf7ba5af00e7740ac6d0dff4bbdf2cf9999a72e"),
+    ("dyadic", 3, 2, "2/5", "1f0dd50214b7c1f75bbfd698d2d35fc6058c10a07af9f20d74c9091efd9e385b"),
+    ("dyadic", 3, 4, "1/2", "0b08bb7e0800aa0869c0804f95ea61f058b5dc2c4ca8323baded1e5507a59d5e"),
+    ("dyadic", 3, 4, "2/5", "dada9786a1a55e59aa5f128a4ae777dcc9ccff6c6a46f78cb86b3444e3e348f3"),
+    ("padic:3", 2, 2, "1/2", "3a7b11493c48b787ee51abca4e3398393a32f70afbffdb19a909757f39eb174f"),
+    ("padic:3", 2, 2, "2/5", "32c548edbb73529e36ba26a232704fbaa9830b7c0f47d8aa54bb76afffb633a8"),
+    ("padic:3", 2, 4, "1/2", "5af33591e4d0c7b9f516c7c76176c780c2c7ac14b745b5e13bd66e156f19651c"),
+    ("padic:3", 2, 4, "2/5", "beab43d19f53404ea05f6b7dcb4499427898ba27d8622110b03f18e2c1d0515e"),
+]
+
+
+def _fingerprint(seq) -> str:
+    n = seq.num_steps
+    payload = {
+        "blob": seq.to_json(trace="full", seed=0),
+        "masses": [[str(sd.e_mass), str(sd.c_mass), str(sd.const_mass)] for sd in seq.steps],
+        "chain_sup": str(max(r.chain_sup for r in seq.final_rows)),
+        "values": [
+            [[c, str(v)] for c, v in sorted(seq.value_at(t, n).items())]
+            for t in (F(1, 7), F(2, 5), F(5, 9), F(31, 32))
+        ],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec,k,steps,eta,digest",
+    GOLDEN,
+    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e, _ in GOLDEN],
+)
+def test_outputs_match_golden_digests(spec, k, steps, eta, digest):
+    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+    assert _fingerprint(seq) == digest
+
+
+@pytest.fixture(scope="module")
+def seq_k2_n5():
+    return build_sequence(dyadic(), 2, HALF, 5)
+
+
+@pytest.mark.parametrize("fixture", ["seq_k1", "seq_k2_n5"])
+def test_census_rows_are_distinct_classes(fixture, request):
+    seq = request.getfixturevalue(fixture)
+    for sd in seq.steps:
+        keys = [r.key for r in sd.rows_after]
+        assert len(set(keys)) == len(keys)
+
+
+def test_census_row_counts(seq_k2_n5):
+    # one row per class: 8404 rows at step 5 when keyed by parent row
+    assert [len(sd.rows_after) for sd in seq_k2_n5.steps] == [5, 13, 22, 33, 46]
+    assert len(seq_k2_n5.final_rows) == 46
+
+
+def test_shape_forgets_the_prefix_but_not_its_absence():
+    rel_weights = [("0", F(1, 2)), ("10", F(1, 4)), ("11", F(1, 4))]
+    rel_pert = {"": F(1, 8), "1": F(-1, 16)}
+
+    def under(prefix):
+        pert = XVec({node_coordinate(prefix + s): v for s, v in rel_pert.items()})
+        return BushRep(tuple((prefix + s, w) for s, w in rel_weights), pert)
+
+    a, b, root = under("0"), under("110"), under("")
+    assert a.shape() == b.shape()
+    assert root.shape() != a.shape()
+    assert a.shape()[1:] == root.shape()[1:]  # only the empty-prefix flag differs
+    # equal shapes decompose alike and keep their norms
+    assert [w for w, _ in bush_decompose(a, 1)] == [w for w, _ in bush_decompose(b, 1)]
+    assert a.value().sup_norm == b.value().sup_norm
+
+
+def test_depth_seven_builds_and_verifies():
+    seq = build_sequence(dyadic(), 1, HALF, 7)
+    assert seq.num_steps == 7
+    report = verify_sequence(seq)
+    assert report.all_passed, report.render()

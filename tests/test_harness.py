@@ -43,15 +43,15 @@ class TestVerify:
         assert any("(3c)" in n for n in names)
         assert any("martingale" in n for n in names)
 
-    def test_fault_injection_flags_separation(self, seq2):
+    def test_fault_injection_flags_separation(self, seq2, monkeypatch):
         # corrupt values of f_n for n >= 1 so separation collapses
-        seq2._value_override = lambda t, n, v: XVec.zero() if n >= 1 else v
-        try:
-            report = verify_sequence(seq2)
-            failed = {e.name for e in report.failed()}
-            assert any("(3b)" in n for n in failed)
-        finally:
-            seq2._value_override = None
+        value_at = seq2.value_at
+        monkeypatch.setattr(
+            seq2, "value_at", lambda t, n: XVec.zero() if n >= 1 else value_at(t, n)
+        )
+        report = verify_sequence(seq2)
+        failed = {e.name for e in report.failed()}
+        assert any("(3b)" in n for n in failed)
 
     def test_eta_scaling_of_bounds(self):
         for eta in (F(1, 4), HALF):

@@ -1,5 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -142,3 +147,50 @@ def test_boundedness_with_perturbation_budget():
         ]
     )
     assert rep.value().sup_norm <= 1 + F(1, 8)
+
+
+
+def test_argument_checks_survive_optimised_python():
+    # these checks must raise, not assert: `python -O` strips assert statements
+    code = textwrap.dedent(
+        """
+        from fractions import Fraction as F
+        from splinemart.filtration import dyadic
+        from splinemart.projection import ProjectionContext, VectorSpline
+        from splinemart.rle import RleSpline, UniformSpace
+        from splinemart.witness import BushRep, mix_reps
+
+        if __debug__:
+            raise SystemExit("not running optimised")
+        kv = ProjectionContext(dyadic(), 2).knot_vector
+        calls = {
+            "coefficients sum to 2": lambda: mix_reps(
+                [(F(1), BushRep.point("0")), (F(1), BushRep.point("1"))]
+            ),
+            "different spaces": lambda: RleSpline.zero(UniformSpace(2, 3, 2)).plus(
+                RleSpline.zero(UniformSpace(2, 4, 2))
+            ),
+            "different knot vectors": lambda: VectorSpline(kv(2), {}).plus(
+                VectorSpline(kv(3), {})
+            ),
+        }
+        for message, call in calls.items():
+            try:
+                call()
+            except ValueError as exc:
+                if message not in str(exc):
+                    raise SystemExit(f"{message}: raised {exc!r}")
+            else:
+                raise SystemExit(f"{message}: accepted")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
