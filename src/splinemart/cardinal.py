@@ -25,10 +25,6 @@ def _padd(a: Poly, b: Poly) -> Poly:
     )
 
 
-def _pscale(a: Poly, c: Fraction) -> Poly:
-    return tuple(x * c for x in a)
-
-
 def _pmul_linear(a: Poly, c0: Fraction, c1: Fraction) -> Poly:
     """a(u) * (c0 + c1*u)."""
     out = [Fraction(0)] * (len(a) + 1)
@@ -119,20 +115,6 @@ def refinement_mask(k: int, p: int) -> tuple[Fraction, ...]:
         coeffs = new
     scale = Fraction(1, p ** (k - 1))
     return tuple(scale * c for c in coeffs)
-
-
-@lru_cache(maxsize=None)
-def mask_residue_prefix(k: int, p: int) -> dict[int, list[Fraction]]:
-    """For each residue r mod p, prefix sums of mask entries i ≡ r (mod p)."""
-    mask = refinement_mask(k, p)
-    out: dict[int, list[Fraction]] = {}
-    for r in range(p):
-        acc, sums = Fraction(0), []
-        for i in range(r, len(mask), p):
-            acc += mask[i]
-            sums.append(acc)
-        out[r] = sums
-    return out
 
 
 def power_sum(a: int, b: int, r: int) -> Fraction:

@@ -20,9 +20,48 @@ from .filtration import parse_filtration_spec
 from .intervals import frac
 
 
+class UsageError(SplineMartError):
+    """The command line was refused before any work started."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def exponent(text: str) -> float:
+    value = float(text)
+    if not 1 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must lie in (1, inf), got {text}")
+    return value
+
+
+def filtration_spec(spec: str):
+    try:
+        return parse_filtration_spec(spec)
+    except (SplineMartError, OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def result_file(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read result file: {exc}")
+
+
 def _add_filtration_arg(p):
     p.add_argument(
         "--filtration",
+        type=filtration_spec,
         default="dyadic",
         help="dyadic | padic:<p> | accum:<point> | file:<path>",
     )
@@ -32,8 +71,7 @@ def cmd_construct(args) -> int:
     from .construction import build_sequence
     from .harness import verify_sequence
 
-    filt = parse_filtration_spec(args.filtration)
-    seq = build_sequence(filt, args.k, frac(args.eta), args.steps)
+    seq = build_sequence(args.filtration, args.k, args.eta, args.steps)
     blob = seq.to_json(trace=args.trace)
     out = json.dumps(blob, indent=2)
     if args.out:
@@ -52,9 +90,8 @@ def cmd_verify(args) -> int:
     from .construction import build_sequence
     from .harness import verify_sequence
 
-    if args.infile:
-        with open(args.infile) as fh:
-            blob = json.load(fh)
+    if args.result is not None:
+        blob = args.result
         failures = []
         eta = frac(blob["eta"])
         for n, entry in enumerate(blob["E"], start=1):
@@ -69,8 +106,7 @@ def cmd_verify(args) -> int:
             return 1
         print("PASS  recorded measures and trace inequalities hold")
         return 0
-    filt = parse_filtration_spec(args.filtration)
-    seq = build_sequence(filt, args.k, frac(args.eta), args.steps)
+    seq = build_sequence(args.filtration, args.k, args.eta, args.steps)
     report = verify_sequence(seq)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
@@ -80,14 +116,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    from .harness import ConstantsTable, shadrin_profile
+    from .harness import shadrin_profile
 
-    filt = parse_filtration_spec(args.filtration)
-    table = ConstantsTable()
     lines = ["level,dimension,l1_norm"]
-    for level, dim, norm in shadrin_profile(filt, args.k, args.levels):
+    for level, dim, norm in shadrin_profile(args.filtration, args.k, args.levels):
         lines.append(f"{level},{dim},{norm!r}")
-        table.add("l1_norm", args.k, level, norm)
     out = "\n".join(lines)
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -104,8 +137,7 @@ def cmd_uncond(args) -> int:
 
     import numpy as np
 
-    filt = parse_filtration_spec(args.filtration)
-    ctx = ProjectionContext(filt, args.k)
+    ctx = ProjectionContext(args.filtration, args.k)
     kv = ctx.knot_vector(args.depth)
     rng = np.random.default_rng(args.seed)
     f = ScalarSpline(kv, rng.uniform(-1.0, 1.0, kv.dim))
@@ -128,8 +160,7 @@ def cmd_uncond(args) -> int:
 def cmd_demo_convergence(args) -> int:
     from .harness import scalar_convergence_demo
 
-    filt = parse_filtration_spec(args.filtration)
-    result = scalar_convergence_demo(filt, args.k, args.depth, seed=args.seed)
+    result = scalar_convergence_demo(args.filtration, args.k, args.depth, seed=args.seed)
     if args.json:
         print(json.dumps(result))
     else:
@@ -142,16 +173,16 @@ def cmd_demo_convergence(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splinemart",
         description="martingale spline sequences over interval filtrations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the divergent sequence")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--eta", default="1/2")
-    p.add_argument("--steps", type=int, default=2)
+    p.add_argument("--k", type=positive_int, default=1)
+    p.add_argument("--eta", type=frac, default="1/2")
+    p.add_argument("--steps", type=positive_int, default=2)
     p.add_argument("--out", default=None)
     p.add_argument("--trace", choices=["summary", "full"], default="summary")
     p.add_argument("--verify", action="store_true")
@@ -159,34 +190,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="verify a result file or a fresh build")
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--eta", default="1/2")
-    p.add_argument("--steps", type=int, default=2)
+    p.add_argument("--in", dest="result", type=result_file, default=None)
+    p.add_argument("--k", type=positive_int, default=1)
+    p.add_argument("--eta", type=frac, default="1/2")
+    p.add_argument("--steps", type=positive_int, default=2)
     p.add_argument("--json", action="store_true")
     _add_filtration_arg(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("constants", help="projection norm table")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--levels", type=int, default=8)
+    p.add_argument("--k", type=positive_int, default=2)
+    p.add_argument("--levels", type=positive_int, default=8)
     p.add_argument("--csv", default=None)
     _add_filtration_arg(p)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("uncond", help="unconditionality ratio experiment")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--k", type=positive_int, default=2)
+    p.add_argument("--p", type=exponent, default=2.0)
+    p.add_argument("--depth", type=positive_int, default=8)
+    p.add_argument("--trials", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     _add_filtration_arg(p)
     p.set_defaults(func=cmd_uncond)
 
     p = sub.add_parser("demo-convergence", help="scalar convergence contrast")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--k", type=positive_int, default=1)
+    p.add_argument("--depth", type=positive_int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     _add_filtration_arg(p)
@@ -195,9 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SplineMartError as exc:
         print(f"error: {exc}", file=sys.stderr)

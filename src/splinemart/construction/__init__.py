@@ -1,30 +1,25 @@
 from .core import (
+    BoundPattern,
     ConstructionContext,
     Step1Pattern,
-    step1_simple,
+    slot_vectors,
     step1_stopping,
 )
 from .lemma import LemmaPattern, lemma_moments, step2_correct
 from .driver import SequenceResult, build_sequence
-from .ops import (
-    BoundStep1,
-    moment_perturbation,
-    simple_perturbation,
-    stopping_perturbation,
-)
+from .ops import moment_perturbation, stopping_perturbation
 
 __all__ = [
+    "BoundPattern",
     "ConstructionContext",
     "Step1Pattern",
-    "step1_simple",
+    "slot_vectors",
     "step1_stopping",
     "LemmaPattern",
     "lemma_moments",
     "step2_correct",
     "SequenceResult",
     "build_sequence",
-    "BoundStep1",
     "stopping_perturbation",
-    "simple_perturbation",
     "moment_perturbation",
 ]

@@ -1,13 +1,18 @@
-"""Mean-zero spline perturbations: the stopping-time and truncation builds.
+"""Mean-zero spline perturbations: the stopping-time build, and the
+slot-wise pattern protocol shared with the moment correction.
 
-Both constructions take a convex decomposition of the current value on an
-interval I and produce g with ∫ g = 0 supported inside int I, together
+The construction takes constant convex weights of the current value on an
+interval I and produces g with ∫ g = 0 supported inside int I, together
 with a tiling of I into cells: zones where the perturbed function is
 exactly constant (the mass carriers), and leftover cells that keep valid
 convex representations. Everything is exact rational arithmetic over a
 uniform p-ary grid; piece counts may be astronomically large, so all
 per-piece structure is kept as closed-form arithmetic plus one
 representative pattern (all pieces are congruent translates).
+
+A pattern stores g slot-wise, as scalar splines paired with slot keys that
+name witness vectors; `slot_vectors` builds those vectors and
+`BoundPattern` evaluates g with them.
 """
 
 from __future__ import annotations
@@ -15,26 +20,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 from typing import Optional, Sequence
 
-from ..errors import (
-    CapacityError,
-    DegenerateInputError,
-    InfeasibleStoppingError,
-    PreconditionError,
-)
+from ..errors import CapacityError, InfeasibleStoppingError, PreconditionError
 from ..intervals import Interval, frac
 from ..rle import RleSpline, UniformSpace
+from ..witness import XVec
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
 # slot keys name the witness-space vectors a scalar term multiplies:
-#   ("d", m)    -> x_m - xbar        (stopping construction)
+#   ("d", m)    -> x_m - xbar
 #   ("dmix",)   -> sum_j beta_j (x_j - xbar)
-#   ("s", l)    -> xtilde - x_l      (simple construction)
 #   ("w", i)    -> i-th moment-correction vector (expanded via w_data)
 SlotKey = tuple
+
+
+def slot_vectors(xbar: XVec, points: Sequence[XVec], betas: Sequence[Fraction]) -> dict:
+    """The witness vectors of the ("d", m) and ("dmix",) slots."""
+    diffs = [x.sub(xbar) for x in points]
+    vecs = {("d", m): dv for m, dv in enumerate(diffs)}
+    mix = XVec.zero()
+    for b, dv in zip(betas, diffs):
+        mix = mix.add(dv.scale(b))
+    vecs[("dmix",)] = mix
+    return vecs
 
 
 class ConstructionContext:
@@ -134,7 +147,6 @@ class CellSpec:
       rconst - indicator correction bump (order 1 only): constant xbar + w_i
       ramp   - B-spline ramp of f_m (single atom; convex rep, not constant)
       rbump  - moment-correction bump atom (convex rep, not constant)
-      edge   - boundary piece of the simple construction (convex rep)
     """
 
     lo: Fraction
@@ -152,14 +164,129 @@ class CellSpec:
         return self.kind in ("zone", "mix", "keep", "rconst")
 
 
-def check_tiling(cells: Sequence[CellSpec], iv: Interval):
+@dataclass(frozen=True)
+class PeriodicFamily:
+    """The inner-pattern cells repeated across congruent pieces."""
+
+    cells: tuple[CellSpec, ...]
+    period: Fraction
+    count: int
+
+    @property
+    def lo(self) -> Fraction:
+        return self.cells[0].lo
+
+    @property
+    def hi(self) -> Fraction:
+        return self.cells[-1].hi + (self.count - 1) * self.period
+
+    def locate(self, t: Fraction) -> tuple[int, CellSpec] | None:
+        if not (self.lo <= t < self.hi):
+            return None
+        idx = min(int((t - self.lo) / self.period), self.count - 1)
+        local = t - idx * self.period
+        for c in self.cells:
+            if c.lo <= local < c.hi:
+                return idx, c
+        return None
+
+
+def check_tiling(entries: Sequence, iv: Interval):
+    """Raise unless the cells and periodic families tile iv in order."""
     pos = iv.lo
-    for c in cells:
-        if c.lo != pos or c.hi <= c.lo:
-            raise AssertionError(f"cell tiling broken at {c}")
-        pos = c.hi
+    for e in entries:
+        if e.lo != pos or e.hi <= e.lo:
+            raise AssertionError(f"cell tiling broken at {e}")
+        if isinstance(e, PeriodicFamily):
+            check_tiling(e.cells, Interval(e.lo, e.lo + e.period))
+        pos = e.hi
     if pos != iv.hi:
         raise AssertionError("cells do not cover the interval")
+
+
+def cell_instances(entries: Sequence):
+    """(cell, number of its instances) over cells and periodic families."""
+    for e in entries:
+        if isinstance(e, PeriodicFamily):
+            for c in e.cells:
+                yield c, e.count
+        else:
+            yield e, 1
+
+
+def local_moment(scal, r: int, origin: Fraction) -> Fraction:
+    """∫ (t - origin)**r scal(t) dt from raw moments."""
+    return sum(
+        comb(r, q) * (-origin) ** (r - q) * scal.moment(q) for q in range(r + 1)
+    )
+
+
+class SlotwisePattern:
+    """g = sum of scalar splines times slot vectors, evaluated slot by slot.
+
+    Subclasses provide `interval`, `cells`, `terms` ((scalar, slot key)
+    pairs), `r_terms` ((scalar, ("w", i)) pairs) and `w_data` (the
+    (coefficient, slot key) expansion of each correction vector i).
+    """
+
+    def eval_slotwise(self, t: Fraction) -> dict:
+        return self._accumulate(lambda scal: scal.eval(t))
+
+    def moment_slotwise(self, r: int, origin: Optional[Fraction] = None) -> dict:
+        """∫ (t - origin)**r g(t) dt per slot; origin defaults to the interval start."""
+        origin = self.interval.lo if origin is None else origin
+        return self._accumulate(lambda scal: local_moment(scal, r, origin))
+
+    def _accumulate(self, value) -> dict:
+        out: dict = {}
+        for scal, key in self.terms:
+            v = value(scal)
+            if v:
+                out[key] = out.get(key, F0) + v
+        for scal, (_, i) in self.r_terms:
+            v = value(scal)
+            if v:
+                for coef, key in self.w_data[i]:
+                    out[key] = out.get(key, F0) + v * coef
+        return out
+
+    def zone_mass(self) -> Fraction:
+        cells = cell_instances(self.cells)
+        return sum((c.width * n for c, n in cells if c.kind == "zone"), F0)
+
+    def zombie_length(self) -> Fraction:
+        cells = cell_instances(self.cells)
+        return sum((c.width * n for c, n in cells if not c.is_constant), F0)
+
+    def bind(self, slot_vectors: dict) -> "BoundPattern":
+        return BoundPattern(self, slot_vectors)
+
+
+class BoundPattern:
+    """A pattern with concrete witness vectors: evaluation and exact moments."""
+
+    def __init__(self, pattern: SlotwisePattern, slot_vectors: dict):
+        self.pattern = pattern
+        self.slots = dict(slot_vectors)
+
+    @cached_property
+    def w_vectors(self) -> list[XVec]:
+        """The moment-correction vectors; built on first use, since their
+        big-rational coefficients are costly and most readers never need them."""
+        return [self._combine((key, coef) for coef, key in wd) for wd in self.pattern.w_data]
+
+    def _combine(self, coefs) -> XVec:
+        """sum of coef * slot vector over (slot key, coef) pairs."""
+        acc = XVec.zero()
+        for key, coef in coefs:
+            acc = acc.add(self.slots[key].scale(coef))
+        return acc
+
+    def g_eval(self, t) -> XVec:
+        return self._combine(self.pattern.eval_slotwise(frac(t)).items())
+
+    def g_moment(self, r: int, origin: Optional[Fraction] = None) -> XVec:
+        return self._combine(self.pattern.moment_slotwise(r, origin).items())
 
 
 # ---------------------------------------------------------------------------
@@ -216,33 +343,13 @@ class StoppingTrace:
         return out
 
 
-@dataclass
-class SimpleTrace:
-    eps: Fraction
-    n_pieces: int
-    int_h: tuple
-    betas: tuple
-    zone_mass: Fraction
-    vmass: Fraction
-    checks: list = field(default_factory=list)
-
-    def run_checks(self):
-        out = [
-            ("beta_range", all(0 <= b <= 1 for b in self.betas)),
-            ("beta_sum", sum(self.betas) == 1),
-            ("mass_A1", self.zone_mass >= (1 - self.eps) * self.vmass),
-        ]
-        self.checks = out
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Step 1, stopping-time variant (constant convex weights)
 
 
 @dataclass
-class Step1Pattern:
-    """Output of a Step-1 construction on a representative interval."""
+class Step1Pattern(SlotwisePattern):
+    """Output of the Step-1 construction on a representative interval."""
 
     interval: Interval
     K: int
@@ -250,24 +357,9 @@ class Step1Pattern:
     terms: list  # (RleSpline, SlotKey)
     cells: list  # CellSpec tiles of `interval`
     M: int
-    trace: object
-
-    def eval_slotwise(self, t: Fraction) -> dict:
-        out: dict = {}
-        for scal, key in self.terms:
-            v = scal.eval(t)
-            if v:
-                out[key] = out.get(key, F0) + v
-        return out
-
-    def moment_slotwise(self, r: int) -> dict:
-        out: dict = {}
-        for scal, key in self.terms:
-            out[key] = out.get(key, F0) + scal.moment(r)
-        return out
-
-    def zone_mass(self) -> Fraction:
-        return sum((c.width for c in self.cells if c.kind == "zone"), F0)
+    trace: StoppingTrace
+    r_terms: tuple = ()
+    w_data: tuple = ()
 
 
 def step1_stopping(
@@ -478,101 +570,3 @@ def _stopping_cells(interval, space, f_ranges, M) -> list[CellSpec]:
         cells.append(CellSpec(pos, interval.hi, "keep"))
     check_tiling(cells, interval)
     return cells
-
-
-# ---------------------------------------------------------------------------
-# Step 1, simple variant (non-constant convex weights)
-
-
-def step1_simple(
-    ctx: ConstructionContext,
-    interval: Interval,
-    alphas: Sequence[RleSpline],
-    eps: Fraction,
-    *,
-    min_level: int = 0,
-    align: Sequence[Fraction] = (),
-) -> Step1Pattern:
-    """Truncation construction for spline weights alphas (sum == 1 on I).
-
-    h_l is alpha_l with coefficients masked to basis functions meeting the
-    inner pieces; g = sum_l h_l ⊗ (xtilde - x_l) for the mean-matched
-    mixture xtilde = sum beta_l x_l, beta_l = ∫h_l / sum_j ∫h_j.
-    """
-    ctx.require_uniform()
-    p, k = ctx.p, ctx.k
-    eps = frac(eps)
-    if not 0 < eps < 1:
-        raise PreconditionError("eps must lie in (0, 1)")
-    M = len(alphas)
-    if M < 1:
-        raise PreconditionError("need at least one weight function")
-    base_level = alphas[0].space.level
-    a, b = interval.lo, interval.hi
-    width = interval.length
-    vmass = width
-
-    s = p_power_at_least(p, 4 / eps)
-    n = p**s
-    d = width / n
-
-    K = max(min_level, base_level + 1, level_aligning(p, a, d, *align))
-    while True:
-        if K > ctx.level_cap:
-            raise CapacityError("step1_simple exhausted the level cap")
-        h = ctx.space(K).h
-        # pieces 1, 2, n-1, n each contain at least k+1 atoms
-        if (d / h).denominator == 1 and d / h >= k + 1:
-            break
-        K += 1
-    space = ctx.space(K)
-    h = space.h
-
-    inner_lo, inner_hi = a + d, b - d
-    jlo, jhi = space.indices_touching(inner_lo, inner_hi)
-    fine = [al.refine_to(K) for al in alphas]
-    hs = []
-    for al in fine:
-        clipped = [
-            (max(r0, jlo), min(r1, jhi), c)
-            for r0, r1, c in al.runs
-            if not (r1 < jlo or r0 > jhi)
-        ]
-        hs.append(RleSpline(space, clipped))
-    int_h = [hl.integral() for hl in hs]
-    total = sum(int_h, F0)
-    if total == 0:
-        raise DegenerateInputError("all truncated weights vanish")
-    betas = tuple(ih / total for ih in int_h)
-
-    # g = sum_l h_l ⊗ (xtilde - x_l)
-    terms = [(hs[ell], ("s", ell)) for ell in range(M)]
-
-    # zone: the inner region where every h_l == alpha_l and partitions sum
-    # to one; the perturbed function is constant xtilde there
-    sup_lo = min((hl.support_bounds() or (inner_lo, inner_hi))[0] for hl in hs)
-    sup_hi = max((hl.support_bounds() or (inner_lo, inner_hi))[1] for hl in hs)
-    if not (a < sup_lo and sup_hi < b):
-        raise AssertionError("truncated support escaped the interior")
-    cells = [
-        CellSpec(a, sup_lo, "edge", data=("L",)),
-        CellSpec(sup_lo, inner_lo, "edge", data=("L",)),
-        CellSpec(inner_lo, inner_hi, "zone", 0, ("simple",)),
-        CellSpec(inner_hi, sup_hi, "edge", data=("R",)),
-        CellSpec(sup_hi, b, "edge", data=("R",)),
-    ]
-    cells = [c for c in cells if c.hi > c.lo]
-    check_tiling(cells, interval)
-    trace = SimpleTrace(
-        eps=eps,
-        n_pieces=n,
-        int_h=tuple(int_h),
-        betas=betas,
-        zone_mass=inner_hi - inner_lo,
-        vmass=vmass,
-    )
-    pattern = Step1Pattern(interval, K, space, terms, cells, M, trace)
-    failed = [name for name, ok in trace.run_checks() if not ok]
-    if failed:
-        raise AssertionError(f"simple construction violated {failed}")
-    return pattern

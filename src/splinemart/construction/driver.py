@@ -30,7 +30,9 @@ from typing import Optional
 from ..errors import ConstructionPreconditionError, PreconditionError
 from ..intervals import Interval, frac
 from ..witness import BushRep, XVec, bush_decompose, mix_reps
-from .core import CellSpec, ConstructionContext, F0, F1
+from .core import (
+    BoundPattern, CellSpec, ConstructionContext, F0, F1, cell_instances, slot_vectors,
+)
 from .lemma import LemmaPattern, PeriodicFamily, lemma_moments
 
 DELTA = F1  # bush separation
@@ -90,7 +92,7 @@ class SequenceResult:
         self.steps: list[StepData] = steps
         self.m_levels: list[int] = m_levels
         self.final_rows: list[ClassRow] = rows
-        # (step, binding) -> (pattern, parts, slot vectors); queries walk
+        # (step, binding) -> (pattern, parts, bound pattern); queries walk
         # few distinct bindings per step, so this stays small
         self._bound: dict = {}
 
@@ -124,14 +126,13 @@ class SequenceResult:
         for j in range(n):
             if binding is None:
                 break  # zombie region: later perturbations vanish here
-            pattern, parts, slots = self._bind(j, binding)
+            pattern, parts, bound = self._bind(j, binding)
             h = Fraction(1, self.filt.uniform_base ** self.steps[j].m_level)
             atom_lo = math.floor(t / h) * h
             tau = t - atom_lo + pattern.interval.lo
-            for key, coef in pattern.eval_slotwise(tau).items():
-                acc = acc.add(slots[key].scale(coef))
+            acc = acc.add(bound.g_eval(tau))
             cell, _shift = pattern.locate(tau)
-            binding = _child_value(binding, parts, pattern, slots, cell)
+            binding = _child_value(binding, parts, pattern, bound, cell)
         return acc
 
     def sup_diff_at(self, t, n: int) -> Fraction:
@@ -139,13 +140,14 @@ class SequenceResult:
         return self.value_at(t, n).sub(self.value_at(t, n - 1)).sup_norm
 
     def _bind(self, j: int, binding: BushRep):
-        """Pattern, decomposed parts and slot vectors of `binding` at step j."""
+        """Pattern, decomposed parts and bound pattern of `binding` at step j."""
         key = (j, binding)
         hit = self._bound.get(key)
         if hit is None:
             parts = bush_decompose(binding, DELTA, target_count=2)
             pattern = self.steps[j].patterns[tuple(w for w, _ in parts)]
-            hit = self._bound[key] = (pattern, parts, _slot_vectors(binding, parts, pattern))
+            bound = BoundPattern(pattern, _bush_slots(binding, parts, pattern))
+            hit = self._bound[key] = (pattern, parts, bound)
         return hit
 
     # -- sampling ---------------------------------------------------------------
@@ -169,12 +171,12 @@ class SequenceResult:
             first = math.ceil(lo / h)
             last = math.floor(hi / h) - 1
             atom_lo = rng.randint(first, last) * h
-            pattern, parts, slots = self._bind(j, binding)
+            pattern, parts, bound = self._bind(j, binding)
             force_zone = j >= n - 2
             cell, shift = self._random_cell(rng, pattern, force_zone)
             base = atom_lo - pattern.interval.lo
             lo, hi = base + shift + cell.lo, base + shift + cell.hi
-            binding = _child_value(binding, parts, pattern, slots, cell)
+            binding = _child_value(binding, parts, pattern, bound, cell)
             if binding is None:
                 raise AssertionError("sampler entered a non-constant cell")
         return lo, hi
@@ -207,9 +209,7 @@ class SequenceResult:
 
     def stopping_traces(self):
         for n, pat in self.all_patterns():
-            tr = pat.trace.inner_trace
-            if hasattr(tr, "j_indices"):
-                yield n, tr
+            yield n, pat.trace.inner_trace
 
     def to_json(self, trace: str = "summary", seed: int = 0) -> dict:
         rng = random.Random(seed)
@@ -258,12 +258,11 @@ class SequenceResult:
                     entry["ainv_norm"] = str(tr.ainv_norm)
                     entry["eps1_outer"] = str(tr.eps1_outer)
                     it = tr.inner_trace
-                    if hasattr(it, "betas"):
-                        entry["inner"] = {
-                            "betas": [str(b) for b in it.betas],
-                            "j_indices": list(getattr(it, "j_indices", ())),
-                            "n_pieces": getattr(it, "n_pieces", None),
-                        }
+                    entry["inner"] = {
+                        "betas": [str(b) for b in it.betas],
+                        "j_indices": list(it.j_indices),
+                        "n_pieces": it.n_pieces,
+                    }
                 rows.append(entry)
             out["trace_summary"] = rows
         return out
@@ -384,20 +383,17 @@ def _mix_value(parts, betas) -> BushRep:
     )
 
 
-def _slot_vectors(binding: BushRep, parts, pattern: LemmaPattern) -> dict:
-    base = binding.value()
-    diffs = [rep.value().sub(base) for _, rep in parts]
-    vecs = {("d", m): dv for m, dv in enumerate(diffs)}
-    betas = pattern.inner.trace.betas if pattern.inner is not None else ()
-    mix = XVec.zero()
-    for b, dv in zip(betas, diffs):
-        mix = mix.add(dv.scale(b))
-    vecs[("dmix",)] = mix
-    return vecs
+def _bush_slots(binding: BushRep, parts, pattern: LemmaPattern) -> dict:
+    """Slot vectors of an atom valued `binding` with decomposition `parts`."""
+    points = [rep.value() for _, rep in parts]
+    return slot_vectors(binding.value(), points, pattern.inner.trace.betas)
 
 
-def _child_value(binding: BushRep, parts, pattern: LemmaPattern, slots, cell: CellSpec):
-    """The value on `cell` of an atom valued `binding`; None off the constant cells."""
+def _child_value(binding: BushRep, parts, pattern: LemmaPattern, bound, cell: CellSpec):
+    """The value on `cell` of an atom valued `binding`; None off the constant cells.
+
+    Only rconst cells read `bound`, the pattern bound to the atom's slot vectors.
+    """
     if cell.kind == "zone":
         return parts[cell.m][1]
     if cell.kind == "keep":
@@ -405,11 +401,8 @@ def _child_value(binding: BushRep, parts, pattern: LemmaPattern, slots, cell: Ce
     if cell.kind == "mix":
         return _mix_value(parts, pattern.inner.trace.betas)
     if cell.kind == "rconst":
-        w = XVec.zero()
-        for coef, key in pattern.w_data[cell.m]:
-            w = w.add(slots[key].scale(coef))
-        return binding.with_pert(w)
-    return None  # ramp / rbump / edge: the class goes non-constant
+        return binding.with_pert(bound.w_vectors[cell.m])
+    return None  # ramp / rbump: the class goes non-constant
 
 
 def _add_class(census: dict, row: ClassRow):
@@ -421,7 +414,7 @@ def _add_class(census: dict, row: ClassRow):
 
 
 def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
-    pat.bind(_slot_vectors(rep_value, parts, pat))
+    pat.bind(_bush_slots(rep_value, parts, pat))
     failed = [name for name, ok in pat.trace.checks if not ok]
     if failed:
         raise AssertionError(f"pattern checks failed after binding: {failed}")
@@ -430,10 +423,13 @@ def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
 def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, census, n):
     base_norm = row.rep_value.value().sup_norm
     part_norms = [rep.value().sup_norm for _, rep in parts]
-    slots = _slot_vectors(row.rep_value, parts, pat)
+    bound = None  # built for the first rconst cell, the only reader
 
     def add(cell: CellSpec, length_per_atom: Fraction):
-        rep_value = _child_value(row.rep_value, parts, pat, slots, cell)
+        nonlocal bound
+        if cell.kind == "rconst" and bound is None:
+            bound = BoundPattern(pat, _bush_slots(row.rep_value, parts, pat))
+        rep_value = _child_value(row.rep_value, parts, pat, bound, cell)
         if cell.kind == "zone":
             norm = part_norms[cell.m]
         elif cell.kind == "keep":
@@ -459,9 +455,5 @@ def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, ce
             ),
         )
 
-    for entry in pat.cells:
-        if isinstance(entry, PeriodicFamily):
-            for c in entry.cells:
-                add(c, c.width * entry.count)
-        else:
-            add(entry, entry.width)
+    for cell, count in cell_instances(pat.cells):
+        add(cell, cell.width * count)

@@ -6,10 +6,9 @@ bumps. Solving the k x k moment system exactly in rationals yields bump
 coefficients w with ∫ tau^j (g_L + g_R) = 0 for j < k in interval-local
 coordinates tau, hence raw-moment vanishing for every translate too.
 
-For constant convex weights all pieces are congruent and one Step-1
+The weights are constant, so all pieces are congruent and one Step-1
 pattern serves every piece (closed-form sums over astronomically many
-translates); for spline weights the pieces differ and are materialized,
-which caps the reachable parameter range.
+translates).
 """
 
 from __future__ import annotations
@@ -17,22 +16,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Callable, Optional, Sequence
 
 from ..errors import CapacityError, PreconditionError
 from ..intervals import Interval, frac
 from ..rle import PeriodicSpline, RleSpline
-from ..witness import XVec
 from .core import (
     CellSpec,
     ConstructionContext,
     F0,
     F1,
+    PeriodicFamily,
+    SlotwisePattern,
+    StoppingTrace,
     Step1Pattern,
+    check_tiling,
     level_aligning,
+    local_moment,
     p_power_at_least,
-    step1_simple,
     step1_stopping,
 )
 
@@ -40,8 +41,6 @@ from .core import (
 #: margin that makes the recorded ||w|| <= eps-tilde check provable with
 #: witness vectors of sup-norm up to 4
 PIECE_MARGIN = 4
-
-MATERIALIZE_PIECE_CAP = 1 << 12
 
 
 def cube_root_under(eps: Fraction, p: int) -> Fraction:
@@ -93,40 +92,6 @@ def invert_exact(a: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def local_moment(scal, r: int, origin: Fraction) -> Fraction:
-    """∫ (t - origin)**r scal(t) dt from raw moments."""
-    return sum(
-        comb(r, q) * (-origin) ** (r - q) * scal.moment(q) for q in range(r + 1)
-    )
-
-
-@dataclass(frozen=True)
-class PeriodicFamily:
-    """The inner-pattern cells repeated across congruent pieces."""
-
-    cells: tuple[CellSpec, ...]
-    period: Fraction
-    count: int
-
-    @property
-    def lo(self) -> Fraction:
-        return self.cells[0].lo
-
-    @property
-    def hi(self) -> Fraction:
-        return self.cells[-1].hi + (self.count - 1) * self.period
-
-    def locate(self, t: Fraction) -> tuple[int, CellSpec] | None:
-        if not (self.lo <= t < self.hi):
-            return None
-        idx = min(int((t - self.lo) / self.period), self.count - 1)
-        local = t - idx * self.period
-        for c in self.cells:
-            if c.lo <= local < c.hi:
-                return idx, c
-        return None
-
-
 @dataclass
 class LemmaTrace:
     eps: Fraction
@@ -137,9 +102,8 @@ class LemmaTrace:
     interval: Interval
     L_mass: Fraction
     zone_mass: Fraction
-    inner_trace: object
+    inner_trace: StoppingTrace
     w_bound: Optional[Fraction] = None  # filled when vectors are bound
-    z_norms: tuple = ()
     checks: list = field(default_factory=list)
 
     def run_checks(self):
@@ -156,75 +120,24 @@ class LemmaTrace:
 
 
 @dataclass
-class LemmaPattern:
+class LemmaPattern(SlotwisePattern):
     """Full vanishing-moment construction on a representative interval.
 
-    terms: (scalar, slot key) pairs whose slot-weighted sum is g. Slot
-    keys name witness vectors: ("d", m) is x_m - xbar, ("dmix",) is
-    sum_j beta_j (x_j - xbar), ("s", l) / ("sp", piece, l) are the simple
-    construction's xtilde - x_l, and ("w", i) expands through w_data.
+    terms: (scalar, slot key) pairs of the inner pattern, repeated over the
+    pieces; r_terms: the correction bumps, whose ("w", i) vectors expand
+    through w_data into the same slot keys.
     """
 
     interval: Interval
     K: int
-    eps: Fraction
-    eps_tilde2: Fraction
     terms: list
-    inner: Optional[Step1Pattern]      # congruent case
-    inner_list: list                   # materialized case: (shift, pattern)
-    piece_period: Fraction
+    inner: Step1Pattern
     piece_count: int
     r_terms: list
     w_data: list
     picks: list
     cells: list
     trace: LemmaTrace
-    M: int
-    alphas: tuple
-
-    def eval_slotwise(self, t: Fraction) -> dict:
-        out: dict = {}
-        for scal, key in self.terms:
-            v = scal.eval(t)
-            if v:
-                out[key] = out.get(key, F0) + v
-        for scal, (_, i) in self.r_terms:
-            v = scal.eval(t)
-            if v:
-                for coef, key in self.w_data[i]:
-                    out[key] = out.get(key, F0) + v * coef
-        return out
-
-    def moment_slotwise(self, r: int, origin: Optional[Fraction] = None) -> dict:
-        origin = self.interval.lo if origin is None else origin
-        out: dict = {}
-        for scal, key in self.terms:
-            out[key] = out.get(key, F0) + local_moment(scal, r, origin)
-        for scal, (_, i) in self.r_terms:
-            m = local_moment(scal, r, origin)
-            for coef, key in self.w_data[i]:
-                out[key] = out.get(key, F0) + m * coef
-        return out
-
-    def zone_mass(self) -> Fraction:
-        total = F0
-        for entry in self.cells:
-            if isinstance(entry, PeriodicFamily):
-                per = sum((c.width for c in entry.cells if c.kind == "zone"), F0)
-                total += per * entry.count
-            elif entry.kind == "zone":
-                total += entry.width
-        return total
-
-    def zombie_length(self) -> Fraction:
-        total = F0
-        for entry in self.cells:
-            if isinstance(entry, PeriodicFamily):
-                per = sum((c.width for c in entry.cells if not c.is_constant), F0)
-                total += per * entry.count
-            elif not entry.is_constant:
-                total += entry.width
-        return total
 
     def locate(self, t: Fraction):
         """(cell, instance shift) containing t; half-open convention."""
@@ -238,40 +151,12 @@ class LemmaPattern:
                 return entry, F0
         raise KeyError(f"{t} not covered by pattern cells")
 
-    def bind(self, slot_vectors: dict) -> "BoundLemma":
-        return BoundLemma(self, slot_vectors)
-
-
-class BoundLemma:
-    """Pattern with concrete witness vectors: evaluation and exact norms."""
-
-    def __init__(self, pattern: LemmaPattern, slot_vectors: dict):
-        self.pattern = pattern
-        self.slots = dict(slot_vectors)
-        self.w_vectors: list[XVec] = []
-        for i in range(len(pattern.w_data)):
-            acc = XVec.zero()
-            for coef, key in pattern.w_data[i]:
-                acc = acc.add(self.slots[key].scale(coef))
-            self.w_vectors.append(acc)
-        tr = pattern.trace
-        tr.w_bound = max((w.sup_norm for w in self.w_vectors), default=F0)
-        tr.run_checks()
-
-    def g_eval(self, t: Fraction) -> XVec:
-        acc = XVec.zero()
-        for key, coef in self.pattern.eval_slotwise(t).items():
-            if key[0] == "w":
-                continue
-            acc = acc.add(self.slots[key].scale(coef))
-        # r-terms were already expanded through w_data by eval_slotwise
-        return acc
-
-    def g_moment(self, r: int, origin: Optional[Fraction] = None) -> XVec:
-        acc = XVec.zero()
-        for key, coef in self.pattern.moment_slotwise(r, origin).items():
-            acc = acc.add(self.slots[key].scale(coef))
-        return acc
+    def bind(self, slot_vectors: dict):
+        """Bind witness vectors; records ||w|| and re-runs the trace checks."""
+        bound = super().bind(slot_vectors)
+        self.trace.w_bound = max((w.sup_norm for w in bound.w_vectors), default=F0)
+        self.trace.run_checks()
+        return bound
 
 
 def step2_correct(
@@ -281,15 +166,13 @@ def step2_correct(
     base_level: int,
     inner_builder: Callable[[Interval, Fraction], Step1Pattern],
     *,
-    congruent: bool = True,
-    alphas: Sequence[Fraction] = (),
     max_zombie_length: Optional[Fraction] = None,
 ) -> LemmaPattern:
     """Assemble the vanishing-moment construction around a Step-1 builder.
 
     inner_builder(piece, eps_tilde) produces the Step-1 pattern for one
-    piece of L. With congruent=True one representative pattern is reused
-    for every piece (valid for constant weights over uniform limit sets).
+    piece of L; that representative pattern is reused for every piece
+    (valid for constant weights over uniform limit sets).
     """
     ctx.require_uniform()
     p, k = ctx.p, ctx.k
@@ -340,41 +223,16 @@ def step2_correct(
     def piece(ell: int) -> Interval:  # 1-based
         return Interval(a + (ell - 1) * d, a + ell * d)
 
-    terms: list = []
-    cells: list = [CellSpec(a, a + d, "keep")]
-    inner = None
-    inner_list: list = []
-    if congruent:
-        inner = inner_builder(piece(2), et)
-        K = max(inner.K, KR)
-        if (d / ctx.space(inner.K).h).denominator != 1:
-            raise AssertionError("piece period off the inner grid")
-        for scal, key in inner.terms:
-            terms.append((PeriodicSpline(scal, d, piece_count), key))
-        cells.append(PeriodicFamily(tuple(inner.cells), d, piece_count))
-        zone_per_piece = inner.zone_mass()
-        zone_left = zone_per_piece * piece_count
-        inner_trace = inner.trace
-        inner_M = inner.M
-    else:
-        if piece_count > MATERIALIZE_PIECE_CAP:
-            raise CapacityError(
-                f"{piece_count} non-congruent pieces exceed the materialization cap"
-            )
-        K = KR
-        zone_left = F0
-        for ell in range(2, n_outer):
-            pat = inner_builder(piece(ell), et)
-            K = max(K, pat.K)
-            inner_list.append((piece(ell).lo, pat))
-            for scal, key in pat.terms:
-                terms.append((scal, ("pp", ell) + key))
-            cells.extend(pat.cells)
-            zone_left += pat.zone_mass()
-        inner_trace = [pat.trace for _, pat in inner_list]
-        inner_M = inner_list[0][1].M if inner_list else 0
-
-    cells.append(CellSpec(a + (n_outer - 1) * d, c, "keep"))
+    inner = inner_builder(piece(2), et)
+    K = max(inner.K, KR)
+    if (d / ctx.space(inner.K).h).denominator != 1:
+        raise AssertionError("piece period off the inner grid")
+    terms = [(PeriodicSpline(scal, d, piece_count), key) for scal, key in inner.terms]
+    cells: list = [
+        CellSpec(a, a + d, "keep"),
+        PeriodicFamily(tuple(inner.cells), d, piece_count),
+        CellSpec(a + (n_outer - 1) * d, c, "keep"),
+    ]
 
     # exact z per slot over all pieces, then w = -A^{-1} z slotwise
     slot_moments: dict = {}
@@ -415,7 +273,7 @@ def step2_correct(
         pos = sup_hi
     if pos < b:
         cells.append(CellSpec(pos, b, "keep"))
-    _check_pattern_tiling(cells, interval)
+    check_tiling(cells, interval)
 
     trace = LemmaTrace(
         eps=eps,
@@ -426,25 +284,19 @@ def step2_correct(
         interval=interval,
         L_mass=lmass,
         zone_mass=F0,
-        inner_trace=inner_trace,
+        inner_trace=inner.trace,
     )
     pattern = LemmaPattern(
         interval=interval,
         K=K,
-        eps=eps,
-        eps_tilde2=et,
         terms=terms,
         inner=inner,
-        inner_list=inner_list,
-        piece_period=d,
         piece_count=piece_count,
         r_terms=r_terms,
         w_data=w_data,
         picks=picks,
         cells=cells,
         trace=trace,
-        M=inner_M,
-        alphas=tuple(alphas),
     )
     trace.zone_mass = pattern.zone_mass()
     failed = [name for name, ok in trace.run_checks() if not ok]
@@ -453,16 +305,6 @@ def step2_correct(
     if max_zombie_length is not None and pattern.zombie_length() > max_zombie_length:
         raise AssertionError("zombie budget exceeded")
     return pattern
-
-
-def _check_pattern_tiling(cells, interval):
-    pos = interval.lo
-    for entry in cells:
-        if entry.lo != pos or entry.hi <= entry.lo:
-            raise AssertionError(f"pattern tiling broken at {entry}")
-        pos = entry.hi
-    if pos != interval.hi:
-        raise AssertionError("pattern cells do not cover the interval")
 
 
 # ---------------------------------------------------------------------------
@@ -475,59 +317,31 @@ def lemma_moments(
     eps: Fraction,
     base_level: int,
     *,
-    const_alphas: Optional[Sequence[Fraction]] = None,
-    spline_alphas: Optional[Sequence[RleSpline]] = None,
+    const_alphas: Sequence[Fraction],
     max_zombie_length: Optional[Fraction] = None,
 ) -> LemmaPattern:
     """The full vanishing-moment lemma for one convex decomposition.
 
-    Constant weights dispatch to the stopping-time construction (Case 1
-    of the driver), spline weights to the truncation construction
-    (Case 2); either way the moment correction of step2_correct runs on
-    top.
+    The constant weights go to the stopping-time construction on each
+    piece, and the moment correction of step2_correct runs on top.
     """
-    if (const_alphas is None) == (spline_alphas is None):
-        raise ValueError("provide exactly one of const_alphas / spline_alphas")
-    if const_alphas is not None:
-        alphas = tuple(frac(x) for x in const_alphas)
-
-        def builder(pc: Interval, et: Fraction) -> Step1Pattern:
-            return step1_stopping(
-                ctx,
-                pc,
-                alphas,
-                et,
-                base_level,
-                align=(interval.lo, pc.length),
-                max_zombie_length=(
-                    None
-                    if max_zombie_length is None
-                    else max_zombie_length * pc.length / interval.length / 2
-                ),
-            )
-
-        return step2_correct(
-            ctx,
-            interval,
-            eps,
-            base_level,
-            builder,
-            congruent=True,
-            alphas=alphas,
-            max_zombie_length=max_zombie_length,
-        )
-
-    lambdas = list(spline_alphas)
+    alphas = tuple(frac(x) for x in const_alphas)
 
     def builder(pc: Interval, et: Fraction) -> Step1Pattern:
-        return step1_simple(ctx, pc, lambdas, et, align=(interval.lo, pc.length))
+        return step1_stopping(
+            ctx,
+            pc,
+            alphas,
+            et,
+            base_level,
+            align=(interval.lo, pc.length),
+            max_zombie_length=(
+                None
+                if max_zombie_length is None
+                else max_zombie_length * pc.length / interval.length / 2
+            ),
+        )
 
     return step2_correct(
-        ctx,
-        interval,
-        eps,
-        base_level,
-        builder,
-        congruent=False,
-        max_zombie_length=max_zombie_length,
+        ctx, interval, eps, base_level, builder, max_zombie_length=max_zombie_length
     )

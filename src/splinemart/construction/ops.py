@@ -2,7 +2,7 @@
 
 The pattern builders in core/lemma work slot-wise (scalar weights per
 witness vector); these wrappers accept the witness vectors themselves and
-return bound objects with direct evaluation, matching how the operations
+return bound patterns with direct evaluation, matching how the operations
 are stated mathematically.
 """
 
@@ -14,38 +14,8 @@ from typing import Sequence
 from ..errors import PreconditionError
 from ..intervals import Interval, frac
 from ..witness import XVec
-from .core import ConstructionContext, Step1Pattern, step1_simple, step1_stopping
-from .lemma import BoundLemma, LemmaPattern, lemma_moments
-
-
-class BoundStep1:
-    """A Step-1 pattern with concrete witness vectors."""
-
-    def __init__(self, pattern: Step1Pattern, slot_vectors: dict):
-        self.pattern = pattern
-        self.slots = dict(slot_vectors)
-
-    def g_eval(self, t) -> XVec:
-        acc = XVec.zero()
-        for key, coef in self.pattern.eval_slotwise(frac(t)).items():
-            acc = acc.add(self.slots[key].scale(coef))
-        return acc
-
-    def g_moment(self, r: int) -> XVec:
-        acc = XVec.zero()
-        for key, coef in self.pattern.moment_slotwise(r).items():
-            acc = acc.add(self.slots[key].scale(coef))
-        return acc
-
-
-def _stopping_slots(xs: Sequence[XVec], xbar: XVec, betas) -> dict:
-    diffs = [x.sub(xbar) for x in xs]
-    vecs = {("d", m): dv for m, dv in enumerate(diffs)}
-    mix = XVec.zero()
-    for b, dv in zip(betas, diffs):
-        mix = mix.add(dv.scale(b))
-    vecs[("dmix",)] = mix
-    return vecs
+from .core import BoundPattern, ConstructionContext, slot_vectors, step1_stopping
+from .lemma import lemma_moments
 
 
 def stopping_perturbation(
@@ -56,7 +26,7 @@ def stopping_perturbation(
     xbar: XVec,
     eps: Fraction,
     base_level: int = 0,
-) -> BoundStep1:
+) -> BoundPattern:
     """Step-1 stopping construction bound to concrete witness vectors.
 
     Requires xbar = sum alpha_j x_j exactly and unit separation
@@ -72,24 +42,7 @@ def stopping_perturbation(
         if xbar.sub(x).sup_norm < 1:
             raise PreconditionError("decomposition points must be separated from xbar")
     pattern = step1_stopping(ctx, interval, alphas, eps, base_level)
-    return BoundStep1(pattern, _stopping_slots(xs, xbar, pattern.trace.betas))
-
-
-def simple_perturbation(
-    ctx: ConstructionContext,
-    interval: Interval,
-    alphas,  # RleSplines summing to one on the interval
-    xs: Sequence[XVec],
-    eps: Fraction,
-) -> BoundStep1:
-    """Step-1 truncation construction bound to concrete witness vectors."""
-    pattern = step1_simple(ctx, interval, list(alphas), eps)
-    betas = pattern.trace.betas
-    xtilde = XVec.zero()
-    for b, x in zip(betas, xs):
-        xtilde = xtilde.add(x.scale(b))
-    vecs = {("s", ell): xtilde.sub(x) for ell, x in enumerate(xs)}
-    return BoundStep1(pattern, vecs)
+    return pattern.bind(slot_vectors(xbar, xs, pattern.trace.betas))
 
 
 def moment_perturbation(
@@ -100,11 +53,7 @@ def moment_perturbation(
     xbar: XVec,
     eps: Fraction,
     base_level: int = 0,
-) -> BoundLemma:
+) -> BoundPattern:
     """Full vanishing-moment perturbation bound to witness vectors."""
-    alphas = [frac(a) for a in alphas]
-    pattern: LemmaPattern = lemma_moments(
-        ctx, interval, eps, base_level, const_alphas=alphas
-    )
-    betas = pattern.inner.trace.betas
-    return pattern.bind(_stopping_slots(xs, xbar, betas))
+    pattern = lemma_moments(ctx, interval, eps, base_level, const_alphas=alphas)
+    return pattern.bind(slot_vectors(xbar, xs, pattern.inner.trace.betas))

@@ -9,7 +9,7 @@ from .estimators import (
     uniform_integrability_profile,
     weak_type_ratio,
 )
-from .constants import ConstantsTable, shadrin_profile
+from .constants import shadrin_profile
 
 __all__ = [
     "CheckEntry",
@@ -23,6 +23,5 @@ __all__ = [
     "uniform_integrability_profile",
     "scalar_convergence_demo",
     "random_martingale",
-    "ConstantsTable",
     "shadrin_profile",
 ]

@@ -1,29 +1,8 @@
-"""Empirical constant tables: the quantities the theory only proves finite."""
+"""Empirical constants: the projection-norm profile the theory only proves finite."""
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
-
 from ..projection import ProjectionContext
-
-
-@dataclass
-class ConstantsTable:
-    """Rows (quantity, order k, level-or-p, estimate); reproducible under a
-    fixed seed since every estimator is deterministic given its inputs."""
-
-    rows: list = field(default_factory=list)
-
-    def add(self, quantity: str, k: int, key, estimate: float):
-        self.rows.append((quantity, k, key, estimate))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("quantity,k,key,estimate\n")
-        for q, k, key, est in self.rows:
-            buf.write(f"{q},{k},{key},{est!r}\n")
-        return buf.getvalue()
 
 
 def shadrin_profile(filt, order: int, levels: int) -> list[tuple[int, int, float]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..construction.driver import SequenceResult
-from ..construction.lemma import PeriodicFamily
+from ..construction.core import cell_instances
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -74,9 +74,10 @@ def verify_sequence(
     eta = seq.eta
     n_steps = seq.num_steps
 
-    # (1) martingale property: on every atom of F_{m_n}, the perturbation
-    # g has exactly vanishing local moments up to order k-1, so the
-    # orthogonal projection onto S_{m_n} maps f_{n+1} back to f_n exactly.
+    # (1) and (i): on every atom of F_{m_n}, the perturbation g has exactly
+    # vanishing local moments up to order k-1 (lemma property (i)), so the
+    # orthogonal projection onto S_{m_n} maps f_{n+1} back to f_n exactly
+    # (martingale property (1)).
     worst = F0
     for n, pat in seq.all_patterns():
         for j in range(seq.k):
@@ -84,22 +85,12 @@ def verify_sequence(
             m = max((abs(v) for v in mom.values()), default=F0)
             worst = max(worst, m)
     rep.add(
-        "martingale residual (1)",
+        "martingale residual (1), moment vanishing (i)",
         worst == 0,
         float(worst),
         "= 0 exactly (implies sup-norm residual 0 <= 1e-8)",
         "exact",
         "per-pattern local moments",
-    )
-
-    # (i) raw moment vanishing per perturbation, scale-relative
-    rep.add(
-        "moment vanishing (i)",
-        worst == 0,
-        float(worst),
-        "<= 1e-9 relative",
-        "exact",
-        "lemma property (i)",
     )
 
     # (3a) constancy on zones: three random points of one zone instance
@@ -218,8 +209,7 @@ def verify_sequence(
         for name, ok in pat.trace.checks:
             if not ok:
                 bad.append((n, "lemma", name))
-        inner = pat.trace.inner_trace
-        for name, ok in getattr(inner, "checks", []):
+        for name, ok in pat.trace.inner_trace.checks:
             if not ok:
                 bad.append((n, "stopping", name))
     rep.add(
@@ -236,12 +226,7 @@ def verify_sequence(
 def _check_reps(seq: SequenceResult, rng) -> bool:
     """Sample ramp cells: f must match lambda-weighted endpoint values."""
     for n, pat in seq.all_patterns():
-        ramp_cells = []
-        for entry in pat.cells:
-            cells = entry.cells if isinstance(entry, PeriodicFamily) else (entry,)
-            for c in cells:
-                if c.kind == "ramp":
-                    ramp_cells.append(c)
+        ramp_cells = [c for c, _ in cell_instances(pat.cells) if c.kind == "ramp"]
         if not ramp_cells:
             continue
         cell = rng.choice(ramp_cells)

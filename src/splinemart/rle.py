@@ -118,13 +118,6 @@ class RleSpline:
                 return c
         return Fraction(0)
 
-    def coeffs_at_atom(self, a: int) -> tuple[Fraction, ...]:
-        """The k coefficients active on atom a (indices a..a+k-1)."""
-        return tuple(self.coeff(j) for j in range(a, a + self.space.k))
-
-    def is_one_on_atom(self, a: int) -> bool:
-        return all(c == 1 for c in self.coeffs_at_atom(a))
-
     def index_bounds(self) -> tuple[int, int] | None:
         if not self.runs:
             return None
@@ -317,6 +310,3 @@ class PeriodicSpline:
         if b is None:
             return None
         return b[0], b[1] + (self.count - 1) * self.shift
-
-    def refine_to(self, level: int) -> "PeriodicSpline":
-        return PeriodicSpline(self.base.refine_to(level), self.shift, self.count)

@@ -76,3 +76,22 @@ def test_dichotomy_error_exit_code(capsys):
     rc = main(["construct", "--k", "1", "--steps", "1", "--filtration", "accum:1/2"])
     assert rc == 2
     assert "measure zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--k", "0"],
+        ["construct", "--filtration", "padic:1"],
+        ["construct", "--filtration", "bogus"],
+        ["verify", "--in", "no-such-result.json"],
+        ["uncond", "--p", "1"],
+    ],
+)
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from splinemart.construction.core import (
+    CellSpec,
     ConstructionContext,
-    step1_simple,
+    PeriodicFamily,
+    check_tiling,
+    slot_vectors,
     step1_stopping,
 )
 from splinemart.construction.lemma import (
@@ -21,33 +24,17 @@ from splinemart.errors import (
 )
 from splinemart.filtration import AccumulatingFiltration, UniformFiltration, dyadic
 from splinemart.intervals import Interval
-from splinemart.rle import RleSpline, UniformSpace
 from splinemart.witness import BushRep, XVec, bush_decompose
 
 F = Fraction
 HALF = F(1, 2)
 
 
-def bind_bush(pattern, rep=None):
-    """Slot vectors for the canonical bush decomposition of a value."""
-    rep = rep or BushRep.point("")
+def bush_slots(betas):
+    """The root's bush decomposition and its slot vectors."""
+    rep = BushRep.point("")
     parts = bush_decompose(rep, 1, target_count=2)
-    base = rep.value()
-    diffs = [r.value().sub(base) for _, r in parts]
-    vecs = {("d", m): d for m, d in enumerate(diffs)}
-    betas = getattr(pattern.inner.trace, "betas", ()) if hasattr(pattern, "inner") else ()
-    mix = XVec.zero()
-    for b, d in zip(betas, diffs):
-        mix = mix.add(d.scale(b))
-    vecs[("dmix",)] = mix
-    return parts, vecs
-
-
-def eval_g(pattern, vecs, t):
-    acc = XVec.zero()
-    for key, coef in pattern.eval_slotwise(t).items():
-        acc = acc.add(vecs[key].scale(coef))
-    return acc
+    return parts, slot_vectors(rep.value(), [r.value() for _, r in parts], betas)
 
 
 class TestStopping:
@@ -59,29 +46,25 @@ class TestStopping:
         for m in range(2):
             assert tr.int_f[m] + tr.betas[m] * tr.int_f[2] == tr.C * tr.alphas[m]
         # so the slot-weighted mean vanishes for the bush decomposition
-        parts, vecs = bind_bush_step1(pat)
-        total = XVec.zero()
-        for key, mom in pat.moment_slotwise(0).items():
-            total = total.add(vecs[key].scale(mom))
-        assert total.sup_norm == 0
+        _, vecs = bush_slots(tr.betas)
+        assert pat.bind(vecs).g_moment(0).sup_norm == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_zone_values_and_separation(self, k):
         ctx = ConstructionContext(dyadic(), k)
         pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0)
-        parts, vecs = bind_bush_step1(pat)
+        parts, vecs = bush_slots(pat.trace.betas)
+        bound = pat.bind(vecs)
         xbar = XVec.zero()  # bush root
-        rng = random.Random(k)
         for cell in pat.cells:
             if cell.kind != "zone":
                 continue
             pts = [cell.lo + cell.width * F(i, 7) for i in (1, 3, 5)]
-            vals = [xbar.add(eval_g(pat, vecs, t)) for t in pts]
+            vals = [xbar.add(bound.g_eval(t)) for t in pts]
             child = parts[cell.m][1].value()
             for v in vals:
                 assert v == child
                 assert v.sub(xbar).sup_norm == 1
-        _ = rng
 
     def test_trace_inequalities_recorded(self):
         ctx = ConstructionContext(dyadic(), 2)
@@ -113,77 +96,6 @@ class TestStopping:
         ctx = ConstructionContext(AccumulatingFiltration(F(1, 2)), 1)
         with pytest.raises(CapacityError):
             step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0)
-
-
-def bind_bush_step1(pat):
-    rep = BushRep.point("")
-    parts = bush_decompose(rep, 1, target_count=2)
-    base = rep.value()
-    diffs = [r.value().sub(base) for _, r in parts]
-    vecs = {("d", m): d for m, d in enumerate(diffs)}
-    betas = pat.trace.betas if hasattr(pat.trace, "betas") else ()
-    mix = XVec.zero()
-    for b, d in zip(betas, diffs):
-        mix = mix.add(d.scale(b))
-    vecs[("dmix",)] = mix
-    return parts, vecs
-
-
-class TestSimple:
-    def setup_method(self):
-        self.ctx = ConstructionContext(dyadic(), 2)
-        sp = UniformSpace(2, 3, 2)
-        lo, hi = sp.interior_range()
-        mid = (lo + hi) // 2
-        # two non-constant weights summing to one
-        a1 = RleSpline(sp, [(lo, mid, F(1, 3)), (mid + 1, hi, F(3, 4))])
-        ones = RleSpline(sp, [(lo, hi, F(1))])
-        a2 = ones.plus(a1.scaled(F(-1)))
-        self.alphas = [a1, a2]
-
-    def test_single_weight_gives_zero(self):
-        sp = UniformSpace(2, 3, 2)
-        lo, hi = sp.interior_range()
-        ones = RleSpline(sp, [(lo, hi, F(1))])
-        pat = step1_simple(self.ctx, Interval(F(1, 4), F(3, 4)), [ones], F(1, 4))
-        # g = h ⊗ (xtilde - x_1) with xtilde = x_1: slot vector vanishes
-        assert pat.trace.betas == (1,)
-        x = XVec.unit(1)
-        vecs = {("s", 0): x.sub(x)}  # xtilde - x_1 = 0
-        for t in (F(1, 3), F(1, 2), F(2, 3)):
-            assert eval_g(pat, vecs, t) == XVec.zero()
-
-    def test_mean_zero_and_zone(self):
-        iv = Interval(F(1, 4), F(3, 4))
-        pat = step1_simple(self.ctx, iv, self.alphas, F(1, 4), min_level=4)
-        tr = pat.trace
-        assert sum(tr.betas) == 1 and all(0 <= b <= 1 for b in tr.betas)
-        # mean zero: sum over slots of moment * (xtilde - x_l) with
-        # xtilde = sum beta x: check the scalar identity directly
-        mom = pat.moment_slotwise(0)
-        # coefficient of x_l in ∫g: -∫h_l + beta_l * sum_j ∫h_j = 0
-        total_h = sum(tr.int_h, F(0))
-        for ell in range(2):
-            assert -tr.int_h[ell] + tr.betas[ell] * total_h == 0
-        _ = mom
-        # zone carries at least (1 - eps) of the mass
-        assert pat.zone_mass() >= (1 - F(1, 4)) * iv.length
-
-    def test_values_constant_on_zone(self):
-        iv = Interval(F(1, 4), F(3, 4))
-        pat = step1_simple(self.ctx, iv, self.alphas, F(1, 4), min_level=4)
-        x1, x2 = XVec.unit(1), XVec.unit(2)
-        tr = pat.trace
-        xtilde = x1.scale(tr.betas[0]).add(x2.scale(tr.betas[1]))
-        vecs = {("s", 0): xtilde.sub(x1), ("s", 1): xtilde.sub(x2)}
-        zone = next(c for c in pat.cells if c.kind == "zone")
-        K = pat.K
-        for t in [zone.lo + zone.width * F(i, 11) for i in range(1, 11, 3)]:
-            # xbar(t) + g(t) must equal xtilde exactly
-            a1 = self.alphas[0].refine_to(K).eval(t)
-            xbar = x1.scale(a1).add(x2.scale(1 - a1))
-            val = xbar.add(eval_g(pat, vecs, t))
-            assert val == xtilde
 
 
 class TestCubeRoot:
@@ -222,7 +134,7 @@ class TestLemma:
     def test_vanishing_moments_exact(self, k):
         ctx = ConstructionContext(dyadic(), k)
         pat = lemma_moments(ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF])
-        parts, vecs = bind_bush_lemma(pat)
+        parts, vecs = bush_slots(pat.inner.trace.betas)
         bound = pat.bind(vecs)
         for j in range(k):
             assert bound.g_moment(j).sup_norm == 0
@@ -235,7 +147,7 @@ class TestLemma:
         for k in (1, 2, 3):
             ctx = ConstructionContext(dyadic(), k)
             pat = lemma_moments(ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF])
-            _, vecs = bind_bush_lemma(pat)
+            _, vecs = bush_slots(pat.inner.trace.betas)
             pat.bind(vecs)
             assert pat.trace.w_bound is not None
             assert pat.trace.w_bound <= pat.trace.eps_tilde2
@@ -258,7 +170,7 @@ class TestLemma:
         # A is 1x1 and positive; the assembled correction vector vanishes
         # because the mean already cancels vectorially on L
         assert len(pat.picks) == 1
-        _, vecs = bind_bush_lemma(pat)
+        _, vecs = bush_slots(pat.inner.trace.betas)
         bound = pat.bind(vecs)
         assert bound.w_vectors[0].sup_norm == 0
 
@@ -266,7 +178,7 @@ class TestLemma:
         ctx = ConstructionContext(dyadic(), 2)
         iv = Interval(F(1, 2), F(3, 4))
         pat = lemma_moments(ctx, iv, F(1, 4), 2, const_alphas=[HALF, HALF])
-        _, vecs = bind_bush_lemma(pat)
+        _, vecs = bush_slots(pat.inner.trace.betas)
         bound = pat.bind(vecs)
         # the first and last cells are keep cells hugging the boundary;
         # g vanishes there, so supp g stays inside int I
@@ -280,48 +192,6 @@ class TestLemma:
             lo, hi = scal.support_bounds()
             assert iv.lo < lo and hi < iv.hi
 
-    def test_spline_weights_small_case(self):
-        # non-constant weights force materialized pieces; a short interval
-        # and a large eps keep the outer piece count tractable
-        ctx = ConstructionContext(dyadic(), 1)
-        sp = UniformSpace(2, 2, 1)
-        lo, hi = sp.interior_range()
-        mid = (lo + hi) // 2
-        a1 = RleSpline(sp, [(lo, mid, F(1, 4)), (mid + 1, hi, F(2, 3))])
-        ones = RleSpline(sp, [(lo, hi, F(1))])
-        a2 = ones.plus(a1.scaled(F(-1)))
-        pat = lemma_moments(
-            ctx, Interval(F(1, 4), F(1, 2)), F(3, 4), 2, spline_alphas=[a1, a2]
-        )
-        assert pat.inner_list  # materialized per-piece patterns
-        # mean vanishes exactly against arbitrary witness vectors: the
-        # per-piece mixtures differ, so resolve slot vectors per piece
-        x = [XVec.unit(3), XVec.unit(5)]
-        traces = {}
-        for idx, (_shift, inner) in enumerate(pat.inner_list):
-            traces[idx + 2] = inner.trace.betas
-        total = XVec.zero()
-        for key, mom in pat.moment_slotwise(0).items():
-            betas = traces[key[1]]
-            xt = x[0].scale(betas[0]).add(x[1].scale(betas[1]))
-            vec = xt.sub(x[key[3]])
-            total = total.add(vec.scale(mom))
-        assert total.sup_norm == 0
-
-
-def bind_bush_lemma(pat):
-    rep = BushRep.point("")
-    parts = bush_decompose(rep, 1, target_count=2)
-    base = rep.value()
-    diffs = [r.value().sub(base) for _, r in parts]
-    vecs = {("d", m): d for m, d in enumerate(diffs)}
-    betas = pat.inner.trace.betas if pat.inner is not None else ()
-    mix = XVec.zero()
-    for b, d in zip(betas, diffs):
-        mix = mix.add(d.scale(b))
-    vecs[("dmix",)] = mix
-    return parts, vecs
-
 
 class TestPAdic:
     def test_triadic_stopping(self):
@@ -329,3 +199,34 @@ class TestPAdic:
         pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0)
         assert all(ok for _, ok in pat.trace.checks)
         assert pat.zone_mass() >= F(3, 4)
+
+
+class TestTiling:
+    """check_tiling over a list that mixes plain cells and a periodic family."""
+
+    ZONE = CellSpec(F(1, 8), F(3, 16), "zone", 0)
+    FAMILY = PeriodicFamily((ZONE, CellSpec(F(3, 16), F(1, 4), "keep")), F(1, 8), 4)
+
+    def tiles(self, first_hi=F(1, 8), last_lo=F(5, 8)):
+        # the family's four periods cover [1/8, 5/8)
+        return [CellSpec(0, first_hi, "keep"), self.FAMILY, CellSpec(last_lo, 1, "keep")]
+
+    def test_mixed_cover_passes(self):
+        check_tiling(self.tiles(), Interval(0, 1))
+
+    @pytest.mark.parametrize("fault", ["gap", "overlap", "empty", "short", "family_gap"])
+    def test_broken_tilings_raise(self, fault):
+        tiles = self.tiles()
+        if fault == "gap":
+            tiles = self.tiles(first_hi=F(1, 16))
+        elif fault == "overlap":
+            tiles = self.tiles(last_lo=F(9, 16))
+        elif fault == "empty":
+            tiles.insert(2, CellSpec(F(5, 8), F(5, 8), "keep"))
+        elif fault == "short":
+            tiles.pop()
+        else:  # the family's own cells leave a gap inside each period
+            tiles[1] = PeriodicFamily((self.ZONE,), F(1, 8), 4)
+            tiles[2] = CellSpec(F(9, 16), 1, "keep")
+        with pytest.raises(AssertionError):
+            check_tiling(tiles, Interval(0, 1))

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from splinemart.construction import (
     ConstructionContext,
     moment_perturbation,
-    simple_perturbation,
     stopping_perturbation,
 )
 from splinemart.errors import PreconditionError
 from splinemart.filtration import dyadic
 from splinemart.intervals import Interval
-from splinemart.rle import RleSpline, UniformSpace
 from splinemart.witness import XVec, node_vector
 
 F = Fraction
@@ -48,18 +46,6 @@ def test_stopping_rejects_bad_xbar():
         stopping_perturbation(
             ctx, Interval(0, 1), [HALF, HALF], xs, XVec.unit(3), F(1, 4)
         )
-
-
-def test_simple_m1_gives_zero():
-    ctx = ConstructionContext(dyadic(), 2)
-    sp = UniformSpace(2, 3, 2)
-    lo, hi = sp.interior_range()
-    ones = RleSpline(sp, [(lo, hi, F(1))])
-    bound = simple_perturbation(
-        ctx, Interval(F(1, 4), F(3, 4)), [ones], [XVec.unit(5)], F(1, 4)
-    )
-    for t in (F(1, 3), F(2, 5), F(7, 12)):
-        assert bound.g_eval(t) == XVec.zero()
 
 
 @settings(max_examples=10, deadline=None)
