@@ -184,10 +184,6 @@ class ScalarSpline:
         self.kv = kv
         self.coeffs = coeffs
 
-    @property
-    def level_dim(self) -> int:
-        return self.kv.dim
-
     def eval(self, t: float) -> float:
         return sum(self.coeffs[i] * v for i, v in eval_basis(self.kv, t))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 Poly = tuple[Fraction, ...]  # coefficients, ascending powers
 
@@ -117,31 +117,29 @@ def refinement_mask(k: int, p: int) -> tuple[Fraction, ...]:
     return tuple(scale * c for c in coeffs)
 
 
-def power_sum(a: int, b: int, r: int) -> Fraction:
+def power_sum(a: int, b: int, r: int) -> int:
     """Σ_{i=a}^{b} i**r, exact, valid for any integers a <= b (0 if a > b)."""
     if a > b:
-        return Fraction(0)
-    return _faulhaber(b, r) - _faulhaber(a - 1, r)
+        return 0
+    coeffs, den = _faulhaber(r)
+    hi = lo = 0
+    for c in coeffs:  # Horner at b and at a - 1
+        hi, lo = hi * b + c, lo * (a - 1) + c
+    return (hi - lo) // den
 
 
-def _faulhaber(n: int, r: int) -> Fraction:
-    # polynomial identities valid for every integer n
-    if r == 0:
-        return Fraction(n)
-    if r == 1:
-        return Fraction(n * (n + 1), 2)
-    if r == 2:
-        return Fraction(n * (n + 1) * (2 * n + 1), 6)
-    if r == 3:
-        return Fraction(n * n * (n + 1) * (n + 1), 4)
-    if r == 4:
-        return Fraction(n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1), 30)
-    if r == 5:
-        return Fraction(n * n * (n + 1) * (n + 1) * (2 * n * n + 2 * n - 1), 12)
-    # Faulhaber's formula with B_1 = +1/2: a polynomial in n, so it holds
-    # for every integer n, negative ones included
+@lru_cache(maxsize=None)
+def _faulhaber(r: int) -> tuple[tuple[int, ...], int]:
+    """Σ_{i=1}^{n} i**r as (integer coefficients, highest power first) / den.
+
+    Faulhaber's formula with B_1 = +1/2 is a polynomial in n, so it holds
+    for every integer n, negative ones included, and the numerators at
+    two integers differ by a multiple of den.
+    """
     b = _bernoulli_plus(r)
-    return sum(comb(r + 1, j) * b[j] * n ** (r + 1 - j) for j in range(r + 1)) / (r + 1)
+    poly = [comb(r + 1, j) * b[j] / (r + 1) for j in range(r + 1)] + [Fraction(0)]
+    den = lcm(*(c.denominator for c in poly))
+    return tuple(int(c * den) for c in poly), den
 
 
 @lru_cache(maxsize=None)

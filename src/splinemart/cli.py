@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import SplineMartError
 from .filtration import parse_filtration_spec
@@ -21,7 +20,7 @@ from .intervals import frac
 
 
 class UsageError(SplineMartError):
-    """The command line was refused before any work started."""
+    """The command line, or a file it names, was refused."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,8 +74,11 @@ def cmd_construct(args) -> int:
     blob = seq.to_json(trace=args.trace)
     out = json.dumps(blob, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise UsageError(f"cannot write the result file: {exc}")
     else:
         print(out)
     if args.verify:
@@ -86,21 +88,37 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _recorded_failures(blob) -> list[str]:
+    """The failed (3c), (3d) and trace checks of a result file; a file of
+    any other shape is refused."""
+    from .harness.verify import c_bound, e_bound
+
+    try:
+        eta = frac(blob["eta"])
+        if not 0 < eta < 1:
+            raise ValueError(f"eta = {eta} is not in (0, 1)")
+        failures = [
+            f"|E_{n}| below (1 - 2^-{n} eta)|V| (3c)"
+            for n, entry in enumerate(blob["E"], start=1)
+            if frac(entry["measure"]) < e_bound(n, eta)
+        ]
+        failures += [
+            f"|C_{n} ∩ V| below (1 - 2^-{n + 2} eta)|V| (3d)"
+            for n, measure in enumerate(blob["C"][1:], start=1)
+            if frac(measure) < c_bound(n, eta)
+        ]
+        rows = blob.get("trace_summary", [])
+        return failures + [f"step {row['step']}: {row['failed']}" for row in rows if row["failed"]]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
+        raise UsageError(f"malformed result file: {type(exc).__name__}: {exc}")
+
+
 def cmd_verify(args) -> int:
     from .construction import build_sequence
     from .harness import verify_sequence
 
     if args.result is not None:
-        blob = args.result
-        failures = []
-        eta = frac(blob["eta"])
-        for n, entry in enumerate(blob["E"], start=1):
-            bound = 1 - Fraction(1, 2**n) * eta
-            if frac(entry["measure"]) < bound:
-                failures.append(f"|E_{n}| below (1 - 2^-{n} eta)|V|")
-        for row in blob.get("trace_summary", []):
-            if row.get("failed"):
-                failures.append(f"step {row['step']}: {row['failed']}")
+        failures = _recorded_failures(args.result)
         if failures:
             print("\n".join("FAIL  " + f for f in failures))
             return 1

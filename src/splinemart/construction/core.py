@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 from typing import Optional, Sequence
 
 from ..errors import CapacityError, InfeasibleStoppingError, PreconditionError
@@ -31,6 +30,9 @@ from ..witness import XVec
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+#: deepest grid level any construction may use
+LEVEL_CAP = 1 << 20
 
 # slot keys name the witness-space vectors a scalar term multiplies:
 #   ("d", m)    -> x_m - xbar
@@ -59,12 +61,11 @@ class ConstructionContext:
     genuinely cannot supply the refinement depth the construction needs).
     """
 
-    def __init__(self, filt, order: int, level_cap: int = 1 << 20):
+    def __init__(self, filt, order: int):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.filt = filt
         self.k = order
-        self.level_cap = level_cap
 
     def require_uniform(self):
         if not self.filt.is_uniform_full():
@@ -78,8 +79,8 @@ class ConstructionContext:
         return self.filt.uniform_base
 
     def space(self, level: int) -> UniformSpace:
-        if level > self.level_cap:
-            raise CapacityError(f"level {level} beyond construction cap {self.level_cap}")
+        if level > LEVEL_CAP:
+            raise CapacityError(f"level {level} beyond construction cap {LEVEL_CAP}")
         return UniformSpace(self.p, level, self.k)
 
 
@@ -214,13 +215,6 @@ def cell_instances(entries: Sequence):
             yield e, 1
 
 
-def local_moment(scal, r: int, origin: Fraction) -> Fraction:
-    """∫ (t - origin)**r scal(t) dt from raw moments."""
-    return sum(
-        comb(r, q) * (-origin) ** (r - q) * scal.moment(q) for q in range(r + 1)
-    )
-
-
 class SlotwisePattern:
     """g = sum of scalar splines times slot vectors, evaluated slot by slot.
 
@@ -233,9 +227,10 @@ class SlotwisePattern:
         return self._accumulate(lambda scal: scal.eval(t))
 
     def moment_slotwise(self, r: int, origin: Optional[Fraction] = None) -> dict:
-        """∫ (t - origin)**r g(t) dt per slot; origin defaults to the interval start."""
+        """∫ (t - origin)**r g(t) dt per slot; origin defaults to the interval
+        start and must sit on the grid of every term."""
         origin = self.interval.lo if origin is None else origin
-        return self._accumulate(lambda scal: local_moment(scal, r, origin))
+        return self._accumulate(lambda scal: scal.moment(r, origin))
 
     def _accumulate(self, value) -> dict:
         out: dict = {}
@@ -370,7 +365,6 @@ def step1_stopping(
     base_level: int,
     *,
     align: Sequence[Fraction] = (),
-    min_level: int = 0,
     max_zombie_length: Optional[Fraction] = None,
 ) -> Step1Pattern:
     """Stopping-time construction for constant convex weights.
@@ -404,10 +398,10 @@ def step1_stopping(
     # level search: k+1 atoms inside the ball on each side of every piece
     # midpoint, grid alignment for all translation offsets, optional zombie
     # (ramp) length budget
-    K = max(min_level, base_level + 1, level_aligning(p, a, d, *align))
+    K = max(base_level + 1, level_aligning(p, a, d, *align))
     ramp_atoms = 2 * (M + 1) * (k - 1)
     while True:
-        if K > ctx.level_cap:
+        if K > LEVEL_CAP:
             raise CapacityError("step1_stopping exhausted the level cap")
         h = ctx.space(K).h
         p1 = a + d / 2

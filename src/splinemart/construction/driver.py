@@ -36,6 +36,7 @@ from .core import (
 from .lemma import LemmaPattern, PeriodicFamily, lemma_moments
 
 DELTA = F1  # bush separation
+DEPTH_CAP = 12  # most steps build_sequence accepts
 
 
 @dataclass
@@ -49,7 +50,6 @@ class ClassRow:
     no value and key on shape None.
     """
 
-    step: int                      # atoms of F_{m_step}
     kind: str                      # 'const' | 'zombie'
     cell_kind: str                 # cell kind that created the class
     rep_value: Optional[BushRep]   # representative value (const classes)
@@ -273,9 +273,6 @@ def build_sequence(
     order: int,
     eta,
     steps: int,
-    *,
-    depth_cap: int = 12,
-    level_cap: int = 1 << 20,
 ) -> SequenceResult:
     """Construct the divergent k-martingale spline sequence.
 
@@ -286,19 +283,18 @@ def build_sequence(
     eta = frac(eta)
     if not 0 < eta < 1:
         raise PreconditionError("eta must lie in (0, 1)")
-    if not 1 <= steps <= depth_cap:
-        raise PreconditionError(f"steps must lie in 1..{depth_cap}")
+    if not 1 <= steps <= DEPTH_CAP:
+        raise PreconditionError(f"steps must lie in 1..{DEPTH_CAP}")
     if filt.limit_set.measure == 0:
         raise ConstructionPreconditionError(
             "the limit set V has measure zero; no divergent bounded sequence exists"
         )
-    ctx = ConstructionContext(filt, order, level_cap=level_cap)
+    ctx = ConstructionContext(filt, order)
     ctx.require_uniform()
     p = ctx.p
 
     rows = [
         ClassRow(
-            step=0,
             kind="const",
             cell_kind="zone",
             rep_value=BushRep.point(""),
@@ -322,7 +318,7 @@ def build_sequence(
         new_m = m_n + 1
         for row in rows:
             if row.kind != "const":
-                _add_class(census, replace(row, step=n + 1))
+                _add_class(census, replace(row))  # _add_class grows lengths in place
                 continue
             parts = bush_decompose(row.rep_value, DELTA, target_count=2)
             profile = tuple(w for w, _ in parts)
@@ -342,7 +338,7 @@ def build_sequence(
             atom_count = row.total_length / h_n
             if atom_count.denominator != 1:
                 raise AssertionError("class length not atom-aligned")
-            _spawn_children(row, pat, parts, int(atom_count), census, n)
+            _spawn_children(row, pat, parts, int(atom_count), census)
 
         new_rows = list(census.values())
         total = sum((r.total_length for r in new_rows), F0)
@@ -420,7 +416,7 @@ def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
         raise AssertionError(f"pattern checks failed after binding: {failed}")
 
 
-def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, census, n):
+def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, census):
     base_norm = row.rep_value.value().sup_norm
     part_norms = [rep.value().sup_norm for _, rep in parts]
     bound = None  # built for the first rconst cell, the only reader
@@ -443,7 +439,6 @@ def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, ce
         _add_class(
             census,
             ClassRow(
-                step=n + 1,
                 kind="const" if rep_value is not None else "zombie",
                 cell_kind=cell.kind,
                 rep_value=rep_value,

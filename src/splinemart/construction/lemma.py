@@ -26,13 +26,13 @@ from .core import (
     ConstructionContext,
     F0,
     F1,
+    LEVEL_CAP,
     PeriodicFamily,
     SlotwisePattern,
     StoppingTrace,
     Step1Pattern,
     check_tiling,
     level_aligning,
-    local_moment,
     p_power_at_least,
     step1_stopping,
 )
@@ -135,7 +135,6 @@ class LemmaPattern(SlotwisePattern):
     piece_count: int
     r_terms: list
     w_data: list
-    picks: list
     cells: list
     trace: LemmaTrace
 
@@ -191,7 +190,7 @@ def step2_correct(
     KR = max(base_level + 1, level_aligning(p, a, c))
     need_atoms = k * (k + 1) + 3
     while True:
-        if KR > ctx.level_cap:
+        if KR > LEVEL_CAP:
             raise CapacityError("step2 exhausted the level cap placing bumps")
         h = ctx.space(KR).h
         first = math.floor(c / h) + 1  # first atom strictly right of c
@@ -207,7 +206,7 @@ def step2_correct(
     picks = [first + 1 + i * (k + 1) + k - 1 for i in range(k)]
 
     bumps = [RleSpline.from_index_range(space_r, m, m) for m in picks]
-    amat = [[local_moment(bumps[j], i, a) for j in range(k)] for i in range(k)]
+    amat = [[bumps[j].moment(i, a) for j in range(k)] for i in range(k)]
     ainv = invert_exact(amat)
     ainv_norm = max(sum(abs(v) for v in row) for row in ainv)
 
@@ -239,10 +238,11 @@ def step2_correct(
     for scal, key in terms:
         row = slot_moments.setdefault(key, [F0] * k)
         for j in range(k):
-            row[j] += local_moment(scal, j, a)
+            row[j] += scal.moment(j, a)
+    slot_w: dict = {}
     w_data: list = [[] for _ in range(k)]
     for key, zrow in sorted(slot_moments.items(), key=lambda kv: repr(kv[0])):
-        wk = solve_exact(amat, [-zj for zj in zrow])
+        wk = slot_w[key] = [-sum(x * z for x, z in zip(arow, zrow)) for arow in ainv]
         for i in range(k):
             if wk[i]:
                 w_data[i].append((wk[i], key))
@@ -250,13 +250,9 @@ def step2_correct(
 
     # moment vanishing must be exact, slot by slot
     for key, zrow in slot_moments.items():
-        for j in range(k):
-            total = zrow[j]
-            for i in range(k):
-                coef = next((cf for cf, kk in w_data[i] if kk == key), F0)
-                total += amat[j][i] * coef
-            if total != 0:
-                raise AssertionError("moment correction failed to cancel exactly")
+        wk = slot_w[key]
+        if any(zrow[j] + sum(x * w for x, w in zip(amat[j], wk)) != 0 for j in range(k)):
+            raise AssertionError("moment correction failed to cancel exactly")
 
     pos = c
     for i, m in enumerate(picks):
@@ -294,7 +290,6 @@ def step2_correct(
         piece_count=piece_count,
         r_terms=r_terms,
         w_data=w_data,
-        picks=picks,
         cells=cells,
         trace=trace,
     )

@@ -20,6 +20,16 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
+def e_bound(n: int, eta: Fraction) -> Fraction:
+    """Lower bound of (3c): |E_n| >= (1 - 2^-n eta)|V|, with |V| = 1."""
+    return 1 - Fraction(1, 2**n) * eta
+
+
+def c_bound(n: int, eta: Fraction) -> Fraction:
+    """Lower bound of (3d): |C_n ∩ V| >= (1 - 2^-(n+2) eta)|V|, with |V| = 1."""
+    return 1 - Fraction(1, 2 ** (n + 2)) * eta
+
+
 @dataclass
 class CheckEntry:
     name: str
@@ -129,8 +139,8 @@ def verify_sequence(
 
     # (3c)/(3d): exact rational measure bounds
     for n in range(1, n_steps + 1):
-        ebound = 1 - Fraction(1, 2**n) * eta
-        cbound = 1 - Fraction(1, 2 ** (n + 2)) * eta
+        ebound = e_bound(n, eta)
+        cbound = c_bound(n, eta)
         rep.add(
             f"|E_{n}| >= (1-2^-{n} eta)|V| (3c)",
             seq.e_measure(n) >= ebound,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -49,9 +49,6 @@ class Interval:
 
     def contains(self, t: Fraction) -> bool:
         return self.lo <= t <= self.hi
-
-    def interior_contains(self, t: Fraction) -> bool:
-        return self.lo < t < self.hi
 
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -98,19 +95,12 @@ class MeasurableUnion:
         return cls([])
 
     @classmethod
-    def from_intervals(cls, intervals: Sequence[Interval]) -> "MeasurableUnion":
-        return cls([(iv.lo, iv.hi) for iv in intervals])
-
-    @classmethod
     def full(cls) -> "MeasurableUnion":
         return cls([(ZERO, ONE)])
 
     @property
     def measure(self) -> Fraction:
         return sum((hi - lo for lo, hi in self.pieces), ZERO)
-
-    def is_empty(self) -> bool:
-        return not self.pieces
 
     def contains(self, t: Fraction) -> bool:
         for lo, hi in self.pieces:
@@ -152,10 +142,6 @@ class MeasurableUnion:
             if a < b:
                 total += b - a
         return total
-
-    def mass_left_of(self, iv: Interval, t: Fraction) -> Fraction:
-        """Measure of self ∩ [iv.lo, t]."""
-        return self.measure_in(Interval(iv.lo, t)) if t > iv.lo else ZERO
 
     def components_in(self, iv: Interval) -> list[tuple[Fraction, Fraction]]:
         return list(self.intersect_interval(iv).pieces)

@@ -70,10 +70,6 @@ class VectorSpline:
             c: sum(v[i] * b for i, b in basis) for c, v in self.components.items()
         }
 
-    def sup_norm_at(self, t: float) -> float:
-        vals = self.eval(t)
-        return max((abs(v) for v in vals.values()), default=0.0)
-
 
 class ProjectionContext:
     """Per-level cache of spline spaces and Gram factorizations."""

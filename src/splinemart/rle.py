@@ -4,8 +4,10 @@ The divergent-sequence construction needs spline spaces at depths far
 beyond anything materializable (grid counts like 2**1000). All of its
 scalar spline data is piecewise constant in the B-spline coefficient
 index, so a spline is stored as a few (start, end, coefficient) runs over
-the uniform level-K basis; integrals and raw moments reduce to Faulhaber
-power sums, and evaluation touches only the k active indices.
+the uniform level-K basis; evaluation touches only the k active indices.
+Moments are taken about a grid-aligned origin (the construction uses its
+pattern's interval start), so they reduce to Faulhaber power sums over
+index ranges shifted by the origin, with no re-centring afterwards.
 
 Only interior basis functions (exact translates of the cardinal B-spline)
 ever appear; the construction keeps its supports away from 0 and 1.
@@ -168,22 +170,26 @@ class RleSpline:
                 total += c * eval_cardinal(sp.k, u0 - j)
         return total
 
-    def integral(self) -> Fraction:
-        h = self.space.h
-        return sum((c * h * (j1 - j0 + 1) for j0, j1, c in self.runs), Fraction(0))
+    def moment(self, r: int, origin: Fraction = Fraction(0)) -> Fraction:
+        """∫ (t - origin)**r f(t) dt, exact; origin must sit on the grid.
 
-    def moment(self, r: int) -> Fraction:
-        """∫ t**r f(t) dt, exact."""
+        With x_j = j-k+1 the left end of supp N_j in grid steps and s the
+        origin in grid steps, ∫ (t - origin)**r N_j = h**(r+1) Σ_q C(r,q)
+        mu_q (x_j - s)**(r-q) with mu_q the cardinal moments, so each run
+        costs one power sum per q over indices shifted by s.
+        """
         sp = self.space
-        h = sp.h
+        s = origin / sp.h
+        if s.denominator != 1:
+            raise ValueError(f"moment origin {origin} is off the level-{sp.level} grid")
+        off = sp.k - 1 + int(s)
+        weights = [comb(r, q) * cardinal_moment(sp.k, q) for q in range(r + 1)]
         total = Fraction(0)
         for j0, j1, c in self.runs:
-            # x_j = (j-k+1) h is the left end of supp N_j
-            for q in range(r + 1):
-                mu = cardinal_moment(sp.k, q)
-                s = power_sum(j0 - sp.k + 1, j1 - sp.k + 1, r - q)
-                total += c * h * comb(r, q) * h**q * mu * h ** (r - q) * s
-        return total
+            total += c * sum(
+                w * power_sum(j0 - off, j1 - off, r - q) for q, w in enumerate(weights)
+            )
+        return total * sp.h ** (r + 1)
 
     def refine_once(self) -> "RleSpline":
         sp = self.space
@@ -294,16 +300,17 @@ class PeriodicSpline:
                 total += self.base.eval(t - cand * self.shift)
         return total
 
-    def integral(self) -> Fraction:
-        return self.count * self.base.integral()
+    def moment(self, r: int, origin: Fraction = Fraction(0)) -> Fraction:
+        """∫ (t - origin)**r f(t) dt, exact; origin must sit on the grid.
 
-    def moment(self, r: int) -> Fraction:
-        base_moments = [self.base.moment(q) for q in range(r + 1)]
-        total = Fraction(0)
-        for q in range(r + 1):
-            s = self.shift**q * power_sum(0, self.count - 1, q)
-            total += comb(r, q) * s * base_moments[r - q]
-        return total
+        Expands (t - origin)**r = Σ_q C(r,q) (ell*shift)**q (u - origin)**(r-q)
+        on instance ell, t = u + ell*shift: base moments about the same origin.
+        """
+        base = [self.base.moment(q, origin) for q in range(r + 1)]
+        return sum(
+            comb(r, q) * self.shift**q * power_sum(0, self.count - 1, q) * base[r - q]
+            for q in range(r + 1)
+        )
 
     def support_bounds(self) -> tuple[Fraction, Fraction] | None:
         b = self.base.support_bounds()

@@ -37,6 +37,17 @@ def test_verify_from_file(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_from_file_checks_c_measures(tmp_path, capsys):
+    out = tmp_path / "result.json"
+    assert main(["construct", "--k", "1", "--steps", "2", "--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    blob["C"][2] = "1/2"  # below the (3d) bound 1 - 2^-4 eta
+    out.write_text(json.dumps(blob))
+    assert main(["verify", "--in", str(out)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and "|C_2 ∩ V|" in fails[0] and "(3d)" in fails[0]
+
+
 def test_verify_fresh_build(capsys):
     rc = main(["verify", "--k", "1", "--steps", "1", "--json"])
     assert rc == 0
@@ -86,10 +97,15 @@ def test_dichotomy_error_exit_code(capsys):
         ["construct", "--filtration", "bogus"],
         ["verify", "--in", "no-such-result.json"],
         ["uncond", "--p", "1"],
+        ["verify", "--in", "empty.json"],
+        ["verify", "--in", "bad_measure.json"],
+        ["construct", "--out", "no-such-dir/result.json"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "bad_measure.json").write_text('{"eta": "1/2", "E": [{"measure": "x"}]}')
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -169,7 +169,7 @@ class TestLemma:
         pat = lemma_moments(ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF])
         # A is 1x1 and positive; the assembled correction vector vanishes
         # because the mean already cancels vectorially on L
-        assert len(pat.picks) == 1
+        assert len(pat.r_terms) == 1
         _, vecs = bush_slots(pat.inner.trace.betas)
         bound = pat.bind(vecs)
         assert bound.w_vectors[0].sup_norm == 0

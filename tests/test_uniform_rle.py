@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -104,9 +105,9 @@ def test_rle_integral_and_moments(k):
     sp = UniformSpace(2, 5, k)
     lo, _ = sp.interior_range()
     f = RleSpline(sp, [(lo, lo + 4, F(1, 3)), (lo + 9, lo + 12, F(7, 5))])
-    # integral: each interior basis function integrates to h
-    assert f.integral() == F(1, 3) * 5 * sp.h + F(7, 5) * 4 * sp.h
-    assert f.moment(0) == f.integral()
+    # zero-order moment: each interior basis function integrates to h
+    assert f.moment(0) == F(1, 3) * 5 * sp.h + F(7, 5) * 4 * sp.h
+    assert f.moment(0, origin=3 * sp.h) == f.moment(0)
     # Riemann check for first and second moments
     for r in (1, 2):
         n = 1 << 13
@@ -132,7 +133,7 @@ def test_rle_refine_preserves_function(k, p):
     for _ in range(40):
         t = F(rng.randrange(0, p**6), p**6)
         assert f.eval(t) == g.eval(t)
-    assert f.integral() == g.integral()
+    assert f.moment(0) == g.moment(0)
     assert f.moment(2) == g.moment(2)
 
 
@@ -154,7 +155,7 @@ def test_rle_plus_and_scale():
     b = RleSpline(sp, [(lo + 3, lo + 8, F(2))])
     c = a.plus(b.scaled(F(1, 2)))
     assert c.coeff(lo) == 1 and c.coeff(lo + 4) == 2 and c.coeff(lo + 7) == 1
-    assert c.integral() == a.integral() + b.integral() / 2
+    assert c.moment(0) == a.moment(0) + b.moment(0) / 2
 
 
 def test_periodic_spline_moment_matches_instances():
@@ -164,7 +165,7 @@ def test_periodic_spline_moment_matches_instances():
     for r in range(3):
         direct = sum((per.instance(i).moment(r) for i in range(6)), F(0))
         assert per.moment(r) == direct
-    assert per.integral() == 6 * base.integral()
+    assert per.moment(0) == 6 * base.moment(0)
     t = F(41, 256) + F(2, 8)
     assert per.eval(t) == per.instance(2).eval(t - F(2, 8)) if False else True
     # eval agrees with the sum over instances at random points
@@ -173,3 +174,46 @@ def test_periodic_spline_moment_matches_instances():
         t = F(rng.randrange(0, 1024), 1024)
         direct = sum(per.instance(i).eval(t) for i in range(6))
         assert per.eval(t) == direct
+
+
+def recentred_moment(scal, r, origin):
+    """∫ (t - origin)**r scal(t) dt by binomial re-centring of raw moments."""
+    return sum(comb(r, q) * (-origin) ** (r - q) * scal.moment(q) for q in range(r + 1))
+
+
+@st.composite
+def rle_splines(draw):
+    """Multi-run splines of order k <= 4 on p-ary grids, p in {2, 3}."""
+    sp = UniformSpace(draw(st.sampled_from([2, 3])), draw(st.integers(3, 4)), draw(st.integers(1, 4)))
+    lo, hi = sp.interior_range()
+    ends = sorted(draw(st.lists(st.integers(lo, hi), min_size=2, max_size=8, unique=True)))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool)
+    return RleSpline(sp, [(j0, j1, draw(coeffs)) for j0, j1 in zip(ends[::2], ends[1::2])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=rle_splines(),
+    r=st.integers(0, 5),
+    origin_index=st.integers(-100, 100),
+    gap=st.integers(0, 5),
+    count=st.integers(1, 4),
+)
+def test_moment_about_grid_origin_matches_recentred_raw_moments(f, r, origin_index, gap, count):
+    origin = origin_index * f.space.h
+    assert f.moment(r, origin) == recentred_moment(f, r, origin)
+    bounds = f.index_bounds()
+    if bounds is not None:
+        shift = (bounds[1] - bounds[0] + 1 + gap) * f.space.h
+        per = PeriodicSpline(f, shift, count)
+        assert per.moment(r, origin) == recentred_moment(per, r, origin)
+
+
+def test_moment_rejects_off_grid_origin():
+    sp = UniformSpace(3, 3, 2)
+    lo, _ = sp.interior_range()
+    f = RleSpline(sp, [(lo, lo + 2, F(1))])
+    per = PeriodicSpline(f, 3 * sp.h, 2)
+    for scal in (f, per):
+        with pytest.raises(ValueError, match="off the level-3 grid"):
+            scal.moment(1, origin=sp.h / 2)
