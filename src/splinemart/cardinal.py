@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, floor, lcm
 
 Poly = tuple[Fraction, ...]  # coefficients, ascending powers
 
@@ -78,12 +78,38 @@ def spans(k: int) -> tuple[Poly, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _local_spans(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Span i of B_k in its local coordinate, x -> B_k(i + x) on [0, 1), as
+    integer coefficients (highest power first) over one common denominator."""
+    local = [_pshift(poly, Fraction(i)) for i, poly in enumerate(spans(k))]
+    den = lcm(*(c.denominator for poly in local for c in poly))
+    return tuple(tuple(int(c * den) for c in reversed(poly)) for poly in local), den
+
+
+def span_value(k: int, i: int, x: Fraction) -> Fraction:
+    """B_k(i + x) for an integer i and 0 <= x < 1, exactly.
+
+    Horner runs on the integer numerator and denominator of x, so the cost
+    grows with the size of x alone, not with the size of i.
+    """
+    if not 0 <= i < k:
+        return Fraction(0)
+    coeffs, den = _local_spans(k)
+    num, xden = x.numerator, x.denominator
+    acc, dpow = 0, 1
+    for c in coeffs[i]:  # acc = xden**deg * poly(x) once the loop ends
+        acc = acc * num + c * dpow
+        dpow *= xden
+    return Fraction(acc, den * (dpow // xden))
+
+
 def eval_cardinal(k: int, u: Fraction) -> Fraction:
     """B_k(u) exactly; zero outside [0, k)."""
     if u < 0 or u >= k:
         return Fraction(0)
-    i = int(u) if u == int(u) else int(u.__floor__())
-    return _peval(spans(k)[i], u)
+    i = floor(u)
+    return span_value(k, i, u - i)
 
 
 @lru_cache(maxsize=None)

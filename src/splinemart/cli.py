@@ -16,7 +16,7 @@ import sys
 
 from .errors import SplineMartError
 from .filtration import parse_filtration_spec
-from .intervals import frac
+from .intervals import frac, long_decimals
 
 
 class UsageError(SplineMartError):
@@ -51,7 +51,7 @@ def filtration_spec(spec: str):
 
 def result_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path) as fh, long_decimals():
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"cannot read result file: {exc}")
@@ -72,7 +72,8 @@ def cmd_construct(args) -> int:
 
     seq = build_sequence(args.filtration, args.k, args.eta, args.steps)
     blob = seq.to_json(trace=args.trace)
-    out = json.dumps(blob, indent=2)
+    with long_decimals():  # j_indices are integers at the deepest level
+        out = json.dumps(blob, indent=2)
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -118,7 +119,8 @@ def cmd_verify(args) -> int:
     from .harness import verify_sequence
 
     if args.result is not None:
-        failures = _recorded_failures(args.result)
+        with long_decimals():
+            failures = _recorded_failures(args.result)
         if failures:
             print("\n".join("FAIL  " + f for f in failures))
             return 1

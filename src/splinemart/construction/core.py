@@ -17,6 +17,7 @@ name witness vectors; `slot_vectors` builds those vectors and
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -98,16 +99,36 @@ def p_power_at_least(p: int, x: Fraction) -> int:
     return s
 
 
+def p_adic_valuation(p: int, d: int) -> int:
+    """Largest s with p**s dividing d != 0, in O(log s) big-int operations.
+
+    Strips p, p**2, p**4, ... while they divide, then the same powers in
+    reverse, each at most once: the exponents removed are the binary digits
+    of s.
+    """
+    if p == 2:
+        return (d & -d).bit_length() - 1
+    powers = []
+    q = p
+    while d % q == 0:
+        d //= q
+        powers.append(q)
+        q *= q
+    s = (1 << len(powers)) - 1
+    for i in reversed(range(len(powers))):
+        if d % powers[i] == 0:
+            d //= powers[i]
+            s += 1 << i
+    return s
+
+
 def level_aligning(p: int, *values: Fraction) -> int:
     """Smallest K so every value is a multiple of p**-K."""
     need = 0
     for v in values:
         d = frac(v).denominator
-        s = 0
-        while d % p == 0:
-            d //= p
-            s += 1
-        if d != 1:
+        s = p_adic_valuation(p, d)
+        if d != p**s:
             raise PreconditionError(f"{v} is not on any {p}-ary grid")
         need = max(need, s)
     return need
@@ -165,13 +186,41 @@ class CellSpec:
         return self.kind in ("zone", "mix", "keep", "rconst")
 
 
+def grid_units(x: Fraction, scale: int) -> int:
+    """x * scale, which must be an integer (x on the grid of step 1/scale)."""
+    u = x * scale
+    if u.denominator != 1:
+        raise AssertionError(f"{x} is off the grid of step 1/{scale}")
+    return u.numerator
+
+
+class CellGrid:
+    """Starts of consecutive tiles in integer grid units, for bisection.
+
+    With every tile end on the grid of step 1/scale, lo <= t < hi holds
+    exactly when lo*scale <= floor(t*scale) < hi*scale, so tiles are found
+    by integer comparisons of u = floor(t*scale).
+    """
+
+    def __init__(self, entries: Sequence, scale: int):
+        self.starts = [grid_units(e.lo, scale) for e in entries]
+        self.end = grid_units(entries[-1].hi, scale)
+
+    def find(self, u: int) -> int | None:
+        if not self.starts[0] <= u < self.end:
+            return None
+        return bisect.bisect_right(self.starts, u) - 1
+
+
 @dataclass(frozen=True)
 class PeriodicFamily:
-    """The inner-pattern cells repeated across congruent pieces."""
+    """The inner-pattern cells repeated across congruent pieces; the cells
+    tile one period."""
 
     cells: tuple[CellSpec, ...]
     period: Fraction
     count: int
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def lo(self) -> Fraction:
@@ -181,15 +230,17 @@ class PeriodicFamily:
     def hi(self) -> Fraction:
         return self.cells[-1].hi + (self.count - 1) * self.period
 
-    def locate(self, t: Fraction) -> tuple[int, CellSpec] | None:
-        if not (self.lo <= t < self.hi):
+    def locate(self, u: int, scale: int) -> tuple[int, CellSpec] | None:
+        """(instance, cell) holding t, given u = floor(t * scale) for a scale
+        that puts the period and every cell end on integers."""
+        if scale not in self._grids:
+            self._grids[scale] = CellGrid(self.cells, scale), grid_units(self.period, scale)
+        cells, period = self._grids[scale]
+        rel = u - cells.starts[0]
+        if not 0 <= rel < self.count * period:
             return None
-        idx = min(int((t - self.lo) / self.period), self.count - 1)
-        local = t - idx * self.period
-        for c in self.cells:
-            if c.lo <= local < c.hi:
-                return idx, c
-        return None
+        idx = rel // period
+        return idx, self.cells[cells.find(u - idx * period)]
 
 
 def check_tiling(entries: Sequence, iv: Interval):
@@ -224,7 +275,16 @@ class SlotwisePattern:
     """
 
     def eval_slotwise(self, t: Fraction) -> dict:
-        return self._accumulate(lambda scal: scal.eval(t))
+        """g(t) per slot; the basis values at t are taken once per space."""
+        windows: dict = {}
+
+        def value(scal):
+            window = windows.get(scal.space)
+            if window is None:
+                window = windows[scal.space] = scal.space.basis_at(t)
+            return scal.combine(*window)
+
+        return self._accumulate(value)
 
     def moment_slotwise(self, r: int, origin: Optional[Fraction] = None) -> dict:
         """∫ (t - origin)**r g(t) dt per slot; origin defaults to the interval
@@ -439,9 +499,13 @@ def step1_stopping(
         # union of blocks r..s_ is the single interval (v_r, u_{s_+2})
         return v_pt(r), u_pt(s_ + 2)
 
+    # grid units: u1, v1 and the piece width d are multiples of h, so the
+    # interior indices touching blocks r..s_, whose union is (v_r, u_{s_+2}),
+    # form a range that is affine in r and s_
+    U1, V1, D = (grid_units(x, space.num_atoms) for x in (u1, v1, d))
+
     def lam_range(r: int, s_: int) -> tuple[int, int]:
-        lo, hi = block_union(r, s_)
-        return space.indices_touching(lo, hi)
+        return V1 + (r - 1) * D, U1 + (s_ + 1) * D + k - 2
 
     def int_range(r: int, s_: int) -> Fraction:
         jlo, jhi = lam_range(r, s_)
@@ -465,18 +529,15 @@ def step1_stopping(
         if r > L:
             raise InfeasibleStoppingError(f"no blocks left for f_{m + 1}")
         target = C * alphas[m]
-        lo_s, hi_s = r, L
         if int_range(r, L) <= target:
             raise InfeasibleStoppingError(
                 f"stopping scan exhausted blocks with ∫f_{m + 1} <= C alpha"
             )
-        while lo_s < hi_s:
-            mid = (lo_s + hi_s) // 2
-            if int_range(r, mid) > target:
-                hi_s = mid
-            else:
-                lo_s = mid + 1
-        jm = lo_s
+        # smallest s_ >= r with int_range(r, s_) > target, where
+        # int_range(r, s_) / h = base + s_ * D
+        base = U1 - V1 + (2 - r) * D + k - 1
+        units = target * space.num_atoms
+        jm = max(r, (units.numerator - base * units.denominator) // (D * units.denominator) + 1)
         j_indices.append(jm)
         f_ranges.append(lam_range(r, jm))
         int_f.append(int_range(r, jm))

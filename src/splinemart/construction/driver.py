@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..errors import ConstructionPreconditionError, PreconditionError
-from ..intervals import Interval, frac
+from ..intervals import Interval, frac, long_decimals
 from ..witness import BushRep, XVec, bush_decompose, mix_reps
 from .core import (
     BoundPattern, CellSpec, ConstructionContext, F0, F1, cell_instances, slot_vectors,
@@ -127,8 +127,8 @@ class SequenceResult:
             if binding is None:
                 break  # zombie region: later perturbations vanish here
             pattern, parts, bound = self._bind(j, binding)
-            h = Fraction(1, self.filt.uniform_base ** self.steps[j].m_level)
-            atom_lo = math.floor(t / h) * h
+            scale = self.filt.uniform_base ** self.steps[j].m_level
+            atom_lo = Fraction(t.numerator * scale // t.denominator, scale)
             tau = t - atom_lo + pattern.interval.lo
             acc = acc.add(bound.g_eval(tau))
             cell, _shift = pattern.locate(tau)
@@ -212,7 +212,11 @@ class SequenceResult:
             yield n, pat.trace.inner_trace
 
     def to_json(self, trace: str = "summary", seed: int = 0) -> dict:
-        rng = random.Random(seed)
+        """The result record; measures are exact decimal "p/q" strings of any length."""
+        with long_decimals():
+            return self._record(trace, random.Random(seed))
+
+    def _record(self, trace: str, rng) -> dict:
         out = {
             "k": self.k,
             "eta": str(self.eta),

@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from ..errors import CapacityError, PreconditionError
 from ..intervals import Interval, frac
 from ..rle import PeriodicSpline, RleSpline
 from .core import (
+    CellGrid,
     CellSpec,
     ConstructionContext,
     F0,
@@ -138,17 +140,25 @@ class LemmaPattern(SlotwisePattern):
     cells: list
     trace: LemmaTrace
 
+    @cached_property
+    def _grid(self) -> tuple[int, CellGrid]:
+        """p**K and the cells in level-K grid units; every cell end is a
+        level-K grid point."""
+        scale = self.inner.space.p**self.K
+        return scale, CellGrid(self.cells, scale)
+
     def locate(self, t: Fraction):
         """(cell, instance shift) containing t; half-open convention."""
-        for entry in self.cells:
-            if isinstance(entry, PeriodicFamily):
-                hit = entry.locate(t)
-                if hit is not None:
-                    idx, cell = hit
-                    return cell, idx * entry.period
-            elif entry.lo <= t < entry.hi:
-                return entry, F0
-        raise KeyError(f"{t} not covered by pattern cells")
+        scale, grid = self._grid
+        u = t.numerator * scale // t.denominator
+        i = grid.find(u)
+        if i is None:
+            raise KeyError(f"{t} not covered by pattern cells")
+        entry = self.cells[i]
+        if isinstance(entry, PeriodicFamily):
+            idx, cell = entry.locate(u, scale)
+            return cell, idx * entry.period
+        return entry, F0
 
     def bind(self, slot_vectors: dict):
         """Bind witness vectors; records ||w|| and re-runs the trace checks."""

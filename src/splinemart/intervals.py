@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -10,6 +12,27 @@ RationalLike = Union[int, str, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+#: decimal digits per integer that exact results may carry as text; a
+#: denominator p**LEVEL_CAP (the construction's deepest level) has
+#: LEVEL_CAP * log10(p) digits, so this covers every level for p <= 10
+DECIMAL_DIGITS_CAP = 1 << 20
+
+
+@contextmanager
+def long_decimals():
+    """Lift CPython's int <-> decimal str digit limit to DECIMAL_DIGITS_CAP
+    for the duration, then restore the previous limit."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # an interpreter without the limit
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(DECIMAL_DIGITS_CAP if 0 < old < DECIMAL_DIGITS_CAP else old)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def frac(x: RationalLike) -> Fraction:

@@ -4,7 +4,16 @@ The divergent-sequence construction needs spline spaces at depths far
 beyond anything materializable (grid counts like 2**1000). All of its
 scalar spline data is piecewise constant in the B-spline coefficient
 index, so a spline is stored as a few (start, end, coefficient) runs over
-the uniform level-K basis; evaluation touches only the k active indices.
+the uniform level-K basis.
+
+Evaluation works in integer grid units. `UniformSpace.basis_at` scales t
+once, U = t * p**K, and splits it into the atom index a = floor(U) and the
+fractional part U - a, whose denominator is at most that of t; the k
+basis values that can be non-zero at t are span polynomials of B_k at
+that small fraction. A spline then reads its coefficients at the k
+integer indices a .. a+k-1, and a periodic spline finds the instance
+holding them with one floor division by its index shift.
+
 Moments are taken about a grid-aligned origin (the construction uses its
 pattern's interval start), so they reduce to Faulhaber power sums over
 index ranges shifted by the origin, with no re-centring afterwards.
@@ -19,9 +28,10 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
-from .cardinal import cardinal_moment, eval_cardinal, power_sum, refinement_mask
+from .cardinal import cardinal_moment, power_sum, refinement_mask, span_value
 
 Run = tuple[int, int, Fraction]  # inclusive index range [j0, j1] with coefficient c
 
@@ -34,11 +44,11 @@ class UniformSpace:
     level: int
     k: int
 
-    @property
+    @cached_property
     def h(self) -> Fraction:
-        return Fraction(1, self.p**self.level)
+        return Fraction(1, self.num_atoms)
 
-    @property
+    @cached_property
     def num_atoms(self) -> int:
         return self.p**self.level
 
@@ -54,20 +64,18 @@ class UniformSpace:
         x = (j - self.k + 1) * self.h
         return x, x + self.k * self.h
 
-    def indices_touching(self, lo: Fraction, hi: Fraction) -> tuple[int, int]:
-        """Interior indices j whose support has interior overlap with (lo, hi)."""
-        # supp N_j = [(j-k+1)h, (j+1)h]; overlap iff (j+1)h > lo and (j-k+1)h < hi
-        jlo = math.floor(lo / self.h)
-        if (jlo + 1) * self.h <= lo:
-            jlo += 1
-        jhi = math.ceil(hi / self.h) + self.k - 2
-        if (jhi - self.k + 1) * self.h >= hi:
-            jhi -= 1
-        return jlo, jhi
+    def basis_at(self, t: Fraction) -> tuple[int, tuple[Fraction, ...]]:
+        """Atom index a and the values N_a(t) .. N_{a+k-1}(t).
 
-    def atom_index(self, t: Fraction) -> int:
-        a = int((t / self.h).__floor__())
-        return min(max(a, 0), self.num_atoms - 1)
+        With U = t / h and a = floor(U), N_{a+i}(t) = B_k(U - a + k - 1 - i),
+        so only the fractional part of U meets the span polynomials; no
+        other translate is non-zero at t. a is not clamped to the atoms of
+        [0, 1]: a periodic instance may reach past the last interior index,
+        and its translates there must read as they do at the shifted point.
+        """
+        a, rem = divmod(t.numerator * self.num_atoms, t.denominator)
+        x = Fraction(rem, t.denominator)
+        return a, tuple(span_value(self.k, self.k - 1 - i, x) for i in range(self.k))
 
     def refined(self, extra_levels: int = 1) -> "UniformSpace":
         return UniformSpace(self.p, self.level + extra_levels, self.k)
@@ -91,11 +99,12 @@ def _normalize(runs: list[Run]) -> tuple[Run, ...]:
 class RleSpline:
     """Scalar spline with run-length-encoded B-spline coefficients."""
 
-    __slots__ = ("space", "runs")
+    __slots__ = ("space", "runs", "_starts")
 
     def __init__(self, space: UniformSpace, runs: list[Run] | tuple[Run, ...]):
         self.space = space
         self.runs = _normalize(list(runs))
+        self._starts = tuple(r[0] for r in self.runs)
         lo, hi = space.interior_range()
         if self.runs and (self.runs[0][0] < lo or self.runs[-1][1] > hi):
             raise ValueError("runs leave the interior index range")
@@ -113,7 +122,7 @@ class RleSpline:
     # -- coefficient access --------------------------------------------------
 
     def coeff(self, j: int) -> Fraction:
-        i = bisect.bisect_right([r[0] for r in self.runs], j) - 1
+        i = bisect.bisect_right(self._starts, j) - 1
         if i >= 0:
             j0, j1, c = self.runs[i]
             if j0 <= j <= j1:
@@ -158,16 +167,16 @@ class RleSpline:
     # -- analysis --------------------------------------------------------------
 
     def eval(self, t: Fraction) -> Fraction:
-        sp = self.space
-        if not self.runs:
-            return Fraction(0)
-        a = sp.atom_index(t)
+        return self.combine(*self.space.basis_at(t))
+
+    def combine(self, a: int, values: tuple[Fraction, ...]) -> Fraction:
+        """Σ_i c_{a+i} values[i]: the value at t from space.basis_at(t)."""
         total = Fraction(0)
-        u0 = t / sp.h + sp.k - 1
-        for j in range(a, a + sp.k):
-            c = self.coeff(j)
-            if c:
-                total += c * eval_cardinal(sp.k, u0 - j)
+        for j, v in enumerate(values, a):
+            if v:
+                c = self.coeff(j)
+                if c:
+                    total += c * v
         return total
 
     def moment(self, r: int, origin: Fraction = Fraction(0)) -> Fraction:
@@ -288,16 +297,30 @@ class PeriodicSpline:
         return RleSpline(self.space, [(j0 + d, j1 + d, c) for j0, j1, c in self.base.runs])
 
     def eval(self, t: Fraction) -> Fraction:
+        return self.combine(*self.space.basis_at(t))
+
+    def combine(self, a: int, values: tuple[Fraction, ...]) -> Fraction:
+        """Σ_i c_{a+i} values[i] over all instances, from space.basis_at(t).
+
+        Index j lies in instance ell at base index b0 + q, where
+        (ell, q) = divmod(j - b0, index_shift); one division places a and
+        the rest of the window steps on from there.
+        """
         if self.count == 1:
-            return self.base.eval(t)
-        sb = self.base.support_bounds()
-        if sb is None:
+            return self.base.combine(a, values)
+        b = self.base.index_bounds()
+        if b is None:
             return Fraction(0)
-        ell = math.floor((t - sb[0]) / self.shift)
+        ell, q = divmod(a - b[0], self.index_shift)
         total = Fraction(0)
-        for cand in (ell - 1, ell, ell + 1):
-            if 0 <= cand < self.count:
-                total += self.base.eval(t - cand * self.shift)
+        for v in values:
+            if v and 0 <= ell < self.count:
+                c = self.base.coeff(b[0] + q)
+                if c:
+                    total += c * v
+            q += 1
+            if q == self.index_shift:
+                ell, q = ell + 1, 0
         return total
 
     def moment(self, r: int, origin: Fraction = Fraction(0)) -> Fraction:

@@ -1,8 +1,13 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
+import splinemart.construction as construction
 from splinemart.cli import main
+from splinemart.construction.core import LEVEL_CAP
+from splinemart.intervals import DECIMAL_DIGITS_CAP, frac, long_decimals
 
 
 def test_construct_writes_json_and_verifies(tmp_path, capsys):
@@ -46,6 +51,36 @@ def test_verify_from_file_checks_c_measures(tmp_path, capsys):
     assert main(["verify", "--in", str(out)]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert len(fails) == 1 and "|C_2 ∩ V|" in fails[0] and "(3d)" in fails[0]
+
+
+def test_result_file_round_trips_measures_past_the_digit_limit(tmp_path, monkeypatch, capsys):
+    tiny = Fraction(1, 3**11000)  # 5,249 decimal digits in the denominator
+    build = construction.build_sequence
+
+    def deep_measures(*args):
+        seq = build(*args)
+        for sd in seq.steps:
+            sd.e_mass = sd.c_mass = 1 - tiny
+        return seq
+
+    monkeypatch.setattr(construction, "build_sequence", deep_measures)
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "result.json"
+    assert main(["construct", "--k", "1", "--steps", "2", "--out", str(out)]) == 0
+    assert main(["verify", "--in", str(out)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit  # restored after each use
+    with long_decimals():
+        blob = json.loads(out.read_text())
+        assert [frac(e["measure"]) for e in blob["E"]] == [1 - tiny] * 2
+        assert [frac(c) for c in blob["C"][1:]] == [1 - tiny] * 2
+
+
+def test_digit_cap_is_finite_and_covers_the_level_cap():
+    # p**LEVEL_CAP has LEVEL_CAP * log10(p) digits: at most LEVEL_CAP for p <= 10
+    assert LEVEL_CAP <= DECIMAL_DIGITS_CAP < float("inf")
+    with long_decimals(), pytest.raises(ValueError, match="limit"):
+        int("7" * (DECIMAL_DIGITS_CAP + 1))
 
 
 def test_verify_fresh_build(capsys):

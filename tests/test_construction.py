@@ -8,6 +8,8 @@ from splinemart.construction.core import (
     ConstructionContext,
     PeriodicFamily,
     check_tiling,
+    level_aligning,
+    p_adic_valuation,
     slot_vectors,
     step1_stopping,
 )
@@ -230,3 +232,28 @@ class TestTiling:
             tiles[2] = CellSpec(F(9, 16), 1, "keep")
         with pytest.raises(AssertionError):
             check_tiling(tiles, Interval(0, 1))
+
+
+class TestValuation:
+    @staticmethod
+    def strip_loop(p, d):
+        s = 0
+        while d % p == 0:
+            d //= p
+            s += 1
+        return s
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_the_division_loop(self, p):
+        rng = random.Random(p)
+        for v in (0, 1, 2, 3, 7, 8, 9, 255, 256, 1000, 4097, 20000):
+            for cofactor in (1, p + 1, rng.randrange(1, 10**40) * p + 1):
+                d = p**v * cofactor
+                assert p_adic_valuation(p, d) == self.strip_loop(p, d) == v
+        assert level_aligning(p, F(1, p**20000), F(3, p**7)) == 20000
+
+    def test_off_grid_value_raises(self):
+        with pytest.raises(PreconditionError, match="not on any 2-ary grid"):
+            level_aligning(2, F(1, 2), F(1, 3 * 2**5000))
+        with pytest.raises(PreconditionError, match="not on any 3-ary grid"):
+            level_aligning(3, F(1, 2 * 3**700))

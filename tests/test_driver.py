@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from splinemart.construction.core import PeriodicFamily, grid_above, grid_below
 from splinemart.construction.driver import build_sequence
 from splinemart.errors import CapacityError, ConstructionPreconditionError, PreconditionError
 from splinemart.filtration import (
@@ -229,3 +231,102 @@ def test_depth_seven_builds_and_verifies():
     assert seq.num_steps == 7
     report = verify_sequence(seq)
     assert report.all_passed, report.render()
+
+
+@pytest.fixture(scope="module")
+def seq_deep():
+    return build_sequence(parse_filtration_spec("padic:3"), 4, HALF, 3)
+
+
+def reference_locate(pattern, t):
+    """The linear scan over Fraction cell bounds that grid-unit bisection replaced."""
+    for entry in pattern.cells:
+        if isinstance(entry, PeriodicFamily):
+            if entry.lo <= t < entry.hi:
+                idx = min(int((t - entry.lo) / entry.period), entry.count - 1)
+                local = t - idx * entry.period
+                for c in entry.cells:
+                    if c.lo <= local < c.hi:
+                        return c, idx * entry.period
+                return None
+        elif entry.lo <= t < entry.hi:
+            return entry, F(0)
+    return None
+
+
+def cell_boundaries(pattern):
+    """Every top-level cell start, the interval end, and every family cell
+    start in the first, second, a middle and the last instance."""
+    for entry in pattern.cells:
+        if isinstance(entry, PeriodicFamily):
+            for idx in sorted({0, 1, entry.count // 2, entry.count - 1}):
+                for c in entry.cells:
+                    yield c.lo + idx * entry.period
+        yield entry.lo
+    yield pattern.interval.hi
+
+
+@pytest.mark.parametrize("fixture", ["seq_k2_n5", "seq_deep"])
+def test_locate_matches_linear_scan(fixture, request):
+    seq = request.getfixturevalue(fixture)
+    checked = 0
+    for _, pat in seq.all_patterns():
+        h = F(1, seq.filt.uniform_base**pat.K)
+        for b in cell_boundaries(pat):
+            for t in (b - h / 7, b, b + h / 7):
+                want = reference_locate(pat, t)
+                if want is None:
+                    with pytest.raises(KeyError):
+                        pat.locate(t)
+                else:
+                    assert pat.locate(t) == want
+                    checked += 1
+    assert checked > 100
+
+
+def reference_stopping(inner):
+    """j_indices and ∫f_m of the binary-search stopping scan over interval
+    arithmetic, which the closed form replaced."""
+    tr, sp = inner.trace, inner.space
+    h, k = sp.h, sp.k
+    a = inner.interval.lo
+    d = inner.interval.length / tr.n_pieces
+    p1 = a + d / 2
+    u1 = grid_above(max(a, p1 - tr.eps3), h)
+    v1 = grid_below(min(a + d, p1 + tr.eps3), h)
+
+    def int_range(r, s):
+        lo, hi = v1 + (r - 1) * d, u1 + (s + 1) * d
+        jlo = math.floor(lo / h)
+        if (jlo + 1) * h <= lo:
+            jlo += 1
+        jhi = math.ceil(hi / h) + k - 2
+        if (jhi - k + 1) * h >= hi:
+            jhi -= 1
+        return (jhi - jlo + 1) * h
+
+    j_indices, int_f = [], []
+    for m in range(tr.M):
+        r = (j_indices[-1] if j_indices else -1) + 2
+        lo_s, hi_s = r, tr.blocks
+        while lo_s < hi_s:
+            mid = (lo_s + hi_s) // 2
+            if int_range(r, mid) > tr.C * tr.alphas[m]:
+                hi_s = mid
+            else:
+                lo_s = mid + 1
+        j_indices.append(lo_s)
+        int_f.append(int_range(r, lo_s))
+    return tuple(j_indices), tuple(int_f)
+
+
+@pytest.mark.parametrize(
+    "spec,k,steps,eta",
+    [g[:4] for g in GOLDEN],
+    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e, _ in GOLDEN],
+)
+def test_closed_form_stopping_matches_binary_search(spec, k, steps, eta):
+    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+    for _, pat in seq.all_patterns():
+        tr = pat.inner.trace
+        assert (tr.j_indices, tr.int_f[: tr.M]) == reference_stopping(pat.inner)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -166,8 +167,10 @@ def test_periodic_spline_moment_matches_instances():
         direct = sum((per.instance(i).moment(r) for i in range(6)), F(0))
         assert per.moment(r) == direct
     assert per.moment(0) == 6 * base.moment(0)
-    t = F(41, 256) + F(2, 8)
-    assert per.eval(t) == per.instance(2).eval(t - F(2, 8)) if False else True
+    # instance 2 covers [83/256, 91/256]; the base there is non-zero
+    for t in (F(85, 256) + F(1, 512), F(87, 256), F(90, 256) + F(1, 768)):
+        assert per.eval(t) != 0
+        assert per.eval(t) == base.eval(t - 2 * per.shift)
     # eval agrees with the sum over instances at random points
     rng = random.Random(2)
     for _ in range(30):
@@ -217,3 +220,73 @@ def test_moment_rejects_off_grid_origin():
     for scal in (f, per):
         with pytest.raises(ValueError, match="off the level-3 grid"):
             scal.moment(1, origin=sp.h / 2)
+
+
+def reference_cardinal(k, u):
+    """B_k(u) from the per-span polynomials in u itself (not the local form)."""
+    if u < 0 or u >= k:
+        return F(0)
+    return sum((c * u**i for i, c in enumerate(spans(k)[math.floor(u)])), F(0))
+
+
+def reference_eval(f, t):
+    """The Fraction-per-term evaluation that grid-unit evaluation replaced."""
+    sp = f.space
+    if not f.runs:
+        return F(0)
+    a = min(max(math.floor(t / sp.h), 0), sp.num_atoms - 1)
+    u0 = t / sp.h + sp.k - 1
+    return sum((f.coeff(j) * reference_cardinal(sp.k, u0 - j) for j in range(a, a + sp.k)), F(0))
+
+
+def reference_periodic_eval(per, t):
+    """The three-candidate instance loop that grid-unit evaluation replaced."""
+    if per.count == 1:
+        return reference_eval(per.base, t)
+    sb = per.base.support_bounds()
+    if sb is None:
+        return F(0)
+    ell = math.floor((t - sb[0]) / per.shift)
+    return sum(
+        (
+            reference_eval(per.base, t - c * per.shift)
+            for c in (ell - 1, ell, ell + 1)
+            if 0 <= c < per.count
+        ),
+        F(0),
+    )
+
+
+@st.composite
+def points(draw, sp):
+    """t in [0, 1]: random rationals, grid points of this and a finer level, and the ends."""
+    kind = draw(st.sampled_from(["random", "grid", "fine", "end"]))
+    if kind == "random":
+        return draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+    if kind == "end":
+        return F(draw(st.sampled_from([0, 1])))
+    n = sp.num_atoms * (sp.p if kind == "fine" else 1)
+    return F(draw(st.integers(0, n)), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), f=rle_splines(), gap=st.integers(0, 5), count=st.integers(1, 4))
+def test_grid_unit_eval_matches_fraction_reference(data, f, gap, count):
+    t = data.draw(points(f.space))
+    assert f.eval(t) == reference_eval(f, t)
+    bounds = f.index_bounds()
+    if bounds is not None:
+        # instances must not overlap, and with a shift of at least k - 1
+        # steps the three candidates of the reference cover every instance
+        steps = max(bounds[1] - bounds[0] + 1 + gap, f.space.k - 1)
+        per = PeriodicSpline(f, steps * f.space.h, count)
+        assert per.eval(t) == reference_periodic_eval(per, t)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_basis_at_window(k):
+    sp = UniformSpace(3, 3, k)
+    for t in (F(0), F(1, 2), F(13, 27), F(13, 27) + F(1, 10**6), F(1)):
+        a, values = sp.basis_at(t)
+        assert a == math.floor(t / sp.h)
+        assert values == tuple(reference_cardinal(k, t / sp.h - j + k - 1) for j in range(a, a + k))
