@@ -71,9 +71,7 @@ def cmd_construct(args) -> int:
     from .harness import verify_sequence
 
     seq = build_sequence(args.filtration, args.k, args.eta, args.steps)
-    blob = seq.to_json(trace=args.trace)
-    with long_decimals():  # j_indices are integers at the deepest level
-        out = json.dumps(blob, indent=2)
+    out = seq.dumps(trace=args.trace, indent=2)
     if args.out:
         try:
             with open(args.out, "w") as fh:

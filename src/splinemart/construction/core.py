@@ -106,8 +106,6 @@ def p_adic_valuation(p: int, d: int) -> int:
     reverse, each at most once: the exponents removed are the binary digits
     of s.
     """
-    if p == 2:
-        return (d & -d).bit_length() - 1
     powers = []
     q = p
     while d % q == 0:
@@ -220,7 +218,6 @@ class PeriodicFamily:
     cells: tuple[CellSpec, ...]
     period: Fraction
     count: int
-    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def lo(self) -> Fraction:
@@ -229,18 +226,6 @@ class PeriodicFamily:
     @property
     def hi(self) -> Fraction:
         return self.cells[-1].hi + (self.count - 1) * self.period
-
-    def locate(self, u: int, scale: int) -> tuple[int, CellSpec] | None:
-        """(instance, cell) holding t, given u = floor(t * scale) for a scale
-        that puts the period and every cell end on integers."""
-        if scale not in self._grids:
-            self._grids[scale] = CellGrid(self.cells, scale), grid_units(self.period, scale)
-        cells, period = self._grids[scale]
-        rel = u - cells.starts[0]
-        if not 0 <= rel < self.count * period:
-            return None
-        idx = rel // period
-        return idx, self.cells[cells.find(u - idx * period)]
 
 
 def check_tiling(entries: Sequence, iv: Interval):

@@ -21,6 +21,7 @@ number of classes, not of atoms.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -212,9 +213,17 @@ class SequenceResult:
             yield n, pat.trace.inner_trace
 
     def to_json(self, trace: str = "summary", seed: int = 0) -> dict:
-        """The result record; measures are exact decimal "p/q" strings of any length."""
+        """The result record; measures are exact decimal "p/q" strings of any
+        length. Its integer fields (the stopping indices `j_indices`) pass
+        CPython's int/str digit limit at deep levels, so write the record
+        with `dumps`, which converts and encodes under one lift."""
         with long_decimals():
             return self._record(trace, random.Random(seed))
+
+    def dumps(self, trace: str = "summary", seed: int = 0, indent: int | None = None) -> str:
+        """`to_json` encoded as JSON text, at any depth."""
+        with long_decimals():
+            return json.dumps(self._record(trace, random.Random(seed)), indent=indent)
 
     def _record(self, trace: str, rng) -> dict:
         out = {

@@ -34,6 +34,7 @@ from .core import (
     StoppingTrace,
     Step1Pattern,
     check_tiling,
+    grid_units,
     level_aligning,
     p_power_at_least,
     step1_stopping,
@@ -141,24 +142,31 @@ class LemmaPattern(SlotwisePattern):
     trace: LemmaTrace
 
     @cached_property
-    def _grid(self) -> tuple[int, CellGrid]:
-        """p**K and the cells in level-K grid units; every cell end is a
-        level-K grid point."""
+    def _grid(self) -> tuple[int, CellGrid, dict]:
+        """p**K, the cells in level-K grid units, and per periodic family (by
+        cell index) its cells and integer period in the same units; every
+        cell end is a level-K grid point."""
         scale = self.inner.space.p**self.K
-        return scale, CellGrid(self.cells, scale)
+        families = {
+            i: (CellGrid(e.cells, scale), grid_units(e.period, scale))
+            for i, e in enumerate(self.cells)
+            if isinstance(e, PeriodicFamily)
+        }
+        return scale, CellGrid(self.cells, scale), families
 
     def locate(self, t: Fraction):
         """(cell, instance shift) containing t; half-open convention."""
-        scale, grid = self._grid
+        scale, grid, families = self._grid
         u = t.numerator * scale // t.denominator
         i = grid.find(u)
         if i is None:
             raise KeyError(f"{t} not covered by pattern cells")
         entry = self.cells[i]
-        if isinstance(entry, PeriodicFamily):
-            idx, cell = entry.locate(u, scale)
-            return cell, idx * entry.period
-        return entry, F0
+        if i not in families:
+            return entry, F0
+        cells, period = families[i]
+        idx = (u - cells.starts[0]) // period
+        return entry.cells[cells.find(u - idx * period)], idx * entry.period
 
     def bind(self, slot_vectors: dict):
         """Bind witness vectors; records ||w|| and re-runs the trace checks."""

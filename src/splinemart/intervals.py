@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,20 +20,37 @@ ONE = Fraction(1)
 DECIMAL_DIGITS_CAP = 1 << 20
 
 
+_lift_lock = threading.Lock()
+_lift_users = 0
+_lift_saved = 0
+
+
 @contextmanager
 def long_decimals():
     """Lift CPython's int <-> decimal str digit limit to DECIMAL_DIGITS_CAP
-    for the duration, then restore the previous limit."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    if get is None:  # an interpreter without the limit
+    for the duration.
+
+    The limit is process-wide, so overlapping uses on several threads share
+    one lift: the first to enter saves the previous limit and the last to
+    leave restores it.
+    """
+    global _lift_users, _lift_saved
+    if not hasattr(sys, "get_int_max_str_digits"):  # an interpreter without the limit
         yield
         return
-    old = get()
-    sys.set_int_max_str_digits(DECIMAL_DIGITS_CAP if 0 < old < DECIMAL_DIGITS_CAP else old)
+    with _lift_lock:
+        if _lift_users == 0:
+            _lift_saved = sys.get_int_max_str_digits()
+            if 0 < _lift_saved < DECIMAL_DIGITS_CAP:
+                sys.set_int_max_str_digits(DECIMAL_DIGITS_CAP)
+        _lift_users += 1
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(old)
+        with _lift_lock:
+            _lift_users -= 1
+            if _lift_users == 0:
+                sys.set_int_max_str_digits(_lift_saved)
 
 
 def frac(x: RationalLike) -> Fraction:

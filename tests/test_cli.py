@@ -7,6 +7,7 @@ import pytest
 import splinemart.construction as construction
 from splinemart.cli import main
 from splinemart.construction.core import LEVEL_CAP
+from splinemart.filtration import parse_filtration_spec
 from splinemart.intervals import DECIMAL_DIGITS_CAP, frac, long_decimals
 
 
@@ -81,6 +82,31 @@ def test_digit_cap_is_finite_and_covers_the_level_cap():
     assert LEVEL_CAP <= DECIMAL_DIGITS_CAP < float("inf")
     with long_decimals(), pytest.raises(ValueError, match="limit"):
         int("7" * (DECIMAL_DIGITS_CAP + 1))
+
+
+def test_dumps_writes_integer_fields_past_the_digit_limit():
+    seq = construction.build_sequence(parse_filtration_spec("dyadic"), 1, Fraction(1, 2), 2)
+    huge = 3**11000  # 5,249 decimal digits
+    for _, tr in seq.stopping_traces():
+        tr.j_indices = (huge,)
+    limit = sys.get_int_max_str_digits()
+    text = seq.dumps(trace="full", indent=2)
+    assert sys.get_int_max_str_digits() == limit
+    with long_decimals():
+        blob = json.loads(text)
+        assert blob == seq.to_json(trace="full")
+    assert all(row["inner"]["j_indices"] == [huge] for row in blob["trace_summary"])
+
+
+def test_overlapping_lifts_restore_the_limit_when_the_last_leaves():
+    limit = sys.get_int_max_str_digits()
+    first, second = long_decimals(), long_decimals()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)  # the other user is still converting
+    assert sys.get_int_max_str_digits() == DECIMAL_DIGITS_CAP
+    second.__exit__(None, None, None)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_verify_fresh_build(capsys):
