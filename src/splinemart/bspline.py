@@ -25,6 +25,9 @@ from .errors import (
 )
 from .intervals import Interval, frac
 
+#: largest relative residual a Gram solve may leave after its refinement step
+SOLVE_RTOL = 1e-8
+
 __all__ = [
     "KnotVector",
     "ScalarSpline",
@@ -195,9 +198,9 @@ class ScalarSpline:
         return cls(kv, np.full(kv.dim, value))
 
 
-def moment(kv: KnotVector, i: int, j: int, cap: int | None = None) -> float:
+def moment(kv: KnotVector, i: int, j: int) -> float:
     """∫ t**j N_i(t) dt by per-span Gauss-Legendre of exact degree."""
-    cap = kv.k + 4 if cap is None else cap
+    cap = kv.k + 4
     if j > cap:
         raise ValueError(f"moment order {j} above cap {cap}")
     sup = kv.support(i)
@@ -277,16 +280,16 @@ class GramOperator:
             out[:-r] += self.ab_lower[r, :-r] * v[r:]
         return out
 
-    def solve(self, rhs: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         x = cho_solve_banded((self._chol, True), rhs)
         r = rhs - self.matvec(x)
         x = x + cho_solve_banded((self._chol, True), r)
         r2 = rhs - self.matvec(x)
         scale = np.linalg.norm(rhs) + 1e-300
-        if np.linalg.norm(r2) / scale > rtol:
+        if np.linalg.norm(r2) / scale > SOLVE_RTOL:
             raise ConditioningError(
-                f"Gram solve residual {np.linalg.norm(r2)/scale:.3e} above {rtol}"
+                f"Gram solve residual {np.linalg.norm(r2)/scale:.3e} above {SOLVE_RTOL}"
             )
         return x
 

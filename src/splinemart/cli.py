@@ -6,6 +6,9 @@ Subcommands:
   constants         projection L1-norm table as CSV
   uncond            unconditionality ratio experiment
   demo-convergence  scalar (RNP-valued) convergence contrast
+
+Exit codes: 0 pass, 1 check failed, 2 refused input, 3 internal invariant
+broken.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .errors import SplineMartError
+from .errors import InfeasibleStoppingError, SplineMartError
 from .filtration import parse_filtration_spec
 from .intervals import frac, long_decimals
 
@@ -33,6 +36,13 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
+
+
+def fraction(text: str):
+    try:
+        return frac(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text}")
 
 
 def exponent(text: str) -> float:
@@ -199,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build the divergent sequence")
     p.add_argument("--k", type=positive_int, default=1)
-    p.add_argument("--eta", type=frac, default="1/2")
+    p.add_argument("--eta", type=fraction, default="1/2")
     p.add_argument("--steps", type=positive_int, default=2)
     p.add_argument("--out", default=None)
     p.add_argument("--trace", choices=["summary", "full"], default="summary")
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a result file or a fresh build")
     p.add_argument("--in", dest="result", type=result_file, default=None)
     p.add_argument("--k", type=positive_int, default=1)
-    p.add_argument("--eta", type=frac, default="1/2")
+    p.add_argument("--eta", type=fraction, default="1/2")
     p.add_argument("--steps", type=positive_int, default=2)
     p.add_argument("--json", action="store_true")
     _add_filtration_arg(p)
@@ -247,6 +257,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except (InfeasibleStoppingError, AssertionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except SplineMartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ name witness vectors; `slot_vectors` builds those vectors and
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,24 +133,14 @@ def level_aligning(p: int, *values: Fraction) -> int:
     return need
 
 
-def grid_above(x: Fraction, h: Fraction) -> Fraction:
-    """Smallest multiple of h strictly greater than x."""
-    return (math.floor(x / h) + 1) * h
-
-
-def grid_below(x: Fraction, h: Fraction) -> Fraction:
-    """Largest multiple of h strictly less than x."""
-    return (math.ceil(x / h) - 1) * h
-
-
-def atoms_left_of(q: Fraction, x: Fraction, h: Fraction) -> int:
-    """# atoms [ih, (i+1)h] with x < ih and (i+1)h <= q."""
-    return max(0, math.floor(q / h) - math.floor(x / h) - 1)
-
-
-def atoms_right_of(q: Fraction, y: Fraction, h: Fraction) -> int:
-    """# atoms [ih, (i+1)h] with ih >= q and (i+1)h < y."""
-    return max(0, math.ceil(y / h) - math.ceil(q / h) - 1)
+def first_level(ctx: ConstructionContext, start: int, fit) -> tuple[UniformSpace, object]:
+    """The space of the first level K >= start whose fit(space) is not None,
+    with that value; past LEVEL_CAP, ctx.space raises CapacityError."""
+    for K in itertools.count(start):
+        space = ctx.space(K)
+        found = fit(space)
+        if found is not None:
+            return space, found
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +230,34 @@ def check_tiling(entries: Sequence, iv: Interval):
         pos = e.hi
     if pos != iv.hi:
         raise AssertionError("cells do not cover the interval")
+
+
+def atom_cell(space: UniformSpace, i: int, kind: str, m: int, data: tuple) -> CellSpec:
+    """The cell [i h, (i + 1) h) of atom i of space."""
+    return CellSpec(i * space.h, (i + 1) * space.h, kind, m, data)
+
+
+def tile(iv: Interval, blocks: Sequence[Sequence]) -> list:
+    """Lay the blocks (runs of consecutive cells) left to right across iv,
+    with keep cells in the gaps; raise unless the result tiles iv."""
+    cells: list = []
+    pos = iv.lo
+    for block in blocks:
+        if block[0].lo > pos:
+            cells.append(CellSpec(pos, block[0].lo, "keep"))
+        cells.extend(block)
+        pos = block[-1].hi
+    if pos < iv.hi:
+        cells.append(CellSpec(pos, iv.hi, "keep"))
+    check_tiling(cells, iv)
+    return cells
+
+
+def require_checks(trace, what: str):
+    """Raise unless every check recorded on trace passed."""
+    failed = [name for name, ok in trace.checks if not ok]
+    if failed:
+        raise AssertionError(f"{what} violated {failed}")
 
 
 def cell_instances(entries: Sequence):
@@ -428,7 +447,7 @@ def step1_stopping(
     eps = frac(eps)
     if not 0 < eps < 1:
         raise PreconditionError("eps must lie in (0, 1)")
-    a, b = interval.lo, interval.hi
+    a = interval.lo
     width = interval.length
     vmass = width  # uniform generators have full limit set
 
@@ -440,54 +459,33 @@ def step1_stopping(
     d = width / n
     eps3 = eps1 / (2 * n)
 
-    # level search: k+1 atoms inside the ball on each side of every piece
-    # midpoint, grid alignment for all translation offsets, optional zombie
-    # (ramp) length budget
-    K = max(base_level + 1, level_aligning(p, a, d, *align))
-    ramp_atoms = 2 * (M + 1) * (k - 1)
-    while True:
-        if K > LEVEL_CAP:
-            raise CapacityError("step1_stopping exhausted the level cap")
-        h = ctx.space(K).h
-        p1 = a + d / 2
-        lo_edge = max(a, p1 - eps3)
-        hi_edge = min(a + d, p1 + eps3)
-        ok = (
-            atoms_left_of(p1, lo_edge, h) >= k + 1
-            and atoms_right_of(p1, hi_edge, h) >= k + 1
-            and (d / h).denominator == 1
-        )
-        if ok and max_zombie_length is not None and k > 1:
-            ok = ramp_atoms * h <= max_zombie_length
-        if ok:
-            break
-        K += 1
-    space = ctx.space(K)
-    h = space.h
-
-    # congruent ball points: u/v offsets relative to each piece start
+    # level search: k+1 atoms inside the ball around each piece midpoint p1
+    # on either side of p1, and the optional zombie (ramp) length budget;
+    # alignment puts a, d and every translation offset on the grid
     p1 = a + d / 2
-    u1 = grid_above(max(a, p1 - eps3), h)
-    v1 = grid_below(min(a + d, p1 + eps3), h)
-    if not (u1 <= v1):
-        raise AssertionError("degenerate ball")
+    lo_edge, hi_edge = max(a, p1 - eps3), min(a + d, p1 + eps3)
+    ramp_atoms = 2 * (M + 1) * (k - 1)
 
-    def u_pt(ell: int) -> Fraction:  # pieces are 1-based
-        return u1 + (ell - 1) * d
+    def ball(space: UniformSpace):
+        # grid units of the first grid point right of lo_edge (u1), of the
+        # last one left of hi_edge (v1) and of the piece width d
+        units = space.num_atoms
+        U1, V1 = math.floor(lo_edge * units) + 1, math.ceil(hi_edge * units) - 1
+        if math.floor(p1 * units) - U1 < k + 1 or V1 - math.ceil(p1 * units) < k + 1:
+            return None
+        if max_zombie_length is not None and k > 1 and ramp_atoms * space.h > max_zombie_length:
+            return None
+        return U1, V1, grid_units(d, units)
 
-    def v_pt(ell: int) -> Fraction:
-        return v1 + (ell - 1) * d
+    start = max(base_level + 1, level_aligning(p, a, d, *align))
+    space, (U1, V1, D) = first_level(ctx, start, ball)
+    K, h = space.level, space.h
 
-    L = n - 2  # block i <-> piece i+1, i = 1..L
-
-    def block_union(r: int, s_: int) -> tuple[Fraction, Fraction]:
-        # union of blocks r..s_ is the single interval (v_r, u_{s_+2})
-        return v_pt(r), u_pt(s_ + 2)
-
-    # grid units: u1, v1 and the piece width d are multiples of h, so the
-    # interior indices touching blocks r..s_, whose union is (v_r, u_{s_+2}),
-    # form a range that is affine in r and s_
-    U1, V1, D = (grid_units(x, space.num_atoms) for x in (u1, v1, d))
+    # pieces are 1-based and congruent: piece ell has ball points
+    # u_ell = u1 + (ell - 1) d and v_ell = v1 + (ell - 1) d. Block i <->
+    # piece i+1 (i = 1..L); blocks r..s_ cover (v_r, u_{s_+2}), and the
+    # interior indices touching it form a range affine in r and s_
+    L = n - 2
 
     def lam_range(r: int, s_: int) -> tuple[int, int]:
         return V1 + (r - 1) * D, U1 + (s_ + 1) * D + k - 2
@@ -496,8 +494,10 @@ def step1_stopping(
         jlo, jhi = lam_range(r, s_)
         return (jhi - jlo + 1) * h
 
-    union_lo, union_hi = block_union(1, L)
-    union_blocks = union_hi - union_lo
+    def union_length(r: int, s_: int) -> Fraction:
+        return (U1 - V1 + (s_ + 2 - r) * D) * h
+
+    union_blocks = union_length(1, L)
     C = (1 - eps_tilde / 3) * union_blocks
     if 72 * eps1 * M > eps * eps_tilde * union_blocks:
         raise AssertionError("eq:cons_est failed; parameter bug")
@@ -526,10 +526,9 @@ def step1_stopping(
         j_indices.append(jm)
         f_ranges.append(lam_range(r, jm))
         int_f.append(int_range(r, jm))
-        blo, bhi = block_union(r, jm)
-        per_m_block_mass.append(bhi - blo)
+        per_m_block_mass.append(union_length(r, jm))
         # p-point hull: (p_{l(r)-1}, p_{l(jm)+1}) = (p_r, p_{jm+2})
-        per_m_p_mass.append((a + (jm + 2 - 1) * d + d / 2) - (a + (r - 1) * d + d / 2))
+        per_m_p_mass.append((jm + 2 - r) * d)
         j_prev = jm
     # final function f_{M+1}
     r = j_prev + 2
@@ -537,7 +536,7 @@ def step1_stopping(
         raise InfeasibleStoppingError("no blocks left for the remainder term")
     f_ranges.append(lam_range(r, L))
     int_f.append(int_range(r, L))
-    union_upto_jM = block_union(1, j_indices[-1])[1] - union_lo
+    union_upto_jM = union_length(1, j_indices[-1])
 
     betas = tuple((C * alphas[m] - int_f[m]) / int_f[M] for m in range(M))
 
@@ -575,38 +574,23 @@ def step1_stopping(
     )
     pattern = Step1Pattern(interval, K, space, terms, cells, M, trace)
     trace.zone_mass = pattern.zone_mass()
-    failed = [name for name, ok in trace.run_checks() if not ok]
-    if failed:
-        raise AssertionError(f"stopping construction violated {failed}")
+    trace.run_checks()
+    require_checks(trace, "stopping construction")
     return pattern
 
 
 def _stopping_cells(interval, space, f_ranges, M) -> list[CellSpec]:
     """Tile the interval: zones where some f_m is identically one, ramp
     atoms at the range edges, keep cells elsewhere."""
-    k, h = space.k, space.h
-    cells: list[CellSpec] = []
-    pos = interval.lo
+    k = space.k
+    blocks = []
     for m, (jlo, jhi) in enumerate(f_ranges):
         if jhi - jlo + 1 < 2 * k - 1:
             raise AssertionError("stopping range too narrow for a zone")
-        sup_lo = (jlo - k + 1) * h
-        zone_lo, zone_hi = jlo * h, (jhi - k + 2) * h
-        sup_hi = (jhi + 1) * h
-        kind = "zone" if m < M else "mix"
-        if sup_lo > pos:
-            cells.append(CellSpec(pos, sup_lo, "keep"))
-        for r in range(k - 1):  # left ramp atoms
-            cells.append(
-                CellSpec(sup_lo + r * h, sup_lo + (r + 1) * h, "ramp", m, ("L", r))
-            )
-        cells.append(CellSpec(zone_lo, zone_hi, kind, m))
-        for r in range(k - 1):  # right ramp atoms
-            cells.append(
-                CellSpec(zone_hi + r * h, zone_hi + (r + 1) * h, "ramp", m, ("R", r))
-            )
-        pos = sup_hi
-    if pos < interval.hi:
-        cells.append(CellSpec(pos, interval.hi, "keep"))
-    check_tiling(cells, interval)
-    return cells
+        zone_hi = jhi - k + 2
+        blocks.append(
+            [atom_cell(space, jlo - k + 1 + r, "ramp", m, ("L", r)) for r in range(k - 1)]
+            + [CellSpec(jlo * space.h, zone_hi * space.h, "zone" if m < M else "mix", m)]
+            + [atom_cell(space, zone_hi + r, "ramp", m, ("R", r)) for r in range(k - 1)]
+        )
+    return tile(interval, blocks)

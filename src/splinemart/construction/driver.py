@@ -32,7 +32,8 @@ from ..errors import ConstructionPreconditionError, PreconditionError
 from ..intervals import Interval, frac, long_decimals
 from ..witness import BushRep, XVec, bush_decompose, mix_reps
 from .core import (
-    BoundPattern, CellSpec, ConstructionContext, F0, F1, cell_instances, slot_vectors,
+    BoundPattern, CellSpec, ConstructionContext, F0, F1, cell_instances, require_checks,
+    slot_vectors,
 )
 from .lemma import LemmaPattern, PeriodicFamily, lemma_moments
 
@@ -210,7 +211,7 @@ class SequenceResult:
 
     def stopping_traces(self):
         for n, pat in self.all_patterns():
-            yield n, pat.trace.inner_trace
+            yield n, pat.inner.trace
 
     def to_json(self, trace: str = "summary", seed: int = 0) -> dict:
         """The result record; measures are exact decimal "p/q" strings of any
@@ -270,7 +271,7 @@ class SequenceResult:
                 if trace == "full":
                     entry["ainv_norm"] = str(tr.ainv_norm)
                     entry["eps1_outer"] = str(tr.eps1_outer)
-                    it = tr.inner_trace
+                    it = pat.inner.trace
                     entry["inner"] = {
                         "betas": [str(b) for b in it.betas],
                         "j_indices": list(it.j_indices),
@@ -424,9 +425,7 @@ def _add_class(census: dict, row: ClassRow):
 
 def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
     pat.bind(_bush_slots(rep_value, parts, pat))
-    failed = [name for name, ok in pat.trace.checks if not ok]
-    if failed:
-        raise AssertionError(f"pattern checks failed after binding: {failed}")
+    require_checks(pat.trace, "bound pattern")
 
 
 def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, census):

@@ -7,8 +7,8 @@ coefficients w with ∫ tau^j (g_L + g_R) = 0 for j < k in interval-local
 coordinates tau, hence raw-moment vanishing for every translate too.
 
 The weights are constant, so all pieces are congruent and one Step-1
-pattern serves every piece (closed-form sums over astronomically many
-translates).
+pattern, which step2_correct builds on the second piece, serves every piece
+(closed-form sums over astronomically many translates).
 """
 
 from __future__ import annotations
@@ -17,27 +17,28 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..errors import CapacityError, PreconditionError
+from ..errors import PreconditionError
 from ..intervals import Interval, frac
-from ..rle import PeriodicSpline, RleSpline
+from ..rle import PeriodicSpline, RleSpline, UniformSpace
 from .core import (
     CellGrid,
     CellSpec,
     ConstructionContext,
     F0,
     F1,
-    LEVEL_CAP,
     PeriodicFamily,
     SlotwisePattern,
-    StoppingTrace,
     Step1Pattern,
-    check_tiling,
+    atom_cell,
+    first_level,
     grid_units,
     level_aligning,
     p_power_at_least,
+    require_checks,
     step1_stopping,
+    tile,
 )
 
 #: pieces are kept this factor below the eps1 formula bound; it buys the
@@ -105,7 +106,6 @@ class LemmaTrace:
     interval: Interval
     L_mass: Fraction
     zone_mass: Fraction
-    inner_trace: StoppingTrace
     w_bound: Optional[Fraction] = None  # filled when vectors are bound
     checks: list = field(default_factory=list)
 
@@ -181,15 +181,14 @@ def step2_correct(
     interval: Interval,
     eps: Fraction,
     base_level: int,
-    inner_builder: Callable[[Interval, Fraction], Step1Pattern],
+    alphas: Sequence[Fraction],
     *,
     max_zombie_length: Optional[Fraction] = None,
 ) -> LemmaPattern:
-    """Assemble the vanishing-moment construction around a Step-1 builder.
+    """Assemble the vanishing-moment construction for constant weights alphas.
 
-    inner_builder(piece, eps_tilde) produces the Step-1 pattern for one
-    piece of L; that representative pattern is reused for every piece
-    (valid for constant weights over uniform limit sets).
+    The Step-1 pattern built on the second piece of L is reused for every
+    piece (valid for constant weights over uniform limit sets).
     """
     ctx.require_uniform()
     p, k = ctx.p, ctx.k
@@ -205,22 +204,19 @@ def step2_correct(
     # bump level: room for k disjoint interior supports plus margins; for
     # k >= 2 the bump atoms are non-constant cells, so their total length
     # k*k*h must also fit inside the zombie budget
-    KR = max(base_level + 1, level_aligning(p, a, c))
     need_atoms = k * (k + 1) + 3
-    while True:
-        if KR > LEVEL_CAP:
-            raise CapacityError("step2 exhausted the level cap placing bumps")
-        h = ctx.space(KR).h
-        first = math.floor(c / h) + 1  # first atom strictly right of c
-        last = math.ceil(b / h) - 2  # last atom strictly left of b
-        ok = last - first + 1 >= need_atoms
-        if ok and k > 1 and max_zombie_length is not None:
-            ok = k * k * h <= max_zombie_length / 2
-        if ok:
-            break
-        KR += 1
-    space_r = ctx.space(KR)
-    h = space_r.h
+
+    def room(space: UniformSpace):
+        # index of the first atom strictly right of c
+        first = math.floor(c * space.num_atoms) + 1
+        last = math.ceil(b * space.num_atoms) - 2  # last atom strictly left of b
+        if last - first + 1 < need_atoms:
+            return None
+        if k > 1 and max_zombie_length is not None and k * k * space.h > max_zombie_length / 2:
+            return None
+        return first
+
+    space_r, first = first_level(ctx, max(base_level + 1, level_aligning(p, a, c)), room)
     picks = [first + 1 + i * (k + 1) + k - 1 for i in range(k)]
 
     bumps = [RleSpline.from_index_range(space_r, m, m) for m in picks]
@@ -237,19 +233,22 @@ def step2_correct(
     d = lmass / n_outer
     piece_count = n_outer - 2
 
-    def piece(ell: int) -> Interval:  # 1-based
-        return Interval(a + (ell - 1) * d, a + ell * d)
-
-    inner = inner_builder(piece(2), et)
-    K = max(inner.K, KR)
-    if (d / ctx.space(inner.K).h).denominator != 1:
-        raise AssertionError("piece period off the inner grid")
+    # pieces are [a + (ell - 1) d, a + ell d] for ell = 1..n_outer; the
+    # representative is the second, aligned so that every translate sits
+    # on its grid, with its share of the zombie budget
+    inner = step1_stopping(
+        ctx,
+        Interval(a + d, a + 2 * d),
+        alphas,
+        et,
+        base_level,
+        align=(a, d),
+        max_zombie_length=(
+            None if max_zombie_length is None else max_zombie_length * d / width / 2
+        ),
+    )
+    K = max(inner.K, space_r.level)
     terms = [(PeriodicSpline(scal, d, piece_count), key) for scal, key in inner.terms]
-    cells: list = [
-        CellSpec(a, a + d, "keep"),
-        PeriodicFamily(tuple(inner.cells), d, piece_count),
-        CellSpec(a + (n_outer - 1) * d, c, "keep"),
-    ]
 
     # exact z per slot over all pieces, then w = -A^{-1} z slotwise
     slot_moments: dict = {}
@@ -272,22 +271,17 @@ def step2_correct(
         if any(zrow[j] + sum(x * w for x, w in zip(amat[j], wk)) != 0 for j in range(k)):
             raise AssertionError("moment correction failed to cancel exactly")
 
-    pos = c
+    blocks: list = [[
+        CellSpec(a, a + d, "keep"),
+        PeriodicFamily(tuple(inner.cells), d, piece_count),
+        CellSpec(a + (n_outer - 1) * d, c, "keep"),
+    ]]
     for i, m in enumerate(picks):
-        sup_lo, sup_hi = (m - k + 1) * h, (m + 1) * h
-        if sup_lo > pos:
-            cells.append(CellSpec(pos, sup_lo, "keep"))
         if k == 1:
-            cells.append(CellSpec(sup_lo, sup_hi, "rconst", i))
+            blocks.append([atom_cell(space_r, m, "rconst", i, ())])
         else:
-            for r in range(k):
-                cells.append(
-                    CellSpec(sup_lo + r * h, sup_lo + (r + 1) * h, "rbump", i, (r,))
-                )
-        pos = sup_hi
-    if pos < b:
-        cells.append(CellSpec(pos, b, "keep"))
-    check_tiling(cells, interval)
+            blocks.append([atom_cell(space_r, m - k + 1 + r, "rbump", i, (r,)) for r in range(k)])
+    cells = tile(interval, blocks)
 
     trace = LemmaTrace(
         eps=eps,
@@ -298,7 +292,6 @@ def step2_correct(
         interval=interval,
         L_mass=lmass,
         zone_mass=F0,
-        inner_trace=inner.trace,
     )
     pattern = LemmaPattern(
         interval=interval,
@@ -312,16 +305,15 @@ def step2_correct(
         trace=trace,
     )
     trace.zone_mass = pattern.zone_mass()
-    failed = [name for name, ok in trace.run_checks() if not ok]
-    if failed:
-        raise AssertionError(f"lemma construction violated {failed}")
+    trace.run_checks()
+    require_checks(trace, "lemma construction")
     if max_zombie_length is not None and pattern.zombie_length() > max_zombie_length:
         raise AssertionError("zombie budget exceeded")
     return pattern
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# entry point
 
 
 def lemma_moments(
@@ -335,26 +327,9 @@ def lemma_moments(
 ) -> LemmaPattern:
     """The full vanishing-moment lemma for one convex decomposition.
 
-    The constant weights go to the stopping-time construction on each
-    piece, and the moment correction of step2_correct runs on top.
+    step2_correct builds the stopping-time construction for the constant
+    weights on the pieces and corrects its moments.
     """
-    alphas = tuple(frac(x) for x in const_alphas)
-
-    def builder(pc: Interval, et: Fraction) -> Step1Pattern:
-        return step1_stopping(
-            ctx,
-            pc,
-            alphas,
-            et,
-            base_level,
-            align=(interval.lo, pc.length),
-            max_zombie_length=(
-                None
-                if max_zombie_length is None
-                else max_zombie_length * pc.length / interval.length / 2
-            ),
-        )
-
     return step2_correct(
-        ctx, interval, eps, base_level, builder, max_zombie_length=max_zombie_length
+        ctx, interval, eps, base_level, const_alphas, max_zombie_length=max_zombie_length
     )

@@ -219,7 +219,7 @@ def verify_sequence(
         for name, ok in pat.trace.checks:
             if not ok:
                 bad.append((n, "lemma", name))
-        for name, ok in pat.trace.inner_trace.checks:
+        for name, ok in pat.inner.trace.checks:
             if not ok:
                 bad.append((n, "stopping", name))
     rep.add(

@@ -120,7 +120,6 @@ class ProjectionContext:
         level: int,
         t_per_atom: int = 32,
         s_nodes: int = 64,
-        window: int | None = None,
     ) -> float:
         """Lower estimate of ||P_level||_{L1->L1}, grid-resolution tight.
 
@@ -132,7 +131,7 @@ class ProjectionContext:
             return 1.0  # averaging operator: kernel rows are probability densities
         kv, g = self.space(level)
         natoms = kv.num_atoms
-        w = window if window is not None else 48 + 16 * self.k
+        w = 48 + 16 * self.k  # kernel window half-width, in atoms
         bps = [float(b) for b in kv.breakpoints]
 
         # quadrature data of the s-atoms, atom-major: node p of atom b has

@@ -197,9 +197,7 @@ def mix_reps(parts: list[tuple[Fraction, BushRep]]) -> BushRep:
     return BushRep(weights, pert)
 
 
-def bush_decompose(
-    rep: BushRep, delta, target_count: int = 2, depth: int | None = None
-) -> list[tuple[Fraction, BushRep]]:
+def bush_decompose(rep: BushRep, delta, target_count: int = 2) -> list[tuple[Fraction, BushRep]]:
     """Split a bush value into deep-node points at sup-distance >= delta.
 
     Expands every node of `rep` to its descendants at a common depth D
@@ -211,8 +209,7 @@ def bush_decompose(
     delta = frac(delta)
     if delta > 1:
         raise UnachievableSeparationError(f"bush separation is 1, requested {delta}")
-    min_depth = max(rep.max_node_depth() + 1, rep.max_pert_depth() + 1)
-    d = max(depth if depth is not None else 0, min_depth)
+    d = max(rep.max_node_depth(), rep.max_pert_depth()) + 1
     while sum(1 << (d - len(p)) for p, _ in rep.weights) < target_count:
         d += 1
     out: list[tuple[Fraction, BushRep]] = []

@@ -7,6 +7,7 @@ import pytest
 import splinemart.construction as construction
 from splinemart.cli import main
 from splinemart.construction.core import LEVEL_CAP
+from splinemart.errors import InfeasibleStoppingError
 from splinemart.filtration import parse_filtration_spec
 from splinemart.intervals import DECIMAL_DIGITS_CAP, frac, long_decimals
 
@@ -161,6 +162,8 @@ def test_dichotomy_error_exit_code(capsys):
         ["verify", "--in", "empty.json"],
         ["verify", "--in", "bad_measure.json"],
         ["construct", "--out", "no-such-dir/result.json"],
+        ["construct", "--eta", "1/0"],
+        ["verify", "--eta", "1/0"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
@@ -172,3 +175,38 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _internal_fault(exc):
+    def build(*args):
+        raise exc
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "argv,fault,code,stream,prefix",
+    [
+        (["constants", "--k", "1", "--levels", "2"], None, 0, "out", "level,"),
+        (["verify", "--in", "low_c.json"], None, 1, "out", "FAIL  "),
+        (["construct", "--k", "0"], None, 2, "err", "error: "),
+        (["construct", "--steps", "1"], InfeasibleStoppingError("no blocks left"), 3, "err",
+         "internal error: InfeasibleStoppingError: no blocks left"),
+        (["verify", "--steps", "1"], AssertionError("zombie budget exceeded"), 3, "err",
+         "internal error: AssertionError: zombie budget exceeded"),
+    ],
+    ids=["0-pass", "1-check-failed", "2-refused-input", "3-infeasible-stopping", "3-assertion"],
+)
+def test_each_exit_code_has_one_meaning(argv, fault, code, stream, prefix, tmp_path, monkeypatch,
+                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    # |C_1 ∩ V| = 1/2 is below the (3d) bound 1 - 2^-3 eta
+    (tmp_path / "low_c.json").write_text('{"eta": "1/2", "E": [{"measure": "1"}], "C": ["1", "1/2"]}')
+    if fault is not None:
+        monkeypatch.setattr(construction, "build_sequence", _internal_fault(fault))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    lines = getattr(captured, stream).splitlines()
+    assert lines[0].startswith(prefix)
+    if code >= 2:
+        assert captured.out == "" and len(lines) == 1

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+import splinemart.construction.core as core
 from splinemart.construction.core import (
     CellSpec,
     ConstructionContext,
     PeriodicFamily,
     check_tiling,
+    first_level,
     level_aligning,
     p_adic_valuation,
     slot_vectors,
     step1_stopping,
+    tile,
 )
 from splinemart.construction.lemma import (
     cube_root_under,
@@ -232,6 +235,62 @@ class TestTiling:
             tiles[2] = CellSpec(F(9, 16), 1, "keep")
         with pytest.raises(AssertionError):
             check_tiling(tiles, Interval(0, 1))
+
+
+class TestTile:
+    """tile lays blocks left to right with keep cells in the gaps."""
+
+    A = CellSpec(F(1, 8), F(1, 4), "zone", 0)
+    B = CellSpec(F(1, 2), F(5, 8), "ramp", 1, ("L", 0))
+
+    @staticmethod
+    def keep(lo, hi):
+        return CellSpec(F(lo), F(hi), "keep")
+
+    @pytest.mark.parametrize(
+        "blocks,want",
+        [
+            ([[A], [B]], [keep(0, F(1, 8)), A, keep(F(1, 4), F(1, 2)), B, keep(F(5, 8), 1)]),
+            (
+                [[A, CellSpec(F(1, 4), F(1, 2), "mix", 1)], [B]],
+                [keep(0, F(1, 8)), A, CellSpec(F(1, 4), F(1, 2), "mix", 1), B, keep(F(5, 8), 1)],
+            ),
+            (
+                [[CellSpec(0, F(1, 8), "ramp", 0)], [A]],
+                [CellSpec(0, F(1, 8), "ramp", 0), A, keep(F(1, 4), 1)],
+            ),
+            (
+                [[A], [CellSpec(F(7, 8), 1, "rconst", 0)]],
+                [keep(0, F(1, 8)), A, keep(F(1, 4), F(7, 8)), CellSpec(F(7, 8), 1, "rconst", 0)],
+            ),
+        ],
+        ids=["gap", "adjacent", "flush-left", "flush-right"],
+    )
+    def test_cells(self, blocks, want):
+        assert tile(Interval(0, 1), blocks) == want
+
+    def test_overlapping_blocks_raise(self):
+        with pytest.raises(AssertionError):
+            tile(Interval(0, 1), [[self.B], [self.A]])
+
+
+class TestLevelSearch:
+    CTX = ConstructionContext(dyadic(), 2)
+
+    @staticmethod
+    def at_levels(*levels):
+        return lambda space: space.num_atoms if space.level in levels else None
+
+    @pytest.mark.parametrize("start,want", [(0, 5), (5, 5), (6, 9), (10, 12)])
+    def test_smallest_qualifying_level(self, start, want):
+        space, found = first_level(self.CTX, start, self.at_levels(5, 9, 12))
+        assert (space.level, space.k, found) == (want, 2, 2**want)
+
+    @pytest.mark.parametrize("levels", [(), (5,)])
+    def test_level_cap(self, levels, monkeypatch):
+        monkeypatch.setattr(core, "LEVEL_CAP", 4)
+        with pytest.raises(CapacityError, match="cap 4"):
+            first_level(self.CTX, 0, self.at_levels(*levels))
 
 
 class TestValuation:

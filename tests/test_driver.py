@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from splinemart.construction.core import PeriodicFamily, grid_above, grid_below
+from splinemart.construction.core import PeriodicFamily
 from splinemart.construction.driver import build_sequence
 from splinemart.errors import CapacityError, ConstructionPreconditionError, PreconditionError
 from splinemart.filtration import (
@@ -282,6 +282,16 @@ def test_locate_matches_linear_scan(fixture, request):
                     assert pat.locate(t) == want
                     checked += 1
     assert checked > 100
+
+
+def grid_above(x, h):
+    """Smallest multiple of h strictly greater than x."""
+    return (math.floor(x / h) + 1) * h
+
+
+def grid_below(x, h):
+    """Largest multiple of h strictly less than x."""
+    return (math.ceil(x / h) - 1) * h
 
 
 def reference_stopping(inner):
