@@ -146,6 +146,7 @@ def cmd_verify(args) -> int:
 def cmd_constants(args) -> int:
     from .harness import shadrin_profile
 
+    args.filtration.check_level(args.levels)
     lines = ["level,dimension,l1_norm"]
     for level, dim, norm in shadrin_profile(args.filtration, args.k, args.levels):
         lines.append(f"{level},{dim},{norm!r}")

@@ -146,6 +146,9 @@ def first_level(ctx: ConstructionContext, start: int, fit) -> tuple[UniformSpace
 # ---------------------------------------------------------------------------
 # cells
 
+#: cell kinds on which the perturbed function is constant
+CONSTANT_KINDS = ("zone", "mix", "keep", "rconst")
+
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -164,7 +167,6 @@ class CellSpec:
     hi: Fraction
     kind: str
     m: int = -1
-    data: tuple = ()
 
     @property
     def width(self) -> Fraction:
@@ -172,7 +174,7 @@ class CellSpec:
 
     @property
     def is_constant(self) -> bool:
-        return self.kind in ("zone", "mix", "keep", "rconst")
+        return self.kind in CONSTANT_KINDS
 
 
 def grid_units(x: Fraction, scale: int) -> int:
@@ -232,9 +234,9 @@ def check_tiling(entries: Sequence, iv: Interval):
         raise AssertionError("cells do not cover the interval")
 
 
-def atom_cell(space: UniformSpace, i: int, kind: str, m: int, data: tuple) -> CellSpec:
+def atom_cell(space: UniformSpace, i: int, kind: str, m: int) -> CellSpec:
     """The cell [i h, (i + 1) h) of atom i of space."""
-    return CellSpec(i * space.h, (i + 1) * space.h, kind, m, data)
+    return CellSpec(i * space.h, (i + 1) * space.h, kind, m)
 
 
 def tile(iv: Interval, blocks: Sequence[Sequence]) -> list:
@@ -258,16 +260,6 @@ def require_checks(trace, what: str):
     failed = [name for name, ok in trace.checks if not ok]
     if failed:
         raise AssertionError(f"{what} violated {failed}")
-
-
-def cell_instances(entries: Sequence):
-    """(cell, number of its instances) over cells and periodic families."""
-    for e in entries:
-        if isinstance(e, PeriodicFamily):
-            for c in e.cells:
-                yield c, e.count
-        else:
-            yield e, 1
 
 
 class SlotwisePattern:
@@ -309,13 +301,24 @@ class SlotwisePattern:
                     out[key] = out.get(key, F0) + v * coef
         return out
 
+    @cached_property
+    def ledger(self) -> tuple:
+        """((kind, m), summed width of those cells over every instance) pairs,
+        in order of first appearance; cells sharing (kind, m) give an atom
+        the same child value."""
+        out: dict = {}
+        for e in self.cells:
+            cells, count = (e.cells, e.count) if isinstance(e, PeriodicFamily) else ((e,), 1)
+            for c in cells:
+                key = (c.kind, c.m)
+                out[key] = out.get(key, F0) + c.width * count
+        return tuple(out.items())
+
     def zone_mass(self) -> Fraction:
-        cells = cell_instances(self.cells)
-        return sum((c.width * n for c, n in cells if c.kind == "zone"), F0)
+        return sum((w for (kind, _), w in self.ledger if kind == "zone"), F0)
 
     def zombie_length(self) -> Fraction:
-        cells = cell_instances(self.cells)
-        return sum((c.width * n for c, n in cells if not c.is_constant), F0)
+        return sum((w for (kind, _), w in self.ledger if kind not in CONSTANT_KINDS), F0)
 
     def bind(self, slot_vectors: dict) -> "BoundPattern":
         return BoundPattern(self, slot_vectors)
@@ -589,8 +592,8 @@ def _stopping_cells(interval, space, f_ranges, M) -> list[CellSpec]:
             raise AssertionError("stopping range too narrow for a zone")
         zone_hi = jhi - k + 2
         blocks.append(
-            [atom_cell(space, jlo - k + 1 + r, "ramp", m, ("L", r)) for r in range(k - 1)]
+            [atom_cell(space, jlo - k + 1 + r, "ramp", m) for r in range(k - 1)]
             + [CellSpec(jlo * space.h, zone_hi * space.h, "zone" if m < M else "mix", m)]
-            + [atom_cell(space, zone_hi + r, "ramp", m, ("R", r)) for r in range(k - 1)]
+            + [atom_cell(space, zone_hi + r, "ramp", m) for r in range(k - 1)]
         )
     return tile(interval, blocks)

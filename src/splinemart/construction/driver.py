@@ -31,10 +31,7 @@ from typing import Optional
 from ..errors import ConstructionPreconditionError, PreconditionError
 from ..intervals import Interval, frac, long_decimals
 from ..witness import BushRep, XVec, bush_decompose, mix_reps
-from .core import (
-    BoundPattern, CellSpec, ConstructionContext, F0, F1, cell_instances, require_checks,
-    slot_vectors,
-)
+from .core import BoundPattern, ConstructionContext, F0, F1, require_checks, slot_vectors
 from .lemma import LemmaPattern, PeriodicFamily, lemma_moments
 
 DELTA = F1  # bush separation
@@ -134,7 +131,7 @@ class SequenceResult:
             tau = t - atom_lo + pattern.interval.lo
             acc = acc.add(bound.g_eval(tau))
             cell, _shift = pattern.locate(tau)
-            binding = _child_value(binding, parts, pattern, bound, cell)
+            binding = _child_value(binding, parts, pattern, bound, (cell.kind, cell.m))
         return acc
 
     def sup_diff_at(self, t, n: int) -> Fraction:
@@ -178,7 +175,7 @@ class SequenceResult:
             cell, shift = self._random_cell(rng, pattern, force_zone)
             base = atom_lo - pattern.interval.lo
             lo, hi = base + shift + cell.lo, base + shift + cell.hi
-            binding = _child_value(binding, parts, pattern, bound, cell)
+            binding = _child_value(binding, parts, pattern, bound, (cell.kind, cell.m))
             if binding is None:
                 raise AssertionError("sampler entered a non-constant cell")
         return lo, hi
@@ -399,19 +396,21 @@ def _bush_slots(binding: BushRep, parts, pattern: LemmaPattern) -> dict:
     return slot_vectors(binding.value(), points, pattern.inner.trace.betas)
 
 
-def _child_value(binding: BushRep, parts, pattern: LemmaPattern, bound, cell: CellSpec):
-    """The value on `cell` of an atom valued `binding`; None off the constant cells.
+def _child_value(binding: BushRep, parts, pattern: LemmaPattern, bound, cell_key: tuple):
+    """The value, on the cells of `cell_key` = (kind, m), of an atom valued
+    `binding`; None off the constant cells.
 
     Only rconst cells read `bound`, the pattern bound to the atom's slot vectors.
     """
-    if cell.kind == "zone":
-        return parts[cell.m][1]
-    if cell.kind == "keep":
+    kind, m = cell_key
+    if kind == "zone":
+        return parts[m][1]
+    if kind == "keep":
         return binding
-    if cell.kind == "mix":
+    if kind == "mix":
         return _mix_value(parts, pattern.inner.trace.betas)
-    if cell.kind == "rconst":
-        return binding.with_pert(bound.w_vectors[cell.m])
+    if kind == "rconst":
+        return binding.with_pert(bound.w_vectors[m])
     return None  # ramp / rbump: the class goes non-constant
 
 
@@ -429,38 +428,37 @@ def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
 
 
 def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, census):
-    base_norm = row.rep_value.value().sup_norm
-    part_norms = [rep.value().sup_norm for _, rep in parts]
-    bound = None  # built for the first rconst cell, the only reader
+    """Add the children of every atom of `row` to the census: one class per
+    ledger entry, since the cells of one (kind, m) give one child value.
 
-    def add(cell: CellSpec, length_per_atom: Fraction):
-        nonlocal bound
-        if cell.kind == "rconst" and bound is None:
+    For a constant class `row.norm_bound` is the sup norm of its value.
+    """
+    part_norms = [rep.value().sup_norm for _, rep in parts]
+    bound = None  # built for the first rconst entry, the only reader
+    for (kind, m), width in pat.ledger:
+        if kind == "rconst" and bound is None:
             bound = BoundPattern(pat, _bush_slots(row.rep_value, parts, pat))
-        rep_value = _child_value(row.rep_value, parts, pat, bound, cell)
-        if cell.kind == "zone":
-            norm = part_norms[cell.m]
-        elif cell.kind == "keep":
-            norm = base_norm
+        rep_value = _child_value(row.rep_value, parts, pat, bound, (kind, m))
+        if kind == "zone":
+            norm = part_norms[m]
+        elif kind == "keep":
+            norm = row.norm_bound
         elif rep_value is not None:  # mix / rconst
             norm = rep_value.value().sup_norm
-        elif cell.kind == "rbump":
-            norm = base_norm + (pat.trace.w_bound or F0)
+        elif kind == "rbump":
+            norm = row.norm_bound + (pat.trace.w_bound or F0)
         else:  # ramp: convex combination of a child and the parent value
-            norm = max(base_norm, *part_norms)
+            norm = max(row.norm_bound, *part_norms)
         _add_class(
             census,
             ClassRow(
                 kind="const" if rep_value is not None else "zombie",
-                cell_kind=cell.kind,
+                cell_kind=kind,
                 rep_value=rep_value,
-                total_length=length_per_atom * atom_count,
-                in_c=cell.kind == "zone",
-                in_e=cell.kind == "zone" and row.in_c,
+                total_length=width * atom_count,
+                in_c=kind == "zone",
+                in_e=kind == "zone" and row.in_c,
                 norm_bound=norm,
                 chain_sup=max(row.chain_sup, norm),
             ),
         )
-
-    for cell, count in cell_instances(pat.cells):
-        add(cell, cell.width * count)

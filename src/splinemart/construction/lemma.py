@@ -278,9 +278,9 @@ def step2_correct(
     ]]
     for i, m in enumerate(picks):
         if k == 1:
-            blocks.append([atom_cell(space_r, m, "rconst", i, ())])
+            blocks.append([atom_cell(space_r, m, "rconst", i)])
         else:
-            blocks.append([atom_cell(space_r, m - k + 1 + r, "rbump", i, (r,)) for r in range(k)])
+            blocks.append([atom_cell(space_r, m - k + 1 + r, "rbump", i) for r in range(k)])
     cells = tile(interval, blocks)
 
     trace = LemmaTrace(

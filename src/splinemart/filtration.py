@@ -21,6 +21,8 @@ from .intervals import ONE, ZERO, Interval, MeasurableUnion, frac
 
 DEFAULT_MATERIALIZE_CAP = 64
 DEFAULT_GAMMA_CAP = 2**16
+#: most atoms a uniform level may materialize
+MATERIALIZE_ATOMS = 2**16
 
 
 class FiltrationOracle:
@@ -29,7 +31,9 @@ class FiltrationOracle:
     Subclasses implement ``breakpoints(level)``; uniform generators (whose
     level-n partition is the uniform p-ary grid) additionally advertise
     ``uniform_base`` so that exact index arithmetic can replace
-    materialization at depths far beyond ``materialize_cap``.
+    materialization at depths far beyond it. A non-uniform level is
+    materialized up to ``materialize_cap``, a uniform one while it holds at
+    most ``MATERIALIZE_ATOMS`` atoms.
     """
 
     kind = "abstract"
@@ -56,19 +60,22 @@ class FiltrationOracle:
         top = self.max_level
         if top is not None and level > top:
             raise CapacityError(f"level {level} beyond generator capacity {top}")
-        if level > self.materialize_cap and self.uniform_base is None:
+        p = self.uniform_base
+        if p is None and level > self.materialize_cap:
             raise CapacityError(
                 f"level {level} beyond materialization cap {self.materialize_cap}"
+            )
+        # with p >= 2 every level past the cap's bit length holds too many
+        # atoms, so the min keeps the power small at any level
+        if p is not None and p ** min(level, MATERIALIZE_ATOMS.bit_length()) > MATERIALIZE_ATOMS:
+            raise CapacityError(
+                f"refusing to materialize {p}**{level} atoms "
+                f"(cap {MATERIALIZE_ATOMS}); use index arithmetic"
             )
 
     def atoms(self, level: int) -> list[Interval]:
         """The level-n partition of [0, 1] as an ordered list of intervals."""
         self.check_level(level)
-        if self.uniform_base is not None and level > self.materialize_cap:
-            raise CapacityError(
-                f"refusing to materialize {self.uniform_base}**{level} atoms "
-                f"(cap {self.materialize_cap}); use index arithmetic"
-            )
         bps = self.breakpoints(level)
         return [Interval(a, b) for a, b in zip(bps, bps[1:])]
 

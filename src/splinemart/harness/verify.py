@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..construction.driver import SequenceResult
-from ..construction.core import cell_instances
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -236,7 +235,8 @@ def verify_sequence(
 def _check_reps(seq: SequenceResult, rng) -> bool:
     """Sample ramp cells: f must match lambda-weighted endpoint values."""
     for n, pat in seq.all_patterns():
-        ramp_cells = [c for c, _ in cell_instances(pat.cells) if c.kind == "ramp"]
+        # ramps are cells of the inner stopping pattern only
+        ramp_cells = [c for c in pat.inner.cells if c.kind == "ramp"]
         if not ramp_cells:
             continue
         cell = rng.choice(ramp_cells)

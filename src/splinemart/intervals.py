@@ -84,22 +84,11 @@ class Interval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, t: Fraction) -> bool:
         return self.lo <= t <= self.hi
 
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo < hi:
-            return Interval(lo, hi)
-        return None
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -132,10 +121,6 @@ class MeasurableUnion:
         self.pieces: tuple[tuple[Fraction, Fraction], ...] = tuple(merged)
 
     @classmethod
-    def empty(cls) -> "MeasurableUnion":
-        return cls([])
-
-    @classmethod
     def full(cls) -> "MeasurableUnion":
         return cls([(ZERO, ONE)])
 
@@ -156,24 +141,6 @@ class MeasurableUnion:
             if a <= b:
                 out.append((a, b))
         return MeasurableUnion(out)
-
-    def intersect(self, other: "MeasurableUnion") -> "MeasurableUnion":
-        out = []
-        i = j = 0
-        p, q = self.pieces, other.pieces
-        while i < len(p) and j < len(q):
-            a = max(p[i][0], q[j][0])
-            b = min(p[i][1], q[j][1])
-            if a <= b:
-                out.append((a, b))
-            if p[i][1] < q[j][1]:
-                i += 1
-            else:
-                j += 1
-        return MeasurableUnion(out)
-
-    def union(self, other: "MeasurableUnion") -> "MeasurableUnion":
-        return MeasurableUnion(list(self.pieces) + list(other.pieces))
 
     def measure_in(self, iv: Interval) -> Fraction:
         """Exact Lebesgue measure of (self ∩ iv)."""

@@ -129,6 +129,15 @@ def test_constants_csv(capsys):
         assert int(dim) == 2 ** int(level)
 
 
+def test_constants_refuses_a_level_past_the_atom_cap(capsys):
+    # refused before the sweep, so no row is printed
+    assert main(["constants", "--k", "1", "--levels", "17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_uncond_json(capsys):
     rc = main(
         ["uncond", "--k", "1", "--p", "2.0", "--depth", "5", "--trials", "20", "--json"]

@@ -241,7 +241,7 @@ class TestTile:
     """tile lays blocks left to right with keep cells in the gaps."""
 
     A = CellSpec(F(1, 8), F(1, 4), "zone", 0)
-    B = CellSpec(F(1, 2), F(5, 8), "ramp", 1, ("L", 0))
+    B = CellSpec(F(1, 2), F(5, 8), "ramp", 1)
 
     @staticmethod
     def keep(lo, hi):

@@ -2,12 +2,15 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from splinemart.construction.core import PeriodicFamily
-from splinemart.construction.driver import build_sequence
+from splinemart.construction.core import BoundPattern, PeriodicFamily
+from splinemart.construction.driver import (
+    DELTA, ClassRow, _bush_slots, _mix_value, build_sequence,
+)
 from splinemart.errors import CapacityError, ConstructionPreconditionError, PreconditionError
 from splinemart.filtration import (
     AccumulatingFiltration,
@@ -340,3 +343,87 @@ def test_closed_form_stopping_matches_binary_search(spec, k, steps, eta):
     for _, pat in seq.all_patterns():
         tr = pat.inner.trace
         assert (tr.j_indices, tr.int_f[: tr.M]) == reference_stopping(pat.inner)
+
+
+def reference_census(rows, sd, p):
+    """The census of f_{n+1} from the classes `rows` of f_n, by the per-cell
+    spawn loop that the pattern ledger replaced: every cell instance of a
+    pattern adds one class."""
+    census = {}
+
+    def add(row):
+        if row.key in census:
+            census[row.key].total_length += row.total_length
+        else:
+            census[row.key] = row
+
+    h_n = F(1, p**sd.m_level)
+    for row in rows:
+        if row.kind != "const":
+            add(replace(row))
+            continue
+        parts = bush_decompose(row.rep_value, DELTA, target_count=2)
+        pat = sd.patterns[tuple(w for w, _ in parts)]
+        atom_count = row.total_length / h_n
+        base_norm = row.rep_value.value().sup_norm
+        part_norms = [rep.value().sup_norm for _, rep in parts]
+        bound = BoundPattern(pat, _bush_slots(row.rep_value, parts, pat))
+        for entry in pat.cells:
+            if isinstance(entry, PeriodicFamily):
+                instances = [(c, entry.count) for c in entry.cells]
+            else:
+                instances = [(entry, 1)]
+            for cell, count in instances:
+                if cell.kind == "zone":
+                    value, norm = parts[cell.m][1], part_norms[cell.m]
+                elif cell.kind == "keep":
+                    value, norm = row.rep_value, base_norm
+                elif cell.kind == "mix":
+                    value = _mix_value(parts, pat.inner.trace.betas)
+                    norm = value.value().sup_norm
+                elif cell.kind == "rconst":
+                    value = row.rep_value.with_pert(bound.w_vectors[cell.m])
+                    norm = value.value().sup_norm
+                elif cell.kind == "rbump":
+                    value, norm = None, base_norm + (pat.trace.w_bound or F(0))
+                else:
+                    value, norm = None, max(base_norm, *part_norms)
+                add(ClassRow(
+                    kind="const" if value is not None else "zombie",
+                    cell_kind=cell.kind,
+                    rep_value=value,
+                    total_length=cell.width * count * atom_count,
+                    in_c=cell.kind == "zone",
+                    in_e=cell.kind == "zone" and row.in_c,
+                    norm_bound=norm,
+                    chain_sup=max(row.chain_sup, norm),
+                ))
+    return list(census.values())
+
+
+CENSUS_CASES = [("dyadic", k, 5, eta) for k in (1, 2, 3) for eta in ("1/2", "2/5")] + [
+    ("padic:3", 2, 4, "1/2"),
+    ("padic:3", 4, 3, "1/2"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,k,steps,eta",
+    CENSUS_CASES,
+    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e in CENSUS_CASES],
+)
+def test_ledger_census_matches_per_cell_reference(spec, k, steps, eta):
+    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+    p = seq.filt.uniform_base
+    rows = [ClassRow("const", "zone", BushRep.point(""), F(1), True, True)]
+    for sd in seq.steps:
+        for pat in sd.patterns.values():
+            assert sum((w for _, w in pat.ledger), F(0)) == pat.interval.length
+        want = reference_census(rows, sd, p)
+        assert [(r.key, r.total_length) for r in sd.rows_after] == [
+            (r.key, r.total_length) for r in want
+        ]
+        for r in sd.rows_after:
+            if r.kind == "const":
+                assert r.norm_bound == r.rep_value.value().sup_norm
+        rows = sd.rows_after

@@ -67,6 +67,15 @@ def test_accumulating_new_breakpoints_near_point():
     assert f.limit_set.measure == 0
 
 
+def test_uniform_levels_past_the_atom_cap_are_refused():
+    f = dyadic()
+    assert len(f.breakpoints(16)) == 2**16 + 1
+    with pytest.raises(CapacityError):
+        f.breakpoints(17)
+    with pytest.raises(CapacityError):
+        f.atoms(17)
+
+
 def test_file_filtration_roundtrip(tmp_path):
     path = tmp_path / "filt.txt"
     path.write_text("V: 0 1/2\n0 1\n0 1/2 1\n0 1/4 1/2 1\n")
