@@ -38,6 +38,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def fraction(text: str):
     try:
         return frac(text)
@@ -67,6 +74,14 @@ def result_file(path: str) -> dict:
         raise argparse.ArgumentTypeError(f"cannot read result file: {exc}")
 
 
+def _write_output(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write the {what}: {exc}")
+
+
 def _add_filtration_arg(p):
     p.add_argument(
         "--filtration",
@@ -83,11 +98,7 @@ def cmd_construct(args) -> int:
     seq = build_sequence(args.filtration, args.k, args.eta, args.steps)
     out = seq.dumps(trace=args.trace, indent=2)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(out)
-        except OSError as exc:
-            raise UsageError(f"cannot write the result file: {exc}")
+        _write_output(args.out, out, "result file")
     else:
         print(out)
     if args.verify:
@@ -152,8 +163,7 @@ def cmd_constants(args) -> int:
         lines.append(f"{level},{dim},{norm!r}")
     out = "\n".join(lines)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(out + "\n")
+        _write_output(args.csv, out + "\n", "CSV file")
     else:
         print(out)
     return 0
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=exponent, default=2.0)
     p.add_argument("--depth", type=positive_int, default=8)
     p.add_argument("--trials", type=positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--json", action="store_true")
     _add_filtration_arg(p)
     p.set_defaults(func=cmd_uncond)
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-convergence", help="scalar convergence contrast")
     p.add_argument("--k", type=positive_int, default=1)
     p.add_argument("--depth", type=positive_int, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--json", action="store_true")
     _add_filtration_arg(p)
     p.set_defaults(func=cmd_demo_convergence)

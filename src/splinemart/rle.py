@@ -272,7 +272,7 @@ class PeriodicSpline:
     interior to disjoint pieces). shift must sit on the base grid.
     """
 
-    __slots__ = ("base", "shift", "count", "index_shift")
+    __slots__ = ("base", "shift", "count", "index_shift", "_base_moments")
 
     def __init__(self, base: RleSpline, shift: Fraction, count: int):
         if count < 1:
@@ -284,6 +284,7 @@ class PeriodicSpline:
         self.shift = shift
         self.count = count
         self.index_shift = int(q)
+        self._base_moments: dict[tuple[int, Fraction], Fraction] = {}
         b = base.index_bounds()
         if b is not None and count > 1 and b[1] - b[0] + 1 > self.index_shift:
             raise ValueError("periodic instances would overlap")
@@ -328,12 +329,20 @@ class PeriodicSpline:
 
         Expands (t - origin)**r = Σ_q C(r,q) (ell*shift)**q (u - origin)**(r-q)
         on instance ell, t = u + ell*shift: base moments about the same origin.
+        Callers ask for r = 0 .. k-1 in turn, so each base moment is taken
+        once per origin and kept.
         """
-        base = [self.base.moment(q, origin) for q in range(r + 1)]
+        base = [self._base_moment(q, origin) for q in range(r + 1)]
         return sum(
             comb(r, q) * self.shift**q * power_sum(0, self.count - 1, q) * base[r - q]
             for q in range(r + 1)
         )
+
+    def _base_moment(self, q: int, origin: Fraction) -> Fraction:
+        key = (q, origin)
+        if key not in self._base_moments:
+            self._base_moments[key] = self.base.moment(q, origin)
+        return self._base_moments[key]
 
     def support_bounds(self) -> tuple[Fraction, Fraction] | None:
         b = self.base.support_bounds()

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splinemart.construction as construction
 from splinemart.cli import main
@@ -171,6 +176,9 @@ def test_dichotomy_error_exit_code(capsys):
         ["verify", "--in", "empty.json"],
         ["verify", "--in", "bad_measure.json"],
         ["construct", "--out", "no-such-dir/result.json"],
+        ["constants", "--k", "1", "--levels", "1", "--csv", "no-such-dir/table.csv"],
+        ["uncond", "--seed", "-1"],
+        ["demo-convergence", "--seed", "-1"],
         ["construct", "--eta", "1/0"],
         ["verify", "--eta", "1/0"],
     ],
@@ -219,3 +227,73 @@ def test_each_exit_code_has_one_meaning(argv, fault, code, stream, prefix, tmp_p
     assert lines[0].startswith(prefix)
     if code >= 2:
         assert captured.out == "" and len(lines) == 1
+
+
+def _count(top):
+    """A positive-integer flag value: 1..top, or one the parser refuses."""
+    return st.one_of(st.integers(1, top).map(str), st.sampled_from(["0", "-2", "x", "2.5", ""]))
+
+
+ETA = st.sampled_from(["1/2", "1/3", "2/3", "0.25", "0", "1", "-1/2", "3/2", "1/0", "x", ""])
+SEED = st.sampled_from(["0", "7", "-1", "x", "1.5"])
+FILTRATION = st.sampled_from(
+    ["dyadic", "padic:3", "padic:1", "padic:x", "accum:1/3", "accum:1/2", "accum:2",
+     "file:no-such-filtration.txt", "file:bad_filtration.txt", "bogus", ""]
+)
+OUT_PATH = st.sampled_from(["out.json", "no-such-dir/out.json", ".", ""])
+IN_PATH = st.sampled_from(["good.json", "low_c.json", "empty.json", "not_json.txt", "missing.json", "."])
+#: the flags of each subcommand and a strategy for each flag's value (None:
+#: a switch); every value keeps the work small: --k <= 8, --steps <= 2,
+#: --levels <= 3, --depth <= 3, --trials <= 5
+ARGV_FLAGS = {
+    "construct": {"--k": _count(8), "--eta": ETA, "--steps": _count(2), "--out": OUT_PATH,
+                  "--trace": st.sampled_from(["summary", "full", "none"]), "--verify": None},
+    "verify": {"--in": IN_PATH, "--k": _count(8), "--eta": ETA, "--steps": _count(2),
+               "--json": None},
+    "constants": {"--k": _count(8), "--levels": _count(3), "--csv": OUT_PATH},
+    "uncond": {"--k": _count(8), "--p": st.sampled_from(["2", "1.5", "1", "inf", "nan", "x"]),
+               "--depth": _count(3), "--trials": _count(5), "--seed": SEED, "--json": None},
+    "demo-convergence": {"--k": _count(8), "--depth": _count(3), "--seed": SEED, "--json": None},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS) + ["bogus"]))
+    flags = {**ARGV_FLAGS.get(command, {}), "--filtration": FILTRATION, "--bogus": None, "--help": None}
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True)):
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(flags[flag]))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    assert main(["construct", "--k", "1", "--steps", "1", "--out", str(root / "good.json")]) == 0
+    (root / "low_c.json").write_text('{"eta": "1/2", "E": [{"measure": "1"}], "C": ["1", "1/2"]}')
+    (root / "empty.json").write_text("{}")
+    (root / "not_json.txt").write_text("not json")
+    (root / "bad_filtration.txt").write_text("V: 0 1\n0 1/3 1\n0 1/2 1\n")
+    return root
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=argvs())
+def test_argv_fuzz_exits_0_1_or_2_without_a_traceback(argv, argv_dir):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(argv_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code == 2:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())

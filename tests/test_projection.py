@@ -3,10 +3,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import cho_solve_banded
 
-from splinemart.bspline import ScalarSpline, eval_basis, interpolate
+import splinemart.projection as projection
+from splinemart.bspline import (
+    ScalarSpline,
+    aligned_values,
+    basis_values,
+    design_matrix,
+    eval_basis,
+    gauss_nodes,
+    interpolate,
+)
 from splinemart.errors import LevelError
-from splinemart.filtration import dyadic
+from splinemart.filtration import FileFiltration, UniformFiltration, dyadic
+from splinemart.intervals import MeasurableUnion
 from splinemart.projection import ProjectionContext, VectorSpline
 from splinemart.witness import XVec
 
@@ -225,3 +237,104 @@ def test_l1_norm_profile_nondecreasing_then_plateau():
     # plateau: last three levels agree within 1%
     tail = vals[-3:]
     assert (max(tail) - min(tail)) / max(tail) < 0.01
+
+
+def fixed_window_l1_norm(ctx, level, t_per_atom=32, s_nodes=64):
+    """The l1_norm scan before its window was read from G^{-1}: a guessed
+    half-width of 48 + 16k atoms, and the k or k + 1 columns of G^{-1} of
+    each scanned atom solved afresh for that atom."""
+    if ctx.k == 1:
+        return 1.0
+    kv, g = ctx.space(level)
+    natoms = kv.num_atoms
+    w = 48 + 16 * ctx.k
+    bps = [float(b) for b in kv.breakpoints]
+    pts, s_wts = gauss_nodes(kv.breakpoints, s_nodes)
+    first, vals = basis_values(kv, pts)
+    atom = np.repeat(np.arange(natoms), s_nodes)
+    s_vals = aligned_values(first, vals, atom).reshape(natoms, s_nodes, ctx.k)
+    if natoms <= 3 * w or not ctx.filt.is_uniform():
+        t_atoms = range(natoms)
+    else:
+        t_atoms = sorted(
+            set(range(w + 4))
+            | set(range(natoms - w - 4, natoms))
+            | {natoms // 2, natoms // 2 + 1}
+        )
+    best = 0.0
+    for a in t_atoms:
+        ts = np.linspace(bps[a], bps[a + 1], t_per_atom)
+        basis = design_matrix(kv, ts)
+        cols = np.flatnonzero(basis.any(axis=0))
+        unit = np.zeros((kv.dim, len(cols)))
+        unit[cols, np.arange(len(cols))] = 1.0
+        coef = cho_solve_banded((g._chol, True), unit) @ basis[:, cols].T
+        lo, hi = max(0, a - w), min(natoms, a + w + 1)
+        win = sliding_window_view(coef, ctx.k, axis=0)[lo:hi].transpose(0, 2, 1)
+        kvals = np.abs(s_vals[lo:hi] @ win).reshape(-1, len(ts))
+        totals = s_wts[lo * s_nodes : hi * s_nodes] @ kvals
+        best = max(best, float(totals.max()))
+    return best
+
+
+def graded_filtration(levels=6):
+    """A non-uniform file filtration: level n refines [0, 1/2] to step
+    2^-(n+3) and [1/2, 1] to step 2^-(n+1), and grades towards 0 with the
+    points 2^-j, j <= 3n, so neighbouring atoms differ by up to 2^9."""
+    out = []
+    for n in range(levels + 1):
+        pts = {F(j, 2 ** (n + 3)) for j in range(2 ** (n + 2) + 1)}
+        pts |= {F(1, 2) + F(j, 2 ** (n + 1)) for j in range(2**n + 1)}
+        pts |= {F(1, 2**j) for j in range(1, 3 * n + 1)}
+        out.append(sorted(pts))
+    return FileFiltration(MeasurableUnion.full(), out)
+
+
+#: (filtration, levels) the windowed scan is held to the fixed-window one on
+ORACLE_CASES = [
+    (dyadic, range(1, 11)),
+    (lambda: UniformFiltration(3), range(1, 7)),
+    (graded_filtration, [6]),
+]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_l1_norm_matches_fixed_window_reference(k):
+    # dyadic k=3 level 4 (dim 18) is the short space whose columns reach
+    # both of its ends; the graded filtration scans every atom with
+    # windows narrower than the level
+    for make, levels in ORACLE_CASES:
+        ctx = ProjectionContext(make(), k)
+        for level in levels:
+            got, want = ctx.l1_norm(level), fixed_window_l1_norm(ctx, level)
+            assert abs(got - want) <= 1e-12 * want, (make, level, got, want)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_l1_tail_bound_below_machine_epsilon(k):
+    for filt, top in ((dyadic(), 12), (UniformFiltration(3), 7)):
+        ctx = ProjectionContext(filt, k)
+        for level in range(1, top + 1):
+            ctx.l1_norm(level)
+            assert 0.0 <= ctx.l1_tail[level] <= 2.0**-52, (filt, level)
+
+
+def test_l1_tail_zero_when_the_window_is_the_level():
+    ctx = ProjectionContext(dyadic(), 3)
+    ctx.l1_norm(4)  # dim 18: every column reaches both ends of the space
+    assert ctx.l1_tail[4] == 0.0
+    ctx1 = ProjectionContext(dyadic(), 1)
+    ctx1.l1_norm(3)
+    assert ctx1.l1_tail[3] == 0.0
+
+
+def test_l1_norm_independent_of_the_column_chunking(monkeypatch):
+    # one chunk per atom (k + 1 columns) against the default chunks
+    for filt, level in ((dyadic(), 9), (graded_filtration(4), 4)):
+        ctx = ProjectionContext(filt, 3)
+        want = ctx.l1_norm(level)
+        tail = ctx.l1_tail[level]
+        monkeypatch.setattr(projection, "CHUNK_ENTRIES", 1)
+        assert ctx.l1_norm(level) == want
+        assert ctx.l1_tail[level] == tail
+        monkeypatch.undo()

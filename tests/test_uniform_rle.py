@@ -179,6 +179,23 @@ def test_periodic_spline_moment_matches_instances():
         assert per.eval(t) == direct
 
 
+def test_periodic_spline_takes_each_base_moment_once(monkeypatch):
+    sp = UniformSpace(2, 8, 4)
+    base = RleSpline(sp, [(20, 23, F(1)), (25, 26, F(-1, 2))])
+    per = PeriodicSpline(base, shift=F(1, 8), count=6)
+    origin = F(1, 16)
+    want = [sum((per.instance(i).moment(r, origin) for i in range(6)), F(0)) for r in range(4)]
+    first = sum((per.instance(i).moment(1) for i in range(6)), F(0))
+    calls = []
+    moment = RleSpline.moment
+    monkeypatch.setattr(RleSpline, "moment", lambda self, q, o=F(0): calls.append((q, o)) or moment(self, q, o))
+    # the callers' order: r = 0 .. k-1 about one origin, then about another
+    assert [per.moment(r, origin) for r in range(4)] == want
+    assert calls == [(q, origin) for q in range(4)]
+    assert per.moment(1) == first
+    assert calls[4:] == [(0, F(0)), (1, F(0))]
+
+
 def recentred_moment(scal, r, origin):
     """∫ (t - origin)**r scal(t) dt by binomial re-centring of raw moments."""
     return sum(comb(r, q) * (-origin) ** (r - q) * scal.moment(q) for q in range(r + 1))
