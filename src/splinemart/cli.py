@@ -108,28 +108,23 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _recorded_failures(blob) -> list[str]:
-    """The failed (3c), (3d) and trace checks of a result file; a file of
-    any other shape is refused."""
-    from .harness.verify import c_bound, e_bound
+def _recorded_report(blob):
+    """The (3c), (3d) and trace checks of a result file; a file of any other
+    shape is refused."""
+    from .harness.verify import VerificationReport, measure_checks, trace_check
 
     try:
         eta = frac(blob["eta"])
         if not 0 < eta < 1:
             raise ValueError(f"eta = {eta} is not in (0, 1)")
-        failures = [
-            f"|E_{n}| below (1 - 2^-{n} eta)|V| (3c)"
-            for n, entry in enumerate(blob["E"], start=1)
-            if frac(entry["measure"]) < e_bound(n, eta)
-        ]
-        failures += [
-            f"|C_{n} ∩ V| below (1 - 2^-{n + 2} eta)|V| (3d)"
-            for n, measure in enumerate(blob["C"][1:], start=1)
-            if frac(measure) < c_bound(n, eta)
-        ]
+        entries = measure_checks(
+            eta, [frac(entry["measure"]) for entry in blob["E"]], [frac(c) for c in blob["C"][1:]]
+        )
         rows = blob.get("trace_summary", [])
-        return failures + [f"step {row['step']}: {row['failed']}" for row in rows if row["failed"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
+        failures = [(row["step"], name) for row in rows for name in row["failed"]]
+        entries.append(trace_check(failures))
+        return VerificationReport(entries)
+    except (KeyError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
         raise UsageError(f"malformed result file: {type(exc).__name__}: {exc}")
 
 
@@ -139,18 +134,17 @@ def cmd_verify(args) -> int:
 
     if args.result is not None:
         with long_decimals():
-            failures = _recorded_failures(args.result)
-        if failures:
-            print("\n".join("FAIL  " + f for f in failures))
-            return 1
-        print("PASS  recorded measures and trace inequalities hold")
-        return 0
-    seq = build_sequence(args.filtration, args.k, args.eta, args.steps)
-    report = verify_sequence(seq)
+            report = _recorded_report(args.result)
+    else:
+        report = verify_sequence(build_sequence(args.filtration, args.k, args.eta, args.steps))
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
-    else:
+    elif args.result is None:
         print(report.render())
+    elif report.all_passed:
+        print("PASS  recorded measures and trace inequalities hold")
+    else:
+        print("\n".join(e.line() for e in report.failed()))
     return 0 if report.all_passed else 1
 
 

@@ -263,7 +263,7 @@ class SequenceResult:
                     "K": pat.K,
                     "zone_mass_rel": str(tr.zone_mass / pat.interval.length),
                     "w_bound": None if tr.w_bound is None else str(tr.w_bound),
-                    "failed": [name for name, ok in tr.checks if not ok],
+                    "failed": pat.failed_checks(),
                 }
                 if trace == "full":
                     entry["ainv_norm"] = str(tr.ainv_norm)

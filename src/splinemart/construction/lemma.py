@@ -175,6 +175,13 @@ class LemmaPattern(SlotwisePattern):
         self.trace.run_checks()
         return bound
 
+    def failed_checks(self) -> list[str]:
+        """Names of the failed recorded checks: the lemma trace's, then the
+        inner stopping trace's, prefixed "stopping "."""
+        return [name for name, ok in self.trace.checks if not ok] + [
+            f"stopping {name}" for name, ok in self.inner.trace.checks if not ok
+        ]
+
 
 def step2_correct(
     ctx: ConstructionContext,

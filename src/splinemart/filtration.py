@@ -19,7 +19,8 @@ from typing import Sequence
 from .errors import CapacityError, DegenerateInputError, SearchCapError
 from .intervals import ONE, ZERO, Interval, MeasurableUnion, frac
 
-DEFAULT_MATERIALIZE_CAP = 64
+#: deepest non-uniform level a generator materializes
+MATERIALIZE_CAP = 64
 DEFAULT_GAMMA_CAP = 2**16
 #: most atoms a uniform level may materialize
 MATERIALIZE_ATOMS = 2**16
@@ -32,7 +33,7 @@ class FiltrationOracle:
     level-n partition is the uniform p-ary grid) additionally advertise
     ``uniform_base`` so that exact index arithmetic can replace
     materialization at depths far beyond it. A non-uniform level is
-    materialized up to ``materialize_cap``, a uniform one while it holds at
+    materialized up to ``MATERIALIZE_CAP``, a uniform one while it holds at
     most ``MATERIALIZE_ATOMS`` atoms.
     """
 
@@ -40,9 +41,8 @@ class FiltrationOracle:
     #: p for uniform p-ary refinement, or None
     uniform_base: int | None = None
 
-    def __init__(self, limit_set: MeasurableUnion, materialize_cap: int = DEFAULT_MATERIALIZE_CAP):
+    def __init__(self, limit_set: MeasurableUnion):
         self.limit_set = limit_set
-        self.materialize_cap = materialize_cap
 
     # -- core contract -----------------------------------------------------
 
@@ -61,10 +61,8 @@ class FiltrationOracle:
         if top is not None and level > top:
             raise CapacityError(f"level {level} beyond generator capacity {top}")
         p = self.uniform_base
-        if p is None and level > self.materialize_cap:
-            raise CapacityError(
-                f"level {level} beyond materialization cap {self.materialize_cap}"
-            )
+        if p is None and level > MATERIALIZE_CAP:
+            raise CapacityError(f"level {level} beyond materialization cap {MATERIALIZE_CAP}")
         # with p >= 2 every level past the cap's bit length holds too many
         # atoms, so the min keeps the power small at any level
         if p is not None and p ** min(level, MATERIALIZE_ATOMS.bit_length()) > MATERIALIZE_ATOMS:
@@ -113,10 +111,10 @@ class UniformFiltration(FiltrationOracle):
     declared limit set is all of [0, 1].
     """
 
-    def __init__(self, p: int, materialize_cap: int = DEFAULT_MATERIALIZE_CAP):
+    def __init__(self, p: int):
         if p < 2:
             raise ValueError("uniform base must be >= 2")
-        super().__init__(MeasurableUnion.full(), materialize_cap)
+        super().__init__(MeasurableUnion.full())
         self.uniform_base = p
         self.kind = "dyadic" if p == 2 else f"padic:{p}"
 
@@ -126,8 +124,8 @@ class UniformFiltration(FiltrationOracle):
         return [Fraction(i, n) for i in range(n + 1)]
 
 
-def dyadic(materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> UniformFiltration:
-    return UniformFiltration(2, materialize_cap)
+def dyadic() -> UniformFiltration:
+    return UniformFiltration(2)
 
 
 class AccumulatingFiltration(FiltrationOracle):
@@ -137,11 +135,11 @@ class AccumulatingFiltration(FiltrationOracle):
     this generator exists to exercise the |V| = 0 dichotomy.
     """
 
-    def __init__(self, point, materialize_cap: int = DEFAULT_MATERIALIZE_CAP):
+    def __init__(self, point):
         c = frac(point)
         if not (ZERO < c < ONE):
             raise ValueError("accumulation point must lie in (0, 1)")
-        super().__init__(MeasurableUnion([(c, c)]), materialize_cap)
+        super().__init__(MeasurableUnion([(c, c)]))
         self.point = c
         self.kind = f"accum:{c}"
 
@@ -163,13 +161,8 @@ class FileFiltration(FiltrationOracle):
     last defined level fails with a capacity error.
     """
 
-    def __init__(
-        self,
-        limit_set: MeasurableUnion,
-        levels: Sequence[Sequence[Fraction]],
-        materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
-    ):
-        super().__init__(limit_set, materialize_cap)
+    def __init__(self, limit_set: MeasurableUnion, levels: Sequence[Sequence[Fraction]]):
+        super().__init__(limit_set)
         self.kind = "file"
         self._levels: list[list[Fraction]] = []
         prev: set[Fraction] = set()
@@ -193,7 +186,7 @@ class FileFiltration(FiltrationOracle):
         return list(self._levels[level])
 
 
-def load_filtration_file(path: str | Path, materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> FileFiltration:
+def load_filtration_file(path: str | Path) -> FileFiltration:
     """Parse the text format: line 0 ``V: a1 b1 a2 b2 ...``, then one
     breakpoint line per level, each a superset of the previous."""
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
@@ -204,19 +197,19 @@ def load_filtration_file(path: str | Path, materialize_cap: int = DEFAULT_MATERI
         raise ValueError("limit set line needs an even number of rationals")
     pieces = [(frac(vals[i]), frac(vals[i + 1])) for i in range(0, len(vals), 2)]
     levels = [[frac(tok) for tok in ln.split()] for ln in lines[1:]]
-    return FileFiltration(MeasurableUnion(pieces), levels, materialize_cap)
+    return FileFiltration(MeasurableUnion(pieces), levels)
 
 
-def parse_filtration_spec(spec: str, materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> FiltrationOracle:
+def parse_filtration_spec(spec: str) -> FiltrationOracle:
     """Parse CLI syntax ``dyadic | padic:<p> | accum:<point> | file:<path>``."""
     if spec == "dyadic":
-        return dyadic(materialize_cap)
+        return dyadic()
     if spec.startswith("padic:"):
-        return UniformFiltration(int(spec[6:]), materialize_cap)
+        return UniformFiltration(int(spec[6:]))
     if spec.startswith("accum:"):
-        return AccumulatingFiltration(frac(spec[6:]), materialize_cap)
+        return AccumulatingFiltration(frac(spec[6:]))
     if spec.startswith("file:"):
-        return load_filtration_file(spec[5:], materialize_cap)
+        return load_filtration_file(spec[5:])
     raise ValueError(f"unknown filtration spec {spec!r}")
 
 

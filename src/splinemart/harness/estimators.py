@@ -2,15 +2,13 @@
 uniform integrability, and the scalar convergence contrast.
 
 Pointwise suprema of piecewise polynomials are handled per atom by dense
-Chebyshev-style sampling (64 points per atom keeps the sup error far
-below the property-test tolerances for orders <= 4); integrals use
+Chebyshev-style sampling (NODES = 64 points per atom keeps the sup error
+far below the property-test tolerances for orders <= 4); integrals use
 per-atom Gauss quadrature on the same grids. All randomness flows through
 explicitly seeded generators, so reruns are byte-identical.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -18,22 +16,22 @@ from ..bspline import ScalarSpline, basis_values, gauss_nodes, refine_coeffs, sp
 from ..bspline import eval_basis  # noqa: F401  unused; bench/test_bench.py traces it here
 from ..projection import ProjectionContext, VectorSpline
 
-F0 = Fraction(0)
+#: Gauss nodes per atom of the maximal and unconditionality estimators
+NODES = 64
+#: Gauss nodes per atom of the uniform-integrability profile
+UI_NODES = 32
+#: the weak-type ratio's default levels, as fractions of the largest sup value
+WEAK_QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.99)
+#: increments below this count as converged in scalar_convergence_demo
+CONVERGENCE_TOL = 1e-3
 
 
-# ---------------------------------------------------------------------------
-# materialized martingale helpers
-
-
-def random_martingale(
-    filt, order: int, depth: int, rng, coords: int = 1, scale: float = 1.0
-) -> list[VectorSpline]:
-    """A bounded martingale spline sequence: random top level, projected down."""
+def random_martingale(filt, order: int, depth: int, rng, coords: int = 1) -> list[VectorSpline]:
+    """A bounded martingale spline sequence: a top level with coefficients
+    uniform in [-1, 1), projected down."""
     ctx = ProjectionContext(filt, order)
     kv = ctx.knot_vector(depth)
-    comps = {
-        c: scale * (2.0 * rng.random(kv.dim) - 1.0) for c in range(1, coords + 1)
-    }
+    comps = {c: 2.0 * rng.random(kv.dim) - 1.0 for c in range(1, coords + 1)}
     top = VectorSpline(kv, comps)
     seq = [top]
     for level in range(depth - 1, -1, -1):
@@ -42,88 +40,83 @@ def random_martingale(
     return seq
 
 
-def _sup_process(seq: list[VectorSpline], nodes: int = 64):
-    """Quadrature weights of the finest atom grid, the pointwise
-    sup_n ||f_n(t)|| on it, and the pointwise norms ||f_n(t)|| of every level."""
-    pts, wts = gauss_nodes(seq[-1].kv.breakpoints, nodes)
-    levels = [_max_norm(f, pts) for f in seq]
-    return wts, np.max(levels, axis=0), levels
+# ---------------------------------------------------------------------------
+# maximal-function ratios: one kernel per ratio, fed (sup, wts, levels), the
+# pointwise sup_n ||f_n|| at points of weights wts and per level n a pair
+# (norms, weights) holding ||f_n|| at points of those weights
 
 
-def _max_norm(f: VectorSpline, pts: np.ndarray) -> np.ndarray:
-    """||f(t)||_inf at every point, zero where f has no coordinates."""
-    vals = np.zeros(len(pts))
-    for comp in f.components.values():
-        vals = np.maximum(vals, np.abs(ScalarSpline(f.kv, comp).eval_many(pts)))
-    return vals
-
-
-def weak_type_ratio(seq: list[VectorSpline], lambdas=None, nodes: int = 64) -> float:
-    """max over lambda of lambda |{sup_n ||f_n|| > lambda}| / sup_n ||f_n||_L1."""
-    wts, sup, levels = _sup_process(seq, nodes)
-    denom = max(float(vals @ wts) for vals in levels)
+def _weak_type(sup, wts, levels, lambdas=None) -> float:
+    """max over lambda of lambda |{sup > lambda}| / sup_n ||f_n||_L1."""
+    denom = max(float(norms @ w) for norms, w in levels)
     if denom == 0:
         return 0.0
     if lambdas is None:
         top = sup.max()
-        lambdas = [top * q for q in (0.25, 0.5, 0.75, 0.9, 0.99)]
-    best = 0.0
-    for lam in lambdas:
-        meas = float(wts[sup > lam].sum())
-        best = max(best, lam * meas / denom)
-    return best
+        lambdas = [top * q for q in WEAK_QUANTILES]
+    return max([0.0] + [lam * float(wts[sup > lam].sum()) / denom for lam in lambdas])
 
 
-def doob_ratio(seq: list[VectorSpline], p: float, nodes: int = 64) -> float:
+def _doob(sup, wts, levels, p: float) -> float:
     """|| sup_n ||f_n|| ||_p / sup_n ||f_n||_p."""
     if not 1 < p < float("inf"):
         raise ValueError("p must lie in (1, inf)")
-    wts, sup, levels = _sup_process(seq, nodes)
     num = float((sup**p) @ wts) ** (1.0 / p)
-    denom = max(float((vals**p) @ wts) ** (1.0 / p) for vals in levels)
+    denom = max(float((norms**p) @ w) ** (1.0 / p) for norms, w in levels)
     return num / denom if denom else 0.0
 
 
-# ---------------------------------------------------------------------------
-# estimators on the lazy constructed sequence (class-census based)
+def _sup_process(seq: list[VectorSpline]):
+    """The kernels' feed of a materialized sequence: NODES Gauss points per
+    atom of its finest level."""
+    pts, wts = gauss_nodes(seq[-1].kv.breakpoints, NODES)
+    norms = [_max_norm(f, pts) for f in seq]
+    return np.max(norms, axis=0), wts, [(vals, wts) for vals in norms]
 
 
-def constructed_weak_type_ratio(seq, lambdas=None) -> float:
-    """Weak-type ratio for a constructed sequence via its exact class census.
+def _max_norm(f: VectorSpline, pts: np.ndarray) -> np.ndarray:
+    """||f(t)||_inf at every point, zero where f has no coordinates."""
+    coeffs = np.array(list(f.components.values())).reshape(-1, f.kv.dim)
+    vals = spline_values(coeffs, *basis_values(f.kv, pts))
+    return np.abs(vals).max(axis=0, initial=0.0)
+
+
+def _census_process(seq):
+    """The kernels' feed of a constructed sequence: the chain sup of each
+    class of the last step, and per step the norm bound of each class, all
+    weighted by class length.
 
     Constant classes carry exact value norms; the non-constant remainder
     (measure below the zombie budget) is bracketed by its recorded bound.
     """
-    rows = seq.steps[-1].rows_after
-    sups = sorted(((float(r.chain_sup), float(r.total_length)) for r in rows))
-    l1_sup = 0.0
-    for sd in seq.steps:
-        l1 = sum(float(r.total_length) * float(r.norm_bound) for r in sd.rows_after)
-        l1_sup = max(l1_sup, l1)
-    if l1_sup == 0:
-        return 0.0
-    top = max(s for s, _ in sups)
-    if lambdas is None:
-        lambdas = [top * q for q in (0.25, 0.5, 0.75, 0.9, 0.99)]
-    best = 0.0
-    for lam in lambdas:
-        meas = sum(length for s, length in sups if s > lam)
-        best = max(best, lam * meas / l1_sup)
-    return best
+    def column(rows, name):
+        return np.array([float(getattr(r, name)) for r in rows])
+
+    levels = [
+        (column(sd.rows_after, "norm_bound"), column(sd.rows_after, "total_length"))
+        for sd in seq.steps
+    ]
+    return column(seq.steps[-1].rows_after, "chain_sup"), levels[-1][1], levels
+
+
+def weak_type_ratio(seq: list[VectorSpline], lambdas=None) -> float:
+    """max over lambda of lambda |{sup_n ||f_n|| > lambda}| / sup_n ||f_n||_L1."""
+    return _weak_type(*_sup_process(seq), lambdas)
+
+
+def doob_ratio(seq: list[VectorSpline], p: float) -> float:
+    """|| sup_n ||f_n|| ||_p / sup_n ||f_n||_p."""
+    return _doob(*_sup_process(seq), p)
+
+
+def constructed_weak_type_ratio(seq, lambdas=None) -> float:
+    """weak_type_ratio of a constructed sequence, read from its class census."""
+    return float(_weak_type(*_census_process(seq), lambdas))
 
 
 def constructed_doob_ratio(seq, p: float) -> float:
-    rows = seq.steps[-1].rows_after
-    num = sum(
-        float(r.total_length) * float(r.chain_sup) ** p for r in rows
-    ) ** (1.0 / p)
-    denom = 0.0
-    for sd in seq.steps:
-        val = sum(
-            float(r.total_length) * float(r.norm_bound) ** p for r in sd.rows_after
-        ) ** (1.0 / p)
-        denom = max(denom, val)
-    return num / denom if denom else 0.0
+    """doob_ratio of a constructed sequence, read from its class census."""
+    return float(_doob(*_census_process(seq), p))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +129,6 @@ def unconditionality_ratio(
     p: float,
     trials: int,
     seed: int = 0,
-    nodes: int = 64,
 ) -> float:
     """max over random sign patterns of ||sum_n ± (P_n - P_{n-1}) f||_p / ||f||_p.
 
@@ -154,7 +146,7 @@ def unconditionality_ratio(
         fine = refine_coeffs(g, fine_kv) if g.kv != fine_kv else g
         diffs.append(fine.coeffs - prev)
         prev = fine.coeffs
-    pts, wts = gauss_nodes(fine_kv.breakpoints, nodes)
+    pts, wts = gauss_nodes(fine_kv.breakpoints, NODES)
     dvals = spline_values(np.array(diffs), *basis_values(fine_kv, pts))  # (N+1) x pts
     fnorm = float((np.abs(dvals.sum(axis=0)) ** p) @ wts) ** (1.0 / p)
     rng = np.random.default_rng(seed)
@@ -182,15 +174,13 @@ def _level_of(ctx: ProjectionContext, f: ScalarSpline) -> int:
 # uniform integrability and the convergence contrast
 
 
-def uniform_integrability_profile(
-    seq: list[VectorSpline], deltas, nodes: int = 32
-) -> list[tuple[float, float]]:
+def uniform_integrability_profile(seq: list[VectorSpline], deltas) -> list[tuple[float, float]]:
     """(delta, sup_n ∫_A ||f_n||) over greedy worst sets A with |A| <= delta."""
     kv = seq[-1].kv
-    pts, wts = gauss_nodes(kv.breakpoints, nodes)
-    wts = wts.reshape(-1, nodes)
+    pts, wts = gauss_nodes(kv.breakpoints, UI_NODES)
+    wts = wts.reshape(-1, UI_NODES)
     # per atom: (length, sup_n ∫_atom ||f_n||), one evaluation per level
-    masses = [(_max_norm(f, pts).reshape(-1, nodes) * wts).sum(axis=1) for f in seq]
+    masses = [(_max_norm(f, pts).reshape(-1, UI_NODES) * wts).sum(axis=1) for f in seq]
     bps = [float(b) for b in kv.breakpoints]
     lengths = [b - a for a, b in zip(bps, bps[1:])]
     atom_mass = list(zip(lengths, np.max(masses, axis=0).tolist()))
@@ -208,13 +198,12 @@ def uniform_integrability_profile(
     return out
 
 
-def scalar_convergence_demo(
-    filt, order: int, depth: int, seed: int = 0, tol: float = 1e-3
-) -> dict:
+def scalar_convergence_demo(filt, order: int, depth: int, seed: int = 0) -> dict:
     """Real-valued contrast: a fixed smooth bounded function's projections
     form a martingale spline sequence whose increments die out.
 
-    Returns the fraction of mass where the final increment is below tol
+    Returns the fraction of mass where the final increment is below
+    CONVERGENCE_TOL
     and the per-level increment sups.
     """
     rng = np.random.default_rng(seed)
@@ -237,11 +226,11 @@ def scalar_convergence_demo(
         if prev is not None:
             inc = np.abs(vals - prev)
             sups.append(float(inc.max()))
-            small_fraction = float((inc < tol).mean())
+            small_fraction = float((inc < CONVERGENCE_TOL).mean())
         prev = vals
     return {
         "depth": depth,
         "increment_sups": sups,
         "final_small_mass_fraction": small_fraction,
-        "tolerance": tol,
+        "tolerance": CONVERGENCE_TOL,
     }

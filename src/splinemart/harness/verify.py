@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from ..construction.driver import SequenceResult
 
@@ -72,6 +73,36 @@ class VerificationReport:
             "passed": self.all_passed,
             "checks": [e.__dict__ for e in self.entries],
         }
+
+
+def measure_checks(eta: Fraction, e_measures, c_measures) -> list[CheckEntry]:
+    """The exact measure bounds, step by step: (3c) |E_n| >= e_bound(n, eta)
+    for |E_n| = e_measures[n - 1], then (3d) |C_n ∩ V| >= c_bound(n, eta)
+    for |C_n ∩ V| = c_measures[n - 1]."""
+    checks = []
+    for n, (e, c) in enumerate(zip_longest(e_measures, c_measures), start=1):
+        if e is not None:
+            checks.append((f"|E_{n}| >= (1-2^-{n} eta)|V| (3c)", e, e_bound(n, eta), "(3c)"))
+        if c is not None:
+            checks.append((f"|C_{n} ∩ V| bound (3d)", c, c_bound(n, eta), "(3d)"))
+    return [
+        CheckEntry(name, measured >= bound, str(float(measured)), str(float(bound)),
+                   "exact rational", f"driver property {prop}")
+        for name, measured, bound, prop in checks
+    ]
+
+
+def trace_check(failures: list) -> CheckEntry:
+    """The entry of the recorded trace inequalities; failures holds one
+    (step, check name) pair per failed check."""
+    return CheckEntry(
+        "trace inequalities",
+        not failures,
+        "all recorded" if not failures else f"violations: {failures[:4]}",
+        "hold as recorded",
+        "exact",
+        "stopping and correction traces",
+    )
 
 
 def verify_sequence(
@@ -137,25 +168,10 @@ def verify_sequence(
     )
 
     # (3c)/(3d): exact rational measure bounds
-    for n in range(1, n_steps + 1):
-        ebound = e_bound(n, eta)
-        cbound = c_bound(n, eta)
-        rep.add(
-            f"|E_{n}| >= (1-2^-{n} eta)|V| (3c)",
-            seq.e_measure(n) >= ebound,
-            float(seq.e_measure(n)),
-            float(ebound),
-            "exact rational",
-            "driver property (3c)",
-        )
-        rep.add(
-            f"|C_{n} ∩ V| bound (3d)",
-            seq.c_measure(n) >= cbound,
-            float(seq.c_measure(n)),
-            float(cbound),
-            "exact rational",
-            "driver property (3d)",
-        )
+    steps = range(1, n_steps + 1)
+    rep.entries += measure_checks(
+        eta, [seq.e_measure(n) for n in steps], [seq.c_measure(n) for n in steps]
+    )
 
     # (3e): every constancy interval retains positive limit-set mass
     pos_ok = all(
@@ -213,21 +229,8 @@ def verify_sequence(
     )
 
     # recorded trace inequalities (stopping runs and moment corrections)
-    bad = []
-    for n, pat in seq.all_patterns():
-        for name, ok in pat.trace.checks:
-            if not ok:
-                bad.append((n, "lemma", name))
-        for name, ok in pat.inner.trace.checks:
-            if not ok:
-                bad.append((n, "stopping", name))
-    rep.add(
-        "trace inequalities",
-        not bad,
-        "all recorded" if not bad else f"violations: {bad[:4]}",
-        "hold as recorded",
-        "exact",
-        "stopping and correction traces",
+    rep.entries.append(
+        trace_check([(n, name) for n, pat in seq.all_patterns() for name in pat.failed_checks()])
     )
     return rep
 

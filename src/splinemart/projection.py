@@ -9,10 +9,11 @@ kernel row integrals ∫ |K_n(t, s)| ds.
 
 The kernel decays away from the diagonal as the columns of the inverse
 Gram matrix do, so each row integral runs over a window of atoms read
-from those columns: a column's reach is where its entries fall below
-2^-60 of its largest, and the window adds k atoms to the reach of the
-columns in play. The columns are solved once, in chunks of bounded size,
-never as a dim x dim inverse. The mass the windows drop is bounded from
+from those columns: a column's reach is where its entries, each weighted
+by the integral of its row's basis function, fall below 2^-60 of its
+largest, and the window adds k atoms to the reach of the columns in
+play. The columns are solved once, in chunks of bounded size, never as a
+dim x dim inverse. The mass the windows drop is bounded from
 the same columns and kept per level in ProjectionContext.l1_tail. On a
 uniform level the interior repeats one kernel environment, so when the
 window is short against the level only the boundary bands and the centre
@@ -40,8 +41,9 @@ from .witness import XVec
 
 __all__ = ["VectorSpline", "ProjectionContext"]
 
-#: a G^{-1} entry below this fraction of its column's largest entry lies
-#: outside the column's reach, and so may fall outside the kernel window
+#: a G^{-1} entry |G^{-1}[i, j]| ∫N_i below this fraction of its column's
+#: largest lies outside the column's reach, and so may fall outside the
+#: kernel window
 REACH_RTOL = 2.0**-60
 #: most entries one chunk of solved G^{-1} columns holds (k + 1 columns
 #: at the least)
@@ -152,10 +154,10 @@ class ProjectionContext:
         Window. On a t-atom the kernel combines the G^{-1} columns c_r of
         the basis functions that are non-zero there. The atom's window
         holds every atom within the largest reach of those columns plus k
-        (see _columns), so every row it drops holds entries below
-        REACH_RTOL of their column's largest. A column whose reach hits an
-        end of the space has a reach at least the distance to that end, so
-        the window runs to that end; on a short space (dyadic k=3 level 4,
+        (see _columns), so every row i it drops has |G^{-1}[i, c_r]| ∫ N_i
+        below REACH_RTOL of that column's largest. A column whose reach
+        hits an end of the space has a reach at least the distance to that
+        end, so the window runs to that end; on a short space (dyadic k=3 level 4,
         dim 18) every window is the whole level.
 
         Tail. self.l1_tail[level] bounds the kernel mass the windows drop:
@@ -180,10 +182,11 @@ class ProjectionContext:
             return 1.0  # averaging operator: kernel rows are probability densities
         kv, g = self.space(level)
         k, natoms = self.k, kv.num_atoms
+        mass = (kv._knots_f[k:] - kv._knots_f[:-k]) / k  # ∫ N_i
         t_atoms = np.arange(natoms)
         if self.filt.is_uniform():
             ends = np.r_[0:k, natoms // 2 : natoms // 2 + k]
-            w = int(self._columns(g, ends)[1].max()) + k
+            w = int(self._columns(g, ends, mass)[1].max()) + k
             if natoms > 3 * w:
                 t_atoms = np.array(sorted(
                     set(range(w + 4))
@@ -197,7 +200,6 @@ class ProjectionContext:
         first, vals = basis_values(kv, pts)
         atom = np.repeat(np.arange(natoms), s_nodes)
         s_vals = aligned_values(first, vals, atom).reshape(natoms, s_nodes, k)
-        mass = (kv._knots_f[k:] - kv._knots_f[:-k]) / k  # ∫ N_i
 
         # t-grids of all scanned atoms in one evaluation; row j is atom t_atoms[j]
         bps = np.array([float(b) for b in kv.breakpoints])
@@ -211,7 +213,7 @@ class ProjectionContext:
         cap = max(k + 1, CHUNK_ENTRIES // kv.dim)
         for start, stop in _chunks(col_lo, col_hi, cap):
             c0 = col_lo[start]
-            inv, reach = self._columns(g, np.arange(c0, col_hi[stop - 1]))
+            inv, reach = self._columns(g, np.arange(c0, col_hi[stop - 1]), mass)
             for j in range(start, stop):
                 a = int(t_atoms[j])
                 # the atom's design matrix on its non-zero columns cols
@@ -239,15 +241,20 @@ class ProjectionContext:
         return best
 
     @staticmethod
-    def _columns(g: GramOperator, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _columns(
+        g: GramOperator, cols: np.ndarray, mass: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Columns cols of G^{-1} and the reach of each: the largest
-        distance from the column's index to an entry of at least
-        REACH_RTOL times the column's largest. The reach is 31, 49 and 66
-        at k = 2, 3 and 4 on every uniform level long enough to hold it."""
+        distance from the column's index j to a row i with |G^{-1}[i, j]|
+        mass[i] at least REACH_RTOL times the column's largest such
+        product; mass[i] = ∫ N_i weighs row i as the mass a window drops
+        does. On uniform levels long enough to hold it an interior column
+        reaches 31, 49 and 66 rows at k = 2, 3 and 4, an end column up to
+        2 rows more."""
         unit = np.zeros((g.dim, len(cols)))
         unit[cols, np.arange(len(cols))] = 1.0
         inv = cho_solve_banded((g._chol, True), unit)
-        mag = np.abs(inv)
+        mag = np.abs(inv) * mass[:, None]
         big = mag >= REACH_RTOL * mag.max(axis=0)
         first = big.argmax(axis=0)
         last = g.dim - 1 - big[::-1].argmax(axis=0)

@@ -14,6 +14,7 @@ from splinemart.cli import main
 from splinemart.construction.core import LEVEL_CAP
 from splinemart.errors import InfeasibleStoppingError
 from splinemart.filtration import parse_filtration_spec
+from splinemart.harness import verify_sequence
 from splinemart.intervals import DECIMAL_DIGITS_CAP, frac, long_decimals
 
 
@@ -58,6 +59,58 @@ def test_verify_from_file_checks_c_measures(tmp_path, capsys):
     assert main(["verify", "--in", str(out)]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert len(fails) == 1 and "|C_2 ∩ V|" in fails[0] and "(3d)" in fails[0]
+
+
+def _json_out(capsys) -> dict:
+    return json.loads(capsys.readouterr().out)
+
+
+def test_verify_from_file_json_matches_a_fresh_verify(tmp_path, capsys):
+    out = tmp_path / "result.json"
+    assert main(["construct", "--k", "1", "--steps", "2", "--out", str(out)]) == 0
+    assert main(["verify", "--k", "1", "--steps", "2", "--json"]) == 0
+    fresh = _json_out(capsys)
+    assert main(["verify", "--in", str(out), "--json"]) == 0
+    recorded = _json_out(capsys)
+    # the file holds the (3c)/(3d) measures and the trace rows: the same
+    # entries the fresh build reports, in the same order
+    names = ["|E_1| >= (1-2^-1 eta)|V| (3c)", "|C_1 ∩ V| bound (3d)",
+             "|E_2| >= (1-2^-2 eta)|V| (3c)", "|C_2 ∩ V| bound (3d)", "trace inequalities"]
+    assert recorded["passed"] and [c["name"] for c in recorded["checks"]] == names
+    assert recorded["checks"] == [c for c in fresh["checks"] if c["name"] in names]
+
+
+def test_verify_from_file_json_reports_a_low_c(tmp_path, capsys):
+    low_c = tmp_path / "low_c.json"
+    low_c.write_text('{"eta": "1/2", "E": [{"measure": "1"}], "C": ["1", "1/2"]}')
+    assert main(["verify", "--in", str(low_c), "--json"]) == 1
+    report = _json_out(capsys)
+    assert not report["passed"]
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+        ("|E_1| >= (1-2^-1 eta)|V| (3c)", True),
+        ("|C_1 ∩ V| bound (3d)", False),
+        ("trace inequalities", True),
+    ]
+    assert (report["checks"][1]["measured"], report["checks"][1]["bound"]) == ("0.5", "0.9375")
+
+
+def test_failed_trace_checks_of_both_traces_reach_the_file_and_both_verify_paths(
+    tmp_path, monkeypatch, capsys
+):
+    # every built sequence passes its trace checks, so fail one of each trace
+    seq = construction.build_sequence(parse_filtration_spec("dyadic"), 1, Fraction(1, 2), 2)
+    n, pat = list(seq.all_patterns())[-1]
+    monkeypatch.setattr(pat.trace, "checks", pat.trace.checks + [("lemma probe", False)])
+    monkeypatch.setattr(pat.inner.trace, "checks", pat.inner.trace.checks + [("probe", False)])
+    failed = [name for row in seq.to_json()["trace_summary"] for name in row["failed"]]
+    assert failed == ["lemma probe", "stopping probe"]
+    entry = verify_sequence(seq).entries[-1]
+    assert entry.name == "trace inequalities" and not entry.passed
+    assert entry.measured == f"violations: {[(n, 'lemma probe'), (n, 'stopping probe')]}"
+    out = tmp_path / "result.json"
+    out.write_text(seq.dumps())
+    assert main(["verify", "--in", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == [entry.line()]
 
 
 def test_result_file_round_trips_measures_past_the_digit_limit(tmp_path, monkeypatch, capsys):
@@ -175,6 +228,7 @@ def test_dichotomy_error_exit_code(capsys):
         ["uncond", "--p", "1"],
         ["verify", "--in", "empty.json"],
         ["verify", "--in", "bad_measure.json"],
+        ["verify", "--in", "huge_measure.json"],
         ["construct", "--out", "no-such-dir/result.json"],
         ["constants", "--k", "1", "--levels", "1", "--csv", "no-such-dir/table.csv"],
         ["uncond", "--seed", "-1"],
@@ -187,6 +241,10 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "bad_measure.json").write_text('{"eta": "1/2", "E": [{"measure": "x"}]}')
+    # a measure past the float range (no measure of a subset of [0, 1] is)
+    (tmp_path / "huge_measure.json").write_text(
+        '{"eta": "1/2", "E": [{"measure": "1e400"}], "C": ["1"]}'
+    )
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

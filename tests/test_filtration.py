@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinemart import filtration
 from splinemart.errors import CapacityError, DegenerateInputError
 from splinemart.filtration import (
     AccumulatingFiltration,
@@ -137,8 +138,9 @@ def test_refine_until_accumulating():
         assert sum(1 for a in f.atoms(k - 1) if iv.contains_interval(a)) < 4
 
 
-def test_refine_until_capacity_error():
-    f = AccumulatingFiltration(F(1, 2), materialize_cap=12)
+def test_refine_until_capacity_error(monkeypatch):
+    monkeypatch.setattr(filtration, "MATERIALIZE_CAP", 12)
+    f = AccumulatingFiltration(F(1, 2))
     # away from the accumulation point no new atoms ever appear
     with pytest.raises(CapacityError):
         refine_until(f, Interval(F(1, 16), F(3, 16)), count=3)
