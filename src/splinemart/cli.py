@@ -108,6 +108,23 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _recorded_measures(blob) -> tuple[list, list]:
+    """|E_n| for n >= 1 and |C_n ∩ V| for n >= 0 from a result file; a value
+    outside [0, 1], or |C_0 ∩ V| other than |V| = 1, is refused."""
+    e_raw = [entry["measure"] for entry in blob["E"]]
+    c_raw = list(blob["C"])
+    named = [(f"E[{i}] (|E_{i + 1}|)", raw) for i, raw in enumerate(e_raw)]
+    named += [(f"C[{i}] (|C_{i} ∩ V|)", raw) for i, raw in enumerate(c_raw)]
+    measures = [frac(raw) for _, raw in named]
+    for (name, raw), m in zip(named, measures):
+        if not 0 <= m <= 1:
+            raise UsageError(f"result file entry {name} = {raw} is not in [0, 1]")
+    if not c_raw or measures[len(e_raw)] != 1:
+        got = c_raw[0] if c_raw else "absent"
+        raise UsageError(f"result file entry C[0] (|C_0 ∩ V|) is {got}, not 1")
+    return measures[: len(e_raw)], measures[len(e_raw) :]
+
+
 def _recorded_report(blob):
     """The (3c), (3d) and trace checks of a result file; a file of any other
     shape is refused."""
@@ -117,9 +134,8 @@ def _recorded_report(blob):
         eta = frac(blob["eta"])
         if not 0 < eta < 1:
             raise ValueError(f"eta = {eta} is not in (0, 1)")
-        entries = measure_checks(
-            eta, [frac(entry["measure"]) for entry in blob["E"]], [frac(c) for c in blob["C"][1:]]
-        )
+        e_measures, c_measures = _recorded_measures(blob)
+        entries = measure_checks(eta, e_measures, c_measures[1:])
         rows = blob.get("trace_summary", [])
         failures = [(row["step"], name) for row in rows for name in row["failed"]]
         entries.append(trace_check(failures))

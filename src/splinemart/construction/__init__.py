@@ -7,7 +7,6 @@ from .core import (
 )
 from .lemma import LemmaPattern, lemma_moments, step2_correct
 from .driver import SequenceResult, build_sequence
-from .ops import moment_perturbation, stopping_perturbation
 
 __all__ = [
     "BoundPattern",
@@ -20,6 +19,4 @@ __all__ = [
     "step2_correct",
     "SequenceResult",
     "build_sequence",
-    "stopping_perturbation",
-    "moment_perturbation",
 ]

@@ -320,12 +320,9 @@ class SlotwisePattern:
     def zombie_length(self) -> Fraction:
         return sum((w for (kind, _), w in self.ledger if kind not in CONSTANT_KINDS), F0)
 
-    def bind(self, slot_vectors: dict) -> "BoundPattern":
-        return BoundPattern(self, slot_vectors)
-
 
 class BoundPattern:
-    """A pattern with concrete witness vectors: evaluation and exact moments."""
+    """A pattern with concrete witness vectors: g(t) and the correction vectors."""
 
     def __init__(self, pattern: SlotwisePattern, slot_vectors: dict):
         self.pattern = pattern
@@ -346,9 +343,6 @@ class BoundPattern:
 
     def g_eval(self, t) -> XVec:
         return self._combine(self.pattern.eval_slotwise(frac(t)).items())
-
-    def g_moment(self, r: int, origin: Optional[Fraction] = None) -> XVec:
-        return self._combine(self.pattern.moment_slotwise(r, origin).items())
 
 
 # ---------------------------------------------------------------------------

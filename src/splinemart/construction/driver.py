@@ -206,10 +206,6 @@ class SequenceResult:
             for pat in sd.patterns.values():
                 yield sd.n, pat
 
-    def stopping_traces(self):
-        for n, pat in self.all_patterns():
-            yield n, pat.inner.trace
-
     def to_json(self, trace: str = "summary", seed: int = 0) -> dict:
         """The result record; measures are exact decimal "p/q" strings of any
         length. Its integer fields (the stopping indices `j_indices`) pass
@@ -423,7 +419,11 @@ def _add_class(census: dict, row: ClassRow):
 
 
 def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
-    pat.bind(_bush_slots(rep_value, parts, pat))
+    """Bind the new pattern to the slot vectors of its first class: record
+    ||w|| on its trace and re-run the trace checks, eq:esty now among them."""
+    bound = BoundPattern(pat, _bush_slots(rep_value, parts, pat))
+    pat.trace.w_bound = max((w.sup_norm for w in bound.w_vectors), default=F0)
+    pat.trace.run_checks()
     require_checks(pat.trace, "bound pattern")
 
 

@@ -106,7 +106,7 @@ class LemmaTrace:
     interval: Interval
     L_mass: Fraction
     zone_mass: Fraction
-    w_bound: Optional[Fraction] = None  # filled when vectors are bound
+    w_bound: Optional[Fraction] = None  # ||w||, set when the driver binds the pattern
     checks: list = field(default_factory=list)
 
     def run_checks(self):
@@ -167,13 +167,6 @@ class LemmaPattern(SlotwisePattern):
         cells, period = families[i]
         idx = (u - cells.starts[0]) // period
         return entry.cells[cells.find(u - idx * period)], idx * entry.period
-
-    def bind(self, slot_vectors: dict):
-        """Bind witness vectors; records ||w|| and re-runs the trace checks."""
-        bound = super().bind(slot_vectors)
-        self.trace.w_bound = max((w.sup_norm for w in bound.w_vectors), default=F0)
-        self.trace.run_checks()
-        return bound
 
     def failed_checks(self) -> list[str]:
         """Names of the failed recorded checks: the lemma trace's, then the

@@ -21,7 +21,8 @@ from .intervals import ONE, ZERO, Interval, MeasurableUnion, frac
 
 #: deepest non-uniform level a generator materializes
 MATERIALIZE_CAP = 64
-DEFAULT_GAMMA_CAP = 2**16
+#: most pieces gamma_partition tries
+GAMMA_CAP = 2**16
 #: most atoms a uniform level may materialize
 MATERIALIZE_ATOMS = 2**16
 
@@ -217,17 +218,15 @@ def parse_filtration_spec(spec: str) -> FiltrationOracle:
 # operations
 
 
-def refine_until(
-    filt: FiltrationOracle, iv: Interval, count: int, start: int = 0
-) -> int:
-    """Smallest level K >= start whose partition has >= count atoms inside iv.
+def refine_until(filt: FiltrationOracle, iv: Interval, count: int) -> int:
+    """Smallest level K whose partition has >= count atoms inside iv.
 
     Termination is guaranteed when int(iv) meets the limit set; otherwise
     the search runs into the generator capacity and raises.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    level = start
+    level = 0
     while True:
         try:
             filt.check_level(level)
@@ -278,14 +277,13 @@ def gamma_partition(
     v: MeasurableUnion,
     eps1: Fraction,
     eps2: Fraction,
-    cap: int = DEFAULT_GAMMA_CAP,
 ) -> tuple[int, list[Interval], list[int]]:
     """Find n and the equal-mass split of iv whose small-neighbor index set
     Γ = {2 <= l <= n-1 : max(|A_{l-1}|, |A_l|, |A_{l+1}|) <= eps1} carries
     at least (1 - eps2)|iv ∩ v| of the mass.
 
-    Ascending search over n; existence is a lemma, the cap guards the
-    search. Indices in Γ are 1-based like the pieces.
+    Ascending search over n <= GAMMA_CAP; existence is a lemma, the cap
+    guards the search. Indices in Γ are 1-based like the pieces.
     """
     eps1, eps2 = frac(eps1), frac(eps2)
     if eps1 <= 0 or eps2 <= 0:
@@ -294,7 +292,7 @@ def gamma_partition(
     if total == 0:
         raise DegenerateInputError(f"|{iv} ∩ V| = 0")
     bound = (1 - eps2) * total
-    for n in range(1, cap + 1):
+    for n in range(1, GAMMA_CAP + 1):
         parts = equal_measure_split(iv, v, n)
         lengths = [p.length for p in parts]
         gamma = [
@@ -305,4 +303,4 @@ def gamma_partition(
         mass = Fraction(len(gamma), n) * total
         if mass >= bound:
             return n, parts, gamma
-    raise SearchCapError(f"gamma_partition found no n <= {cap}")
+    raise SearchCapError(f"gamma_partition found no n <= {GAMMA_CAP}")

@@ -1,7 +1,5 @@
 from .verify import CheckEntry, VerificationReport, verify_sequence
 from .estimators import (
-    constructed_doob_ratio,
-    constructed_weak_type_ratio,
     doob_ratio,
     random_martingale,
     scalar_convergence_demo,
@@ -17,8 +15,6 @@ __all__ = [
     "verify_sequence",
     "weak_type_ratio",
     "doob_ratio",
-    "constructed_weak_type_ratio",
-    "constructed_doob_ratio",
     "unconditionality_ratio",
     "uniform_integrability_profile",
     "scalar_convergence_demo",

@@ -41,37 +41,14 @@ def random_martingale(filt, order: int, depth: int, rng, coords: int = 1) -> lis
 
 
 # ---------------------------------------------------------------------------
-# maximal-function ratios: one kernel per ratio, fed (sup, wts, levels), the
-# pointwise sup_n ||f_n|| at points of weights wts and per level n a pair
-# (norms, weights) holding ||f_n|| at points of those weights
-
-
-def _weak_type(sup, wts, levels, lambdas=None) -> float:
-    """max over lambda of lambda |{sup > lambda}| / sup_n ||f_n||_L1."""
-    denom = max(float(norms @ w) for norms, w in levels)
-    if denom == 0:
-        return 0.0
-    if lambdas is None:
-        top = sup.max()
-        lambdas = [top * q for q in WEAK_QUANTILES]
-    return max([0.0] + [lam * float(wts[sup > lam].sum()) / denom for lam in lambdas])
-
-
-def _doob(sup, wts, levels, p: float) -> float:
-    """|| sup_n ||f_n|| ||_p / sup_n ||f_n||_p."""
-    if not 1 < p < float("inf"):
-        raise ValueError("p must lie in (1, inf)")
-    num = float((sup**p) @ wts) ** (1.0 / p)
-    denom = max(float((norms**p) @ w) ** (1.0 / p) for norms, w in levels)
-    return num / denom if denom else 0.0
+# maximal-function ratios, over NODES Gauss points per atom of the finest level
 
 
 def _sup_process(seq: list[VectorSpline]):
-    """The kernels' feed of a materialized sequence: NODES Gauss points per
-    atom of its finest level."""
+    """The point weights, ||f_n(t)|| per level n and their pointwise sup."""
     pts, wts = gauss_nodes(seq[-1].kv.breakpoints, NODES)
     norms = [_max_norm(f, pts) for f in seq]
-    return np.max(norms, axis=0), wts, [(vals, wts) for vals in norms]
+    return wts, norms, np.max(norms, axis=0)
 
 
 def _max_norm(f: VectorSpline, pts: np.ndarray) -> np.ndarray:
@@ -81,42 +58,26 @@ def _max_norm(f: VectorSpline, pts: np.ndarray) -> np.ndarray:
     return np.abs(vals).max(axis=0, initial=0.0)
 
 
-def _census_process(seq):
-    """The kernels' feed of a constructed sequence: the chain sup of each
-    class of the last step, and per step the norm bound of each class, all
-    weighted by class length.
-
-    Constant classes carry exact value norms; the non-constant remainder
-    (measure below the zombie budget) is bracketed by its recorded bound.
-    """
-    def column(rows, name):
-        return np.array([float(getattr(r, name)) for r in rows])
-
-    levels = [
-        (column(sd.rows_after, "norm_bound"), column(sd.rows_after, "total_length"))
-        for sd in seq.steps
-    ]
-    return column(seq.steps[-1].rows_after, "chain_sup"), levels[-1][1], levels
-
-
 def weak_type_ratio(seq: list[VectorSpline], lambdas=None) -> float:
     """max over lambda of lambda |{sup_n ||f_n|| > lambda}| / sup_n ||f_n||_L1."""
-    return _weak_type(*_sup_process(seq), lambdas)
+    wts, norms, sup = _sup_process(seq)
+    denom = max(float(vals @ wts) for vals in norms)
+    if denom == 0:
+        return 0.0
+    if lambdas is None:
+        top = sup.max()
+        lambdas = [top * q for q in WEAK_QUANTILES]
+    return max([0.0] + [lam * float(wts[sup > lam].sum()) / denom for lam in lambdas])
 
 
 def doob_ratio(seq: list[VectorSpline], p: float) -> float:
     """|| sup_n ||f_n|| ||_p / sup_n ||f_n||_p."""
-    return _doob(*_sup_process(seq), p)
-
-
-def constructed_weak_type_ratio(seq, lambdas=None) -> float:
-    """weak_type_ratio of a constructed sequence, read from its class census."""
-    return float(_weak_type(*_census_process(seq), lambdas))
-
-
-def constructed_doob_ratio(seq, p: float) -> float:
-    """doob_ratio of a constructed sequence, read from its class census."""
-    return float(_doob(*_census_process(seq), p))
+    if not 1 < p < float("inf"):
+        raise ValueError("p must lie in (1, inf)")
+    wts, norms, sup = _sup_process(seq)
+    num = float((sup**p) @ wts) ** (1.0 / p)
+    denom = max(float((vals**p) @ wts) ** (1.0 / p) for vals in norms)
+    return num / denom if denom else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from ..construction.driver import SequenceResult
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+#: points of E_n drawn per step for the sampled (3a) and (3b) checks
+SAMPLES_PER_STEP = 6
 
 
 def e_bound(n: int, eta: Fraction) -> Fraction:
@@ -105,9 +107,7 @@ def trace_check(failures: list) -> CheckEntry:
     )
 
 
-def verify_sequence(
-    seq: SequenceResult, seed: int = 0, samples_per_step: int = 6
-) -> VerificationReport:
+def verify_sequence(seq: SequenceResult, seed: int = 0) -> VerificationReport:
     """Run every postcondition of the construction and aggregate a report."""
     rep = VerificationReport()
     rng = random.Random(seed)
@@ -138,7 +138,7 @@ def verify_sequence(
     sep_ok = True
     sep_min = None
     for n in range(1, n_steps + 1):
-        pts = seq.sample_e_points(n, rng, samples_per_step)
+        pts = seq.sample_e_points(n, rng, SAMPLES_PER_STEP)
         diffs = [seq.sup_diff_at(t, n) for t in pts]
         if any(d < seq.delta for d in diffs):
             sep_ok = False

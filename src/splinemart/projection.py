@@ -48,6 +48,11 @@ REACH_RTOL = 2.0**-60
 #: most entries one chunk of solved G^{-1} columns holds (k + 1 columns
 #: at the least)
 CHUNK_ENTRIES = 2**18
+#: equispaced points of every scanned t-atom at which l1_norm evaluates
+#: the kernel row integral
+T_PER_ATOM = 32
+#: Gauss points per s-atom of each kernel row integral
+S_NODES = 64
 
 
 class VectorSpline:
@@ -136,19 +141,14 @@ class ProjectionContext:
 
     # -- L1 operator norm ------------------------------------------------------
 
-    def l1_norm(
-        self,
-        level: int,
-        t_per_atom: int = 32,
-        s_nodes: int = 64,
-    ) -> float:
+    def l1_norm(self, level: int) -> float:
         """Lower estimate of ||P_level||_{L1->L1}, grid-resolution tight.
 
         Self-adjointness turns the L1 norm into the Linf norm, which is the
         supremum over t of ∫ |K(t, s)| ds with K the projection kernel
         sum_ij N_i(t) (G^{-1})_{ij} N_j(s). The supremum runs over
-        t_per_atom equispaced points of every scanned t-atom; each integral
-        runs over the s-atoms of that t-atom's window, s_nodes Gauss points
+        T_PER_ATOM equispaced points of every scanned t-atom; each integral
+        runs over the s-atoms of that t-atom's window, S_NODES Gauss points
         per atom.
 
         Window. On a t-atom the kernel combines the G^{-1} columns c_r of
@@ -182,6 +182,7 @@ class ProjectionContext:
             return 1.0  # averaging operator: kernel rows are probability densities
         kv, g = self.space(level)
         k, natoms = self.k, kv.num_atoms
+        t_per_atom, s_nodes = T_PER_ATOM, S_NODES
         mass = (kv._knots_f[k:] - kv._knots_f[:-k]) / k  # ∫ N_i
         t_atoms = np.arange(natoms)
         if self.filt.is_uniform():

@@ -77,8 +77,9 @@ class UniformSpace:
         x = Fraction(rem, t.denominator)
         return a, tuple(span_value(self.k, self.k - 1 - i, x) for i in range(self.k))
 
-    def refined(self, extra_levels: int = 1) -> "UniformSpace":
-        return UniformSpace(self.p, self.level + extra_levels, self.k)
+    def refined(self) -> "UniformSpace":
+        """The space one level finer."""
+        return UniformSpace(self.p, self.level + 1, self.k)
 
 
 def _normalize(runs: list[Run]) -> tuple[Run, ...]:
@@ -116,8 +117,9 @@ class RleSpline:
         return cls(space, [])
 
     @classmethod
-    def from_index_range(cls, space: UniformSpace, j0: int, j1: int, c: Fraction = Fraction(1)) -> "RleSpline":
-        return cls(space, [(j0, j1, c)])
+    def from_index_range(cls, space: UniformSpace, j0: int, j1: int) -> "RleSpline":
+        """The spline with coefficient 1 at indices j0 .. j1."""
+        return cls(space, [(j0, j1, Fraction(1))])
 
     # -- coefficient access --------------------------------------------------
 
@@ -202,7 +204,7 @@ class RleSpline:
 
     def refine_once(self) -> "RleSpline":
         sp = self.space
-        fine = sp.refined(1)
+        fine = sp.refined()
         p, k = sp.p, sp.k
         off = (k - 1) * (p - 1)
         mask = refinement_mask(k, p)
@@ -234,14 +236,6 @@ class RleSpline:
             singles = [(j, j, v) for j, v in edge.items()]
             result = result.plus(RleSpline(fine, _merge_singles(singles)))
         return result
-
-    def refine_to(self, level: int) -> "RleSpline":
-        cur = self
-        while cur.space.level < level:
-            cur = cur.refine_once()
-        if cur.space.level != level:
-            raise ValueError("cannot refine to a coarser level")
-        return cur
 
 
 def _partial_mask_sum(mask, p: int, m: int, j0: int, j1: int) -> Fraction:

@@ -52,7 +52,7 @@ def test_criterion_1_construction_suite(k):
     """Criterion 1: N=4 dyadic construction verifies all green, < 60 s."""
     seq, elapsed = built_sequence(k)
     assert elapsed < 60.0, f"construction took {elapsed:.1f}s"
-    report = verify_sequence(seq, seed=2024, samples_per_step=6)
+    report = verify_sequence(seq, seed=2024)
     assert report.all_passed, report.render()
 
     # (a) martingale property: the per-atom local moments of every
@@ -213,7 +213,8 @@ def test_criterion_6_trace_inequalities(k):
         "sum_beta",
     }
     runs = 0
-    for _n, tr in seq.stopping_traces():
+    for _n, pat in seq.all_patterns():
+        tr = pat.inner.trace
         seen = {name.split("[")[0] for name, ok in tr.checks}
         assert stopping_names <= seen
         assert all(ok for _name, ok in tr.checks)

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splinemart.construction as construction
@@ -146,8 +146,8 @@ def test_digit_cap_is_finite_and_covers_the_level_cap():
 def test_dumps_writes_integer_fields_past_the_digit_limit():
     seq = construction.build_sequence(parse_filtration_spec("dyadic"), 1, Fraction(1, 2), 2)
     huge = 3**11000  # 5,249 decimal digits
-    for _, tr in seq.stopping_traces():
-        tr.j_indices = (huge,)
+    for _, pat in seq.all_patterns():
+        pat.inner.trace.j_indices = (huge,)
     limit = sys.get_int_max_str_digits()
     text = seq.dumps(trace="full", indent=2)
     assert sys.get_int_max_str_digits() == limit
@@ -218,6 +218,18 @@ def test_dichotomy_error_exit_code(capsys):
     assert "measure zero" in capsys.readouterr().err
 
 
+#: result files whose E and C lists hold a value no measure of a subset of
+#: [0, 1] takes, or a |C_0 ∩ V| other than |V| = 1
+IMPOSSIBLE_MEASURES = {
+    "e_above_one": (["5"], ["1", "1"]),
+    "e_negative": (["-1/2"], ["1", "1"]),
+    "c_above_one": (["1"], ["1", "3/2"]),
+    "c_negative": (["1"], ["1", "-1/4"]),
+    "c0_below_one": (["1"], ["1/2", "1"]),
+    "c0_absent": (["1"], []),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -235,10 +247,15 @@ def test_dichotomy_error_exit_code(capsys):
         ["demo-convergence", "--seed", "-1"],
         ["construct", "--eta", "1/0"],
         ["verify", "--eta", "1/0"],
-    ],
+    ]
+    + [["verify", "--in", f"{name}.json"] for name in IMPOSSIBLE_MEASURES],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    for name, (e, c) in IMPOSSIBLE_MEASURES.items():
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"eta": "1/2", "E": [{"measure": m} for m in e], "C": c})
+        )
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "bad_measure.json").write_text('{"eta": "1/2", "E": [{"measure": "x"}]}')
     # a measure past the float range (no measure of a subset of [0, 1] is)
@@ -250,6 +267,57 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def result_k1_n2(tmp_path_factory):
+    """A real result file: dyadic k=1, N=2, eta = 1/2."""
+    path = tmp_path_factory.mktemp("result") / "result.json"
+    assert main(["construct", "--k", "1", "--steps", "2", "--out", str(path)]) == 0
+    return path
+
+
+@st.composite
+def edited_measure(draw):
+    """An entry of the result file, a rational for it in [-2, 2] and the
+    entry's bound: 1 - 2^-n eta for |E_n| (3c), 1 - 2^-(n+2) eta for
+    |C_n ∩ V| (3d) and |V| = 1 for |C_0 ∩ V|, at eta = 1/2."""
+    kind = draw(st.sampled_from(["E", "C"]))
+    i = draw(st.integers(0, 1 if kind == "E" else 2))
+    if kind == "E":
+        bound = 1 - Fraction(1, 2 ** (i + 2))
+    else:
+        bound = 1 - Fraction(1, 2 ** (i + 3)) if i else Fraction(1)
+    near = [Fraction(0), Fraction(1), bound, bound - Fraction(1, 2**20)]
+    value = draw(st.one_of(
+        st.fractions(min_value=-2, max_value=2, max_denominator=2**10), st.sampled_from(near)
+    ))
+    return kind, i, value, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=edited_measure())
+@example(case=("E", 0, Fraction(2), Fraction(3, 4)))
+@example(case=("E", 0, Fraction(-1, 2), Fraction(3, 4)))
+@example(case=("C", 0, Fraction(1, 2), Fraction(1)))
+def test_verify_in_refuses_exactly_the_impossible_measures(case, result_k1_n2):
+    kind, i, value, bound = case
+    blob = json.loads(result_k1_n2.read_text())
+    if kind == "E":
+        blob["E"][i]["measure"] = str(value)
+    else:
+        blob["C"][i] = str(value)
+    path = result_k1_n2.parent / "edited.json"
+    path.write_text(json.dumps(blob))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--in", str(path)])
+    if not 0 <= value <= 1 or ((kind, i) == ("C", 0) and value != 1):
+        assert code == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: result file entry {kind}[{i}] ")
+    else:
+        assert code == (0 if value >= bound else 1), (case, out.getvalue())
 
 
 def _internal_fault(exc):

@@ -124,8 +124,8 @@ def test_measure_additive_and_monotone():
 
 def test_refine_until_examples():
     f = dyadic()
-    assert refine_until(f, Interval(0, F(1, 2)), count=2, start=1) == 2
-    assert refine_until(f, Interval(0, 1), count=1, start=0) == 0
+    assert refine_until(f, Interval(0, F(1, 2)), count=2) == 2
+    assert refine_until(f, Interval(0, 1), count=1) == 0
 
 
 def test_refine_until_accumulating():

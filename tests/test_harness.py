@@ -6,10 +6,8 @@ import pytest
 
 from splinemart.bspline import ScalarSpline, gauss_nodes, interpolate
 from splinemart.construction import build_sequence
-from splinemart.filtration import UniformFiltration, dyadic
+from splinemart.filtration import dyadic
 from splinemart.harness import (
-    constructed_doob_ratio,
-    constructed_weak_type_ratio,
     doob_ratio,
     random_martingale,
     scalar_convergence_demo,
@@ -86,16 +84,9 @@ class TestMaximalEstimators:
         assert worst_weak <= 1.0 + 1e-6      # Doob weak-(1,1) regime
         assert worst_doob <= 2.0 + 0.01      # q = p/(p-1) = 2 sanity ceiling
 
-    def test_constructed_sequence_ratios_finite(self, seq2):
-        w = constructed_weak_type_ratio(seq2)
-        d = constructed_doob_ratio(seq2, 2.0)
-        assert 0 < w < 10
-        assert 0 < d < 10
 
-
-# the maximal ratios as they were written before they shared one kernel
-# each: a per-coordinate sup over quadrature points for a materialized
-# sequence, and sums over the class census for a constructed one
+# the maximal ratios as they were written with a per-coordinate sup over
+# quadrature points
 
 
 def reference_sup_process(seq, nodes=64):
@@ -131,37 +122,6 @@ def reference_doob_ratio(seq, p):
     return num / denom if denom else 0.0
 
 
-def reference_constructed_weak_type_ratio(seq, lambdas=None):
-    rows = seq.steps[-1].rows_after
-    sups = sorted(((float(r.chain_sup), float(r.total_length)) for r in rows))
-    l1_sup = 0.0
-    for sd in seq.steps:
-        l1 = sum(float(r.total_length) * float(r.norm_bound) for r in sd.rows_after)
-        l1_sup = max(l1_sup, l1)
-    if l1_sup == 0:
-        return 0.0
-    top = max(s for s, _ in sups)
-    if lambdas is None:
-        lambdas = [top * q for q in (0.25, 0.5, 0.75, 0.9, 0.99)]
-    best = 0.0
-    for lam in lambdas:
-        meas = sum(length for s, length in sups if s > lam)
-        best = max(best, lam * meas / l1_sup)
-    return best
-
-
-def reference_constructed_doob_ratio(seq, p):
-    rows = seq.steps[-1].rows_after
-    num = sum(float(r.total_length) * float(r.chain_sup) ** p for r in rows) ** (1.0 / p)
-    denom = 0.0
-    for sd in seq.steps:
-        val = sum(
-            float(r.total_length) * float(r.norm_bound) ** p for r in sd.rows_after
-        ) ** (1.0 / p)
-        denom = max(denom, val)
-    return num / denom if denom else 0.0
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_maximal_ratios_repr_identical_to_per_coordinate_reference(k):
     for coords in (1, 2, 3):
@@ -174,30 +134,11 @@ def test_maximal_ratios_repr_identical_to_per_coordinate_reference(k):
                 assert repr(got) == repr(want), (coords, seed, lambdas)
 
 
-@pytest.mark.parametrize(
-    "make,k,steps", [(dyadic, 1, 4), (dyadic, 2, 3), (lambda: UniformFiltration(3), 4, 3)]
-)
-def test_census_ratios_match_the_row_sum_reference(make, k, steps):
-    seq = build_sequence(make(), k, HALF, steps)
-    pairs = [
-        (constructed_weak_type_ratio(seq, lams), reference_constructed_weak_type_ratio(seq, lams))
-        for lams in (None, [0.5])
-    ] + [
-        (constructed_doob_ratio(seq, p), reference_constructed_doob_ratio(seq, p))
-        for p in (1.5, 2.0)
-    ]
-    for got, want in pairs:
-        assert type(got) is float and 0 < want
-        assert abs(got - want) <= 1e-12 * want, (got, want)
-
-
 @pytest.mark.parametrize("p", [1.0, 0.5, float("inf")])
-def test_doob_ratios_refuse_p_outside_one_to_infinity(p, seq2):
+def test_doob_ratios_refuse_p_outside_one_to_infinity(p):
     seq = random_martingale(dyadic(), 2, 3, np.random.default_rng(0))
     with pytest.raises(ValueError, match="p must lie"):
         doob_ratio(seq, p)
-    with pytest.raises(ValueError, match="p must lie"):
-        constructed_doob_ratio(seq2, p)
 
 
 class TestUnconditionality:

@@ -1,4 +1,6 @@
-"""Vector-level entry points: the operations as stated mathematically."""
+"""The perturbations bound to witness vectors: each pattern builder, then
+slot_vectors, then BoundPattern, as the operations are stated
+mathematically."""
 
 from fractions import Fraction
 
@@ -7,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinemart.construction import (
+    BoundPattern,
     ConstructionContext,
-    moment_perturbation,
-    stopping_perturbation,
+    lemma_moments,
+    slot_vectors,
+    step1_stopping,
 )
-from splinemart.errors import PreconditionError
 from splinemart.filtration import dyadic
 from splinemart.intervals import Interval
 from splinemart.witness import XVec, node_vector
@@ -20,16 +23,26 @@ F = Fraction
 HALF = F(1, 2)
 
 
+def bind(pattern, xbar, xs, betas) -> BoundPattern:
+    return BoundPattern(pattern, slot_vectors(xbar, xs, betas))
+
+
+def mean(bound: BoundPattern) -> XVec:
+    """∫ g as a witness vector: the slot-wise means times the slot vectors."""
+    acc = XVec.zero()
+    for key, v in bound.pattern.moment_slotwise(0).items():
+        acc = acc.add(bound.slots[key].scale(v))
+    return acc
+
+
 def test_stopping_bush_children_example():
     # x_j bush children of xbar = root; zone values are xbar ± e_1 exactly
     ctx = ConstructionContext(dyadic(), 2)
     xbar = node_vector("")
     xs = [node_vector("0"), node_vector("1")]
-    bound = stopping_perturbation(
-        ctx, Interval(0, 1), [HALF, HALF], xs, xbar, F(1, 4)
-    )
-    assert bound.g_moment(0).sup_norm == 0
-    pat = bound.pattern
+    pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0)
+    bound = bind(pat, xbar, xs, pat.trace.betas)
+    assert mean(bound).sup_norm == 0
     for cell in pat.cells:
         if cell.kind != "zone":
             continue
@@ -37,15 +50,6 @@ def test_stopping_bush_children_example():
         val = xbar.add(bound.g_eval(t))
         assert val in (xs[0], xs[1])
         assert val.sub(xbar).sup_norm == 1
-
-
-def test_stopping_rejects_bad_xbar():
-    ctx = ConstructionContext(dyadic(), 1)
-    xs = [XVec.unit(1), XVec.unit(2)]
-    with pytest.raises(PreconditionError):
-        stopping_perturbation(
-            ctx, Interval(0, 1), [HALF, HALF], xs, XVec.unit(3), F(1, 4)
-        )
 
 
 @settings(max_examples=10, deadline=None)
@@ -64,10 +68,11 @@ def test_stopping_postconditions_randomized(num, a0):
     for a, x in zip(alphas, xs):
         xbar = xbar.add(x.scale(a))
     eps = F(1, 4)
-    bound = stopping_perturbation(ctx, iv, alphas, xs, xbar, eps, base_level=6)
-    assert bound.g_moment(0).sup_norm == 0
-    assert bound.pattern.zone_mass() >= (1 - eps) * iv.length
-    for scal, _key in bound.pattern.terms:
+    pat = step1_stopping(ctx, iv, alphas, eps, 6)
+    bound = bind(pat, xbar, xs, pat.trace.betas)
+    assert mean(bound).sup_norm == 0
+    assert pat.zone_mass() >= (1 - eps) * iv.length
+    for scal, _key in pat.terms:
         s_lo, s_hi = scal.support_bounds()
         assert iv.lo < s_lo and s_hi < iv.hi
 
@@ -77,14 +82,13 @@ def test_moment_perturbation_end_to_end(k):
     ctx = ConstructionContext(dyadic(), k)
     xbar = node_vector("0")
     xs = [node_vector("00"), node_vector("01")]
-    bound = moment_perturbation(
-        ctx, Interval(0, 1), [HALF, HALF], xs, xbar, F(1, 8)
-    )
+    pat = lemma_moments(ctx, Interval(0, 1), F(1, 8), 0, const_alphas=[HALF, HALF])
+    bound = bind(pat, xbar, xs, pat.inner.trace.betas)
+    # every slot's moment vanishes, so g's does for any slot vectors
     for j in range(k):
-        assert bound.g_moment(j).sup_norm == 0
-    assert bound.pattern.trace.w_bound <= bound.pattern.trace.eps_tilde2
+        assert not any(pat.moment_slotwise(j).values())
+    assert max(w.sup_norm for w in bound.w_vectors) <= pat.trace.eps_tilde2
     # zone values sit in the child set, at separation exactly one
-    pat = bound.pattern
     fam = next(e for e in pat.cells if hasattr(e, "period"))
     zone = next(c for c in fam.cells if c.kind == "zone")
     for inst in (0, pat.piece_count // 2, pat.piece_count - 1):

@@ -129,7 +129,8 @@ def test_rle_refine_preserves_function(k, p):
     else:
         runs = [(lo, lo + 1, F(3, 4)), (hi, hi, F(-2))]
     f = RleSpline(sp, runs)
-    g = f.refine_to(4)
+    g = f.refine_once().refine_once()
+    assert g.space.level == 4
     rng = random.Random(9)
     for _ in range(40):
         t = F(rng.randrange(0, p**6), p**6)
