@@ -8,7 +8,6 @@ knots are rejected at construction.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -302,29 +301,43 @@ def refine_coeffs(coarse: ScalarSpline, fine_kv: KnotVector) -> ScalarSpline:
     """Re-express a spline on a nested finer knot vector (Boehm insertion).
 
     Every output coefficient is a convex combination of input coefficients.
+    The missing breakpoints are inserted in increasing order, one knot at a
+    time, while the span index walks forward. Knots are kept as
+    (numerator, denominator) int pairs, and each weight
+    (u - t_i) / (t_{i+k-1} - t_i) is one true division of two unnormalised
+    ints, which Python rounds correctly: the float of the same rational
+    that float(Fraction(...)) gives.
     """
     if fine_kv.k != coarse.kv.k:
         raise NestingError("orders differ")
-    if not set(coarse.kv.breakpoints) <= set(fine_kv.breakpoints):
-        raise NestingError("coarse breakpoints are not a subset of fine breakpoints")
     k = coarse.kv.k
-    knots = list(coarse.kv.knots)
-    coeffs = coarse.coeffs.astype(float)
-    missing = sorted(set(fine_kv.breakpoints) - set(coarse.kv.breakpoints))
-    for u in missing:
-        # span with knots[m] <= u < knots[m+1]; u is interior, so m >= k - 1
-        m = bisect.bisect_right(knots, u) - 1
-        lo = m - k + 2  # coefficients lo..m mix with their left neighbour
-        w = np.array(
-            [float((u - knots[i]) / (knots[i + k - 1] - knots[i])) for i in range(lo, m + 1)]
-        )
-        new = np.empty(len(coeffs) + 1)
-        new[:lo] = coeffs[:lo]
-        new[lo : m + 1] = w * coeffs[lo : m + 1] + (1.0 - w) * coeffs[lo - 1 : m]
-        new[m + 1 :] = coeffs[m:]
+    # Fractions are normalised, so equal breakpoints give equal pairs
+    kept = {(b.numerator, b.denominator) for b in coarse.kv.breakpoints}
+    fine = [(b.numerator, b.denominator) for b in fine_kv.breakpoints]
+    if not kept <= set(fine):
+        raise NestingError("coarse breakpoints are not a subset of fine breakpoints")
+    knots = [(t.numerator, t.denominator) for t in coarse.kv.knots]
+    coeffs = coarse.coeffs.tolist()
+    m = k - 1  # span of the knot u being inserted: knots[m] <= u < knots[m + 1]
+    for u in fine:
+        if u in kept:
+            continue
+        un, ud = u
+        # u is interior and above every knot inserted before it
+        while knots[m + 1][0] * ud <= un * knots[m + 1][1]:
+            m += 1
+        if k == 1:  # u splits a constant piece: coefficient m repeats
+            coeffs.insert(m, coeffs[m])
+        else:
+            # coefficients m - k + 2 .. m mix with their left neighbour
+            mixed = []
+            for i in range(m - k + 2, m + 1):
+                (an, ad), (bn, bd) = knots[i], knots[i + k - 1]
+                w = (un * ad - an * ud) * bd / ((bn * ad - an * bd) * ud)
+                mixed.append(w * coeffs[i] + (1.0 - w) * coeffs[i - 1])
+            coeffs[m - k + 2 : m] = mixed
         knots.insert(m + 1, u)
-        coeffs = new
-    return ScalarSpline(fine_kv, coeffs)
+    return ScalarSpline(fine_kv, np.array(coeffs))
 
 
 class PiecewiseConstant:

@@ -109,10 +109,17 @@ def cmd_construct(args) -> int:
 
 
 def _recorded_measures(blob) -> tuple[list, list]:
-    """|E_n| for n >= 1 and |C_n ∩ V| for n >= 0 from a result file; a value
-    outside [0, 1], or |C_0 ∩ V| other than |V| = 1, is refused."""
+    """|E_n| for n >= 1 and |C_n ∩ V| for n >= 0 from a result file of
+    N >= 1 steps, which holds N entries in E and N + 1 in C; a file of any
+    other shape, a value outside [0, 1], or |C_0 ∩ V| other than |V| = 1
+    is refused."""
+    for key in ("E", "C"):
+        if not isinstance(blob[key], list):
+            raise UsageError(f"result file entry {key} is not a list")
+    if not blob["E"]:
+        raise UsageError("result file entry E is empty")
     e_raw = [entry["measure"] for entry in blob["E"]]
-    c_raw = list(blob["C"])
+    c_raw = blob["C"]
     named = [(f"E[{i}] (|E_{i + 1}|)", raw) for i, raw in enumerate(e_raw)]
     named += [(f"C[{i}] (|C_{i} ∩ V|)", raw) for i, raw in enumerate(c_raw)]
     measures = [frac(raw) for _, raw in named]
@@ -122,6 +129,11 @@ def _recorded_measures(blob) -> tuple[list, list]:
     if not c_raw or measures[len(e_raw)] != 1:
         got = c_raw[0] if c_raw else "absent"
         raise UsageError(f"result file entry C[0] (|C_0 ∩ V|) is {got}, not 1")
+    if len(c_raw) != len(e_raw) + 1:
+        raise UsageError(
+            f"result file holds {len(e_raw)} E entries and {len(c_raw)} C entries; "
+            f"a file of N steps holds N and N + 1"
+        )
     return measures[: len(e_raw)], measures[len(e_raw) :]
 
 

@@ -91,10 +91,20 @@ class ConstructionContext:
 
 
 def p_power_at_least(p: int, x: Fraction) -> int:
-    """Smallest s >= 0 with p**s >= x."""
-    s = 0
-    v = F1
-    while v < x:
+    """Smallest s >= 0 with p**s >= x, in O(1) big-int steps.
+
+    With x = n / d in lowest terms and b(.) the bit length, x lies in
+    (2**(b(n) - b(d) - 1), 2**(b(n) - b(d) + 1)). So e = (b(n) - b(d) - 1)
+    / log2(p) is below log_p(x) <= s and within 2 / log2(p) + 1 of s:
+    starting from floor(e), exact comparisons of p**s * d with n reach s in
+    at most three steps.
+    """
+    n, d = x.numerator, x.denominator
+    if n <= d:
+        return 0
+    s = max(0, int((n.bit_length() - d.bit_length() - 1) / math.log2(p)))
+    v = p**s * d
+    while v < n:
         v *= p
         s += 1
     return s

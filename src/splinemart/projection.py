@@ -17,7 +17,10 @@ dim x dim inverse. The mass the windows drop is bounded from
 the same columns and kept per level in ProjectionContext.l1_tail. On a
 uniform level the interior repeats one kernel environment, so when the
 window is short against the level only the boundary bands and the centre
-are scanned.
+are scanned. A level whose breakpoints are symmetric about 1/2 has
+K(1 - t, 1 - s) = K(t, s), so an atom and its mirror image have the same
+row integrals and only one of the two is scanned. The s-side quadrature
+runs only on the atoms some scanned window covers.
 """
 
 from __future__ import annotations
@@ -172,10 +175,19 @@ class ProjectionContext:
         when w, the wider window of the first atom and of the centre atom,
         has 3w < num_atoms, only the w + 4 atoms at either end and the
         centre pair are scanned, else every atom. A column that reaches an
-        end of the space makes 3w >= num_atoms. The G^{-1} columns of the
-        scanned atoms are solved once, in chunks of at most
-        max(k + 1, CHUNK_ENTRIES // dim) contiguous columns, and the t-grids
-        of all scanned atoms are evaluated in one basis_values call.
+        end of the space makes 3w >= num_atoms. Mirror rule: when the
+        breakpoints are symmetric about 1/2, every atom a of that set is
+        replaced by min(a, num_atoms - 1 - a), and repeats are scanned once,
+        because K(1 - t, 1 - s) = K(t, s) gives an atom and its mirror image
+        the same row integrals and the same tail. So a uniform band scan
+        drops its right band, and its centre pair becomes its mirror image.
+        Symmetry is decided exactly on the rational breakpoints; a uniform
+        p-ary level is symmetric by construction and is not checked. The
+        G^{-1} columns of the scanned atoms are solved once, in chunks of at
+        most max(k + 1, CHUNK_ENTRIES // dim) contiguous columns, and the
+        t-grids of all scanned atoms are evaluated in one basis_values call.
+        The s-side basis values are evaluated only on the atoms of the
+        scanned windows, each atom once.
         """
         if self.k == 1:
             self.l1_tail[level] = 0.0
@@ -184,6 +196,7 @@ class ProjectionContext:
         k, natoms = self.k, kv.num_atoms
         t_per_atom, s_nodes = T_PER_ATOM, S_NODES
         mass = (kv._knots_f[k:] - kv._knots_f[:-k]) / k  # ∫ N_i
+        bps = kv._knots_f[k - 1 : k + natoms]  # the breakpoints as floats
         t_atoms = np.arange(natoms)
         if self.filt.is_uniform():
             ends = np.r_[0:k, natoms // 2 : natoms // 2 + k]
@@ -194,16 +207,18 @@ class ProjectionContext:
                     | set(range(natoms - w - 4, natoms))
                     | {natoms // 2, natoms // 2 + 1}
                 ))
+        if _mirror_symmetric(self.filt, kv):
+            t_atoms = np.unique(np.minimum(t_atoms, natoms - 1 - t_atoms))
 
         # quadrature data of the s-atoms, atom-major: node p of atom b has
-        # weight s_wts[b * s_nodes + p] and s_vals[b, p, r] = N_{b+r} there
-        pts, s_wts = gauss_nodes(kv.breakpoints, s_nodes)
-        first, vals = basis_values(kv, pts)
-        atom = np.repeat(np.arange(natoms), s_nodes)
-        s_vals = aligned_values(first, vals, atom).reshape(natoms, s_nodes, k)
+        # weight s_wts[b * s_nodes + p] and s_vals[b, p, r] = N_{b+r} there;
+        # s_vals[b] is filled when a window first covers b, and have[b] set
+        pts, s_wts = gauss_nodes(bps, s_nodes)
+        pts = pts.reshape(natoms, s_nodes)
+        s_vals = np.empty((natoms, s_nodes, k))
+        have = np.zeros(natoms, dtype=bool)
 
         # t-grids of all scanned atoms in one evaluation; row j is atom t_atoms[j]
-        bps = np.array([float(b) for b in kv.breakpoints])
         ts = np.linspace(bps[t_atoms], bps[t_atoms + 1], t_per_atom, axis=1)
         first, vals = basis_values(kv, ts.ravel())
         first = first.reshape(len(t_atoms), t_per_atom)
@@ -215,6 +230,7 @@ class ProjectionContext:
         for start, stop in _chunks(col_lo, col_hi, cap):
             c0 = col_lo[start]
             inv, reach = self._columns(g, np.arange(c0, col_hi[stop - 1]), mass)
+            scans = []  # (basis, cols, lo, hi) of each atom of the chunk
             for j in range(start, stop):
                 a = int(t_atoms[j])
                 # the atom's design matrix on its non-zero columns cols
@@ -222,10 +238,20 @@ class ProjectionContext:
                 slots = first[j][:, None] + np.arange(k) - col_lo[j]
                 np.put_along_axis(local, slots, vals[j], axis=1)
                 keep = local.any(axis=0)
-                basis = local[:, keep]
                 cols = col_lo[j] - c0 + np.flatnonzero(keep)
                 w = int(reach[cols].max()) + k
-                lo, hi = max(0, a - w), min(natoms, a + w + 1)
+                scans.append((local[:, keep], cols, max(0, a - w), min(natoms, a + w + 1)))
+            # s-side basis values on the chunk's windows, where still missing
+            need = np.zeros(natoms, dtype=bool)
+            for *_, lo, hi in scans:
+                need[lo:hi] = True
+            new = np.flatnonzero(need & ~have)
+            s_first, s_basis = basis_values(kv, pts[new].ravel())
+            s_vals[new] = aligned_values(
+                s_first, s_basis, np.repeat(new, s_nodes)
+            ).reshape(-1, s_nodes, k)
+            have[new] = True
+            for basis, cols, lo, hi in scans:
                 # kernel on the s-atoms b of the window, one (s_nodes x T) block per b:
                 # K[b, p, t] = sum_r s_vals[b, p, r] coef[b + r, t]
                 coef = inv[lo : hi + k - 1, cols] @ basis.T
@@ -260,6 +286,16 @@ class ProjectionContext:
         first = big.argmax(axis=0)
         last = g.dim - 1 - big[::-1].argmax(axis=0)
         return inv, np.maximum(cols - first, last - cols)
+
+
+def _mirror_symmetric(filt, kv: KnotVector) -> bool:
+    """Whether the breakpoints b_0 < ... < b_n of kv satisfy
+    b_i + b_{n-i} = 1, decided exactly; a uniform p-ary level does by
+    construction and is not checked."""
+    if filt.is_uniform():
+        return True
+    bps = kv.breakpoints
+    return all(bps[i] + bps[-1 - i] == 1 for i in range(len(bps) // 2))
 
 
 def _chunks(col_lo: np.ndarray, col_hi: np.ndarray, cap: int):

@@ -408,3 +408,31 @@ def test_refine_accum_one_call_and_chained(k):
     ts = np.concatenate([[0.0, 1.0], np.random.default_rng(0).random(300)])
     for fine in (once, chained):
         assert np.max(np.abs(fine.eval_many(ts) - coarse.eval_many(ts))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("spec, fine_level", [("dyadic", 8), ("padic:3", 5)])
+def test_refine_matches_the_reference_from_level_one(spec, fine_level, k):
+    coarse_kv = KnotVector.from_filtration(FILTRATIONS[spec], 1, k)
+    fine_kv = KnotVector.from_filtration(FILTRATIONS[spec], fine_level, k)
+    coarse = ScalarSpline(coarse_kv, np.random.default_rng(k).uniform(-1, 1, coarse_kv.dim))
+    assert refine_coeffs(coarse, fine_kv).coeffs.tolist() == boehm_reference(coarse, fine_kv)
+
+
+@pytest.mark.parametrize("spec, k, depth", [("dyadic", 2, 7), ("padic:3", 3, 4), ("accum:1/3", 4, 6)])
+def test_unconditionality_ratio_unchanged_under_the_reference_refinement(
+    spec, k, depth, monkeypatch
+):
+    from splinemart.harness import estimators
+    from splinemart.projection import ProjectionContext
+
+    ctx = ProjectionContext(FILTRATIONS[spec], k)
+    kv = ctx.knot_vector(depth)
+    f = ScalarSpline(kv, np.random.default_rng(depth).uniform(-1, 1, kv.dim))
+    got = estimators.unconditionality_ratio(ctx, f, 1.5, 50, seed=k)
+    monkeypatch.setattr(
+        estimators,
+        "refine_coeffs",
+        lambda g, fine_kv: ScalarSpline(fine_kv, boehm_reference(g, fine_kv)),
+    )
+    assert estimators.unconditionality_ratio(ctx, f, 1.5, 50, seed=k) == got

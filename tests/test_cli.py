@@ -229,6 +229,14 @@ IMPOSSIBLE_MEASURES = {
     "c0_absent": (["1"], []),
 }
 
+#: result files of no valid shape, with measures that all pass: a file of
+#: N >= 1 steps holds a list of N entries in E and one of N + 1 in C
+MALFORMED_SHAPES = {
+    "c_too_short": (["1", "1"], ["1"]),
+    "e_empty": ([], ["1"]),
+    "c_not_a_list": (["1"], "11"),
+}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -248,11 +256,11 @@ IMPOSSIBLE_MEASURES = {
         ["construct", "--eta", "1/0"],
         ["verify", "--eta", "1/0"],
     ]
-    + [["verify", "--in", f"{name}.json"] for name in IMPOSSIBLE_MEASURES],
+    + [["verify", "--in", f"{name}.json"] for name in {**IMPOSSIBLE_MEASURES, **MALFORMED_SHAPES}],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for name, (e, c) in IMPOSSIBLE_MEASURES.items():
+    for name, (e, c) in {**IMPOSSIBLE_MEASURES, **MALFORMED_SHAPES}.items():
         (tmp_path / f"{name}.json").write_text(
             json.dumps({"eta": "1/2", "E": [{"measure": m} for m in e], "C": c})
         )

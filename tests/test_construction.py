@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import splinemart.construction.core as core
 from splinemart.construction.core import (
@@ -13,6 +15,7 @@ from splinemart.construction.core import (
     first_level,
     level_aligning,
     p_adic_valuation,
+    p_power_at_least,
     slot_vectors,
     step1_stopping,
     tile,
@@ -321,3 +324,40 @@ class TestValuation:
             level_aligning(2, F(1, 2), F(1, 3 * 2**5000))
         with pytest.raises(PreconditionError, match="not on any 3-ary grid"):
             level_aligning(3, F(1, 2 * 3**700))
+
+
+def power_loop(p, x):
+    """Smallest s >= 0 with p**s >= x by multiplying up from 1."""
+    s, v = 0, F(1)
+    while v < x:
+        v *= p
+        s += 1
+    return s
+
+
+@st.composite
+def power_cases(draw):
+    """p in {2, 3, 5} and x: at most 1, exactly p**s, p**s plus or minus a
+    rational far smaller than 1, or any positive rational."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    s = draw(st.integers(0, 2000))
+    tiny = F(1, draw(st.integers(1, 10**40)))
+    near = [F(p) ** s + d for d in (0, tiny, -tiny, F(p) ** s * tiny, -F(p) ** s * tiny)]
+    x = draw(
+        st.sampled_from(near)
+        | st.fractions(max_value=1)
+        | st.fractions(min_value=0, max_denominator=10**60)
+    )
+    return p, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=power_cases())
+@example(case=(2, F(1)))
+@example(case=(3, F(0)))
+@example(case=(5, F(-7, 3)))
+@example(case=(2, F(2**700 + 1, 2**600)))
+@example(case=(3, F(3**500 - 1)))
+def test_p_power_at_least_matches_the_multiplication_loop(case):
+    p, x = case
+    assert p_power_at_least(p, x) == power_loop(p, x)

@@ -242,10 +242,11 @@ def test_l1_norm_profile_nondecreasing_then_plateau():
     assert (max(tail) - min(tail)) / max(tail) < 0.01
 
 
-def fixed_window_l1_norm(ctx, level, t_per_atom=32, s_nodes=64):
+def fixed_window_l1_norm(ctx, level, t_per_atom=32, s_nodes=64, atoms=None):
     """The l1_norm scan before its window was read from G^{-1}: a guessed
     half-width of 48 + 16k atoms, and the k or k + 1 columns of G^{-1} of
-    each scanned atom solved afresh for that atom."""
+    each scanned atom solved afresh for that atom. No mirror rule: every
+    atom of the scan set is scanned, or only those of `atoms` when given."""
     if ctx.k == 1:
         return 1.0
     kv, g = ctx.space(level)
@@ -265,7 +266,7 @@ def fixed_window_l1_norm(ctx, level, t_per_atom=32, s_nodes=64):
             | {natoms // 2, natoms // 2 + 1}
         )
     best = 0.0
-    for a in t_atoms:
+    for a in t_atoms if atoms is None else atoms:
         ts = np.linspace(bps[a], bps[a + 1], t_per_atom)
         basis = design_matrix(kv, ts)
         cols = np.flatnonzero(basis.any(axis=0))
@@ -311,6 +312,32 @@ def test_l1_norm_matches_fixed_window_reference(k):
         for level in levels:
             got, want = ctx.l1_norm(level), fixed_window_l1_norm(ctx, level)
             assert abs(got - want) <= 1e-12 * want, (make, level, got, want)
+
+
+def mirror_graded(moved=False):
+    """A one-level file filtration symmetric about 1/2: the grid of step
+    1/16 and the points 2^-j and 1 - 2^-j for j <= 12, graded to both
+    ends. With moved, 1 - 2^-12 moves to 1 - 2^-13 and nothing else
+    changes."""
+    pts = {F(j, 16) for j in range(17)}
+    pts |= {F(1, 2**j) for j in range(1, 13)} | {1 - F(1, 2**j) for j in range(1, 13)}
+    if moved:
+        pts = (pts - {1 - F(1, 2**12)}) | {1 - F(1, 2**13)}
+    return FileFiltration(MeasurableUnion.full(), [sorted(pts)])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_mirror_rule_only_on_an_exactly_symmetric_mesh(k):
+    for moved in (False, True):
+        filt = mirror_graded(moved)
+        ctx = ProjectionContext(filt, k)
+        assert projection._mirror_symmetric(filt, ctx.knot_vector(0)) is not moved
+        want = fixed_window_l1_norm(ctx, 0)
+        assert abs(ctx.l1_norm(0) - want) <= 1e-12 * want, (moved, k)
+    # the moved mesh peaks on its right half, so a scan of the left half
+    # alone, which the mirror rule makes on a symmetric mesh, reads low
+    left = fixed_window_l1_norm(ctx, 0, atoms=range(ctx.knot_vector(0).num_atoms // 2 + 1))
+    assert left < 0.96 * want
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
