@@ -3,20 +3,30 @@
 Knots and breakpoints are exact rationals (so measure logic stays exact);
 coefficients and quadrature are binary64. Smoothness is fixed at C^{k-2}
 by simple interior knots with k-fold boundary knots; multiple interior
-knots are rejected at construction.
+knots are rejected at construction, and so are distinct breakpoints that
+round to the same binary64 value (CapacityError), so every float span
+has positive width.
+
+Basis values come from one de Boor recurrence, _de_boor, behind two
+front-ends: eval_basis for one point (Python floats, bisect) and
+basis_values for an array of points (numpy, searchsorted). Both clamp the
+span the same way and run the same operations, so their values agree bit
+for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from .errors import (
+    CapacityError,
     ConditioningError,
     DomainError,
     NestingError,
@@ -70,6 +80,14 @@ class KnotVector:
         full = [bps[0]] * order + bps[1:-1] + [bps[-1]] * order
         self.knots: tuple[Fraction, ...] = tuple(full)
         self._knots_f = np.array([float(t) for t in full])
+        bps_f = self._knots_f[order - 1 : len(full) - order + 1]
+        tied = np.flatnonzero(bps_f[:-1] == bps_f[1:])
+        if len(tied):
+            i = tied[0]
+            raise CapacityError(
+                f"breakpoints {bps[i]} and {bps[i + 1]} are equal in binary64; "
+                f"the float layer cannot resolve this level"
+            )
 
     @classmethod
     def from_filtration(cls, filt, level: int, order: int) -> "KnotVector":
@@ -91,11 +109,10 @@ class KnotVector:
             raise IndexError(i)
         return Interval(self.knots[i], self.knots[i + self.k])
 
-    def span_index(self, t: float) -> int:
-        """Index m with knots[m] <= t < knots[m+1], clamped at the right end."""
-        kn = self._knots_f
-        m = int(np.searchsorted(kn, t, side="right")) - 1
-        return min(max(m, self.k - 1), self.dim - 1)
+    @cached_property
+    def _knots_t(self) -> tuple[float, ...]:
+        """The knots as a tuple of Python floats, for the scalar front-end."""
+        return tuple(self._knots_f.tolist())
 
     def __eq__(self, other):
         return (
@@ -111,40 +128,46 @@ class KnotVector:
         return f"KnotVector(k={self.k}, atoms={self.num_atoms})"
 
 
+def _de_boor(kn, m, t, k: int) -> list:
+    """de Boor's recurrence: the k B-splines of order k that may be nonzero
+    at t in span m, N_{m-k+1}(t), ..., N_m(t), as a list of k values.
+
+    One body serves a single point (Python floats, int span, knot tuple)
+    and many points (float arrays, int array spans, knot array). Every span
+    must have positive float width, which KnotVector guarantees, so no
+    division is guarded.
+    """
+    vals = [1.0]
+    for d in range(1, k):
+        saved = 0.0
+        for r in range(d):
+            lo = kn[m - d + 1 + r]
+            hi = kn[m + 1 + r]
+            term = vals[r] / (hi - lo)
+            vals[r] = saved + term * (hi - t)
+            saved = term * (t - lo)
+        vals.append(saved)
+    return vals
+
+
 def eval_basis(kv: KnotVector, t: float) -> list[tuple[int, float]]:
-    """Nonzero B-spline values at t: at most k pairs (index, value >= 0)
-    summing to one."""
+    """Nonzero B-spline values at t: k pairs (index, value >= 0) summing
+    to one."""
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"evaluation point {t} outside [0, 1]")
     k = kv.k
-    kn = kv._knots_f
-    m = kv.span_index(t)
-    vals = np.zeros(k)
-    vals[0] = 1.0
-    for d in range(1, k):
-        saved = 0.0
-        for r in range(d):
-            i = m - d + 1 + r
-            denom = kn[i + d] - kn[i]
-            term = vals[r] / denom if denom > 0 else 0.0
-            vals[r] = saved + term * (kn[i + d] - t)
-            saved = term * (t - kn[i])
-        vals[d] = saved
-    out = []
-    for r in range(k):
-        i = m - k + 1 + r
-        if 0 <= i < kv.dim:
-            out.append((i, float(vals[r])))
-    return out
+    kn = kv._knots_t
+    # knots[m] <= t < knots[m + 1], clamped at the right end
+    m = min(max(bisect_right(kn, t) - 1, k - 1), kv.dim - 1)
+    return list(enumerate(_de_boor(kn, m, t, k), start=m - k + 1))
 
 
 def basis_values(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero B-spline values at every point of the 1-D array ts.
 
-    Returns (first, vals) with vals[p, r] = N_{first[p] + r}(ts[p]). It runs
-    the recurrence of eval_basis over all points at once, in the same
-    operation order and with the same span clamp, so every value is
+    Returns (first, vals) with vals[p, r] = N_{first[p] + r}(ts[p]). The
+    span clamp and the kernel are those of eval_basis, so every value is
     bit-identical to the single-point path.
     """
     ts = np.asarray(ts, dtype=float)
@@ -153,17 +176,9 @@ def basis_values(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
     k = kv.k
     kn = kv._knots_f
     m = np.clip(np.searchsorted(kn, ts, side="right") - 1, k - 1, kv.dim - 1)
-    vals = np.zeros((len(ts), k))
-    vals[:, 0] = 1.0
-    for d in range(1, k):
-        saved = np.zeros(len(ts))
-        for r in range(d):
-            lo = kn[m - d + 1 + r]
-            hi = kn[m + 1 + r]
-            term = np.divide(vals[:, r], hi - lo, out=np.zeros(len(ts)), where=hi > lo)
-            vals[:, r] = saved + term * (hi - ts)
-            saved = term * (ts - lo)
-        vals[:, d] = saved
+    vals = np.empty((len(ts), k))
+    for r, col in enumerate(_de_boor(kn, m, ts, k)):
+        vals[:, r] = col
     return m - k + 1, vals
 
 
@@ -435,7 +450,17 @@ def greville(kv: KnotVector) -> list[Fraction]:
 
 
 def interpolate(kv: KnotVector, f) -> ScalarSpline:
-    """Spline interpolating f at the Greville points (dense solve)."""
+    """Spline interpolating f at the Greville points.
+
+    The Greville point xi_p lies in [knots[p + 1], knots[p + k - 1]], so
+    row p of the collocation matrix B[p, i] = N_i(xi_p) is zero outside
+    |i - p| <= k - 1; the system is solved in that band storage.
+    """
     pts = [float(t) for t in greville(kv)]
     rhs = np.array([f(t) for t in pts])
-    return ScalarSpline(kv, np.linalg.solve(design_matrix(kv, pts), rhs))
+    first, vals = basis_values(kv, pts)
+    u = kv.k - 1
+    cols = first[:, None] + np.arange(kv.k)
+    ab = np.zeros((2 * u + 1, kv.dim))  # ab[u + p - i, i] = B[p, i]
+    ab[u + np.arange(kv.dim)[:, None] - cols, cols] = vals
+    return ScalarSpline(kv, solve_banded((u, u), ab, rhs))

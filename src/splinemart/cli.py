@@ -111,8 +111,8 @@ def cmd_construct(args) -> int:
 def _recorded_measures(blob) -> tuple[list, list]:
     """|E_n| for n >= 1 and |C_n ∩ V| for n >= 0 from a result file of
     N >= 1 steps, which holds N entries in E and N + 1 in C; a file of any
-    other shape, a value outside [0, 1], or |C_0 ∩ V| other than |V| = 1
-    is refused."""
+    other shape, a JSON boolean or a value outside [0, 1], or |C_0 ∩ V|
+    other than |V| = 1 is refused."""
     for key in ("E", "C"):
         if not isinstance(blob[key], list):
             raise UsageError(f"result file entry {key} is not a list")
@@ -122,6 +122,9 @@ def _recorded_measures(blob) -> tuple[list, list]:
     c_raw = blob["C"]
     named = [(f"E[{i}] (|E_{i + 1}|)", raw) for i, raw in enumerate(e_raw)]
     named += [(f"C[{i}] (|C_{i} ∩ V|)", raw) for i, raw in enumerate(c_raw)]
+    for name, raw in named:
+        if isinstance(raw, bool):  # frac would read true as 1
+            raise UsageError(f"result file entry {name} = {json.dumps(raw)} is not a rational")
     measures = [frac(raw) for _, raw in named]
     for (name, raw), m in zip(named, measures):
         if not 0 <= m <= 1:
@@ -139,7 +142,8 @@ def _recorded_measures(blob) -> tuple[list, list]:
 
 def _recorded_report(blob):
     """The (3c), (3d) and trace checks of a result file; a file of any other
-    shape is refused."""
+    shape, or a trace row whose failed entry is not a list of check names,
+    is refused."""
     from .harness.verify import VerificationReport, measure_checks, trace_check
 
     try:
@@ -149,6 +153,13 @@ def _recorded_report(blob):
         e_measures, c_measures = _recorded_measures(blob)
         entries = measure_checks(eta, e_measures, c_measures[1:])
         rows = blob.get("trace_summary", [])
+        for row in rows:
+            failed = row["failed"]
+            if not (isinstance(failed, list) and all(isinstance(x, str) for x in failed)):
+                raise UsageError(
+                    f"result file trace row {row['step']}: failed = {json.dumps(failed)} "
+                    f"is not a list of check names"
+                )
         failures = [(row["step"], name) for row in rows for name in row["failed"]]
         entries.append(trace_check(failures))
         return VerificationReport(entries)

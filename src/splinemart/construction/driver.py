@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from ..errors import ConstructionPreconditionError, PreconditionError
+from ..errors import ConstructionPreconditionError, DomainError, PreconditionError
 from ..intervals import Interval, frac, long_decimals
 from ..witness import BushRep, XVec, bush_decompose, mix_reps
 from .core import BoundPattern, ConstructionContext, F0, F1, require_checks, slot_vectors
@@ -118,6 +118,8 @@ class SequenceResult:
     def value_at(self, t, n: int) -> XVec:
         """f_n(t) as an exact witness vector (half-open atom convention)."""
         t = frac(t)
+        if not 0 <= t <= 1:
+            raise DomainError(f"evaluation point {t} outside [0, 1]")
         if not 0 <= n <= self.num_steps:
             raise ValueError("n out of range")
         acc = XVec.zero()  # f_0 is the bush root = 0

@@ -163,12 +163,17 @@ class FileFiltration(FiltrationOracle):
     """
 
     def __init__(self, limit_set: MeasurableUnion, levels: Sequence[Sequence[Fraction]]):
+        for lo, hi in limit_set.pieces:
+            if not ZERO <= lo <= hi <= ONE:
+                raise ValueError(f"limit set piece [{lo}, {hi}] outside [0, 1]")
         super().__init__(limit_set)
         self.kind = "file"
         self._levels: list[list[Fraction]] = []
         prev: set[Fraction] = set()
         for idx, raw in enumerate(levels):
             bps = sorted({frac(x) for x in raw} | {ZERO, ONE})
+            if bps[0] < ZERO or bps[-1] > ONE:
+                raise ValueError(f"level {idx} has a breakpoint outside [0, 1]")
             if len(bps) < 2:
                 raise ValueError(f"level {idx} has no atoms")
             if not prev.issubset(bps):

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from splinemart.bspline import (
     moment_matrix,
     refine_coeffs,
 )
-from splinemart.errors import DomainError, NestingError, PreconditionError
+from splinemart.errors import CapacityError, DomainError, NestingError, PreconditionError
 from splinemart.filtration import FileFiltration, dyadic, parse_filtration_spec
 from splinemart.intervals import Interval, MeasurableUnion
 
@@ -61,6 +63,16 @@ def test_dimension_and_smoothness_bookkeeping():
 def test_multiple_interior_knots_rejected():
     with pytest.raises(ValueError):
         KnotVector(2, [0, F(1, 2), F(1, 2), 1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_breakpoints_equal_in_binary64_rejected(k):
+    # distinct rationals whose floats coincide would give a zero-width span
+    with pytest.raises(CapacityError):
+        KnotVector(k, [0, F(1, 3), F(1, 3) + F(1, 2**60), 1])
+    with pytest.raises(ValueError):
+        KnotVector(k, [0, F(1, 3), F(1, 3), 1])
+    KnotVector(k, [0, F(1, 3), F(1, 3) + F(1, 2**50), 1])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -300,6 +312,26 @@ def test_interpolate_polynomial_reproduction():
         assert abs(s.eval(t) - t * t) < 1e-12
 
 
+def test_interpolate_banded_at_dyadic_level_16():
+    # dim 65538: a dense collocation matrix would take 32 GiB
+    kv = KnotVector.from_filtration(dyadic(), 16, 3)
+    s = interpolate(kv, lambda t: t * t)
+    ts = np.concatenate([[0.0, 1.0], np.random.default_rng(16).random(2000)])
+    assert np.max(np.abs(s.eval_many(ts) - ts * ts)) < 1e-12
+
+
+@pytest.mark.parametrize("spec, level", [("dyadic", 5), ("padic:3", 3), ("accum:1/3", 20)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_interpolate_matches_the_dense_solve(spec, level, k):
+    from splinemart.bspline import design_matrix, greville
+
+    kv = KnotVector.from_filtration(parse_filtration_spec(spec), level, k)
+    f = lambda t: math.sin(7 * t) + t**3  # noqa: E731
+    pts = [float(t) for t in greville(kv)]
+    dense = np.linalg.solve(design_matrix(kv, pts), [f(t) for t in pts])
+    assert np.max(np.abs(interpolate(kv, f).coeffs - dense)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the batched kernel against the single-point path
 
@@ -319,6 +351,13 @@ FILTRATIONS = {
 }
 
 
+def breakpoint_neighbours(kv):
+    """Every breakpoint and both of its binary64 neighbours inside [0, 1]."""
+    bps = [float(b) for b in kv.breakpoints]
+    near = [math.nextafter(b, d) for b in bps for d in (-math.inf, math.inf)]
+    return bps + [t for t in near if 0.0 <= t <= 1.0]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     spec=st.sampled_from(sorted(FILTRATIONS)),
@@ -328,13 +367,70 @@ FILTRATIONS = {
 )
 def test_basis_values_bit_identical_to_eval_basis(spec, k, level, extra):
     kv = KnotVector.from_filtration(FILTRATIONS[spec], level, k)
-    ts = [0.0, 1.0] + [float(b) for b in kv.breakpoints] + extra
+    ts = [0.0, 1.0] + breakpoint_neighbours(kv) + extra
     first, vals = basis_values(kv, ts)
     assert vals.shape == (len(ts), k)
     for t, f0, row in zip(ts, first, vals):
         ref = eval_basis(kv, t)
         assert [i for i, _ in ref] == list(range(f0, f0 + k))
-        assert np.array([v for _, v in ref]).tobytes() == row.tobytes()
+        assert all(type(v) is float for _, v in ref)
+        ref_row = np.array([v for _, v in ref])
+        assert ref_row.tobytes() == row.tobytes()
+        assert np.signbit(ref_row).tolist() == np.signbit(row).tolist()
+
+
+@pytest.mark.parametrize("spec", sorted(FILTRATIONS))
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_eval_basis_matches_the_reference_next_to_breakpoints(spec, k):
+    kv = KnotVector.from_filtration(FILTRATIONS[spec], 3, k)
+    knots = [float(t) for t in kv.knots]
+    for t in [0.0, 1.0] + breakpoint_neighbours(kv):
+        got = dict(eval_basis(kv, t))
+        for i in range(kv.dim):
+            assert abs(cox_de_boor_reference(knots, k, i, t) - got.get(i, 0.0)) < 1e-12
+
+
+#: sha256 of basis_values' (first, vals) bytes and of repr(eval_basis) over
+#: pin_knot_vectors x pin_points, recorded before the two evaluation paths
+#: shared one de Boor kernel
+KERNEL_PIN = (
+    "076bf4e91333205ade62571f311f228e92f4af0cbb8b4321d7b2f82e7a0e6dab",
+    "a5b45c708b59bcdcf6b3e96931c1573b93bf3b0fbe153773e4f93a68748e98ec",
+)
+PIN_LEVELS = {
+    "dyadic": (0, 1, 2, 5, 8),
+    "padic:3": (0, 1, 3, 5),
+    "accum:1/3": (0, 1, 7, 30, 54),
+    "accum:1/2": (0, 9, 54),
+}
+
+
+def pin_knot_vectors():
+    for k in range(1, 6):
+        for spec, levels in PIN_LEVELS.items():
+            filt = parse_filtration_spec(spec)
+            for level in levels:
+                yield KnotVector.from_filtration(filt, level, k)
+        rng = random.Random(k)
+        for _ in range(4):
+            cuts = sorted(F(c, 1009) for c in rng.sample(range(1, 1009), 29))
+            yield KnotVector(k, [F(0)] + cuts + [F(1)])
+
+
+def pin_points(kv, seed):
+    rng = random.Random(seed)
+    return [0.0, 1.0] + breakpoint_neighbours(kv) + [rng.random() for _ in range(40)]
+
+
+def test_basis_kernel_pin():
+    arrays, reprs = hashlib.sha256(), hashlib.sha256()
+    for seed, kv in enumerate(pin_knot_vectors()):
+        ts = pin_points(kv, seed)
+        first, vals = basis_values(kv, ts)
+        arrays.update(first.astype(np.int64).tobytes() + vals.tobytes())
+        for t in ts:
+            reprs.update(repr(eval_basis(kv, t)).encode())
+    assert (arrays.hexdigest(), reprs.hexdigest()) == KERNEL_PIN
 
 
 @pytest.mark.parametrize("t", [-1e-300, -0.5, 1.0 + 2**-52, 2.0, float("nan")])

@@ -238,6 +238,14 @@ MALFORMED_SHAPES = {
 }
 
 
+#: filtration files with a breakpoint or a limit-set piece outside [0, 1]
+OUT_OF_RANGE_FILTRATIONS = {
+    "breakpoint_above_one": "V: 0 1\n0 1\n0 1/2 3/2\n",
+    "breakpoint_below_zero": "V: 0 1\n0 1\n-1/4 0 1/2 1\n",
+    "limit_set_past_one": "V: 0 2\n0 1\n0 1/2 1\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -256,10 +264,35 @@ MALFORMED_SHAPES = {
         ["construct", "--eta", "1/0"],
         ["verify", "--eta", "1/0"],
     ]
-    + [["verify", "--in", f"{name}.json"] for name in {**IMPOSSIBLE_MEASURES, **MALFORMED_SHAPES}],
+    + [["verify", "--in", f"{name}.json"] for name in {**IMPOSSIBLE_MEASURES, **MALFORMED_SHAPES}]
+    + [
+        ["verify", "--in", "failed_not_a_list.json"],
+        ["verify", "--in", "c_true.json"],
+        ["verify", "--in", "e_true.json"],
+        # accum:1/3 breakpoints collide in binary64 from level 55
+        ["constants", "--k", "3", "--levels", "56", "--filtration", "accum:1/3"],
+    ]
+    + [
+        [*command, "--filtration", f"file:{name}.txt"]
+        for name in OUT_OF_RANGE_FILTRATIONS
+        for command in (["constants", "--levels", "1"], ["uncond", "--depth", "1"],
+                        ["demo-convergence", "--depth", "1"])
+    ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    for name, text in OUT_OF_RANGE_FILTRATIONS.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    (tmp_path / "failed_not_a_list.json").write_text(json.dumps({
+        "eta": "1/2", "E": [{"measure": "1"}], "C": ["1", "1"],
+        "trace_summary": [{"step": 0, "failed": "eq:esty"}],
+    }))
+    (tmp_path / "c_true.json").write_text(
+        '{"eta": "1/2", "E": [{"measure": "1"}], "C": ["1", true]}'
+    )
+    (tmp_path / "e_true.json").write_text(
+        '{"eta": "1/2", "E": [{"measure": true}], "C": ["1", "1"]}'
+    )
     for name, (e, c) in {**IMPOSSIBLE_MEASURES, **MALFORMED_SHAPES}.items():
         (tmp_path / f"{name}.json").write_text(
             json.dumps({"eta": "1/2", "E": [{"measure": m} for m in e], "C": c})

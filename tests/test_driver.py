@@ -11,7 +11,12 @@ from splinemart.construction.core import BoundPattern, PeriodicFamily
 from splinemart.construction.driver import (
     DELTA, ClassRow, _bush_slots, _mix_value, build_sequence,
 )
-from splinemart.errors import CapacityError, ConstructionPreconditionError, PreconditionError
+from splinemart.errors import (
+    CapacityError,
+    ConstructionPreconditionError,
+    DomainError,
+    PreconditionError,
+)
 from splinemart.filtration import (
     AccumulatingFiltration,
     FileFiltration,
@@ -39,6 +44,20 @@ def test_f0_is_root_and_f1_takes_children(seq_k1):
         v = seq_k1.value_at(t, 1)
         assert v in (XVec.unit(1), XVec.unit(1, F(-1)))  # the two root children
         assert seq_k1.sup_diff_at(t, 1) == 1
+
+
+def test_value_at_refuses_points_outside_the_unit_interval():
+    seq = build_sequence(dyadic(), 2, HALF, 3)
+    # 4/3 and -2/3 once read as 1/3, the point of the same atom offset
+    assert seq.value_at(F(1, 3), 3) != XVec.zero()
+    for t in (F(4, 3), F(-2, 3), 1 + F(1, 2**70), -F(1, 2**70)):
+        with pytest.raises(DomainError):
+            seq.value_at(t, 3)
+        with pytest.raises(DomainError):
+            seq.sup_diff_at(t, 3)
+    for t in (0, 1):
+        assert seq.value_at(t, 3) == XVec.zero()
+        assert seq.sup_diff_at(t, 3) == 0
 
 
 def test_e1_measure_bound(seq_k1):

@@ -94,6 +94,16 @@ def test_file_filtration_rejects_non_nested(tmp_path):
         parse_filtration_spec(f"file:{path}")
 
 
+@pytest.mark.parametrize(
+    "text", ["V: 0 1\n0 1\n0 1/2 3/2\n", "V: 0 1\n0 1\n-1/4 0 1/2 1\n", "V: 0 2\n0 1\n"]
+)
+def test_file_filtration_rejects_values_outside_the_unit_interval(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        parse_filtration_spec(f"file:{path}")
+
+
 def test_measure_in_basics():
     v = MeasurableUnion([(0, F(1, 2))])
     assert measure_in(Interval(0, 1), MeasurableUnion.full()) == 1
