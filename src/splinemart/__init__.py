@@ -2,15 +2,26 @@
 
 Library layout:
 
+Exact engine (pure Python, no numpy or scipy):
+
 - ``intervals`` / ``filtration``: exact rational interval measure logic and
   filtration generators.
-- ``bspline``: B-spline bases, moments, Gram matrices, knot refinement.
+- ``cardinal`` / ``rle``: uniform-grid splines in exact rationals.
 - ``witness``: finitely supported sup-norm vectors and the dyadic bush.
-- ``projection``: orthogonal projections onto spline spaces and the L1
-  operator-norm estimator.
 - ``construction``: the mean-zero / vanishing-moment spline perturbations
   and the divergent-sequence driver.
-- ``harness``: verification suites and empirical constant estimators.
+- ``harness.verify``: the verification report of a constructed sequence.
+
+Binary64 engine (numpy at import; scipy.linalg at the first banded
+factorization or solve):
+
+- ``bspline``: B-spline bases, moments, Gram matrices, knot refinement.
+- ``projection``: orthogonal projections onto spline spaces and the L1
+  operator-norm estimator.
+- ``harness.estimators`` / ``harness.constants``: empirical constant
+  estimators, which ``harness`` loads on first access to their names.
+
+``cli`` imports each engine inside the commands that use it.
 """
 
 from . import errors

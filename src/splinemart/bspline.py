@@ -12,6 +12,10 @@ front-ends: eval_basis for one point (Python floats, bisect) and
 basis_values for an array of points (numpy, searchsorted). Both clamp the
 span the same way and run the same operations, so their values agree bit
 for bit.
+
+numpy loads with this module; scipy.linalg loads at the first banded
+factorization or solve (_linalg), so basis evaluation and the exact engine
+never pay for it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from .errors import (
     CapacityError,
@@ -55,6 +58,13 @@ __all__ = [
     "moment_matrix",
     "interpolate",
 ]
+
+
+def _linalg():
+    """scipy.linalg, imported on first use: only the banded solves need it."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 @lru_cache(maxsize=64)
@@ -244,12 +254,25 @@ def design_matrix(kv: KnotVector, ts) -> np.ndarray:
 
 def gauss_nodes(breakpoints: Sequence, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points and weights of every cell of a breakpoint
-    sequence, cell by cell: two arrays of length cells * nodes."""
+    sequence, cell by cell: two arrays of length cells * nodes.
+
+    A cell too narrow for its nodes to lie strictly inside it in binary64
+    is refused (CapacityError): a node rounded onto a breakpoint is
+    evaluated in the neighbouring span."""
     x, w = _gauss(nodes)
     bps = np.array([float(b) for b in breakpoints])
     lo, hi = bps[:-1, None], bps[1:, None]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return (mid + half * x).ravel(), (half * w).ravel()
+    pts = mid + half * x
+    outside = ~((lo < pts) & (pts < hi)).all(axis=1)
+    if outside.any():
+        i = int(np.flatnonzero(outside)[0])
+        raise CapacityError(
+            f"{nodes} Gauss nodes do not fit strictly inside the cell "
+            f"[{float(bps[i])!r}, {float(bps[i + 1])!r}] in binary64; "
+            f"the float layer cannot resolve this level"
+        )
+    return pts.ravel(), (half * w).ravel()
 
 
 class GramOperator:
@@ -272,7 +295,7 @@ class GramOperator:
         slots = (r2 - r1) * dim + first[:, None] + r1
         ab = np.bincount(slots.ravel(), weights=terms.ravel(), minlength=k * dim)
         self.ab_lower = ab.reshape(k, dim)
-        self._chol = cholesky_banded(self.ab_lower, lower=True)
+        self._chol = _linalg().cholesky_banded(self.ab_lower, lower=True)
 
     @property
     def dim(self) -> int:
@@ -296,6 +319,7 @@ class GramOperator:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
+        cho_solve_banded = _linalg().cho_solve_banded
         x = cho_solve_banded((self._chol, True), rhs)
         r = rhs - self.matvec(x)
         x = x + cho_solve_banded((self._chol, True), r)
@@ -459,8 +483,16 @@ def interpolate(kv: KnotVector, f) -> ScalarSpline:
     pts = [float(t) for t in greville(kv)]
     rhs = np.array([f(t) for t in pts])
     first, vals = basis_values(kv, pts)
+    # Schoenberg-Whitney: N_p(xi_p) > 0, else the matrix is singular
+    on_diagonal = aligned_values(first, vals, np.arange(kv.dim))[:, 0]
+    if not on_diagonal.all():
+        p = int(np.flatnonzero(on_diagonal == 0)[0])
+        raise CapacityError(
+            f"Greville point {pts[p]!r} falls outside the support of basis "
+            f"function {p} in binary64; the float layer cannot resolve this level"
+        )
     u = kv.k - 1
     cols = first[:, None] + np.arange(kv.k)
     ab = np.zeros((2 * u + 1, kv.dim))  # ab[u + p - i, i] = B[p, i]
     ab[u + np.arange(kv.dim)[:, None] - cols, cols] = vals
-    return ScalarSpline(kv, solve_banded((u, u), ab, rhs))
+    return ScalarSpline(kv, _linalg().solve_banded((u, u), ab, rhs))

@@ -174,8 +174,6 @@ class FileFiltration(FiltrationOracle):
             bps = sorted({frac(x) for x in raw} | {ZERO, ONE})
             if bps[0] < ZERO or bps[-1] > ONE:
                 raise ValueError(f"level {idx} has a breakpoint outside [0, 1]")
-            if len(bps) < 2:
-                raise ValueError(f"level {idx} has no atoms")
             if not prev.issubset(bps):
                 raise ValueError(f"level {idx} does not refine level {idx - 1}")
             prev = set(bps)

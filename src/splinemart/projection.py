@@ -21,18 +21,21 @@ are scanned. A level whose breakpoints are symmetric about 1/2 has
 K(1 - t, 1 - s) = K(t, s), so an atom and its mirror image have the same
 row integrals and only one of the two is scanned. The s-side quadrature
 runs only on the atoms some scanned window covers.
+
+Like bspline, this module loads numpy at import and scipy.linalg only at
+the first banded solve, through bspline._linalg.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_solve_banded
 
 from .bspline import (
     GramOperator,
     KnotVector,
     ScalarSpline,
+    _linalg,
     aligned_values,
     basis_values,
     eval_basis,
@@ -280,7 +283,7 @@ class ProjectionContext:
         2 rows more."""
         unit = np.zeros((g.dim, len(cols)))
         unit[cols, np.arange(len(cols))] = 1.0
-        inv = cho_solve_banded((g._chol, True), unit)
+        inv = _linalg().cho_solve_banded((g._chol, True), unit)
         mag = np.abs(inv) * mass[:, None]
         big = mag >= REACH_RTOL * mag.max(axis=0)
         first = big.argmax(axis=0)

@@ -32,6 +32,13 @@ class XVec:
         self._data = {int(c): v for c, v in items if v != 0}
 
     @classmethod
+    def _of(cls, data: dict) -> "XVec":
+        """An XVec that holds data itself: int keys, no zero value."""
+        out = object.__new__(cls)
+        out._data = data
+        return out
+
+    @classmethod
     def zero(cls) -> "XVec":
         return cls()
 
@@ -69,7 +76,7 @@ class XVec:
                 out.pop(c, None)
             else:
                 out[c] = w
-        return XVec(out)
+        return XVec._of(out)
 
     def sub(self, other: "XVec") -> "XVec":
         return self.add(other.scale(-1))
@@ -77,7 +84,8 @@ class XVec:
     def scale(self, c) -> "XVec":
         if c == 0:
             return XVec()
-        return XVec({k: v * c for k, v in self._data.items()})
+        # a product of non-zero rationals is non-zero
+        return XVec._of({k: v * c for k, v in self._data.items()})
 
     def to_json(self) -> dict[str, float]:
         return {str(c): float(v) for c, v in sorted(self._data.items())}

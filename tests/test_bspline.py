@@ -15,6 +15,7 @@ from splinemart.bspline import (
     basis_values,
     composition_det,
     eval_basis,
+    gauss_nodes,
     gram,
     interpolate,
     moment,
@@ -73,6 +74,27 @@ def test_breakpoints_equal_in_binary64_rejected(k):
     with pytest.raises(ValueError):
         KnotVector(k, [0, F(1, 3), F(1, 3), 1])
     KnotVector(k, [0, F(1, 3), F(1, 3) + F(1, 2**50), 1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cell_one_ulp_wide_refused_by_its_quadrature(k):
+    # distinct in binary64, but no Gauss node fits strictly between them
+    lo = 1 / 3
+    kv = KnotVector(k, [0, F(lo), F(math.nextafter(lo, 1.0)), 1])
+    with pytest.raises(CapacityError):
+        gauss_nodes(kv.breakpoints, k)
+    with pytest.raises(CapacityError):
+        gram(kv)
+    pts, wts = gauss_nodes(kv.breakpoints[:2], k)
+    assert np.all((pts > 0) & (pts < lo)) and math.isclose(wts.sum(), lo)
+
+
+def test_greville_point_on_a_breakpoint_refused():
+    # at k = 1 the Greville point of a 1-ulp cell rounds onto its end
+    lo = 1 / 3
+    kv = KnotVector(1, [0, F(lo), F(math.nextafter(lo, 1.0)), 1])
+    with pytest.raises(CapacityError):
+        interpolate(kv, lambda t: t)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

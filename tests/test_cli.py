@@ -277,6 +277,11 @@ OUT_OF_RANGE_FILTRATIONS = {
         for name in OUT_OF_RANGE_FILTRATIONS
         for command in (["constants", "--levels", "1"], ["uncond", "--depth", "1"],
                         ["demo-convergence", "--depth", "1"])
+    ]
+    + [
+        # accum:1/3 atoms at level 54 are one ulp wide: no Gauss node fits inside
+        ["constants", "--k", "1", "--levels", "54", "--filtration", "accum:1/3"],
+        ["demo-convergence", "--k", "1", "--depth", "54", "--filtration", "accum:1/3"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
