@@ -12,7 +12,10 @@ representative pattern (all pieces are congruent translates).
 
 A pattern stores g slot-wise, as scalar splines paired with slot keys that
 name witness vectors; `slot_vectors` builds those vectors and
-`BoundPattern` evaluates g with them.
+`BoundPattern` evaluates g with them. Point evaluation reads one run table
+per pattern (`SlotwisePattern.run_table`): per basis group (space, index
+shift, count), the disjoint runs (j0, j1, slot coefficients) of all its
+terms, with the correction bumps already expanded into slot keys.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Optional, Sequence
 
 from ..errors import CapacityError, InfeasibleStoppingError, PreconditionError
 from ..intervals import Interval, frac
-from ..rle import RleSpline, UniformSpace
+from ..cardinal import span_value
+from ..rle import PeriodicSpline, RleSpline, UniformSpace
 from ..witness import XVec
 
 F0 = Fraction(0)
@@ -272,40 +276,124 @@ def require_checks(trace, what: str):
         raise AssertionError(f"{what} violated {failed}")
 
 
+class RunGroup:
+    """The merged runs of the terms that share one basis group: a space,
+    an index shift and an instance count.
+
+    `entries` are (j0, j1, ((slot key, coefficient), ...)) with the index
+    range [j0, j1] counted from `origin`, the group's first index, sorted
+    and disjoint. A periodic group stores its base instance, and its runs
+    span fewer indices than its shift, so index j lies in instance ell at
+    entry index q for (ell, q) = divmod(j - origin, shift). A group of
+    plain terms is one instance whose shift is its span.
+    """
+
+    __slots__ = ("space", "shift", "count", "origin", "starts", "entries")
+
+    def __init__(self, space: UniformSpace, shift: Optional[int], count: int, entries: list):
+        entries = sorted(entries, key=lambda e: e[0])
+        for (_, hi, _), (lo, _, _) in zip(entries, entries[1:]):
+            if lo <= hi:
+                raise AssertionError(f"runs of a basis group overlap at index {lo}")
+        origin = entries[0][0]
+        span = entries[-1][1] - origin + 1
+        if shift is None:
+            shift = span
+        elif span >= shift:
+            raise AssertionError(
+                f"periodic runs span {span} indices, not fewer than their shift {shift}"
+            )
+        self.space, self.shift, self.count, self.origin = space, shift, count, origin
+        self.entries = [(j0 - origin, j1 - origin, slots) for j0, j1, slots in entries]
+        self.starts = [e[0] for e in self.entries]
+
+    def accumulate(self, a: int, x: Fraction, spans: list, out: dict):
+        """Add to out, per slot, the terms' values at the point of atom index
+        a and fractional part x; spans caches the basis values of the space
+        at that point, taken only for the window indices that hit a run."""
+        k = self.space.k
+        ell, q = divmod(a - self.origin, self.shift)
+        for i in range(k):
+            if 0 <= ell < self.count:
+                e = bisect.bisect_right(self.starts, q) - 1
+                if e >= 0 and q <= self.entries[e][1]:
+                    v = spans[i]
+                    if v is None:
+                        v = spans[i] = span_value(k, k - 1 - i, x)
+                    if v:
+                        for key, c in self.entries[e][2]:
+                            out[key] = out.get(key, F0) + c * v
+            q += 1
+            if q == self.shift:
+                ell, q = ell + 1, 0
+
+
+def basis_group(scal) -> tuple[tuple, tuple]:
+    """The group key (space, index shift or None, count) of an RleSpline or
+    PeriodicSpline, and the runs of its base instance."""
+    if isinstance(scal, PeriodicSpline):
+        if scal.count > 1:
+            return (scal.space, scal.index_shift, scal.count), scal.base.runs
+        scal = scal.base
+    return (scal.space, None, 1), scal.runs
+
+
 class SlotwisePattern:
     """g = sum of scalar splines times slot vectors, evaluated slot by slot.
 
     Subclasses provide `interval`, `cells`, `terms` ((scalar, slot key)
     pairs), `r_terms` ((scalar, ("w", i)) pairs) and `w_data` (the
     (coefficient, slot key) expansion of each correction vector i).
+
+    Point evaluation reads `run_table`: the runs of every term, merged per
+    basis group (space, index shift, count) into one sorted table whose
+    entries carry their slot coefficients, with each ("w", i) bump expanded
+    through w_data once, at build. At t, a group takes the atom index from
+    one divmod (and one more onto the base instance if it is periodic),
+    looks up each of the k window indices with one bisection and takes a
+    basis value only for an index that hits a run. The table holds no
+    witness vectors, so every binding of the pattern shares it. Moments
+    keep their own path, term by term.
     """
 
+    @cached_property
+    def run_table(self) -> tuple[RunGroup, ...]:
+        """The terms' runs as one RunGroup per basis group."""
+        groups: dict = {}
+        terms = [(scal, ((key, F1),)) for scal, key in self.terms]
+        terms += [(scal, tuple((key, coef) for coef, key in self.w_data[i]))
+                  for scal, (_, i) in self.r_terms]
+        for scal, slots in terms:
+            gkey, runs = basis_group(scal)
+            if slots and runs:
+                groups.setdefault(gkey, []).extend(
+                    (j0, j1, tuple((key, c * coef) for key, coef in slots)) for j0, j1, c in runs
+                )
+        return tuple(RunGroup(*gkey, entries) for gkey, entries in groups.items())
+
     def eval_slotwise(self, t: Fraction) -> dict:
-        """g(t) per slot; the basis values at t are taken once per space."""
+        """g(t) per slot, from the run table; the atom of t and its basis
+        values are taken once per space."""
+        out: dict = {}
         windows: dict = {}
-
-        def value(scal):
-            window = windows.get(scal.space)
+        for group in self.run_table:
+            window = windows.get(group.space)
             if window is None:
-                window = windows[scal.space] = scal.space.basis_at(t)
-            return scal.combine(*window)
-
-        return self._accumulate(value)
+                window = windows[group.space] = (*group.space.atom_at(t), [None] * group.space.k)
+            group.accumulate(*window, out)
+        return out
 
     def moment_slotwise(self, r: int, origin: Optional[Fraction] = None) -> dict:
         """∫ (t - origin)**r g(t) dt per slot; origin defaults to the interval
         start and must sit on the grid of every term."""
         origin = self.interval.lo if origin is None else origin
-        return self._accumulate(lambda scal: scal.moment(r, origin))
-
-    def _accumulate(self, value) -> dict:
         out: dict = {}
         for scal, key in self.terms:
-            v = value(scal)
+            v = scal.moment(r, origin)
             if v:
                 out[key] = out.get(key, F0) + v
         for scal, (_, i) in self.r_terms:
-            v = value(scal)
+            v = scal.moment(r, origin)
             if v:
                 for coef, key in self.w_data[i]:
                     out[key] = out.get(key, F0) + v * coef

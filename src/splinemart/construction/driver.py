@@ -117,14 +117,27 @@ class SequenceResult:
 
     def value_at(self, t, n: int) -> XVec:
         """f_n(t) as an exact witness vector (half-open atom convention)."""
+        return self.step_values(t, n)[1]
+
+    def sup_diff_at(self, t, n: int) -> Fraction:
+        """||f_n(t) - f_{n-1}(t)|| in the sup norm, exact."""
+        before, after = self.step_values(t, n)
+        if n < 1:
+            raise ValueError("n out of range")
+        return after.sub(before).sup_norm
+
+    def step_values(self, t, n: int) -> tuple[XVec, XVec]:
+        """(f_{n-1}(t), f_n(t)) from one walk over the steps: f_{n-1}(t) is
+        the partial sum one step before the end (f_0(t) twice at n = 0)."""
         t = frac(t)
         if not 0 <= t <= 1:
             raise DomainError(f"evaluation point {t} outside [0, 1]")
         if not 0 <= n <= self.num_steps:
             raise ValueError("n out of range")
-        acc = XVec.zero()  # f_0 is the bush root = 0
+        acc = before = XVec.zero()  # f_0 is the bush root = 0
         binding: Optional[BushRep] = BushRep.point("")
         for j in range(n):
+            before = acc
             if binding is None:
                 break  # zombie region: later perturbations vanish here
             pattern, parts, bound = self._bind(j, binding)
@@ -134,11 +147,7 @@ class SequenceResult:
             acc = acc.add(bound.g_eval(tau))
             cell, _shift = pattern.locate(tau)
             binding = _child_value(binding, parts, pattern, bound, (cell.kind, cell.m))
-        return acc
-
-    def sup_diff_at(self, t, n: int) -> Fraction:
-        """||f_n(t) - f_{n-1}(t)|| in the sup norm, exact."""
-        return self.value_at(t, n).sub(self.value_at(t, n - 1)).sup_norm
+        return before, acc
 
     def _bind(self, j: int, binding: BushRep):
         """Pattern, decomposed parts and bound pattern of `binding` at step j."""

@@ -147,8 +147,9 @@ def verify_sequence(seq: SequenceResult, seed: int = 0) -> VerificationReport:
         # constancy: nearby points inside the same zone agree exactly
         for t in pts[:2]:
             h_fine = Fraction(1, seq.filt.uniform_base ** seq.m_levels[n])
+            value = seq.value_at(t, n)
             for off in (h_fine / 7, -h_fine / 9):
-                if seq.value_at(t + off, n) != seq.value_at(t, n):
+                if seq.value_at(t + off, n) != value:
                     const_ok = False
     rep.add(
         "zone constancy (3a)",

@@ -73,9 +73,13 @@ class UniformSpace:
         [0, 1]: a periodic instance may reach past the last interior index,
         and its translates there must read as they do at the shifted point.
         """
-        a, rem = divmod(t.numerator * self.num_atoms, t.denominator)
-        x = Fraction(rem, t.denominator)
+        a, x = self.atom_at(t)
         return a, tuple(span_value(self.k, self.k - 1 - i, x) for i in range(self.k))
+
+    def atom_at(self, t: Fraction) -> tuple[int, Fraction]:
+        """The atom index a = floor(t / h) and the fractional part t / h - a."""
+        a, rem = divmod(t.numerator * self.num_atoms, t.denominator)
+        return a, Fraction(rem, t.denominator)
 
     def refined(self) -> "UniformSpace":
         """The space one level finer."""

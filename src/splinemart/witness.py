@@ -84,6 +84,8 @@ class XVec:
     def scale(self, c) -> "XVec":
         if c == 0:
             return XVec()
+        if c == 1:
+            return self  # immutable, so the same vector serves
         # a product of non-zero rationals is non-zero
         return XVec._of({k: v * c for k, v in self._data.items()})
 

@@ -282,6 +282,10 @@ OUT_OF_RANGE_FILTRATIONS = {
         # accum:1/3 atoms at level 54 are one ulp wide: no Gauss node fits inside
         ["constants", "--k", "1", "--levels", "54", "--filtration", "accum:1/3"],
         ["demo-convergence", "--k", "1", "--depth", "54", "--filtration", "accum:1/3"],
+    ]
+    + [
+        # accum:1/3 level 44 is refused by the Gauss-node rule after 43 levels
+        ["constants", "--k", "3", "--levels", "50", "--filtration", "accum:1/3"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
@@ -313,6 +317,13 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_constants_refusal_names_the_level(capsys):
+    assert main(["constants", "--k", "3", "--levels", "50", "--filtration", "accum:1/3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: level 44: ")
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,12 @@
+import copy
+import functools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +27,7 @@ from splinemart.construction.core import (
     step1_stopping,
     tile,
 )
-from splinemart.construction.driver import _bind_representative
+from splinemart.construction.driver import _bind_representative, build_sequence
 from splinemart.construction.lemma import (
     cube_root_under,
     invert_exact,
@@ -32,7 +39,12 @@ from splinemart.errors import (
     InfeasibleStoppingError,
     PreconditionError,
 )
-from splinemart.filtration import AccumulatingFiltration, UniformFiltration, dyadic
+from splinemart.filtration import (
+    AccumulatingFiltration,
+    UniformFiltration,
+    dyadic,
+    parse_filtration_spec,
+)
 from splinemart.intervals import Interval
 from splinemart.witness import BushRep, XVec, bush_decompose
 
@@ -361,3 +373,149 @@ def power_cases(draw):
 def test_p_power_at_least_matches_the_multiplication_loop(case):
     p, x = case
     assert p_power_at_least(p, x) == power_loop(p, x)
+
+
+# ---------------------------------------------------------------------------
+# point evaluation through the run table, against the term-by-term formula
+
+RUN_TABLE_CASES = [("dyadic", k) for k in (1, 2, 3, 4)] + [("padic:3", 2), ("padic:3", 4)]
+
+
+def term_by_term_slotwise(pat, t):
+    """g(t) per slot, term by term: Σ scal.combine(*scal.space.basis_at(t))
+    per slot, with each ("w", i) bump expanded through w_data."""
+    out = {}
+    for scal, key in pat.terms:
+        out[key] = out.get(key, F(0)) + scal.combine(*scal.space.basis_at(t))
+    for scal, (_, i) in pat.r_terms:
+        v = scal.combine(*scal.space.basis_at(t))
+        for coef, key in pat.w_data[i]:
+            out[key] = out.get(key, F(0)) + v * coef
+    return {key: v for key, v in out.items() if v}
+
+
+@functools.cache
+def sequence_patterns(spec, k):
+    """Every lemma pattern of a two-step sequence, each bound to slot
+    vectors with one unit coordinate per part."""
+    seq = build_sequence(parse_filtration_spec(spec), k, HALF, 2)
+    out = []
+    for _, pat in seq.all_patterns():
+        betas = pat.inner.trace.betas
+        points = [XVec.unit(m + 1) for m in range(len(betas))]
+        out.append((pat, BoundPattern(pat, slot_vectors(XVec.zero(), points, betas))))
+    return out
+
+
+def matches_term_by_term(pat, bound, t):
+    want = term_by_term_slotwise(pat, t)
+    got = {key: v for key, v in pat.eval_slotwise(t).items() if v}
+    g = XVec.zero()
+    for key, v in want.items():
+        g = g.add(bound.slots[key].scale(v))
+    return got == want and bound.g_eval(t) == g
+
+
+def cell_points(pat):
+    """lo, an interior point and the last level-K grid point of every cell,
+    in the first, second and last instance of a periodic family."""
+    h = F(1, pat.inner.space.p ** pat.K)
+    for entry in pat.cells:
+        if isinstance(entry, PeriodicFamily):
+            shifts = sorted({0, min(1, entry.count - 1), entry.count - 1})
+            cells = [(c, s * entry.period) for c in entry.cells for s in shifts]
+        else:
+            cells = [(entry, F(0))]
+        for cell, shift in cells:
+            yield from (shift + cell.lo, shift + cell.lo + cell.width * F(3, 7), shift + cell.hi - h)
+
+
+@pytest.mark.parametrize("spec,k", RUN_TABLE_CASES)
+def test_run_table_matches_term_by_term_at_every_cell(spec, k):
+    for pat, bound in sequence_patterns(spec, k):
+        for t in cell_points(pat):
+            assert matches_term_by_term(pat, bound, t), (pat.interval, t)
+
+
+@st.composite
+def pattern_points(draw, spec, k):
+    """A pattern of the two-step sequence and a point of its interval: a
+    random rational, or a level-K grid point plus a small fraction of a step."""
+    pats = sequence_patterns(spec, k)
+    pat, bound = pats[draw(st.integers(0, len(pats) - 1))]
+    iv = pat.interval
+    x = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**9).filter(lambda x: x < 1))
+    if draw(st.booleans()):
+        return pat, bound, iv.lo + iv.length * x
+    scale = pat.inner.space.p ** pat.K
+    u = draw(st.integers(iv.lo * scale, iv.hi * scale - 1))
+    return pat, bound, (u + x) / scale
+
+
+@pytest.mark.parametrize("spec,k", RUN_TABLE_CASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_run_table_matches_term_by_term_at_random_points(spec, k, data):
+    pat, bound, t = data.draw(pattern_points(spec, k))
+    assert matches_term_by_term(pat, bound, t), (pat.interval, t)
+
+
+def test_changed_run_coefficient_fails_the_comparison():
+    pat, bound = sequence_patterns("dyadic", 2)[0]
+    group = pat.run_table[0]
+    j0, j1, slots = group.entries[0]
+    changed = copy.copy(group)
+    changed.entries = [(j0, j1, tuple((key, 2 * c) for key, c in slots))] + group.entries[1:]
+    sp = group.space
+    # N_j is non-zero in the middle of its support [(j - k + 1) h, (j + 1) h)
+    t = (group.origin + j0 - sp.k + 1) * sp.h + sp.k * sp.h / 2
+    assert matches_term_by_term(pat, bound, t)
+    mutant = copy.copy(pat)
+    mutant.__dict__["run_table"] = (changed, *pat.run_table[1:])
+    assert not matches_term_by_term(mutant, BoundPattern(mutant, bound.slots), t)
+
+
+@pytest.mark.parametrize("invariant", ["overlap", "periodic_span"])
+def test_run_table_invariants_raise_under_python_O(invariant):
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from fractions import Fraction
+        from splinemart.construction.core import SlotwisePattern
+        from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
+
+        assert False, "asserts are stripped under -O"
+
+        class Terms(SlotwisePattern):
+            def __init__(self, terms):
+                self.terms, self.r_terms, self.w_data = terms, (), ()
+
+        sp = UniformSpace(2, 6, 2)
+        if {invariant!r} == "overlap":
+            # index 9 lies in both runs
+            terms = [(RleSpline.from_index_range(sp, 4, 9), ("d", 0)),
+                     (RleSpline.from_index_range(sp, 9, 12), ("d", 1))]
+        else:
+            # each base fits its shift of 8 indices, but together they span 8
+            shift = Fraction(8, 64)
+            terms = [(PeriodicSpline(RleSpline.from_index_range(sp, 2, 3), shift, 3), ("d", 0)),
+                     (PeriodicSpline(RleSpline.from_index_range(sp, 9, 9), shift, 3), ("d", 1))]
+        try:
+            Terms(terms).run_table
+        except AssertionError as exc:
+            print(exc)
+        else:
+            raise SystemExit("run table accepted")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert ("overlap" if invariant == "overlap" else "shift") in run.stdout

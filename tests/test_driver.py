@@ -60,6 +60,23 @@ def test_value_at_refuses_points_outside_the_unit_interval():
         assert seq.sup_diff_at(t, 3) == 0
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_step_walk_matches_two_separate_walks(k):
+    """sup_diff_at reads f_{n-1}(t) off the walk to f_n(t); both must equal
+    what value_at gives at n - 1 and n, zombie points included."""
+    seq = build_sequence(dyadic(), k, HALF, 3)
+    rng = random.Random(3)
+    pts = [F(rng.randrange(1, 10**6), 10**6) for _ in range(40)] + seq.sample_e_points(3, rng, 6)
+    for t in pts:
+        for n in range(1, 4):
+            before, after = seq.step_values(t, n)
+            assert before == seq.value_at(t, n - 1) and after == seq.value_at(t, n)
+            assert seq.sup_diff_at(t, n) == after.sub(before).sup_norm
+    assert seq.step_values(F(1, 3), 0) == (XVec.zero(), XVec.zero())
+    with pytest.raises(ValueError):
+        seq.sup_diff_at(F(1, 3), 0)
+
+
 def test_e1_measure_bound(seq_k1):
     # eta = 1/2: |E_1| >= 1 - 2^-1 * 1/2 = 3/4
     assert seq_k1.e_measure(1) >= F(3, 4)

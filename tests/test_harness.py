@@ -42,10 +42,13 @@ class TestVerify:
         assert any("martingale" in n for n in names)
 
     def test_fault_injection_flags_separation(self, seq2, monkeypatch):
-        # corrupt values of f_n for n >= 1 so separation collapses
-        value_at = seq2.value_at
+        # corrupt values of f_n for n >= 1 so separation collapses; value_at
+        # and sup_diff_at both read the step walk
+        step_values = seq2.step_values
         monkeypatch.setattr(
-            seq2, "value_at", lambda t, n: XVec.zero() if n >= 1 else value_at(t, n)
+            seq2,
+            "step_values",
+            lambda t, n: (XVec.zero(), XVec.zero()) if n >= 1 else step_values(t, n),
         )
         report = verify_sequence(seq2)
         failed = {e.name for e in report.failed()}
