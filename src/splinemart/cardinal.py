@@ -17,6 +17,13 @@ Poly = tuple[Fraction, ...]  # coefficients, ascending powers
 _ZERO_POLY: Poly = ()
 
 
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators n_i and the lcm d of the denominators, with
+    values[i] = n_i / d."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _padd(a: Poly, b: Poly) -> Poly:
     n = max(len(a), len(b))
     return tuple(
@@ -87,21 +94,33 @@ def _local_spans(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(int(c * den) for c in reversed(poly)) for poly in local), den
 
 
-def span_value(k: int, i: int, x: Fraction) -> Fraction:
-    """B_k(i + x) for an integer i and 0 <= x < 1, exactly.
+def span_numerators(k: int, x: Fraction) -> tuple[tuple[int, ...], int]:
+    """B_k(i + x) for i = 0 .. k-1 and 0 <= x < 1, as integer numerators
+    over their shared denominator den * xden**(k-1).
 
-    Horner runs on the integer numerator and denominator of x, so the cost
-    grows with the size of x alone, not with the size of i.
+    With x = num / xden, xden**(k-1) * poly_i(x) = Σ_s c_is num**(k-1-s)
+    xden**s for the integer coefficients c_is of span i over den, so the k
+    products num**(k-1-s) xden**s are formed once and each span costs k
+    small-by-big multiplications; the cost grows with the size of x alone.
     """
-    if not 0 <= i < k:
-        return Fraction(0)
     coeffs, den = _local_spans(k)
     num, xden = x.numerator, x.denominator
-    acc, dpow = 0, 1
-    for c in coeffs[i]:  # acc = xden**deg * poly(x) once the loop ends
-        acc = acc * num + c * dpow
+    terms = [1] * k  # terms[s] = num**(k-1-s) * xden**s
+    for s in range(k - 2, -1, -1):
+        terms[s] = terms[s + 1] * num
+    dpow = 1
+    for s in range(1, k):
         dpow *= xden
-    return Fraction(acc, den * (dpow // xden))
+        terms[s] *= dpow
+    return tuple(sum(c * v for c, v in zip(poly, terms)) for poly in coeffs), den * dpow
+
+
+def span_value(k: int, i: int, x: Fraction) -> Fraction:
+    """B_k(i + x) for an integer i and 0 <= x < 1, exactly."""
+    if not 0 <= i < k:
+        return Fraction(0)
+    nums, den = span_numerators(k, x)
+    return Fraction(nums[i], den)
 
 
 def eval_cardinal(k: int, u: Fraction) -> Fraction:
@@ -122,6 +141,15 @@ def cardinal_moment(k: int, r: int) -> Fraction:
             prod = _pmul_linear(prod, Fraction(0), Fraction(1))
         total += _pint(prod, Fraction(i), Fraction(i + 1))
     return total
+
+
+@lru_cache(maxsize=None)
+def moment_weights(k: int, r: int) -> tuple[tuple[int, ...], int]:
+    """C(r, q) * cardinal_moment(k, q) for q = 0 .. r, as integer numerators
+    over one common denominator."""
+    weights = [comb(r, q) * cardinal_moment(k, q) for q in range(r + 1)]
+    nums, den = over_common_denominator(weights)
+    return tuple(nums), den
 
 
 @lru_cache(maxsize=None)

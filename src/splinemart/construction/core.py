@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from ..errors import CapacityError, InfeasibleStoppingError, PreconditionError
 from ..intervals import Interval, frac
-from ..cardinal import span_value
+from ..cardinal import over_common_denominator, span_numerators
 from ..rle import PeriodicSpline, RleSpline, UniformSpace
 from ..witness import XVec
 
@@ -280,15 +280,20 @@ class RunGroup:
     """The merged runs of the terms that share one basis group: a space,
     an index shift and an instance count.
 
-    `entries` are (j0, j1, ((slot key, coefficient), ...)) with the index
-    range [j0, j1] counted from `origin`, the group's first index, sorted
-    and disjoint. A periodic group stores its base instance, and its runs
-    span fewer indices than its shift, so index j lies in instance ell at
-    entry index q for (ell, q) = divmod(j - origin, shift). A group of
-    plain terms is one instance whose shift is its span.
+    `entries` are (j0, j1, ((slot key, coefficient numerator), ...)) with
+    the index range [j0, j1] counted from `origin`, the group's first
+    index, sorted and disjoint; every coefficient is its numerator over the
+    group denominator `den`. A periodic group stores its base instance, and
+    its runs span fewer indices than its shift, so index j lies in instance
+    ell at entry index q for (ell, q) = divmod(j - origin, shift). A group
+    of plain terms is one instance whose shift is its span.
+
+    One normalisation per result: at a point, the basis values are integer
+    numerators over one denominator (`cardinal.span_numerators`), so each
+    slot sums integers over the group and takes one Fraction per group.
     """
 
-    __slots__ = ("space", "shift", "count", "origin", "starts", "entries")
+    __slots__ = ("space", "shift", "count", "origin", "starts", "entries", "den")
 
     def __init__(self, space: UniformSpace, shift: Optional[int], count: int, entries: list):
         entries = sorted(entries, key=lambda e: e[0])
@@ -304,28 +309,41 @@ class RunGroup:
                 f"periodic runs span {span} indices, not fewer than their shift {shift}"
             )
         self.space, self.shift, self.count, self.origin = space, shift, count, origin
-        self.entries = [(j0 - origin, j1 - origin, slots) for j0, j1, slots in entries]
+        coeffs, self.den = over_common_denominator([c for *_, slots in entries for _, c in slots])
+        nums = iter(coeffs)
+        self.entries = [
+            (j0 - origin, j1 - origin, tuple((key, next(nums)) for key, _ in slots))
+            for j0, j1, slots in entries
+        ]
         self.starts = [e[0] for e in self.entries]
 
-    def accumulate(self, a: int, x: Fraction, spans: list, out: dict):
-        """Add to out, per slot, the terms' values at the point of atom index
-        a and fractional part x; spans caches the basis values of the space
-        at that point, taken only for the window indices that hit a run."""
+    def accumulate(self, window: list, out: dict):
+        """Add to out, per slot, the terms' values at the point of window
+        [a, x, spans]: atom index a, fractional part x, and the space's span
+        numerators at x, taken on the first window index that hits a run
+        and kept in the window for the other groups of the space."""
+        a, x, spans = window
         k = self.space.k
         ell, q = divmod(a - self.origin, self.shift)
+        sums: dict = {}
         for i in range(k):
             if 0 <= ell < self.count:
                 e = bisect.bisect_right(self.starts, q) - 1
                 if e >= 0 and q <= self.entries[e][1]:
-                    v = spans[i]
-                    if v is None:
-                        v = spans[i] = span_value(k, k - 1 - i, x)
+                    if spans is None:
+                        spans = window[2] = span_numerators(k, x)
+                    v = spans[0][k - 1 - i]
                     if v:
                         for key, c in self.entries[e][2]:
-                            out[key] = out.get(key, F0) + c * v
+                            sums[key] = sums.get(key, 0) + c * v
             q += 1
             if q == self.shift:
                 ell, q = ell + 1, 0
+        if sums:
+            den = self.den * spans[1]
+            for key, n in sums.items():
+                v = Fraction(n, den)
+                out[key] = out[key] + v if key in out else v
 
 
 def basis_group(scal) -> tuple[tuple, tuple]:
@@ -350,8 +368,8 @@ class SlotwisePattern:
     entries carry their slot coefficients, with each ("w", i) bump expanded
     through w_data once, at build. At t, a group takes the atom index from
     one divmod (and one more onto the base instance if it is periodic),
-    looks up each of the k window indices with one bisection and takes a
-    basis value only for an index that hits a run. The table holds no
+    looks up each of the k window indices with one bisection and takes the
+    space's span numerators only once an index hits a run. The table holds no
     witness vectors, so every binding of the pattern shares it. Moments
     keep their own path, term by term.
     """
@@ -379,24 +397,35 @@ class SlotwisePattern:
         for group in self.run_table:
             window = windows.get(group.space)
             if window is None:
-                window = windows[group.space] = (*group.space.atom_at(t), [None] * group.space.k)
-            group.accumulate(*window, out)
+                window = windows[group.space] = [*group.space.atom_at(t), None]
+            group.accumulate(window, out)
         return out
 
     def moment_slotwise(self, r: int, origin: Optional[Fraction] = None) -> dict:
         """∫ (t - origin)**r g(t) dt per slot; origin defaults to the interval
-        start and must sit on the grid of every term."""
+        start and must sit on the grid of every term.
+
+        Each slot collects its terms' moments (times their w_data
+        coefficients) as unreduced numerator, denominator pairs and sums
+        them over the lcm of the denominators: one Fraction per slot.
+        """
         origin = self.interval.lo if origin is None else origin
-        out: dict = {}
+        parts: dict = {}
         for scal, key in self.terms:
             v = scal.moment(r, origin)
             if v:
-                out[key] = out.get(key, F0) + v
+                parts.setdefault(key, []).append((v.numerator, v.denominator))
         for scal, (_, i) in self.r_terms:
             v = scal.moment(r, origin)
             if v:
                 for coef, key in self.w_data[i]:
-                    out[key] = out.get(key, F0) + v * coef
+                    parts.setdefault(key, []).append(
+                        (v.numerator * coef.numerator, v.denominator * coef.denominator)
+                    )
+        out: dict = {}
+        for key, pairs in parts.items():
+            den = math.lcm(*(d for _, d in pairs))
+            out[key] = Fraction(sum(n * (den // d) for n, d in pairs), den)
         return out
 
     @cached_property

@@ -21,13 +21,13 @@ from typing import Optional, Sequence
 
 from ..errors import PreconditionError
 from ..intervals import Interval, frac
+from ..cardinal import over_common_denominator
 from ..rle import PeriodicSpline, RleSpline, UniformSpace
 from .core import (
     CellGrid,
     CellSpec,
     ConstructionContext,
     F0,
-    F1,
     PeriodicFamily,
     SlotwisePattern,
     Step1Pattern,
@@ -72,28 +72,35 @@ def cube_root_under(eps: Fraction, p: int) -> Fraction:
         a += 4
 
 
-def solve_exact(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss elimination over Fractions (tiny systems, k <= 4)."""
+def invert_exact(a: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """A^{-1} for a non-singular rational A (tiny systems, k <= 4), as
+    integer numerators over one positive common denominator.
+
+    Each row of A goes over the lcm of its denominators, A = diag(1/d_i) M,
+    and one fraction-free Gauss-Jordan pass takes [M | I] to [p I | R] in
+    integers: every update (pivot * x - f * y) // (previous pivot) divides
+    exactly (Bareiss), and R / p = M^{-1}, so A^{-1} = R diag(d_j) / p.
+    """
     n = len(a)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(a)]
+    rows = [over_common_denominator(row) for row in a]
+    m = [nums + [int(i == j) for j in range(n)] for i, (nums, _) in enumerate(rows)]
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
             raise PreconditionError("moment matrix is singular")
         m[col], m[piv] = m[piv], m[col]
-        inv = F1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
+        pivot_row = m[col]
+        d = pivot_row[col]
         for r in range(n):
-            if r != col and m[r][col] != 0:
+            if r != col:
                 f = m[r][col]
-                m[r] = [vr - f * vc for vr, vc in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
-def invert_exact(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    cols = [solve_exact(a, [F1 if i == j else F0 for i in range(n)]) for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+                m[r] = [(d * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
+        prev = d
+    sign = 1 if prev > 0 else -1
+    nums = [[sign * v * dj for v, (_, dj) in zip(row[n:], rows)] for row in m]
+    g = math.gcd(prev, *(v for row in nums for v in row))
+    return [[v // g for v in row] for row in nums], abs(prev) // g
 
 
 @dataclass
@@ -189,6 +196,11 @@ def step2_correct(
 
     The Step-1 pattern built on the second piece of L is reused for every
     piece (valid for constant weights over uniform limit sets).
+
+    One normalisation per result: A^{-1} comes out of `invert_exact` as
+    integers over one denominator, and each slot's moment row z goes over
+    the lcm of its denominators, so w = -A^{-1} z and the exact check
+    z + A w = 0 run in integers; only the k entries of w become Fractions.
     """
     ctx.require_uniform()
     p, k = ctx.p, ctx.k
@@ -221,8 +233,8 @@ def step2_correct(
 
     bumps = [RleSpline.from_index_range(space_r, m, m) for m in picks]
     amat = [[bumps[j].moment(i, a) for j in range(k)] for i in range(k)]
-    ainv = invert_exact(amat)
-    ainv_norm = max(sum(abs(v) for v in row) for row in ainv)
+    ainv, aden = invert_exact(amat)
+    ainv_norm = Fraction(max(sum(abs(v) for v in row) for row in ainv), aden)
 
     eps1_outer = et / (k * (1 + et) * ainv_norm * lmass)
     s = max(
@@ -250,26 +262,28 @@ def step2_correct(
     K = max(inner.K, space_r.level)
     terms = [(PeriodicSpline(scal, d, piece_count), key) for scal, key in inner.terms]
 
-    # exact z per slot over all pieces, then w = -A^{-1} z slotwise
+    # exact z per slot over all pieces, then w = -A^{-1} z slotwise; with
+    # A^{-1} = ainv / aden, row j of A = M_j / d_j and z = zn / zd, w is
+    # wn / (aden zd) and z + A w = 0 reads zn_j d_j aden + M_j . wn = 0
     slot_moments: dict = {}
     for scal, key in terms:
         row = slot_moments.setdefault(key, [F0] * k)
         for j in range(k):
             row[j] += scal.moment(j, a)
-    slot_w: dict = {}
+    arows = [over_common_denominator(row) for row in amat]
     w_data: list = [[] for _ in range(k)]
     for key, zrow in sorted(slot_moments.items(), key=lambda kv: repr(kv[0])):
-        wk = slot_w[key] = [-sum(x * z for x, z in zip(arow, zrow)) for arow in ainv]
-        for i in range(k):
-            if wk[i]:
-                w_data[i].append((wk[i], key))
-    r_terms = [(bumps[i], ("w", i)) for i in range(k)]
-
-    # moment vanishing must be exact, slot by slot
-    for key, zrow in slot_moments.items():
-        wk = slot_w[key]
-        if any(zrow[j] + sum(x * w for x, w in zip(amat[j], wk)) != 0 for j in range(k)):
+        zn, zd = over_common_denominator(zrow)
+        wn = [-sum(x * z for x, z in zip(arow, zn)) for arow in ainv]
+        # moment vanishing must be exact, slot by slot
+        if any(zn[j] * dj * aden + sum(x * w for x, w in zip(mrow, wn))
+               for j, (mrow, dj) in enumerate(arows)):
             raise AssertionError("moment correction failed to cancel exactly")
+        wden = aden * zd
+        for i in range(k):
+            if wn[i]:
+                w_data[i].append((Fraction(wn[i], wden), key))
+    r_terms = [(bumps[i], ("w", i)) for i in range(k)]
 
     blocks: list = [[
         CellSpec(a, a + d, "keep"),

@@ -6,17 +6,25 @@ scalar spline data is piecewise constant in the B-spline coefficient
 index, so a spline is stored as a few (start, end, coefficient) runs over
 the uniform level-K basis.
 
-Evaluation works in integer grid units. `UniformSpace.basis_at` scales t
+Evaluation works in integer grid units. `UniformSpace.atom_at` scales t
 once, U = t * p**K, and splits it into the atom index a = floor(U) and the
 fractional part U - a, whose denominator is at most that of t; the k
 basis values that can be non-zero at t are span polynomials of B_k at
-that small fraction. A spline then reads its coefficients at the k
-integer indices a .. a+k-1, and a periodic spline finds the instance
-holding them with one floor division by its index shift.
+that small fraction: with U = t / h, N_{a+i}(t) = B_k(U - a + k - 1 - i),
+and no other translate is non-zero at t. A spline reads its coefficients at
+the k integer indices a .. a+k-1; patterns do this through their run table
+(`construction.core.RunGroup`).
 
 Moments are taken about a grid-aligned origin (the construction uses its
 pattern's interval start), so they reduce to Faulhaber power sums over
 index ranges shifted by the origin, with no re-centring afterwards.
+
+One normalisation per result: a `Fraction` reduces by a gcd after every
+operation, and at the denominators of deep levels (thousands of bits)
+those gcds cost more than the spline algebra. So the exact kernels carry
+integer numerators over one common denominator through their sums and
+build one `Fraction` per result; the value is the same rational, so the
+outputs stay bit-identical.
 
 Only interior basis functions (exact translates of the cardinal B-spline)
 ever appear; the construction keeps its supports away from 0 and 1.
@@ -31,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .cardinal import cardinal_moment, power_sum, refinement_mask, span_value
+from .cardinal import moment_weights, over_common_denominator, power_sum, refinement_mask
 
 Run = tuple[int, int, Fraction]  # inclusive index range [j0, j1] with coefficient c
 
@@ -63,18 +71,6 @@ class UniformSpace:
     def support(self, j: int) -> tuple[Fraction, Fraction]:
         x = (j - self.k + 1) * self.h
         return x, x + self.k * self.h
-
-    def basis_at(self, t: Fraction) -> tuple[int, tuple[Fraction, ...]]:
-        """Atom index a and the values N_a(t) .. N_{a+k-1}(t).
-
-        With U = t / h and a = floor(U), N_{a+i}(t) = B_k(U - a + k - 1 - i),
-        so only the fractional part of U meets the span polynomials; no
-        other translate is non-zero at t. a is not clamped to the atoms of
-        [0, 1]: a periodic instance may reach past the last interior index,
-        and its translates there must read as they do at the shifted point.
-        """
-        a, x = self.atom_at(t)
-        return a, tuple(span_value(self.k, self.k - 1 - i, x) for i in range(self.k))
 
     def atom_at(self, t: Fraction) -> tuple[int, Fraction]:
         """The atom index a = floor(t / h) and the fractional part t / h - a."""
@@ -172,39 +168,30 @@ class RleSpline:
 
     # -- analysis --------------------------------------------------------------
 
-    def eval(self, t: Fraction) -> Fraction:
-        return self.combine(*self.space.basis_at(t))
-
-    def combine(self, a: int, values: tuple[Fraction, ...]) -> Fraction:
-        """Σ_i c_{a+i} values[i]: the value at t from space.basis_at(t)."""
-        total = Fraction(0)
-        for j, v in enumerate(values, a):
-            if v:
-                c = self.coeff(j)
-                if c:
-                    total += c * v
-        return total
-
     def moment(self, r: int, origin: Fraction = Fraction(0)) -> Fraction:
         """∫ (t - origin)**r f(t) dt, exact; origin must sit on the grid.
 
         With x_j = j-k+1 the left end of supp N_j in grid steps and s the
         origin in grid steps, ∫ (t - origin)**r N_j = h**(r+1) Σ_q C(r,q)
         mu_q (x_j - s)**(r-q) with mu_q the cardinal moments, so each run
-        costs one power sum per q over indices shifted by s.
+        costs one power sum per q over indices shifted by s. The weights
+        C(r,q) mu_q are integers over one cached denominator and the run
+        coefficients are put over the lcm of theirs, so the sum is one
+        integer and the result one Fraction.
         """
         sp = self.space
-        s = origin / sp.h
-        if s.denominator != 1:
+        s, rem = divmod(origin.numerator * sp.num_atoms, origin.denominator)
+        if rem:
             raise ValueError(f"moment origin {origin} is off the level-{sp.level} grid")
-        off = sp.k - 1 + int(s)
-        weights = [comb(r, q) * cardinal_moment(sp.k, q) for q in range(r + 1)]
-        total = Fraction(0)
-        for j0, j1, c in self.runs:
+        off = sp.k - 1 + s
+        weights, wden = moment_weights(sp.k, r)
+        coeffs, den = over_common_denominator([c for _, _, c in self.runs])
+        total = 0
+        for (j0, j1, _), c in zip(self.runs, coeffs):
             total += c * sum(
                 w * power_sum(j0 - off, j1 - off, r - q) for q, w in enumerate(weights)
             )
-        return total * sp.h ** (r + 1)
+        return Fraction(total, den * wden * sp.num_atoms ** (r + 1))
 
     def refine_once(self) -> "RleSpline":
         sp = self.space
@@ -295,46 +282,22 @@ class PeriodicSpline:
         d = ell * self.index_shift
         return RleSpline(self.space, [(j0 + d, j1 + d, c) for j0, j1, c in self.base.runs])
 
-    def eval(self, t: Fraction) -> Fraction:
-        return self.combine(*self.space.basis_at(t))
-
-    def combine(self, a: int, values: tuple[Fraction, ...]) -> Fraction:
-        """Σ_i c_{a+i} values[i] over all instances, from space.basis_at(t).
-
-        Index j lies in instance ell at base index b0 + q, where
-        (ell, q) = divmod(j - b0, index_shift); one division places a and
-        the rest of the window steps on from there.
-        """
-        if self.count == 1:
-            return self.base.combine(a, values)
-        b = self.base.index_bounds()
-        if b is None:
-            return Fraction(0)
-        ell, q = divmod(a - b[0], self.index_shift)
-        total = Fraction(0)
-        for v in values:
-            if v and 0 <= ell < self.count:
-                c = self.base.coeff(b[0] + q)
-                if c:
-                    total += c * v
-            q += 1
-            if q == self.index_shift:
-                ell, q = ell + 1, 0
-        return total
-
     def moment(self, r: int, origin: Fraction = Fraction(0)) -> Fraction:
         """∫ (t - origin)**r f(t) dt, exact; origin must sit on the grid.
 
         Expands (t - origin)**r = Σ_q C(r,q) (ell*shift)**q (u - origin)**(r-q)
         on instance ell, t = u + ell*shift: base moments about the same origin.
         Callers ask for r = 0 .. k-1 in turn, so each base moment is taken
-        once per origin and kept.
+        once per origin and kept. With shift = sn/sd, the terms are integers
+        over sd**r times the lcm of the base moments' denominators.
         """
-        base = [self._base_moment(q, origin) for q in range(r + 1)]
-        return sum(
-            comb(r, q) * self.shift**q * power_sum(0, self.count - 1, q) * base[r - q]
+        base, bden = over_common_denominator([self._base_moment(q, origin) for q in range(r + 1)])
+        sn, sd = self.shift.numerator, self.shift.denominator
+        total = sum(
+            comb(r, q) * sn**q * sd ** (r - q) * power_sum(0, self.count - 1, q) * base[r - q]
             for q in range(r + 1)
         )
+        return Fraction(total, sd**r * bden)
 
     def _base_moment(self, q: int, origin: Fraction) -> Fraction:
         key = (q, origin)

@@ -32,7 +32,6 @@ from splinemart.construction.lemma import (
     cube_root_under,
     invert_exact,
     lemma_moments,
-    solve_exact,
 )
 from splinemart.errors import (
     CapacityError,
@@ -47,6 +46,8 @@ from splinemart.filtration import (
 )
 from splinemart.intervals import Interval
 from splinemart.witness import BushRep, XVec, bush_decompose
+
+from fraction_oracle import evaluate
 
 F = Fraction
 HALF = F(1, 2)
@@ -144,10 +145,11 @@ class TestExactLinalg:
             for i in range(n):
                 a[i][i] += 20
             rhs = [F(rng.randint(-5, 5)) for _ in range(n)]
-            x = solve_exact(a, rhs)
+            nums, den = invert_exact(a)
+            inv = [[F(v, den) for v in row] for row in nums]
+            x = [sum(v * b for v, b in zip(row, rhs)) for row in inv]
             for i in range(n):
                 assert sum(a[i][j] * x[j] for j in range(n)) == rhs[i]
-            inv = invert_exact(a)
             for i in range(n):
                 for j in range(n):
                     v = sum(a[i][q] * inv[q][j] for q in range(n))
@@ -382,13 +384,13 @@ RUN_TABLE_CASES = [("dyadic", k) for k in (1, 2, 3, 4)] + [("padic:3", 2), ("pad
 
 
 def term_by_term_slotwise(pat, t):
-    """g(t) per slot, term by term: Σ scal.combine(*scal.space.basis_at(t))
-    per slot, with each ("w", i) bump expanded through w_data."""
+    """g(t) per slot, term by term: Σ evaluate(scal, t) per slot, with each
+    ("w", i) bump expanded through w_data."""
     out = {}
     for scal, key in pat.terms:
-        out[key] = out.get(key, F(0)) + scal.combine(*scal.space.basis_at(t))
+        out[key] = out.get(key, F(0)) + evaluate(scal, t)
     for scal, (_, i) in pat.r_terms:
-        v = scal.combine(*scal.space.basis_at(t))
+        v = evaluate(scal, t)
         for coef, key in pat.w_data[i]:
             out[key] = out.get(key, F(0)) + v * coef
     return {key: v for key, v in out.items() if v}
