@@ -36,7 +36,6 @@ from .filtration import (
     gamma_partition,
     load_filtration_file,
     parse_filtration_spec,
-    refine_until,
 )
 
 __version__ = "0.1.0"
@@ -56,5 +55,4 @@ __all__ = [
     "gamma_partition",
     "load_filtration_file",
     "parse_filtration_spec",
-    "refine_until",
 ]

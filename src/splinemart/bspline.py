@@ -47,7 +47,6 @@ __all__ = [
     "basis_values",
     "spline_values",
     "aligned_values",
-    "design_matrix",
     "gauss_nodes",
     "moment",
     "gram",
@@ -110,9 +109,6 @@ class KnotVector:
     @property
     def dim(self) -> int:
         return self.num_atoms + self.k - 1
-
-    def atoms(self) -> list[Interval]:
-        return [Interval(a, b) for a, b in zip(self.breakpoints, self.breakpoints[1:])]
 
     def support(self, i: int) -> Interval:
         if not 0 <= i < self.dim:
@@ -217,10 +213,6 @@ class ScalarSpline:
     def eval_many(self, ts) -> np.ndarray:
         return spline_values(self.coeffs, *basis_values(self.kv, ts))
 
-    @classmethod
-    def constant(cls, kv: KnotVector, value: float = 1.0) -> "ScalarSpline":
-        return cls(kv, np.full(kv.dim, value))
-
 
 def moment(kv: KnotVector, i: int, j: int) -> float:
     """∫ t**j N_i(t) dt by per-span Gauss-Legendre of exact degree."""
@@ -242,14 +234,6 @@ def aligned_values(first: np.ndarray, vals: np.ndarray, base: np.ndarray) -> np.
     cols = np.arange(k) + (base - first)[:, None]
     inside = (cols >= 0) & (cols < k)
     return np.where(inside, np.take_along_axis(vals, np.clip(cols, 0, k - 1), axis=1), 0.0)
-
-
-def design_matrix(kv: KnotVector, ts) -> np.ndarray:
-    """Dense matrix B[p, i] = N_i(ts[p])."""
-    first, vals = basis_values(kv, ts)
-    mat = np.zeros((len(first), kv.dim))
-    np.put_along_axis(mat, first[:, None] + np.arange(kv.k), vals, axis=1)
-    return mat
 
 
 def gauss_nodes(breakpoints: Sequence, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,15 +284,6 @@ class GramOperator:
     @property
     def dim(self) -> int:
         return self.kv.dim
-
-    def dense(self) -> np.ndarray:
-        dim = self.dim
-        g = np.zeros((dim, dim))
-        for r in range(self.bandwidth + 1):
-            for j in range(dim - r):
-                g[j + r, j] = self.ab_lower[r, j]
-                g[j, j + r] = self.ab_lower[r, j]
-        return g
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.ab_lower[0] * v
@@ -389,12 +364,6 @@ class PiecewiseConstant:
         if len(values) != len(self.breaks) - 1:
             raise ValueError("need one value per cell")
         self.values = tuple(float(v) for v in values)
-
-    @classmethod
-    def indicator(cls, iv: Interval) -> "PiecewiseConstant":
-        breaks = sorted({Fraction(0), iv.lo, iv.hi, Fraction(1)})
-        vals = [1.0 if (a >= iv.lo and b <= iv.hi) else 0.0 for a, b in zip(breaks, breaks[1:])]
-        return cls(breaks, vals)
 
     def on(self, breaks: Sequence[Fraction]) -> list[float]:
         out = []

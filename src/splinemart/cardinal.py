@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor, lcm
+from math import comb, lcm
 
 Poly = tuple[Fraction, ...]  # coefficients, ascending powers
 
@@ -113,22 +113,6 @@ def span_numerators(k: int, x: Fraction) -> tuple[tuple[int, ...], int]:
         dpow *= xden
         terms[s] *= dpow
     return tuple(sum(c * v for c, v in zip(poly, terms)) for poly in coeffs), den * dpow
-
-
-def span_value(k: int, i: int, x: Fraction) -> Fraction:
-    """B_k(i + x) for an integer i and 0 <= x < 1, exactly."""
-    if not 0 <= i < k:
-        return Fraction(0)
-    nums, den = span_numerators(k, x)
-    return Fraction(nums[i], den)
-
-
-def eval_cardinal(k: int, u: Fraction) -> Fraction:
-    """B_k(u) exactly; zero outside [0, k)."""
-    if u < 0 or u >= k:
-        return Fraction(0)
-    i = floor(u)
-    return span_value(k, i, u - i)
 
 
 @lru_cache(maxsize=None)

@@ -53,22 +53,33 @@ def cube_root_under(eps: Fraction, p: int) -> Fraction:
     The exact root 1 - (1-eps)^(1/3) is irrational; a grid value just
     below it keeps every measure identity checkable in rationals while
     the final (1 - eps) retention bound still holds (with slack).
+
+    The grid is the first of the steps p**-a, a = 8, 12, 16, ..., that
+    holds such an x (coarse grids keep alignment levels shallow). In
+    integers, with P = p**a and eps = num/den, x = (P - r)/P for the
+    smallest r with r**3 * den >= (den - num) * P**3, found by bisection.
+    x > 0 needs 1/P <= eps, so a grid with P * num < den is passed over
+    without a search. No float enters, so any eps in (0, 1) works, however
+    small.
     """
     eps = frac(eps)
     if not 0 < eps < 1:
         raise PreconditionError("eps must lie in (0, 1)")
-    target = 1 - eps
-    a = 8  # coarse grids keep alignment levels shallow; refined until x > 0
+    num, den = eps.numerator, eps.denominator
+    a = 8
     while True:
-        step = Fraction(1, p**a)
-        approx = 1.0 - (1.0 - float(eps)) ** (1.0 / 3.0)
-        x = Fraction(math.floor(approx / float(step))) * step
-        while x > 0 and (1 - x) ** 3 < target:
-            x -= step
-        while x + step < 1 and (1 - (x + step)) ** 3 >= target:
-            x += step
-        if x > 0:
-            return x
+        big = p**a
+        if big * num >= den:
+            need = (den - num) * big**3
+            lo, hi = 1, big  # r = big always holds
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if mid**3 * den >= need:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            if lo < big:
+                return Fraction(big - lo, big)
         a += 4
 
 

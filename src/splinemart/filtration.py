@@ -10,8 +10,6 @@ contract.
 
 from __future__ import annotations
 
-import bisect
-import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -72,12 +70,6 @@ class FiltrationOracle:
                 f"(cap {MATERIALIZE_ATOMS}); use index arithmetic"
             )
 
-    def atoms(self, level: int) -> list[Interval]:
-        """The level-n partition of [0, 1] as an ordered list of intervals."""
-        self.check_level(level)
-        bps = self.breakpoints(level)
-        return [Interval(a, b) for a, b in zip(bps, bps[1:])]
-
     # -- uniform-grid arithmetic (no materialization) ----------------------
 
     def is_uniform(self) -> bool:
@@ -86,23 +78,6 @@ class FiltrationOracle:
     def is_uniform_full(self) -> bool:
         """Uniform refinement with V = [0, 1]: the lazy fast path."""
         return self.is_uniform() and self.limit_set == MeasurableUnion.full()
-
-    def grid_step(self, level: int) -> Fraction:
-        if self.uniform_base is None:
-            raise ValueError("grid_step is defined for uniform generators only")
-        return Fraction(1, self.uniform_base**level)
-
-    def atom_count_in(self, iv: Interval, level: int) -> int:
-        """Number of level-`level` atoms A with A ⊆ iv (closed containment)."""
-        if self.uniform_base is not None:
-            h = self.grid_step(level)
-            first = math.ceil(iv.lo / h)
-            last = math.floor(iv.hi / h)
-            return max(0, last - first)
-        bps = self.breakpoints(level)
-        lo_idx = bisect.bisect_left(bps, iv.lo)
-        hi_idx = bisect.bisect_right(bps, iv.hi) - 1
-        return max(0, hi_idx - lo_idx)
 
 
 class UniformFiltration(FiltrationOracle):
@@ -158,8 +133,8 @@ class AccumulatingFiltration(FiltrationOracle):
 class FileFiltration(FiltrationOracle):
     """Filtration defined by explicit per-level breakpoint lists.
 
-    Finitely many levels are known, so any refinement search beyond the
-    last defined level fails with a capacity error.
+    Finitely many levels are known, so asking for a level beyond the last
+    defined one fails with a capacity error.
     """
 
     def __init__(self, limit_set: MeasurableUnion, levels: Sequence[Sequence[Fraction]]):
@@ -219,28 +194,6 @@ def parse_filtration_spec(spec: str) -> FiltrationOracle:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def refine_until(filt: FiltrationOracle, iv: Interval, count: int) -> int:
-    """Smallest level K whose partition has >= count atoms inside iv.
-
-    Termination is guaranteed when int(iv) meets the limit set; otherwise
-    the search runs into the generator capacity and raises.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    level = 0
-    while True:
-        try:
-            filt.check_level(level)
-            if filt.atom_count_in(iv, level) >= count:
-                return level
-        except CapacityError:
-            raise CapacityError(
-                f"refine_until exhausted capacity at level {level} "
-                f"({count} atoms in {iv} not reached)"
-            )
-        level += 1
 
 
 def equal_measure_split(iv: Interval, v: MeasurableUnion, n: int) -> list[Interval]:

@@ -84,12 +84,6 @@ class Interval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, t: Fraction) -> bool:
-        return self.lo <= t <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
 
@@ -127,12 +121,6 @@ class MeasurableUnion:
     @property
     def measure(self) -> Fraction:
         return sum((hi - lo for lo, hi in self.pieces), ZERO)
-
-    def contains(self, t: Fraction) -> bool:
-        for lo, hi in self.pieces:
-            if lo <= t <= hi:
-                return True
-        return False
 
     def intersect_interval(self, iv: Interval) -> "MeasurableUnion":
         out = []

@@ -43,7 +43,6 @@ from .bspline import (
     gram,
 )
 from .errors import LevelError
-from .witness import XVec
 
 __all__ = ["VectorSpline", "ProjectionContext"]
 
@@ -72,10 +71,6 @@ class VectorSpline:
         for v in self.components.values():
             if v.shape != (kv.dim,):
                 raise ValueError("component length mismatch")
-
-    @classmethod
-    def tensor(cls, f: ScalarSpline, x: XVec) -> "VectorSpline":
-        return cls(f.kv, {c: f.coeffs * float(v) for c, v in x.items()})
 
     def plus(self, other: "VectorSpline") -> "VectorSpline":
         if self.kv != other.kv:

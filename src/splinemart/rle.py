@@ -68,10 +68,6 @@ class UniformSpace:
         """Indices whose basis function is a cardinal translate."""
         return self.k - 1, self.dim - self.k
 
-    def support(self, j: int) -> tuple[Fraction, Fraction]:
-        x = (j - self.k + 1) * self.h
-        return x, x + self.k * self.h
-
     def atom_at(self, t: Fraction) -> tuple[int, Fraction]:
         """The atom index a = floor(t / h) and the fractional part t / h - a."""
         a, rem = divmod(t.numerator * self.num_atoms, t.denominator)
@@ -136,18 +132,7 @@ class RleSpline:
             return None
         return self.runs[0][0], self.runs[-1][1]
 
-    def support_bounds(self) -> tuple[Fraction, Fraction] | None:
-        b = self.index_bounds()
-        if b is None:
-            return None
-        return self.space.support(b[0])[0], self.space.support(b[1])[1]
-
     # -- algebra --------------------------------------------------------------
-
-    def scaled(self, c: Fraction) -> "RleSpline":
-        if c == 0:
-            return RleSpline.zero(self.space)
-        return RleSpline(self.space, [(j0, j1, c * v) for j0, j1, v in self.runs])
 
     def plus(self, other: "RleSpline") -> "RleSpline":
         if self.space != other.space:
@@ -278,10 +263,6 @@ class PeriodicSpline:
     def space(self) -> UniformSpace:
         return self.base.space
 
-    def instance(self, ell: int) -> RleSpline:
-        d = ell * self.index_shift
-        return RleSpline(self.space, [(j0 + d, j1 + d, c) for j0, j1, c in self.base.runs])
-
     def moment(self, r: int, origin: Fraction = Fraction(0)) -> Fraction:
         """∫ (t - origin)**r f(t) dt, exact; origin must sit on the grid.
 
@@ -304,9 +285,3 @@ class PeriodicSpline:
         if key not in self._base_moments:
             self._base_moments[key] = self.base.moment(q, origin)
         return self._base_moments[key]
-
-    def support_bounds(self) -> tuple[Fraction, Fraction] | None:
-        b = self.base.support_bounds()
-        if b is None:
-            return None
-        return b[0], b[1] + (self.count - 1) * self.shift

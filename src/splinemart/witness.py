@@ -42,10 +42,6 @@ class XVec:
     def zero(cls) -> "XVec":
         return cls()
 
-    @classmethod
-    def unit(cls, coord: int, value=Fraction(1)) -> "XVec":
-        return cls({coord: value})
-
     def items(self):
         return self._data.items()
 
@@ -88,9 +84,6 @@ class XVec:
             return self  # immutable, so the same vector serves
         # a product of non-zero rationals is non-zero
         return XVec._of({k: v * c for k, v in self._data.items()})
-
-    def to_json(self) -> dict[str, float]:
-        return {str(c): float(v) for c, v in sorted(self._data.items())}
 
     def __repr__(self):
         inner = ", ".join(f"{c}: {v}" for c, v in sorted(self._data.items()))
@@ -178,12 +171,6 @@ class BushRep:
             tuple((p[cut:], w) for p, w in self.weights),
             tuple(sorted((path[cut:], v) for path, v in coords.items())),
         )
-
-    def to_json(self) -> dict:
-        return {
-            "nodes": {path or '""': str(w) for path, w in self.weights},
-            "pert": self.pert.to_json(),
-        }
 
 
 def mix_reps(parts: list[tuple[Fraction, BushRep]]) -> BushRep:

@@ -1,15 +1,57 @@
-"""Point evaluation of single RLE and periodic splines in plain Fraction
-arithmetic, one Fraction operation per term.
+"""Exact Fraction oracles for the uniform-grid spline kernels, one Fraction
+operation per term.
 
 Patterns evaluate through their run table, which sums integer numerators
-over one denominator per basis group; these functions keep the direct
-formula as the oracle it is checked against.
+over one denominator per basis group (`cardinal.span_numerators`); the
+functions here evaluate the span polynomials of `cardinal.spans` directly,
+so they share no arithmetic with that kernel and a fault in it shows up as
+a disagreement. They also hold the single-spline helpers that only tests
+use: cardinal values, periodic instances and support bounds.
 """
 
 from fractions import Fraction
+from math import floor
 
-from splinemart.cardinal import span_value
+from splinemart.cardinal import spans
 from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
+
+
+def span_value(k: int, i: int, x: Fraction) -> Fraction:
+    """B_k(i + x) for an integer i and 0 <= x < 1: span i of B_k, a
+    polynomial in u, evaluated at u = i + x."""
+    if not 0 <= i < k:
+        return Fraction(0)
+    u = i + x
+    return sum((c * u**e for e, c in enumerate(spans(k)[i])), Fraction(0))
+
+
+def eval_cardinal(k: int, u: Fraction) -> Fraction:
+    """B_k(u) exactly; zero outside [0, k)."""
+    if u < 0 or u >= k:
+        return Fraction(0)
+    i = floor(u)
+    return span_value(k, i, u - i)
+
+
+def instance(per: PeriodicSpline, ell: int) -> RleSpline:
+    """Instance ell of a periodic spline: its base moved by ell periods."""
+    d = ell * per.index_shift
+    return RleSpline(per.space, [(j0 + d, j1 + d, c) for j0, j1, c in per.base.runs])
+
+
+def support_bounds(scal) -> tuple[Fraction, Fraction] | None:
+    """[lo, hi] covering the supports of an RleSpline's or a
+    PeriodicSpline's basis functions; None for the zero spline. N_j is
+    supported on [(j - k + 1) h, (j + 1) h]."""
+    base = scal.base if isinstance(scal, PeriodicSpline) else scal
+    b = base.index_bounds()
+    if b is None:
+        return None
+    sp = scal.space
+    lo, hi = (b[0] - sp.k + 1) * sp.h, (b[1] + 1) * sp.h
+    if isinstance(scal, PeriodicSpline):
+        hi += (scal.count - 1) * scal.shift
+    return lo, hi
 
 
 def basis_at(space: UniformSpace, t: Fraction) -> tuple[int, tuple[Fraction, ...]]:

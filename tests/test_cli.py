@@ -480,3 +480,11 @@ def test_argv_fuzz_exits_0_1_or_2_without_a_traceback(argv, argv_dir):
     assert "Traceback" not in out.getvalue() + err.getvalue(), argv
     if code == 2:
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+def test_construct_accepts_an_eta_below_the_binary64_range(tmp_path):
+    eta = "1/1" + "0" * 400  # float(eta) is 0.0
+    out = tmp_path / "tiny.json"
+    assert main(["construct", "--k", "2", "--steps", "1", "--eta", eta, "--out", str(out)]) == 0
+    with long_decimals():
+        assert json.loads(out.read_text())["eta"] == eta

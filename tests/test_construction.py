@@ -1,5 +1,7 @@
+import ast
 import copy
 import functools
+import inspect
 import os
 import random
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import splinemart.cardinal as cardinal
 import splinemart.construction.core as core
 from splinemart.construction.core import (
     BoundPattern,
@@ -47,7 +50,7 @@ from splinemart.filtration import (
 from splinemart.intervals import Interval
 from splinemart.witness import BushRep, XVec, bush_decompose
 
-from fraction_oracle import evaluate
+from fraction_oracle import evaluate, support_bounds
 
 F = Fraction
 HALF = F(1, 2)
@@ -110,7 +113,7 @@ class TestStopping:
         iv = Interval(F(1, 4), F(1, 2))
         pat = step1_stopping(ctx, iv, [HALF, HALF], F(1, 4), 2)
         for scal, _ in pat.terms:
-            lo, hi = scal.support_bounds()
+            lo, hi = support_bounds(scal)
             assert iv.lo < lo and hi < iv.hi
 
     def test_weights_must_be_convex(self):
@@ -124,8 +127,37 @@ class TestStopping:
             step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0)
 
 
+def is_cube_root_under(x, eps, p):
+    """x is the largest grid point m/P with (1 - m/P)**3 >= 1 - eps, on the
+    first grid P = p**a, a = 8, 12, 16, ..., that has one with m > 0."""
+    a = 8
+    while (1 - F(1, p**a)) ** 3 < 1 - eps:  # no m > 0 on this grid
+        a += 4
+    big = p**a
+    m = x * big
+    return (
+        m.denominator == 1
+        and m > 0
+        and (1 - x) ** 3 >= 1 - eps
+        and (1 - (m + 1) / big) ** 3 < 1 - eps
+    )
+
+
+#: every driver eps_n = eta / 2**(n+4) at five eta, and eps up to 999/1000
+CUBE_ROOT_CASES = [
+    *(
+        (eta * F(1, 2 ** (n + 4)), p)
+        for p in (2, 3, 5, 7)
+        for eta in (F(2, 5), HALF, F(3, 5), F(1, 1000), F(999, 1000))
+        for n in range(14)
+    ),
+    *((F(num, 1000), p) for p in (2, 3, 5, 7) for num in (1, 37, 500, 998, 999)),
+]
+
+
 class TestCubeRoot:
-    @pytest.mark.parametrize("eps", [F(1, 4), F(1, 16), F(1, 100), F(9, 10)])
+    # 10**-400 is below the binary64 range: float(eps) is 0.0
+    @pytest.mark.parametrize("eps", [F(1, 4), F(1, 16), F(1, 100), F(9, 10), F(1, 10**400)])
     @pytest.mark.parametrize("p", [2, 3])
     def test_under_approximation(self, eps, p):
         x = cube_root_under(eps, p)
@@ -134,6 +166,29 @@ class TestCubeRoot:
         # within a few grid steps of the true cube root
         true_root = 1.0 - (1.0 - float(eps)) ** (1.0 / 3.0)
         assert float(x) >= true_root - 1 / 32
+        assert is_cube_root_under(x, eps, p)
+
+    def test_largest_grid_point_on_the_first_grid(self):
+        for eps, p in CUBE_ROOT_CASES:
+            assert is_cube_root_under(cube_root_under(eps, p), eps, p), (eps, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eps=st.fractions(min_value=0, max_value=1, max_denominator=10**12).filter(
+            lambda e: 0 < e < 1
+        ),
+        p=st.sampled_from([2, 3, 5, 7]),
+    )
+    def test_largest_grid_point_at_random_eps(self, eps, p):
+        assert is_cube_root_under(cube_root_under(eps, p), eps, p)
+
+    def test_takes_no_float(self):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cube_root_under)))
+        for node in ast.walk(tree):
+            # float(), a float literal or an int / int would each bring binary64 in
+            assert not (isinstance(node, ast.Name) and node.id == "float")
+            assert not (isinstance(node, ast.Constant) and isinstance(node.value, float))
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div))
 
 
 class TestExactLinalg:
@@ -216,7 +271,7 @@ class TestLemma:
         for t in (last.lo + last.width / 3, last.lo + last.width * F(9, 10)):
             assert bound.g_eval(t) == XVec.zero()
         for scal, _ in pat.r_terms:
-            lo, hi = scal.support_bounds()
+            lo, hi = support_bounds(scal)
             assert iv.lo < lo and hi < iv.hi
 
 
@@ -404,7 +459,7 @@ def sequence_patterns(spec, k):
     out = []
     for _, pat in seq.all_patterns():
         betas = pat.inner.trace.betas
-        points = [XVec.unit(m + 1) for m in range(len(betas))]
+        points = [XVec({m + 1: F(1)}) for m in range(len(betas))]
         out.append((pat, BoundPattern(pat, slot_vectors(XVec.zero(), points, betas))))
     return out
 
@@ -460,6 +515,30 @@ def pattern_points(draw, spec, k):
 def test_run_table_matches_term_by_term_at_random_points(spec, k, data):
     pat, bound, t = data.draw(pattern_points(spec, k))
     assert matches_term_by_term(pat, bound, t), (pat.interval, t)
+
+
+def test_swapped_span_polynomials_fail_the_comparison(monkeypatch):
+    """The oracle evaluates cardinal.spans itself, so a fault in the
+    integer span kernel that the run table reads shows up in the
+    comparison: here spans 0 and k-1 of B_3 trade places."""
+    local_spans = cardinal._local_spans
+
+    def swapped(k):
+        coeffs, den = local_spans(k)
+        rows = list(coeffs)
+        rows[0], rows[-1] = rows[-1], rows[0]
+        return tuple(rows), den
+
+    def all_match():
+        return all(
+            matches_term_by_term(pat, bound, t)
+            for pat, bound in sequence_patterns("dyadic", 3)
+            for t in cell_points(pat)
+        )
+
+    assert all_match()
+    monkeypatch.setattr(cardinal, "_local_spans", swapped)
+    assert not all_match()
 
 
 def test_changed_run_coefficient_fails_the_comparison():

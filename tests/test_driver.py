@@ -42,7 +42,7 @@ def test_f0_is_root_and_f1_takes_children(seq_k1):
     assert seq_k1.value_at(F(1, 3), 0) == XVec.zero()
     for t in seq_k1.sample_e_points(1, rng, 6):
         v = seq_k1.value_at(t, 1)
-        assert v in (XVec.unit(1), XVec.unit(1, F(-1)))  # the two root children
+        assert v in (XVec({1: F(1)}), XVec({1: F(-1)}))  # the two root children
         assert seq_k1.sup_diff_at(t, 1) == 1
 
 

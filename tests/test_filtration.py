@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinemart import filtration
 from splinemart.errors import CapacityError, DegenerateInputError
 from splinemart.filtration import (
     AccumulatingFiltration,
@@ -15,7 +14,6 @@ from splinemart.filtration import (
     equal_measure_split,
     gamma_partition,
     parse_filtration_spec,
-    refine_until,
 )
 from splinemart.intervals import Interval, MeasurableUnion, frac, measure_in
 
@@ -28,28 +26,23 @@ def brute_measure(iv, v, grid=10000):
     step = iv.length / grid
     for i in range(grid):
         mid = iv.lo + step * i + step / 2
-        if v.contains(mid):
+        if any(lo <= mid <= hi for lo, hi in v.pieces):
             total += step
     return total
 
 
 def test_dyadic_atoms_root_and_quarters():
     f = dyadic()
-    assert f.atoms(0) == [Interval(0, 1)]
-    quarters = f.atoms(2)
-    assert [(a.lo, a.hi) for a in quarters] == [
-        (F(0), F(1, 4)),
-        (F(1, 4), F(1, 2)),
-        (F(1, 2), F(3, 4)),
-        (F(3, 4), F(1)),
-    ]
+    assert f.breakpoints(0) == [0, 1]
+    assert f.breakpoints(2) == [0, F(1, 4), F(1, 2), F(3, 4), 1]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("level", [0, 1, 3])
 def test_atoms_partition_and_refine(p, level):
     f = UniformFiltration(p)
-    atoms = f.atoms(level)
+    bps = f.breakpoints(level)
+    atoms = [Interval(a, b) for a, b in zip(bps, bps[1:])]
     assert atoms[0].lo == 0 and atoms[-1].hi == 1
     assert sum(a.length for a in atoms) == 1
     for a, b in zip(atoms, atoms[1:]):
@@ -73,8 +66,6 @@ def test_uniform_levels_past_the_atom_cap_are_refused():
     assert len(f.breakpoints(16)) == 2**16 + 1
     with pytest.raises(CapacityError):
         f.breakpoints(17)
-    with pytest.raises(CapacityError):
-        f.atoms(17)
 
 
 def test_file_filtration_roundtrip(tmp_path):
@@ -82,9 +73,9 @@ def test_file_filtration_roundtrip(tmp_path):
     path.write_text("V: 0 1/2\n0 1\n0 1/2 1\n0 1/4 1/2 1\n")
     f = parse_filtration_spec(f"file:{path}")
     assert f.limit_set == MeasurableUnion([(0, F(1, 2))])
-    assert f.atoms(2) == [Interval(0, F(1, 4)), Interval(F(1, 4), F(1, 2)), Interval(F(1, 2), 1)]
+    assert f.breakpoints(2) == [0, F(1, 4), F(1, 2), 1]
     with pytest.raises(CapacityError):
-        f.atoms(3)
+        f.breakpoints(3)
 
 
 def test_file_filtration_rejects_non_nested(tmp_path):
@@ -130,30 +121,6 @@ def test_measure_additive_and_monotone():
     left, right = Interval(0, F(1, 2)), Interval(F(1, 2), 1)
     assert measure_in(left, v) + measure_in(right, v) == measure_in(Interval(0, 1), v)
     assert measure_in(left, v) <= measure_in(Interval(0, 1), v)
-
-
-def test_refine_until_examples():
-    f = dyadic()
-    assert refine_until(f, Interval(0, F(1, 2)), count=2) == 2
-    assert refine_until(f, Interval(0, 1), count=1) == 0
-
-
-def test_refine_until_accumulating():
-    f = AccumulatingFiltration(F(1, 2))
-    iv = Interval(F(2, 5), F(3, 5))
-    k = refine_until(f, iv, count=4)
-    # verify by direct enumeration at level k and k-1
-    assert sum(1 for a in f.atoms(k) if iv.contains_interval(a)) >= 4
-    if k > 0:
-        assert sum(1 for a in f.atoms(k - 1) if iv.contains_interval(a)) < 4
-
-
-def test_refine_until_capacity_error(monkeypatch):
-    monkeypatch.setattr(filtration, "MATERIALIZE_CAP", 12)
-    f = AccumulatingFiltration(F(1, 2))
-    # away from the accumulation point no new atoms ever appear
-    with pytest.raises(CapacityError):
-        refine_until(f, Interval(F(1, 16), F(3, 16)), count=3)
 
 
 def test_equal_measure_split_uniform():
@@ -220,11 +187,3 @@ def test_gamma_partition_postconditions(num, width, e1, e2):
     assert all(2 <= ell <= n - 1 for ell in gamma)
     mass = sum((measure_in(parts[ell - 1], v) for ell in gamma), F(0))
     assert mass >= (1 - e2) * total
-
-
-def test_atom_count_in_uniform_matches_enumeration():
-    f = dyadic()
-    iv = Interval(F(3, 16), F(11, 16))
-    for level in range(0, 7):
-        direct = sum(1 for a in f.atoms(level) if iv.contains_interval(a))
-        assert f.atom_count_in(iv, level) == direct

@@ -19,6 +19,8 @@ from splinemart.filtration import dyadic
 from splinemart.intervals import Interval
 from splinemart.witness import XVec, node_vector
 
+from fraction_oracle import support_bounds
+
 F = Fraction
 HALF = F(1, 2)
 
@@ -73,7 +75,7 @@ def test_stopping_postconditions_randomized(num, a0):
     assert mean(bound).sup_norm == 0
     assert pat.zone_mass() >= (1 - eps) * iv.length
     for scal, _key in pat.terms:
-        s_lo, s_hi = scal.support_bounds()
+        s_lo, s_hi = support_bounds(scal)
         assert iv.lo < s_lo and s_hi < iv.hi
 
 

@@ -39,8 +39,8 @@ def test_xvec_basics():
 
 def test_node_vector_examples():
     assert node_vector("") == XVec.zero()
-    assert node_vector("0") == XVec.unit(1)
-    assert node_vector("1") == XVec.unit(1, F(-1))
+    assert node_vector("0") == XVec({1: F(1)})
+    assert node_vector("1") == XVec({1: F(-1)})
     assert node_coordinate("") == 1
     assert node_coordinate("0") == 2
     assert node_coordinate("1") == 3
@@ -131,11 +131,6 @@ def test_mix_reps_rejects_negative_node_weights():
     b = BushRep.point("01")
     with pytest.raises(ValueError):
         mix_reps([(F(-1, 8), a), (F(9, 8), b)])
-
-
-def test_xvec_json_encoding():
-    v = XVec({3: F(1, 2), 1: F(-1)})
-    assert v.to_json() == {"1": -1.0, "3": 0.5}
 
 
 def test_boundedness_with_perturbation_budget():
