@@ -32,7 +32,7 @@ from ..errors import CapacityError, InfeasibleStoppingError, PreconditionError
 from ..intervals import Interval, frac
 from ..cardinal import over_common_denominator, span_numerators
 from ..rle import PeriodicSpline, RleSpline, UniformSpace
-from ..witness import XVec
+from ..witness import XVec, common_numerators
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -48,13 +48,28 @@ SlotKey = tuple
 
 
 def slot_vectors(xbar: XVec, points: Sequence[XVec], betas: Sequence[Fraction]) -> dict:
-    """The witness vectors of the ("d", m) and ("dmix",) slots."""
-    diffs = [x.sub(xbar) for x in points]
-    vecs = {("d", m): dv for m, dv in enumerate(diffs)}
-    mix = XVec.zero()
-    for b, dv in zip(betas, diffs):
-        mix = mix.add(dv.scale(b))
-    vecs[("dmix",)] = mix
+    """The witness vectors of the ("d", m) and ("dmix",) slots.
+
+    Every entry goes over one lcm of the denominators, so x_m - xbar and
+    sum_j beta_j (x_j - xbar) are integer sums with one Fraction per
+    coordinate.
+    """
+    (nbar, *nums), den = common_numerators([xbar, *points])
+    minus_bar = {c: -n for c, n in nbar.items()}
+    diffs = []
+    for x in nums:
+        d = dict(minus_bar)
+        for c, n in x.items():
+            d[c] = d.get(c, 0) + n
+        diffs.append({c: n for c, n in d.items() if n})
+    vecs = {("d", m): XVec.over(d, den) for m, d in enumerate(diffs)}
+    bden = math.lcm(*(b.denominator for b in betas))
+    mix: dict = {}
+    for b, d in zip(betas, diffs):
+        a = b.numerator * (bden // b.denominator)
+        for c, n in d.items():
+            mix[c] = mix.get(c, 0) + a * n
+    vecs[("dmix",)] = XVec.over(mix, den * bden)
     return vecs
 
 
@@ -181,10 +196,6 @@ class CellSpec:
     hi: Fraction
     kind: str
     m: int = -1
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     @property
     def is_constant(self) -> bool:
@@ -317,6 +328,16 @@ class RunGroup:
         ]
         self.starts = [e[0] for e in self.entries]
 
+    def slots_at(self, j: int) -> tuple:
+        """((slot key, coefficient numerator over den), ...) of basis index j:
+        the slots of the run that holds j, () if none does."""
+        ell, q = divmod(j - self.origin, self.shift)
+        if 0 <= ell < self.count:
+            e = bisect.bisect_right(self.starts, q) - 1
+            if e >= 0 and q <= self.entries[e][1]:
+                return self.entries[e][2]
+        return ()
+
     def accumulate(self, window: list, out: dict):
         """Add to out, per slot, the terms' values at the point of window
         [a, x, spans]: atom index a, fractional part x, and the space's span
@@ -432,14 +453,24 @@ class SlotwisePattern:
     def ledger(self) -> tuple:
         """((kind, m), summed width of those cells over every instance) pairs,
         in order of first appearance; cells sharing (kind, m) give an atom
-        the same child value."""
-        out: dict = {}
+        the same child value.
+
+        Widths sum as integer grid units over one scale, the lcm of the
+        cell-end denominators: one Fraction per entry.
+        """
+        tiles = []
         for e in self.cells:
-            cells, count = (e.cells, e.count) if isinstance(e, PeriodicFamily) else ((e,), 1)
-            for c in cells:
-                key = (c.kind, c.m)
-                out[key] = out.get(key, F0) + c.width * count
-        return tuple(out.items())
+            if isinstance(e, PeriodicFamily):
+                tiles += [(c, e.count) for c in e.cells]
+            else:
+                tiles.append((e, 1))
+        scale = math.lcm(*(x.denominator for c, _ in tiles for x in (c.lo, c.hi)))
+        units: dict = {}
+        for c, count in tiles:
+            lo, hi = c.lo, c.hi
+            u = hi.numerator * (scale // hi.denominator) - lo.numerator * (scale // lo.denominator)
+            units[(c.kind, c.m)] = units.get((c.kind, c.m), 0) + u * count
+        return tuple((key, Fraction(u, scale)) for key, u in units.items())
 
     def zone_mass(self) -> Fraction:
         return sum((w for (kind, _), w in self.ledger if kind == "zone"), F0)
@@ -461,12 +492,25 @@ class BoundPattern:
         big-rational coefficients are costly and most readers never need them."""
         return [self._combine((key, coef) for coef, key in wd) for wd in self.pattern.w_data]
 
+    @cached_property
+    def _slot_numerators(self) -> tuple[dict, int]:
+        """Every slot vector as {coordinate: integer numerator} over one
+        common denominator."""
+        nums, den = common_numerators(self.slots.values())
+        return dict(zip(self.slots, nums)), den
+
     def _combine(self, coefs) -> XVec:
-        """sum of coef * slot vector over (slot key, coef) pairs."""
-        acc = XVec.zero()
-        for key, coef in coefs:
-            acc = acc.add(self.slots[key].scale(coef))
-        return acc
+        """sum of coef * slot vector over (slot key, coef) pairs: integer
+        sums per coordinate over one lcm, one Fraction per coordinate."""
+        nums, den = self._slot_numerators
+        coefs = [(nums[key], c) for key, c in coefs]
+        cden = math.lcm(*(c.denominator for _, c in coefs))
+        sums: dict = {}
+        for vec, c in coefs:
+            a = c.numerator * (cden // c.denominator)
+            for coord, n in vec.items():
+                sums[coord] = sums.get(coord, 0) + a * n
+        return XVec.over(sums, den * cden)
 
     def g_eval(self, t) -> XVec:
         return self._combine(self.pattern.eval_slotwise(frac(t)).items())

@@ -422,11 +422,9 @@ def _child_value(binding: BushRep, parts, pattern: LemmaPattern, bound, cell_key
 
 
 def _add_class(census: dict, row: ClassRow):
-    key = row.key
-    if key in census:
-        census[key].total_length += row.total_length
-    else:
-        census[key] = row
+    hit = census.setdefault(row.key, row)  # one hash of the key
+    if hit is not row:
+        hit.total_length += row.total_length
 
 
 def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
@@ -445,6 +443,8 @@ def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, ce
     For a constant class `row.norm_bound` is the sup norm of its value.
     """
     part_norms = [rep.value().sup_norm for _, rep in parts]
+    # a ramp value is a convex combination of a child and the parent value
+    ramp_norm = max(row.norm_bound, *part_norms)
     bound = None  # built for the first rconst entry, the only reader
     for (kind, m), width in pat.ledger:
         if kind == "rconst" and bound is None:
@@ -458,8 +458,8 @@ def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, ce
             norm = rep_value.value().sup_norm
         elif kind == "rbump":
             norm = row.norm_bound + (pat.trace.w_bound or F0)
-        else:  # ramp: convex combination of a child and the parent value
-            norm = max(row.norm_bound, *part_norms)
+        else:  # ramp
+            norm = ramp_norm
         _add_class(
             census,
             ClassRow(

@@ -9,6 +9,7 @@ zones, and the recorded trace inequalities of the stopping runs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -217,16 +218,17 @@ def verify_sequence(seq: SequenceResult, seed: int = 0) -> VerificationReport:
         "sum of per-step correction norms",
     )
 
-    # (2) representation validity on non-zone cells, sampled: values on
-    # ramp atoms are convex combinations of the recorded endpoints
-    rep_ok = _check_reps(seq, rng)
+    # (2) representation validity on non-zone cells, exhaustive: on every
+    # ramp atom of every pattern f is a convex combination of its child
+    # value and the parent value
+    cells, fault = _check_reps(seq)
     rep.add(
         "convex representations (2)",
-        rep_ok,
-        "sampled reconstruction",
+        fault is None,
+        f"exhaustive over {cells} cells",
+        "lambda in [0, 1], other slots 0",
         "exact",
-        "exact",
-        "driver property (2)",
+        fault or "driver property (2)",
     )
 
     # recorded trace inequalities (stopping runs and moment corrections)
@@ -236,17 +238,44 @@ def verify_sequence(seq: SequenceResult, seed: int = 0) -> VerificationReport:
     return rep
 
 
-def _check_reps(seq: SequenceResult, rng) -> bool:
-    """Sample ramp cells: f must match lambda-weighted endpoint values."""
+def _check_reps(seq: SequenceResult) -> tuple[int, str | None]:
+    """Every ramp cell of every stopping pattern, from its run table: the
+    ramp cells counted, and where the first fault lies (None if none).
+
+    On a ramp atom of f_m the value is xbar + lambda (x_m - xbar), or the
+    mix value in place of x_m for m = M. Each of the k basis indices
+    touching the atom must carry a coefficient sum in [0, 1] on that slot,
+    ("d", m) or ("dmix",), and 0 on every other slot; by partition of unity
+    lambda then lies in [0, 1] on the whole atom.
+    """
+    count = 0
     for n, pat in seq.all_patterns():
-        # ramps are cells of the inner stopping pattern only
-        ramp_cells = [c for c in pat.inner.cells if c.kind == "ramp"]
-        if not ramp_cells:
-            continue
-        cell = rng.choice(ramp_cells)
-        t = cell.lo + cell.width * Fraction(3, 7)
-        coefs = pat.eval_slotwise(t)
-        lam = sum((v for k2, v in coefs.items() if k2[0] == "d"), F0)
-        if not (0 <= lam <= 1):
-            return False
-    return True
+        inner = pat.inner  # ramps are cells of the inner stopping pattern only
+        space = inner.space
+        groups = inner.run_table
+        if any(g.space != space for g in groups):
+            return count, f"step {n}: a basis group on another space than the ramps"
+        # slot sums as integers over the lcm of the group denominators
+        den = math.lcm(*(g.den for g in groups))
+        groups = [(g, den // g.den) for g in groups]
+        for cell in inner.cells:
+            if cell.kind != "ramp":
+                continue
+            count += 1
+            own = ("dmix",) if cell.m == inner.M else ("d", cell.m)
+            a = cell.lo.numerator * space.num_atoms // cell.lo.denominator  # atom index
+            for j in range(a, a + space.k):
+                lam, others = 0, {}
+                for group, scale in groups:
+                    for key, c in group.slots_at(j):
+                        if key == own:
+                            lam += c * scale
+                        elif c:
+                            others[key] = others.get(key, 0) + c * scale
+                if not 0 <= lam <= den or any(others.values()):
+                    others = {key: str(Fraction(v, den)) for key, v in others.items() if v}
+                    return count, (
+                        f"step {n}, ramp cell [{cell.lo}, {cell.hi}) of f_{cell.m + 1}: "
+                        f"index {j} carries {Fraction(lam, den)} on {own}, other slots {others}"
+                    )
+    return count, None

@@ -7,10 +7,18 @@ fresh coordinate a(s) (heap numbering of the binary tree, so allocation
 is deterministic and reproducible). Every x_s is the average of its two
 children and lies at sup-distance exactly 1 from each of them, which is
 what makes every point of the bush non-extremal at scale delta = 1.
+
+One normalisation per result: `BushRep.value` sums each coordinate as an
+integer numerator over the lcm of the weight denominators, in one pass up
+the path trie, and builds one Fraction per coordinate; it never
+materialises the node vectors x_s. Memo rule: the value, the shape and the
+hash of a rep are kept on the frozen rep itself, never in a module-level
+cache, so no memo outlives the objects of the build that made the rep.
 """
 
 from __future__ import annotations
 
+import math
 import os.path
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +27,7 @@ from typing import Iterable, Mapping
 from .errors import UnachievableSeparationError
 from .intervals import frac
 
-__all__ = ["XVec", "node_vector", "node_coordinate", "BushRep", "bush_decompose"]
+__all__ = ["XVec", "BushRep", "bush_decompose"]
 
 
 class XVec:
@@ -37,6 +45,12 @@ class XVec:
         out = object.__new__(cls)
         out._data = data
         return out
+
+    @classmethod
+    def over(cls, nums: Mapping[int, int], den: int) -> "XVec":
+        """The XVec of integer numerators over den: one Fraction per non-zero
+        coordinate."""
+        return cls._of({c: Fraction(n, den) for c, n in nums.items() if n})
 
     @classmethod
     def zero(cls) -> "XVec":
@@ -62,7 +76,13 @@ class XVec:
 
     @property
     def sup_norm(self):
-        return max((abs(v) for v in self._data.values()), default=Fraction(0))
+        # |n1|/d1 > |n2|/d2 compared as integers; one abs at the end
+        top, tn, td = Fraction(0), 0, 1
+        for v in self._data.values():
+            n, d = abs(v.numerator), v.denominator
+            if n * td > tn * d:
+                top, tn, td = v, n, d
+        return abs(top)
 
     def add(self, other: "XVec") -> "XVec":
         out = dict(self._data)
@@ -90,18 +110,11 @@ class XVec:
         return f"XVec({{{inner}}})"
 
 
-def node_coordinate(path: str) -> int:
-    """Fresh coordinate a(s) allocated by node s: heap numbering, root = 1."""
-    return (1 << len(path)) + (int(path, 2) if path else 0)
-
-
-def node_vector(path: str) -> XVec:
-    """Bush node x_s: root is 0; child s0 = x_s + e_a(s), child s1 = x_s - e_a(s)."""
-    entries: dict[int, Fraction] = {}
-    for depth, bit in enumerate(path):
-        coord = node_coordinate(path[:depth])
-        entries[coord] = Fraction(1) if bit == "0" else Fraction(-1)
-    return XVec(entries)
+def common_numerators(vecs) -> tuple[list[dict], int]:
+    """Each vector as {coordinate: integer numerator} over one common
+    denominator, the lcm of all their entries' denominators."""
+    den = math.lcm(*(v.denominator for x in vecs for v in x._data.values()))
+    return [{c: v.numerator * (den // v.denominator) for c, v in x.items()} for x in vecs], den
 
 
 def _coord_depth(coord: int) -> int:
@@ -136,11 +149,43 @@ class BushRep:
     def point(cls, path: str, pert: XVec = XVec.zero()) -> "BushRep":
         return cls(((path, Fraction(1)),), pert)
 
+    def __hash__(self):
+        memo = self.__dict__.get("_hash")
+        if memo is None:
+            memo = self.__dict__["_hash"] = hash((self.weights, self.pert))
+        return memo
+
     def value(self) -> XVec:
-        acc = self.pert
+        """sum(w_s * x_s) + pert, memoized on the rep.
+
+        Node s = b_1 .. b_n has heap index (1 << n) + int(s, 2), the
+        coordinate a(s) it allocates; its children s0, s1 have 2c and
+        2c + 1. x_s is +1 on a(q) for each proper prefix q that s continues
+        with 0 and -1 for each it continues with 1, so coordinate c takes
+        (weight at or below 2c) - (weight at or below 2c + 1). One pass from
+        the deepest nodes up sums those weights as integers over the lcm of
+        the weight denominators.
+        """
+        memo = self.__dict__.get("_value")
+        if memo is None:
+            memo = self.__dict__["_value"] = self._node_sum().add(self.pert)
+        return memo
+
+    def _node_sum(self) -> XVec:
+        den = math.lcm(*(w.denominator for _, w in self.weights))
+        below: list[dict] = [{} for _ in range(self.max_node_depth() + 1)]
         for path, w in self.weights:
-            acc = acc.add(node_vector(path).scale(w))
-        return acc
+            level = below[len(path)]
+            node = (1 << len(path)) + int(path or "0", 2)
+            level[node] = level.get(node, 0) + w.numerator * (den // w.denominator)
+        sums: dict = {}
+        for depth in range(len(below) - 1, 0, -1):
+            up = below[depth - 1]
+            for node, n in below[depth].items():
+                c = node >> 1
+                up[c] = up.get(c, 0) + n
+                sums[c] = sums.get(c, 0) + (-n if node & 1 else n)
+        return XVec.over(sums, den)
 
     def max_node_depth(self) -> int:
         return max((len(p) for p, _ in self.weights), default=0)
@@ -162,15 +207,18 @@ class BushRep:
         norms, `bush_decompose` profiles and every later perturbation in
         step. The prefix node's own vector x_q adds only +-1 entries on
         coordinates no later step touches; it is absent exactly when q is
-        empty, hence the flag.
+        empty, hence the flag. Memoized on the rep.
         """
-        coords = {format(c, "b")[1:]: v for c, v in self.pert.items()}
-        cut = len(os.path.commonprefix([p for p, _ in self.weights] + list(coords)))
-        return (
-            cut == 0,
-            tuple((p[cut:], w) for p, w in self.weights),
-            tuple(sorted((path[cut:], v) for path, v in coords.items())),
-        )
+        memo = self.__dict__.get("_shape")
+        if memo is None:
+            coords = {format(c, "b")[1:]: v for c, v in self.pert.items()}
+            cut = len(os.path.commonprefix([p for p, _ in self.weights] + list(coords)))
+            memo = self.__dict__["_shape"] = (
+                cut == 0,
+                tuple((p[cut:], w) for p, w in self.weights),
+                tuple(sorted((path[cut:], v) for path, v in coords.items())),
+            )
+        return memo
 
 
 def mix_reps(parts: list[tuple[Fraction, BushRep]]) -> BushRep:

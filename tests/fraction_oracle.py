@@ -7,6 +7,10 @@ functions here evaluate the span polynomials of `cardinal.spans` directly,
 so they share no arithmetic with that kernel and a fault in it shows up as
 a disagreement. They also hold the single-spline helpers that only tests
 use: cardinal values, periodic instances and support bounds.
+
+`node_vector` materialises one bush node x_s; summing w_s * x_s with
+`XVec.add` and `XVec.scale` is the reference for `BushRep.value`, which
+sums integers up the path trie instead.
 """
 
 from fractions import Fraction
@@ -14,6 +18,29 @@ from math import floor
 
 from splinemart.cardinal import spans
 from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
+from splinemart.witness import XVec
+
+
+def node_coordinate(path: str) -> int:
+    """Fresh coordinate a(s) allocated by node s: heap numbering, root = 1."""
+    return (1 << len(path)) + (int(path, 2) if path else 0)
+
+
+def node_vector(path: str) -> XVec:
+    """Bush node x_s: root is 0; child s0 = x_s + e_a(s), child s1 = x_s - e_a(s)."""
+    entries: dict[int, Fraction] = {}
+    for depth, bit in enumerate(path):
+        coord = node_coordinate(path[:depth])
+        entries[coord] = Fraction(1) if bit == "0" else Fraction(-1)
+    return XVec(entries)
+
+
+def node_sum(rep) -> XVec:
+    """A BushRep's value as pert + sum of w_s * x_s, node vector by node vector."""
+    acc = rep.pert
+    for path, w in rep.weights:
+        acc = acc.add(node_vector(path).scale(w))
+    return acc
 
 
 def span_value(k: int, i: int, x: Fraction) -> Fraction:

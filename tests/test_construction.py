@@ -88,7 +88,7 @@ class TestStopping:
         for cell in pat.cells:
             if cell.kind != "zone":
                 continue
-            pts = [cell.lo + cell.width * F(i, 7) for i in (1, 3, 5)]
+            pts = [cell.lo + (cell.hi - cell.lo) * F(i, 7) for i in (1, 3, 5)]
             vals = [xbar.add(bound.g_eval(t)) for t in pts]
             child = parts[cell.m][1].value()
             for v in vals:
@@ -266,9 +266,9 @@ class TestLemma:
         # g vanishes there, so supp g stays inside int I
         first, last = pat.cells[0], pat.cells[-1]
         assert first.lo == iv.lo and last.hi == iv.hi
-        for t in (first.lo + first.width / 3, (first.lo + first.hi) / 2):
+        for t in (first.lo + (first.hi - first.lo) / 3, (first.lo + first.hi) / 2):
             assert bound.g_eval(t) == XVec.zero()
-        for t in (last.lo + last.width / 3, last.lo + last.width * F(9, 10)):
+        for t in (last.lo + (last.hi - last.lo) / 3, last.lo + (last.hi - last.lo) * F(9, 10)):
             assert bound.g_eval(t) == XVec.zero()
         for scal, _ in pat.r_terms:
             lo, hi = support_bounds(scal)
@@ -484,7 +484,8 @@ def cell_points(pat):
         else:
             cells = [(entry, F(0))]
         for cell, shift in cells:
-            yield from (shift + cell.lo, shift + cell.lo + cell.width * F(3, 7), shift + cell.hi - h)
+            lo, hi = shift + cell.lo, shift + cell.hi
+            yield from (lo, lo + (hi - lo) * F(3, 7), hi - h)
 
 
 @pytest.mark.parametrize("spec,k", RUN_TABLE_CASES)

@@ -26,7 +26,9 @@ from splinemart.filtration import (
 )
 from splinemart.intervals import MeasurableUnion
 from splinemart.harness import verify_sequence
-from splinemart.witness import BushRep, XVec, bush_decompose, node_coordinate
+from splinemart.witness import BushRep, XVec, bush_decompose
+
+from fraction_oracle import node_coordinate
 
 F = Fraction
 HALF = F(1, 2)
@@ -229,6 +231,35 @@ def test_outputs_match_golden_digests(spec, k, steps, eta, digest):
     assert _fingerprint(seq) == digest
 
 
+# sha256 of `_depth_digest` per (spec, k, N) at eta = 1/2, recorded before
+# bush values and slot vectors were summed in integers; these reach reps of
+# up to 2**8 nodes, which the golden digests above (N <= 4) do not
+DEPTH_PINS = [
+    ("dyadic", 1, 8, "af8b7908f5546ba03ba0f92275720cb41c95af096681767e0c0a7cd199949b02"),
+    ("dyadic", 2, 7, "cf870fbcd88d4bd1b5395683ffb06ba75577f64ee494bce4167a9c88f4053b63"),
+    ("dyadic", 3, 5, "cef70fa90d92ba8202906933a2707a520a1086b8e1840be4d52e135b07709862"),
+    ("padic:3", 2, 4, "8d1891a67dafa2111247ed0baf893bb01f7ff1206cfe56c79677aea7374c2e1f"),
+]
+
+
+def _depth_digest(seq) -> str:
+    n = seq.num_steps
+    payload = json.dumps({
+        "dumps": seq.dumps(trace="full"),
+        "E": [str(seq.e_measure(j)) for j in range(1, n + 1)],
+        "C": [str(seq.c_measure(j)) for j in range(n + 1)],
+    }, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec,k,steps,digest", DEPTH_PINS, ids=[f"{s}-k{k}-N{n}" for s, k, n, _ in DEPTH_PINS]
+)
+def test_outputs_at_depth_match_pinned_digests(spec, k, steps, digest):
+    seq = build_sequence(parse_filtration_spec(spec), k, HALF, steps)
+    assert _depth_digest(seq) == digest
+
+
 @pytest.fixture(scope="module")
 def seq_k2_n5():
     return build_sequence(dyadic(), 2, HALF, 5)
@@ -428,7 +459,7 @@ def reference_census(rows, sd, p):
                     kind="const" if value is not None else "zombie",
                     cell_kind=cell.kind,
                     rep_value=value,
-                    total_length=cell.width * count * atom_count,
+                    total_length=(cell.hi - cell.lo) * count * atom_count,
                     in_c=cell.kind == "zone",
                     in_e=cell.kind == "zone" and row.in_c,
                     norm_bound=norm,

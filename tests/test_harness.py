@@ -18,6 +18,7 @@ from splinemart.harness import (
     weak_type_ratio,
 )
 from splinemart.projection import ProjectionContext, VectorSpline
+from splinemart.rle import RleSpline
 from splinemart.witness import XVec
 
 F = Fraction
@@ -53,6 +54,25 @@ class TestVerify:
         report = verify_sequence(seq2)
         failed = {e.name for e in report.failed()}
         assert any("(3b)" in n for n in failed)
+
+    @pytest.mark.parametrize("slot", ["first", "mix"])
+    def test_fault_injection_flags_a_ramp_coefficient_above_one(self, slot):
+        # one coefficient 3/2 at the first index of f_1 or of f_{M+1}: the
+        # left ramp atom of that range reads lambda = 3/2 somewhere
+        seq = build_sequence(dyadic(), 2, HALF, 3)
+        n, pat = next(seq.all_patterns())
+        inner = pat.inner
+        i = 0 if slot == "first" else inner.M
+        scal, key = inner.terms[i]
+        (j0, j1, _), = scal.runs
+        inner.terms[i] = (RleSpline(scal.space, [(j0, j0, F(3, 2)), (j0 + 1, j1, F(1))]), key)
+        inner.__dict__.pop("run_table", None)
+        report = verify_sequence(seq)
+        (entry,) = [e for e in report.entries if "(2)" in e.name]
+        assert not entry.passed
+        assert f"step {n}, ramp cell" in entry.location
+        assert f"of f_{i + 1}: index {j0} carries 3/2 on {key}" in entry.location
+        assert [e.name for e in report.failed()] == [entry.name]
 
     def test_eta_scaling_of_bounds(self):
         for eta in (F(1, 4), HALF):

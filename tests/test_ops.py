@@ -17,9 +17,9 @@ from splinemart.construction import (
 )
 from splinemart.filtration import dyadic
 from splinemart.intervals import Interval
-from splinemart.witness import XVec, node_vector
+from splinemart.witness import XVec
 
-from fraction_oracle import support_bounds
+from fraction_oracle import node_vector, support_bounds
 
 F = Fraction
 HALF = F(1, 2)
@@ -48,7 +48,7 @@ def test_stopping_bush_children_example():
     for cell in pat.cells:
         if cell.kind != "zone":
             continue
-        t = cell.lo + cell.width / 3
+        t = cell.lo + (cell.hi - cell.lo) / 3
         val = xbar.add(bound.g_eval(t))
         assert val in (xs[0], xs[1])
         assert val.sub(xbar).sup_norm == 1
@@ -94,7 +94,7 @@ def test_moment_perturbation_end_to_end(k):
     fam = next(e for e in pat.cells if hasattr(e, "period"))
     zone = next(c for c in fam.cells if c.kind == "zone")
     for inst in (0, pat.piece_count // 2, pat.piece_count - 1):
-        t = zone.lo + inst * fam.period + zone.width / 3
+        t = zone.lo + inst * fam.period + (zone.hi - zone.lo) / 3
         val = xbar.add(bound.g_eval(t))
         assert val in tuple(xs)
         assert val.sub(xbar).sup_norm == 1

@@ -5,18 +5,17 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splinemart.construction.core import BoundPattern, slot_vectors
 from splinemart.errors import UnachievableSeparationError
-from splinemart.witness import (
-    BushRep,
-    XVec,
-    bush_decompose,
-    mix_reps,
-    node_coordinate,
-    node_vector,
-)
+from splinemart.witness import BushRep, XVec, bush_decompose, mix_reps
+
+from fraction_oracle import node_coordinate, node_sum, node_vector
 
 F = Fraction
 
@@ -143,6 +142,85 @@ def test_boundedness_with_perturbation_budget():
     )
     assert rep.value().sup_norm <= 1 + F(1, 8)
 
+
+paths = st.integers(0, 10).flatmap(
+    lambda n: st.integers(0, (1 << n) - 1).map(lambda v: format(v, f"0{n}b") if n else "")
+)
+small_fractions = st.builds(
+    Fraction, st.integers(-50, 50), st.sampled_from([1, 2, 3, 8, 10, 1 << 40, 3**30])
+)
+
+
+@st.composite
+def reps(draw):
+    """A BushRep of 1 to 256 distinct nodes with non-negative weights, some
+    of them zero, and a perturbation that cancels some node coefficients
+    exactly and adds entries elsewhere."""
+    nodes = draw(st.lists(paths, min_size=1, max_size=256, unique=True))
+    raw = draw(st.lists(st.integers(0, 9), min_size=len(nodes), max_size=len(nodes)))
+    raw[0] += 1
+    total = sum(raw)
+    weights = tuple((p, Fraction(r, total)) for p, r in zip(nodes, raw))
+    nodes_only = node_sum(BushRep(weights))
+    pert = {}
+    for c, v in nodes_only.items():
+        if draw(st.booleans()):
+            pert[c] = -v  # the value loses coordinate c
+    for c, v in draw(st.dictionaries(st.integers(1, 1 << 12), small_fractions, max_size=8)).items():
+        pert.setdefault(c, v)
+    return BushRep(weights, XVec(pert))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=reps())
+def test_trie_value_matches_the_node_vector_sum(rep):
+    value = rep.value()
+    assert value == node_sum(rep)
+    assert all(v != 0 for _, v in value.items())
+    assert value.sup_norm == max((abs(v) for _, v in value.items()), default=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rep=reps())
+def test_memoized_value_shape_and_hash_match_a_fresh_rep(rep):
+    first = (rep.value(), rep.shape(), hash(rep))
+    assert (rep.value(), rep.shape(), hash(rep)) == first  # read from the memo
+    assert rep.value() is first[0]
+    fresh = BushRep(rep.weights, rep.pert)
+    assert fresh == rep
+    assert (fresh.value(), fresh.shape(), hash(fresh)) == first
+    assert hash(rep) == hash((rep.weights, rep.pert))
+
+
+vectors = st.dictionaries(st.integers(1, 64), small_fractions, max_size=12).map(XVec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    xbar=vectors,
+    points=st.lists(vectors, min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_integer_slot_vectors_and_combine_match_add_and_scale(xbar, points, data):
+    betas = data.draw(st.lists(small_fractions, min_size=len(points), max_size=len(points)))
+    slots = slot_vectors(xbar, points, betas)
+    diffs = [x.sub(xbar) for x in points]
+    want_mix = XVec.zero()
+    for b, dv in zip(betas, diffs):
+        want_mix = want_mix.add(dv.scale(b))
+    assert slots == {**{("d", m): dv for m, dv in enumerate(diffs)}, ("dmix",): want_mix}
+
+    keys = list(slots)
+    w_data = data.draw(st.lists(
+        st.lists(st.tuples(small_fractions, st.sampled_from(keys)), max_size=6), max_size=3
+    ))
+    got = BoundPattern(SimpleNamespace(w_data=w_data), slots).w_vectors
+    for wd, vec in zip(w_data, got, strict=True):
+        want = XVec.zero()
+        for coef, key in wd:
+            want = want.add(slots[key].scale(coef))
+        assert vec == want
+        assert all(v != 0 for _, v in vec.items())
 
 
 def test_argument_checks_survive_optimised_python():
