@@ -328,15 +328,19 @@ class RunGroup:
         ]
         self.starts = [e[0] for e in self.entries]
 
-    def slots_at(self, j: int) -> tuple:
-        """((slot key, coefficient numerator over den), ...) of basis index j:
-        the slots of the run that holds j, () if none does."""
-        ell, q = divmod(j - self.origin, self.shift)
-        if 0 <= ell < self.count:
-            e = bisect.bisect_right(self.starts, q) - 1
-            if e >= 0 and q <= self.entries[e][1]:
-                return self.entries[e][2]
-        return ()
+    def slots_between(self, j0: int, j1: int):
+        """The ((slot key, coefficient numerator over den), ...) tuples of the
+        runs, in every instance, that hold an index in j0 .. j1."""
+        first = max(0, (j0 - self.origin) // self.shift)
+        last = min(self.count - 1, (j1 - self.origin) // self.shift)
+        for ell in range(first, last + 1):
+            lo = j0 - self.origin - ell * self.shift
+            hi = lo + j1 - j0
+            e = max(0, bisect.bisect_right(self.starts, lo) - 1)
+            while e < len(self.entries) and self.entries[e][0] <= hi:
+                if self.entries[e][1] >= lo:
+                    yield self.entries[e][2]
+                e += 1
 
     def accumulate(self, window: list, out: dict):
         """Add to out, per slot, the terms' values at the point of window

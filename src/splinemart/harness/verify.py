@@ -9,7 +9,6 @@ zones, and the recorded trace inequalities of the stopping runs.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -243,39 +242,36 @@ def _check_reps(seq: SequenceResult) -> tuple[int, str | None]:
     ramp cells counted, and where the first fault lies (None if none).
 
     On a ramp atom of f_m the value is xbar + lambda (x_m - xbar), or the
-    mix value in place of x_m for m = M. Each of the k basis indices
-    touching the atom must carry a coefficient sum in [0, 1] on that slot,
-    ("d", m) or ("dmix",), and 0 on every other slot; by partition of unity
-    lambda then lies in [0, 1] on the whole atom.
+    mix value in place of x_m for m = M. Every run holding one of the k
+    basis indices that touch the atom must carry a coefficient in [0, 1] on
+    that slot, ("d", m) or ("dmix",), and 0 on every other slot; by
+    partition of unity lambda then lies in [0, 1] on the whole atom. The
+    runs of one basis group are disjoint, so the stopping pattern must hold
+    exactly one group, on the space of its ramps.
     """
     count = 0
     for n, pat in seq.all_patterns():
         inner = pat.inner  # ramps are cells of the inner stopping pattern only
         space = inner.space
         groups = inner.run_table
-        if any(g.space != space for g in groups):
-            return count, f"step {n}: a basis group on another space than the ramps"
-        # slot sums as integers over the lcm of the group denominators
-        den = math.lcm(*(g.den for g in groups))
-        groups = [(g, den // g.den) for g in groups]
+        if len(groups) != 1 or groups[0].space != space:
+            return count, f"step {n}: the stopping terms are not one basis group on the ramp space"
+        (group,) = groups
         for cell in inner.cells:
             if cell.kind != "ramp":
                 continue
             count += 1
+            step, off_grid = divmod(space.num_atoms, cell.lo.denominator)
+            a = cell.lo.numerator * step  # its atom index
             own = ("dmix",) if cell.m == inner.M else ("d", cell.m)
-            a = cell.lo.numerator * space.num_atoms // cell.lo.denominator  # atom index
-            for j in range(a, a + space.k):
-                lam, others = 0, {}
-                for group, scale in groups:
-                    for key, c in group.slots_at(j):
-                        if key == own:
-                            lam += c * scale
-                        elif c:
-                            others[key] = others.get(key, 0) + c * scale
-                if not 0 <= lam <= den or any(others.values()):
-                    others = {key: str(Fraction(v, den)) for key, v in others.items() if v}
-                    return count, (
-                        f"step {n}, ramp cell [{cell.lo}, {cell.hi}) of f_{cell.m + 1}: "
-                        f"index {j} carries {Fraction(lam, den)} on {own}, other slots {others}"
-                    )
+            fault = "off the grid of its space" if off_grid else None
+            for slots in () if fault else group.slots_between(a, a + space.k - 1):
+                for key, c in slots:
+                    if not (0 <= c <= group.den if key == own else c == 0):
+                        fault = f"a run touching it carries {Fraction(c, group.den)} on {key}"
+                        break
+                if fault:
+                    break
+            if fault:
+                return count, f"step {n}, ramp cell [{cell.lo}, {cell.hi}) of f_{cell.m + 1}: {fault}"
     return count, None

@@ -55,23 +55,35 @@ class TestVerify:
         failed = {e.name for e in report.failed()}
         assert any("(3b)" in n for n in failed)
 
-    @pytest.mark.parametrize("slot", ["first", "mix"])
-    def test_fault_injection_flags_a_ramp_coefficient_above_one(self, slot):
-        # one coefficient 3/2 at the first index of f_1 or of f_{M+1}: the
-        # left ramp atom of that range reads lambda = 3/2 somewhere
+    @pytest.mark.parametrize("fault", ["above_one", "mix_above_one", "other_slot"])
+    def test_fault_injection_flags_a_bad_ramp_coefficient(self, fault):
+        # above_one: 3/2 at the first index touching the first ramp atom of
+        # f_1; mix_above_one: 3/2 at the last index touching the left ramp
+        # of f_{M+1}; other_slot: f_2 starts right after f_1 ends, so its
+        # coefficient 1 reaches the right ramp of f_1
         seq = build_sequence(dyadic(), 2, HALF, 3)
         n, pat = next(seq.all_patterns())
         inner = pat.inner
-        i = 0 if slot == "first" else inner.M
+        k = inner.space.k
+        i = {"above_one": 0, "mix_above_one": inner.M, "other_slot": 1}[fault]
         scal, key = inner.terms[i]
         (j0, j1, _), = scal.runs
-        inner.terms[i] = (RleSpline(scal.space, [(j0, j0, F(3, 2)), (j0 + 1, j1, F(1))]), key)
+        if fault == "above_one":
+            runs, m, want = [(j0 - k + 1, j0 - k + 1, F(3, 2)), (j0, j1, F(1))], 0, ("3/2", key)
+        elif fault == "mix_above_one":
+            runs, m, want = [(j0, j0, F(3, 2)), (j0 + 1, j1, F(1))], inner.M, ("3/2", key)
+        else:
+            (_, end_0, _), = inner.terms[0][0].runs
+            runs, m, want = [(end_0 + 1, j1, F(1))], 0, ("1", key)
+        inner.terms[i] = (RleSpline(scal.space, runs), key)
         inner.__dict__.pop("run_table", None)
         report = verify_sequence(seq)
         (entry,) = [e for e in report.entries if "(2)" in e.name]
         assert not entry.passed
-        assert f"step {n}, ramp cell" in entry.location
-        assert f"of f_{i + 1}: index {j0} carries 3/2 on {key}" in entry.location
+        assert entry.location.startswith(f"step {n}, ramp cell")
+        assert entry.location.endswith(
+            f"of f_{m + 1}: a run touching it carries {want[0]} on {want[1]}"
+        )
         assert [e.name for e in report.failed()] == [entry.name]
 
     def test_eta_scaling_of_bounds(self):
