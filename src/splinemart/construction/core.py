@@ -395,8 +395,8 @@ class SlotwisePattern:
     one divmod (and one more onto the base instance if it is periodic),
     looks up each of the k window indices with one bisection and takes the
     space's span numerators only once an index hits a run. The table holds no
-    witness vectors, so every binding of the pattern shares it. Moments
-    keep their own path, term by term.
+    witness vectors, so every binding of the pattern shares it. Check (1)
+    of the verification suite takes the moments from the same table.
     """
 
     @cached_property
@@ -424,33 +424,6 @@ class SlotwisePattern:
             if window is None:
                 window = windows[group.space] = [*group.space.atom_at(t), None]
             group.accumulate(window, out)
-        return out
-
-    def moment_slotwise(self, r: int, origin: Optional[Fraction] = None) -> dict:
-        """∫ (t - origin)**r g(t) dt per slot; origin defaults to the interval
-        start and must sit on the grid of every term.
-
-        Each slot collects its terms' moments (times their w_data
-        coefficients) as unreduced numerator, denominator pairs and sums
-        them over the lcm of the denominators: one Fraction per slot.
-        """
-        origin = self.interval.lo if origin is None else origin
-        parts: dict = {}
-        for scal, key in self.terms:
-            v = scal.moment(r, origin)
-            if v:
-                parts.setdefault(key, []).append((v.numerator, v.denominator))
-        for scal, (_, i) in self.r_terms:
-            v = scal.moment(r, origin)
-            if v:
-                for coef, key in self.w_data[i]:
-                    parts.setdefault(key, []).append(
-                        (v.numerator * coef.numerator, v.denominator * coef.denominator)
-                    )
-        out: dict = {}
-        for key, pairs in parts.items():
-            den = math.lcm(*(d for _, d in pairs))
-            out[key] = Fraction(sum(n * (den // d) for n, d in pairs), den)
         return out
 
     @cached_property

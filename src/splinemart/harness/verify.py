@@ -5,6 +5,21 @@ the martingale identity through vanishing local moments, constancy on
 the zones, unit separation on E_n, the exact measure lower bounds, value
 boundedness, the perturbation ledger, representation validity off the
 zones, and the recorded trace inequalities of the stopping runs.
+
+Check (1) reads each pattern's run table, the merged runs that point
+evaluation reads, and takes every slot's moments from a closed form that
+shares no code with the build's moment arithmetic (`power_sum`,
+`moment_weights`, `cardinal_moment`, the spline `moment` methods). With
+S(v) = Σ_{i>=0} B_k(v - i), the run j0..j1 sums to S(u - α) - S(u - β) in
+grid units u = t / h, where α = j0 - k + 1 and β = j1 - k + 2. S is 1 past
+k - 1, so D = 1[v >= 0] - S lives on [0, k - 1], and its moments d_q come
+from the truncated-power form of B_k, not from the span polynomials. A
+run's moment about a grid origin s is then h**(r+1) (P(β - s) - P(α - s))
+with P(x) = x**(r+1)/(r+1) + Σ_q C(r, q) d_q x**(r-q). A periodic group
+sums its instances through the Taylor coefficients of P and the power sums
+Σ_{ℓ<n} ℓ**i = Σ_j S2(i, j) j! C(n, j + 1), with S2 the Stirling numbers of
+the second kind. Every slot sums integer numerators over one known
+denominator; the zero test needs no gcd.
 """
 
 from __future__ import annotations
@@ -12,7 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
+from math import comb, factorial, lcm, prod
 
 from ..construction.driver import SequenceResult
 
@@ -117,23 +134,19 @@ def verify_sequence(seq: SequenceResult, seed: int = 0) -> VerificationReport:
     # (1) and (i): on every atom of F_{m_n}, the perturbation g has exactly
     # vanishing local moments up to order k-1 (lemma property (i)), so the
     # orthogonal projection onto S_{m_n} maps f_{n+1} back to f_n exactly
-    # (martingale property (1)).
-    worst = F0
-    for n, pat in seq.all_patterns():
-        for j in range(seq.k):
-            mom = pat.moment_slotwise(j)
-            m = max((abs(v) for v in mom.values()), default=F0)
-            worst = max(worst, m)
+    # (martingale property (1)); exhaustive, from the run tables
+    patterns, fault = _check_moments(seq)
     rep.add(
         "martingale residual (1), moment vanishing (i)",
-        worst == 0,
-        float(worst),
-        "= 0 exactly (implies sup-norm residual 0 <= 1e-8)",
+        fault is None,
+        f"exhaustive over {patterns} patterns, orders 0..{seq.k - 1}",
+        "every slot moment = 0 exactly",
         "exact",
-        "per-pattern local moments",
+        fault or "per-pattern local moments",
     )
 
-    # (3a) constancy on zones: three random points of one zone instance
+    # (3a) constancy on zones: SAMPLES_PER_STEP points of E_n per step; at
+    # the first two, points a fraction of a fine atom away read the same value
     const_ok = True
     sep_ok = True
     sep_min = None
@@ -275,3 +288,135 @@ def _check_reps(seq: SequenceResult) -> tuple[int, str | None]:
             if fault:
                 return count, f"step {n}, ramp cell [{cell.lo}, {cell.hi}) of f_{cell.m + 1}: {fault}"
     return count, None
+
+
+def _check_moments(seq: SequenceResult) -> tuple[int, str | None]:
+    """Check (1) on every pattern: the patterns checked, and where the first
+    non-zero moment lies (None if none): its step, slot and order."""
+    count = 0
+    for n, pat in seq.all_patterns():
+        count += 1
+        for r in range(seq.k):
+            nums, den = run_table_moments(pat.run_table, pat.interval.lo, r)
+            for key, num in nums.items():
+                if num:
+                    moment = _short(Fraction(num, den))
+                    return count, f"step {n}, slot {key}, order {r}: moment {moment}"
+    return count, None
+
+
+def _short(v: Fraction) -> str:
+    """v in a few digits, or as a power of two where a float cannot hold it."""
+    e = abs(v.numerator).bit_length() - v.denominator.bit_length()
+    return f"{float(v):.6g}" if -1000 < e < 1000 else f"{'-' if v < 0 else ''}~2^{e}"
+
+
+def run_table_moments(groups, origin: Fraction, r: int) -> tuple[dict, int]:
+    """∫ (t - origin)**r g(t) dt per slot for the terms of a run table, as
+    integer numerators over one denominator; origin must sit on the grid
+    of every group.
+
+    Group g gives numerators over den_g L_r p**(K_g (r+1)) (`_group_moments`);
+    they go over L_r p**(K (r+1)) Π den_g, with K the deepest level, by
+    integer multiplications alone.
+    """
+    deepest = max(g.space.level for g in groups)
+    dens = prod(g.den for g in groups)
+    out: dict = {}
+    for g in groups:
+        sp = g.space
+        s, rem = divmod(origin.numerator * sp.num_atoms, origin.denominator)
+        if rem:
+            raise ValueError(f"moment origin {origin} is off the level-{sp.level} grid")
+        scale = sp.p ** ((deepest - sp.level) * (r + 1)) * (dens // g.den)
+        for key, n in _group_moments(g, r, s).items():
+            out[key] = out.get(key, 0) + n * scale
+    k, p = groups[0].space.k, groups[0].space.p
+    return out, _antiderivative(k, r)[1] * p ** (deepest * (r + 1)) * dens
+
+
+def _group_moments(group, r: int, s: int) -> dict:
+    """Per slot, the numerator N of ∫ (t - s h)**r (the group's terms) dt =
+    N / (den L_r p**(K (r+1))), summed over the group's instances.
+
+    In grid units x = u - s, run j0..j1 of instance ℓ spans α + ℓσ .. β + ℓσ
+    with σ the index shift, and contributes P(β + ℓσ) - P(α + ℓσ). With
+    P(x + y) = Σ_m P_m(x) y**m for the Taylor coefficients P_m of P, the
+    instances sum to Σ_m T_m σ**m (P_m(β) - P_m(α)), T_m = Σ_{ℓ<n} ℓ**m.
+    """
+    k = group.space.k
+    taylor, _ = _antiderivative(k, r)
+    # T_m σ**m with P_m; a single instance has T = 1, 0, 0, ...
+    sums = _instance_sums(group.count, r + 1)
+    terms = [(t * group.shift**m, poly) for m, (t, poly) in enumerate(zip(sums, taylor)) if t]
+    alpha = group.origin - k + 1 - s
+    out: dict = {}
+    for j0, j1, slots in group.entries:
+        a, b = alpha + j0, alpha + j1 + 1
+        total = 0
+        for w, poly in terms:
+            hi = lo = 0
+            for c in poly:  # Horner at b and at a
+                hi, lo = hi * b + c, lo * a + c
+            total += w * (hi - lo)
+        if total:
+            for key, c in slots:
+                out[key] = out.get(key, 0) + c * total
+    return out
+
+
+@lru_cache(maxsize=64)
+def _antiderivative(k: int, r: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The Taylor coefficients P_m, m = 0 .. r+1, of L_r P for
+    P(x) = x**(r+1)/(r+1) + Σ_q C(r, q) d_q x**(r-q), as integer polynomials
+    (highest power first), and L_r, the lcm of P's denominators."""
+    coeffs = [comb(r, r - i) * _ramp_moment(k, r - i) for i in range(r + 1)]
+    coeffs.append(Fraction(1, r + 1))  # ascending powers of x
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    taylor = tuple(
+        tuple(comb(i, m) * ints[i] for i in range(r + 1, m - 1, -1)) for m in range(r + 2)
+    )
+    return taylor, den
+
+
+@lru_cache(maxsize=64)
+def _ramp_moment(k: int, q: int) -> Fraction:
+    """d_q = ∫ v**q D(v) dv, with D = 1[v >= 0] - Σ_{i>=0} B_k(v - i).
+
+    From the truncated-power form B_k(x) = Σ_i (-1)**i C(k, i)
+    (x - i)_+**(k-1) / (k-1)!, the alternating binomial sums give
+    Σ_{i>=0} B_k(v - i) = Σ_{c<=v} (-1)**c C(k-1, c) (v - c)**(k-1) / (k-1)!,
+    which is 1 for v >= k - 1. So d_q = (k-1)**(q+1)/(q+1) minus, per c,
+    the integral of v**q (v - c)**(k-1) over [c, k - 1]; with w = v - c that
+    is Σ_e C(q, e) c**(q-e) (k-1-c)**(e+k) / (e+k).
+    """
+    total = Fraction((k - 1) ** (q + 1), q + 1)
+    for c in range(k - 1):
+        part = sum(
+            Fraction(comb(q, e) * c ** (q - e) * (k - 1 - c) ** (e + k), e + k)
+            for e in range(q + 1)
+        )
+        total -= (-1) ** c * comb(k - 1, c) * part / factorial(k - 1)
+    return total
+
+
+def _instance_sums(n: int, top: int) -> list[int]:
+    """T_m = Σ_{ℓ<n} ℓ**m for m = 0 .. top, as Σ_j S2(m, j) j! C(n, j+1)."""
+    binoms = [n]  # C(n, j + 1) for j = 0 .. top
+    for j in range(1, top + 1):
+        binoms.append(binoms[-1] * (n - j) // (j + 1))
+    return [
+        sum(s2 * factorial(j) * binoms[j] for j, s2 in enumerate(_stirling2(m)))
+        for m in range(top + 1)
+    ]
+
+
+@lru_cache(maxsize=64)
+def _stirling2(m: int) -> tuple[int, ...]:
+    """Stirling numbers of the second kind S2(m, j), j = 0 .. m."""
+    row = [1]  # m = 0
+    for i in range(1, m + 1):
+        row = [(j * row[j] if j < len(row) else 0) + (row[j - 1] if j else 0)
+               for j in range(i + 1)]
+    return tuple(row)

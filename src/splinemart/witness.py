@@ -11,9 +11,11 @@ what makes every point of the bush non-extremal at scale delta = 1.
 One normalisation per result: `BushRep.value` sums each coordinate as an
 integer numerator over the lcm of the weight denominators, in one pass up
 the path trie, and builds one Fraction per coordinate; it never
-materialises the node vectors x_s. Memo rule: the value, the shape and the
-hash of a rep are kept on the frozen rep itself, never in a module-level
-cache, so no memo outlives the objects of the build that made the rep.
+materialises the node vectors x_s. The weight-sum check of a rep and the
+node weights of `mix_reps` are integer sums over one lcm too. Memo rule:
+the value, the shape and the hash of a rep are kept on the frozen rep
+itself, never in a module-level cache, so no memo outlives the objects of
+the build that made the rep.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .cardinal import over_common_denominator
 from .errors import UnachievableSeparationError
 from .intervals import frac
 
@@ -136,14 +139,15 @@ class BushRep:
     pert: XVec = XVec.zero()
 
     def __post_init__(self):
-        total = Fraction(0)
+        weights = []
         for path, w in self.weights:
             w = frac(w)
-            if w < 0:
+            if w.numerator < 0:
                 raise ValueError(f"negative weight {w} on node {path!r}")
-            total += w
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
+            weights.append(w)
+        nums, den = over_common_denominator(weights)
+        if sum(nums) != den:
+            raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
 
     @classmethod
     def point(cls, path: str, pert: XVec = XVec.zero()) -> "BushRep":
@@ -227,19 +231,22 @@ def mix_reps(parts: list[tuple[Fraction, BushRep]]) -> BushRep:
     Coefficients must sum to 1; the node weights of the result must come
     out non-negative (the construction keeps its correction coefficients
     far smaller than the bush weights, so this holds with a large margin).
+    Each node weight sums integer numerators over the product of the lcms
+    of the coefficient and the weight denominators: one Fraction per node.
     """
-    total = sum((c for c, _ in parts), Fraction(0))
-    if total != 1:
-        raise ValueError(f"coefficients sum to {total}, not 1")
+    cnums, cden = over_common_denominator([c for c, _ in parts])
+    if sum(cnums) != cden:
+        raise ValueError(f"coefficients sum to {Fraction(sum(cnums), cden)}, not 1")
     pert = parts[0][1].pert
-    acc: dict[str, Fraction] = {}
-    for c, rep in parts:
+    wden = math.lcm(*(w.denominator for _, rep in parts for _, w in rep.weights))
+    acc: dict[str, int] = {}
+    for cn, (_, rep) in zip(cnums, parts):
         if rep.pert != pert:
             raise ValueError("mixed reps must share their perturbation")
         for path, w in rep.weights:
-            acc[path] = acc.get(path, Fraction(0)) + c * w
-    weights = tuple((p, w) for p, w in sorted(acc.items()) if w != 0)
-    return BushRep(weights, pert)
+            acc[path] = acc.get(path, 0) + cn * w.numerator * (wden // w.denominator)
+    den = cden * wden
+    return BushRep(tuple((p, Fraction(n, den)) for p, n in sorted(acc.items()) if n), pert)
 
 
 def bush_decompose(rep: BushRep, delta, target_count: int = 2) -> list[tuple[Fraction, BushRep]]:

@@ -8,11 +8,17 @@ so they share no arithmetic with that kernel and a fault in it shows up as
 a disagreement. They also hold the single-spline helpers that only tests
 use: cardinal values, periodic instances and support bounds.
 
+`moment_slotwise` takes a pattern's slot moments term by term, through
+the build's own `RleSpline.moment` and `PeriodicSpline.moment`; the
+verification suite's check (1) reads the run table instead and shares no
+moment code with it, so each checks the other.
+
 `node_vector` materialises one bush node x_s; summing w_s * x_s with
 `XVec.add` and `XVec.scale` is the reference for `BushRep.value`, which
 sums integers up the path trie instead.
 """
 
+import math
 from fractions import Fraction
 from math import floor
 
@@ -134,3 +140,31 @@ def evaluate(scal, t: Fraction) -> Fraction:
     """The value at t of an RleSpline or a PeriodicSpline."""
     combine = periodic_combine if isinstance(scal, PeriodicSpline) else rle_combine
     return combine(scal, *basis_at(scal.space, t))
+
+
+def moment_slotwise(pat, r: int, origin: Fraction | None = None) -> dict:
+    """∫ (t - origin)**r g(t) dt per slot of a pattern, term by term; origin
+    defaults to the interval start and must sit on the grid of every term.
+
+    Each slot collects its terms' moments (times their w_data coefficients)
+    as unreduced numerator, denominator pairs and sums them over the lcm of
+    the denominators: one Fraction per slot.
+    """
+    origin = pat.interval.lo if origin is None else origin
+    parts: dict = {}
+    for scal, key in pat.terms:
+        v = scal.moment(r, origin)
+        if v:
+            parts.setdefault(key, []).append((v.numerator, v.denominator))
+    for scal, (_, i) in pat.r_terms:
+        v = scal.moment(r, origin)
+        if v:
+            for coef, key in pat.w_data[i]:
+                parts.setdefault(key, []).append(
+                    (v.numerator * coef.numerator, v.denominator * coef.denominator)
+                )
+    out: dict = {}
+    for key, pairs in parts.items():
+        den = math.lcm(*(d for _, d in pairs))
+        out[key] = Fraction(sum(n * (den // d) for n, d in pairs), den)
+    return out

@@ -28,7 +28,7 @@ from splinemart.intervals import MeasurableUnion
 from splinemart.harness import verify_sequence
 from splinemart.witness import BushRep, XVec, bush_decompose
 
-from fraction_oracle import node_coordinate
+from fraction_oracle import moment_slotwise, node_coordinate
 
 F = Fraction
 HALF = F(1, 2)
@@ -124,7 +124,7 @@ def test_higher_orders_two_steps(k):
     # exact vanishing moments per pattern (martingale property)
     for _n, pat in seq.all_patterns():
         for j in range(k):
-            mom = pat.moment_slotwise(j)
+            mom = moment_slotwise(pat, j)
             parts_vals = mom.values()
             assert all(isinstance(v, F) for v in parts_vals)
 

@@ -19,7 +19,7 @@ from splinemart.filtration import dyadic
 from splinemart.intervals import Interval
 from splinemart.witness import XVec
 
-from fraction_oracle import node_vector, support_bounds
+from fraction_oracle import moment_slotwise, node_vector, support_bounds
 
 F = Fraction
 HALF = F(1, 2)
@@ -32,7 +32,7 @@ def bind(pattern, xbar, xs, betas) -> BoundPattern:
 def mean(bound: BoundPattern) -> XVec:
     """∫ g as a witness vector: the slot-wise means times the slot vectors."""
     acc = XVec.zero()
-    for key, v in bound.pattern.moment_slotwise(0).items():
+    for key, v in moment_slotwise(bound.pattern, 0).items():
         acc = acc.add(bound.slots[key].scale(v))
     return acc
 
@@ -88,7 +88,7 @@ def test_moment_perturbation_end_to_end(k):
     bound = bind(pat, xbar, xs, pat.inner.trace.betas)
     # every slot's moment vanishes, so g's does for any slot vectors
     for j in range(k):
-        assert not any(pat.moment_slotwise(j).values())
+        assert not any(moment_slotwise(pat, j).values())
     assert max(w.sup_norm for w in bound.w_vectors) <= pat.trace.eps_tilde2
     # zone values sit in the child set, at separation exactly one
     fam = next(e for e in pat.cells if hasattr(e, "period"))

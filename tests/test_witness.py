@@ -192,6 +192,77 @@ def test_memoized_value_shape_and_hash_match_a_fresh_rep(rep):
     assert hash(rep) == hash((rep.weights, rep.pert))
 
 
+def fraction_mix(parts):
+    """mix_reps by Fraction sums, one gcd per operation: the reference."""
+    total = sum((c for c, _ in parts), Fraction(0))
+    if total != 1:
+        raise ValueError(f"coefficients sum to {total}, not 1")
+    acc: dict = {}
+    for c, rep in parts:
+        for path, w in rep.weights:
+            acc[path] = acc.get(path, Fraction(0)) + c * w
+    weights = tuple((p, w) for p, w in sorted(acc.items()) if w != 0)
+    if any(w < 0 for _, w in weights):
+        raise ValueError("negative weight")
+    return weights
+
+
+@st.composite
+def mixes(draw):
+    """1 to 6 reps of up to 16 nodes each, and coefficients over assorted
+    denominators that sum to 1; some coefficients are negative."""
+    count = draw(st.integers(1, 6))
+    parts = []
+    for _ in range(count):
+        nodes = draw(st.lists(paths, min_size=1, max_size=16, unique=True))
+        raw = draw(st.lists(st.integers(1, 9), min_size=len(nodes), max_size=len(nodes)))
+        den = draw(st.sampled_from([1, 3, 1 << 20, 3**12]))
+        weights = tuple((p, Fraction(r * den, sum(raw) * den)) for p, r in zip(nodes, raw))
+        parts.append(BushRep(weights))
+    coefs = [draw(small_fractions) for _ in range(count - 1)]
+    coefs.append(1 - sum(coefs, Fraction(0)))
+    return list(zip(coefs, parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=mixes())
+def test_integer_mix_reps_matches_the_fraction_sum(parts):
+    try:
+        want = fraction_mix(parts)
+    except ValueError:
+        with pytest.raises(ValueError, match="negative weight"):
+            mix_reps(parts)
+    else:
+        got = mix_reps(parts)
+        assert got.weights == want
+        assert all(type(w) is Fraction for _, w in got.weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.tuples(paths, small_fractions), max_size=12), close=st.booleans())
+def test_rep_weight_checks_match_the_fraction_sum(weights, close):
+    if close and weights:  # the last weight makes the sum 1
+        weights[-1] = (weights[-1][0], 1 - sum((w for _, w in weights[:-1]), Fraction(0)))
+    total = sum((w for _, w in weights), Fraction(0))
+    negative = [(p, w) for p, w in weights if w < 0]
+    if negative:
+        path, w = negative[0]
+        with pytest.raises(ValueError, match=f"negative weight {w} on node {path!r}"):
+            BushRep(tuple(weights))
+    elif total != 1:
+        with pytest.raises(ValueError, match=f"weights sum to {total}, not 1"):
+            BushRep(tuple(weights))
+    else:
+        assert BushRep(tuple(weights)).weights == tuple(weights)
+
+
+def test_mix_reps_refuses_coefficients_that_do_not_sum_to_one():
+    with pytest.raises(ValueError, match="coefficients sum to 3/4, not 1"):
+        mix_reps([(F(1, 4), BushRep.point("0")), (F(1, 2), BushRep.point("1"))])
+    with pytest.raises(ValueError, match="coefficients sum to 0, not 1"):
+        mix_reps([])
+
+
 vectors = st.dictionaries(st.integers(1, 64), small_fractions, max_size=12).map(XVec)
 
 
