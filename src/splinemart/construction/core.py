@@ -11,11 +11,12 @@ per-piece structure is kept as closed-form arithmetic plus one
 representative pattern (all pieces are congruent translates).
 
 A pattern stores g slot-wise, as scalar splines paired with slot keys that
-name witness vectors; `slot_vectors` builds those vectors and
-`BoundPattern` evaluates g with them. Point evaluation reads one run table
-per pattern (`SlotwisePattern.run_table`): per basis group (space, index
-shift, count), the disjoint runs (j0, j1, slot coefficients) of all its
-terms, with the correction bumps already expanded into slot keys.
+name witness vectors; `slot_vectors` builds those vectors, in integers
+over one denominator, and `BoundPattern` evaluates g with them. Point
+evaluation reads one run table per pattern (`SlotwisePattern.run_table`):
+per basis group (space, index shift, count), the disjoint runs (j0, j1,
+slot coefficients) of all its terms, with the correction bumps already
+expanded into slot keys.
 """
 
 from __future__ import annotations
@@ -47,14 +48,13 @@ LEVEL_CAP = 1 << 20
 SlotKey = tuple
 
 
-def slot_vectors(xbar: XVec, points: Sequence[XVec], betas: Sequence[Fraction]) -> dict:
-    """The witness vectors of the ("d", m) and ("dmix",) slots.
-
-    Every entry goes over one lcm of the denominators, so x_m - xbar and
-    sum_j beta_j (x_j - xbar) are integer sums with one Fraction per
-    coordinate.
-    """
+def slot_vectors(xbar: XVec, points: Sequence[XVec], betas: Sequence[Fraction]) -> tuple[dict, int]:
+    """The witness vectors of the ("d", m) and ("dmix",) slots, as
+    ({slot key: {coordinate: integer numerator}}, den): x_m - xbar and
+    sum_j beta_j (x_j - xbar) are integer sums over one lcm, and no
+    Fraction is built."""
     (nbar, *nums), den = common_numerators([xbar, *points])
+    bden = math.lcm(*(b.denominator for b in betas))
     minus_bar = {c: -n for c, n in nbar.items()}
     diffs = []
     for x in nums:
@@ -62,15 +62,14 @@ def slot_vectors(xbar: XVec, points: Sequence[XVec], betas: Sequence[Fraction]) 
         for c, n in x.items():
             d[c] = d.get(c, 0) + n
         diffs.append({c: n for c, n in d.items() if n})
-    vecs = {("d", m): XVec.over(d, den) for m, d in enumerate(diffs)}
-    bden = math.lcm(*(b.denominator for b in betas))
+    slots = {("d", m): {c: n * bden for c, n in d.items()} for m, d in enumerate(diffs)}
     mix: dict = {}
     for b, d in zip(betas, diffs):
         a = b.numerator * (bden // b.denominator)
         for c, n in d.items():
             mix[c] = mix.get(c, 0) + a * n
-    vecs[("dmix",)] = XVec.over(mix, den * bden)
-    return vecs
+    slots[("dmix",)] = {c: n for c, n in mix.items() if n}
+    return slots, den * bden
 
 
 class ConstructionContext:
@@ -176,7 +175,7 @@ def first_level(ctx: ConstructionContext, start: int, fit) -> tuple[UniformSpace
 # cells
 
 #: cell kinds on which the perturbed function is constant
-CONSTANT_KINDS = ("zone", "mix", "keep", "rconst")
+CONSTANT_KINDS = ("zone", "mix", "keep")
 
 
 @dataclass(frozen=True)
@@ -187,9 +186,13 @@ class CellSpec:
       zone   - perturbed function constant, value = child m (the mass carrier)
       mix    - constant, value = xbar + sum beta_j (x_j - xbar)
       keep   - constant, value = xbar (no perturbation here)
-      rconst - indicator correction bump (order 1 only): constant xbar + w_i
       ramp   - B-spline ramp of f_m (single atom; convex rep, not constant)
       rbump  - moment-correction bump atom (convex rep, not constant)
+
+    At order 1 a correction bump is one atom, tiled as a keep cell (m = its
+    bump index): the Step-1 mean already vanishes, so w = 0, as the driver
+    checks on binding. It stays a cell of its own, so the cell list that
+    the E_n sampler draws from does not change.
     """
 
     lo: Fraction
@@ -457,11 +460,12 @@ class SlotwisePattern:
 
 
 class BoundPattern:
-    """A pattern with concrete witness vectors: g(t) and the correction vectors."""
+    """A pattern bound to the (numerators, den) slot vectors of
+    `slot_vectors`: g(t) and the correction vectors."""
 
-    def __init__(self, pattern: SlotwisePattern, slot_vectors: dict):
+    def __init__(self, pattern: SlotwisePattern, slots: tuple[dict, int]):
         self.pattern = pattern
-        self.slots = dict(slot_vectors)
+        self.slots = slots
 
     @cached_property
     def w_vectors(self) -> list[XVec]:
@@ -469,17 +473,10 @@ class BoundPattern:
         big-rational coefficients are costly and most readers never need them."""
         return [self._combine((key, coef) for coef, key in wd) for wd in self.pattern.w_data]
 
-    @cached_property
-    def _slot_numerators(self) -> tuple[dict, int]:
-        """Every slot vector as {coordinate: integer numerator} over one
-        common denominator."""
-        nums, den = common_numerators(self.slots.values())
-        return dict(zip(self.slots, nums)), den
-
     def _combine(self, coefs) -> XVec:
         """sum of coef * slot vector over (slot key, coef) pairs: integer
         sums per coordinate over one lcm, one Fraction per coordinate."""
-        nums, den = self._slot_numerators
+        nums, den = self.slots
         coefs = [(nums[key], c) for key, c in coefs]
         cden = math.lcm(*(c.denominator for _, c in coefs))
         sums: dict = {}

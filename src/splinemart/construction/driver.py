@@ -146,7 +146,7 @@ class SequenceResult:
             tau = t - atom_lo + pattern.interval.lo
             acc = acc.add(bound.g_eval(tau))
             cell, _shift = pattern.locate(tau)
-            binding = _child_value(binding, parts, pattern, bound, (cell.kind, cell.m))
+            binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
         return before, acc
 
     def _bind(self, j: int, binding: BushRep):
@@ -181,12 +181,12 @@ class SequenceResult:
             first = math.ceil(lo / h)
             last = math.floor(hi / h) - 1
             atom_lo = rng.randint(first, last) * h
-            pattern, parts, bound = self._bind(j, binding)
+            pattern, parts, _bound = self._bind(j, binding)
             force_zone = j >= n - 2
             cell, shift = self._random_cell(rng, pattern, force_zone)
             base = atom_lo - pattern.interval.lo
             lo, hi = base + shift + cell.lo, base + shift + cell.hi
-            binding = _child_value(binding, parts, pattern, bound, (cell.kind, cell.m))
+            binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
             if binding is None:
                 raise AssertionError("sampler entered a non-constant cell")
         return lo, hi
@@ -231,6 +231,8 @@ class SequenceResult:
             return json.dumps(self._record(trace, random.Random(seed)), indent=indent)
 
     def _record(self, trace: str, rng) -> dict:
+        if trace not in ("summary", "full"):
+            raise ValueError(f"trace must be 'summary' or 'full', not {trace!r}")
         out = {
             "k": self.k,
             "eta": str(self.eta),
@@ -258,31 +260,30 @@ class SequenceResult:
                 for n, sd in enumerate(self.steps)
             ],
         }
-        if trace in ("summary", "full"):
-            rows = []
-            for n, pat in self.all_patterns():
-                tr = pat.trace
-                entry = {
-                    "step": n,
-                    "eps": str(tr.eps),
-                    "eps_tilde": str(tr.eps_tilde2),
-                    "n_outer": tr.n_outer,
-                    "K": pat.K,
-                    "zone_mass_rel": str(tr.zone_mass / pat.interval.length),
-                    "w_bound": None if tr.w_bound is None else str(tr.w_bound),
-                    "failed": pat.failed_checks(),
+        rows = []
+        for n, pat in self.all_patterns():
+            tr = pat.trace
+            entry = {
+                "step": n,
+                "eps": str(tr.eps),
+                "eps_tilde": str(tr.eps_tilde2),
+                "n_outer": tr.n_outer,
+                "K": pat.K,
+                "zone_mass_rel": str(tr.zone_mass / pat.interval.length),
+                "w_bound": None if tr.w_bound is None else str(tr.w_bound),
+                "failed": pat.failed_checks(),
+            }
+            if trace == "full":
+                entry["ainv_norm"] = str(tr.ainv_norm)
+                entry["eps1_outer"] = str(tr.eps1_outer)
+                it = pat.inner.trace
+                entry["inner"] = {
+                    "betas": [str(b) for b in it.betas],
+                    "j_indices": list(it.j_indices),
+                    "n_pieces": it.n_pieces,
                 }
-                if trace == "full":
-                    entry["ainv_norm"] = str(tr.ainv_norm)
-                    entry["eps1_outer"] = str(tr.eps1_outer)
-                    it = pat.inner.trace
-                    entry["inner"] = {
-                        "betas": [str(b) for b in it.betas],
-                        "j_indices": list(it.j_indices),
-                        "n_pieces": it.n_pieces,
-                    }
-                rows.append(entry)
-            out["trace_summary"] = rows
+            rows.append(entry)
+        out["trace_summary"] = rows
         return out
 
 
@@ -397,27 +398,23 @@ def _mix_value(parts, betas) -> BushRep:
     )
 
 
-def _bush_slots(binding: BushRep, parts, pattern: LemmaPattern) -> dict:
+def _bush_slots(binding: BushRep, parts, pattern: LemmaPattern) -> tuple[dict, int]:
     """Slot vectors of an atom valued `binding` with decomposition `parts`."""
     points = [rep.value() for _, rep in parts]
     return slot_vectors(binding.value(), points, pattern.inner.trace.betas)
 
 
-def _child_value(binding: BushRep, parts, pattern: LemmaPattern, bound, cell_key: tuple):
+def _child_value(binding: BushRep, parts, betas, cell_key: tuple):
     """The value, on the cells of `cell_key` = (kind, m), of an atom valued
-    `binding`; None off the constant cells.
-
-    Only rconst cells read `bound`, the pattern bound to the atom's slot vectors.
-    """
+    `binding` with decomposition `parts`; None off the constant cells. It
+    reads no witness vectors (see `_bind_representative`)."""
     kind, m = cell_key
     if kind == "zone":
         return parts[m][1]
     if kind == "keep":
         return binding
     if kind == "mix":
-        return _mix_value(parts, pattern.inner.trace.betas)
-    if kind == "rconst":
-        return binding.with_pert(bound.w_vectors[m])
+        return _mix_value(parts, betas)
     return None  # ramp / rbump: the class goes non-constant
 
 
@@ -429,8 +426,12 @@ def _add_class(census: dict, row: ClassRow):
 
 def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
     """Bind the new pattern to the slot vectors of its first class: record
-    ||w|| on its trace and re-run the trace checks, eq:esty now among them."""
+    ||w|| on its trace and re-run the trace checks, eq:esty now among them.
+    At order 1 w must be zero (the stopping betas make ∫ g = 0), as the
+    bump atoms are keep cells; an explicit raise holds under python -O."""
     bound = BoundPattern(pat, _bush_slots(rep_value, parts, pat))
+    if pat.inner.space.k == 1 and any(bound.w_vectors):
+        raise AssertionError("order-1 moment correction is not zero")
     pat.trace.w_bound = max((w.sup_norm for w in bound.w_vectors), default=F0)
     pat.trace.run_checks()
     require_checks(pat.trace, "bound pattern")
@@ -439,22 +440,20 @@ def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
 def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, census):
     """Add the children of every atom of `row` to the census: one class per
     ledger entry, since the cells of one (kind, m) give one child value.
-
-    For a constant class `row.norm_bound` is the sup norm of its value.
+    Besides the ledger it reads only the betas and `w_bound`: it binds no
+    witness vectors. For a constant class `row.norm_bound` is the sup norm
+    of its value.
     """
     part_norms = [rep.value().sup_norm for _, rep in parts]
     # a ramp value is a convex combination of a child and the parent value
     ramp_norm = max(row.norm_bound, *part_norms)
-    bound = None  # built for the first rconst entry, the only reader
     for (kind, m), width in pat.ledger:
-        if kind == "rconst" and bound is None:
-            bound = BoundPattern(pat, _bush_slots(row.rep_value, parts, pat))
-        rep_value = _child_value(row.rep_value, parts, pat, bound, (kind, m))
+        rep_value = _child_value(row.rep_value, parts, pat.inner.trace.betas, (kind, m))
         if kind == "zone":
             norm = part_norms[m]
         elif kind == "keep":
             norm = row.norm_bound
-        elif rep_value is not None:  # mix / rconst
+        elif rep_value is not None:  # mix
             norm = rep_value.value().sup_norm
         elif kind == "rbump":
             norm = row.norm_bound + (pat.trace.w_bound or F0)

@@ -302,8 +302,8 @@ def step2_correct(
         CellSpec(a + (n_outer - 1) * d, c, "keep"),
     ]]
     for i, m in enumerate(picks):
-        if k == 1:
-            blocks.append([atom_cell(space_r, m, "rconst", i)])
+        if k == 1:  # the order-1 correction is zero: see CellSpec
+            blocks.append([atom_cell(space_r, m, "keep", i)])
         else:
             blocks.append([atom_cell(space_r, m - k + 1 + r, "rbump", i) for r in range(k)])
     cells = tile(interval, blocks)

@@ -72,14 +72,6 @@ class VectorSpline:
             if v.shape != (kv.dim,):
                 raise ValueError("component length mismatch")
 
-    def plus(self, other: "VectorSpline") -> "VectorSpline":
-        if self.kv != other.kv:
-            raise ValueError("splines live on different knot vectors")
-        out = {c: v.copy() for c, v in self.components.items()}
-        for c, v in other.components.items():
-            out[c] = out.get(c, np.zeros(self.kv.dim)) + v
-        return VectorSpline(self.kv, out)
-
     def active_coords(self) -> list[int]:
         return sorted(self.components)
 

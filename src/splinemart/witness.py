@@ -197,9 +197,6 @@ class BushRep:
     def max_pert_depth(self) -> int:
         return max((_coord_depth(c) for c in self.pert.coords()), default=0)
 
-    def with_pert(self, extra: XVec) -> "BushRep":
-        return BushRep(self.weights, self.pert.add(extra))
-
     def shape(self) -> tuple:
         """This value up to relabelling the bush below a common node prefix.
 

@@ -15,7 +15,9 @@ moment code with it, so each checks the other.
 
 `node_vector` materialises one bush node x_s; summing w_s * x_s with
 `XVec.add` and `XVec.scale` is the reference for `BushRep.value`, which
-sums integers up the path trie instead.
+sums integers up the path trie instead. `with_pert` adds a witness
+vector to a rep's perturbation, and `slot_xvecs` reads the integer slot
+vectors of `slot_vectors` as one XVec per slot.
 """
 
 import math
@@ -24,7 +26,7 @@ from math import floor
 
 from splinemart.cardinal import spans
 from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
-from splinemart.witness import XVec
+from splinemart.witness import BushRep, XVec
 
 
 def node_coordinate(path: str) -> int:
@@ -47,6 +49,18 @@ def node_sum(rep) -> XVec:
     for path, w in rep.weights:
         acc = acc.add(node_vector(path).scale(w))
     return acc
+
+
+def with_pert(rep: BushRep, extra: XVec) -> BushRep:
+    """rep with extra added to its perturbation."""
+    return BushRep(rep.weights, rep.pert.add(extra))
+
+
+def slot_xvecs(slots: tuple[dict, int]) -> dict:
+    """The ({slot key: {coordinate: numerator}}, den) pair of
+    `slot_vectors` as {slot key: XVec}."""
+    nums, den = slots
+    return {key: XVec({c: Fraction(n, den) for c, n in vec.items()}) for key, vec in nums.items()}
 
 
 def span_value(k: int, i: int, x: Fraction) -> Fraction:

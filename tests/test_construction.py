@@ -50,7 +50,7 @@ from splinemart.filtration import (
 from splinemart.intervals import Interval
 from splinemart.witness import BushRep, XVec, bush_decompose
 
-from fraction_oracle import evaluate, moment_slotwise, support_bounds
+from fraction_oracle import evaluate, moment_slotwise, slot_xvecs, support_bounds
 
 F = Fraction
 HALF = F(1, 2)
@@ -74,6 +74,7 @@ class TestStopping:
         # so the slot-weighted mean vanishes for the bush decomposition
         _, vecs = bush_slots(tr.betas)
         mean = XVec.zero()
+        vecs = slot_xvecs(vecs)
         for key, v in moment_slotwise(pat, 0).items():
             mean = mean.add(vecs[key].scale(v))
         assert mean.sup_norm == 0
@@ -337,8 +338,8 @@ class TestTile:
                 [CellSpec(0, F(1, 8), "ramp", 0), A, keep(F(1, 4), 1)],
             ),
             (
-                [[A], [CellSpec(F(7, 8), 1, "rconst", 0)]],
-                [keep(0, F(1, 8)), A, keep(F(1, 4), F(7, 8)), CellSpec(F(7, 8), 1, "rconst", 0)],
+                [[A], [CellSpec(F(7, 8), 1, "rbump", 0)]],
+                [keep(0, F(1, 8)), A, keep(F(1, 4), F(7, 8)), CellSpec(F(7, 8), 1, "rbump", 0)],
             ),
         ],
         ids=["gap", "adjacent", "flush-left", "flush-right"],
@@ -468,8 +469,9 @@ def matches_term_by_term(pat, bound, t):
     want = term_by_term_slotwise(pat, t)
     got = {key: v for key, v in pat.eval_slotwise(t).items() if v}
     g = XVec.zero()
+    slots = slot_xvecs(bound.slots)
     for key, v in want.items():
-        g = g.add(bound.slots[key].scale(v))
+        g = g.add(slots[key].scale(v))
     return got == want and bound.g_eval(t) == g
 
 

@@ -1,13 +1,19 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from splinemart.construction.core import BoundPattern, PeriodicFamily
+import splinemart.construction.driver as driver
+from splinemart.construction.core import BoundPattern, PeriodicFamily, slot_vectors
 from splinemart.construction.driver import (
     DELTA, ClassRow, _bush_slots, _mix_value, build_sequence,
 )
@@ -28,7 +34,7 @@ from splinemart.intervals import MeasurableUnion
 from splinemart.harness import verify_sequence
 from splinemart.witness import BushRep, XVec, bush_decompose
 
-from fraction_oracle import moment_slotwise, node_coordinate
+from fraction_oracle import moment_slotwise, node_coordinate, with_pert
 
 F = Fraction
 HALF = F(1, 2)
@@ -182,6 +188,13 @@ def test_json_roundtrip(seq_k1):
     assert back["k"] == 1
     assert len(back["E"]) == 3
     assert all(not row["failed"] for row in back["trace_summary"])
+
+
+@pytest.mark.parametrize("trace", ["ful", "none", ""])
+def test_result_record_refuses_an_unknown_trace(seq_k1, trace):
+    for write in (seq_k1.to_json, seq_k1.dumps):
+        with pytest.raises(ValueError, match="trace must be 'summary' or 'full'"):
+            write(trace=trace)
 
 
 # sha256 of `_fingerprint` per (spec, k, N, eta), recorded before the census
@@ -443,13 +456,14 @@ def reference_census(rows, sd, p):
             for cell, count in instances:
                 if cell.kind == "zone":
                     value, norm = parts[cell.m][1], part_norms[cell.m]
+                elif cell.kind == "keep" and cell.m >= 0:
+                    # an order-1 correction bump: the parent value plus w_m
+                    value = with_pert(row.rep_value, bound.w_vectors[cell.m])
+                    norm = value.value().sup_norm
                 elif cell.kind == "keep":
                     value, norm = row.rep_value, base_norm
                 elif cell.kind == "mix":
                     value = _mix_value(parts, pat.inner.trace.betas)
-                    norm = value.value().sup_norm
-                elif cell.kind == "rconst":
-                    value = row.rep_value.with_pert(bound.w_vectors[cell.m])
                     norm = value.value().sup_norm
                 elif cell.kind == "rbump":
                     value, norm = None, base_norm + (pat.trace.w_bound or F(0))
@@ -494,3 +508,88 @@ def test_ledger_census_matches_per_cell_reference(spec, k, steps, eta):
             if r.kind == "const":
                 assert r.norm_bound == r.rep_value.value().sup_norm
         rows = sd.rows_after
+
+
+ORDER_ONE_CASES = [("dyadic", "1/2", 6), ("dyadic", "2/5", 6), ("padic:3", "1/2", 5),
+                   ("padic:5", "1/2", 3)]
+
+
+@pytest.mark.parametrize(
+    "spec,eta,max_steps",
+    ORDER_ONE_CASES,
+    ids=[f"{s}-N{n}-eta{e.replace('/', '_')}" for s, e, n in ORDER_ONE_CASES],
+)
+def test_order_one_correction_vanishes_on_every_class(spec, eta, max_steps):
+    # the census spawn takes the order-1 bump atoms as keep cells; that is
+    # sound only if w = 0 for every class, not just a pattern's first
+    filt = parse_filtration_spec(spec)
+    for steps in range(1, max_steps + 1):
+        seq = build_sequence(filt, 1, F(eta), steps)
+        rows = [ClassRow("const", "zone", BushRep.point(""), F(1), True, True)]
+        for sd in seq.steps:
+            for row in rows:
+                if row.kind != "const":
+                    continue
+                parts = bush_decompose(row.rep_value, DELTA, target_count=2)
+                pat = sd.patterns[tuple(w for w, _ in parts)]
+                points = [rep.value() for _, rep in parts]
+                slots = slot_vectors(row.rep_value.value(), points, pat.inner.trace.betas)
+                w = BoundPattern(pat, slots).w_vectors
+                assert len(w) == 1 and all(len(v) == 0 for v in w)
+            rows = sd.rows_after
+
+
+def test_order_one_census_row_counts():
+    # the bump atoms join the keep classes: [4, 11, 17, 23, 29, 35] while
+    # they were a cell kind of their own
+    seq = build_sequence(dyadic(), 1, HALF, 6)
+    assert [len(sd.rows_after) for sd in seq.steps] == [3, 8, 12, 16, 20, 24]
+
+
+def _scale_one_correction(lemma_moments):
+    """lemma_moments with one w_data coefficient of each pattern scaled by
+    1 + 10^-6, so the order-1 correction of its first class is not zero."""
+
+    def faulty(*args, **kwargs):
+        pat = lemma_moments(*args, **kwargs)
+        i = next(i for i, data in enumerate(pat.w_data) if data)
+        coef, key = pat.w_data[i][0]
+        pat.w_data[i][0] = (coef * (1 + F(1, 10**6)), key)
+        return pat
+
+    return faulty
+
+
+def test_nonzero_order_one_correction_is_refused(monkeypatch):
+    monkeypatch.setattr(driver, "lemma_moments", _scale_one_correction(driver.lemma_moments))
+    with pytest.raises(AssertionError, match="order-1 moment correction is not zero"):
+        build_sequence(dyadic(), 1, HALF, 2)
+
+
+def test_nonzero_order_one_correction_fails_the_cli_under_python_O():
+    code = textwrap.dedent(
+        """
+        import sys
+        import splinemart.construction.driver as driver
+        from splinemart.cli import main
+        from test_driver import _scale_one_correction
+
+        assert False, "asserts are stripped under -O"
+
+        driver.lemma_moments = _scale_one_correction(driver.lemma_moments)
+        sys.exit(main(["construct", "--filtration", "padic:3", "--k", "1", "--steps", "2"]))
+        """
+    )
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")])
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 3, run.stderr + run.stdout
+    assert "order-1 moment correction is not zero" in run.stderr

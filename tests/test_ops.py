@@ -19,7 +19,7 @@ from splinemart.filtration import dyadic
 from splinemart.intervals import Interval
 from splinemart.witness import XVec
 
-from fraction_oracle import moment_slotwise, node_vector, support_bounds
+from fraction_oracle import moment_slotwise, node_vector, slot_xvecs, support_bounds
 
 F = Fraction
 HALF = F(1, 2)
@@ -32,8 +32,9 @@ def bind(pattern, xbar, xs, betas) -> BoundPattern:
 def mean(bound: BoundPattern) -> XVec:
     """∫ g as a witness vector: the slot-wise means times the slot vectors."""
     acc = XVec.zero()
+    slots = slot_xvecs(bound.slots)
     for key, v in moment_slotwise(bound.pattern, 0).items():
-        acc = acc.add(bound.slots[key].scale(v))
+        acc = acc.add(slots[key].scale(v))
     return acc
 
 
