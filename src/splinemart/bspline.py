@@ -263,7 +263,8 @@ class GramOperator:
     """Banded SPD Gram matrix with a cached Cholesky factorization.
 
     Solves run banded Cholesky plus one step of iterative refinement; the
-    refined residual is monitored and failure above 1e-8 aborts.
+    refined residual is monitored and failure above 1e-8 aborts, as does a
+    failed factorization (both raise ConditioningError).
     """
 
     def __init__(self, kv: KnotVector):
@@ -279,7 +280,10 @@ class GramOperator:
         slots = (r2 - r1) * dim + first[:, None] + r1
         ab = np.bincount(slots.ravel(), weights=terms.ravel(), minlength=k * dim)
         self.ab_lower = ab.reshape(k, dim)
-        self._chol = _linalg().cholesky_banded(self.ab_lower, lower=True)
+        try:
+            self._chol = _linalg().cholesky_banded(self.ab_lower, lower=True)
+        except np.linalg.LinAlgError as exc:  # indefinite after rounding, at high orders
+            raise ConditioningError(f"banded Cholesky at order {k} failed: {exc}") from exc
 
     @property
     def dim(self) -> int:

@@ -38,6 +38,19 @@ def positive_int(text: str) -> int:
     return value
 
 
+#: the largest order --k accepts (shared 2-core host): construct --k 16 --steps 2 takes
+#: about 6 s, --k 24 about 84 s; constants --k 28 passes, --k 32 fails the Gram Cholesky;
+#: at k = 1100 cardinal.spans passes the recursion limit and Gram assembly needs 10 GiB
+MAX_ORDER = 16
+
+
+def spline_order(text: str) -> int:
+    value = positive_int(text)
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_ORDER}, got {text}")
+    return value
+
+
 def seed_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -252,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the divergent sequence")
-    p.add_argument("--k", type=positive_int, default=1)
+    p.add_argument("--k", type=spline_order, default=1)
     p.add_argument("--eta", type=fraction, default="1/2")
     p.add_argument("--steps", type=positive_int, default=2)
     p.add_argument("--out", default=None)
@@ -263,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a result file or a fresh build")
     p.add_argument("--in", dest="result", type=result_file, default=None)
-    p.add_argument("--k", type=positive_int, default=1)
+    p.add_argument("--k", type=spline_order, default=1)
     p.add_argument("--eta", type=fraction, default="1/2")
     p.add_argument("--steps", type=positive_int, default=2)
     p.add_argument("--json", action="store_true")
@@ -271,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("constants", help="projection norm table")
-    p.add_argument("--k", type=positive_int, default=2)
+    p.add_argument("--k", type=spline_order, default=2)
     p.add_argument("--levels", type=positive_int, default=8)
     p.add_argument("--csv", default=None)
     _add_filtration_arg(p)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("uncond", help="unconditionality ratio experiment")
-    p.add_argument("--k", type=positive_int, default=2)
+    p.add_argument("--k", type=spline_order, default=2)
     p.add_argument("--p", type=exponent, default=2.0)
     p.add_argument("--depth", type=positive_int, default=8)
     p.add_argument("--trials", type=positive_int, default=100)
@@ -288,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_uncond)
 
     p = sub.add_parser("demo-convergence", help="scalar convergence contrast")
-    p.add_argument("--k", type=positive_int, default=1)
+    p.add_argument("--k", type=spline_order, default=1)
     p.add_argument("--depth", type=positive_int, default=12)
     p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--json", action="store_true")

@@ -570,15 +570,21 @@ def step1_stopping(
     eps: Fraction,
     base_level: int,
     *,
-    align: Sequence[Fraction] = (),
-    max_zombie_length: Optional[Fraction] = None,
+    max_zombie_length: Fraction,
 ) -> Step1Pattern:
     """Stopping-time construction for constant convex weights.
 
     Builds f_1 .. f_{M+1} in S_K so that g = sum_m f_m ⊗ (x_m - xbar)
     + f_{M+1} ⊗ sum beta_j (x_j - xbar) has exact mean zero, is supported
     inside int I, agrees with a child value on zones carrying at least
-    (1 - eps) of |I ∩ V|, and admits convex representations elsewhere.
+    (1 - eps) of |I ∩ V|, and admits convex representations elsewhere; for
+    k >= 2 its ramp atoms, where it is not constant, total at most
+    `max_zombie_length`.
+
+    The level K puts a = inf I and the piece width d = |I| / p**s on its
+    grid. The caller, `step2_correct`, passes I = [a' + d', a' + 2d'] for
+    its pieces [a' + (l - 1) d', a' + l d']; that grid also holds
+    d' = p**s d and a' = a - d', so it aligns every piece as it stands.
     """
     ctx.require_uniform()
     p, k = ctx.p, ctx.k
@@ -602,8 +608,8 @@ def step1_stopping(
     eps3 = eps1 / (2 * n)
 
     # level search: k+1 atoms inside the ball around each piece midpoint p1
-    # on either side of p1, and the optional zombie (ramp) length budget;
-    # alignment puts a, d and every translation offset on the grid
+    # on either side of p1, and the zombie (ramp) length budget; the level
+    # puts a, d and every translation offset on the grid (see above)
     p1 = a + d / 2
     lo_edge, hi_edge = max(a, p1 - eps3), min(a + d, p1 + eps3)
     ramp_atoms = 2 * (M + 1) * (k - 1)
@@ -615,11 +621,11 @@ def step1_stopping(
         U1, V1 = math.floor(lo_edge * units) + 1, math.ceil(hi_edge * units) - 1
         if math.floor(p1 * units) - U1 < k + 1 or V1 - math.ceil(p1 * units) < k + 1:
             return None
-        if max_zombie_length is not None and k > 1 and ramp_atoms * space.h > max_zombie_length:
+        if k > 1 and ramp_atoms * space.h > max_zombie_length:
             return None
         return U1, V1, grid_units(d, units)
 
-    start = max(base_level + 1, level_aligning(p, a, d, *align))
+    start = max(base_level + 1, level_aligning(p, a, d))
     space, (U1, V1, D) = first_level(ctx, start, ball)
     K, h = space.level, space.h
 

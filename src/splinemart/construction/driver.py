@@ -69,6 +69,9 @@ class ClassRow:
 
 @dataclass
 class StepData:
+    """Step n: level m_n, eps_n, one lemma pattern per decomposition profile, and
+    the exact masses of C_{n+1}, E_{n+1} and f_{n+1}'s constant classes (the rest is zombie)."""
+
     n: int
     m_level: int
     eps: Fraction
@@ -76,8 +79,7 @@ class StepData:
     c_mass: Fraction
     e_mass: Fraction
     const_mass: Fraction
-    zombie_mass: Fraction
-    rows_after: list = None        # class census of f_{n+1}
+    rows_after: list               # class census of f_{n+1}
 
 
 class SequenceResult:
@@ -375,7 +377,6 @@ def build_sequence(
                 c_mass=c_mass,
                 e_mass=e_mass,
                 const_mass=const_mass,
-                zombie_mass=1 - const_mass,
                 rows_after=new_rows,
             )
         )

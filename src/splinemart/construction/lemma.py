@@ -201,12 +201,13 @@ def step2_correct(
     base_level: int,
     alphas: Sequence[Fraction],
     *,
-    max_zombie_length: Optional[Fraction] = None,
+    max_zombie_length: Fraction,
 ) -> LemmaPattern:
     """Assemble the vanishing-moment construction for constant weights alphas.
 
     The Step-1 pattern built on the second piece of L is reused for every
-    piece (valid for constant weights over uniform limit sets).
+    piece (valid for constant weights over uniform limit sets). The
+    non-constant cells total at most `max_zombie_length`.
 
     One normalisation per result: A^{-1} comes out of `invert_exact` as
     integers over one denominator, and each slot's moment row z goes over
@@ -235,7 +236,7 @@ def step2_correct(
         last = math.ceil(b * space.num_atoms) - 2  # last atom strictly left of b
         if last - first + 1 < need_atoms:
             return None
-        if k > 1 and max_zombie_length is not None and k * k * space.h > max_zombie_length / 2:
+        if k > 1 and k * k * space.h > max_zombie_length / 2:
             return None
         return first
 
@@ -257,18 +258,15 @@ def step2_correct(
     piece_count = n_outer - 2
 
     # pieces are [a + (ell - 1) d, a + ell d] for ell = 1..n_outer; the
-    # representative is the second, aligned so that every translate sits
-    # on its grid, with its share of the zombie budget
+    # representative is the second (its level aligns every translate: see
+    # step1_stopping), with its share of the zombie budget
     inner = step1_stopping(
         ctx,
         Interval(a + d, a + 2 * d),
         alphas,
         et,
         base_level,
-        align=(a, d),
-        max_zombie_length=(
-            None if max_zombie_length is None else max_zombie_length * d / width / 2
-        ),
+        max_zombie_length=max_zombie_length * d / width / 2,
     )
     K = max(inner.K, space_r.level)
     terms = [(PeriodicSpline(scal, d, piece_count), key) for scal, key in inner.terms]
@@ -332,7 +330,7 @@ def step2_correct(
     trace.zone_mass = pattern.zone_mass()
     trace.run_checks()
     require_checks(trace, "lemma construction")
-    if max_zombie_length is not None and pattern.zombie_length() > max_zombie_length:
+    if pattern.zombie_length() > max_zombie_length:
         raise AssertionError("zombie budget exceeded")
     return pattern
 
@@ -348,7 +346,7 @@ def lemma_moments(
     base_level: int,
     *,
     const_alphas: Sequence[Fraction],
-    max_zombie_length: Optional[Fraction] = None,
+    max_zombie_length: Fraction,
 ) -> LemmaPattern:
     """The full vanishing-moment lemma for one convex decomposition.
 

@@ -20,7 +20,7 @@ from ..projection import ProjectionContext, VectorSpline
 NODES = 64
 #: Gauss nodes per atom of the uniform-integrability profile
 UI_NODES = 32
-#: the weak-type ratio's default levels, as fractions of the largest sup value
+#: the weak-type ratio's levels, as fractions of the largest sup value
 WEAK_QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.99)
 #: increments below this count as converged in scalar_convergence_demo
 CONVERGENCE_TOL = 1e-3
@@ -58,16 +58,16 @@ def _max_norm(f: VectorSpline, pts: np.ndarray) -> np.ndarray:
     return np.abs(vals).max(axis=0, initial=0.0)
 
 
-def weak_type_ratio(seq: list[VectorSpline], lambdas=None) -> float:
-    """max over lambda of lambda |{sup_n ||f_n|| > lambda}| / sup_n ||f_n||_L1."""
+def weak_type_ratio(seq: list[VectorSpline]) -> float:
+    """max over lambda of lambda |{sup_n ||f_n|| > lambda}| / sup_n ||f_n||_L1,
+    for lambda at the WEAK_QUANTILES of the largest sup value."""
     wts, norms, sup = _sup_process(seq)
     denom = max(float(vals @ wts) for vals in norms)
     if denom == 0:
         return 0.0
-    if lambdas is None:
-        top = sup.max()
-        lambdas = [top * q for q in WEAK_QUANTILES]
-    return max([0.0] + [lam * float(wts[sup > lam].sum()) / denom for lam in lambdas])
+    top = sup.max()
+    levels = [top * q for q in WEAK_QUANTILES]
+    return max([0.0] + [lam * float(wts[sup > lam].sum()) / denom for lam in levels])
 
 
 def doob_ratio(seq: list[VectorSpline], p: float) -> float:

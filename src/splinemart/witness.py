@@ -1,5 +1,5 @@
-"""The non-RNP witness space: finitely supported sup-norm vectors and the
-dyadic bush.
+"""The non-RNP witness space: finitely supported sup-norm vectors, the
+dyadic bush, and bush values (`BushRep`): node weights and nothing else.
 
 The bush assigns to every binary word s a vector x_s with entries in
 {-1, 0, +1}: the root is 0 and the children of s are x_s ± e_{a(s)} for a
@@ -7,6 +7,7 @@ fresh coordinate a(s) (heap numbering of the binary tree, so allocation
 is deterministic and reproducible). Every x_s is the average of its two
 children and lies at sup-distance exactly 1 from each of them, which is
 what makes every point of the bush non-extremal at scale delta = 1.
+Every constant value of the construction is a convex combination of nodes.
 
 One normalisation per result: `BushRep.value` sums each coordinate as an
 integer numerator over the lcm of the weight denominators, in one pass up
@@ -24,7 +25,7 @@ import math
 import os.path
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .cardinal import over_common_denominator
 from .errors import UnachievableSeparationError
@@ -38,9 +39,8 @@ class XVec:
 
     __slots__ = ("_data",)
 
-    def __init__(self, data: Mapping[int, object] | Iterable[tuple[int, object]] = ()):
-        items = data.items() if isinstance(data, Mapping) else data
-        self._data = {int(c): v for c, v in items if v != 0}
+    def __init__(self, data: Mapping[int, object] | None = None):
+        self._data = {int(c): v for c, v in (data or {}).items() if v != 0}
 
     @classmethod
     def _of(cls, data: dict) -> "XVec":
@@ -61,9 +61,6 @@ class XVec:
 
     def items(self):
         return self._data.items()
-
-    def coords(self):
-        return self._data.keys()
 
     def __getitem__(self, coord: int):
         return self._data.get(coord, 0)
@@ -120,23 +117,20 @@ def common_numerators(vecs) -> tuple[list[dict], int]:
     return [{c: v.numerator * (den // v.denominator) for c, v in x.items()} for x in vecs], den
 
 
-def _coord_depth(coord: int) -> int:
-    """Depth at which a coordinate first appears in node vectors."""
-    return coord.bit_length()  # floor(log2(c)) + 1
-
-
 @dataclass(frozen=True)
 class BushRep:
-    """Convex combination of bush nodes plus a shared perturbation.
+    """Convex combination of bush nodes.
 
-    Represents the value sum(w_s * x_s) + pert with non-negative rational
-    weights summing to one. This is the working currency of the driver:
-    every constant value it produces has this shape, which is exactly what
-    lets it be split again with unit separation.
+    Represents the value sum(w_s * x_s) with non-negative rational weights
+    summing to one. This is the working currency of the driver: every
+    constant value it produces has this shape, which is exactly what lets
+    it be split again with unit separation.
     """
 
     weights: tuple[tuple[str, Fraction], ...]
-    pert: XVec = XVec.zero()
+    # not a field, always zero: only bench/workloads.construction_stats reads
+    # it; ROADMAP item 5 deletes this constant together with that read
+    pert = XVec.zero()
 
     def __post_init__(self):
         weights = []
@@ -150,17 +144,17 @@ class BushRep:
             raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
 
     @classmethod
-    def point(cls, path: str, pert: XVec = XVec.zero()) -> "BushRep":
-        return cls(((path, Fraction(1)),), pert)
+    def point(cls, path: str) -> "BushRep":
+        return cls(((path, Fraction(1)),))
 
     def __hash__(self):
         memo = self.__dict__.get("_hash")
         if memo is None:
-            memo = self.__dict__["_hash"] = hash((self.weights, self.pert))
+            memo = self.__dict__["_hash"] = hash(self.weights)
         return memo
 
     def value(self) -> XVec:
-        """sum(w_s * x_s) + pert, memoized on the rep.
+        """sum(w_s * x_s), memoized on the rep.
 
         Node s = b_1 .. b_n has heap index (1 << n) + int(s, 2), the
         coordinate a(s) it allocates; its children s0, s1 have 2c and
@@ -171,11 +165,8 @@ class BushRep:
         the weight denominators.
         """
         memo = self.__dict__.get("_value")
-        if memo is None:
-            memo = self.__dict__["_value"] = self._node_sum().add(self.pert)
-        return memo
-
-    def _node_sum(self) -> XVec:
+        if memo is not None:
+            return memo
         den = math.lcm(*(w.denominator for _, w in self.weights))
         below: list[dict] = [{} for _ in range(self.max_node_depth() + 1)]
         for path, w in self.weights:
@@ -189,41 +180,33 @@ class BushRep:
                 c = node >> 1
                 up[c] = up.get(c, 0) + n
                 sums[c] = sums.get(c, 0) + (-n if node & 1 else n)
-        return XVec.over(sums, den)
+        memo = self.__dict__["_value"] = XVec.over(sums, den)
+        return memo
 
     def max_node_depth(self) -> int:
         return max((len(p) for p, _ in self.weights), default=0)
 
-    def max_pert_depth(self) -> int:
-        return max((_coord_depth(c) for c in self.pert.coords()), default=0)
-
     def shape(self) -> tuple:
         """This value up to relabelling the bush below a common node prefix.
 
-        Returns (prefix is empty, node weights, perturbation entries), with
-        node paths and perturbation coordinates (each as the path of the
-        node that allocated it) rewritten relative to the longest common
-        prefix q of all of them. Two reps of equal shape under prefixes q
-        and q' differ by the relabelling q + s -> q' + s, which keeps sup
-        norms, `bush_decompose` profiles and every later perturbation in
-        step. The prefix node's own vector x_q adds only +-1 entries on
-        coordinates no later step touches; it is absent exactly when q is
-        empty, hence the flag. Memoized on the rep.
+        Returns (prefix is empty, node weights), with node paths rewritten
+        relative to the longest common prefix q of all of them. Two reps of
+        equal shape under prefixes q and q' differ by the relabelling
+        q + s -> q' + s, which keeps sup norms and `bush_decompose`
+        profiles in step. The prefix node's own vector x_q adds only +-1
+        entries on coordinates no later step touches; it is absent exactly
+        when q is empty, hence the flag. Memoized on the rep.
         """
         memo = self.__dict__.get("_shape")
         if memo is None:
-            coords = {format(c, "b")[1:]: v for c, v in self.pert.items()}
-            cut = len(os.path.commonprefix([p for p, _ in self.weights] + list(coords)))
-            memo = self.__dict__["_shape"] = (
-                cut == 0,
-                tuple((p[cut:], w) for p, w in self.weights),
-                tuple(sorted((path[cut:], v) for path, v in coords.items())),
-            )
+            cut = len(os.path.commonprefix([p for p, _ in self.weights]))
+            rel = tuple((p[cut:], w) for p, w in self.weights)
+            memo = self.__dict__["_shape"] = (cut == 0, rel)
         return memo
 
 
 def mix_reps(parts: list[tuple[Fraction, BushRep]]) -> BushRep:
-    """Affine combination of reps sharing one perturbation.
+    """Affine combination of reps.
 
     Coefficients must sum to 1; the node weights of the result must come
     out non-negative (the construction keeps its correction coefficients
@@ -234,40 +217,34 @@ def mix_reps(parts: list[tuple[Fraction, BushRep]]) -> BushRep:
     cnums, cden = over_common_denominator([c for c, _ in parts])
     if sum(cnums) != cden:
         raise ValueError(f"coefficients sum to {Fraction(sum(cnums), cden)}, not 1")
-    pert = parts[0][1].pert
     wden = math.lcm(*(w.denominator for _, rep in parts for _, w in rep.weights))
     acc: dict[str, int] = {}
     for cn, (_, rep) in zip(cnums, parts):
-        if rep.pert != pert:
-            raise ValueError("mixed reps must share their perturbation")
         for path, w in rep.weights:
             acc[path] = acc.get(path, 0) + cn * w.numerator * (wden // w.denominator)
     den = cden * wden
-    return BushRep(tuple((p, Fraction(n, den)) for p, n in sorted(acc.items()) if n), pert)
+    return BushRep(tuple((p, Fraction(n, den)) for p, n in sorted(acc.items()) if n))
 
 
 def bush_decompose(rep: BushRep, delta, target_count: int = 2) -> list[tuple[Fraction, BushRep]]:
     """Split a bush value into deep-node points at sup-distance >= delta.
 
     Expands every node of `rep` to its descendants at a common depth D
-    chosen past every node depth and every perturbation coordinate, with
-    dyadically split weights. The mixture reproduces the value exactly and
-    each output point differs from it by exactly 1 in the output's own
-    deepest coordinate (the sibling contributions cancel there).
+    past every node depth, with dyadically split weights. The mixture
+    reproduces the value exactly and each output point differs from it by
+    exactly 1 in the output's own deepest coordinate (the sibling
+    contributions cancel there).
     """
     delta = frac(delta)
     if delta > 1:
         raise UnachievableSeparationError(f"bush separation is 1, requested {delta}")
-    d = max(rep.max_node_depth(), rep.max_pert_depth()) + 1
+    d = rep.max_node_depth() + 1
     while sum(1 << (d - len(p)) for p, _ in rep.weights) < target_count:
         d += 1
-    out: list[tuple[Fraction, BushRep]] = []
     acc: dict[str, Fraction] = {}
     for path, w in rep.weights:
         share = w / (1 << (d - len(path)))
         for suffix in range(1 << (d - len(path))):
-            desc = path + format(suffix, f"0{d - len(path)}b") if d > len(path) else path
+            desc = path + format(suffix, f"0{d - len(path)}b")
             acc[desc] = acc.get(desc, Fraction(0)) + share
-    for desc in sorted(acc):
-        out.append((acc[desc], BushRep.point(desc, rep.pert)))
-    return out
+    return [(acc[desc], BushRep.point(desc)) for desc in sorted(acc)]

@@ -15,9 +15,8 @@ moment code with it, so each checks the other.
 
 `node_vector` materialises one bush node x_s; summing w_s * x_s with
 `XVec.add` and `XVec.scale` is the reference for `BushRep.value`, which
-sums integers up the path trie instead. `with_pert` adds a witness
-vector to a rep's perturbation, and `slot_xvecs` reads the integer slot
-vectors of `slot_vectors` as one XVec per slot.
+sums integers up the path trie instead. `slot_xvecs` reads the integer
+slot vectors of `slot_vectors` as one XVec per slot.
 """
 
 import math
@@ -44,16 +43,11 @@ def node_vector(path: str) -> XVec:
 
 
 def node_sum(rep) -> XVec:
-    """A BushRep's value as pert + sum of w_s * x_s, node vector by node vector."""
-    acc = rep.pert
+    """A BushRep's value as sum of w_s * x_s, node vector by node vector."""
+    acc = XVec.zero()
     for path, w in rep.weights:
         acc = acc.add(node_vector(path).scale(w))
     return acc
-
-
-def with_pert(rep: BushRep, extra: XVec) -> BushRep:
-    """rep with extra added to its perturbation."""
-    return BushRep(rep.weights, rep.pert.add(extra))
 
 
 def slot_xvecs(slots: tuple[dict, int]) -> dict:

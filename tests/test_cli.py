@@ -10,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splinemart.construction as construction
-from splinemart.cli import main
+from splinemart.bspline import KnotVector, gram
+from splinemart.cli import MAX_ORDER, main
 from splinemart.construction.core import LEVEL_CAP
-from splinemart.errors import InfeasibleStoppingError
-from splinemart.filtration import parse_filtration_spec
+from splinemart.errors import ConditioningError, InfeasibleStoppingError
+from splinemart.filtration import dyadic, parse_filtration_spec
 from splinemart.harness import verify_sequence
 from splinemart.intervals import DECIMAL_DIGITS_CAP, frac, long_decimals
 
@@ -286,6 +287,16 @@ OUT_OF_RANGE_FILTRATIONS = {
     + [
         # accum:1/3 level 44 is refused by the Gauss-node rule after 43 levels
         ["constants", "--k", "3", "--levels", "50", "--filtration", "accum:1/3"],
+    ]
+    + [
+        # orders past MAX_ORDER: without the bound these recurse past the
+        # interpreter's limit, fail the Gram matrix's Cholesky, or allocate
+        # about 10 GiB for Gram assembly
+        ["construct", "--k", "1100", "--steps", "1"],
+        ["constants", "--k", "32", "--levels", "4"],
+        ["uncond", "--k", "40", "--depth", "3"],
+        ["constants", "--k", "1100", "--levels", "1"],
+        ["demo-convergence", "--k", "1100", "--depth", "1"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
@@ -317,6 +328,19 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_constants_runs_at_the_largest_accepted_order(capsys):
+    assert main(["constants", "--k", str(MAX_ORDER), "--levels", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_gram_refused_by_cholesky_raises_conditioning_error():
+    # the dyadic level where `constants --k 32 --levels 4` failed with a
+    # LinAlgError before --k was bounded
+    kv = KnotVector.from_filtration(dyadic(), 2, 32)
+    with pytest.raises(ConditioningError, match="banded Cholesky at order 32"):
+        gram(kv)
 
 
 def test_constants_refusal_names_the_level(capsys):

@@ -66,7 +66,7 @@ def bush_slots(betas):
 class TestStopping:
     def test_mean_zero_identity(self):
         ctx = ConstructionContext(dyadic(), 2)
-        pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0)
+        pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0, max_zombie_length=F(1))
         tr = pat.trace
         # the defining identity: int f_m + beta_m int f_{M+1} = C alpha_m
         for m in range(2):
@@ -82,7 +82,7 @@ class TestStopping:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_zone_values_and_separation(self, k):
         ctx = ConstructionContext(dyadic(), k)
-        pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0)
+        pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0, max_zombie_length=F(1))
         parts, vecs = bush_slots(pat.trace.betas)
         bound = BoundPattern(pat, vecs)
         xbar = XVec.zero()  # bush root
@@ -99,20 +99,20 @@ class TestStopping:
     def test_trace_inequalities_recorded(self):
         ctx = ConstructionContext(dyadic(), 2)
         for eps in (F(1, 4), F(1, 8), F(1, 16)):
-            pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], eps, 0)
+            pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], eps, 0, max_zombie_length=F(1))
             assert all(ok for _, ok in pat.trace.checks)
             assert sum(abs(b) for b in pat.trace.betas) < eps / 2
 
     def test_mass_retention_exact(self):
         ctx = ConstructionContext(dyadic(), 2)
         eps = F(1, 8)
-        pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], eps, 0)
+        pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], eps, 0, max_zombie_length=F(1))
         assert pat.zone_mass() >= (1 - eps) * 1
 
     def test_support_inside_interior(self):
         ctx = ConstructionContext(dyadic(), 3)
         iv = Interval(F(1, 4), F(1, 2))
-        pat = step1_stopping(ctx, iv, [HALF, HALF], F(1, 4), 2)
+        pat = step1_stopping(ctx, iv, [HALF, HALF], F(1, 4), 2, max_zombie_length=iv.length)
         for scal, _ in pat.terms:
             lo, hi = support_bounds(scal)
             assert iv.lo < lo and hi < iv.hi
@@ -120,12 +120,14 @@ class TestStopping:
     def test_weights_must_be_convex(self):
         ctx = ConstructionContext(dyadic(), 1)
         with pytest.raises(PreconditionError):
-            step1_stopping(ctx, Interval(0, 1), [HALF, HALF, HALF], F(1, 4), 0)
+            step1_stopping(
+                ctx, Interval(0, 1), [HALF, HALF, HALF], F(1, 4), 0, max_zombie_length=F(1)
+            )
 
     def test_unsupported_filtration(self):
         ctx = ConstructionContext(AccumulatingFiltration(F(1, 2)), 1)
         with pytest.raises(CapacityError):
-            step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0)
+            step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0, max_zombie_length=F(1))
 
 
 def is_cube_root_under(x, eps, p):
@@ -216,7 +218,9 @@ class TestLemma:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_vanishing_moments_exact(self, k):
         ctx = ConstructionContext(dyadic(), k)
-        pat = lemma_moments(ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF])
+        pat = lemma_moments(
+            ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+        )
         # every slot's moment vanishes, so g's does for any slot vectors
         for j in range(k):
             assert not any(moment_slotwise(pat, j).values())
@@ -227,7 +231,9 @@ class TestLemma:
     def test_w_norm_within_eps_tilde(self):
         for k in (1, 2, 3):
             ctx = ConstructionContext(dyadic(), k)
-            pat = lemma_moments(ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF])
+            pat = lemma_moments(
+                ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+            )
             parts, _ = bush_slots(pat.inner.trace.betas)
             assert pat.trace.w_bound is None
             _bind_representative(pat, BushRep.point(""), parts)
@@ -240,7 +246,9 @@ class TestLemma:
     def test_mass_chain_exact(self):
         ctx = ConstructionContext(dyadic(), 2)
         eps = F(1, 4)
-        pat = lemma_moments(ctx, Interval(0, 1), eps, 0, const_alphas=[HALF, HALF])
+        pat = lemma_moments(
+            ctx, Interval(0, 1), eps, 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+        )
         tr = pat.trace
         et = tr.eps_tilde2
         assert tr.zone_mass >= (1 - et) ** 2 * tr.L_mass
@@ -249,7 +257,9 @@ class TestLemma:
 
     def test_k1_scalar_solve(self):
         ctx = ConstructionContext(dyadic(), 1)
-        pat = lemma_moments(ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF])
+        pat = lemma_moments(
+            ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+        )
         # A is 1x1 and positive; the assembled correction vector vanishes
         # because the mean already cancels vectorially on L
         assert len(pat.r_terms) == 1
@@ -260,7 +270,9 @@ class TestLemma:
     def test_support_interior(self):
         ctx = ConstructionContext(dyadic(), 2)
         iv = Interval(F(1, 2), F(3, 4))
-        pat = lemma_moments(ctx, iv, F(1, 4), 2, const_alphas=[HALF, HALF])
+        pat = lemma_moments(
+            ctx, iv, F(1, 4), 2, const_alphas=[HALF, HALF], max_zombie_length=iv.length
+        )
         _, vecs = bush_slots(pat.inner.trace.betas)
         bound = BoundPattern(pat, vecs)
         # the first and last cells are keep cells hugging the boundary;
@@ -279,7 +291,7 @@ class TestLemma:
 class TestPAdic:
     def test_triadic_stopping(self):
         ctx = ConstructionContext(UniformFiltration(3), 2)
-        pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0)
+        pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0, max_zombie_length=F(1))
         assert all(ok for _, ok in pat.trace.checks)
         assert pat.zone_mass() >= F(3, 4)
 
@@ -388,6 +400,21 @@ class TestValuation:
                 d = p**v * cofactor
                 assert p_adic_valuation(p, d) == self.strip_loop(p, d) == v
         assert level_aligning(p, F(1, p**20000), F(3, p**7)) == 20000
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5]),
+        a=st.tuples(st.integers(0, 10**9), st.integers(0, 60)),
+        d=st.tuples(st.integers(1, 10**9), st.integers(0, 60)),
+        s=st.integers(0, 30),
+    )
+    def test_the_inner_piece_level_aligns_the_outer_pieces(self, p, a, d, s):
+        # step2_correct builds its Step-1 pattern on [a + d, a + 2d], whose
+        # piece width is d / p**s: the level aligning those two values
+        # aligns a and d too, so step1_stopping needs no extra values
+        a, d = F(a[0], p ** a[1]), F(d[0], p ** d[1])
+        inner = (a + d, d / p**s)
+        assert level_aligning(p, *inner) == level_aligning(p, *inner, a, d)
 
     def test_off_grid_value_raises(self):
         with pytest.raises(PreconditionError, match="not on any 2-ary grid"):

@@ -34,7 +34,7 @@ from splinemart.intervals import MeasurableUnion
 from splinemart.harness import verify_sequence
 from splinemart.witness import BushRep, XVec, bush_decompose
 
-from fraction_oracle import moment_slotwise, node_coordinate, with_pert
+from fraction_oracle import moment_slotwise
 
 F = Fraction
 HALF = F(1, 2)
@@ -294,11 +294,9 @@ def test_census_row_counts(seq_k2_n5):
 
 def test_shape_forgets_the_prefix_but_not_its_absence():
     rel_weights = [("0", F(1, 2)), ("10", F(1, 4)), ("11", F(1, 4))]
-    rel_pert = {"": F(1, 8), "1": F(-1, 16)}
 
     def under(prefix):
-        pert = XVec({node_coordinate(prefix + s): v for s, v in rel_pert.items()})
-        return BushRep(tuple((prefix + s, w) for s, w in rel_weights), pert)
+        return BushRep(tuple((prefix + s, w) for s, w in rel_weights))
 
     a, b, root = under("0"), under("110"), under("")
     assert a.shape() == b.shape()
@@ -457,9 +455,11 @@ def reference_census(rows, sd, p):
                 if cell.kind == "zone":
                     value, norm = parts[cell.m][1], part_norms[cell.m]
                 elif cell.kind == "keep" and cell.m >= 0:
-                    # an order-1 correction bump: the parent value plus w_m
-                    value = with_pert(row.rep_value, bound.w_vectors[cell.m])
-                    norm = value.value().sup_norm
+                    # an order-1 correction bump: the parent value plus w_m,
+                    # which a rep holds only when w_m is zero
+                    w = bound.w_vectors[cell.m]
+                    assert not w, "order-1 correction is not zero"
+                    value, norm = row.rep_value, row.rep_value.value().add(w).sup_norm
                 elif cell.kind == "keep":
                     value, norm = row.rep_value, base_norm
                 elif cell.kind == "mix":

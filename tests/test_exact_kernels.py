@@ -170,10 +170,10 @@ def test_tampered_inverse_fails_the_exact_cancellation(spec, k, monkeypatch):
 
     ctx = ConstructionContext(parse_filtration_spec(spec), k)
     args = (ctx, Interval(0, 1), F(1, 4), 0)
-    lemma.lemma_moments(*args, const_alphas=[HALF, HALF])
+    lemma.lemma_moments(*args, const_alphas=[HALF, HALF], max_zombie_length=F(1))
     monkeypatch.setattr(lemma, "invert_exact", tampered)
     with pytest.raises(AssertionError, match="moment correction failed to cancel exactly"):
-        lemma.lemma_moments(*args, const_alphas=[HALF, HALF])
+        lemma.lemma_moments(*args, const_alphas=[HALF, HALF], max_zombie_length=F(1))
 
 
 def test_tampered_inverse_fails_under_python_O():
@@ -198,7 +198,10 @@ def test_tampered_inverse_fails_under_python_O():
         ctx = ConstructionContext(parse_filtration_spec("padic:3"), 4)
         half = Fraction(1, 2)
         try:
-            lemma.lemma_moments(ctx, Interval(0, 1), Fraction(1, 4), 0, const_alphas=[half, half])
+            lemma.lemma_moments(
+                ctx, Interval(0, 1), Fraction(1, 4), 0, const_alphas=[half, half],
+                max_zombie_length=Fraction(1),
+            )
         except AssertionError as exc:
             print(exc)
         else:

@@ -17,6 +17,7 @@ from splinemart.harness import (
     verify_sequence,
     weak_type_ratio,
 )
+from splinemart.harness.estimators import WEAK_QUANTILES
 from splinemart.projection import ProjectionContext, VectorSpline
 from splinemart.rle import RleSpline
 from splinemart.witness import XVec
@@ -54,6 +55,34 @@ class TestVerify:
         report = verify_sequence(seq2)
         failed = {e.name for e in report.failed()}
         assert any("(3b)" in n for n in failed)
+
+    @pytest.mark.parametrize("entry", [
+        "zone constancy (3a)",
+        "positive mass of I_{n,i} (3e)",
+        "value boundedness",
+        "perturbation ledger",
+    ])
+    def test_one_fault_fails_exactly_its_entry(self, seq2, entry, monkeypatch):
+        if entry == "zone constancy (3a)":
+            # the sampled points are dyadic; the offsets h/7 and -h/9 put a 7
+            # or a 3 in the denominator, and there f_n reads another value
+            value_at = seq2.value_at
+
+            def moved(t, n):
+                d = t.denominator
+                return value_at(t, n).add(XVec({1 << 40: F(1)}) if d & (d - 1) else XVec())
+
+            monkeypatch.setattr(seq2, "value_at", moved)
+        elif entry == "positive mass of I_{n,i} (3e)":
+            in_c = next(row for sd in seq2.steps for row in sd.rows_after if row.in_c)
+            monkeypatch.setattr(in_c, "total_length", F(0))
+        elif entry == "value boundedness":
+            monkeypatch.setattr(seq2.steps[-1].rows_after[0], "chain_sup", F(2))
+        else:
+            pat = next(iter(seq2.steps[0].patterns.values()))
+            monkeypatch.setattr(pat.trace, "w_bound", seq2.eta)
+        report = verify_sequence(seq2)
+        assert [e.name for e in report.failed()] == [entry], report.render()
 
     @pytest.mark.parametrize("fault", ["above_one", "mix_above_one", "other_slot"])
     def test_fault_injection_flags_a_bad_ramp_coefficient(self, fault):
@@ -94,13 +123,13 @@ class TestVerify:
 
 
 class TestMaximalEstimators:
-    def test_constant_sequence_ratio_zero(self):
+    def test_constant_sequence_ratio_is_the_top_quantile(self):
         ctx = ProjectionContext(dyadic(), 1)
         kv = ctx.knot_vector(3)
         const = VectorSpline(kv, {1: np.full(kv.dim, 0.5)})
         seq = [const, const, const]
-        # any lambda above the constant norm gives measure zero
-        assert weak_type_ratio(seq, lambdas=[0.7]) == 0.0
+        # every level lies below the constant norm, so each has full measure
+        assert abs(weak_type_ratio(seq) - max(WEAK_QUANTILES)) < 1e-12
 
     def test_single_element_doob_ratio_one(self):
         ctx = ProjectionContext(dyadic(), 2)
@@ -135,14 +164,13 @@ def reference_sup_process(seq, nodes=64):
     return wts, np.max(levels, axis=0), levels
 
 
-def reference_weak_type_ratio(seq, lambdas=None):
+def reference_weak_type_ratio(seq):
     wts, sup, levels = reference_sup_process(seq)
     denom = max(float(vals @ wts) for vals in levels)
     if denom == 0:
         return 0.0
-    if lambdas is None:
-        top = sup.max()
-        lambdas = [top * q for q in (0.25, 0.5, 0.75, 0.9, 0.99)]
+    top = sup.max()
+    lambdas = [top * q for q in (0.25, 0.5, 0.75, 0.9, 0.99)]
     best = 0.0
     for lam in lambdas:
         meas = float(wts[sup > lam].sum())
@@ -164,9 +192,8 @@ def test_maximal_ratios_repr_identical_to_per_coordinate_reference(k):
             seq = random_martingale(dyadic(), k, 5, np.random.default_rng(seed), coords=coords)
             for p in (1.5, 2.0):
                 assert repr(doob_ratio(seq, p)) == repr(reference_doob_ratio(seq, p))
-            for lambdas in (None, [0.1, 0.4, 0.8]):
-                got, want = weak_type_ratio(seq, lambdas), reference_weak_type_ratio(seq, lambdas)
-                assert repr(got) == repr(want), (coords, seed, lambdas)
+            got, want = weak_type_ratio(seq), reference_weak_type_ratio(seq)
+            assert repr(got) == repr(want), (coords, seed)
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, float("inf")])

@@ -43,7 +43,7 @@ def test_stopping_bush_children_example():
     ctx = ConstructionContext(dyadic(), 2)
     xbar = node_vector("")
     xs = [node_vector("0"), node_vector("1")]
-    pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0)
+    pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0, max_zombie_length=F(1))
     bound = bind(pat, xbar, xs, pat.trace.betas)
     assert mean(bound).sup_norm == 0
     for cell in pat.cells:
@@ -71,7 +71,7 @@ def test_stopping_postconditions_randomized(num, a0):
     for a, x in zip(alphas, xs):
         xbar = xbar.add(x.scale(a))
     eps = F(1, 4)
-    pat = step1_stopping(ctx, iv, alphas, eps, 6)
+    pat = step1_stopping(ctx, iv, alphas, eps, 6, max_zombie_length=iv.length)
     bound = bind(pat, xbar, xs, pat.trace.betas)
     assert mean(bound).sup_norm == 0
     assert pat.zone_mass() >= (1 - eps) * iv.length
@@ -85,7 +85,9 @@ def test_moment_perturbation_end_to_end(k):
     ctx = ConstructionContext(dyadic(), k)
     xbar = node_vector("0")
     xs = [node_vector("00"), node_vector("01")]
-    pat = lemma_moments(ctx, Interval(0, 1), F(1, 8), 0, const_alphas=[HALF, HALF])
+    pat = lemma_moments(
+        ctx, Interval(0, 1), F(1, 8), 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+    )
     bound = bind(pat, xbar, xs, pat.inner.trace.betas)
     # every slot's moment vanishes, so g's does for any slot vectors
     for j in range(k):

@@ -89,9 +89,8 @@ def test_decompose_pair_of_children():
 
 @pytest.mark.parametrize("target", [2, 3, 8])
 def test_decompose_reconstruction_exhaustive(target):
-    pert = XVec({1: F(1, 64), 5: F(-3, 100)})
     for path in all_paths(4):
-        rep = BushRep.point(path, pert)
+        rep = BushRep.point(path)
         parts = bush_decompose(rep, 1, target_count=target)
         assert len(parts) >= target
         assert sum((w for w, _ in parts), F(0)) == 1
@@ -100,14 +99,6 @@ def test_decompose_reconstruction_exhaustive(target):
             mix = mix.add(r.value().scale(w))
             assert rep.value().sub(r.value()).sup_norm >= 1
         assert mix == rep.value()
-
-
-def test_decompose_depth_clears_perturbation_coords():
-    # perturbation touching coordinate 5 (depth 3) forces expansion depth > 3
-    rep = BushRep.point("0", XVec({5: F(1, 10)}))
-    parts = bush_decompose(rep, 1)
-    for _, r in parts:
-        assert len(r.weights[0][0]) >= 4
 
 
 def test_decompose_rejects_large_delta():
@@ -132,17 +123,6 @@ def test_mix_reps_rejects_negative_node_weights():
         mix_reps([(F(-1, 8), a), (F(9, 8), b)])
 
 
-def test_boundedness_with_perturbation_budget():
-    pert = XVec({2: F(1, 8)})
-    rep = mix_reps(
-        [
-            (F(1, 4), BushRep.point("00", pert)),
-            (F(3, 4), BushRep.point("01", pert)),
-        ]
-    )
-    assert rep.value().sup_norm <= 1 + F(1, 8)
-
-
 paths = st.integers(0, 10).flatmap(
     lambda n: st.integers(0, (1 << n) - 1).map(lambda v: format(v, f"0{n}b") if n else "")
 )
@@ -154,21 +134,12 @@ small_fractions = st.builds(
 @st.composite
 def reps(draw):
     """A BushRep of 1 to 256 distinct nodes with non-negative weights, some
-    of them zero, and a perturbation that cancels some node coefficients
-    exactly and adds entries elsewhere."""
+    of them zero."""
     nodes = draw(st.lists(paths, min_size=1, max_size=256, unique=True))
     raw = draw(st.lists(st.integers(0, 9), min_size=len(nodes), max_size=len(nodes)))
     raw[0] += 1
     total = sum(raw)
-    weights = tuple((p, Fraction(r, total)) for p, r in zip(nodes, raw))
-    nodes_only = node_sum(BushRep(weights))
-    pert = {}
-    for c, v in nodes_only.items():
-        if draw(st.booleans()):
-            pert[c] = -v  # the value loses coordinate c
-    for c, v in draw(st.dictionaries(st.integers(1, 1 << 12), small_fractions, max_size=8)).items():
-        pert.setdefault(c, v)
-    return BushRep(weights, XVec(pert))
+    return BushRep(tuple((p, Fraction(r, total)) for p, r in zip(nodes, raw)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,10 +157,10 @@ def test_memoized_value_shape_and_hash_match_a_fresh_rep(rep):
     first = (rep.value(), rep.shape(), hash(rep))
     assert (rep.value(), rep.shape(), hash(rep)) == first  # read from the memo
     assert rep.value() is first[0]
-    fresh = BushRep(rep.weights, rep.pert)
+    fresh = BushRep(rep.weights)
     assert fresh == rep
     assert (fresh.value(), fresh.shape(), hash(fresh)) == first
-    assert hash(rep) == hash((rep.weights, rep.pert))
+    assert hash(rep) == hash(rep.weights)
 
 
 def fraction_mix(parts):
