@@ -94,17 +94,17 @@ def _local_spans(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(int(c * den) for c in reversed(poly)) for poly in local), den
 
 
-def span_numerators(k: int, x: Fraction) -> tuple[tuple[int, ...], int]:
-    """B_k(i + x) for i = 0 .. k-1 and 0 <= x < 1, as integer numerators
-    over their shared denominator den * xden**(k-1).
+def span_numerators(k: int, num: int, xden: int) -> tuple[tuple[int, ...], int]:
+    """B_k(i + x) for i = 0 .. k-1 and x = num / xden in [0, 1), as integer
+    numerators over their shared denominator den * xden**(k-1).
 
-    With x = num / xden, xden**(k-1) * poly_i(x) = Σ_s c_is num**(k-1-s)
-    xden**s for the integer coefficients c_is of span i over den, so the k
-    products num**(k-1-s) xden**s are formed once and each span costs k
-    small-by-big multiplications; the cost grows with the size of x alone.
+    xden**(k-1) * poly_i(x) = Σ_s c_is num**(k-1-s) xden**s for the integer
+    coefficients c_is of span i over den, so the k products num**(k-1-s)
+    xden**s are formed once and each span costs k small-by-big
+    multiplications; the cost grows with the size of num and xden alone,
+    so callers pass x in lowest terms.
     """
     coeffs, den = _local_spans(k)
-    num, xden = x.numerator, x.denominator
     terms = [1] * k  # terms[s] = num**(k-1-s) * xden**s
     for s in range(k - 2, -1, -1):
         terms[s] = terms[s + 1] * num

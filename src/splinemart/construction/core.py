@@ -17,6 +17,13 @@ evaluation reads one run table per pattern (`SlotwisePattern.run_table`):
 per basis group (space, index shift, count), the disjoint runs (j0, j1,
 slot coefficients) of all its terms, with the correction bumps already
 expanded into slot keys.
+
+Points are integers too: a point arrives as u / (d p**level), each space
+of the pattern takes its atom index and fractional part from one divmod,
+and g comes back as integer numerators over one denominator per slot
+(`SlotwisePattern.slot_numerators`) and per coordinate
+(`BoundPattern.g_numerators`). The caller builds the Fractions of its
+result once, however many steps it sums.
 """
 
 from __future__ import annotations
@@ -304,10 +311,10 @@ class RunGroup:
 
     One normalisation per result: at a point, the basis values are integer
     numerators over one denominator (`cardinal.span_numerators`), so each
-    slot sums integers over the group and takes one Fraction per group.
+    slot sums integers over the group and builds no Fraction.
     """
 
-    __slots__ = ("space", "shift", "count", "origin", "starts", "entries", "den")
+    __slots__ = ("space", "shift", "count", "origin", "extent", "starts", "entries", "den")
 
     def __init__(self, space: UniformSpace, shift: Optional[int], count: int, entries: list):
         entries = sorted(entries, key=lambda e: e[0])
@@ -323,6 +330,7 @@ class RunGroup:
                 f"periodic runs span {span} indices, not fewer than their shift {shift}"
             )
         self.space, self.shift, self.count, self.origin = space, shift, count, origin
+        self.extent = count * shift  # indices origin .. origin + extent - 1
         coeffs, self.den = over_common_denominator([c for *_, slots in entries for _, c in slots])
         nums = iter(coeffs)
         self.entries = [
@@ -345,21 +353,28 @@ class RunGroup:
                     yield self.entries[e][2]
                 e += 1
 
-    def accumulate(self, window: list, out: dict):
-        """Add to out, per slot, the terms' values at the point of window
-        [a, x, spans]: atom index a, fractional part x, and the space's span
-        numerators at x, taken on the first window index that hits a run
-        and kept in the window for the other groups of the space."""
-        a, x, spans = window
+    def slot_sums(self, window: list) -> dict:
+        """Per slot, the terms' values at the point of window [a, rem, d,
+        spans] as integer numerators over den times the span denominator:
+        atom index a, fractional part rem / d, and the space's span
+        numerators there. The spans are taken on the first window index
+        that hits a run, with one gcd, and kept in the window for the other
+        groups of the space."""
         k = self.space.k
-        ell, q = divmod(a - self.origin, self.shift)
+        rel = window[0] - self.origin
         sums: dict = {}
+        if rel + k <= 0 or rel >= self.extent:
+            return sums  # the window a .. a+k-1 misses every instance
+        ell, q = divmod(rel, self.shift)
         for i in range(k):
             if 0 <= ell < self.count:
                 e = bisect.bisect_right(self.starts, q) - 1
                 if e >= 0 and q <= self.entries[e][1]:
+                    spans = window[3]
                     if spans is None:
-                        spans = window[2] = span_numerators(k, x)
+                        rem, d = window[1], window[2]
+                        g = math.gcd(rem, d)
+                        spans = window[3] = span_numerators(k, rem // g, d // g)
                     v = spans[0][k - 1 - i]
                     if v:
                         for key, c in self.entries[e][2]:
@@ -367,11 +382,7 @@ class RunGroup:
             q += 1
             if q == self.shift:
                 ell, q = ell + 1, 0
-        if sums:
-            den = self.den * spans[1]
-            for key, n in sums.items():
-                v = Fraction(n, den)
-                out[key] = out[key] + v if key in out else v
+        return sums
 
 
 def basis_group(scal) -> tuple[tuple, tuple]:
@@ -417,17 +428,44 @@ class SlotwisePattern:
                 )
         return tuple(RunGroup(*gkey, entries) for gkey, entries in groups.items())
 
-    def eval_slotwise(self, t: Fraction) -> dict:
-        """g(t) per slot, from the run table; the atom of t and its basis
-        values are taken once per space."""
-        out: dict = {}
+    def slot_numerators(self, u: int, d: int, level: int) -> tuple[dict, int]:
+        """g per slot at the point u / (d p**level), from the run table, as
+        ({slot key: integer numerator}, den); every group space must be at
+        least as fine as `level`.
+
+        Per space, one divmod of u p**(K - level) by d gives the atom index
+        and the fractional part rem / d. The denominators of the groups
+        that hit at the point (the correction bumps' one has about 1,500
+        bits at depth) are combined over their lcm; a group that does not
+        hit adds nothing, not even its denominator.
+        """
+        sums: dict = {}
+        den = 1
         windows: dict = {}
         for group in self.run_table:
-            window = windows.get(group.space)
+            sp = group.space
+            # the spaces of one pattern share p and k, so the level names one
+            window = windows.get(sp.level)
             if window is None:
-                window = windows[group.space] = [*group.space.atom_at(t), None]
-            group.accumulate(window, out)
-        return out
+                if sp.level < level:
+                    raise PreconditionError(
+                        f"a level-{sp.level} space cannot read a point of level {level}"
+                    )
+                window = windows[sp.level] = [*divmod(u * sp.p ** (sp.level - level), d), d, None]
+            got = group.slot_sums(window)
+            if not got:
+                continue
+            gden = group.den * window[3][1]
+            if not sums:
+                sums, den = got, gden
+                continue
+            common = math.lcm(den, gden)
+            up, gup = common // den, common // gden
+            sums = {key: n * up for key, n in sums.items()}
+            for key, n in got.items():
+                sums[key] = sums.get(key, 0) + n * gup
+            den = common
+        return sums, den
 
     @cached_property
     def ledger(self) -> tuple:
@@ -486,8 +524,18 @@ class BoundPattern:
                 sums[coord] = sums.get(coord, 0) + a * n
         return XVec.over(sums, den * cden)
 
-    def g_eval(self, t) -> XVec:
-        return self._combine(self.pattern.eval_slotwise(frac(t)).items())
+    def g_numerators(self, u: int, d: int, level: int) -> tuple[dict, int]:
+        """g at the point u / (d p**level) as ({coordinate: integer
+        numerator}, den): the slot numerators of the run table times the
+        integer slot vectors, with no Fraction built."""
+        sums, den = self.pattern.slot_numerators(u, d, level)
+        nums, sden = self.slots
+        out: dict = {}
+        for key, s in sums.items():
+            if s:
+                for coord, n in nums[key].items():
+                    out[coord] = out.get(coord, 0) + s * n
+        return out, den * sden
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,10 @@ from typing import Optional
 from ..errors import ConstructionPreconditionError, DomainError, PreconditionError
 from ..intervals import Interval, frac, long_decimals
 from ..witness import BushRep, XVec, bush_decompose, mix_reps
-from .core import BoundPattern, ConstructionContext, F0, F1, require_checks, slot_vectors
-from .lemma import LemmaPattern, PeriodicFamily, lemma_moments
+from .core import (
+    BoundPattern, ConstructionContext, F0, F1, grid_units, require_checks, slot_vectors,
+)
+from .lemma import LemmaPattern, lemma_moments
 
 DELTA = F1  # bush separation
 DEPTH_CAP = 12  # most steps build_sequence accepts
@@ -93,8 +95,11 @@ class SequenceResult:
         self.steps: list[StepData] = steps
         self.m_levels: list[int] = m_levels
         self.final_rows: list[ClassRow] = rows
-        # (step, binding) -> (pattern, parts, bound pattern); queries walk
-        # few distinct bindings per step, so this stays small
+        # p**m_n per level: the walk and the sampler work in grid units
+        self._scales = [filt.uniform_base**m for m in m_levels]
+        # (step, binding) -> (pattern, parts, bound pattern, interval start
+        # in step units); queries walk few distinct bindings per step, so
+        # this stays small
         self._bound: dict = {}
 
     @property
@@ -119,47 +124,73 @@ class SequenceResult:
 
     def value_at(self, t, n: int) -> XVec:
         """f_n(t) as an exact witness vector (half-open atom convention)."""
-        return self.step_values(t, n)[1]
+        return XVec.over(*self._walk(t, n)[1])
 
     def sup_diff_at(self, t, n: int) -> Fraction:
         """||f_n(t) - f_{n-1}(t)|| in the sup norm, exact."""
-        before, after = self.step_values(t, n)
-        if n < 1:
+        if not 1 <= n <= self.num_steps:
             raise ValueError("n out of range")
+        before, after = self.step_values(t, n)
         return after.sub(before).sup_norm
 
     def step_values(self, t, n: int) -> tuple[XVec, XVec]:
         """(f_{n-1}(t), f_n(t)) from one walk over the steps: f_{n-1}(t) is
         the partial sum one step before the end (f_0(t) twice at n = 0)."""
+        before, after = self._walk(t, n)
+        return XVec.over(*before), XVec.over(*after)
+
+    def _walk(self, t, n: int) -> tuple[tuple[dict, int], tuple[dict, int]]:
+        """f_{n-1}(t) and f_n(t) as ({coordinate: integer numerator}, den).
+
+        The walk is integer: with t = tn / td and S = p**m_j, step j moves
+        t's level-m_j atom onto its pattern's interval, tau = T / (S td)
+        with T = (tn S mod td) + (interval start in step units) td, and the
+        pattern reads g there as integer numerators over one denominator.
+        The partial sums share one running denominator, the lcm of the
+        steps' ones; the callers build one Fraction per coordinate of each
+        result they return.
+        """
         t = frac(t)
         if not 0 <= t <= 1:
             raise DomainError(f"evaluation point {t} outside [0, 1]")
         if not 0 <= n <= self.num_steps:
             raise ValueError("n out of range")
-        acc = before = XVec.zero()  # f_0 is the bush root = 0
+        tn, td = t.numerator, t.denominator
+        p = self.filt.uniform_base
+        acc: dict = {}  # f_0 is the bush root = 0
+        den = 1
+        before = acc, den
         binding: Optional[BushRep] = BushRep.point("")
         for j in range(n):
-            before = acc
+            before = acc, den
             if binding is None:
                 break  # zombie region: later perturbations vanish here
-            pattern, parts, bound = self._bind(j, binding)
-            scale = self.filt.uniform_base ** self.steps[j].m_level
-            atom_lo = Fraction(t.numerator * scale // t.denominator, scale)
-            tau = t - atom_lo + pattern.interval.lo
-            acc = acc.add(bound.g_eval(tau))
-            cell, _shift = pattern.locate(tau)
+            pattern, parts, bound, start = self._bind(j, binding)
+            level = self.m_levels[j]
+            T = tn * self._scales[j] % td + start * td
+            g, gden = bound.g_numerators(T, td, level)
+            if g:
+                common = math.lcm(den, gden)
+                up, gup = common // den, common // gden
+                acc = {c: v * up for c, v in acc.items()}
+                for c, v in g.items():
+                    acc[c] = acc.get(c, 0) + v * gup
+                den = common
+            cell, _shift = pattern.locate(T * p ** (pattern.K - level) // td)
             binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
-        return before, acc
+        return before, (acc, den)
 
     def _bind(self, j: int, binding: BushRep):
-        """Pattern, decomposed parts and bound pattern of `binding` at step j."""
+        """Pattern, decomposed parts, bound pattern and the pattern interval's
+        start in level-m_j grid units, of `binding` at step j."""
         key = (j, binding)
         hit = self._bound.get(key)
         if hit is None:
             parts = bush_decompose(binding, DELTA, target_count=2)
             pattern = self.steps[j].patterns[tuple(w for w, _ in parts)]
             bound = BoundPattern(pattern, _bush_slots(binding, parts, pattern))
-            hit = self._bound[key] = (pattern, parts, bound)
+            start = grid_units(pattern.interval.lo, self._scales[j])
+            hit = self._bound[key] = (pattern, parts, bound, start)
         return hit
 
     # -- sampling ---------------------------------------------------------------
@@ -171,23 +202,39 @@ class SequenceResult:
         return [self._descend_random(rng, n) for _ in range(count)]
 
     def _descend_random(self, rng, n: int) -> Fraction:
-        lo, hi = self._descend_random_cell(rng, n)
-        return lo + (hi - lo) * Fraction(2 * rng.randint(1, 511) + 1, 1 << 10)
+        lo, hi = self._descend_random_units(rng, n)
+        odd = 2 * rng.randint(1, 511) + 1
+        # lo + (hi - lo) odd / 2**10, in level-m_n units
+        return Fraction((lo << 10) + (hi - lo) * odd, self._scales[n] << 10)
 
     def _descend_random_cell(self, rng, n: int) -> tuple[Fraction, Fraction]:
-        lo, hi = F0, F1
+        lo, hi = self._descend_random_units(rng, n)
+        scale = self._scales[n]
+        return Fraction(lo, scale), Fraction(hi, scale)
+
+    def _descend_random_units(self, rng, n: int) -> tuple[int, int]:
+        """A random zone cell of the descent to step n, as its ends in
+        level-m_n grid units.
+
+        Step j draws an atom of the current cell in level-m_j units, then a
+        constant cell of the atom's pattern (a zone cell at the last two
+        steps) from `LemmaPattern.draws`, and an instance if the cell lies
+        in a periodic family: the cell in pattern units p**K, then in
+        level-m_{j+1} units.
+        """
+        p = self.filt.uniform_base
+        lo, hi = 0, 1  # [0, 1] at level m_0 = 0
         binding = BushRep.point("")
         for j in range(n):
-            sd = self.steps[j]
-            h = Fraction(1, self.filt.uniform_base ** sd.m_level)
-            first = math.ceil(lo / h)
-            last = math.floor(hi / h) - 1
-            atom_lo = rng.randint(first, last) * h
-            pattern, parts, _bound = self._bind(j, binding)
-            force_zone = j >= n - 2
-            cell, shift = self._random_cell(rng, pattern, force_zone)
-            base = atom_lo - pattern.interval.lo
-            lo, hi = base + shift + cell.lo, base + shift + cell.hi
+            atom = rng.randint(lo, hi - 1)
+            pattern, parts, _bound, start = self._bind(j, binding)
+            cell, cell_lo, cell_hi, fam = rng.choice(pattern.draws[j >= n - 2])
+            shift = 0 if fam is None else rng.randrange(fam[0]) * fam[1]
+            down, up = pattern.K - self.m_levels[j], self.m_levels[j + 1] - pattern.K
+            if down < 0 or up < 0:
+                raise AssertionError(f"step {j}: pattern level {pattern.K} outside its step's levels")
+            base = (atom - start) * p**down + shift
+            lo, hi = (base + cell_lo) * p**up, (base + cell_hi) * p**up
             binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
             if binding is None:
                 raise AssertionError("sampler entered a non-constant cell")
@@ -196,21 +243,6 @@ class SequenceResult:
     def sample_e_intervals(self, n: int, rng, count: int = 4):
         """A few representative subintervals of E_n (zone-cell instances)."""
         return [self._descend_random_cell(rng, n) for _ in range(count)]
-
-    @staticmethod
-    def _random_cell(rng, pattern: LemmaPattern, force_zone: bool):
-        entries = []
-        for entry in pattern.cells:
-            if isinstance(entry, PeriodicFamily):
-                for c in entry.cells:
-                    if c.kind == "zone" or (not force_zone and c.is_constant):
-                        entries.append((c, entry))
-            elif entry.kind == "zone" or (not force_zone and entry.is_constant):
-                entries.append((entry, None))
-        cell, fam = rng.choice(entries)
-        if fam is None:
-            return cell, F0
-        return cell, rng.randrange(fam.count) * fam.period
 
     # -- trace access -------------------------------------------------------------
 
@@ -272,7 +304,7 @@ class SequenceResult:
                 "n_outer": tr.n_outer,
                 "K": pat.K,
                 "zone_mass_rel": str(tr.zone_mass / pat.interval.length),
-                "w_bound": None if tr.w_bound is None else str(tr.w_bound),
+                "w_bound": str(tr.w_bound),
                 "failed": pat.failed_checks(),
             }
             if trace == "full":
@@ -457,7 +489,7 @@ def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, ce
         elif rep_value is not None:  # mix
             norm = rep_value.value().sup_norm
         elif kind == "rbump":
-            norm = row.norm_bound + (pat.trace.w_bound or F0)
+            norm = row.norm_bound + pat.trace.w_bound
         else:  # ramp
             norm = ramp_norm
         _add_class(

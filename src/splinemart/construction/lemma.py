@@ -172,19 +172,44 @@ class LemmaPattern(SlotwisePattern):
         }
         return scale, CellGrid(self.cells, scale), families
 
-    def locate(self, t: Fraction):
-        """(cell, instance shift) containing t; half-open convention."""
-        scale, grid, families = self._grid
-        u = t.numerator * scale // t.denominator
+    def locate(self, u: int):
+        """(cell, instance shift in level-K grid units) of the cell holding
+        the level-K atom u, that is every t with floor(t p**K) = u;
+        half-open convention."""
+        _, grid, families = self._grid
         i = grid.find(u)
         if i is None:
-            raise KeyError(f"{t} not covered by pattern cells")
+            raise KeyError(f"level-{self.K} atom {u} not covered by pattern cells")
         entry = self.cells[i]
         if i not in families:
-            return entry, F0
+            return entry, 0
         cells, period = families[i]
-        idx = (u - cells.starts[0]) // period
-        return entry.cells[cells.find(u - idx * period)], idx * entry.period
+        shift = (u - cells.starts[0]) // period * period
+        return entry.cells[cells.find(u - shift)], shift
+
+    @cached_property
+    def draws(self) -> dict:
+        """The cells the E_n sampler draws from, keyed by `zones_only`: zone
+        cells alone, or every constant cell, each as (cell, lo, hi, family)
+        with lo and hi in level-K grid units and family the (instance count,
+        period in the same units) of its periodic family, None outside one.
+        Listed in cell order, so a seeded draw picks the same cell as a scan
+        of the cells."""
+        scale, _, _ = self._grid
+        out: dict = {True: [], False: []}
+        for entry in self.cells:
+            if isinstance(entry, PeriodicFamily):
+                fam = (entry.count, grid_units(entry.period, scale))
+                members = [(c, fam) for c in entry.cells]
+            else:
+                members = [(entry, None)]
+            for c, fam in members:
+                draw = (c, grid_units(c.lo, scale), grid_units(c.hi, scale), fam)
+                if c.kind == "zone":
+                    out[True].append(draw)
+                if c.is_constant:
+                    out[False].append(draw)
+        return out
 
     def failed_checks(self) -> list[str]:
         """Names of the failed recorded checks: the lemma trace's, then the

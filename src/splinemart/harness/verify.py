@@ -217,9 +217,7 @@ def verify_sequence(seq: SequenceResult, seed: int = 0) -> VerificationReport:
     )
     pert_total = F0
     for n in range(n_steps):
-        step_w = max(
-            (pat.trace.w_bound or F0) for pat in seq.steps[n].patterns.values()
-        )
+        step_w = max(pat.trace.w_bound for pat in seq.steps[n].patterns.values())
         pert_total += step_w
     rep.add(
         "perturbation ledger",

@@ -6,14 +6,15 @@ scalar spline data is piecewise constant in the B-spline coefficient
 index, so a spline is stored as a few (start, end, coefficient) runs over
 the uniform level-K basis.
 
-Evaluation works in integer grid units. `UniformSpace.atom_at` scales t
-once, U = t * p**K, and splits it into the atom index a = floor(U) and the
-fractional part U - a, whose denominator is at most that of t; the k
-basis values that can be non-zero at t are span polynomials of B_k at
-that small fraction: with U = t / h, N_{a+i}(t) = B_k(U - a + k - 1 - i),
-and no other translate is non-zero at t. A spline reads its coefficients at
-the k integer indices a .. a+k-1; patterns do this through their run table
-(`construction.core.RunGroup`).
+Evaluation works in integer grid units. With U = t / h = t * p**K, the
+atom index a = floor(U) and the fractional part U - a come from one
+divmod of integers, and the k basis values that can be non-zero at t are
+span polynomials of B_k at that fraction: N_{a+i}(t) = B_k(U - a + k - 1
+- i), and no other translate is non-zero at t. A spline reads its
+coefficients at the k integer indices a .. a+k-1. Patterns do this through
+their run table (`construction.core.RunGroup`), with the span values as
+integer numerators over one denominator (`cardinal.span_numerators`), so
+a point costs no Fraction before its result.
 
 Moments are taken about a grid-aligned origin (the construction uses its
 pattern's interval start), so they reduce to Faulhaber power sums over
@@ -67,11 +68,6 @@ class UniformSpace:
     def interior_range(self) -> tuple[int, int]:
         """Indices whose basis function is a cardinal translate."""
         return self.k - 1, self.dim - self.k
-
-    def atom_at(self, t: Fraction) -> tuple[int, Fraction]:
-        """The atom index a = floor(t / h) and the fractional part t / h - a."""
-        a, rem = divmod(t.numerator * self.num_atoms, t.denominator)
-        return a, Fraction(rem, t.denominator)
 
     def refined(self) -> "UniformSpace":
         """The space one level finer."""

@@ -17,13 +17,24 @@ moment code with it, so each checks the other.
 `XVec.add` and `XVec.scale` is the reference for `BushRep.value`, which
 sums integers up the path trie instead. `slot_xvecs` reads the integer
 slot vectors of `slot_vectors` as one XVec per slot.
+
+`step_values` and `descend_random_cell` are the Fraction point walk and
+E_n sampler that the integer ones of `SequenceResult` replaced: every step
+builds t's atom, the pattern coordinate tau and each group's slot values
+as Fractions (`eval_slotwise`, `g_eval`), finds the cell by a linear scan
+of Fraction cell bounds (`reference_locate`) and adds witness vectors
+with `XVec.add`.
 """
 
+import bisect
 import math
 from fractions import Fraction
 from math import floor
 
-from splinemart.cardinal import spans
+from splinemart.cardinal import span_numerators, spans
+from splinemart.construction.core import PeriodicFamily
+from splinemart.construction.driver import _child_value
+from splinemart.intervals import frac
 from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
 from splinemart.witness import BushRep, XVec
 
@@ -104,7 +115,7 @@ def basis_at(space: UniformSpace, t: Fraction) -> tuple[int, tuple[Fraction, ...
     periodic instance may reach past the last interior index, and its
     translates there must read as they do at the shifted point.
     """
-    a, x = space.atom_at(t)
+    a, x = atom_at(space, t)
     return a, tuple(span_value(space.k, space.k - 1 - i, x) for i in range(space.k))
 
 
@@ -176,3 +187,134 @@ def moment_slotwise(pat, r: int, origin: Fraction | None = None) -> dict:
         den = math.lcm(*(d for _, d in pairs))
         out[key] = Fraction(sum(n * (den // d) for n, d in pairs), den)
     return out
+
+
+def atom_at(space: UniformSpace, t: Fraction) -> tuple[int, Fraction]:
+    """The atom index a = floor(t / h) and the fractional part t / h - a."""
+    a, rem = divmod(t.numerator * space.num_atoms, t.denominator)
+    return a, Fraction(rem, t.denominator)
+
+
+def accumulate(group, window: list, out: dict):
+    """Add to out, per slot, a run-table group's values at the point of
+    window [a, x, spans]: atom index a, fractional part x, and the span
+    numerators at x, taken on the first window index that hits a run; each
+    slot of the group becomes one Fraction."""
+    a, x, span_nums = window
+    k = group.space.k
+    ell, q = divmod(a - group.origin, group.shift)
+    sums: dict = {}
+    for i in range(k):
+        if 0 <= ell < group.count:
+            e = bisect.bisect_right(group.starts, q) - 1
+            if e >= 0 and q <= group.entries[e][1]:
+                if span_nums is None:
+                    span_nums = window[2] = span_numerators(k, x.numerator, x.denominator)
+                v = span_nums[0][k - 1 - i]
+                if v:
+                    for key, c in group.entries[e][2]:
+                        sums[key] = sums.get(key, 0) + c * v
+        q += 1
+        if q == group.shift:
+            ell, q = ell + 1, 0
+    if sums:
+        den = group.den * span_nums[1]
+        for key, n in sums.items():
+            v = Fraction(n, den)
+            out[key] = out[key] + v if key in out else v
+
+
+def eval_slotwise(pat, t: Fraction) -> dict:
+    """g(t) per slot as Fractions, from the run table; the atom of t and its
+    basis values are taken once per space."""
+    out: dict = {}
+    windows: dict = {}
+    for group in pat.run_table:
+        window = windows.get(group.space)
+        if window is None:
+            window = windows[group.space] = [*atom_at(group.space, t), None]
+        accumulate(group, window, out)
+    return out
+
+
+def g_eval(bound, t) -> XVec:
+    """g(t) of a bound pattern from the Fraction slot values."""
+    return bound._combine(eval_slotwise(bound.pattern, frac(t)).items())
+
+
+def reference_locate(pattern, t):
+    """The linear scan over Fraction cell bounds that grid-unit bisection replaced."""
+    for entry in pattern.cells:
+        if isinstance(entry, PeriodicFamily):
+            if entry.lo <= t < entry.hi:
+                idx = min(int((t - entry.lo) / entry.period), entry.count - 1)
+                local = t - idx * entry.period
+                for c in entry.cells:
+                    if c.lo <= local < c.hi:
+                        return c, idx * entry.period
+                return None
+        elif entry.lo <= t < entry.hi:
+            return entry, Fraction(0)
+    return None
+
+
+def step_values(seq, t, n: int) -> tuple[XVec, XVec]:
+    """(f_{n-1}(t), f_n(t)) of a built sequence, walking the steps in
+    Fractions."""
+    t = frac(t)
+    acc = before = XVec.zero()
+    binding = BushRep.point("")
+    for j in range(n):
+        before = acc
+        if binding is None:
+            break
+        pattern, parts, bound, _start = seq._bind(j, binding)
+        scale = seq.filt.uniform_base ** seq.steps[j].m_level
+        atom_lo = Fraction(t.numerator * scale // t.denominator, scale)
+        tau = t - atom_lo + pattern.interval.lo
+        acc = acc.add(g_eval(bound, tau))
+        cell, _shift = reference_locate(pattern, tau)
+        binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
+    return before, acc
+
+
+def random_cell(rng, pattern, force_zone: bool):
+    """A random constant cell of a pattern (a zone cell if force_zone) and
+    its instance shift, drawn from a scan of the cells."""
+    entries = []
+    for entry in pattern.cells:
+        if isinstance(entry, PeriodicFamily):
+            for c in entry.cells:
+                if c.kind == "zone" or (not force_zone and c.is_constant):
+                    entries.append((c, entry))
+        elif entry.kind == "zone" or (not force_zone and entry.is_constant):
+            entries.append((entry, None))
+    cell, fam = rng.choice(entries)
+    if fam is None:
+        return cell, Fraction(0)
+    return cell, rng.randrange(fam.count) * fam.period
+
+
+def descend_random_cell(seq, rng, n: int) -> tuple[Fraction, Fraction]:
+    """A random zone cell of E_n's descent, in Fraction arithmetic."""
+    lo, hi = Fraction(0), Fraction(1)
+    binding = BushRep.point("")
+    for j in range(n):
+        h = Fraction(1, seq.filt.uniform_base ** seq.steps[j].m_level)
+        first = math.ceil(lo / h)
+        last = math.floor(hi / h) - 1
+        atom_lo = rng.randint(first, last) * h
+        pattern, parts, _bound, _start = seq._bind(j, binding)
+        cell, shift = random_cell(rng, pattern, j >= n - 2)
+        base = atom_lo - pattern.interval.lo
+        lo, hi = base + shift + cell.lo, base + shift + cell.hi
+        binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
+        if binding is None:
+            raise AssertionError("sampler entered a non-constant cell")
+    return lo, hi
+
+
+def descend_random(seq, rng, n: int) -> Fraction:
+    """A random point of E_n, as the sampler of `sample_e_points` draws it."""
+    lo, hi = descend_random_cell(seq, rng, n)
+    return lo + (hi - lo) * Fraction(2 * rng.randint(1, 511) + 1, 1 << 10)

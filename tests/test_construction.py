@@ -48,12 +48,19 @@ from splinemart.filtration import (
     parse_filtration_spec,
 )
 from splinemart.intervals import Interval
+from splinemart.rle import RleSpline, UniformSpace
 from splinemart.witness import BushRep, XVec, bush_decompose
 
 from fraction_oracle import evaluate, moment_slotwise, slot_xvecs, support_bounds
 
 F = Fraction
 HALF = F(1, 2)
+
+
+def g_at(bound, t):
+    """g(t) from the integer kernel of a bound pattern."""
+    t = F(t)
+    return XVec.over(*bound.g_numerators(t.numerator, t.denominator, 0))
 
 
 def bush_slots(betas):
@@ -90,7 +97,7 @@ class TestStopping:
             if cell.kind != "zone":
                 continue
             pts = [cell.lo + (cell.hi - cell.lo) * F(i, 7) for i in (1, 3, 5)]
-            vals = [xbar.add(bound.g_eval(t)) for t in pts]
+            vals = [xbar.add(g_at(bound, t)) for t in pts]
             child = parts[cell.m][1].value()
             for v in vals:
                 assert v == child
@@ -280,9 +287,9 @@ class TestLemma:
         first, last = pat.cells[0], pat.cells[-1]
         assert first.lo == iv.lo and last.hi == iv.hi
         for t in (first.lo + (first.hi - first.lo) / 3, (first.lo + first.hi) / 2):
-            assert bound.g_eval(t) == XVec.zero()
+            assert g_at(bound, t) == XVec.zero()
         for t in (last.lo + (last.hi - last.lo) / 3, last.lo + (last.hi - last.lo) * F(9, 10)):
-            assert bound.g_eval(t) == XVec.zero()
+            assert g_at(bound, t) == XVec.zero()
         for scal, _ in pat.r_terms:
             lo, hi = support_bounds(scal)
             assert iv.lo < lo and hi < iv.hi
@@ -494,12 +501,13 @@ def sequence_patterns(spec, k):
 
 def matches_term_by_term(pat, bound, t):
     want = term_by_term_slotwise(pat, t)
-    got = {key: v for key, v in pat.eval_slotwise(t).items() if v}
+    nums, den = pat.slot_numerators(t.numerator, t.denominator, 0)
+    got = {key: F(n, den) for key, n in nums.items() if n}
     g = XVec.zero()
     slots = slot_xvecs(bound.slots)
     for key, v in want.items():
         g = g.add(slots[key].scale(v))
-    return got == want and bound.g_eval(t) == g
+    return got == want and g_at(bound, t) == g
 
 
 def cell_points(pat):
@@ -569,6 +577,29 @@ def test_swapped_span_polynomials_fail_the_comparison(monkeypatch):
     assert all_match()
     monkeypatch.setattr(cardinal, "_local_spans", swapped)
     assert not all_match()
+
+
+class TwoGroups(core.SlotwisePattern):
+    """Plain terms on two spaces whose supports overlap, so two run-table
+    groups hit at one point; built sequences never overlap their groups."""
+
+    def __init__(self, terms):
+        self.terms, self.r_terms, self.w_data = terms, (), ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.fractions(min_value=F(1, 4), max_value=F(3, 4), max_denominator=10**9))
+def test_groups_that_hit_together_combine_over_their_lcm(x):
+    coarse, fine = UniformSpace(3, 3, 3), UniformSpace(3, 5, 3)
+    pat = TwoGroups([
+        (RleSpline(coarse, [(4, 24, F(2, 7))]), ("d", 0)),
+        (RleSpline(fine, [(10, 120, F(5, 11)), (121, 150, F(-1, 13))]), ("d", 0)),
+        (RleSpline(fine, [(151, 230, F(3, 17))]), ("d", 1)),
+    ])
+    assert len(pat.run_table) == 2
+    nums, den = pat.slot_numerators(x.numerator, x.denominator, 0)
+    got = {key: F(n, den) for key, n in nums.items() if n}
+    assert got == term_by_term_slotwise(pat, x)
 
 
 def test_changed_run_coefficient_fails_the_comparison():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -11,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splinemart.construction.driver as driver
 from splinemart.construction.core import BoundPattern, PeriodicFamily, slot_vectors
@@ -34,7 +37,8 @@ from splinemart.intervals import MeasurableUnion
 from splinemart.harness import verify_sequence
 from splinemart.witness import BushRep, XVec, bush_decompose
 
-from fraction_oracle import moment_slotwise
+import fraction_oracle as oracle
+from fraction_oracle import moment_slotwise, reference_locate
 
 F = Fraction
 HALF = F(1, 2)
@@ -319,22 +323,6 @@ def seq_deep():
     return build_sequence(parse_filtration_spec("padic:3"), 4, HALF, 3)
 
 
-def reference_locate(pattern, t):
-    """The linear scan over Fraction cell bounds that grid-unit bisection replaced."""
-    for entry in pattern.cells:
-        if isinstance(entry, PeriodicFamily):
-            if entry.lo <= t < entry.hi:
-                idx = min(int((t - entry.lo) / entry.period), entry.count - 1)
-                local = t - idx * entry.period
-                for c in entry.cells:
-                    if c.lo <= local < c.hi:
-                        return c, idx * entry.period
-                return None
-        elif entry.lo <= t < entry.hi:
-            return entry, F(0)
-    return None
-
-
 def cell_boundaries(pattern):
     """Every top-level cell start, the interval end, and every family cell
     start in the first, second, a middle and the last instance."""
@@ -352,15 +340,20 @@ def test_locate_matches_linear_scan(fixture, request):
     seq = request.getfixturevalue(fixture)
     checked = 0
     for _, pat in seq.all_patterns():
-        h = F(1, seq.filt.uniform_base**pat.K)
+        scale = seq.filt.uniform_base**pat.K
+        h = F(1, scale)
         for b in cell_boundaries(pat):
             for t in (b - h / 7, b, b + h / 7):
                 want = reference_locate(pat, t)
+                # locate takes the level-K atom of t and gives the shift in
+                # level-K units
+                u = math.floor(t * scale)
                 if want is None:
                     with pytest.raises(KeyError):
-                        pat.locate(t)
+                        pat.locate(u)
                 else:
-                    assert pat.locate(t) == want
+                    cell, shift = pat.locate(u)
+                    assert (cell, F(shift, scale)) == want
                     checked += 1
     assert checked > 100
 
@@ -593,3 +586,111 @@ def test_nonzero_order_one_correction_fails_the_cli_under_python_O():
     )
     assert run.returncode == 3, run.stderr + run.stdout
     assert "order-1 moment correction is not zero" in run.stderr
+
+
+# ---------------------------------------------------------------------------
+# the integer point walk and E_n sampler against the Fraction oracle walk
+
+WALK_CASES = [
+    ("dyadic", 1), ("dyadic", 2), ("dyadic", 3), ("dyadic", 4),
+    ("padic:3", 2), ("padic:3", 4), ("padic:5", 4),
+]
+WALK_STEPS = 4
+
+
+@functools.cache
+def walk_sequence(spec, k):
+    return build_sequence(parse_filtration_spec(spec), k, HALF, WALK_STEPS)
+
+
+@st.composite
+def walk_points(draw, seq):
+    """A point of [0, 1]: a random rational, 0 or 1, an atom end or a cell
+    end at some step's level, or a point of E_n as the sampler draws it,
+    with the final level's denominator."""
+    kind = draw(st.sampled_from(["rational", "end", "atom", "cell", "sample"]))
+    if kind == "rational":
+        return draw(st.fractions(min_value=0, max_value=1, max_denominator=10**12))
+    if kind == "end":
+        return F(draw(st.sampled_from([0, 1])))
+    j = draw(st.integers(0, seq.num_steps - 1))
+    scale = seq.filt.uniform_base ** seq.m_levels[j]
+    atom = draw(st.integers(0, scale - 1))
+    if kind == "atom":
+        return F(atom + draw(st.integers(0, 1)), scale)
+    if kind == "cell":
+        pats = list(seq.steps[j].patterns.values())
+        pat = pats[draw(st.integers(0, len(pats) - 1))]
+        ends = [e.lo for e in pat.cells]
+        for e in pat.cells:
+            if isinstance(e, PeriodicFamily):
+                shift = draw(st.integers(0, e.count - 1)) * e.period
+                ends += [c.lo + shift for c in e.cells] + [e.cells[-1].hi + shift]
+        end = draw(st.sampled_from(ends + [pat.interval.hi]))
+        return F(atom, scale) + end - pat.interval.lo
+    n = draw(st.integers(1, seq.num_steps))
+    return oracle.descend_random(seq, random.Random(draw(st.integers(0, 2**32))), n)
+
+
+@pytest.mark.parametrize("spec,k", WALK_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_point_walk_matches_the_fraction_walk(spec, k, data):
+    seq = walk_sequence(spec, k)
+    t = data.draw(walk_points(seq))
+    for n in range(seq.num_steps + 1):
+        before, after = oracle.step_values(seq, t, n)
+        assert seq.step_values(t, n) == (before, after), (t, n)
+        assert seq.value_at(t, n) == after, (t, n)
+        if n:
+            assert seq.sup_diff_at(t, n) == after.sub(before).sup_norm, (t, n)
+
+
+@pytest.mark.parametrize("spec,k", WALK_CASES)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_sampler_matches_the_fraction_sampler(spec, k, seed, data):
+    """Same cells and points from the same seed, and the generator left in
+    the same state: verify and the result record draw on after them."""
+    seq = walk_sequence(spec, k)
+    n = data.draw(st.integers(1, seq.num_steps))
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert seq._descend_random_cell(ours, n) == oracle.descend_random_cell(seq, theirs, n)
+    assert ours.getstate() == theirs.getstate()
+    assert seq._descend_random(ours, n) == oracle.descend_random(seq, theirs, n)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_tampered_run_coefficient_changes_value_at(monkeypatch):
+    """One coefficient numerator of the first step's run table, raised by
+    one, changes f_1 at a point on that run."""
+    seq = walk_sequence("dyadic", 2)
+    (pattern,) = seq.steps[0].patterns.values()
+    group = pattern.run_table[0]
+    j0, j1, slots = group.entries[0]
+    sp = group.space
+    # instance 0 of index origin + j0: N_j is non-zero in the middle of its
+    # support [(j - k + 1) h, (j + 1) h), and the first step reads t itself
+    t = (group.origin + j0 - sp.k + 1) * sp.h + sp.k * sp.h / 2
+    value = seq.value_at(t, 1)
+    assert value == oracle.step_values(seq, t, 1)[1]
+    (key, c), *rest = slots
+    monkeypatch.setattr(group, "entries", [(j0, j1, ((key, c + 1), *rest)), *group.entries[1:]])
+    assert seq.value_at(t, 1) != value
+
+
+def test_sup_diff_at_refuses_n_before_walking(seq_k1, monkeypatch):
+    def walked(t, n):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(seq_k1, "step_values", walked)
+    for n in (0, -1, seq_k1.num_steps + 1):
+        with pytest.raises(ValueError, match="n out of range"):
+            seq_k1.sup_diff_at(F(1, 3), n)
+
+
+def test_run_table_refuses_a_point_finer_than_its_spaces():
+    seq = walk_sequence("dyadic", 2)
+    (pattern,) = seq.steps[0].patterns.values()
+    with pytest.raises(PreconditionError, match="cannot read a point"):
+        pattern.slot_numerators(1, 3, pattern.K + 1)
