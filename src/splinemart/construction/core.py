@@ -10,6 +10,11 @@ uniform p-ary grid; piece counts may be astronomically large, so all
 per-piece structure is kept as closed-form arithmetic plus one
 representative pattern (all pieces are congruent translates).
 
+Cells are integers: every cell end and family period is a count of grid
+units p**-K of the owning pattern's level K, from birth. Tiling, lookup,
+the ledger and the E_n sampler compare and add these integers, and the
+ledger builds one Fraction per entry.
+
 A pattern stores g slot-wise, as scalar splines paired with slot keys that
 name witness vectors; `slot_vectors` builds those vectors, in integers
 over one denominator, and `BoundPattern` evaluates g with them. Point
@@ -187,7 +192,11 @@ CONSTANT_KINDS = ("zone", "mix", "keep")
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One tile of the construction pattern, in representative coordinates.
+    """One tile of the construction pattern, in representative coordinates:
+    the cell [lo, hi) in integer grid units of the owning pattern's level K,
+    that is [lo p**-K, hi p**-K). A unit of a Step-1 pattern is one atom of
+    its space, so its ramp cell [a, a + 1) is atom a; a lemma pattern shares
+    its inner pattern's level (see `step2_correct`).
 
     kind:
       zone   - perturbed function constant, value = child m (the mass carrier)
@@ -202,8 +211,8 @@ class CellSpec:
     the E_n sampler draws from does not change.
     """
 
-    lo: Fraction
-    hi: Fraction
+    lo: int
+    hi: int
     kind: str
     m: int = -1
 
@@ -214,79 +223,56 @@ class CellSpec:
 
 def grid_units(x: Fraction, scale: int) -> int:
     """x * scale, which must be an integer (x on the grid of step 1/scale)."""
-    u = x * scale
-    if u.denominator != 1:
+    q, off = divmod(scale, x.denominator)
+    if off:
         raise AssertionError(f"{x} is off the grid of step 1/{scale}")
-    return u.numerator
-
-
-class CellGrid:
-    """Starts of consecutive tiles in integer grid units, for bisection.
-
-    With every tile end on the grid of step 1/scale, lo <= t < hi holds
-    exactly when lo*scale <= floor(t*scale) < hi*scale, so tiles are found
-    by integer comparisons of u = floor(t*scale).
-    """
-
-    def __init__(self, entries: Sequence, scale: int):
-        self.starts = [grid_units(e.lo, scale) for e in entries]
-        self.end = grid_units(entries[-1].hi, scale)
-
-    def find(self, u: int) -> int | None:
-        if not self.starts[0] <= u < self.end:
-            return None
-        return bisect.bisect_right(self.starts, u) - 1
+    return x.numerator * q
 
 
 @dataclass(frozen=True)
 class PeriodicFamily:
     """The inner-pattern cells repeated across congruent pieces; the cells
-    tile one period."""
+    tile one period. Ends and period are grid units, as in `CellSpec`."""
 
     cells: tuple[CellSpec, ...]
-    period: Fraction
+    period: int
     count: int
 
     @property
-    def lo(self) -> Fraction:
+    def lo(self) -> int:
         return self.cells[0].lo
 
     @property
-    def hi(self) -> Fraction:
+    def hi(self) -> int:
         return self.cells[-1].hi + (self.count - 1) * self.period
 
 
-def check_tiling(entries: Sequence, iv: Interval):
-    """Raise unless the cells and periodic families tile iv in order."""
-    pos = iv.lo
+def check_tiling(entries: Sequence, lo: int, hi: int):
+    """Raise unless the cells and periodic families tile [lo, hi) in order."""
+    pos = lo
     for e in entries:
         if e.lo != pos or e.hi <= e.lo:
             raise AssertionError(f"cell tiling broken at {e}")
         if isinstance(e, PeriodicFamily):
-            check_tiling(e.cells, Interval(e.lo, e.lo + e.period))
+            check_tiling(e.cells, e.lo, e.lo + e.period)
         pos = e.hi
-    if pos != iv.hi:
+    if pos != hi:
         raise AssertionError("cells do not cover the interval")
 
 
-def atom_cell(space: UniformSpace, i: int, kind: str, m: int) -> CellSpec:
-    """The cell [i h, (i + 1) h) of atom i of space."""
-    return CellSpec(i * space.h, (i + 1) * space.h, kind, m)
-
-
-def tile(iv: Interval, blocks: Sequence[Sequence]) -> list:
-    """Lay the blocks (runs of consecutive cells) left to right across iv,
-    with keep cells in the gaps; raise unless the result tiles iv."""
+def tile(lo: int, hi: int, blocks: Sequence[Sequence]) -> list:
+    """Lay the blocks (runs of consecutive cells) left to right across
+    [lo, hi), with keep cells in the gaps; raise unless the result tiles it."""
     cells: list = []
-    pos = iv.lo
+    pos = lo
     for block in blocks:
         if block[0].lo > pos:
             cells.append(CellSpec(pos, block[0].lo, "keep"))
         cells.extend(block)
         pos = block[-1].hi
-    if pos < iv.hi:
-        cells.append(CellSpec(pos, iv.hi, "keep"))
-    check_tiling(cells, iv)
+    if pos < hi:
+        cells.append(CellSpec(pos, hi, "keep"))
+    check_tiling(cells, lo, hi)
     return cells
 
 
@@ -398,9 +384,10 @@ def basis_group(scal) -> tuple[tuple, tuple]:
 class SlotwisePattern:
     """g = sum of scalar splines times slot vectors, evaluated slot by slot.
 
-    Subclasses provide `interval`, `cells`, `terms` ((scalar, slot key)
-    pairs), `r_terms` ((scalar, ("w", i)) pairs) and `w_data` (the
-    (coefficient, slot key) expansion of each correction vector i).
+    Subclasses provide `interval`, `cells`, `scale` (p**K, the cells' grid
+    units per unit length), `terms` ((scalar, slot key) pairs), `r_terms`
+    ((scalar, ("w", i)) pairs) and `w_data` (the (coefficient, slot key)
+    expansion of each correction vector i).
 
     Point evaluation reads `run_table`: the runs of every term, merged per
     basis group (space, index shift, count) into one sorted table whose
@@ -473,22 +460,14 @@ class SlotwisePattern:
         in order of first appearance; cells sharing (kind, m) give an atom
         the same child value.
 
-        Widths sum as integer grid units over one scale, the lcm of the
-        cell-end denominators: one Fraction per entry.
+        Widths sum in integer grid units: one Fraction per entry.
         """
-        tiles = []
-        for e in self.cells:
-            if isinstance(e, PeriodicFamily):
-                tiles += [(c, e.count) for c in e.cells]
-            else:
-                tiles.append((e, 1))
-        scale = math.lcm(*(x.denominator for c, _ in tiles for x in (c.lo, c.hi)))
         units: dict = {}
-        for c, count in tiles:
-            lo, hi = c.lo, c.hi
-            u = hi.numerator * (scale // hi.denominator) - lo.numerator * (scale // lo.denominator)
-            units[(c.kind, c.m)] = units.get((c.kind, c.m), 0) + u * count
-        return tuple((key, Fraction(u, scale)) for key, u in units.items())
+        for e in self.cells:
+            count, cells = (e.count, e.cells) if isinstance(e, PeriodicFamily) else (1, (e,))
+            for c in cells:
+                units[(c.kind, c.m)] = units.get((c.kind, c.m), 0) + (c.hi - c.lo) * count
+        return tuple((key, Fraction(u, self.scale)) for key, u in units.items())
 
     def zone_mass(self) -> Fraction:
         return sum((w for (kind, _), w in self.ledger if kind == "zone"), F0)
@@ -609,6 +588,10 @@ class Step1Pattern(SlotwisePattern):
     trace: StoppingTrace
     r_terms: tuple = ()
     w_data: tuple = ()
+
+    @property
+    def scale(self) -> int:
+        return self.space.num_atoms
 
 
 def step1_stopping(
@@ -746,7 +729,8 @@ def step1_stopping(
         terms.append((RleSpline.from_index_range(space, *f_ranges[m]), ("d", m)))
     terms.append((RleSpline.from_index_range(space, *f_ranges[M]), ("dmix",)))
 
-    cells = _stopping_cells(interval, space, f_ranges, M)
+    A = grid_units(a, space.num_atoms)
+    cells = _stopping_cells(A, A + n * D, k, f_ranges, M)
     trace = StoppingTrace(
         eps=eps,
         eps_tilde=eps_tilde,
@@ -775,18 +759,17 @@ def step1_stopping(
     return pattern
 
 
-def _stopping_cells(interval, space, f_ranges, M) -> list[CellSpec]:
-    """Tile the interval: zones where some f_m is identically one, ramp
-    atoms at the range edges, keep cells elsewhere."""
-    k = space.k
+def _stopping_cells(lo: int, hi: int, k: int, f_ranges, M) -> list[CellSpec]:
+    """Tile the atoms lo .. hi - 1: zones where some f_m is identically one,
+    ramp atoms at the range edges, keep cells elsewhere."""
     blocks = []
     for m, (jlo, jhi) in enumerate(f_ranges):
         if jhi - jlo + 1 < 2 * k - 1:
             raise AssertionError("stopping range too narrow for a zone")
         zone_hi = jhi - k + 2
         blocks.append(
-            [atom_cell(space, jlo - k + 1 + r, "ramp", m) for r in range(k - 1)]
-            + [CellSpec(jlo * space.h, zone_hi * space.h, "zone" if m < M else "mix", m)]
-            + [atom_cell(space, zone_hi + r, "ramp", m) for r in range(k - 1)]
+            [CellSpec(i, i + 1, "ramp", m) for i in range(jlo - k + 1, jlo)]
+            + [CellSpec(jlo, zone_hi, "zone" if m < M else "mix", m)]
+            + [CellSpec(i, i + 1, "ramp", m) for i in range(zone_hi, zone_hi + k - 1)]
         )
-    return tile(interval, blocks)
+    return tile(lo, hi, blocks)

@@ -228,13 +228,13 @@ class SequenceResult:
         for j in range(n):
             atom = rng.randint(lo, hi - 1)
             pattern, parts, _bound, start = self._bind(j, binding)
-            cell, cell_lo, cell_hi, fam = rng.choice(pattern.draws[j >= n - 2])
-            shift = 0 if fam is None else rng.randrange(fam[0]) * fam[1]
+            cell, fam = rng.choice(pattern.draws[j >= n - 2])
+            shift = 0 if fam is None else rng.randrange(fam.count) * fam.period
             down, up = pattern.K - self.m_levels[j], self.m_levels[j + 1] - pattern.K
             if down < 0 or up < 0:
                 raise AssertionError(f"step {j}: pattern level {pattern.K} outside its step's levels")
             base = (atom - start) * p**down + shift
-            lo, hi = (base + cell_lo) * p**up, (base + cell_hi) * p**up
+            lo, hi = (base + cell.lo) * p**up, (base + cell.hi) * p**up
             binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
             if binding is None:
                 raise AssertionError("sampler entered a non-constant cell")

@@ -13,6 +13,7 @@ pattern, which step2_correct builds on the second piece, serves every piece
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,14 +25,12 @@ from ..intervals import Interval, frac
 from ..cardinal import over_common_denominator
 from ..rle import PeriodicSpline, RleSpline, UniformSpace
 from .core import (
-    CellGrid,
     CellSpec,
     ConstructionContext,
     F0,
     PeriodicFamily,
     SlotwisePattern,
     Step1Pattern,
-    atom_cell,
     first_level,
     grid_units,
     level_aligning,
@@ -159,56 +158,49 @@ class LemmaPattern(SlotwisePattern):
     cells: list
     trace: LemmaTrace
 
+    @property
+    def scale(self) -> int:
+        return self.inner.scale
+
     @cached_property
-    def _grid(self) -> tuple[int, CellGrid, dict]:
-        """p**K, the cells in level-K grid units, and per periodic family (by
-        cell index) its cells and integer period in the same units; every
-        cell end is a level-K grid point."""
-        scale = self.inner.space.p**self.K
+    def _starts(self) -> tuple[list, dict]:
+        """Cell starts for bisection: the cells', and per periodic family
+        (by cell index) its own cells'."""
         families = {
-            i: (CellGrid(e.cells, scale), grid_units(e.period, scale))
+            i: [c.lo for c in e.cells]
             for i, e in enumerate(self.cells)
             if isinstance(e, PeriodicFamily)
         }
-        return scale, CellGrid(self.cells, scale), families
+        return [e.lo for e in self.cells], families
 
     def locate(self, u: int):
         """(cell, instance shift in level-K grid units) of the cell holding
         the level-K atom u, that is every t with floor(t p**K) = u;
         half-open convention."""
-        _, grid, families = self._grid
-        i = grid.find(u)
-        if i is None:
+        starts, families = self._starts
+        if not starts[0] <= u < self.cells[-1].hi:
             raise KeyError(f"level-{self.K} atom {u} not covered by pattern cells")
+        i = bisect.bisect_right(starts, u) - 1
         entry = self.cells[i]
         if i not in families:
             return entry, 0
-        cells, period = families[i]
-        shift = (u - cells.starts[0]) // period * period
-        return entry.cells[cells.find(u - shift)], shift
+        shift = (u - entry.lo) // entry.period * entry.period
+        return entry.cells[bisect.bisect_right(families[i], u - shift) - 1], shift
 
     @cached_property
     def draws(self) -> dict:
         """The cells the E_n sampler draws from, keyed by `zones_only`: zone
-        cells alone, or every constant cell, each as (cell, lo, hi, family)
-        with lo and hi in level-K grid units and family the (instance count,
-        period in the same units) of its periodic family, None outside one.
-        Listed in cell order, so a seeded draw picks the same cell as a scan
-        of the cells."""
-        scale, _, _ = self._grid
+        cells alone, or every constant cell, each as (cell, family) with
+        family its PeriodicFamily, None outside one. Listed in cell order,
+        so a seeded draw picks the same cell as a scan of the cells."""
         out: dict = {True: [], False: []}
         for entry in self.cells:
-            if isinstance(entry, PeriodicFamily):
-                fam = (entry.count, grid_units(entry.period, scale))
-                members = [(c, fam) for c in entry.cells]
-            else:
-                members = [(entry, None)]
-            for c, fam in members:
-                draw = (c, grid_units(c.lo, scale), grid_units(c.hi, scale), fam)
+            fam = entry if isinstance(entry, PeriodicFamily) else None
+            for c in entry.cells if fam else (entry,):
                 if c.kind == "zone":
-                    out[True].append(draw)
+                    out[True].append((c, fam))
                 if c.is_constant:
-                    out[False].append(draw)
+                    out[False].append((c, fam))
         return out
 
     def failed_checks(self) -> list[str]:
@@ -238,6 +230,19 @@ def step2_correct(
     integers over one denominator, and each slot's moment row z goes over
     the lcm of its denominators, so w = -A^{-1} z and the exact check
     z + A w = 0 run in integers; only the k entries of w become Fractions.
+
+    The pattern's level K is the inner pattern's, so the family shares
+    `inner.cells` as they are. The bump level is no finer when |I| = p**-m
+    (an atom, as the driver passes). The bump search starts at or below
+    inner.K: both exceed base_level, and inner.K aligns d, whose level is
+    s past c's. `room` only gets easier as the level grows, and inner.K
+    passes it: the inner ball puts k + 1 atoms of width h on each side of
+    its midpoint within eps3 <= et**3 d / 2592, and d <= et |I| / 2, so R
+    holds k (k + 1) + 3 of them for k < 5182; the inner ramps take
+    2 (M + 1) (k - 1) h <= Z d / (2 |I|) of the zombie budget Z, so
+    k**2 h <= Z / 2 for k <= 6. On the 480 patterns of dyadic, padic:3 and
+    padic:5, k = 1..4, four etas and N = 4, inner.K passes the bump level
+    by at least 19. A bump level past inner.K raises.
     """
     ctx.require_uniform()
     p, k = ctx.p, ctx.k
@@ -293,7 +298,9 @@ def step2_correct(
         base_level,
         max_zombie_length=max_zombie_length * d / width / 2,
     )
-    K = max(inner.K, space_r.level)
+    K = inner.K
+    if space_r.level > K:
+        raise AssertionError(f"bump level {space_r.level} is finer than the pattern level {K}")
     terms = [(PeriodicSpline(scal, d, piece_count), key) for scal, key in inner.terms]
 
     # exact z per slot over all pieces, then w = -A^{-1} z slotwise; with
@@ -319,17 +326,17 @@ def step2_correct(
                 w_data[i].append((Fraction(wn[i], wden), key))
     r_terms = [(bumps[i], ("w", i)) for i in range(k)]
 
+    # cells in level-K units; a bump atom spans `up` of them
+    A, D, up = grid_units(a, inner.scale), grid_units(d, inner.scale), p ** (K - space_r.level)
     blocks: list = [[
-        CellSpec(a, a + d, "keep"),
-        PeriodicFamily(tuple(inner.cells), d, piece_count),
-        CellSpec(a + (n_outer - 1) * d, c, "keep"),
+        CellSpec(A, A + D, "keep"),
+        PeriodicFamily(tuple(inner.cells), D, piece_count),
+        CellSpec(A + (n_outer - 1) * D, grid_units(c, inner.scale), "keep"),
     ]]
+    kind = "keep" if k == 1 else "rbump"  # the order-1 correction is zero: see CellSpec
     for i, m in enumerate(picks):
-        if k == 1:  # the order-1 correction is zero: see CellSpec
-            blocks.append([atom_cell(space_r, m, "keep", i)])
-        else:
-            blocks.append([atom_cell(space_r, m - k + 1 + r, "rbump", i) for r in range(k)])
-    cells = tile(interval, blocks)
+        blocks.append([CellSpec(j * up, (j + 1) * up, kind, i) for j in range(m - k + 1, m + 1)])
+    cells = tile(A, grid_units(b, inner.scale), blocks)
 
     trace = LemmaTrace(
         eps=eps,

@@ -272,11 +272,10 @@ def _check_reps(seq: SequenceResult) -> tuple[int, str | None]:
             if cell.kind != "ramp":
                 continue
             count += 1
-            step, off_grid = divmod(space.num_atoms, cell.lo.denominator)
-            a = cell.lo.numerator * step  # its atom index
+            a = cell.lo  # its atom index: a Step-1 cell counts atoms of its space
             own = ("dmix",) if cell.m == inner.M else ("d", cell.m)
-            fault = "off the grid of its space" if off_grid else None
-            for slots in () if fault else group.slots_between(a, a + space.k - 1):
+            fault = None
+            for slots in group.slots_between(a, a + space.k - 1):
                 for key, c in slots:
                     if not (0 <= c <= group.den if key == own else c == 0):
                         fault = f"a run touching it carries {Fraction(c, group.den)} on {key}"
@@ -284,7 +283,8 @@ def _check_reps(seq: SequenceResult) -> tuple[int, str | None]:
                 if fault:
                     break
             if fault:
-                return count, f"step {n}, ramp cell [{cell.lo}, {cell.hi}) of f_{cell.m + 1}: {fault}"
+                lo, hi = (Fraction(x, space.num_atoms) for x in (cell.lo, cell.hi))
+                return count, f"step {n}, ramp cell [{lo}, {hi}) of f_{cell.m + 1}: {fault}"
     return count, None
 
 

@@ -23,7 +23,8 @@ E_n sampler that the integer ones of `SequenceResult` replaced: every step
 builds t's atom, the pattern coordinate tau and each group's slot values
 as Fractions (`eval_slotwise`, `g_eval`), finds the cell by a linear scan
 of Fraction cell bounds (`reference_locate`) and adds witness vectors
-with `XVec.add`.
+with `XVec.add`. Cells hold their ends as integer grid units of the
+pattern's level K; the oracles read them as Fractions (`cell_ends`).
 """
 
 import bisect
@@ -242,18 +243,33 @@ def g_eval(bound, t) -> XVec:
     return bound._combine(eval_slotwise(bound.pattern, frac(t)).items())
 
 
+def grid_unit(pattern) -> Fraction:
+    """p**-K: the length of one grid unit of a pattern's cell ends."""
+    space = pattern.inner.space if hasattr(pattern, "inner") else pattern.space
+    return Fraction(1, space.p**pattern.K)
+
+
+def cell_ends(pattern, entry) -> tuple[Fraction, Fraction]:
+    """A cell's or periodic family's ends as Fractions."""
+    h = grid_unit(pattern)
+    return entry.lo * h, entry.hi * h
+
+
 def reference_locate(pattern, t):
     """The linear scan over Fraction cell bounds that grid-unit bisection replaced."""
     for entry in pattern.cells:
+        lo, hi = cell_ends(pattern, entry)
         if isinstance(entry, PeriodicFamily):
-            if entry.lo <= t < entry.hi:
-                idx = min(int((t - entry.lo) / entry.period), entry.count - 1)
-                local = t - idx * entry.period
+            if lo <= t < hi:
+                period = entry.period * grid_unit(pattern)
+                idx = min(int((t - lo) / period), entry.count - 1)
+                local = t - idx * period
                 for c in entry.cells:
-                    if c.lo <= local < c.hi:
-                        return c, idx * entry.period
+                    c_lo, c_hi = cell_ends(pattern, c)
+                    if c_lo <= local < c_hi:
+                        return c, idx * period
                 return None
-        elif entry.lo <= t < entry.hi:
+        elif lo <= t < hi:
             return entry, Fraction(0)
     return None
 
@@ -292,7 +308,7 @@ def random_cell(rng, pattern, force_zone: bool):
     cell, fam = rng.choice(entries)
     if fam is None:
         return cell, Fraction(0)
-    return cell, rng.randrange(fam.count) * fam.period
+    return cell, rng.randrange(fam.count) * fam.period * grid_unit(pattern)
 
 
 def descend_random_cell(seq, rng, n: int) -> tuple[Fraction, Fraction]:
@@ -307,7 +323,8 @@ def descend_random_cell(seq, rng, n: int) -> tuple[Fraction, Fraction]:
         pattern, parts, _bound, _start = seq._bind(j, binding)
         cell, shift = random_cell(rng, pattern, j >= n - 2)
         base = atom_lo - pattern.interval.lo
-        lo, hi = base + shift + cell.lo, base + shift + cell.hi
+        c_lo, c_hi = cell_ends(pattern, cell)
+        lo, hi = base + shift + c_lo, base + shift + c_hi
         binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
         if binding is None:
             raise AssertionError("sampler entered a non-constant cell")

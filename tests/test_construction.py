@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import splinemart.cardinal as cardinal
 import splinemart.construction.core as core
+import splinemart.construction.lemma as lemma_module
 from splinemart.construction.core import (
     BoundPattern,
     CellSpec,
@@ -51,7 +52,14 @@ from splinemart.intervals import Interval
 from splinemart.rle import RleSpline, UniformSpace
 from splinemart.witness import BushRep, XVec, bush_decompose
 
-from fraction_oracle import evaluate, moment_slotwise, slot_xvecs, support_bounds
+from fraction_oracle import (
+    cell_ends,
+    evaluate,
+    grid_unit,
+    moment_slotwise,
+    slot_xvecs,
+    support_bounds,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -96,7 +104,8 @@ class TestStopping:
         for cell in pat.cells:
             if cell.kind != "zone":
                 continue
-            pts = [cell.lo + (cell.hi - cell.lo) * F(i, 7) for i in (1, 3, 5)]
+            lo, hi = cell_ends(pat, cell)
+            pts = [lo + (hi - lo) * F(i, 7) for i in (1, 3, 5)]
             vals = [xbar.add(g_at(bound, t)) for t in pts]
             child = parts[cell.m][1].value()
             for v in vals:
@@ -284,15 +293,33 @@ class TestLemma:
         bound = BoundPattern(pat, vecs)
         # the first and last cells are keep cells hugging the boundary;
         # g vanishes there, so supp g stays inside int I
-        first, last = pat.cells[0], pat.cells[-1]
-        assert first.lo == iv.lo and last.hi == iv.hi
-        for t in (first.lo + (first.hi - first.lo) / 3, (first.lo + first.hi) / 2):
+        first_lo, first_hi = cell_ends(pat, pat.cells[0])
+        last_lo, last_hi = cell_ends(pat, pat.cells[-1])
+        assert first_lo == iv.lo and last_hi == iv.hi
+        for t in (first_lo + (first_hi - first_lo) / 3, (first_lo + first_hi) / 2):
             assert g_at(bound, t) == XVec.zero()
-        for t in (last.lo + (last.hi - last.lo) / 3, last.lo + (last.hi - last.lo) * F(9, 10)):
+        for t in (last_lo + (last_hi - last_lo) / 3, last_lo + (last_hi - last_lo) * F(9, 10)):
             assert g_at(bound, t) == XVec.zero()
         for scal, _ in pat.r_terms:
             lo, hi = support_bounds(scal)
             assert iv.lo < lo and hi < iv.hi
+
+    def test_bump_level_past_the_inner_level_raises(self, monkeypatch):
+        # the pattern shares the inner cells at the inner level, so a bump
+        # level past it would put the bump cells off that grid. Finer bumps
+        # grow A^{-1} and with it the piece count, which deepens the inner
+        # level too, so both are forced here: the bump search starts 200
+        # levels deeper, and the piece count drops to its 2 / et floor
+        search = lemma_module.first_level
+        monkeypatch.setattr(
+            lemma_module, "first_level", lambda ctx, start, fit: search(ctx, start + 200, fit)
+        )
+        monkeypatch.setattr(lemma_module, "PIECE_MARGIN", F(1, 2**1000))
+        ctx = ConstructionContext(dyadic(), 2)
+        with pytest.raises(AssertionError, match="finer than the pattern level"):
+            lemma_moments(
+                ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+            )
 
 
 class TestPAdic:
@@ -304,71 +331,73 @@ class TestPAdic:
 
 
 class TestTiling:
-    """check_tiling over a list that mixes plain cells and a periodic family."""
+    """check_tiling over a list that mixes plain cells and a periodic family,
+    in grid units of 1/16."""
 
-    ZONE = CellSpec(F(1, 8), F(3, 16), "zone", 0)
-    FAMILY = PeriodicFamily((ZONE, CellSpec(F(3, 16), F(1, 4), "keep")), F(1, 8), 4)
+    ZONE = CellSpec(2, 3, "zone", 0)
+    FAMILY = PeriodicFamily((ZONE, CellSpec(3, 4, "keep")), 2, 4)
 
-    def tiles(self, first_hi=F(1, 8), last_lo=F(5, 8)):
-        # the family's four periods cover [1/8, 5/8)
-        return [CellSpec(0, first_hi, "keep"), self.FAMILY, CellSpec(last_lo, 1, "keep")]
+    def tiles(self, first_hi=2, last_lo=10):
+        # the family's four periods cover [2, 10)
+        return [CellSpec(0, first_hi, "keep"), self.FAMILY, CellSpec(last_lo, 16, "keep")]
 
     def test_mixed_cover_passes(self):
-        check_tiling(self.tiles(), Interval(0, 1))
+        check_tiling(self.tiles(), 0, 16)
 
     @pytest.mark.parametrize("fault", ["gap", "overlap", "empty", "short", "family_gap"])
     def test_broken_tilings_raise(self, fault):
         tiles = self.tiles()
         if fault == "gap":
-            tiles = self.tiles(first_hi=F(1, 16))
+            tiles = self.tiles(first_hi=1)
         elif fault == "overlap":
-            tiles = self.tiles(last_lo=F(9, 16))
+            tiles = self.tiles(last_lo=9)
         elif fault == "empty":
-            tiles.insert(2, CellSpec(F(5, 8), F(5, 8), "keep"))
+            tiles.insert(2, CellSpec(10, 10, "keep"))
         elif fault == "short":
             tiles.pop()
         else:  # the family's own cells leave a gap inside each period
-            tiles[1] = PeriodicFamily((self.ZONE,), F(1, 8), 4)
-            tiles[2] = CellSpec(F(9, 16), 1, "keep")
+            tiles[1] = PeriodicFamily((self.ZONE,), 2, 4)
+            tiles[2] = CellSpec(9, 16, "keep")
         with pytest.raises(AssertionError):
-            check_tiling(tiles, Interval(0, 1))
+            check_tiling(tiles, 0, 16)
 
 
 class TestTile:
-    """tile lays blocks left to right with keep cells in the gaps."""
+    """tile lays blocks left to right with keep cells in the gaps, in grid
+    units of 1/8."""
 
-    A = CellSpec(F(1, 8), F(1, 4), "zone", 0)
-    B = CellSpec(F(1, 2), F(5, 8), "ramp", 1)
+    A = CellSpec(1, 2, "zone", 0)
+    B = CellSpec(4, 5, "ramp", 1)
 
     @staticmethod
     def keep(lo, hi):
-        return CellSpec(F(lo), F(hi), "keep")
+        return CellSpec(lo, hi, "keep")
 
     @pytest.mark.parametrize(
         "blocks,want",
         [
-            ([[A], [B]], [keep(0, F(1, 8)), A, keep(F(1, 4), F(1, 2)), B, keep(F(5, 8), 1)]),
+            ([[A], [B]], [keep(0, 1), A, keep(2, 4), B, keep(5, 8)]),
             (
-                [[A, CellSpec(F(1, 4), F(1, 2), "mix", 1)], [B]],
-                [keep(0, F(1, 8)), A, CellSpec(F(1, 4), F(1, 2), "mix", 1), B, keep(F(5, 8), 1)],
+                [[A, CellSpec(2, 4, "mix", 1)], [B]],
+                [keep(0, 1), A, CellSpec(2, 4, "mix", 1), B, keep(5, 8)],
             ),
             (
-                [[CellSpec(0, F(1, 8), "ramp", 0)], [A]],
-                [CellSpec(0, F(1, 8), "ramp", 0), A, keep(F(1, 4), 1)],
+                [[CellSpec(0, 1, "ramp", 0)], [A]],
+                [CellSpec(0, 1, "ramp", 0), A, keep(2, 8)],
             ),
             (
-                [[A], [CellSpec(F(7, 8), 1, "rbump", 0)]],
-                [keep(0, F(1, 8)), A, keep(F(1, 4), F(7, 8)), CellSpec(F(7, 8), 1, "rbump", 0)],
+                [[A], [CellSpec(7, 8, "rbump", 0)]],
+                [keep(0, 1), A, keep(2, 7), CellSpec(7, 8, "rbump", 0)],
             ),
         ],
         ids=["gap", "adjacent", "flush-left", "flush-right"],
     )
     def test_cells(self, blocks, want):
-        assert tile(Interval(0, 1), blocks) == want
+        assert tile(0, 8, blocks) == want
 
     def test_overlapping_blocks_raise(self):
         with pytest.raises(AssertionError):
-            tile(Interval(0, 1), [[self.B], [self.A]])
+            tile(0, 8, [[self.B], [self.A]])
 
 
 class TestLevelSearch:
@@ -513,15 +542,15 @@ def matches_term_by_term(pat, bound, t):
 def cell_points(pat):
     """lo, an interior point and the last level-K grid point of every cell,
     in the first, second and last instance of a periodic family."""
-    h = F(1, pat.inner.space.p ** pat.K)
+    h = grid_unit(pat)
     for entry in pat.cells:
         if isinstance(entry, PeriodicFamily):
             shifts = sorted({0, min(1, entry.count - 1), entry.count - 1})
-            cells = [(c, s * entry.period) for c in entry.cells for s in shifts]
+            cells = [(c, s * entry.period * h) for c in entry.cells for s in shifts]
         else:
             cells = [(entry, F(0))]
         for cell, shift in cells:
-            lo, hi = shift + cell.lo, shift + cell.hi
+            lo, hi = (shift + x for x in cell_ends(pat, cell))
             yield from (lo, lo + (hi - lo) * F(3, 7), hi - h)
 
 

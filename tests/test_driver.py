@@ -38,7 +38,7 @@ from splinemart.harness import verify_sequence
 from splinemart.witness import BushRep, XVec, bush_decompose
 
 import fraction_oracle as oracle
-from fraction_oracle import moment_slotwise, reference_locate
+from fraction_oracle import cell_ends, grid_unit, moment_slotwise, reference_locate
 
 F = Fraction
 HALF = F(1, 2)
@@ -326,12 +326,13 @@ def seq_deep():
 def cell_boundaries(pattern):
     """Every top-level cell start, the interval end, and every family cell
     start in the first, second, a middle and the last instance."""
+    h = grid_unit(pattern)
     for entry in pattern.cells:
         if isinstance(entry, PeriodicFamily):
             for idx in sorted({0, 1, entry.count // 2, entry.count - 1}):
                 for c in entry.cells:
-                    yield c.lo + idx * entry.period
-        yield entry.lo
+                    yield (c.lo + idx * entry.period) * h
+        yield entry.lo * h
     yield pattern.interval.hi
 
 
@@ -445,6 +446,7 @@ def reference_census(rows, sd, p):
             else:
                 instances = [(entry, 1)]
             for cell, count in instances:
+                c_lo, c_hi = cell_ends(pat, cell)
                 if cell.kind == "zone":
                     value, norm = parts[cell.m][1], part_norms[cell.m]
                 elif cell.kind == "keep" and cell.m >= 0:
@@ -466,7 +468,7 @@ def reference_census(rows, sd, p):
                     kind="const" if value is not None else "zombie",
                     cell_kind=cell.kind,
                     rep_value=value,
-                    total_length=(cell.hi - cell.lo) * count * atom_count,
+                    total_length=(c_hi - c_lo) * count * atom_count,
                     in_c=cell.kind == "zone",
                     in_e=cell.kind == "zone" and row.in_c,
                     norm_bound=norm,
@@ -603,6 +605,38 @@ def walk_sequence(spec, k):
     return build_sequence(parse_filtration_spec(spec), k, HALF, WALK_STEPS)
 
 
+@pytest.mark.parametrize("spec,k", WALK_CASES)
+def test_cells_are_grid_units_and_the_ledger_sums_their_fraction_widths(spec, k):
+    # every lemma and inner Step-1 pattern of the sequence: each cell end
+    # and period is an int, the cells tile [interval.lo p**K, interval.hi
+    # p**K) in order, and the ledger is the per-cell sum of Fraction widths
+    seq = walk_sequence(spec, k)
+    for _, lemma in seq.all_patterns():
+        for pat in (lemma, lemma.inner):
+            h = grid_unit(pat)
+            pos = pat.interval.lo / h
+            want = {}
+            for e in pat.cells:
+                family = isinstance(e, PeriodicFamily)
+                cells, count = (e.cells, e.count) if family else ((e,), 1)
+                ends = [x for c in cells for x in (c.lo, c.hi)] + ([e.period] if family else [])
+                assert all(type(x) is int for x in ends), e
+                assert e.lo == pos < e.hi
+                if family:
+                    inner_pos = e.lo
+                    for c in cells:
+                        assert c.lo == inner_pos < c.hi
+                        inner_pos = c.hi
+                    assert inner_pos == e.lo + e.period
+                    assert e.hi == e.lo + count * e.period
+                pos = e.hi
+                for c in cells:
+                    lo, hi = cell_ends(pat, c)
+                    want[(c.kind, c.m)] = want.get((c.kind, c.m), F(0)) + (hi - lo) * count
+            assert pos == pat.interval.hi / h
+            assert list(pat.ledger) == list(want.items())
+
+
 @st.composite
 def walk_points(draw, seq):
     """A point of [0, 1]: a random rational, 0 or 1, an atom end or a cell
@@ -626,6 +660,7 @@ def walk_points(draw, seq):
             if isinstance(e, PeriodicFamily):
                 shift = draw(st.integers(0, e.count - 1)) * e.period
                 ends += [c.lo + shift for c in e.cells] + [e.cells[-1].hi + shift]
+        ends = [u * grid_unit(pat) for u in ends]
         end = draw(st.sampled_from(ends + [pat.interval.hi]))
         return F(atom, scale) + end - pat.interval.lo
     n = draw(st.integers(1, seq.num_steps))

@@ -19,7 +19,14 @@ from splinemart.filtration import dyadic
 from splinemart.intervals import Interval
 from splinemart.witness import XVec
 
-from fraction_oracle import moment_slotwise, node_vector, slot_xvecs, support_bounds
+from fraction_oracle import (
+    cell_ends,
+    grid_unit,
+    moment_slotwise,
+    node_vector,
+    slot_xvecs,
+    support_bounds,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -55,7 +62,8 @@ def test_stopping_bush_children_example():
     for cell in pat.cells:
         if cell.kind != "zone":
             continue
-        t = cell.lo + (cell.hi - cell.lo) / 3
+        lo, hi = cell_ends(pat, cell)
+        t = lo + (hi - lo) / 3
         val = xbar.add(g_at(bound, t))
         assert val in (xs[0], xs[1])
         assert val.sub(xbar).sup_norm == 1
@@ -103,7 +111,8 @@ def test_moment_perturbation_end_to_end(k):
     fam = next(e for e in pat.cells if hasattr(e, "period"))
     zone = next(c for c in fam.cells if c.kind == "zone")
     for inst in (0, pat.piece_count // 2, pat.piece_count - 1):
-        t = zone.lo + inst * fam.period + (zone.hi - zone.lo) / 3
+        lo, hi = cell_ends(pat, zone)
+        t = lo + inst * fam.period * grid_unit(pat) + (hi - lo) / 3
         val = xbar.add(g_at(bound, t))
         assert val in tuple(xs)
         assert val.sub(xbar).sup_norm == 1
