@@ -34,7 +34,6 @@ result once, however many steps it sums.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -140,47 +139,27 @@ def p_power_at_least(p: int, x: Fraction) -> int:
     return s
 
 
-def p_adic_valuation(p: int, d: int) -> int:
-    """Largest s with p**s dividing d != 0, in O(log s) big-int operations.
-
-    Strips p, p**2, p**4, ... while they divide, then the same powers in
-    reverse, each at most once: the exponents removed are the binary digits
-    of s.
-    """
-    powers = []
-    q = p
-    while d % q == 0:
-        d //= q
-        powers.append(q)
-        q *= q
-    s = (1 << len(powers)) - 1
-    for i in reversed(range(len(powers))):
-        if d % powers[i] == 0:
-            d //= powers[i]
-            s += 1 << i
-    return s
-
-
 def level_aligning(p: int, *values: Fraction) -> int:
-    """Smallest K so every value is a multiple of p**-K."""
+    """Smallest K so every value is a multiple of p**-K, for any base p.
+
+    A reduced denominator d divides p**K from some K on, if ever, and then
+    at K = d.bit_length(), since no prime's exponent in d reaches that: so
+    K is found by bisection, and a d that fails there is off every grid.
+    """
     need = 0
     for v in values:
         d = frac(v).denominator
-        s = p_adic_valuation(p, d)
-        if d != p**s:
+        lo, hi = need, d.bit_length()
+        if pow(p, hi, d):
             raise PreconditionError(f"{v} is not on any {p}-ary grid")
-        need = max(need, s)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if pow(p, mid, d):
+                lo = mid + 1
+            else:
+                hi = mid
+        need = lo
     return need
-
-
-def first_level(ctx: ConstructionContext, start: int, fit) -> tuple[UniformSpace, object]:
-    """The space of the first level K >= start whose fit(space) is not None,
-    with that value; past LEVEL_CAP, ctx.space raises CapacityError."""
-    for K in itertools.count(start):
-        space = ctx.space(K)
-        found = fit(space)
-        if found is not None:
-            return space, found
 
 
 # ---------------------------------------------------------------------------
@@ -455,25 +434,29 @@ class SlotwisePattern:
         return sums, den
 
     @cached_property
-    def ledger(self) -> tuple:
-        """((kind, m), summed width of those cells over every instance) pairs,
-        in order of first appearance; cells sharing (kind, m) give an atom
-        the same child value.
-
-        Widths sum in integer grid units: one Fraction per entry.
-        """
+    def ledger_units(self) -> tuple:
+        """((kind, m), summed width of those cells over every instance, in
+        integer grid units) pairs, in order of first appearance; cells
+        sharing (kind, m) give an atom the same child value."""
         units: dict = {}
         for e in self.cells:
             count, cells = (e.count, e.cells) if isinstance(e, PeriodicFamily) else (1, (e,))
             for c in cells:
                 units[(c.kind, c.m)] = units.get((c.kind, c.m), 0) + (c.hi - c.lo) * count
-        return tuple((key, Fraction(u, self.scale)) for key, u in units.items())
+        return tuple(units.items())
+
+    @cached_property
+    def ledger(self) -> tuple:
+        """The ledger as lengths: one Fraction per entry."""
+        return tuple((key, Fraction(u, self.scale)) for key, u in self.ledger_units)
 
     def zone_mass(self) -> Fraction:
-        return sum((w for (kind, _), w in self.ledger if kind == "zone"), F0)
+        return Fraction(sum(u for (kind, _), u in self.ledger_units if kind == "zone"), self.scale)
 
     def zombie_length(self) -> Fraction:
-        return sum((w for (kind, _), w in self.ledger if kind not in CONSTANT_KINDS), F0)
+        return Fraction(
+            sum(u for (kind, _), u in self.ledger_units if kind not in CONSTANT_KINDS), self.scale
+        )
 
 
 class BoundPattern:
@@ -616,6 +599,17 @@ def step1_stopping(
     grid. The caller, `step2_correct`, passes I = [a' + d', a' + 2d'] for
     its pieces [a' + (l - 1) d', a' + l d']; that grid also holds
     d' = p**s d and a' = a - d', so it aligns every piece as it stands.
+
+    K is the smallest such level that holds k + 1 grid points strictly
+    inside the ball (p1 - eps3, p1 + eps3) on either side of each piece
+    midpoint p1, and, for k >= 2, fits the 2 (M + 1) (k - 1) ramp atoms
+    into `max_zombie_length`. The ball lies inside its piece, as
+    eps3 / d = eps**2 (1 - eps / 3) / (432 M) < 1/2. With a and d on the
+    grid, p1 is a grid point when D = d p**K is even and an atom midpoint
+    when D is odd, so the ball holds its points iff eps3 p**K > k + 1 +
+    (D mod 2) / 2. So K is the largest of the lower bounds, with
+    eps3 p**K >= k + 1 among them, plus one level where the strict bound
+    fails there: one level deeper, eps3 p**K >= 2 (k + 1) meets it.
     """
     ctx.require_uniform()
     p, k = ctx.p, ctx.k
@@ -638,27 +632,28 @@ def step1_stopping(
     d = width / n
     eps3 = eps1 / (2 * n)
 
-    # level search: k+1 atoms inside the ball around each piece midpoint p1
-    # on either side of p1, and the zombie (ramp) length budget; the level
-    # puts a, d and every translation offset on the grid (see above)
+    # the level (see above)
     p1 = a + d / 2
-    lo_edge, hi_edge = max(a, p1 - eps3), min(a + d, p1 + eps3)
     ramp_atoms = 2 * (M + 1) * (k - 1)
-
-    def ball(space: UniformSpace):
-        # grid units of the first grid point right of lo_edge (u1), of the
-        # last one left of hi_edge (v1) and of the piece width d
-        units = space.num_atoms
-        U1, V1 = math.floor(lo_edge * units) + 1, math.ceil(hi_edge * units) - 1
-        if math.floor(p1 * units) - U1 < k + 1 or V1 - math.ceil(p1 * units) < k + 1:
-            return None
-        if k > 1 and ramp_atoms * space.h > max_zombie_length:
-            return None
-        return U1, V1, grid_units(d, units)
-
-    start = max(base_level + 1, level_aligning(p, a, d))
-    space, (U1, V1, D) = first_level(ctx, start, ball)
-    K, h = space.level, space.h
+    K = max(
+        base_level + 1,
+        level_aligning(p, a, d),
+        p_power_at_least(p, (k + 1) / eps3),
+        p_power_at_least(p, ramp_atoms / max_zombie_length) if k > 1 else 0,
+    )
+    if eps3 * p**K <= k + 1 + Fraction(grid_units(d, p**K) % 2, 2):
+        K += 1
+    space = ctx.space(K)
+    h, scale = space.h, space.num_atoms
+    # grid units of the first grid point right of p1 - eps3 (u1), of the
+    # last one left of p1 + eps3 (v1) and of the piece width d; then the
+    # ball and the zombie budget, checked at K
+    U1, V1 = math.floor((p1 - eps3) * scale) + 1, math.ceil((p1 + eps3) * scale) - 1
+    D = grid_units(d, scale)
+    if math.floor(p1 * scale) - U1 < k + 1 or V1 - math.ceil(p1 * scale) < k + 1:
+        raise AssertionError(f"level {K} puts fewer than {k + 1} grid points in a half ball")
+    if k > 1 and ramp_atoms * h > max_zombie_length:
+        raise AssertionError(f"level {K} overruns the zombie budget")
 
     # pieces are 1-based and congruent: piece ell has ball points
     # u_ell = u1 + (ell - 1) d and v_ell = v1 + (ell - 1) d. Block i <->
@@ -729,7 +724,7 @@ def step1_stopping(
         terms.append((RleSpline.from_index_range(space, *f_ranges[m]), ("d", m)))
     terms.append((RleSpline.from_index_range(space, *f_ranges[M]), ("dmix",)))
 
-    A = grid_units(a, space.num_atoms)
+    A = grid_units(a, scale)
     cells = _stopping_cells(A, A + n * D, k, f_ranges, M)
     trace = StoppingTrace(
         eps=eps,

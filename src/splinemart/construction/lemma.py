@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from ..errors import PreconditionError
 from ..intervals import Interval, frac
 from ..cardinal import over_common_denominator
-from ..rle import PeriodicSpline, RleSpline, UniformSpace
+from ..rle import PeriodicSpline, RleSpline
 from .core import (
     CellSpec,
     ConstructionContext,
@@ -31,7 +31,6 @@ from .core import (
     PeriodicFamily,
     SlotwisePattern,
     Step1Pattern,
-    first_level,
     grid_units,
     level_aligning,
     p_power_at_least,
@@ -231,18 +230,24 @@ def step2_correct(
     the lcm of its denominators, so w = -A^{-1} z and the exact check
     z + A w = 0 run in integers; only the k entries of w become Fractions.
 
+    The bump level is the smallest level above base_level that puts a, b
+    and c on its grid, holds k (k + 1) + 3 atoms strictly between c and b
+    and, for k >= 2, fits the k**2 bump atoms into half the zombie budget.
+    On the grid, (b - c) p**K - 2 atoms lie strictly between c and b, so
+    the level is the largest of these lower bounds.
+
     The pattern's level K is the inner pattern's, so the family shares
     `inner.cells` as they are. The bump level is no finer when |I| = p**-m
-    (an atom, as the driver passes). The bump search starts at or below
-    inner.K: both exceed base_level, and inner.K aligns d, whose level is
-    s past c's. `room` only gets easier as the level grows, and inner.K
-    passes it: the inner ball puts k + 1 atoms of width h on each side of
-    its midpoint within eps3 <= et**3 d / 2592, and d <= et |I| / 2, so R
-    holds k (k + 1) + 3 of them for k < 5182; the inner ramps take
-    2 (M + 1) (k - 1) h <= Z d / (2 |I|) of the zombie budget Z, so
-    k**2 h <= Z / 2 for k <= 6. On the 480 patterns of dyadic, padic:3 and
-    padic:5, k = 1..4, four etas and N = 4, inner.K passes the bump level
-    by at least 19. A bump level past inner.K raises.
+    (an atom, as the driver passes): both exceed base_level, and inner.K
+    aligns a + d and d, so a and c = a + p**s d (and b, or the tiling
+    below raises). The other bounds hold at inner.K: the inner ball puts
+    k + 1 atoms of width h on each side of its midpoint within
+    eps3 <= et**3 d / 2592, and d <= et |I| / 2, so R holds k (k + 1) + 3
+    of them for k < 5182; the inner ramps take 2 (M + 1) (k - 1) h
+    <= Z d / (2 |I|) of the zombie budget Z, so k**2 h <= Z / 2 for k <= 6.
+    On the 480 patterns of dyadic, padic:3 and padic:5, k = 1..4, four
+    etas and N = 4, inner.K passes the bump level by at least 19. A bump
+    level past inner.K raises.
     """
     ctx.require_uniform()
     p, k = ctx.p, ctx.k
@@ -255,22 +260,20 @@ def step2_correct(
     c = b - et * width
     lmass = c - a
 
-    # bump level: room for k disjoint interior supports plus margins; for
-    # k >= 2 the bump atoms are non-constant cells, so their total length
-    # k*k*h must also fit inside the zombie budget
+    # the bump level (see above); the room, from the first atom strictly
+    # right of c, and the zombie budget checked at it
     need_atoms = k * (k + 1) + 3
-
-    def room(space: UniformSpace):
-        # index of the first atom strictly right of c
-        first = math.floor(c * space.num_atoms) + 1
-        last = math.ceil(b * space.num_atoms) - 2  # last atom strictly left of b
-        if last - first + 1 < need_atoms:
-            return None
-        if k > 1 and k * k * space.h > max_zombie_length / 2:
-            return None
-        return first
-
-    space_r, first = first_level(ctx, max(base_level + 1, level_aligning(p, a, c)), room)
+    space_r = ctx.space(max(
+        base_level + 1,
+        level_aligning(p, a, b, c),
+        p_power_at_least(p, (need_atoms + 2) / (b - c)),
+        p_power_at_least(p, 2 * k * k / max_zombie_length) if k > 1 else 0,
+    ))
+    first = grid_units(c, space_r.num_atoms) + 1
+    if grid_units(b, space_r.num_atoms) - 1 - first < need_atoms:
+        raise AssertionError(f"bump level {space_r.level} holds fewer than {need_atoms} atoms in R")
+    if k > 1 and k * k * space_r.h > max_zombie_length / 2:
+        raise AssertionError(f"bump level {space_r.level} overruns the zombie budget")
     picks = [first + 1 + i * (k + 1) + k - 1 for i in range(k)]
 
     bumps = [RleSpline.from_index_range(space_r, m, m) for m in picks]

@@ -25,9 +25,17 @@ as Fractions (`eval_slotwise`, `g_eval`), finds the cell by a linear scan
 of Fraction cell bounds (`reference_locate`) and adds witness vectors
 with `XVec.add`. Cells hold their ends as integer grid units of the
 pattern's level K; the oracles read them as Fractions (`cell_ends`).
+
+`step1_level_search` and `bump_level_search` are the level searches that
+the closed-form levels of `step1_stopping` and `step2_correct` replaced:
+`first_level` walks up from the alignment level, builds each space and
+tests the Step-1 ball or the Step-2 room by floors and ceilings of the
+values at that level. `aligning_level` takes the alignment level from the
+prime exponents of the base and the denominators, not by bisection.
 """
 
 import bisect
+import itertools
 import math
 from fractions import Fraction
 from math import floor
@@ -335,3 +343,88 @@ def descend_random(seq, rng, n: int) -> Fraction:
     """A random point of E_n, as the sampler of `sample_e_points` draws it."""
     lo, hi = descend_random_cell(seq, rng, n)
     return lo + (hi - lo) * Fraction(2 * rng.randint(1, 511) + 1, 1 << 10)
+
+
+def aligning_level(p: int, *values) -> int | None:
+    """Smallest K with every value a multiple of p**-K, or None when there
+    is none: for each prime q of p, ceil(e_q(d) / e_q(p)) over the reduced
+    denominators d, with the exponents e_q counted one division at a time;
+    None when some d keeps a prime that p lacks."""
+    exponents: dict = {}
+    rest, q = p, 2
+    while rest > 1:
+        while rest % q == 0:
+            exponents[q] = exponents.get(q, 0) + 1
+            rest //= q
+        q += 1
+    level = 0
+    for v in values:
+        d = frac(v).denominator
+        for q, e in exponents.items():
+            n = 0
+            while d % q == 0:
+                d //= q
+                n += 1
+            level = max(level, -(-n // e))
+        if d != 1:
+            return None
+    return level
+
+
+def first_level(ctx, start: int, fit) -> tuple[UniformSpace, object]:
+    """The space of the first level K >= start whose fit(space) is not None,
+    with that value; past LEVEL_CAP, ctx.space raises CapacityError."""
+    for K in itertools.count(start):
+        space = ctx.space(K)
+        found = fit(space)
+        if found is not None:
+            return space, found
+
+
+def step1_level_search(ctx, pattern, base_level: int, max_zombie_length) -> int:
+    """The level of a Step-1 pattern by search: the first level from the
+    one aligning a and d whose ball around the piece midpoint p1 holds
+    k + 1 grid points strictly on either side of p1, and, for k >= 2, whose
+    ramp atoms fit the zombie budget."""
+    k = ctx.k
+    a = pattern.interval.lo
+    d = pattern.interval.length / pattern.trace.n_pieces
+    eps3 = pattern.trace.eps3
+    p1 = a + d / 2
+    lo_edge, hi_edge = max(a, p1 - eps3), min(a + d, p1 + eps3)
+    ramp_atoms = 2 * (pattern.M + 1) * (k - 1)
+
+    def ball(space):
+        units = space.num_atoms
+        U1, V1 = math.floor(lo_edge * units) + 1, math.ceil(hi_edge * units) - 1
+        if math.floor(p1 * units) - U1 < k + 1 or V1 - math.ceil(p1 * units) < k + 1:
+            return None
+        if k > 1 and ramp_atoms * space.h > max_zombie_length:
+            return None
+        return U1
+
+    start = max(base_level + 1, aligning_level(ctx.p, a, d))
+    return first_level(ctx, start, ball)[0].level
+
+
+def bump_level_search(ctx, pattern, base_level: int, max_zombie_length) -> int:
+    """The bump level of a lemma pattern by search: the first level from
+    the one aligning a and c whose atoms strictly between c and b number
+    at least k (k + 1) + 3, and, for k >= 2, whose k**2 bump atoms fit
+    half the zombie budget."""
+    k = ctx.k
+    a, b = pattern.interval.lo, pattern.interval.hi
+    c = b - pattern.trace.eps_tilde2 * pattern.interval.length
+    need_atoms = k * (k + 1) + 3
+
+    def room(space):
+        first = math.floor(c * space.num_atoms) + 1  # first atom strictly right of c
+        last = math.ceil(b * space.num_atoms) - 2  # last atom strictly left of b
+        if last - first + 1 < need_atoms:
+            return None
+        if k > 1 and k * k * space.h > max_zombie_length / 2:
+            return None
+        return first
+
+    start = max(base_level + 1, aligning_level(ctx.p, a, c))
+    return first_level(ctx, start, room)[0].level

@@ -169,6 +169,14 @@ def test_overlapping_lifts_restore_the_limit_when_the_last_leaves():
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_construct_verifies_on_a_composite_base(capsys):
+    # 6 is no prime power: grid values have denominators such as 2 * 3**2,
+    # which divide a power of 6 without being one
+    argv = ["construct", "--filtration", "padic:6", "--k", "2", "--steps", "3", "--verify"]
+    assert main(argv) == 0
+    assert "ALL CHECKS PASSED" in capsys.readouterr().err
+
+
 def test_verify_fresh_build(capsys):
     rc = main(["verify", "--k", "1", "--steps", "1", "--json"])
     assert rc == 0

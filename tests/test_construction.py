@@ -23,9 +23,7 @@ from splinemart.construction.core import (
     ConstructionContext,
     PeriodicFamily,
     check_tiling,
-    first_level,
     level_aligning,
-    p_adic_valuation,
     p_power_at_least,
     slot_vectors,
     step1_stopping,
@@ -53,11 +51,15 @@ from splinemart.rle import RleSpline, UniformSpace
 from splinemart.witness import BushRep, XVec, bush_decompose
 
 from fraction_oracle import (
+    aligning_level,
+    bump_level_search,
     cell_ends,
     evaluate,
+    first_level,
     grid_unit,
     moment_slotwise,
     slot_xvecs,
+    step1_level_search,
     support_bounds,
 )
 
@@ -308,11 +310,12 @@ class TestLemma:
         # the pattern shares the inner cells at the inner level, so a bump
         # level past it would put the bump cells off that grid. Finer bumps
         # grow A^{-1} and with it the piece count, which deepens the inner
-        # level too, so both are forced here: the bump search starts 200
-        # levels deeper, and the piece count drops to its 2 / et floor
-        search = lemma_module.first_level
+        # level too, so both are forced here: the bump level's alignment
+        # bound lies 200 levels deeper, and the piece count drops to its
+        # 2 / et floor
+        aligning = lemma_module.level_aligning
         monkeypatch.setattr(
-            lemma_module, "first_level", lambda ctx, start, fit: search(ctx, start + 200, fit)
+            lemma_module, "level_aligning", lambda p, *values: aligning(p, *values) + 200
         )
         monkeypatch.setattr(lemma_module, "PIECE_MARGIN", F(1, 2**1000))
         ctx = ConstructionContext(dyadic(), 2)
@@ -401,6 +404,9 @@ class TestTile:
 
 
 class TestLevelSearch:
+    """The reference search of the level tests (`fraction_oracle.first_level`),
+    and the level cap of the closed-form Step-1 level."""
+
     CTX = ConstructionContext(dyadic(), 2)
 
     @staticmethod
@@ -412,29 +418,56 @@ class TestLevelSearch:
         space, found = first_level(self.CTX, start, self.at_levels(5, 9, 12))
         assert (space.level, space.k, found) == (want, 2, 2**want)
 
-    @pytest.mark.parametrize("levels", [(), (5,)])
-    def test_level_cap(self, levels, monkeypatch):
+    @pytest.mark.parametrize("base_level", [0, 4])
+    def test_level_cap(self, base_level, monkeypatch):
+        # the level the bounds give (base_level 0), or the first one past
+        # the base level (base_level 4), lies past the cap
         monkeypatch.setattr(core, "LEVEL_CAP", 4)
         with pytest.raises(CapacityError, match="cap 4"):
-            first_level(self.CTX, 0, self.at_levels(*levels))
+            step1_stopping(
+                self.CTX, Interval(0, 1), [HALF, HALF], F(1, 4), base_level, max_zombie_length=F(1)
+            )
 
 
-class TestValuation:
-    @staticmethod
-    def strip_loop(p, d):
-        s = 0
-        while d % p == 0:
-            d //= p
-            s += 1
-        return s
+#: the primes up to 30, so every base 2..30 factors over them
+PRIMES_TO_30 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_matches_the_division_loop(self, p):
-        rng = random.Random(p)
-        for v in (0, 1, 2, 3, 7, 8, 9, 255, 256, 1000, 4097, 20000):
-            for cofactor in (1, p + 1, rng.randrange(1, 10**40) * p + 1):
-                d = p**v * cofactor
-                assert p_adic_valuation(p, d) == self.strip_loop(p, d) == v
+
+@st.composite
+def aligning_cases(draw):
+    """A base p in 2..30, prime or composite, and one to three values:
+    a numerator over a product of powers of p's primes, times a factor
+    that p may lack."""
+    p = draw(st.integers(2, 30))
+    values = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.sampled_from([1, 1, 1, 2, 3, 5, 6, 7, 29, 31]))
+        for q in PRIMES_TO_30:
+            if p % q == 0:
+                d *= q ** draw(st.integers(0, 400))
+        values.append(F(draw(st.integers(-(10**6), 10**6)), d))
+    return p, values
+
+
+class TestLevelAligning:
+    @settings(max_examples=300, deadline=None)
+    @given(case=aligning_cases())
+    @example(case=(6, [F(1, 2), F(1, 27)]))
+    @example(case=(12, [F(5, 2**7 * 3**2)]))
+    @example(case=(8, [F(1, 2**10)]))
+    @example(case=(10, [F(1, 3 * 2**5)]))
+    @example(case=(2, [F(3)]))
+    def test_matches_the_prime_exponents(self, case):
+        p, values = case
+        want = aligning_level(p, *values)
+        if want is None:
+            with pytest.raises(PreconditionError, match=f"not on any {p}-ary grid"):
+                level_aligning(p, *values)
+        else:
+            assert level_aligning(p, *values) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_deep_levels(self, p):
         assert level_aligning(p, F(1, p**20000), F(3, p**7)) == 20000
 
     @settings(max_examples=300, deadline=None)
@@ -457,6 +490,70 @@ class TestValuation:
             level_aligning(2, F(1, 2), F(1, 3 * 2**5000))
         with pytest.raises(PreconditionError, match="not on any 3-ary grid"):
             level_aligning(3, F(1, 2 * 3**700))
+        with pytest.raises(PreconditionError, match="not on any 6-ary grid"):
+            level_aligning(6, F(1, 6**50 * 5))
+
+
+#: filtrations, orders and etas of the level-equality test, with N = 4 for
+#: k <= 2 and N = 3 for k >= 3
+LEVEL_GRID = [
+    (spec, k, eta)
+    for spec in ("dyadic", "padic:3", "padic:5", "padic:7")
+    for k in range(1, 5)
+    for eta in (HALF, F(2, 5), F(4999, 10000), F(1, 1000))
+]
+
+
+def passes_the_step1_bounds_below(pat, base_level, max_zombie_length) -> bool:
+    """Whether level K - 1 of a Step-1 pattern meets every lower bound of
+    the closed form: above the base level, a and d on its grid,
+    eps3 p**(K - 1) >= k + 1 and the ramp atoms inside the zombie budget.
+    Where it does and K is the reference search's level, K - 1 failed the
+    ball alone, so K came from the mid-atom increment."""
+    sp, K = pat.space, pat.K - 1
+    d = pat.interval.length / pat.trace.n_pieces
+    return (
+        K > base_level
+        and (pat.interval.lo * sp.p**K).denominator == 1
+        and (d * sp.p**K).denominator == 1
+        and pat.trace.eps3 * sp.p**K >= sp.k + 1
+        and (sp.k == 1 or 2 * (pat.M + 1) * (sp.k - 1) <= max_zombie_length * sp.p**K)
+    )
+
+
+def test_levels_match_the_reference_search(monkeypatch):
+    # every Step-1 level and bump level the driver builds over the grid is
+    # the one the old search finds, and the Step-1 rule takes its one-level
+    # increment somewhere in the grid
+    calls = []
+
+    def recording(builder):
+        signature = inspect.signature(builder)
+
+        def run(*args, **kwargs):
+            pat = builder(*args, **kwargs)
+            bound = signature.bind(*args, **kwargs).arguments
+            calls.append((builder, bound["ctx"], pat, bound["base_level"],
+                          bound["max_zombie_length"]))
+            return pat
+
+        return run
+
+    step2_correct = lemma_module.step2_correct
+    monkeypatch.setattr(lemma_module, "step1_stopping", recording(step1_stopping))
+    monkeypatch.setattr(lemma_module, "step2_correct", recording(step2_correct))
+    for spec, k, eta in LEVEL_GRID:
+        build_sequence(parse_filtration_spec(spec), k, eta, 4 if k <= 2 else 3)
+    increments = 0
+    for builder, ctx, pat, base_level, budget in calls:
+        if builder is step1_stopping:
+            assert pat.K == step1_level_search(ctx, pat, base_level, budget)
+            increments += passes_the_step1_bounds_below(pat, base_level, budget)
+        else:
+            bump_level = pat.r_terms[0][0].space.level
+            assert bump_level == bump_level_search(ctx, pat, base_level, budget)
+    assert {builder for builder, *_ in calls} == {step1_stopping, step2_correct}
+    assert increments >= 1
 
 
 def power_loop(p, x):
