@@ -3,18 +3,16 @@
 The cardinal B-spline B_k lives on [0, k] with integer knots; every
 interior basis function of a uniform spline space is a scaled translate
 of it, so its per-span polynomials, moments and refinement masks give
-exact rational arithmetic for uniform-grid splines at any depth.
+exact rational arithmetic for uniform-grid splines at any depth. The
+span polynomials are one integer table (`_local_spans`); point values
+and moments both read it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
-
-Poly = tuple[Fraction, ...]  # coefficients, ascending powers
-
-_ZERO_POLY: Poly = ()
+from math import comb, factorial, lcm
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:
@@ -24,74 +22,35 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    )
-
-
-def _pmul_linear(a: Poly, c0: Fraction, c1: Fraction) -> Poly:
-    """a(u) * (c0 + c1*u)."""
-    out = [Fraction(0)] * (len(a) + 1)
-    for i, x in enumerate(a):
-        out[i] += x * c0
-        out[i + 1] += x * c1
-    return tuple(out)
-
-
-def _pshift(a: Poly, s: Fraction) -> Poly:
-    """a(u + s) expanded in powers of u."""
-    out = [Fraction(0)] * len(a)
-    for i, x in enumerate(a):
-        for j in range(i + 1):
-            out[j] += x * comb(i, j) * s ** (i - j)
-    return tuple(out)
-
-
-def _peval(a: Poly, u: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * u + c
-    return acc
-
-
-def _pint(a: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    anti = tuple(Fraction(0) for _ in range(1)) + tuple(
-        c / (i + 1) for i, c in enumerate(a)
-    )
-    return _peval(anti, hi) - _peval(anti, lo)
-
-
-@lru_cache(maxsize=None)
-def spans(k: int) -> tuple[Poly, ...]:
-    """Per-span polynomials of B_k: entry i is valid on [i, i+1)."""
-    if k < 1:
-        raise ValueError("order must be >= 1")
-    if k == 1:
-        return ((Fraction(1),),)
-    prev = spans(k - 1)
-    inv = Fraction(1, k - 1)
-    out = []
-    for i in range(k):
-        left = prev[i] if i < len(prev) else _ZERO_POLY
-        # B_{k-1}(u-1) on span i equals span i-1 of B_{k-1} shifted
-        rightsrc = prev[i - 1] if 0 <= i - 1 < len(prev) else _ZERO_POLY
-        right = _pshift(rightsrc, Fraction(-1)) if rightsrc else _ZERO_POLY
-        term1 = _pmul_linear(left, Fraction(0), inv) if left else _ZERO_POLY
-        term2 = _pmul_linear(right, k * inv, -inv) if right else _ZERO_POLY
-        out.append(_padd(term1, term2))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _local_spans(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Span i of B_k in its local coordinate, x -> B_k(i + x) on [0, 1), as
-    integer coefficients (highest power first) over one common denominator."""
-    local = [_pshift(poly, Fraction(i)) for i, poly in enumerate(spans(k))]
-    den = lcm(*(c.denominator for poly in local for c in poly))
-    return tuple(tuple(int(c * den) for c in reversed(poly)) for poly in local), den
+    integer coefficients (highest power first) over one common denominator.
+
+    With P_i(x) = (k-1)! B_k(i + x), the recurrence B_k(u) = (u B_{k-1}(u)
+    + (k - u) B_{k-1}(u - 1)) / (k - 1) reads P_i = (x + i) P'_i +
+    (k - i - x) P'_{i-1} for the spans P' of B_{k-1} scaled by (k-2)!, so
+    every coefficient stays an integer over (k-1)!. That denominator is
+    already reduced: span 0 is x**(k-1) / (k-1)!.
+    """
+    if k < 1:
+        raise ValueError("order must be >= 1")
+    table = [[1]]  # B_1, ascending powers of x
+    for j in range(2, k + 1):
+        new = []
+        for i in range(j):
+            poly = [0] * j
+            if i < j - 1:  # (x + i) P'_i
+                for s, c in enumerate(table[i]):
+                    poly[s] += i * c
+                    poly[s + 1] += c
+            if i > 0:  # (j - i - x) P'_{i-1}
+                for s, c in enumerate(table[i - 1]):
+                    poly[s] += (j - i) * c
+                    poly[s + 1] -= c
+            new.append(poly)
+        table = new
+    return tuple(tuple(reversed(poly)) for poly in table), factorial(k - 1)
 
 
 def span_numerators(k: int, num: int, xden: int) -> tuple[tuple[int, ...], int]:
@@ -117,14 +76,18 @@ def span_numerators(k: int, num: int, xden: int) -> tuple[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def cardinal_moment(k: int, r: int) -> Fraction:
-    """∫ u^r B_k(u) du over the full support."""
-    total = Fraction(0)
-    for i, poly in enumerate(spans(k)):
-        prod = poly
-        for _ in range(r):
-            prod = _pmul_linear(prod, Fraction(0), Fraction(1))
-        total += _pint(prod, Fraction(i), Fraction(i + 1))
-    return total
+    """∫ u^r B_k(u) du over the full support: span i adds
+    ∫₀¹ (x + i)^r P_i(x) dx / (k-1)! for the integer spans P_i of
+    `_local_spans`, summed over the lcm of the integrals' denominators."""
+    coeffs, den = _local_spans(k)
+    top = lcm(*range(1, r + k + 1))  # x**e integrates to 1 / (e + 1), e < r + k
+    total = 0
+    for i, poly in enumerate(coeffs):
+        shift = [comb(r, q) * i ** (r - q) for q in range(r + 1)]  # (x + i)**r
+        for s, c in enumerate(reversed(poly)):
+            for q, b in enumerate(shift):
+                total += c * b * (top // (s + q + 1))
+    return Fraction(total, top * den)
 
 
 @lru_cache(maxsize=None)

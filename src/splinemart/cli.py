@@ -40,7 +40,7 @@ def positive_int(text: str) -> int:
 
 #: the largest order --k accepts (shared 2-core host): construct --k 16 --steps 2 takes
 #: about 6 s, --k 24 about 84 s; constants --k 28 passes, --k 32 fails the Gram Cholesky;
-#: at k = 1100 cardinal.spans passes the recursion limit and Gram assembly needs 10 GiB
+#: at k = 1100 Gram assembly needs 10 GiB
 MAX_ORDER = 16
 
 

@@ -179,7 +179,9 @@ class CellSpec:
 
     kind:
       zone   - perturbed function constant, value = child m (the mass carrier)
-      mix    - constant, value = xbar + sum beta_j (x_j - xbar)
+      mix    - constant, value = xbar + sum beta_j (x_j - xbar), which is
+               xbar: the driver binds only equal part weights and equal
+               betas, and takes the parts recombined as its rep
       keep   - constant, value = xbar (no perturbation here)
       ramp   - B-spline ramp of f_m (single atom; convex rep, not constant)
       rbump  - moment-correction bump atom (convex rep, not constant)

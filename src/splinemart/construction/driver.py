@@ -177,7 +177,7 @@ class SequenceResult:
                     acc[c] = acc.get(c, 0) + v * gup
                 den = common
             cell, _shift = pattern.locate(T * p ** (pattern.K - level) // td)
-            binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
+            binding = _child_value(binding, parts, (cell.kind, cell.m))
         return before, (acc, den)
 
     def _bind(self, j: int, binding: BushRep):
@@ -235,7 +235,7 @@ class SequenceResult:
                 raise AssertionError(f"step {j}: pattern level {pattern.K} outside its step's levels")
             base = (atom - start) * p**down + shift
             lo, hi = (base + cell.lo) * p**up, (base + cell.hi) * p**up
-            binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
+            binding = _child_value(binding, parts, (cell.kind, cell.m))
             if binding is None:
                 raise AssertionError("sampler entered a non-constant cell")
         return lo, hi
@@ -418,36 +418,32 @@ def build_sequence(
     return SequenceResult(filt, order, eta, step_data, m_levels, rows)
 
 
-def _mix_value(parts, betas) -> BushRep:
-    """xbar + sum beta_m (x_m - xbar) expressed over the decomposed parts.
-
-    With weights w_m of the parts, the node-level coefficients are
-    (1 - sum beta) w_m + beta_m, which stay non-negative because the
-    stopping overshoots (hence the betas) are far below the part weights.
-    """
-    total = sum(betas, F0)
-    return mix_reps(
-        [((1 - total) * w + betas[m], rep) for m, (w, rep) in enumerate(parts)]
-    )
-
-
 def _bush_slots(binding: BushRep, parts, pattern: LemmaPattern) -> tuple[dict, int]:
     """Slot vectors of an atom valued `binding` with decomposition `parts`."""
     points = [rep.value() for _, rep in parts]
     return slot_vectors(binding.value(), points, pattern.inner.trace.betas)
 
 
-def _child_value(binding: BushRep, parts, betas, cell_key: tuple):
+def _child_value(binding: BushRep, parts, cell_key: tuple):
     """The value, on the cells of `cell_key` = (kind, m), of an atom valued
     `binding` with decomposition `parts`; None off the constant cells. It
-    reads no witness vectors (see `_bind_representative`)."""
+    reads no witness vectors (see `_bind_representative`).
+
+    The mix value xbar + Σ beta_m (x_m - xbar) has node coefficients
+    (1 - Σ beta) w_m + beta_m over the parts. Every decomposition has
+    equal weights (the root and zone children are points, a keep child is
+    its binding, a mix child the parts recombined), and equal alphas give
+    equal stopping offsets, hence equal betas: then each coefficient is
+    (1 - M beta) / M + beta = w_m, and the mix value is `mix_reps(parts)`.
+    `_bind_representative` raises unless both equalities hold.
+    """
     kind, m = cell_key
     if kind == "zone":
         return parts[m][1]
     if kind == "keep":
         return binding
     if kind == "mix":
-        return _mix_value(parts, betas)
+        return mix_reps(parts)
     return None  # ramp / rbump: the class goes non-constant
 
 
@@ -461,7 +457,13 @@ def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
     """Bind the new pattern to the slot vectors of its first class: record
     ||w|| on its trace and re-run the trace checks, eq:esty now among them.
     At order 1 w must be zero (the stopping betas make ∫ g = 0), as the
-    bump atoms are keep cells; an explicit raise holds under python -O."""
+    bump atoms are keep cells; the mix cells take the parts recombined,
+    which needs equal part weights and equal betas (see `_child_value`).
+    Explicit raises hold under python -O."""
+    if len({w for w, _ in parts}) != 1:
+        raise AssertionError("decomposition part weights are not all equal")
+    if len(set(pat.inner.trace.betas)) != 1:
+        raise AssertionError("stopping betas are not all equal")
     bound = BoundPattern(pat, _bush_slots(rep_value, parts, pat))
     if pat.inner.space.k == 1 and any(bound.w_vectors):
         raise AssertionError("order-1 moment correction is not zero")
@@ -473,21 +475,19 @@ def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
 def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, census):
     """Add the children of every atom of `row` to the census: one class per
     ledger entry, since the cells of one (kind, m) give one child value.
-    Besides the ledger it reads only the betas and `w_bound`: it binds no
-    witness vectors. For a constant class `row.norm_bound` is the sup norm
-    of its value.
+    Besides the ledger it reads only `w_bound`: it binds no witness
+    vectors. For a constant class `row.norm_bound` is the sup norm of its
+    value, and a mix child has its parent's value (`_child_value`).
     """
     part_norms = [rep.value().sup_norm for _, rep in parts]
     # a ramp value is a convex combination of a child and the parent value
     ramp_norm = max(row.norm_bound, *part_norms)
     for (kind, m), width in pat.ledger:
-        rep_value = _child_value(row.rep_value, parts, pat.inner.trace.betas, (kind, m))
+        rep_value = _child_value(row.rep_value, parts, (kind, m))
         if kind == "zone":
             norm = part_norms[m]
-        elif kind == "keep":
+        elif rep_value is not None:  # keep / mix
             norm = row.norm_bound
-        elif rep_value is not None:  # mix
-            norm = rep_value.value().sup_norm
         elif kind == "rbump":
             norm = row.norm_bound + pat.trace.w_bound
         else:  # ramp

@@ -2,10 +2,12 @@
 operation per term.
 
 Patterns evaluate through their run table, which sums integer numerators
-over one denominator per basis group (`cardinal.span_numerators`); the
-functions here evaluate the span polynomials of `cardinal.spans` directly,
-so they share no arithmetic with that kernel and a fault in it shows up as
-a disagreement. They also hold the single-spline helpers that only tests
+over one denominator per basis group (`cardinal.span_numerators`, from
+the integer span table that `cardinal._local_spans` builds by the
+order recurrence). The functions here take B_k from its truncated-power
+form instead (`truncated_power`, `span_polynomial`) and read nothing of
+`cardinal`'s spans, so a fault in the table or the kernel shows up as a
+disagreement. They also hold the single-spline helpers that only tests
 use: cardinal values, periodic instances and support bounds.
 
 `moment_slotwise` takes a pattern's slot moments term by term, through
@@ -38,9 +40,10 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
-from math import floor
+from functools import lru_cache
+from math import comb, factorial, floor
 
-from splinemart.cardinal import span_numerators, spans
+from splinemart.cardinal import span_numerators
 from splinemart.construction.core import PeriodicFamily
 from splinemart.construction.driver import _child_value
 from splinemart.intervals import frac
@@ -77,13 +80,33 @@ def slot_xvecs(slots: tuple[dict, int]) -> dict:
     return {key: XVec({c: Fraction(n, den) for c, n in vec.items()}) for key, vec in nums.items()}
 
 
+def truncated_power(k: int, u: Fraction) -> Fraction:
+    """B_k(u) = Σ_{j <= u} (-1)**j C(k, j) (u - j)**(k-1) / (k-1)! on [0, k),
+    zero outside."""
+    if u < 0 or u >= k:
+        return Fraction(0)
+    total = sum((-1) ** j * comb(k, j) * (u - j) ** (k - 1) for j in range(floor(u) + 1))
+    return Fraction(total) / factorial(k - 1)
+
+
+@lru_cache(maxsize=None)
+def span_polynomial(k: int, i: int) -> tuple[Fraction, ...]:
+    """Span i of B_k in its local coordinate, x -> B_k(i + x) on [0, 1), as
+    coefficients in ascending powers of x: the truncated-power sum over
+    j <= i with each (x + i - j)**(k-1) expanded binomially."""
+    out = [Fraction(0)] * k
+    for j in range(i + 1):
+        for e in range(k):
+            out[e] += (-1) ** j * comb(k, j) * comb(k - 1, e) * (i - j) ** (k - 1 - e)
+    return tuple(c / factorial(k - 1) for c in out)
+
+
 def span_value(k: int, i: int, x: Fraction) -> Fraction:
     """B_k(i + x) for an integer i and 0 <= x < 1: span i of B_k, a
-    polynomial in u, evaluated at u = i + x."""
+    polynomial in the local coordinate x."""
     if not 0 <= i < k:
         return Fraction(0)
-    u = i + x
-    return sum((c * u**e for e, c in enumerate(spans(k)[i])), Fraction(0))
+    return sum((c * x**e for e, c in enumerate(span_polynomial(k, i))), Fraction(0))
 
 
 def eval_cardinal(k: int, u: Fraction) -> Fraction:
@@ -298,7 +321,7 @@ def step_values(seq, t, n: int) -> tuple[XVec, XVec]:
         tau = t - atom_lo + pattern.interval.lo
         acc = acc.add(g_eval(bound, tau))
         cell, _shift = reference_locate(pattern, tau)
-        binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
+        binding = _child_value(binding, parts, (cell.kind, cell.m))
     return before, acc
 
 
@@ -333,7 +356,7 @@ def descend_random_cell(seq, rng, n: int) -> tuple[Fraction, Fraction]:
         base = atom_lo - pattern.interval.lo
         c_lo, c_hi = cell_ends(pattern, cell)
         lo, hi = base + shift + c_lo, base + shift + c_hi
-        binding = _child_value(binding, parts, pattern.inner.trace.betas, (cell.kind, cell.m))
+        binding = _child_value(binding, parts, (cell.kind, cell.m))
         if binding is None:
             raise AssertionError("sampler entered a non-constant cell")
     return lo, hi

@@ -682,9 +682,10 @@ def test_run_table_matches_term_by_term_at_random_points(spec, k, data):
 
 
 def test_swapped_span_polynomials_fail_the_comparison(monkeypatch):
-    """The oracle evaluates cardinal.spans itself, so a fault in the
-    integer span kernel that the run table reads shows up in the
-    comparison: here spans 0 and k-1 of B_3 trade places."""
+    """The oracle takes B_k's spans from the truncated-power form and reads
+    nothing of cardinal's table, so a fault in the integer span table that
+    the run table reads shows up in the comparison: here spans 0 and k-1
+    of B_3 trade places."""
     local_spans = cardinal._local_spans
 
     def swapped(k):

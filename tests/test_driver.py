@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import splinemart.construction.driver as driver
 from splinemart.construction.core import BoundPattern, PeriodicFamily, slot_vectors
 from splinemart.construction.driver import (
-    DELTA, ClassRow, _bush_slots, _mix_value, build_sequence,
+    DELTA, ClassRow, _bush_slots, build_sequence,
 )
 from splinemart.errors import (
     CapacityError,
@@ -35,7 +35,7 @@ from splinemart.filtration import (
 )
 from splinemart.intervals import MeasurableUnion
 from splinemart.harness import verify_sequence
-from splinemart.witness import BushRep, XVec, bush_decompose
+from splinemart.witness import BushRep, XVec, bush_decompose, mix_reps
 
 import fraction_oracle as oracle
 from fraction_oracle import cell_ends, grid_unit, moment_slotwise, reference_locate
@@ -417,10 +417,19 @@ def test_closed_form_stopping_matches_binary_search(spec, k, steps, eta):
         assert (tr.j_indices, tr.int_f[: tr.M]) == reference_stopping(pat.inner)
 
 
+def general_mix_value(parts, betas) -> BushRep:
+    """xbar + sum beta_m (x_m - xbar) over the decomposed parts, for any
+    weights w_m and betas: node coefficients (1 - sum beta) w_m + beta_m."""
+    total = sum(betas, F(0))
+    return mix_reps([((1 - total) * w + betas[m], rep) for m, (w, rep) in enumerate(parts)])
+
+
 def reference_census(rows, sd, p):
     """The census of f_{n+1} from the classes `rows` of f_n, by the per-cell
     spawn loop that the pattern ledger replaced: every cell instance of a
-    pattern adds one class."""
+    pattern adds one class. Mix cells take the general mix formula and the
+    sup norm of its value, where the build recombines the parts and reuses
+    the parent's norm."""
     census = {}
 
     def add(row):
@@ -458,7 +467,7 @@ def reference_census(rows, sd, p):
                 elif cell.kind == "keep":
                     value, norm = row.rep_value, base_norm
                 elif cell.kind == "mix":
-                    value = _mix_value(parts, pat.inner.trace.betas)
+                    value = general_mix_value(parts, pat.inner.trace.betas)
                     norm = value.value().sup_norm
                 elif cell.kind == "rbump":
                     value, norm = None, base_norm + (pat.trace.w_bound or F(0))
@@ -559,6 +568,22 @@ def test_nonzero_order_one_correction_is_refused(monkeypatch):
     monkeypatch.setattr(driver, "lemma_moments", _scale_one_correction(driver.lemma_moments))
     with pytest.raises(AssertionError, match="order-1 moment correction is not zero"):
         build_sequence(dyadic(), 1, HALF, 2)
+
+
+def test_unequal_betas_are_refused(monkeypatch):
+    # the mix cells take the parts recombined, which holds only when every
+    # stopping beta is equal; a pattern whose betas differ must not bind
+    lemma_moments = driver.lemma_moments
+
+    def faulty(*args, **kwargs):
+        pat = lemma_moments(*args, **kwargs)
+        tr = pat.inner.trace
+        tr.betas = (tr.betas[0] * (1 + F(1, 10**6)), *tr.betas[1:])
+        return pat
+
+    monkeypatch.setattr(driver, "lemma_moments", faulty)
+    with pytest.raises(AssertionError, match="stopping betas are not all equal"):
+        build_sequence(dyadic(), 2, HALF, 2)
 
 
 def test_nonzero_order_one_correction_fails_the_cli_under_python_O():

@@ -7,12 +7,13 @@ guard them (exact cancellation, the run-table invariants) are shown to
 fire when a numerator is wrong.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -20,12 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splinemart.construction.lemma as lemma
-from splinemart.cardinal import cardinal_moment, span_numerators, spans
+from splinemart.cardinal import _local_spans, cardinal_moment, moment_weights, span_numerators
 from splinemart.construction.core import ConstructionContext, RunGroup
 from splinemart.errors import PreconditionError
 from splinemart.filtration import parse_filtration_spec
 from splinemart.intervals import Interval
 from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
+
+from fraction_oracle import span_polynomial, span_value
 
 F = Fraction
 HALF = F(1, 2)
@@ -143,6 +146,45 @@ def test_invert_exact_refuses_a_dependent_row(a, data):
         lemma.invert_exact(a)
 
 
+def reference_moment(k, r):
+    """∫ u^r B_k(u) du from the truncated-power spans: span i adds
+    Σ_e c_e ∫₀¹ (x + i)^r x^e dx, one Fraction per term."""
+    return sum(
+        (
+            c * comb(r, q) * i ** (r - q) / (e + q + 1)
+            for i in range(k)
+            for e, c in enumerate(span_polynomial(k, i))
+            for q in range(r + 1)
+        ),
+        F(0),
+    )
+
+
+# sha256 of the reprs of _local_spans(k), then cardinal_moment(k, r) and
+# moment_weights(k, r) for r = 0..8, k = 1..16, as the Fraction span
+# recurrence gave them before the integer table replaced it
+SPAN_TABLE_DIGEST = "3dbfb8c24b1b667272f2b8c8782fb29f7c4314a5c91107a1ce875ed1ad9f43b1"
+
+
+def test_span_table_and_moments_match_the_truncated_power_form():
+    rows = []
+    for k in range(1, 17):
+        coeffs, den = _local_spans(k)
+        assert den == factorial(k - 1)
+        assert [tuple(F(c, den) for c in reversed(poly)) for poly in coeffs] == [
+            span_polynomial(k, i) for i in range(k)
+        ]
+        rows.append(repr(_local_spans(k)))
+        for r in range(9):
+            assert cardinal_moment(k, r) == reference_moment(k, r)
+            nums, wden = moment_weights(k, r)
+            assert [F(n, wden) for n in nums] == [
+                comb(r, q) * reference_moment(k, q) for q in range(r + 1)
+            ]
+            rows += [repr(cardinal_moment(k, r)), repr(moment_weights(k, r))]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == SPAN_TABLE_DIGEST
+
+
 @settings(max_examples=300, deadline=None)
 @given(k=st.integers(1, 6), x=st.fractions(min_value=0, max_value=1, max_denominator=10**30))
 def test_span_numerators_match_the_span_polynomials(k, x):
@@ -151,7 +193,7 @@ def test_span_numerators_match_the_span_polynomials(k, x):
     nums, den = span_numerators(k, x.numerator, x.denominator)
     assert den == span_numerators(k, 0, 1)[1] * x.denominator ** (k - 1)
     for i in range(k):
-        want = sum((c * (i + x) ** e for e, c in enumerate(spans(k)[i])), F(0))
+        want = span_value(k, i, x)
         assert F(nums[i], den) == want
 
 

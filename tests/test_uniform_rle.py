@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinemart.cardinal import cardinal_moment, power_sum, refinement_mask, spans
+from splinemart.cardinal import cardinal_moment, power_sum, refinement_mask
 from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
 
-from fraction_oracle import basis_at, eval_cardinal, evaluate, instance, support_bounds
+from fraction_oracle import (
+    basis_at, eval_cardinal, evaluate, instance, support_bounds, truncated_power,
+)
 
 F = Fraction
 
@@ -237,10 +239,8 @@ def test_moment_rejects_off_grid_origin():
 
 
 def reference_cardinal(k, u):
-    """B_k(u) from the per-span polynomials in u itself (not the local form)."""
-    if u < 0 or u >= k:
-        return F(0)
-    return sum((c * u**i for i, c in enumerate(spans(k)[math.floor(u)])), F(0))
+    """B_k(u) from the truncated-power sum in u itself (not the local form)."""
+    return truncated_power(k, u)
 
 
 def reference_eval(f, t):
