@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -89,7 +89,8 @@ class KnotVector:
         full = [bps[0]] * order + bps[1:-1] + [bps[-1]] * order
         self.knots: tuple[Fraction, ...] = tuple(full)
         self._knots_f = np.array([float(t) for t in full])
-        bps_f = self._knots_f[order - 1 : len(full) - order + 1]
+        #: the breakpoints as binary64, a view into the float knots
+        self.breakpoints_f = bps_f = self._knots_f[order - 1 : len(full) - order + 1]
         tied = np.flatnonzero(bps_f[:-1] == bps_f[1:])
         if len(tied):
             i = tied[0]
@@ -97,6 +98,9 @@ class KnotVector:
                 f"breakpoints {bps[i]} and {bps[i + 1]} are equal in binary64; "
                 f"the float layer cannot resolve this level"
             )
+        # set here, not on first use, so every knot vector has one attribute layout
+        self._knots_t = tuple(self._knots_f.tolist())  # Python floats, for eval_basis
+        self._breakpoint_set: frozenset[Fraction] | None = None
 
     @classmethod
     def from_filtration(cls, filt, level: int, order: int) -> "KnotVector":
@@ -110,15 +114,18 @@ class KnotVector:
     def dim(self) -> int:
         return self.num_atoms + self.k - 1
 
+    @property
+    def breakpoint_set(self) -> frozenset[Fraction]:
+        """The breakpoints as a set, hashed on first use only, for nesting
+        checks."""
+        if self._breakpoint_set is None:
+            self._breakpoint_set = frozenset(self.breakpoints)
+        return self._breakpoint_set
+
     def support(self, i: int) -> Interval:
         if not 0 <= i < self.dim:
             raise IndexError(i)
         return Interval(self.knots[i], self.knots[i + self.k])
-
-    @cached_property
-    def _knots_t(self) -> tuple[float, ...]:
-        """The knots as a tuple of Python floats, for the scalar front-end."""
-        return tuple(self._knots_f.tolist())
 
     def __eq__(self, other):
         return (
@@ -238,13 +245,15 @@ def aligned_values(first: np.ndarray, vals: np.ndarray, base: np.ndarray) -> np.
 
 def gauss_nodes(breakpoints: Sequence, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points and weights of every cell of a breakpoint
-    sequence, cell by cell: two arrays of length cells * nodes.
+    sequence, cell by cell: two arrays of length cells * nodes. The
+    breakpoints may be floats (KnotVector.breakpoints_f) or rationals,
+    which are rounded to the nearest binary64 first.
 
     A cell too narrow for its nodes to lie strictly inside it in binary64
     is refused (CapacityError): a node rounded onto a breakpoint is
     evaluated in the neighbouring span."""
     x, w = _gauss(nodes)
-    bps = np.array([float(b) for b in breakpoints])
+    bps = np.asarray(breakpoints, dtype=float)
     lo, hi = bps[:-1, None], bps[1:, None]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     pts = mid + half * x
@@ -271,7 +280,7 @@ class GramOperator:
         self.kv = kv
         k, dim = kv.k, kv.dim
         self.bandwidth = k - 1
-        ts, wts = gauss_nodes(kv.breakpoints, k)  # exact for degree 2k-2
+        ts, wts = gauss_nodes(kv.breakpoints_f, k)  # exact for degree 2k-2
         first, vals = basis_values(kv, ts)
         # lower band form ab[r2 - r1, j] = G[j + r2 - r1, j] with j = first + r1;
         # bincount adds in point order, the order of a running sum

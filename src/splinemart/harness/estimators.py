@@ -46,7 +46,7 @@ def random_martingale(filt, order: int, depth: int, rng, coords: int = 1) -> lis
 
 def _sup_process(seq: list[VectorSpline]):
     """The point weights, ||f_n(t)|| per level n and their pointwise sup."""
-    pts, wts = gauss_nodes(seq[-1].kv.breakpoints, NODES)
+    pts, wts = gauss_nodes(seq[-1].kv.breakpoints_f, NODES)
     norms = [_max_norm(f, pts) for f in seq]
     return wts, norms, np.max(norms, axis=0)
 
@@ -107,13 +107,13 @@ def unconditionality_ratio(
         fine = refine_coeffs(g, fine_kv) if g.kv != fine_kv else g
         diffs.append(fine.coeffs - prev)
         prev = fine.coeffs
-    pts, wts = gauss_nodes(fine_kv.breakpoints, NODES)
+    pts, wts = gauss_nodes(fine_kv.breakpoints_f, NODES)
     dvals = spline_values(np.array(diffs), *basis_values(fine_kv, pts))  # (N+1) x pts
     fnorm = float((np.abs(dvals.sum(axis=0)) ** p) @ wts) ** (1.0 / p)
-    rng = np.random.default_rng(seed)
+    # one draw for all trials: the same stream as one draw per trial
+    all_signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(trials, len(diffs)))
     best = 0.0
-    for _ in range(trials):
-        signs = rng.choice([-1.0, 1.0], size=len(diffs))
+    for signs in all_signs:
         vals = signs @ dvals
         ratio = float((np.abs(vals) ** p) @ wts) ** (1.0 / p) / fnorm
         best = max(best, ratio)
@@ -138,12 +138,11 @@ def _level_of(ctx: ProjectionContext, f: ScalarSpline) -> int:
 def uniform_integrability_profile(seq: list[VectorSpline], deltas) -> list[tuple[float, float]]:
     """(delta, sup_n ∫_A ||f_n||) over greedy worst sets A with |A| <= delta."""
     kv = seq[-1].kv
-    pts, wts = gauss_nodes(kv.breakpoints, UI_NODES)
+    pts, wts = gauss_nodes(kv.breakpoints_f, UI_NODES)
     wts = wts.reshape(-1, UI_NODES)
     # per atom: (length, sup_n ∫_atom ||f_n||), one evaluation per level
     masses = [(_max_norm(f, pts).reshape(-1, UI_NODES) * wts).sum(axis=1) for f in seq]
-    bps = [float(b) for b in kv.breakpoints]
-    lengths = [b - a for a, b in zip(bps, bps[1:])]
+    lengths = np.diff(kv.breakpoints_f).tolist()
     atom_mass = list(zip(lengths, np.max(masses, axis=0).tolist()))
     atom_mass.sort(key=lambda t: t[1] / t[0], reverse=True)
     out = []

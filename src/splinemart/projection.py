@@ -20,7 +20,9 @@ window is short against the level only the boundary bands and the centre
 are scanned. A level whose breakpoints are symmetric about 1/2 has
 K(1 - t, 1 - s) = K(t, s), so an atom and its mirror image have the same
 row integrals and only one of the two is scanned. The s-side quadrature
-runs only on the atoms some scanned window covers.
+runs only on the atoms some scanned window covers. The kernel values of
+each scanned atom are written into one buffer per call, sized by the
+widest window scanned so far, never by the level.
 
 Like bspline, this module loads numpy at import and scipy.linalg only at
 the first banded solve, through bspline._linalg.
@@ -111,7 +113,7 @@ class ProjectionContext:
 
     def _rhs(self, f: ScalarSpline, target_kv: KnotVector) -> np.ndarray:
         """rhs_i = ∫ f N_i for the target basis, exact Gauss quadrature."""
-        ts, wts = gauss_nodes(f.kv.breakpoints, self.k + 1)
+        ts, wts = gauss_nodes(f.kv.breakpoints_f, self.k + 1)
         first, vals = basis_values(target_kv, ts)
         terms = (wts * f.eval_many(ts))[:, None] * vals
         slots = first[:, None] + np.arange(self.k)
@@ -120,7 +122,7 @@ class ProjectionContext:
 
     def project_scalar(self, f: ScalarSpline, level: int) -> ScalarSpline:
         kv, g = self.space(level)
-        if not set(kv.breakpoints) <= set(f.kv.breakpoints):
+        if not kv.breakpoint_set <= f.kv.breakpoint_set:
             raise LevelError("projection target must be a coarser nested level")
         if kv == f.kv:
             return f
@@ -177,7 +179,12 @@ class ProjectionContext:
         most max(k + 1, CHUNK_ENTRIES // dim) contiguous columns, and the
         t-grids of all scanned atoms are evaluated in one basis_values call.
         The s-side basis values are evaluated only on the atoms of the
-        scanned windows, each atom once.
+        scanned windows, each atom once. Each atom's kernel block, S_NODES x
+        T_PER_ATOM values per window atom, is written and made absolute in
+        place in a leading slice of one buffer per call. The buffer holds
+        the widest window of the chunks so far and grows only when a chunk's
+        widest window needs more, freeing the narrower one first; so at most
+        one block of the widest window is live, never one sized by the level.
         """
         if self.k == 1:
             self.l1_tail[level] = 0.0
@@ -186,7 +193,7 @@ class ProjectionContext:
         k, natoms = self.k, kv.num_atoms
         t_per_atom, s_nodes = T_PER_ATOM, S_NODES
         mass = (kv._knots_f[k:] - kv._knots_f[:-k]) / k  # ∫ N_i
-        bps = kv._knots_f[k - 1 : k + natoms]  # the breakpoints as floats
+        bps = kv.breakpoints_f
         t_atoms = np.arange(natoms)
         if self.filt.is_uniform():
             ends = np.r_[0:k, natoms // 2 : natoms // 2 + k]
@@ -216,6 +223,7 @@ class ProjectionContext:
         col_lo, col_hi = first.min(axis=1), first.max(axis=1) + k
 
         best = tail = 0.0
+        buf = np.empty(0)  # the kernel blocks, grown to the widest window so far
         cap = max(k + 1, CHUNK_ENTRIES // kv.dim)
         for start, stop in _chunks(col_lo, col_hi, cap):
             c0 = col_lo[start]
@@ -241,13 +249,18 @@ class ProjectionContext:
                 s_first, s_basis, np.repeat(new, s_nodes)
             ).reshape(-1, s_nodes, k)
             have[new] = True
+            widest = max(hi - lo for *_, lo, hi in scans)
+            if len(buf) < widest:
+                buf = kvals = None  # free the narrower buffer before the wider one is made
+                buf = np.empty((widest, s_nodes, t_per_atom))
             for basis, cols, lo, hi in scans:
                 # kernel on the s-atoms b of the window, one (s_nodes x T) block per b:
                 # K[b, p, t] = sum_r s_vals[b, p, r] coef[b + r, t]
                 coef = inv[lo : hi + k - 1, cols] @ basis.T
                 win = sliding_window_view(coef, k, axis=0).transpose(0, 2, 1)
-                kvals = np.abs(s_vals[lo:hi] @ win).reshape(-1, t_per_atom)
-                totals = s_wts[lo * s_nodes : hi * s_nodes] @ kvals
+                kvals = np.matmul(s_vals[lo:hi], win, out=buf[: hi - lo])
+                np.abs(kvals, out=kvals)
+                totals = s_wts[lo * s_nodes : hi * s_nodes] @ kvals.reshape(-1, t_per_atom)
                 best = max(best, float(totals.max()))
                 # rows below lo + k - 1 or from hi on meet a dropped atom
                 drop = np.abs(inv[:, cols]).max(axis=1) * mass

@@ -91,6 +91,22 @@ def test_cell_one_ulp_wide_refused_by_its_quadrature(k):
     assert np.all((pts > 0) & (pts < lo)) and math.isclose(wts.sum(), lo)
 
 
+@pytest.mark.parametrize("spec, levels", [
+    ("dyadic", range(0, 9)),
+    ("padic:3", range(0, 6)),
+    ("accum:1/3", range(0, 40, 3)),
+])
+def test_gauss_nodes_of_float_breakpoints_equal_those_of_rationals(spec, levels):
+    filt = parse_filtration_spec(spec)
+    for level in levels:
+        kv = KnotVector.from_filtration(filt, level, 2)
+        assert kv.breakpoints_f.tolist() == [float(b) for b in kv.breakpoints]
+        for nodes in (1, 3, 32, 64):
+            pts_q, wts_q = gauss_nodes(kv.breakpoints, nodes)
+            pts_f, wts_f = gauss_nodes(kv.breakpoints_f, nodes)
+            assert np.array_equal(pts_q, pts_f) and np.array_equal(wts_q, wts_f)
+
+
 def test_greville_point_on_a_breakpoint_refused():
     # at k = 1 the Greville point of a 1-ulp cell rounds onto its end
     lo = 1 / 3

@@ -4,7 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from splinemart.bspline import ScalarSpline, gauss_nodes, interpolate
+from splinemart.bspline import (
+    ScalarSpline,
+    basis_values,
+    gauss_nodes,
+    interpolate,
+    refine_coeffs,
+    spline_values,
+)
 from splinemart.construction import build_sequence
 from splinemart.filtration import dyadic
 from splinemart.harness import (
@@ -17,7 +24,7 @@ from splinemart.harness import (
     verify_sequence,
     weak_type_ratio,
 )
-from splinemart.harness.estimators import WEAK_QUANTILES
+from splinemart.harness.estimators import NODES, WEAK_QUANTILES
 from splinemart.projection import ProjectionContext, VectorSpline
 from splinemart.rle import RleSpline
 from splinemart.witness import XVec
@@ -232,6 +239,40 @@ class TestUnconditionality:
             ratios[depth] = unconditionality_ratio(ctx, f, p, trials=60, seed=9)
         assert all(np.isfinite(r) for r in ratios.values())
         assert abs(ratios[7] - ratios[6]) / ratios[7] < 0.25
+
+
+def per_trial_unconditionality_ratio(ctx, f, depth, p, trials, seed):
+    """unconditionality_ratio for f at level depth as it was before its
+    signs came from one draw: one rng.choice per trial, and Gauss nodes
+    from the rational breakpoints."""
+    projections = [ctx.project_scalar(f, n) for n in range(depth)] + [f]
+    diffs, prev = [], np.zeros(f.kv.dim)
+    for g in projections:
+        fine = refine_coeffs(g, f.kv) if g.kv != f.kv else g
+        diffs.append(fine.coeffs - prev)
+        prev = fine.coeffs
+    pts, wts = gauss_nodes(f.kv.breakpoints, NODES)
+    dvals = spline_values(np.array(diffs), *basis_values(f.kv, pts))
+    fnorm = float((np.abs(dvals.sum(axis=0)) ** p) @ wts) ** (1.0 / p)
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        signs = rng.choice([-1.0, 1.0], size=len(diffs))
+        ratio = float((np.abs(signs @ dvals) ** p) @ wts) ** (1.0 / p) / fnorm
+        best = max(best, ratio)
+    return best
+
+
+@pytest.mark.parametrize("k, depth", [(1, 5), (2, 3), (2, 8), (3, 6), (4, 4)])
+def test_one_sign_draw_repr_identical_to_per_trial_draws(k, depth):
+    ctx = ProjectionContext(dyadic(), k)
+    kv = ctx.knot_vector(depth)
+    f = ScalarSpline(kv, np.random.default_rng(depth).uniform(-1, 1, kv.dim))
+    for seed in (0, 3, 17, 2**40 + 1):
+        for p, trials in ((1.5, 1), (3.0, 37)):
+            got = unconditionality_ratio(ctx, f, p, trials, seed=seed)
+            want = per_trial_unconditionality_ratio(ctx, f, depth, p, trials, seed)
+            assert repr(got) == repr(want), (k, depth, seed, p, trials)
 
 
 class TestUniformIntegrability:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +69,11 @@ def test_level_error(ctx2):
     f = random_spline(ctx2, 2, rng)
     with pytest.raises(LevelError):
         ctx2.project_scalar(f, 3)
+    # a file level that no dyadic level refines: 1/3 is no dyadic breakpoint
+    ctx = ProjectionContext(FileFiltration(MeasurableUnion.full(), [[F(1, 3)]]), 2)
+    with pytest.raises(LevelError):
+        ctx.project_scalar(random_spline(ctx2, 3, rng), 0)
+    assert ctx.knot_vector(0).breakpoint_set == {0, F(1, 3), 1}
 
 
 def test_polynomial_reproduction():
@@ -360,6 +366,35 @@ def test_l1_tail_zero_when_the_window_is_the_level():
     ctx1 = ProjectionContext(dyadic(), 1)
     ctx1.l1_norm(3)
     assert ctx1.l1_tail[3] == 0.0
+
+
+def test_l1_norm_keeps_one_kernel_block_of_the_widest_window():
+    # besides the s-side arrays (points, weights and the k basis values of
+    # every node) the scan holds one kernel buffer of its widest window and
+    # per-chunk arrays within slack: the chunk's solved G^{-1} columns
+    # (about 0.5 MB at dim 1,026) and one window's s-side basis evaluation
+    # (about 1 MB). Two live blocks, a temporary for the product and one
+    # for its absolute value, exceed the bound, as does a buffer with a
+    # block for every atom of the level
+    ctx = ProjectionContext(dyadic(), 3)
+    kv, g = ctx.space(10)
+    k, natoms = 3, kv.num_atoms
+    s_nodes, t_per_atom = projection.S_NODES, projection.T_PER_ATOM
+    mass = (kv._knots_f[k:] - kv._knots_f[:-k]) / k
+    reach = ProjectionContext._columns(g, np.arange(kv.dim), mass)[1]
+    widest = min(natoms, 2 * (int(reach.max()) + k) + 1)  # the widest a window can be
+    block = widest * s_nodes * t_per_atom * 8
+    s_side = natoms * s_nodes * (k + 2) * 8
+    slack = 3 * 2**19
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ctx.l1_norm(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base - s_side <= block + slack, (peak - base, s_side, block)
+    assert block + slack < 2 * block < natoms * s_nodes * t_per_atom * 8
 
 
 def test_l1_norm_independent_of_the_column_chunking(monkeypatch):
