@@ -95,9 +95,18 @@ def unconditionality_ratio(
 
     The n = 0 block is P_0 f itself, so the all-plus pattern telescopes to
     f and for order 1, p = 2 orthogonality makes every ratio exactly one.
+
+    The trials draw their patterns from one generator call. A pattern and
+    its negation give the same norm bit for bit, since negating every sign
+    negates signs @ dvals exactly and the absolute value removes it; so
+    each class ±s of the draw is evaluated once, as its member whose first
+    sign is +1. That is at most min(trials, 2^depth) evaluations, and the
+    maximum over the classes is the maximum over the trials.
     """
     if not 1 < p < float("inf"):
         raise ValueError("p must lie in (1, inf)")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     depth = _level_of(ctx, f)
     projections = [ctx.project_scalar(f, n) for n in range(depth)] + [f]
     fine_kv = f.kv
@@ -111,11 +120,15 @@ def unconditionality_ratio(
     dvals = spline_values(np.array(diffs), *basis_values(fine_kv, pts))  # (N+1) x pts
     fnorm = float((np.abs(dvals.sum(axis=0)) ** p) @ wts) ** (1.0 / p)
     # one draw for all trials: the same stream as one draw per trial
-    all_signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(trials, len(diffs)))
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(trials, len(diffs)))
+    classes = np.unique(signs * signs[:, :1], axis=0)
+    vals = np.empty(dvals.shape[1])
     best = 0.0
-    for signs in all_signs:
-        vals = signs @ dvals
-        ratio = float((np.abs(vals) ** p) @ wts) ** (1.0 / p) / fnorm
+    for s in classes:
+        np.matmul(s, dvals, out=vals)
+        np.abs(vals, out=vals)
+        np.power(vals, p, out=vals)
+        ratio = float(vals @ wts) ** (1.0 / p) / fnorm
         best = max(best, ratio)
     return best
 

@@ -20,9 +20,10 @@ window is short against the level only the boundary bands and the centre
 are scanned. A level whose breakpoints are symmetric about 1/2 has
 K(1 - t, 1 - s) = K(t, s), so an atom and its mirror image have the same
 row integrals and only one of the two is scanned. The s-side quadrature
-runs only on the atoms some scanned window covers. The kernel values of
-each scanned atom are written into one buffer per call, sized by the
-widest window scanned so far, never by the level.
+is computed and held only for the atoms the scanned windows cover, one
+chunk's windows at a time. The kernel values of each scanned atom are
+written into one buffer per call, sized by the widest window scanned so
+far, never by the level.
 
 Like bspline, this module loads numpy at import and scipy.linalg only at
 the first banded solve, through bspline._linalg.
@@ -31,7 +32,7 @@ the first banded solve, through bspline._linalg.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .bspline import (
     GramOperator,
@@ -96,18 +97,23 @@ class ProjectionContext:
     def __init__(self, filt, order: int):
         self.filt = filt
         self.k = order
-        self._spaces: dict[int, tuple[KnotVector, GramOperator]] = {}
+        self._kvs: dict[int, KnotVector] = {}
+        self._grams: dict[int, GramOperator] = {}
         #: per level, the bound on the kernel mass l1_norm's windows drop
         self.l1_tail: dict[int, float] = {}
 
     def space(self, level: int) -> tuple[KnotVector, GramOperator]:
-        if level not in self._spaces:
-            kv = KnotVector.from_filtration(self.filt, level, self.k)
-            self._spaces[level] = (kv, gram(kv))
-        return self._spaces[level]
+        """The level's knot vector and its factored Gram matrix, built on
+        the first solve or l1_norm at that level."""
+        kv = self.knot_vector(level)
+        if level not in self._grams:
+            self._grams[level] = gram(kv)
+        return kv, self._grams[level]
 
     def knot_vector(self, level: int) -> KnotVector:
-        return self.space(level)[0]
+        if level not in self._kvs:
+            self._kvs[level] = KnotVector.from_filtration(self.filt, level, self.k)
+        return self._kvs[level]
 
     # -- scalar / vector projection -----------------------------------------
 
@@ -178,18 +184,29 @@ class ProjectionContext:
         G^{-1} columns of the scanned atoms are solved once, in chunks of at
         most max(k + 1, CHUNK_ENTRIES // dim) contiguous columns, and the
         t-grids of all scanned atoms are evaluated in one basis_values call.
-        The s-side basis values are evaluated only on the atoms of the
-        scanned windows, each atom once. Each atom's kernel block, S_NODES x
-        T_PER_ATOM values per window atom, is written and made absolute in
-        place in a leading slice of one buffer per call. The buffer holds
+
+        Setup per chunk. A chunk's atoms get their design matrices, the
+        columns non-zero on their t-grids and their windows in one pass.
+        The s-side quadrature (Gauss weights and basis values) is computed
+        for the span of the chunk's windows only, so it is sized by a window
+        plus a chunk, never by the level; an atom that two chunks' windows
+        cover is computed for each, to the same bits, as its nodes depend on
+        that atom alone. Per atom there remains the kernel arithmetic: the
+        coefficient block of its columns, a window view of it (one
+        as_strided), the kernel product, its absolute value, the weighted
+        sums, and the tail sums, which read |G^{-1}| on the dropped rows
+        only. Each atom's kernel block, S_NODES x T_PER_ATOM values per
+        window atom, is written and made absolute in place in a leading
+        slice of one buffer per call. The buffer holds
         the widest window of the chunks so far and grows only when a chunk's
         widest window needs more, freeing the narrower one first; so at most
         one block of the widest window is live, never one sized by the level.
         """
+        # built at k = 1 too: its quadrature refuses a level too fine for binary64
+        kv, g = self.space(level)
         if self.k == 1:
             self.l1_tail[level] = 0.0
             return 1.0  # averaging operator: kernel rows are probability densities
-        kv, g = self.space(level)
         k, natoms = self.k, kv.num_atoms
         t_per_atom, s_nodes = T_PER_ATOM, S_NODES
         mass = (kv._knots_f[k:] - kv._knots_f[:-k]) / k  # ∫ N_i
@@ -207,14 +224,6 @@ class ProjectionContext:
         if _mirror_symmetric(self.filt, kv):
             t_atoms = np.unique(np.minimum(t_atoms, natoms - 1 - t_atoms))
 
-        # quadrature data of the s-atoms, atom-major: node p of atom b has
-        # weight s_wts[b * s_nodes + p] and s_vals[b, p, r] = N_{b+r} there;
-        # s_vals[b] is filled when a window first covers b, and have[b] set
-        pts, s_wts = gauss_nodes(bps, s_nodes)
-        pts = pts.reshape(natoms, s_nodes)
-        s_vals = np.empty((natoms, s_nodes, k))
-        have = np.zeros(natoms, dtype=bool)
-
         # t-grids of all scanned atoms in one evaluation; row j is atom t_atoms[j]
         ts = np.linspace(bps[t_atoms], bps[t_atoms + 1], t_per_atom, axis=1)
         first, vals = basis_values(kv, ts.ravel())
@@ -228,44 +237,49 @@ class ProjectionContext:
         for start, stop in _chunks(col_lo, col_hi, cap):
             c0 = col_lo[start]
             inv, reach = self._columns(g, np.arange(c0, col_hi[stop - 1]), mass)
-            scans = []  # (basis, cols, lo, hi) of each atom of the chunk
-            for j in range(start, stop):
-                a = int(t_atoms[j])
-                # the atom's design matrix on its non-zero columns cols
-                local = np.zeros((t_per_atom, col_hi[j] - col_lo[j]))
-                slots = first[j][:, None] + np.arange(k) - col_lo[j]
-                np.put_along_axis(local, slots, vals[j], axis=1)
-                keep = local.any(axis=0)
-                cols = col_lo[j] - c0 + np.flatnonzero(keep)
-                w = int(reach[cols].max()) + k
-                scans.append((local[:, keep], cols, max(0, a - w), min(natoms, a + w + 1)))
-            # s-side basis values on the chunk's windows, where still missing
-            need = np.zeros(natoms, dtype=bool)
-            for *_, lo, hi in scans:
-                need[lo:hi] = True
-            new = np.flatnonzero(need & ~have)
-            s_first, s_basis = basis_values(kv, pts[new].ravel())
-            s_vals[new] = aligned_values(
-                s_first, s_basis, np.repeat(new, s_nodes)
+            # the design matrices of the chunk's atoms on their columns:
+            # local[j, t, c] = N_{col_lo[j] + c} at point t of atom j, and
+            # keep[j] marks the columns not zero on the whole t-grid
+            lows = col_lo[start:stop]
+            width = int((col_hi[start:stop] - lows).max())
+            local = np.zeros((stop - start, t_per_atom, width))
+            slots = first[start:stop, :, None] + np.arange(k) - lows[:, None, None]
+            np.put_along_axis(local, slots, vals[start:stop], axis=2)
+            keep = local.any(axis=1)
+            offsets = lows[:, None] - c0 + np.arange(width)
+            half = np.where(keep, reach[np.minimum(offsets, len(reach) - 1)], 0).max(axis=1) + k
+            atoms = t_atoms[start:stop]
+            win_lo, win_hi = np.maximum(0, atoms - half), np.minimum(natoms, atoms + half + 1)
+            # s-side quadrature of the atoms [s_lo, s_hi) the chunk's windows
+            # cover, atom-major: node p of atom s_lo + b has weight
+            # s_wts[b * s_nodes + p] and s_vals[b, p, r] = N_{s_lo+b+r} there
+            s_lo, s_hi = int(win_lo.min()), int(win_hi.max())
+            pts, s_wts = gauss_nodes(bps[s_lo : s_hi + 1], s_nodes)
+            s_first, s_basis = basis_values(kv, pts)
+            s_vals = aligned_values(
+                s_first, s_basis, np.repeat(np.arange(s_lo, s_hi), s_nodes)
             ).reshape(-1, s_nodes, k)
-            have[new] = True
-            widest = max(hi - lo for *_, lo, hi in scans)
+            widest = int((win_hi - win_lo).max())
             if len(buf) < widest:
                 buf = kvals = None  # free the narrower buffer before the wider one is made
                 buf = np.empty((widest, s_nodes, t_per_atom))
-            for basis, cols, lo, hi in scans:
+            for j, (lo, hi) in enumerate(zip(win_lo.tolist(), win_hi.tolist())):
+                cols = offsets[j, keep[j]]
                 # kernel on the s-atoms b of the window, one (s_nodes x T) block per b:
                 # K[b, p, t] = sum_r s_vals[b, p, r] coef[b + r, t]
-                coef = inv[lo : hi + k - 1, cols] @ basis.T
-                win = sliding_window_view(coef, k, axis=0).transpose(0, 2, 1)
-                kvals = np.matmul(s_vals[lo:hi], win, out=buf[: hi - lo])
+                coef = inv[lo : hi + k - 1, cols] @ local[j][:, keep[j]].T
+                step, item = coef.strides
+                win = as_strided(coef, (hi - lo, k, t_per_atom), (step, step, item))
+                kvals = np.matmul(s_vals[lo - s_lo : hi - s_lo], win, out=buf[: hi - lo])
                 np.abs(kvals, out=kvals)
-                totals = s_wts[lo * s_nodes : hi * s_nodes] @ kvals.reshape(-1, t_per_atom)
+                totals = (
+                    s_wts[(lo - s_lo) * s_nodes : (hi - s_lo) * s_nodes]
+                    @ kvals.reshape(-1, t_per_atom)
+                )
                 best = max(best, float(totals.max()))
                 # rows below lo + k - 1 or from hi on meet a dropped atom
-                drop = np.abs(inv[:, cols]).max(axis=1) * mass
-                left = drop[: lo + k - 1].sum() if lo > 0 else 0.0
-                right = drop[hi:].sum() if hi < natoms else 0.0
+                left = _dropped(inv[: lo + k - 1, cols], mass[: lo + k - 1]) if lo > 0 else 0.0
+                right = _dropped(inv[hi:, cols], mass[hi:]) if hi < natoms else 0.0
                 tail = max(tail, float(left + right))
         self.l1_tail[level] = tail
         return best
@@ -299,6 +313,12 @@ def _mirror_symmetric(filt, kv: KnotVector) -> bool:
         return True
     bps = kv.breakpoints
     return all(bps[i] + bps[-1 - i] == 1 for i in range(len(bps) // 2))
+
+
+def _dropped(rows: np.ndarray, mass: np.ndarray):
+    """sum_i max_r |rows[i, r]| mass[i]: the kernel mass bound of the rows
+    a window drops, on the G^{-1} columns in play."""
+    return (np.abs(rows).max(axis=1) * mass).sum()
 
 
 def _chunks(col_lo: np.ndarray, col_hi: np.ndarray, cap: int):

@@ -4,10 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import splinemart.harness.estimators as estimators
+import splinemart.projection as projection
 from splinemart.bspline import (
     ScalarSpline,
     basis_values,
     gauss_nodes,
+    gram,
     interpolate,
     refine_coeffs,
     spline_values,
@@ -224,7 +227,7 @@ class TestUnconditionality:
         kv = ctx.knot_vector(5)
         rng = np.random.default_rng(4)
         f = ScalarSpline(kv, rng.uniform(-1, 1, kv.dim))
-        # trials=0 leaves only the implicit telescoping baseline check
+        # one random pattern: a loose bound on its ratio
         ratio = unconditionality_ratio(ctx, f, 2.0, trials=1, seed=0)
         assert ratio < 5.0
 
@@ -263,16 +266,85 @@ def per_trial_unconditionality_ratio(ctx, f, depth, p, trials, seed):
     return best
 
 
+# (1.5, 200) at k=2 depth 8 is the benchmark's float shape; 1000 trials at
+# depth 3 draw every one of its 2^3 sign classes many times over
 @pytest.mark.parametrize("k, depth", [(1, 5), (2, 3), (2, 8), (3, 6), (4, 4)])
 def test_one_sign_draw_repr_identical_to_per_trial_draws(k, depth):
     ctx = ProjectionContext(dyadic(), k)
     kv = ctx.knot_vector(depth)
     f = ScalarSpline(kv, np.random.default_rng(depth).uniform(-1, 1, kv.dim))
     for seed in (0, 3, 17, 2**40 + 1):
-        for p, trials in ((1.5, 1), (3.0, 37)):
+        for p, trials in ((1.5, 1), (3.0, 37), (1.5, 200), (2.0, 1000)):
             got = unconditionality_ratio(ctx, f, p, trials, seed=seed)
             want = per_trial_unconditionality_ratio(ctx, f, depth, p, trials, seed)
             assert repr(got) == repr(want), (k, depth, seed, p, trials)
+
+
+class CountingNumpy:
+    """numpy, with its matmul calls counted."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.mark.parametrize("depth, trials", [(3, 1000), (8, 200), (8, 3)])
+def test_one_evaluation_per_sign_class(depth, trials, monkeypatch):
+    # one matmul per evaluated pattern: one per class ±s of the draw, so
+    # at most min(trials, 2^depth)
+    ctx = ProjectionContext(dyadic(), 2)
+    kv = ctx.knot_vector(depth)
+    f = ScalarSpline(kv, np.random.default_rng(depth).uniform(-1, 1, kv.dim))
+    spy = CountingNumpy()
+    monkeypatch.setattr(estimators, "np", spy)
+    unconditionality_ratio(ctx, f, 1.5, trials, seed=5)
+    signs = np.random.default_rng(5).choice([-1.0, 1.0], size=(trials, depth + 1))
+    classes = {tuple(row * row[0]) for row in signs}
+    assert spy.matmuls == len(classes) <= min(trials, 2**depth)
+    if trials > 2**depth:
+        assert spy.matmuls == 2**depth
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_unconditionality_refuses_trials_below_one(trials):
+    ctx = ProjectionContext(dyadic(), 2)
+    kv = ctx.knot_vector(3)
+    f = ScalarSpline(kv, np.ones(kv.dim))
+    with pytest.raises(ValueError, match="trials"):
+        unconditionality_ratio(ctx, f, 1.5, trials)
+
+
+def test_gram_built_only_for_levels_projected_onto_or_scanned(monkeypatch):
+    # the benchmark's float op: shadrin_profile scans dyadic k=3 levels
+    # 1..8, unconditionality_ratio projects a k=2 level-8 spline onto
+    # levels 0..7, and random_martingale projects a k=3 level-5 top onto
+    # levels 4..0. The levels only read as knot vectors (the spline's own
+    # level and the martingale's top) factor no Gram matrix
+    built = []
+
+    def counting_gram(kv):
+        built.append((kv.k, kv.num_atoms.bit_length() - 1))
+        return gram(kv)
+
+    monkeypatch.setattr(projection, "gram", counting_gram)
+    shadrin_profile(dyadic(), 3, 8)
+    ctx = ProjectionContext(dyadic(), 2)
+    kv = ctx.knot_vector(8)
+    f = ScalarSpline(kv, np.random.default_rng(1).uniform(-1, 1, kv.dim))
+    unconditionality_ratio(ctx, f, 1.5, 200, seed=2)
+    random_martingale(dyadic(), 3, 5, np.random.default_rng(3), coords=2)
+    want = (
+        [(3, n) for n in range(1, 9)]
+        + [(2, n) for n in range(8)]
+        + [(3, n) for n in range(4, -1, -1)]
+    )
+    assert built == want
 
 
 class TestUniformIntegrability:

@@ -321,6 +321,76 @@ def test_l1_norm_matches_fixed_window_reference(k):
             assert abs(got - want) <= 1e-12 * want, (make, level, got, want)
 
 
+def per_atom_l1_norm(ctx, level):
+    """(l1_norm, l1_tail) by the scan with per-atom setup: each scanned
+    atom's design matrix put together, its window cut by
+    sliding_window_view and its tail read from |G^{-1}| over every row,
+    and the s-side quadrature of every atom of the level. The scan set,
+    windows, column chunks and kernel arithmetic are those of l1_norm."""
+    if ctx.k == 1:
+        return 1.0, 0.0
+    kv, g = ctx.space(level)
+    k, natoms = ctx.k, kv.num_atoms
+    t_per_atom, s_nodes = projection.T_PER_ATOM, projection.S_NODES
+    mass = (kv._knots_f[k:] - kv._knots_f[:-k]) / k
+    bps = kv.breakpoints_f
+    t_atoms = np.arange(natoms)
+    if ctx.filt.is_uniform():
+        ends = np.r_[0:k, natoms // 2 : natoms // 2 + k]
+        w = int(ctx._columns(g, ends, mass)[1].max()) + k
+        if natoms > 3 * w:
+            t_atoms = np.array(sorted(
+                set(range(w + 4))
+                | set(range(natoms - w - 4, natoms))
+                | {natoms // 2, natoms // 2 + 1}
+            ))
+    if projection._mirror_symmetric(ctx.filt, kv):
+        t_atoms = np.unique(np.minimum(t_atoms, natoms - 1 - t_atoms))
+    pts, s_wts = gauss_nodes(bps, s_nodes)
+    s_first, s_basis = basis_values(kv, pts)
+    atom = np.repeat(np.arange(natoms), s_nodes)
+    s_vals = aligned_values(s_first, s_basis, atom).reshape(natoms, s_nodes, k)
+    ts = np.linspace(bps[t_atoms], bps[t_atoms + 1], t_per_atom, axis=1)
+    first, vals = basis_values(kv, ts.ravel())
+    first = first.reshape(len(t_atoms), t_per_atom)
+    vals = vals.reshape(len(t_atoms), t_per_atom, k)
+    col_lo, col_hi = first.min(axis=1), first.max(axis=1) + k
+    best = tail = 0.0
+    cap = max(k + 1, projection.CHUNK_ENTRIES // kv.dim)
+    for start, stop in projection._chunks(col_lo, col_hi, cap):
+        c0 = col_lo[start]
+        inv, reach = ctx._columns(g, np.arange(c0, col_hi[stop - 1]), mass)
+        for j in range(start, stop):
+            a = int(t_atoms[j])
+            local = np.zeros((t_per_atom, col_hi[j] - col_lo[j]))
+            slots = first[j][:, None] + np.arange(k) - col_lo[j]
+            np.put_along_axis(local, slots, vals[j], axis=1)
+            keep = local.any(axis=0)
+            cols = col_lo[j] - c0 + np.flatnonzero(keep)
+            w = int(reach[cols].max()) + k
+            lo, hi = max(0, a - w), min(natoms, a + w + 1)
+            coef = inv[lo : hi + k - 1, cols] @ local[:, keep].T
+            win = sliding_window_view(coef, k, axis=0).transpose(0, 2, 1)
+            kvals = np.abs(s_vals[lo:hi] @ win)
+            totals = s_wts[lo * s_nodes : hi * s_nodes] @ kvals.reshape(-1, t_per_atom)
+            best = max(best, float(totals.max()))
+            drop = np.abs(inv[:, cols]).max(axis=1) * mass
+            left = drop[: lo + k - 1].sum() if lo > 0 else 0.0
+            right = drop[hi:].sum() if hi < natoms else 0.0
+            tail = max(tail, float(left + right))
+    return best, tail
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_l1_norm_and_tail_repr_identical_to_per_atom_setup(k):
+    for make, levels in ORACLE_CASES:
+        ctx = ProjectionContext(make(), k)
+        for level in levels:
+            got = ctx.l1_norm(level), ctx.l1_tail[level]
+            want = per_atom_l1_norm(ctx, level)
+            assert repr(got) == repr(want), (make, level)
+
+
 def mirror_graded(moved=False):
     """A one-level file filtration symmetric about 1/2: the grid of step
     1/16 and the points 2^-j and 1 - 2^-j for j <= 12, graded to both
@@ -395,6 +465,38 @@ def test_l1_norm_keeps_one_kernel_block_of_the_widest_window():
         tracemalloc.stop()
     assert peak - base - s_side <= block + slack, (peak - base, s_side, block)
     assert block + slack < 2 * block < natoms * s_nodes * t_per_atom * 8
+
+
+def test_l1_norm_s_side_only_on_the_covered_atoms():
+    # dyadic k=4 level 14 is band-scanned: its windows cover about 3(w + 4)
+    # of its 16,384 atoms. The bound allows one kernel block of the widest
+    # window, six chunks of solved G^{-1} columns (the chunk held, and the
+    # next one's unit matrix, solve and weighted magnitudes) and twice the
+    # s-side quadrature of one chunk's window span, at most a widest window
+    # plus a chunk's atoms (the span held and the arrays that build the
+    # next); it has no room for the s-side quadrature of the whole level
+    ctx = ProjectionContext(dyadic(), 4)
+    kv, g = ctx.space(14)
+    k, natoms = 4, kv.num_atoms
+    s_nodes, t_per_atom = projection.S_NODES, projection.T_PER_ATOM
+    mass = (kv._knots_f[k:] - kv._knots_f[:-k]) / k
+    read = np.r_[0:100, natoms // 2 - 50 : natoms // 2 + 50]  # the columns the scan reads
+    reach = ProjectionContext._columns(g, read, mass)[1]
+    widest = 2 * (int(reach.max()) + k) + 1
+    cap = max(k + 1, projection.CHUNK_ENTRIES // kv.dim)
+    block = widest * s_nodes * t_per_atom * 8
+    columns = kv.dim * cap * 8
+    hulls = 2 * (widest + cap) * s_nodes * (k + 2) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ctx.l1_norm(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = block + 6 * columns + hulls
+    assert peak - base <= bound, (peak - base, bound)
+    assert bound < natoms * s_nodes * (k + 2) * 8 / 3
 
 
 def test_l1_norm_independent_of_the_column_chunking(monkeypatch):
