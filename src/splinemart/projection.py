@@ -298,7 +298,8 @@ class ProjectionContext:
         unit = np.zeros((g.dim, len(cols)))
         unit[cols, np.arange(len(cols))] = 1.0
         inv = _linalg().cho_solve_banded((g._chol, True), unit)
-        mag = np.abs(inv) * mass[:, None]
+        mag = np.abs(inv, out=unit)  # unit is spent once solved: its buffer holds |G^{-1}|
+        mag *= mass[:, None]
         big = mag >= REACH_RTOL * mag.max(axis=0)
         first = big.argmax(axis=0)
         last = g.dim - 1 - big[::-1].argmax(axis=0)

@@ -16,9 +16,12 @@ their run table (`construction.core.RunGroup`), with the span values as
 integer numerators over one denominator (`cardinal.span_numerators`), so
 a point costs no Fraction before its result.
 
-Moments are taken about a grid-aligned origin (the construction uses its
-pattern's interval start), so they reduce to Faulhaber power sums over
-index ranges shifted by the origin, with no re-centring afterwards.
+Moments are taken about a grid-aligned origin s h (the construction uses
+its pattern's interval start), so they reduce to Faulhaber power sums over
+index ranges shifted by s, with no re-centring afterwards. The order-e
+moment of a spline is B_e / (D p**(K(e+1))) for integers B_e over one D
+(`RleSpline.grid_moments`); n translates σ steps apart have moment r =
+Σ_q C(r,q) T_q B_{r-q} / (D p**(K(r+1))) with T_q = σ**q Σ_{ℓ<n} ℓ**q.
 
 One normalisation per result: a `Fraction` reduces by a gcd after every
 operation, and at the denominators of deep levels (thousands of bits)
@@ -38,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 
 from .cardinal import moment_weights, over_common_denominator, power_sum, refinement_mask
 
@@ -133,13 +136,7 @@ class RleSpline:
     def plus(self, other: "RleSpline") -> "RleSpline":
         if self.space != other.space:
             raise ValueError("splines live in different spaces")
-        events: list[int] = []
-        for r in self.runs + other.runs:
-            events.append(r[0])
-            events.append(r[1] + 1)
-        if not events:
-            return RleSpline.zero(self.space)
-        cuts = sorted(set(events))
+        cuts = sorted({e for j0, j1, _ in self.runs + other.runs for e in (j0, j1 + 1)})
         out: list[Run] = []
         for a, b in zip(cuts, cuts[1:]):
             v = self.coeff(a) + other.coeff(a)
@@ -150,29 +147,30 @@ class RleSpline:
     # -- analysis --------------------------------------------------------------
 
     def moment(self, r: int, origin: Fraction = Fraction(0)) -> Fraction:
-        """∫ (t - origin)**r f(t) dt, exact; origin must sit on the grid.
+        """∫ (t - origin)**r f(t) dt, exact; origin must sit on the grid."""
+        (num,), den = self.grid_moments(_moment_origin(self.space, r, origin), (r,))
+        return Fraction(num, den * self.space.num_atoms ** (r + 1))
 
-        With x_j = j-k+1 the left end of supp N_j in grid steps and s the
-        origin in grid steps, ∫ (t - origin)**r N_j = h**(r+1) Σ_q C(r,q)
-        mu_q (x_j - s)**(r-q) with mu_q the cardinal moments, so each run
-        costs one power sum per q over indices shifted by s. The weights
-        C(r,q) mu_q are integers over one cached denominator and the run
-        coefficients are put over the lcm of theirs, so the sum is one
-        integer and the result one Fraction.
+    def grid_moments(self, s: int, orders) -> tuple[list[int], int]:
+        """∫ (t - s h)**e f(t) dt = B_e / (D p**(K(e+1))) for e in orders:
+        the integers B_e and their shared denominator D.
+
+        ∫ (t - s h)**e N_j = h**(e+1) Σ_q C(e,q) mu_q (j - k + 1 - s)**(e-q)
+        for the cardinal moments mu_q, so a run costs one power sum per power
+        up to the highest order. The weights C(e,q) mu_q are integers over
+        the lcm of their denominators, the run coefficients over the lcm of
+        theirs, and D is the product of the two lcms.
         """
-        sp = self.space
-        s, rem = divmod(origin.numerator * sp.num_atoms, origin.denominator)
-        if rem:
-            raise ValueError(f"moment origin {origin} is off the level-{sp.level} grid")
-        off = sp.k - 1 + s
-        weights, wden = moment_weights(sp.k, r)
+        weights = [moment_weights(self.space.k, e) for e in orders]
+        wden = lcm(*(d for _, d in weights))
         coeffs, den = over_common_denominator([c for _, _, c in self.runs])
-        total = 0
+        off = self.space.k - 1 + s
+        out = [0] * len(weights)
         for (j0, j1, _), c in zip(self.runs, coeffs):
-            total += c * sum(
-                w * power_sum(j0 - off, j1 - off, r - q) for q, w in enumerate(weights)
-            )
-        return Fraction(total, den * wden * sp.num_atoms ** (r + 1))
+            sums = [power_sum(j0 - off, j1 - off, m) for m in range(max(orders) + 1)]
+            for i, (w, _) in enumerate(weights):
+                out[i] += c * sum(x * sums[len(w) - 1 - q] for q, x in enumerate(w))
+        return [b * (wden // d) for b, (_, d) in zip(out, weights)], den * wden
 
     def refine_once(self) -> "RleSpline":
         sp = self.space
@@ -187,26 +185,18 @@ class RleSpline:
         for j0, j1, c in self.runs:
             img_lo, img_hi = p * j0 - off, p * j1 + width - off
             full_lo, full_hi = p * j0 + width - off, p * j1 - off
-            if full_lo > full_hi:
-                for jp in range(img_lo, img_hi + 1):
-                    v = _partial_mask_sum(mask, p, jp + off, j0, j1)
-                    if v:
-                        edge[jp] = edge.get(jp, Fraction(0)) + c * v
-                continue
-            for jp in range(img_lo, full_lo):
+            edges = range(img_lo, img_hi + 1)
+            if full_lo <= full_hi:
+                edges = [*range(img_lo, full_lo), *range(full_hi + 1, img_hi + 1)]
+                interior.append((full_lo, full_hi, c))
+            for jp in edges:
                 v = _partial_mask_sum(mask, p, jp + off, j0, j1)
                 if v:
                     edge[jp] = edge.get(jp, Fraction(0)) + c * v
-            for jp in range(full_hi + 1, img_hi + 1):
-                v = _partial_mask_sum(mask, p, jp + off, j0, j1)
-                if v:
-                    edge[jp] = edge.get(jp, Fraction(0)) + c * v
-            interior.append((full_lo, full_hi, c))
         # fold edge coefficients and interior runs together
         result = RleSpline(fine, interior) if interior else RleSpline.zero(fine)
         if edge:
-            singles = [(j, j, v) for j, v in edge.items()]
-            result = result.plus(RleSpline(fine, _merge_singles(singles)))
+            result = result.plus(RleSpline(fine, [(j, j, v) for j, v in edge.items()]))
         return result
 
 
@@ -220,17 +210,6 @@ def _partial_mask_sum(mask, p: int, m: int, j0: int, j1: int) -> Fraction:
     return total
 
 
-def _merge_singles(singles: list[Run]) -> list[Run]:
-    singles.sort()
-    out: list[Run] = []
-    for j0, j1, c in singles:
-        if out and out[-1][1] == j0 and out[-1][2] == c:
-            out[-1] = (out[-1][0], j1, c)
-        else:
-            out.append((j0, j1, c))
-    return out
-
-
 class PeriodicSpline:
     """`count` translates of a base RLE spline at spacing `shift`.
 
@@ -238,7 +217,7 @@ class PeriodicSpline:
     interior to disjoint pieces). shift must sit on the base grid.
     """
 
-    __slots__ = ("base", "shift", "count", "index_shift", "_base_moments")
+    __slots__ = ("base", "shift", "count", "index_shift", "_tables")
 
     def __init__(self, base: RleSpline, shift: Fraction, count: int):
         if count < 1:
@@ -250,7 +229,7 @@ class PeriodicSpline:
         self.shift = shift
         self.count = count
         self.index_shift = int(q)
-        self._base_moments: dict[tuple[int, Fraction], Fraction] = {}
+        self._tables: dict[int, tuple[list[int], list[int], int]] = {}
         b = base.index_bounds()
         if b is not None and count > 1 and b[1] - b[0] + 1 > self.index_shift:
             raise ValueError("periodic instances would overlap")
@@ -262,22 +241,29 @@ class PeriodicSpline:
     def moment(self, r: int, origin: Fraction = Fraction(0)) -> Fraction:
         """∫ (t - origin)**r f(t) dt, exact; origin must sit on the grid.
 
-        Expands (t - origin)**r = Σ_q C(r,q) (ell*shift)**q (u - origin)**(r-q)
-        on instance ell, t = u + ell*shift: base moments about the same origin.
-        Callers ask for r = 0 .. k-1 in turn, so each base moment is taken
-        once per origin and kept. With shift = sn/sd, the terms are integers
-        over sd**r times the lcm of the base moments' denominators.
+        Instance ℓ is the base moved ℓσ grid steps (σ = index_shift), so over
+        the base's `grid_moments` B_e / D the moment is Σ_q C(r,q) T_q B_{r-q}
+        / (D p**(K(r+1))) with T_q = σ**q Σ_{ℓ<n} ℓ**q: one integer sum, one
+        Fraction. Callers ask for r = 0 .. k-1 about one origin in turn, so B
+        and T are built once per origin, up to order max(k-1, r), and kept.
         """
-        base, bden = over_common_denominator([self._base_moment(q, origin) for q in range(r + 1)])
-        sn, sd = self.shift.numerator, self.shift.denominator
-        total = sum(
-            comb(r, q) * sn**q * sd ** (r - q) * power_sum(0, self.count - 1, q) * base[r - q]
-            for q in range(r + 1)
-        )
-        return Fraction(total, sd**r * bden)
+        s = _moment_origin(self.space, r, origin)
+        table = self._tables.get(s)
+        if table is None or len(table[0]) <= r:
+            orders = range(max(self.space.k, r + 1))
+            base, den = self.base.grid_moments(s, orders)
+            sums = [self.index_shift**q * power_sum(0, self.count - 1, q) for q in orders]
+            table = self._tables[s] = (base, sums, den)
+        base, sums, den = table
+        total = sum(comb(r, q) * sums[q] * base[r - q] for q in range(r + 1))
+        return Fraction(total, den * self.space.num_atoms ** (r + 1))
 
-    def _base_moment(self, q: int, origin: Fraction) -> Fraction:
-        key = (q, origin)
-        if key not in self._base_moments:
-            self._base_moments[key] = self.base.moment(q, origin)
-        return self._base_moments[key]
+
+def _moment_origin(space: UniformSpace, r: int, origin: Fraction) -> int:
+    """The origin in grid steps, for an order r that is a non-negative int."""
+    if not isinstance(r, int) or r < 0:
+        raise ValueError(f"moment order {r!r} is not a non-negative int")
+    s, rem = divmod(origin.numerator * space.num_atoms, origin.denominator)
+    if rem:
+        raise ValueError(f"moment origin {origin} is off the level-{space.level} grid")
+    return s

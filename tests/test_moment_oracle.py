@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Poly, Rational, bspline_basis_set, symbols
 
 import splinemart.cardinal as cardinal
@@ -20,7 +22,7 @@ from splinemart.construction.core import RunGroup
 from splinemart.filtration import parse_filtration_spec
 from splinemart.harness import verify_sequence
 from splinemart.harness.verify import _instance_sums, run_table_moments
-from splinemart.rle import UniformSpace
+from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
 
 from fraction_oracle import moment_slotwise
 
@@ -84,6 +86,46 @@ def test_periodic_group_moments_match_instance_by_instance():
         assert {key: F(n, den) for key, n in nums.items()} == want
 
 
+@st.composite
+def deep_periodic_splines(draw):
+    """A multi-run base with fractional coefficients, repeated up to 3**600
+    times on a p-ary grid (p in 2, 3, 5) of order k <= 4, at the shallowest
+    level that holds every instance or deeper, up to about level 1,000."""
+    p, k = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 4))
+    first = k - 1 + draw(st.integers(0, 40))
+    ends = sorted(draw(st.lists(st.integers(0, 30), min_size=2, max_size=8, unique=True)))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=60).filter(bool)
+    runs = [(first + j0, first + j1, draw(coeffs)) for j0, j1 in zip(ends[::2], ends[1::2])]
+    steps = runs[-1][1] - runs[0][0] + 2 + draw(st.integers(0, 9))  # RunGroup: span < shift
+    # small counts, counts near a power of 3 (the construction's are p**s - 2)
+    # and counts of any size up to 3**600
+    count = draw(st.one_of(
+        st.integers(1, 5),
+        st.builds(lambda e, d: max(1, 3**e + d), st.integers(0, 600), st.integers(-2, 2)),
+        st.integers(1, 3**600),
+    ))
+    level = 1
+    while p**level <= runs[-1][1] + steps * (count - 1):  # the last interior index is p**level - 1
+        level += 1
+    space = UniformSpace(p, level + draw(st.integers(0, max(0, 1000 - level))), k)
+    return PeriodicSpline(RleSpline(space, runs), steps * space.h, count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(per=deep_periodic_splines(), data=st.data())
+def test_periodic_moments_match_the_run_table_oracle_at_depth(per, data):
+    # run_table_moments sums the instances through Stirling numbers and
+    # takes the runs' moments from truncated-power ramps: no arithmetic in
+    # common with the grid-unit table of PeriodicSpline.moment
+    space = per.space
+    origin = data.draw(st.integers(-50, space.num_atoms)) * space.h
+    group = RunGroup(space, per.index_shift, per.count,
+                     [(j0, j1, ((("d", 0), c),)) for j0, j1, c in per.base.runs])
+    for r in range(space.k + 2):
+        nums, den = run_table_moments([group], origin, r)
+        assert per.moment(r, origin) == F(nums.get(("d", 0), 0), den)
+
+
 @pytest.mark.parametrize(
     "spec, k, steps",
     [("dyadic", 1, 5), ("dyadic", 2, 5), ("dyadic", 3, 5), ("padic:3", 2, 3), ("padic:3", 4, 3)],
@@ -115,6 +157,7 @@ def test_check_one_uses_no_build_moment_code(monkeypatch):
         (rle, "power_sum"),
         (rle, "moment_weights"),
         (rle.RleSpline, "moment"),
+        (rle.RleSpline, "grid_moments"),
         (rle.PeriodicSpline, "moment"),
     ]:
         monkeypatch.setattr(owner, name, boom)

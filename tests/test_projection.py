@@ -499,6 +499,29 @@ def test_l1_norm_s_side_only_on_the_covered_atoms():
     assert bound < natoms * s_nodes * (k + 2) * 8 / 3
 
 
+def test_columns_hold_the_solve_and_its_magnitudes_only():
+    # one 15-column call at dyadic k=4 level 14: once the solve returns, the
+    # weighted magnitudes are formed in place in the unit matrix's buffer,
+    # so the solved columns and one array of their size are live at the
+    # peak; a third such array (a temporary for |G^{-1}|) exceeds 2.5x
+    ctx = ProjectionContext(dyadic(), 4)
+    kv, g = ctx.space(14)
+    mass = (kv._knots_f[4:] - kv._knots_f[:-4]) / 4
+    cols = np.arange(kv.dim // 2, kv.dim // 2 + 15)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inv, _ = ProjectionContext._columns(g, cols, mass)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inv.shape == (kv.dim, 15)
+    assert peak - base <= 2.5 * inv.nbytes, (peak - base, inv.nbytes)
+    unit = np.zeros((kv.dim, 15))
+    unit[cols, np.arange(15)] = 1.0
+    assert np.array_equal(inv, cho_solve_banded((g._chol, True), unit))
+
+
 def test_l1_norm_independent_of_the_column_chunking(monkeypatch):
     # one chunk per atom (k + 1 columns) against the default chunks
     for filt, level in ((dyadic(), 9), (graded_filtration(4), 4)):

@@ -178,21 +178,34 @@ def test_periodic_spline_moment_matches_instances():
         assert evaluate(per, t) == direct
 
 
-def test_periodic_spline_takes_each_base_moment_once(monkeypatch):
+def test_periodic_spline_builds_one_integer_table_per_origin(monkeypatch):
     sp = UniformSpace(2, 8, 4)
     base = RleSpline(sp, [(20, 23, F(1)), (25, 26, F(-1, 2))])
     per = PeriodicSpline(base, shift=F(1, 8), count=6)
     origin = F(1, 16)
-    want = [sum((instance(per, i).moment(r, origin) for i in range(6)), F(0)) for r in range(4)]
+    want = [sum((instance(per, i).moment(r, origin) for i in range(6)), F(0)) for r in range(6)]
     first = sum((instance(per, i).moment(1) for i in range(6)), F(0))
-    calls = []
-    moment = RleSpline.moment
-    monkeypatch.setattr(RleSpline, "moment", lambda self, q, o=F(0): calls.append((q, o)) or moment(self, q, o))
-    # the callers' order: r = 0 .. k-1 about one origin, then about another
-    assert [per.moment(r, origin) for r in range(4)] == want
-    assert calls == [(q, origin) for q in range(4)]
+    tables = []
+    grid_moments = RleSpline.grid_moments
+
+    def spy(self, s, orders):
+        tables.append((s, list(orders)))
+        return grid_moments(self, s, orders)
+
+    def boom(*args):
+        raise RuntimeError("RleSpline.moment called")
+
+    monkeypatch.setattr(RleSpline, "grid_moments", spy)
+    monkeypatch.setattr(RleSpline, "moment", boom)
+    # the callers' order: r = 0 .. k-1 about one origin (16 grid steps),
+    # then about another; an order past k-1 rebuilds the table up to it
+    assert [per.moment(r, origin) for r in range(4)] == want[:4]
+    assert tables == [(16, [0, 1, 2, 3])]
     assert per.moment(1) == first
-    assert calls[4:] == [(0, F(0)), (1, F(0))]
+    assert tables[1:] == [(0, [0, 1, 2, 3])]
+    assert per.moment(5, origin) == want[5]
+    assert per.moment(4, origin) == want[4]
+    assert tables[2:] == [(16, [0, 1, 2, 3, 4, 5])]
 
 
 def recentred_moment(scal, r, origin):
@@ -236,6 +249,19 @@ def test_moment_rejects_off_grid_origin():
     for scal in (f, per):
         with pytest.raises(ValueError, match="off the level-3 grid"):
             scal.moment(1, origin=sp.h / 2)
+
+
+@pytest.mark.parametrize("r", [-1, -3, 1.0, F(1), "1", None])
+def test_moment_rejects_an_order_that_is_not_a_non_negative_int(r):
+    sp = UniformSpace(3, 3, 2)
+    lo, _ = sp.interior_range()
+    f = RleSpline(sp, [(lo, lo + 2, F(1, 2))])
+    per = PeriodicSpline(f, 3 * sp.h, 2)
+    for scal in (f, per, RleSpline.zero(sp)):
+        with pytest.raises(ValueError, match="moment order"):
+            scal.moment(r)
+        with pytest.raises(ValueError, match="moment order"):
+            scal.moment(r, origin=sp.h)
 
 
 def reference_cardinal(k, u):
