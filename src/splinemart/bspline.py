@@ -285,8 +285,11 @@ class GramOperator:
         # lower band form ab[r2 - r1, j] = G[j + r2 - r1, j] with j = first + r1;
         # bincount adds in point order, the order of a running sum
         r1, r2 = np.triu_indices(k)
-        terms = wts[:, None] * vals[:, r1] * vals[:, r2]
-        slots = (r2 - r1) * dim + first[:, None] + r1
+        terms = vals.take(r1, axis=1)  # one C-order buffer, so ravel() is a view
+        terms *= wts[:, None]
+        terms *= vals[:, r2]
+        slots = first[:, None] + r1
+        slots += (r2 - r1) * dim
         ab = np.bincount(slots.ravel(), weights=terms.ravel(), minlength=k * dim)
         self.ab_lower = ab.reshape(k, dim)
         try:

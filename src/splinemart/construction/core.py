@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 from ..errors import CapacityError, InfeasibleStoppingError, PreconditionError
 from ..intervals import Interval, frac
-from ..cardinal import over_common_denominator, span_numerators
+from ..cardinal import span_numerators
 from ..rle import PeriodicSpline, RleSpline, UniformSpace
 from ..witness import XVec, common_numerators
 
@@ -55,7 +55,7 @@ LEVEL_CAP = 1 << 20
 # slot keys name the witness-space vectors a scalar term multiplies:
 #   ("d", m)    -> x_m - xbar
 #   ("dmix",)   -> sum_j beta_j (x_j - xbar)
-#   ("w", i)    -> i-th moment-correction vector (expanded via w_data)
+#   ("w", i)    -> i-th moment-correction vector (expanded via w_data / w_den)
 SlotKey = tuple
 
 
@@ -271,7 +271,8 @@ class RunGroup:
     `entries` are (j0, j1, ((slot key, coefficient numerator), ...)) with
     the index range [j0, j1] counted from `origin`, the group's first
     index, sorted and disjoint; every coefficient is its numerator over the
-    group denominator `den`. A periodic group stores its base instance, and
+    group denominator `den`, the lcm of the integer (numerator, denominator)
+    pairs the runs come in. A periodic group stores its base instance, and
     its runs span fewer indices than its shift, so index j lies in instance
     ell at entry index q for (ell, q) = divmod(j - origin, shift). A group
     of plain terms is one instance whose shift is its span.
@@ -298,8 +299,9 @@ class RunGroup:
             )
         self.space, self.shift, self.count, self.origin = space, shift, count, origin
         self.extent = count * shift  # indices origin .. origin + extent - 1
-        coeffs, self.den = over_common_denominator([c for *_, slots in entries for _, c in slots])
-        nums = iter(coeffs)
+        pairs = [c for *_, slots in entries for _, c in slots]
+        self.den = math.lcm(*(d for _, d in pairs))
+        nums = (n * (self.den // d) for n, d in pairs)
         self.entries = [
             (j0 - origin, j1 - origin, tuple((key, next(nums)) for key, _ in slots))
             for j0, j1, slots in entries
@@ -367,33 +369,34 @@ class SlotwisePattern:
 
     Subclasses provide `interval`, `cells`, `scale` (p**K, the cells' grid
     units per unit length), `terms` ((scalar, slot key) pairs), `r_terms`
-    ((scalar, ("w", i)) pairs) and `w_data` (the (coefficient, slot key)
-    expansion of each correction vector i).
+    ((scalar, ("w", i)) pairs), `w_data` (the (integer numerator, slot key)
+    expansion of each correction vector i) and `w_den`, their denominator.
 
     Point evaluation reads `run_table`: the runs of every term, merged per
     basis group (space, index shift, count) into one sorted table whose
     entries carry their slot coefficients, with each ("w", i) bump expanded
-    through w_data once, at build. At t, a group takes the atom index from
-    one divmod (and one more onto the base instance if it is periodic),
-    looks up each of the k window indices with one bisection and takes the
-    space's span numerators only once an index hits a run. The table holds no
-    witness vectors, so every binding of the pattern shares it. Check (1)
-    of the verification suite takes the moments from the same table.
+    through w_data once, at build: run coefficient c and numerator n give
+    the pair (c.numerator n, c.denominator w_den). At t, a group takes the
+    atom index from one divmod (and one more onto the base instance if it
+    is periodic), looks up each of the k window indices with one bisection
+    and takes the space's span numerators only once an index hits a run.
+    The table holds no witness vectors, so every binding of the pattern
+    shares it; check (1) of the verification suite reads it too.
     """
 
     @cached_property
     def run_table(self) -> tuple[RunGroup, ...]:
         """The terms' runs as one RunGroup per basis group."""
         groups: dict = {}
-        terms = [(scal, ((key, F1),)) for scal, key in self.terms]
-        terms += [(scal, tuple((key, coef) for coef, key in self.w_data[i]))
-                  for scal, (_, i) in self.r_terms]
-        for scal, slots in terms:
+        terms = [(scal, ((1, key),), 1) for scal, key in self.terms]
+        terms += [(scal, self.w_data[i], self.w_den) for scal, (_, i) in self.r_terms]
+        for scal, slots, den in terms:
             gkey, runs = basis_group(scal)
             if slots and runs:
-                groups.setdefault(gkey, []).extend(
-                    (j0, j1, tuple((key, c * coef) for key, coef in slots)) for j0, j1, c in runs
-                )
+                entries = groups.setdefault(gkey, [])
+                for j0, j1, c in runs:
+                    cn, cd = c.numerator, c.denominator * den
+                    entries.append((j0, j1, tuple((key, (cn * n, cd)) for n, key in slots)))
         return tuple(RunGroup(*gkey, entries) for gkey, entries in groups.items())
 
     def slot_numerators(self, u: int, d: int, level: int) -> tuple[dict, int]:
@@ -463,30 +466,24 @@ class SlotwisePattern:
 
 class BoundPattern:
     """A pattern bound to the (numerators, den) slot vectors of
-    `slot_vectors`: g(t) and the correction vectors."""
+    `slot_vectors`: g(t) and the sup norm of the correction vectors."""
 
     def __init__(self, pattern: SlotwisePattern, slots: tuple[dict, int]):
         self.pattern = pattern
         self.slots = slots
 
-    @cached_property
-    def w_vectors(self) -> list[XVec]:
-        """The moment-correction vectors; built on first use, since their
-        big-rational coefficients are costly and most readers never need them."""
-        return [self._combine((key, coef) for coef, key in wd) for wd in self.pattern.w_data]
-
-    def _combine(self, coefs) -> XVec:
-        """sum of coef * slot vector over (slot key, coef) pairs: integer
-        sums per coordinate over one lcm, one Fraction per coordinate."""
+    def w_norm(self) -> Fraction:
+        """max_i ||w_i||: each coordinate of w_i is an integer sum over w_den
+        times the slot denominator, so one Fraction of the largest |sum|."""
         nums, den = self.slots
-        coefs = [(nums[key], c) for key, c in coefs]
-        cden = math.lcm(*(c.denominator for _, c in coefs))
-        sums: dict = {}
-        for vec, c in coefs:
-            a = c.numerator * (cden // c.denominator)
-            for coord, n in vec.items():
-                sums[coord] = sums.get(coord, 0) + a * n
-        return XVec.over(sums, den * cden)
+        top = 0
+        for wd in self.pattern.w_data:
+            sums: dict = {}
+            for n, key in wd:
+                for coord, v in nums[key].items():
+                    sums[coord] = sums.get(coord, 0) + n * v
+            top = max([top, *map(abs, sums.values())])
+        return Fraction(top, self.pattern.w_den * den)
 
     def g_numerators(self, u: int, d: int, level: int) -> tuple[dict, int]:
         """g at the point u / (d p**level) as ({coordinate: integer

@@ -106,18 +106,21 @@ class SequenceResult:
     def num_steps(self) -> int:
         return len(self.steps)
 
+    def _check_step(self, n: int, what: str, first: int = 1):
+        """Raise ValueError unless first <= n <= num_steps (explicit, for -O)."""
+        if not first <= n <= self.num_steps:
+            raise ValueError(f"n out of range: {what} needs {first}..{self.num_steps}, not {n}")
+
     # -- measures -------------------------------------------------------------
 
     def c_measure(self, n: int) -> Fraction:
-        """|C_n ∩ V| (|V| = 1 for uniform generators)."""
-        if n == 0:
-            return F1
-        return self.steps[n - 1].c_mass
+        """|C_n ∩ V| (|V| = 1 for uniform generators), 0 <= n <= num_steps."""
+        self._check_step(n, "C_n", 0)
+        return self.steps[n - 1].c_mass if n else F1
 
     def e_measure(self, n: int) -> Fraction:
-        """|E_n| = |C_n ∩ C_{n-1} ∩ V| for n >= 1."""
-        if n < 1:
-            raise ValueError("E_n is defined for n >= 1")
+        """|E_n| = |C_n ∩ C_{n-1} ∩ V| for 1 <= n <= num_steps."""
+        self._check_step(n, "E_n")
         return self.steps[n - 1].e_mass
 
     # -- evaluation -------------------------------------------------------------
@@ -128,8 +131,7 @@ class SequenceResult:
 
     def sup_diff_at(self, t, n: int) -> Fraction:
         """||f_n(t) - f_{n-1}(t)|| in the sup norm, exact."""
-        if not 1 <= n <= self.num_steps:
-            raise ValueError("n out of range")
+        self._check_step(n, "f_n - f_{n-1}")
         before, after = self.step_values(t, n)
         return after.sub(before).sup_norm
 
@@ -153,8 +155,7 @@ class SequenceResult:
         t = frac(t)
         if not 0 <= t <= 1:
             raise DomainError(f"evaluation point {t} outside [0, 1]")
-        if not 0 <= n <= self.num_steps:
-            raise ValueError("n out of range")
+        self._check_step(n, "f_n", 0)
         tn, td = t.numerator, t.denominator
         p = self.filt.uniform_base
         acc: dict = {}  # f_0 is the bush root = 0
@@ -197,8 +198,7 @@ class SequenceResult:
 
     def sample_e_points(self, n: int, rng, count: int = 8) -> list[Fraction]:
         """Random interior points of E_n = C_n ∩ C_{n-1} ∩ V (n >= 1)."""
-        if not 1 <= n <= self.num_steps:
-            raise ValueError("need 1 <= n <= steps")
+        self._check_step(n, "E_n")
         return [self._descend_random(rng, n) for _ in range(count)]
 
     def _descend_random(self, rng, n: int) -> Fraction:
@@ -209,8 +209,7 @@ class SequenceResult:
 
     def _descend_random_cell(self, rng, n: int) -> tuple[Fraction, Fraction]:
         lo, hi = self._descend_random_units(rng, n)
-        scale = self._scales[n]
-        return Fraction(lo, scale), Fraction(hi, scale)
+        return Fraction(lo, self._scales[n]), Fraction(hi, self._scales[n])
 
     def _descend_random_units(self, rng, n: int) -> tuple[int, int]:
         """A random zone cell of the descent to step n, as its ends in
@@ -242,6 +241,7 @@ class SequenceResult:
 
     def sample_e_intervals(self, n: int, rng, count: int = 4):
         """A few representative subintervals of E_n (zone-cell instances)."""
+        self._check_step(n, "E_n")
         return [self._descend_random_cell(rng, n) for _ in range(count)]
 
     # -- trace access -------------------------------------------------------------
@@ -464,10 +464,9 @@ def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
         raise AssertionError("decomposition part weights are not all equal")
     if len(set(pat.inner.trace.betas)) != 1:
         raise AssertionError("stopping betas are not all equal")
-    bound = BoundPattern(pat, _bush_slots(rep_value, parts, pat))
-    if pat.inner.space.k == 1 and any(bound.w_vectors):
+    pat.trace.w_bound = BoundPattern(pat, _bush_slots(rep_value, parts, pat)).w_norm()
+    if pat.inner.space.k == 1 and pat.trace.w_bound:
         raise AssertionError("order-1 moment correction is not zero")
-    pat.trace.w_bound = max((w.sup_norm for w in bound.w_vectors), default=F0)
     pat.trace.run_checks()
     require_checks(pat.trace, "bound pattern")
 

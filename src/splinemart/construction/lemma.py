@@ -144,7 +144,7 @@ class LemmaPattern(SlotwisePattern):
 
     terms: (scalar, slot key) pairs of the inner pattern, repeated over the
     pieces; r_terms: the correction bumps, whose ("w", i) vectors expand
-    through w_data into the same slot keys.
+    through w_data ((numerator, key) pairs over w_den) into the slot keys.
     """
 
     interval: Interval
@@ -154,6 +154,7 @@ class LemmaPattern(SlotwisePattern):
     piece_count: int
     r_terms: list
     w_data: list
+    w_den: int
     cells: list
     trace: LemmaTrace
 
@@ -225,10 +226,10 @@ def step2_correct(
     piece (valid for constant weights over uniform limit sets). The
     non-constant cells total at most `max_zombie_length`.
 
-    One normalisation per result: A^{-1} comes out of `invert_exact` as
-    integers over one denominator, and each slot's moment row z goes over
-    the lcm of its denominators, so w = -A^{-1} z and the exact check
-    z + A w = 0 run in integers; only the k entries of w become Fractions.
+    No Fraction per coefficient: A^{-1} comes out of `invert_exact` as
+    integers over one denominator and each slot's z row over its lcm, so
+    w = -A^{-1} z and the check z + A w = 0 run in integers, and w_data
+    keeps w as numerators over one denominator w_den per pattern.
 
     The bump level is the smallest level above base_level that puts a, b
     and c on its grid, holds k (k + 1) + 3 atoms strictly between c and b
@@ -315,7 +316,7 @@ def step2_correct(
         for j in range(k):
             row[j] += scal.moment(j, a)
     arows = [over_common_denominator(row) for row in amat]
-    w_data: list = [[] for _ in range(k)]
+    solved = []
     for key, zrow in sorted(slot_moments.items(), key=lambda kv: repr(kv[0])):
         zn, zd = over_common_denominator(zrow)
         wn = [-sum(x * z for x, z in zip(arow, zn)) for arow in ainv]
@@ -323,10 +324,12 @@ def step2_correct(
         if any(zn[j] * dj * aden + sum(x * w for x, w in zip(mrow, wn))
                for j, (mrow, dj) in enumerate(arows)):
             raise AssertionError("moment correction failed to cancel exactly")
-        wden = aden * zd
-        for i in range(k):
-            if wn[i]:
-                w_data[i].append((Fraction(wn[i], wden), key))
+        solved.append((key, wn, zd))
+    # one gcd over W = aden lcm(zd) and all numerators: W / g is the reduced lcm
+    zlcm = math.lcm(*(zd for *_, zd in solved))
+    solved = [(key, [n * (zlcm // zd) for n in wn]) for key, wn, zd in solved]
+    g = math.gcd(aden * zlcm, *(n for _, wn in solved for n in wn))
+    w_data = [[(wn[i] // g, key) for key, wn in solved if wn[i]] for i in range(k)]
     r_terms = [(bumps[i], ("w", i)) for i in range(k)]
 
     # cells in level-K units; a bump atom spans `up` of them
@@ -359,6 +362,7 @@ def step2_correct(
         piece_count=piece_count,
         r_terms=r_terms,
         w_data=w_data,
+        w_den=aden * zlcm // g,
         cells=cells,
         trace=trace,
     )

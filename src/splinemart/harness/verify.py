@@ -215,10 +215,7 @@ def verify_sequence(seq: SequenceResult, seed: int = 0) -> VerificationReport:
         "exact",
         "bush ball plus perturbation budget",
     )
-    pert_total = F0
-    for n in range(n_steps):
-        step_w = max(pat.trace.w_bound for pat in seq.steps[n].patterns.values())
-        pert_total += step_w
+    pert_total = sum((max(p.trace.w_bound for p in sd.patterns.values()) for sd in seq.steps), F0)
     rep.add(
         "perturbation ledger",
         pert_total <= eta / 4,

@@ -15,6 +15,14 @@ the build's own `RleSpline.moment` and `PeriodicSpline.moment`; the
 verification suite's check (1) reads the run table instead and shares no
 moment code with it, so each checks the other.
 
+`reference_w_data` is the Fraction path that the integer correction of
+`step2_correct` replaced: per slot, w = -A^{-1} z with one reduced
+Fraction(wn, aden zd) per coefficient. `w_fractions` reads a pattern's
+integer coefficients as Fractions, `combine` sums Fraction coefficients
+times slot vectors with one Fraction per coordinate, and `w_vectors` and
+`w_sup_norm` build the correction vectors and their largest sup norm from
+them, the reference for `BoundPattern.w_norm`.
+
 `node_vector` materialises one bush node x_s; summing w_s * x_s with
 `XVec.add` and `XVec.scale` is the reference for `BushRep.value`, which
 sums integers up the path trie instead. `slot_xvecs` reads the integer
@@ -43,9 +51,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, floor
 
-from splinemart.cardinal import span_numerators
+from splinemart.cardinal import over_common_denominator, span_numerators
 from splinemart.construction.core import PeriodicFamily
 from splinemart.construction.driver import _child_value
+from splinemart.construction.lemma import invert_exact
 from splinemart.intervals import frac
 from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
 from splinemart.witness import BushRep, XVec
@@ -78,6 +87,59 @@ def slot_xvecs(slots: tuple[dict, int]) -> dict:
     `slot_vectors` as {slot key: XVec}."""
     nums, den = slots
     return {key: XVec({c: Fraction(n, den) for c, n in vec.items()}) for key, vec in nums.items()}
+
+
+def reference_w_data(pat) -> list:
+    """The correction coefficients of a lemma pattern as (Fraction, slot key)
+    pairs per bump, by the Fraction path: the slots' moment rows z summed
+    term by term, w = -A^{-1} z slot by slot in the sorted slot order, and
+    each non-zero coefficient one reduced Fraction(wn, aden zd)."""
+    a, k = pat.interval.lo, len(pat.r_terms)
+    amat = [[bump.moment(i, a) for bump, _ in pat.r_terms] for i in range(k)]
+    ainv, aden = invert_exact(amat)
+    slot_moments: dict = {}
+    for scal, key in pat.terms:
+        row = slot_moments.setdefault(key, [Fraction(0)] * k)
+        for j in range(k):
+            row[j] += scal.moment(j, a)
+    out: list = [[] for _ in range(k)]
+    for key, zrow in sorted(slot_moments.items(), key=lambda kv: repr(kv[0])):
+        zn, zd = over_common_denominator(zrow)
+        for i, arow in enumerate(ainv):
+            wn = -sum(x * z for x, z in zip(arow, zn))
+            if wn:
+                out[i].append((Fraction(wn, aden * zd), key))
+    return out
+
+
+def w_fractions(pat) -> list:
+    """A pattern's w_data as (Fraction, slot key) pairs: numerator / w_den."""
+    return [[(Fraction(n, pat.w_den), key) for n, key in wd] for wd in pat.w_data]
+
+
+def combine(slots: tuple[dict, int], coefs) -> XVec:
+    """sum of coef * slot vector over (slot key, Fraction coef) pairs, with
+    the ({slot key: {coordinate: numerator}}, den) slots of `slot_vectors`:
+    integer sums per coordinate over one lcm, one Fraction per coordinate."""
+    nums, den = slots
+    coefs = [(nums[key], c) for key, c in coefs]
+    cden = math.lcm(*(c.denominator for _, c in coefs))
+    sums: dict = {}
+    for vec, c in coefs:
+        a = c.numerator * (cden // c.denominator)
+        for coord, n in vec.items():
+            sums[coord] = sums.get(coord, 0) + a * n
+    return XVec.over(sums, den * cden)
+
+
+def w_vectors(w_data, slots: tuple[dict, int]) -> list[XVec]:
+    """The moment-correction vectors of (Fraction, slot key) coefficients."""
+    return [combine(slots, ((key, coef) for coef, key in wd)) for wd in w_data]
+
+
+def w_sup_norm(w_data, slots: tuple[dict, int]) -> Fraction:
+    """The largest sup norm of the correction vectors: ||w|| as bound."""
+    return max((w.sup_norm for w in w_vectors(w_data, slots)), default=Fraction(0))
 
 
 def truncated_power(k: int, u: Fraction) -> Fraction:
@@ -189,17 +251,17 @@ def periodic_combine(per: PeriodicSpline, a: int, values) -> Fraction:
 
 def evaluate(scal, t: Fraction) -> Fraction:
     """The value at t of an RleSpline or a PeriodicSpline."""
-    combine = periodic_combine if isinstance(scal, PeriodicSpline) else rle_combine
-    return combine(scal, *basis_at(scal.space, t))
+    at = periodic_combine if isinstance(scal, PeriodicSpline) else rle_combine
+    return at(scal, *basis_at(scal.space, t))
 
 
 def moment_slotwise(pat, r: int, origin: Fraction | None = None) -> dict:
     """∫ (t - origin)**r g(t) dt per slot of a pattern, term by term; origin
     defaults to the interval start and must sit on the grid of every term.
 
-    Each slot collects its terms' moments (times their w_data coefficients)
-    as unreduced numerator, denominator pairs and sums them over the lcm of
-    the denominators: one Fraction per slot.
+    Each slot collects its terms' moments (times their w_data coefficients,
+    numerators over w_den) as unreduced numerator, denominator pairs and
+    sums them over the lcm of the denominators: one Fraction per slot.
     """
     origin = pat.interval.lo if origin is None else origin
     parts: dict = {}
@@ -210,10 +272,8 @@ def moment_slotwise(pat, r: int, origin: Fraction | None = None) -> dict:
     for scal, (_, i) in pat.r_terms:
         v = scal.moment(r, origin)
         if v:
-            for coef, key in pat.w_data[i]:
-                parts.setdefault(key, []).append(
-                    (v.numerator * coef.numerator, v.denominator * coef.denominator)
-                )
+            for n, key in pat.w_data[i]:
+                parts.setdefault(key, []).append((v.numerator * n, v.denominator * pat.w_den))
     out: dict = {}
     for key, pairs in parts.items():
         den = math.lcm(*(d for _, d in pairs))
@@ -271,7 +331,7 @@ def eval_slotwise(pat, t: Fraction) -> dict:
 
 def g_eval(bound, t) -> XVec:
     """g(t) of a bound pattern from the Fraction slot values."""
-    return bound._combine(eval_slotwise(bound.pattern, frac(t)).items())
+    return combine(bound.slots, eval_slotwise(bound.pattern, frac(t)).items())
 
 
 def grid_unit(pattern) -> Fraction:

@@ -2,6 +2,7 @@ import ast
 import copy
 import functools
 import inspect
+import math
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import splinemart.cardinal as cardinal
 import splinemart.construction.core as core
+import splinemart.construction.driver as driver_module
 import splinemart.construction.lemma as lemma_module
 from splinemart.construction.core import (
     BoundPattern,
@@ -29,7 +31,7 @@ from splinemart.construction.core import (
     step1_stopping,
     tile,
 )
-from splinemart.construction.driver import _bind_representative, build_sequence
+from splinemart.construction.driver import _bind_representative, _bush_slots, build_sequence
 from splinemart.construction.lemma import (
     cube_root_under,
     invert_exact,
@@ -58,9 +60,13 @@ from fraction_oracle import (
     first_level,
     grid_unit,
     moment_slotwise,
+    reference_w_data,
     slot_xvecs,
     step1_level_search,
     support_bounds,
+    w_fractions,
+    w_sup_norm,
+    w_vectors,
 )
 
 F = Fraction
@@ -282,8 +288,8 @@ class TestLemma:
         # because the mean already cancels vectorially on L
         assert len(pat.r_terms) == 1
         _, vecs = bush_slots(pat.inner.trace.betas)
-        bound = BoundPattern(pat, vecs)
-        assert bound.w_vectors[0].sup_norm == 0
+        assert w_vectors(w_fractions(pat), vecs)[0].sup_norm == 0
+        assert BoundPattern(pat, vecs).w_norm() == 0
 
     def test_support_interior(self):
         ctx = ConstructionContext(dyadic(), 2)
@@ -556,6 +562,41 @@ def test_levels_match_the_reference_search(monkeypatch):
     assert increments >= 1
 
 
+CORRECTION_CASES = [
+    (spec, k, eta) for spec in ("dyadic", "padic:3", "padic:5") for k in (1, 2, 3, 4)
+    for eta in ("1/2", "2/5")
+]
+
+
+@pytest.mark.parametrize(
+    "spec,k,eta",
+    CORRECTION_CASES,
+    ids=[f"{s}-k{k}-eta{e.replace('/', '_')}" for s, k, e in CORRECTION_CASES],
+)
+def test_integer_correction_matches_the_fraction_path(spec, k, eta, monkeypatch):
+    # every coefficient n / w_den equals the reduced Fraction(wn, aden zd) of
+    # the Fraction path, in the same slot order; w_den is the lcm of their
+    # denominators; the recorded ||w|| equals the largest sup norm of the
+    # Fraction correction vectors at the slots the pattern was bound to
+    bound = []
+    bind = driver_module._bind_representative
+
+    def recording(pat, rep_value, parts):
+        bind(pat, rep_value, parts)
+        bound.append((pat, _bush_slots(rep_value, parts, pat)))
+
+    monkeypatch.setattr(driver_module, "_bind_representative", recording)
+    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), 2)
+    assert len(bound) == len(list(seq.all_patterns())) >= 2
+    for pat, slots in bound:
+        want = reference_w_data(pat)
+        assert w_fractions(pat) == want
+        assert pat.w_den == math.lcm(*(c.denominator for wd in want for c, _ in wd))
+        assert pat.trace.w_bound == w_sup_norm(want, slots)
+        for r in range(k):
+            assert not any(moment_slotwise(pat, r).values())
+
+
 def power_loop(p, x):
     """Smallest s >= 0 with p**s >= x by multiplying up from 1."""
     s, v = 0, F(1)
@@ -601,13 +642,13 @@ RUN_TABLE_CASES = [("dyadic", k) for k in (1, 2, 3, 4)] + [("padic:3", 2), ("pad
 
 def term_by_term_slotwise(pat, t):
     """g(t) per slot, term by term: Σ evaluate(scal, t) per slot, with each
-    ("w", i) bump expanded through w_data."""
+    ("w", i) bump expanded through w_data, each numerator over w_den."""
     out = {}
     for scal, key in pat.terms:
         out[key] = out.get(key, F(0)) + evaluate(scal, t)
     for scal, (_, i) in pat.r_terms:
         v = evaluate(scal, t)
-        for coef, key in pat.w_data[i]:
+        for coef, key in w_fractions(pat)[i]:
             out[key] = out.get(key, F(0)) + v * coef
     return {key: v for key, v in out.items() if v}
 

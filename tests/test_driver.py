@@ -38,7 +38,9 @@ from splinemart.harness import verify_sequence
 from splinemart.witness import BushRep, XVec, bush_decompose, mix_reps
 
 import fraction_oracle as oracle
-from fraction_oracle import cell_ends, grid_unit, moment_slotwise, reference_locate
+from fraction_oracle import (
+    cell_ends, grid_unit, moment_slotwise, reference_locate, w_fractions, w_vectors,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -461,7 +463,7 @@ def reference_census(rows, sd, p):
                 elif cell.kind == "keep" and cell.m >= 0:
                     # an order-1 correction bump: the parent value plus w_m,
                     # which a rep holds only when w_m is zero
-                    w = bound.w_vectors[cell.m]
+                    w = w_vectors(w_fractions(pat), bound.slots)[cell.m]
                     assert not w, "order-1 correction is not zero"
                     value, norm = row.rep_value, row.rep_value.value().add(w).sup_norm
                 elif cell.kind == "keep":
@@ -538,8 +540,9 @@ def test_order_one_correction_vanishes_on_every_class(spec, eta, max_steps):
                 pat = sd.patterns[tuple(w for w, _ in parts)]
                 points = [rep.value() for _, rep in parts]
                 slots = slot_vectors(row.rep_value.value(), points, pat.inner.trace.betas)
-                w = BoundPattern(pat, slots).w_vectors
+                w = w_vectors(w_fractions(pat), slots)
                 assert len(w) == 1 and all(len(v) == 0 for v in w)
+                assert BoundPattern(pat, slots).w_norm() == 0
             rows = sd.rows_after
 
 
@@ -552,13 +555,16 @@ def test_order_one_census_row_counts():
 
 def _scale_one_correction(lemma_moments):
     """lemma_moments with one w_data coefficient of each pattern scaled by
-    1 + 10^-6, so the order-1 correction of its first class is not zero."""
+    1 + 10^-6, so the order-1 correction of its first class is not zero:
+    every numerator goes over w_den 10^6, and that one gains 1 / 10^6."""
 
     def faulty(*args, **kwargs):
         pat = lemma_moments(*args, **kwargs)
         i = next(i for i, data in enumerate(pat.w_data) if data)
-        coef, key = pat.w_data[i][0]
-        pat.w_data[i][0] = (coef * (1 + F(1, 10**6)), key)
+        n, key = pat.w_data[i][0]
+        pat.w_data = [[(m * 10**6, k) for m, k in data] for data in pat.w_data]
+        pat.w_data[i][0] = (n * (10**6 + 1), key)
+        pat.w_den *= 10**6
         return pat
 
     return faulty
@@ -747,6 +753,27 @@ def test_sup_diff_at_refuses_n_before_walking(seq_k1, monkeypatch):
     for n in (0, -1, seq_k1.num_steps + 1):
         with pytest.raises(ValueError, match="n out of range"):
             seq_k1.sup_diff_at(F(1, 3), n)
+
+
+def test_step_indices_outside_their_range_are_refused():
+    # a negative n once read the last steps from the end (c_measure(-1) was
+    # C_N's mass), sample_e_intervals(0) returned [0, 1] and n = N + 1
+    # escaped as a bare IndexError
+    seq = build_sequence(dyadic(), 2, HALF, 2)
+    rng = random.Random(0)
+    measures = {"c_measure": seq.c_measure, "e_measure": seq.e_measure,
+                "sample_e_intervals": lambda n: seq.sample_e_intervals(n, rng)}
+    for name, call in measures.items():
+        first = 0 if name == "c_measure" else 1
+        for n in (-1, 0, seq.num_steps + 1):
+            if n == first:
+                continue
+            with pytest.raises(ValueError, match=rf"n out of range: .* needs {first}\.\.2, not {n}"):
+                call(n)
+    assert seq.c_measure(0) == 1
+    assert [seq.c_measure(n) for n in (1, 2)] == [sd.c_mass for sd in seq.steps]
+    assert seq.e_measure(1) == seq.steps[0].e_mass
+    assert len(seq.sample_e_intervals(2, rng)) == 4
 
 
 def test_run_table_refuses_a_point_finer_than_its_spaces():

@@ -273,7 +273,7 @@ def test_tampered_inverse_fails_under_python_O():
 )
 def test_run_group_refuses_overlapping_runs(runs):
     sp = UniformSpace(2, 6, 2)
-    entries = [(j0, j0 + n, ((("d", 0), c),)) for j0, n, c in runs]
+    entries = [(j0, j0 + n, ((("d", 0), (c.numerator, c.denominator)),)) for j0, n, c in runs]
     ordered = sorted(entries, key=lambda e: e[0])
     overlap = any(lo <= hi for (_, hi, _), (lo, _, _) in zip(ordered, ordered[1:]))
     if overlap:
@@ -283,4 +283,4 @@ def test_run_group_refuses_overlapping_runs(runs):
         group = RunGroup(sp, None, 1, entries)
         # every coefficient is its numerator over the group denominator
         for (_, _, ((_, want),)), (_, _, ((_, num),)) in zip(ordered, group.entries):
-            assert F(num, group.den) == want
+            assert F(num, group.den) == F(*want)

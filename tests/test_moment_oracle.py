@@ -27,7 +27,6 @@ from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
 from fraction_oracle import moment_slotwise
 
 F = Fraction
-F1 = F(1)
 HALF = F(1, 2)
 X = symbols("x")
 
@@ -57,7 +56,7 @@ def test_run_closed_form_matches_sympy(k, p, level):
     cases = ((k + 1, 1, 0), (k + 4, max(1, k - 1), k + 4), (3 * k + 5, k + 2, 4 * k + 9))
     for j0, length, s in cases:
         j1 = j0 + length - 1
-        group = RunGroup(space, None, 1, [(j0, j1, ((("d", 0), F1),))])
+        group = RunGroup(space, None, 1, [(j0, j1, ((("d", 0), (1, 1)),))])
         for r in range(k + 2):
             nums, den = run_table_moments([group], s * space.h, r)
             assert F(nums.get(("d", 0), 0), den) == sympy_run_moment(space, j0, j1, r, s)
@@ -72,7 +71,7 @@ def test_instance_sums_match_brute_sums():
 def test_periodic_group_moments_match_instance_by_instance():
     # a periodic group is its instances, each a plain group moved by the shift
     space = UniformSpace(3, 5, 3)
-    entries = [(20, 21, ((("d", 0), F(2, 3)),)), (23, 27, ((("d", 0), F(-1)), (("d", 1), F(5))))]
+    entries = [(20, 21, ((("d", 0), (2, 3)),)), (23, 27, ((("d", 0), (-1, 1)), (("d", 1), (5, 1))))]
     shift, count = 11, 7
     periodic = RunGroup(space, shift, count, entries)
     for r in range(5):
@@ -120,7 +119,8 @@ def test_periodic_moments_match_the_run_table_oracle_at_depth(per, data):
     space = per.space
     origin = data.draw(st.integers(-50, space.num_atoms)) * space.h
     group = RunGroup(space, per.index_shift, per.count,
-                     [(j0, j1, ((("d", 0), c),)) for j0, j1, c in per.base.runs])
+                     [(j0, j1, ((("d", 0), (c.numerator, c.denominator)),))
+                      for j0, j1, c in per.base.runs])
     for r in range(space.k + 2):
         nums, den = run_table_moments([group], origin, r)
         assert per.moment(r, origin) == F(nums.get(("d", 0), 0), den)
@@ -182,7 +182,8 @@ def test_check_one_uses_no_build_moment_code(monkeypatch):
     ],
 )
 def test_check_one_names_a_moment_fault_under_python_O(fault, spec, k):
-    # w_data: one correction coefficient scaled by 1 + 10^-6 before the run
+    # w_data: one correction coefficient scaled by 1 + 10^-6 (every numerator
+    # over w_den 10^6, that one 10^6 + 1 times its own) before the run
     # table is built; periodic_base: one coefficient of a periodic group's
     # base run raised by 1 in the table itself
     code = textwrap.dedent(
@@ -198,8 +199,10 @@ def test_check_one_names_a_moment_fault_under_python_O(fault, spec, k):
         n, pat = next(seq.all_patterns())
         if {fault!r} == "w_data":
             i = next(i for i, data in enumerate(pat.w_data) if data)
-            coef, key = pat.w_data[i][0]
-            pat.w_data[i][0] = (coef * (1 + Fraction(1, 10**6)), key)
+            num, key = pat.w_data[i][0]
+            pat.w_data = [[(m * 10**6, s) for m, s in data] for data in pat.w_data]
+            pat.w_data[i][0] = (num * (10**6 + 1), key)
+            pat.w_den *= 10**6
             pat.__dict__.pop("run_table", None)
         else:
             group = next(g for g in pat.run_table if g.count > 1)

@@ -26,6 +26,8 @@ from fraction_oracle import (
     node_vector,
     slot_xvecs,
     support_bounds,
+    w_fractions,
+    w_sup_norm,
 )
 
 F = Fraction
@@ -106,7 +108,9 @@ def test_moment_perturbation_end_to_end(k):
     # every slot's moment vanishes, so g's does for any slot vectors
     for j in range(k):
         assert not any(moment_slotwise(pat, j).values())
-    assert max(w.sup_norm for w in bound.w_vectors) <= pat.trace.eps_tilde2
+    w_norm = w_sup_norm(w_fractions(pat), bound.slots)
+    assert w_norm <= pat.trace.eps_tilde2
+    assert bound.w_norm() == w_norm
     # zone values sit in the child set, at separation exactly one
     fam = next(e for e in pat.cells if hasattr(e, "period"))
     zone = next(c for c in fam.cells if c.kind == "zone")

@@ -15,7 +15,7 @@ from splinemart.construction.core import BoundPattern, slot_vectors
 from splinemart.errors import UnachievableSeparationError
 from splinemart.witness import BushRep, XVec, bush_decompose, mix_reps
 
-from fraction_oracle import node_coordinate, node_sum, node_vector, slot_xvecs
+from fraction_oracle import combine, node_coordinate, node_sum, node_vector, slot_xvecs
 
 F = Fraction
 
@@ -253,17 +253,25 @@ def test_integer_slot_vectors_and_combine_match_add_and_scale(xbar, points, data
         want_mix = want_mix.add(dv.scale(b))
     assert slots == {**{("d", m): dv for m, dv in enumerate(diffs)}, ("dmix",): want_mix}
 
+    # correction coefficients as w_data holds them: integer numerators over
+    # one denominator w_den
     keys = list(slots)
+    w_den = data.draw(st.integers(1, 10**6))
     w_data = data.draw(st.lists(
-        st.lists(st.tuples(small_fractions, st.sampled_from(keys)), max_size=6), max_size=3
+        st.lists(st.tuples(st.integers(-10**6, 10**6), st.sampled_from(keys)), max_size=6),
+        max_size=3,
     ))
-    got = BoundPattern(SimpleNamespace(w_data=w_data), raw).w_vectors
-    for wd, vec in zip(w_data, got, strict=True):
+    wants = []
+    for wd in w_data:
         want = XVec.zero()
-        for coef, key in wd:
-            want = want.add(slots[key].scale(coef))
+        for n, key in wd:
+            want = want.add(slots[key].scale(Fraction(n, w_den)))
+        vec = combine(raw, ((key, Fraction(n, w_den)) for n, key in wd))
         assert vec == want
         assert all(v != 0 for _, v in vec.items())
+        wants.append(want)
+    got = BoundPattern(SimpleNamespace(w_data=w_data, w_den=w_den), raw).w_norm()
+    assert got == max((w.sup_norm for w in wants), default=Fraction(0))
 
 
 def test_argument_checks_survive_optimised_python():
