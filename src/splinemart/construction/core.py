@@ -12,8 +12,7 @@ representative pattern (all pieces are congruent translates).
 
 Cells are integers: every cell end and family period is a count of grid
 units p**-K of the owning pattern's level K, from birth. Tiling, lookup,
-the ledger and the E_n sampler compare and add these integers, and the
-ledger builds one Fraction per entry.
+the ledger and the E_n sampler compare and add these integers.
 
 A pattern stores g slot-wise, as scalar splines paired with slot keys that
 name witness vectors; `slot_vectors` builds those vectors, in integers
@@ -29,6 +28,13 @@ and g comes back as integer numerators over one denominator per slot
 (`SlotwisePattern.slot_numerators`) and per coordinate
 (`BoundPattern.g_numerators`). The caller builds the Fractions of its
 result once, however many steps it sums.
+
+Step 1 works in integer units, with one Fraction per recorded result. The
+stopping scan counts ∫f_m, the block masses and the union lengths in grid
+units h = p**-K and the hull masses in pieces d, puts each target
+C alpha_m over one denominator and takes j_m from one floor division;
+`StoppingTrace.run_checks` cross-multiplies those integers, and each beta
+is one Fraction of integers.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from typing import Optional, Sequence
 
 from ..errors import CapacityError, InfeasibleStoppingError, PreconditionError
 from ..intervals import Interval, frac
-from ..cardinal import span_numerators
+from ..cardinal import over_common_denominator, span_numerators
 from ..rle import PeriodicSpline, RleSpline, UniformSpace
 from ..witness import XVec, common_numerators
 
@@ -450,11 +456,6 @@ class SlotwisePattern:
                 units[(c.kind, c.m)] = units.get((c.kind, c.m), 0) + (c.hi - c.lo) * count
         return tuple(units.items())
 
-    @cached_property
-    def ledger(self) -> tuple:
-        """The ledger as lengths: one Fraction per entry."""
-        return tuple((key, Fraction(u, self.scale)) for key, u in self.ledger_units)
-
     def zone_mass(self) -> Fraction:
         return Fraction(sum(u for (kind, _), u in self.ledger_units if kind == "zone"), self.scale)
 
@@ -505,7 +506,15 @@ class BoundPattern:
 
 @dataclass
 class StoppingTrace:
-    """Everything the stopping-time construction promises, as recorded."""
+    """Everything the stopping-time construction promises, as recorded.
+
+    The per-part quantities are integers with their units: ∫f_m (`f_units`,
+    m = 0..M) and the block masses (`block_units`) count grid units
+    h = 1 / scale of the pattern's level, the p-point hull masses
+    (`hull_pieces`) count pieces d = piece_units h, and `targets` holds
+    C alpha_m / h as one (numerator, denominator) pair per part. The
+    per-part checks cross-multiply these integers.
+    """
 
     eps: Fraction
     eps_tilde: Fraction
@@ -519,11 +528,14 @@ class StoppingTrace:
     C: Fraction
     union_blocks: Fraction
     union_upto_jM: Fraction
-    int_f: tuple
+    scale: int
+    piece_units: int
+    targets: tuple
+    f_units: tuple
+    block_units: tuple
+    hull_pieces: tuple
     betas: tuple
     j_indices: tuple
-    per_m_block_mass: tuple
-    per_m_p_mass: tuple
     zone_mass: Fraction
     vmass: Fraction
     checks: list = field(default_factory=list)
@@ -537,17 +549,22 @@ class StoppingTrace:
         chk("eq:applemma", Fraction(self.n_pieces - 2, self.n_pieces) * self.vmass
             >= (1 - self.eps / 3) * self.vmass)
         chk("eq:cons_est", 72 * self.eps1 * self.M <= self.eps * self.eps_tilde * self.union_blocks)
+        # per part in integers: 3 eps1 / h = en / ed and 2 n eps3 / h = sn / sd
+        e = 3 * self.eps1 * self.scale
+        en, ed = e.numerator, e.denominator
+        s = 2 * self.n_pieces * self.eps3 * self.scale
+        sn, sd = s.numerator, s.denominator
         for m in range(self.M):
-            chk(f"stopping[{m}]", self.int_f[m] > self.C * self.alphas[m])
-            chk(f"eq:alpha_upper[{m}]", self.int_f[m] <= self.C * self.alphas[m] + 3 * self.eps1)
-            lo_mass, hi_mass = self.per_m_block_mass[m], self.per_m_p_mass[m]
-            chk(f"eq:unionintegral[{m}]",
-                lo_mass <= self.int_f[m] <= hi_mass
-                and hi_mass <= lo_mass + 2 * self.n_pieces * self.eps3)
+            f, (tn, td) = self.f_units[m], self.targets[m]
+            lo, hi = self.block_units[m], self.hull_pieces[m] * self.piece_units
+            chk(f"stopping[{m}]", f * td > tn)
+            chk(f"eq:alpha_upper[{m}]", f * td * ed <= tn * ed + en * td)
+            chk(f"eq:unionintegral[{m}]", lo <= f <= hi and hi * sd <= lo * sd + sn)
         chk("eq:B_ell_lower", (1 - self.eps_tilde) * self.union_blocks <= self.union_upto_jM)
         chk("eq:B_ell_upper", self.union_upto_jM <= (1 - self.eps_tilde / 6) * self.union_blocks)
-        chk("eq:intfM", self.int_f[self.M] >= self.eps_tilde / 12 * self.union_blocks)
-        chk("sum_beta", sum(abs(b) for b in self.betas) < self.eps / 2)
+        chk("eq:intfM", self.f_units[self.M] >= self.eps_tilde / 12 * self.union_blocks * self.scale)
+        nums, den = over_common_denominator(self.betas)
+        chk("sum_beta", 2 * sum(map(abs, nums)) * self.eps.denominator < self.eps.numerator * den)
         chk("mass_A1", self.zone_mass >= (1 - self.eps) * self.vmass)
         self.checks = out
         return out
@@ -614,7 +631,8 @@ def step1_stopping(
     p, k = ctx.p, ctx.k
     alphas = tuple(frac(a) for a in alphas)
     M = len(alphas)
-    if M < 1 or sum(alphas, F0) != 1 or any(a <= 0 for a in alphas):
+    nums, den = over_common_denominator(alphas)
+    if M < 1 or sum(nums) != den or min(nums) <= 0:
         raise PreconditionError("weights must be positive and sum to one")
     eps = frac(eps)
     if not 0 < eps < 1:
@@ -657,61 +675,61 @@ def step1_stopping(
     # pieces are 1-based and congruent: piece ell has ball points
     # u_ell = u1 + (ell - 1) d and v_ell = v1 + (ell - 1) d. Block i <->
     # piece i+1 (i = 1..L); blocks r..s_ cover (v_r, u_{s_+2}), and the
-    # interior indices touching it form a range affine in r and s_
+    # interior indices touching it form a range affine in r and s_. In grid
+    # units, the blocks r..s_ span U1 - V1 + (s_ + 2 - r) D and the range
+    # k - 1 more
     L = n - 2
 
     def lam_range(r: int, s_: int) -> tuple[int, int]:
         return V1 + (r - 1) * D, U1 + (s_ + 1) * D + k - 2
 
-    def int_range(r: int, s_: int) -> Fraction:
-        jlo, jhi = lam_range(r, s_)
-        return (jhi - jlo + 1) * h
-
-    def union_length(r: int, s_: int) -> Fraction:
-        return (U1 - V1 + (s_ + 2 - r) * D) * h
-
-    union_blocks = union_length(1, L)
+    union_blocks = Fraction(U1 - V1 + (L + 1) * D, scale)
     C = (1 - eps_tilde / 3) * union_blocks
     if 72 * eps1 * M > eps * eps_tilde * union_blocks:
         raise AssertionError("eq:cons_est failed; parameter bug")
 
-    # stopping scan
+    # stopping scan, in grid units: C alpha_m / h = tn / td over one
+    # denominator per part, and j_m is the smallest s_ >= r with
+    # base + s_ D > tn / td, where base + s_ D is ∫ over the range r..s_
+    cu = C * scale
     j_prev = -1
     j_indices: list[int] = []
     f_ranges: list[tuple[int, int]] = []
-    int_f: list[Fraction] = []
-    per_m_block_mass: list[Fraction] = []
-    per_m_p_mass: list[Fraction] = []
-    for m in range(M):
+    targets: list[tuple[int, int]] = []
+    f_units: list[int] = []
+    block_units: list[int] = []
+    hull_pieces: list[int] = []
+    for m, alpha in enumerate(alphas):
         r = j_prev + 2
         if r > L:
             raise InfeasibleStoppingError(f"no blocks left for f_{m + 1}")
-        target = C * alphas[m]
-        if int_range(r, L) <= target:
+        tn, td = cu.numerator * alpha.numerator, cu.denominator * alpha.denominator
+        base = U1 - V1 + (2 - r) * D + k - 1
+        if (base + L * D) * td <= tn:
             raise InfeasibleStoppingError(
                 f"stopping scan exhausted blocks with ∫f_{m + 1} <= C alpha"
             )
-        # smallest s_ >= r with int_range(r, s_) > target, where
-        # int_range(r, s_) / h = base + s_ * D
-        base = U1 - V1 + (2 - r) * D + k - 1
-        units = target * space.num_atoms
-        jm = max(r, (units.numerator - base * units.denominator) // (D * units.denominator) + 1)
+        jm = max(r, (tn - base * td) // (D * td) + 1)
         j_indices.append(jm)
         f_ranges.append(lam_range(r, jm))
-        int_f.append(int_range(r, jm))
-        per_m_block_mass.append(union_length(r, jm))
-        # p-point hull: (p_{l(r)-1}, p_{l(jm)+1}) = (p_r, p_{jm+2})
-        per_m_p_mass.append((jm + 2 - r) * d)
+        targets.append((tn, td))
+        f_units.append(base + jm * D)
+        block_units.append(base - k + 1 + jm * D)
+        # p-point hull: (p_{l(r)-1}, p_{l(jm)+1}) = (p_r, p_{jm+2}), in pieces
+        hull_pieces.append(jm + 2 - r)
         j_prev = jm
     # final function f_{M+1}
     r = j_prev + 2
     if r > L:
         raise InfeasibleStoppingError("no blocks left for the remainder term")
     f_ranges.append(lam_range(r, L))
-    int_f.append(int_range(r, L))
-    union_upto_jM = union_length(1, j_indices[-1])
+    f_units.append(U1 - V1 + (L + 2 - r) * D + k - 1)
+    union_upto_jM = Fraction(U1 - V1 + (j_indices[-1] + 1) * D, scale)
 
-    betas = tuple((C * alphas[m] - int_f[m]) / int_f[M] for m in range(M))
+    # beta_m = (C alpha_m - ∫f_m) / ∫f_{M+1}, one Fraction of integers each
+    betas = tuple(
+        Fraction(tn - f * td, td * f_units[M]) for (tn, td), f in zip(targets, f_units)
+    )
 
     # supports must be pairwise disjoint with the paper's gap argument
     for (l1, h1), (l2, h2) in zip(f_ranges, f_ranges[1:]):
@@ -738,11 +756,14 @@ def step1_stopping(
         C=C,
         union_blocks=union_blocks,
         union_upto_jM=union_upto_jM,
-        int_f=tuple(int_f),
+        scale=scale,
+        piece_units=D,
+        targets=tuple(targets),
+        f_units=tuple(f_units),
+        block_units=tuple(block_units),
+        hull_pieces=tuple(hull_pieces),
         betas=betas,
         j_indices=tuple(j_indices),
-        per_m_block_mass=tuple(per_m_block_mass),
-        per_m_p_mass=tuple(per_m_p_mass),
         zone_mass=F0,
         vmass=vmass,
     )

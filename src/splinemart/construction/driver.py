@@ -17,6 +17,12 @@ decompose alike, share one lemma pattern per decomposition profile and
 spawn congruent children, so every count and measure is a product of exact
 per-pattern data with the class lengths, and the census grows with the
 number of classes, not of atoms.
+
+The census works in integer units, with one Fraction per recorded result.
+A class length is a count of grid units of the step's new level. The spawn
+sums the pattern ledger per child before it builds any row, and adds
+lengths as integers. Once the step is done, each row's `total_length` and
+each of the step's masses is one Fraction.
 """
 
 from __future__ import annotations
@@ -332,7 +338,12 @@ def build_sequence(
     Requires |V| > 0: over a filtration whose endpoints accumulate only on
     a null set every bounded martingale spline sequence converges, so the
     construction refuses to start (the characterization dichotomy).
+    `order` and `steps` must be ints, not bools: explicit raises, which
+    hold under python -O.
     """
+    for name, value in (("order", order), ("steps", steps)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise PreconditionError(f"{name} must be an int, not {value!r}")
     eta = frac(eta)
     if not 0 < eta < 1:
         raise PreconditionError("eta must lie in (0, 1)")
@@ -356,6 +367,7 @@ def build_sequence(
             in_e=True,
         )
     ]
+    atoms = [1]  # each row's length in atoms of the current level m_n
     m_levels = [0]
     step_data: list[StepData] = []
 
@@ -366,16 +378,19 @@ def build_sequence(
         h_n = Fraction(1, p**m_n)
         rep_interval = Interval(0, 1) if m_n == 0 else Interval(h_n, 2 * h_n)
 
-        patterns: dict = {}
-        census: dict = {}  # ClassRow.key -> class of f_{n+1}
+        # one pattern per decomposition profile, in row order; f_{n+1}
+        # lives on the finest of their levels
+        built: dict = {}  # decomposition profile -> (pattern, its `_child_groups`)
+        decomposed: list = []  # per row: (parts, pattern, its groups), None if zombie
         new_m = m_n + 1
         for row in rows:
             if row.kind != "const":
-                _add_class(census, replace(row))  # _add_class grows lengths in place
+                decomposed.append(None)
                 continue
             parts = bush_decompose(row.rep_value, DELTA, target_count=2)
             profile = tuple(w for w, _ in parts)
-            if profile not in patterns:
+            hit = built.get(profile)
+            if hit is None:
                 pat = lemma_moments(
                     ctx,
                     rep_interval,
@@ -385,30 +400,37 @@ def build_sequence(
                     max_zombie_length=zombie_budget * rep_interval.length,
                 )
                 _bind_representative(pat, row.rep_value, parts)
-                patterns[profile] = pat
-            pat = patterns[profile]
-            new_m = max(new_m, pat.K)
-            atom_count = row.total_length / h_n
-            if atom_count.denominator != 1:
-                raise AssertionError("class length not atom-aligned")
-            _spawn_children(row, pat, parts, int(atom_count), census)
+                hit = built[profile] = (pat, _child_groups(pat))
+                new_m = max(new_m, pat.K)
+            decomposed.append((parts, *hit))
 
-        new_rows = list(census.values())
-        total = sum((r.total_length for r in new_rows), F0)
-        if total != 1:
-            raise AssertionError(f"class lengths sum to {total}, not 1")
-        c_mass = sum((r.total_length for r in new_rows if r.in_c), F0)
-        e_mass = sum((r.total_length for r in new_rows if r.in_e), F0)
-        const_mass = sum((r.total_length for r in new_rows if r.kind == "const"), F0)
+        # the census of f_{n+1}, class lengths in level-new_m grid units
+        census: dict = {}  # class key -> [ClassRow, length in grid units]
+        for row, count, dec in zip(rows, atoms, decomposed):
+            if dec is None:
+                _add_class(census, replace(row), count * p ** (new_m - m_n))
+                continue
+            parts, pat, grouped = dec
+            _spawn_children(row, pat, parts, count * p ** (new_m - pat.K), grouped, census)
+
+        scale = p**new_m
+        new_rows = []
+        atoms = []
+        for row, units in census.values():
+            row.total_length = Fraction(units, scale)
+            new_rows.append(row)
+            atoms.append(units)
+        if sum(atoms) != scale:
+            raise AssertionError(f"class lengths sum to {Fraction(sum(atoms), scale)}, not 1")
         step_data.append(
             StepData(
                 n=n,
                 m_level=m_n,
                 eps=eps_n,
-                patterns=patterns,
-                c_mass=c_mass,
-                e_mass=e_mass,
-                const_mass=const_mass,
+                patterns={profile: pat for profile, (pat, _) in built.items()},
+                c_mass=_mass(new_rows, atoms, scale, lambda r: r.in_c),
+                e_mass=_mass(new_rows, atoms, scale, lambda r: r.in_e),
+                const_mass=_mass(new_rows, atoms, scale, lambda r: r.kind == "const"),
                 rows_after=new_rows,
             )
         )
@@ -447,10 +469,28 @@ def _child_value(binding: BushRep, parts, cell_key: tuple):
     return None  # ramp / rbump: the class goes non-constant
 
 
-def _add_class(census: dict, row: ClassRow):
-    hit = census.setdefault(row.key, row)  # one hash of the key
-    if hit is not row:
-        hit.total_length += row.total_length
+def _add_class(census: dict, row: ClassRow, units: int):
+    """Add `units` grid units to the class of `row`, which it founds if the
+    census has not seen its key: one hash of the key, no Fraction."""
+    census.setdefault(row.key, [row, 0])[1] += units
+
+
+def _mass(rows, atoms, scale: int, member) -> Fraction:
+    """The summed length of the member rows: one Fraction of integer units."""
+    return Fraction(sum(u for r, u in zip(rows, atoms) if member(r)), scale)
+
+
+def _child_groups(pat: LemmaPattern) -> tuple:
+    """The pattern's ledger summed per child, as ((kind, m), grid units)
+    pairs in order of first appearance. Zone m stays apart, as part m gives
+    its child; keep, ramp and rbump cells give one child value and norm
+    whatever their m, so each kind sums to one entry with m = -1, and so
+    does the one mix m. M parts give M + 4 groups at most."""
+    units: dict = {}
+    for (kind, m), u in pat.ledger_units:
+        group = (kind, m if kind == "zone" else -1)
+        units[group] = units.get(group, 0) + u
+    return tuple(units.items())
 
 
 def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
@@ -471,36 +511,54 @@ def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
     require_checks(pat.trace, "bound pattern")
 
 
-def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, atom_count: int, census):
+def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, up: int, groups, census: dict):
     """Add the children of every atom of `row` to the census: one class per
-    ledger entry, since the cells of one (kind, m) give one child value.
-    Besides the ledger it reads only `w_bound`: it binds no witness
-    vectors. For a constant class `row.norm_bound` is the sup norm of its
-    value, and a mix child has its parent's value (`_child_value`).
+    child of `groups` (`_child_groups`), whose pattern grid units count `up`
+    census grid units each over all the atoms.
+
+    Zone parts of one shape give one child: their values agree up to
+    relabelling, hence so do their norms and class keys, and the norm is
+    taken once per shape. So each distinct child of the row is built, and
+    its key hashed, once, with its lengths summed as integers first;
+    `build_sequence` sets its `total_length` once the step is done. Besides
+    the ledger it reads only `w_bound`: it binds no witness vectors. For a
+    constant class `row.norm_bound` is the sup norm of its value, and a mix
+    child has its parent's value (`_child_value`).
     """
-    part_norms = [rep.value().sup_norm for _, rep in parts]
+    shapes: dict = {}  # part shape -> index into zone
+    zone: list = []  # per part shape: (first part of it, its sup norm)
+    zone_of: list = []  # part m -> its shape's index
+    for _, rep in parts:
+        i = shapes.setdefault(rep.shape(), len(zone))
+        if i == len(zone):
+            zone.append((rep, rep.value().sup_norm))
+        zone_of.append(i)
     # a ramp value is a convex combination of a child and the parent value
-    ramp_norm = max(row.norm_bound, *part_norms)
-    for (kind, m), width in pat.ledger:
-        rep_value = _child_value(row.rep_value, parts, (kind, m))
-        if kind == "zone":
-            norm = part_norms[m]
-        elif rep_value is not None:  # keep / mix
-            norm = row.norm_bound
-        elif kind == "rbump":
-            norm = row.norm_bound + pat.trace.w_bound
-        else:  # ramp
-            norm = ramp_norm
-        _add_class(
-            census,
-            ClassRow(
-                kind="const" if rep_value is not None else "zombie",
-                cell_kind=kind,
-                rep_value=rep_value,
-                total_length=width * atom_count,
-                in_c=kind == "zone",
-                in_e=kind == "zone" and row.in_c,
-                norm_bound=norm,
-                chain_sup=max(row.chain_sup, norm),
-            ),
-        )
+    ramp_norm = max(row.norm_bound, *(norm for _, norm in zone))
+    children: dict = {}  # zone shape index or cell kind -> grid units
+    for (kind, m), units in groups:
+        child = zone_of[m] if kind == "zone" else kind
+        children[child] = children.get(child, 0) + units
+    for child, units in children.items():
+        if isinstance(child, int):
+            kind = "zone"
+            rep_value, norm = zone[child]
+        else:
+            kind = child
+            rep_value = _child_value(row.rep_value, parts, (kind, -1))
+            if rep_value is not None:  # keep / mix
+                norm = row.norm_bound
+            elif kind == "rbump":
+                norm = row.norm_bound + pat.trace.w_bound
+            else:  # ramp
+                norm = ramp_norm
+        _add_class(census, ClassRow(
+            kind="const" if rep_value is not None else "zombie",
+            cell_kind=kind,
+            rep_value=rep_value,
+            total_length=F0,  # set once the step is done
+            in_c=kind == "zone",
+            in_e=kind == "zone" and row.in_c,
+            norm_bound=norm,
+            chain_sup=max(row.chain_sup, norm),
+        ), units * up)

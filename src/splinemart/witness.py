@@ -198,7 +198,10 @@ class BushRep:
         when q is empty, hence the flag. Memoized on the rep.
         """
         memo = self.__dict__.get("_shape")
-        if memo is None:
+        if memo is None and len(self.weights) == 1:  # a node is its own prefix
+            path, w = self.weights[0]
+            memo = self.__dict__["_shape"] = (not path, (("", w),))
+        elif memo is None:
             cut = len(os.path.commonprefix([p for p, _ in self.weights]))
             rel = tuple((p[cut:], w) for p, w in self.weights)
             memo = self.__dict__["_shape"] = (cut == 0, rel)

@@ -42,22 +42,31 @@ the closed-form levels of `step1_stopping` and `step2_correct` replaced:
 tests the Step-1 ball or the Step-2 room by floors and ceilings of the
 values at that level. `aligning_level` takes the alignment level from the
 prime exponents of the base and the denominators, not by bisection.
+
+`fraction_stopping` and `fraction_census` are the Fraction Step-1 scan
+and the per-ledger-entry census spawn that the integer ones replaced: the
+scan keeps ∫f_m, the block and hull masses and the targets C alpha_m as
+Fractions and checks them over Fractions; the spawn adds one child per
+ledger entry with a Fraction length and grows the census rows in place.
+`stopping_masses` and `ledger` read a build's integer trace units and
+ledger widths as Fractions.
 """
 
 import bisect
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, floor
 
 from splinemart.cardinal import over_common_denominator, span_numerators
 from splinemart.construction.core import PeriodicFamily
-from splinemart.construction.driver import _child_value
+from splinemart.construction.driver import DELTA, ClassRow, _child_value
 from splinemart.construction.lemma import invert_exact
 from splinemart.intervals import frac
 from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
-from splinemart.witness import BushRep, XVec
+from splinemart.witness import BushRep, XVec, bush_decompose
 
 
 def node_coordinate(path: str) -> int:
@@ -511,3 +520,153 @@ def bump_level_search(ctx, pattern, base_level: int, max_zombie_length) -> int:
 
     start = max(base_level + 1, aligning_level(ctx.p, a, c))
     return first_level(ctx, start, room)[0].level
+
+
+def ledger(pattern) -> tuple:
+    """A pattern's ledger as lengths: ((kind, m), Fraction width) pairs,
+    one Fraction per entry of `ledger_units`."""
+    return tuple((key, Fraction(u, pattern.scale)) for key, u in pattern.ledger_units)
+
+
+def stopping_masses(tr) -> dict:
+    """The integer units of a stopping trace as Fractions: ∫f_m (int_f),
+    the block masses (per_m_block_mass) and the p-point hull masses
+    (per_m_p_mass)."""
+    return {
+        "int_f": tuple(Fraction(u, tr.scale) for u in tr.f_units),
+        "per_m_block_mass": tuple(Fraction(u, tr.scale) for u in tr.block_units),
+        "per_m_p_mass": tuple(Fraction(q * tr.piece_units, tr.scale) for q in tr.hull_pieces),
+    }
+
+
+def fraction_stopping(pattern) -> dict:
+    """The Fraction Step-1 scan that the integer one of `step1_stopping`
+    replaced, at the level of the Step-1 `pattern`: ∫f_m, the block and
+    hull masses as Fractions, the target C alpha_m as a Fraction, one
+    Fraction division per beta, and every recorded check over Fractions.
+    The piece count comes from a linear search of p**s, not from
+    `p_power_at_least`. Returns the j_indices, int_f, block and hull
+    masses, betas and the (name, verdict) checks."""
+    tr, space = pattern.trace, pattern.space
+    p, k, h, scale = space.p, space.k, space.h, space.num_atoms
+    alphas, eps, M = tr.alphas, tr.eps, len(tr.alphas)
+    a, width = pattern.interval.lo, pattern.interval.length
+    vmass = width
+    eps_tilde = eps * vmass / (3 * width)
+    eps1 = eps * eps_tilde * (1 - eps / 3) * vmass / (72 * M)
+    need = max(2 / (eps / 3), width / eps1)
+    n = 1
+    while n < need:
+        n *= p
+    d = width / n
+    eps3 = eps1 / (2 * n)
+    p1 = a + d / 2
+    U1, V1 = math.floor((p1 - eps3) * scale) + 1, math.ceil((p1 + eps3) * scale) - 1
+    D = d * scale
+    assert D.denominator == 1
+    D = int(D)
+    L = n - 2
+
+    def lam_range(r, s_):
+        return V1 + (r - 1) * D, U1 + (s_ + 1) * D + k - 2
+
+    def int_range(r, s_):
+        jlo, jhi = lam_range(r, s_)
+        return (jhi - jlo + 1) * h
+
+    def union_length(r, s_):
+        return (U1 - V1 + (s_ + 2 - r) * D) * h
+
+    union_blocks = union_length(1, L)
+    C = (1 - eps_tilde / 3) * union_blocks
+    j_prev = -1
+    j_indices, int_f, block, hull = [], [], [], []
+    for m in range(M):
+        r = j_prev + 2
+        target = C * alphas[m]
+        assert r <= L and int_range(r, L) > target
+        base = U1 - V1 + (2 - r) * D + k - 1
+        units = target * scale
+        jm = max(r, (units.numerator - base * units.denominator) // (D * units.denominator) + 1)
+        j_indices.append(jm)
+        int_f.append(int_range(r, jm))
+        block.append(union_length(r, jm))
+        hull.append((jm + 2 - r) * d)
+        j_prev = jm
+    int_f.append(int_range(j_prev + 2, L))
+    union_upto = union_length(1, j_indices[-1])
+    betas = tuple((C * alphas[m] - int_f[m]) / int_f[M] for m in range(M))
+
+    checks = [
+        ("eq:applemma", Fraction(n - 2, n) * vmass >= (1 - eps / 3) * vmass),
+        ("eq:cons_est", 72 * eps1 * M <= eps * eps_tilde * union_blocks),
+    ]
+    for m in range(M):
+        checks += [
+            (f"stopping[{m}]", int_f[m] > C * alphas[m]),
+            (f"eq:alpha_upper[{m}]", int_f[m] <= C * alphas[m] + 3 * eps1),
+            (f"eq:unionintegral[{m}]",
+             block[m] <= int_f[m] <= hull[m] and hull[m] <= block[m] + 2 * n * eps3),
+        ]
+    checks += [
+        ("eq:B_ell_lower", (1 - eps_tilde) * union_blocks <= union_upto),
+        ("eq:B_ell_upper", union_upto <= (1 - eps_tilde / 6) * union_blocks),
+        ("eq:intfM", int_f[M] >= eps_tilde / 12 * union_blocks),
+        ("sum_beta", sum(abs(b) for b in betas) < eps / 2),
+        ("mass_A1", tr.zone_mass >= (1 - eps) * vmass),
+    ]
+    return {
+        "j_indices": tuple(j_indices),
+        "int_f": tuple(int_f),
+        "per_m_block_mass": tuple(block),
+        "per_m_p_mass": tuple(hull),
+        "betas": betas,
+        "checks": [(name, bool(ok)) for name, ok in checks],
+    }
+
+
+def fraction_census(rows, sd, p: int) -> list:
+    """The census of f_{n+1} from the classes `rows` of f_n, by the spawn
+    that the integer one of `build_sequence` replaced: one child row per
+    ledger entry of the pattern, a sup norm per decomposed part, Fraction
+    lengths width * atom count, and a census that grows the first row of
+    each key in place."""
+    census: dict = {}
+
+    def add(row):
+        hit = census.setdefault(row.key, row)
+        if hit is not row:
+            hit.total_length += row.total_length
+
+    h_n = Fraction(1, p**sd.m_level)
+    for row in rows:
+        if row.kind != "const":
+            add(replace(row))
+            continue
+        parts = bush_decompose(row.rep_value, DELTA, target_count=2)
+        pat = sd.patterns[tuple(w for w, _ in parts)]
+        atom_count = row.total_length / h_n
+        assert atom_count.denominator == 1, "class length not atom-aligned"
+        part_norms = [rep.value().sup_norm for _, rep in parts]
+        ramp_norm = max(row.norm_bound, *part_norms)
+        for (kind, m), width in ledger(pat):
+            rep_value = _child_value(row.rep_value, parts, (kind, m))
+            if kind == "zone":
+                norm = part_norms[m]
+            elif rep_value is not None:
+                norm = row.norm_bound
+            elif kind == "rbump":
+                norm = row.norm_bound + pat.trace.w_bound
+            else:
+                norm = ramp_norm
+            add(ClassRow(
+                kind="const" if rep_value is not None else "zombie",
+                cell_kind=kind,
+                rep_value=rep_value,
+                total_length=width * atom_count,
+                in_c=kind == "zone",
+                in_e=kind == "zone" and row.in_c,
+                norm_bound=norm,
+                chain_sup=max(row.chain_sup, norm),
+            ))
+    return list(census.values())

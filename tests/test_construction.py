@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,6 +64,7 @@ from fraction_oracle import (
     reference_w_data,
     slot_xvecs,
     step1_level_search,
+    stopping_masses,
     support_bounds,
     w_fractions,
     w_sup_norm,
@@ -92,8 +94,9 @@ class TestStopping:
         pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0, max_zombie_length=F(1))
         tr = pat.trace
         # the defining identity: int f_m + beta_m int f_{M+1} = C alpha_m
+        int_f = stopping_masses(tr)["int_f"]
         for m in range(2):
-            assert tr.int_f[m] + tr.betas[m] * tr.int_f[2] == tr.C * tr.alphas[m]
+            assert int_f[m] + tr.betas[m] * int_f[2] == tr.C * tr.alphas[m]
         # so the slot-weighted mean vanishes for the bush decomposition
         _, vecs = bush_slots(tr.betas)
         mean = XVec.zero()
@@ -829,3 +832,121 @@ def test_run_table_invariants_raise_under_python_O(invariant):
     )
     assert run.returncode == 0, run.stderr
     assert ("overlap" if invariant == "overlap" else "shift") in run.stdout
+
+
+# ---------------------------------------------------------------------------
+# the per-part stopping checks in integers: one moved unit fails one check
+
+#: fault -> the check it must fail; each moves one stored unit of part m
+STOPPING_FAULTS = {
+    "target onto ∫f_m": "stopping",
+    "target under ∫f_m - 3 eps1": "eq:alpha_upper",
+    "block mass past ∫f_m": "eq:unionintegral",
+    "hull one piece short": "eq:unionintegral",
+    "∫f_m past the hull": "eq:unionintegral",
+}
+
+
+def _put(values: tuple, m: int, value) -> tuple:
+    return (*values[:m], value, *values[m + 1:])
+
+
+def move_stopping_unit(tr, fault: str, m: int):
+    """Move one stored unit of part m of the stopping trace tr, in place:
+    the target C alpha_m / h, the block mass or ∫f_m in grid units, or the
+    hull mass in pieces."""
+    f, (tn, td) = tr.f_units[m], tr.targets[m]
+    if fault == "target onto ∫f_m":
+        tr.targets = _put(tr.targets, m, (f * td, td))
+    elif fault == "target under ∫f_m - 3 eps1":
+        t = f - 3 * tr.eps1 * tr.scale - 1
+        tr.targets = _put(tr.targets, m, (t.numerator, t.denominator))
+    elif fault == "block mass past ∫f_m":
+        tr.block_units = _put(tr.block_units, m, f + 1)
+    elif fault == "hull one piece short":
+        tr.hull_pieces = _put(tr.hull_pieces, m, tr.hull_pieces[m] - 1)
+    else:
+        tr.f_units = _put(tr.f_units, m, tr.hull_pieces[m] * tr.piece_units + 1)
+
+
+@functools.cache
+def stopping_patterns(spec: str, k: int) -> tuple:
+    seq = build_sequence(parse_filtration_spec(spec), k, HALF, 3)
+    return tuple(pat.inner for _, pat in seq.all_patterns())
+
+
+@pytest.mark.parametrize("fault", list(STOPPING_FAULTS))
+@pytest.mark.parametrize("spec,k", [("dyadic", 1), ("dyadic", 2), ("padic:3", 3), ("padic:5", 4)])
+def test_a_moved_stopping_unit_fails_exactly_its_check(fault, spec, k):
+    for inner in stopping_patterns(spec, k):
+        assert all(ok for _, ok in inner.trace.checks)
+        for m in {0, inner.M - 1}:
+            tr = replace(inner.trace)
+            move_stopping_unit(tr, fault, m)
+            failed = [name for name, ok in tr.run_checks() if not ok]
+            assert failed == [f"{STOPPING_FAULTS[fault]}[{m}]"], (fault, m, failed)
+            # the names and their order do not change
+            assert [name for name, _ in tr.checks] == [name for name, _ in inner.trace.checks]
+
+
+def test_a_moved_stopping_unit_fails_step1_under_python_O():
+    code = textwrap.dedent(
+        """
+        from fractions import Fraction
+        import splinemart.construction.core as core
+        from splinemart.filtration import dyadic
+        from splinemart.intervals import Interval
+        from test_construction import STOPPING_FAULTS, move_stopping_unit
+
+        assert False, "asserts are stripped under -O"
+
+        run_checks = core.StoppingTrace.run_checks
+        ctx = core.ConstructionContext(dyadic(), 2)
+        for fault in STOPPING_FAULTS:
+            def faulty(tr, fault=fault):
+                move_stopping_unit(tr, fault, 1)
+                return run_checks(tr)
+
+            core.StoppingTrace.run_checks = faulty
+            try:
+                core.step1_stopping(ctx, Interval(0, 1), [Fraction(1, 3)] * 3,
+                                    Fraction(1, 4), 0, max_zombie_length=Fraction(1))
+            except AssertionError as exc:
+                print(exc)
+            else:
+                raise SystemExit(f"{fault}: step1_stopping accepted")
+        """
+    )
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")])
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr + run.stdout
+    assert run.stdout.splitlines() == [
+        f"stopping construction violated ['{check}[1]']" for check in STOPPING_FAULTS.values()
+    ]
+
+
+@pytest.mark.parametrize("spec,k", [("dyadic", 1), ("dyadic", 2), ("padic:3", 3), ("padic:5", 4)])
+def test_the_stopping_checks_hold_at_their_bounds(spec, k):
+    # the moves above, stopped one unit short: each lands on the bound of
+    # its check, so every check still holds
+    for inner in stopping_patterns(spec, k):
+        for m in {0, inner.M - 1}:
+            f, (_, td) = inner.trace.f_units[m], inner.trace.targets[m]
+            bound = f - 3 * inner.trace.eps1 * inner.trace.scale
+            for field_name, value in [
+                ("targets", (f * td - 1, td)),
+                ("targets", (bound.numerator, bound.denominator)),
+                ("block_units", f),
+            ]:
+                tr = replace(inner.trace)
+                setattr(tr, field_name, _put(getattr(tr, field_name), m, value))
+                assert all(ok for _, ok in tr.run_checks()), (field_name, value)

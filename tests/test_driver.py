@@ -170,6 +170,20 @@ def test_eta_validation():
         build_sequence(dyadic(), 1, HALF, 0)
 
 
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, "2"])
+@pytest.mark.parametrize("name", ["order", "steps"])
+def test_non_int_order_or_steps_is_refused_before_any_build(name, bad, monkeypatch):
+    # a float, a bool or a string is refused by name, not taken as k = 1 or
+    # N = 1 or let through to fail deep in the build
+    def no_build(*args, **kwargs):
+        raise AssertionError("a pattern was built")
+
+    monkeypatch.setattr(driver, "lemma_moments", no_build)
+    args = {"order": 2, "steps": 2, name: bad}
+    with pytest.raises(PreconditionError, match=f"{name} must be an int, not {bad!r}"):
+        build_sequence(dyadic(), args["order"], HALF, args["steps"])
+
+
 def test_zone_constancy_nearby_points(seq_k1):
     rng = random.Random(3)
     h = F(1, 2 ** seq_k1.m_levels[2])
@@ -416,7 +430,8 @@ def test_closed_form_stopping_matches_binary_search(spec, k, steps, eta):
     seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
     for _, pat in seq.all_patterns():
         tr = pat.inner.trace
-        assert (tr.j_indices, tr.int_f[: tr.M]) == reference_stopping(pat.inner)
+        int_f = oracle.stopping_masses(tr)["int_f"]
+        assert (tr.j_indices, int_f[: tr.M]) == reference_stopping(pat.inner)
 
 
 def general_mix_value(parts, betas) -> BushRep:
@@ -505,7 +520,7 @@ def test_ledger_census_matches_per_cell_reference(spec, k, steps, eta):
     rows = [ClassRow("const", "zone", BushRep.point(""), F(1), True, True)]
     for sd in seq.steps:
         for pat in sd.patterns.values():
-            assert sum((w for _, w in pat.ledger), F(0)) == pat.interval.length
+            assert sum((w for _, w in oracle.ledger(pat)), F(0)) == pat.interval.length
         want = reference_census(rows, sd, p)
         assert [(r.key, r.total_length) for r in sd.rows_after] == [
             (r.key, r.total_length) for r in want
@@ -513,6 +528,48 @@ def test_ledger_census_matches_per_cell_reference(spec, k, steps, eta):
         for r in sd.rows_after:
             if r.kind == "const":
                 assert r.norm_bound == r.rep_value.value().sup_norm
+        rows = sd.rows_after
+
+
+ORACLE_CASES = [
+    (spec, k, 5 if k < 4 else 4, eta)
+    for spec in ("dyadic", "padic:3", "padic:5")
+    for k in (1, 2, 3, 4)
+    for eta in ("1/2", "2/5", "4999/10000")
+]
+
+
+@pytest.mark.parametrize(
+    "spec,k,steps,eta",
+    ORACLE_CASES,
+    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e in ORACLE_CASES],
+)
+def test_integer_step1_and_census_match_the_fraction_oracle(spec, k, steps, eta):
+    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+    for _, pat in seq.all_patterns():
+        tr = pat.inner.trace
+        want = oracle.fraction_stopping(pat.inner)
+        got = {"j_indices": tr.j_indices, "betas": tr.betas, **oracle.stopping_masses(tr)}
+        for name, value in got.items():
+            assert value == want[name], name
+        assert all(type(b) is F for b in tr.betas)
+        assert tr.checks == want["checks"]
+        # one child group per zone part and per other cell kind, with every
+        # grid unit of the ledger
+        groups = driver._child_groups(pat)
+        assert len(groups) <= tr.M + 4
+        assert sum(u for _, u in groups) == sum(u for _, u in pat.ledger_units)
+    p = seq.filt.uniform_base
+    rows = [ClassRow("const", "zone", BushRep.point(""), F(1), True, True)]
+    for sd in seq.steps:
+        want = oracle.fraction_census(rows, sd, p)
+        assert [(r.key, r.total_length) for r in sd.rows_after] == [
+            (r.key, r.total_length) for r in want
+        ]
+        assert all(type(r.total_length) is F for r in sd.rows_after)
+        assert sd.c_mass == sum((r.total_length for r in want if r.in_c), F(0))
+        assert sd.e_mass == sum((r.total_length for r in want if r.in_e), F(0))
+        assert sd.const_mass == sum((r.total_length for r in want if r.kind == "const"), F(0))
         rows = sd.rows_after
 
 
@@ -665,7 +722,7 @@ def test_cells_are_grid_units_and_the_ledger_sums_their_fraction_widths(spec, k)
                     lo, hi = cell_ends(pat, c)
                     want[(c.kind, c.m)] = want.get((c.kind, c.m), F(0)) + (hi - lo) * count
             assert pos == pat.interval.hi / h
-            assert list(pat.ledger) == list(want.items())
+            assert list(oracle.ledger(pat)) == list(want.items())
 
 
 @st.composite
