@@ -5,7 +5,11 @@ interior basis function of a uniform spline space is a scaled translate
 of it, so its per-span polynomials, moments and refinement masks give
 exact rational arithmetic for uniform-grid splines at any depth. The
 span polynomials are one integer table (`_local_spans`); point values
-and moments both read it.
+and moments both read it. The module also holds the exact engine's number
+kernel: rationals as integer numerators over one denominator, one
+`Fraction` per result, as the gcd of every `Fraction` operation dominates
+at deep levels. `over_common_denominator` makes that format and
+`add_numerators` adds two numerator maps in it.
 """
 
 from __future__ import annotations
@@ -16,10 +20,24 @@ from math import comb, factorial, lcm
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators n_i and the lcm d of the denominators, with
-    values[i] = n_i / d."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    """Numerators n_i over the lcm d of the denominators, values[i] = n_i / d, of
+    ints, Fractions or (integer, positive integer) pairs in any terms."""
+    pairs = [v if type(v) is tuple else v.as_integer_ratio() for v in values]
+    den = lcm(*{d for _, d in pairs})  # each distinct denominator once
+    return [n * (den // d) for n, d in pairs], den
+
+
+def add_numerators(a: tuple[dict, int], b: tuple[dict, int]) -> tuple[dict, int]:
+    """a + b, key by key, for (numerator map, den) pairs, over the lcm of the
+    denominators; a side with no entry adds nothing, not even its denominator."""
+    (anums, aden), (bnums, bden) = a, b
+    if not (anums and bnums):
+        return a if anums else b
+    den = lcm(aden, bden)
+    out, up = {key: n * (den // aden) for key, n in anums.items()}, den // bden
+    for key, n in bnums.items():
+        out[key] = out.get(key, 0) + n * up
+    return out, den
 
 
 @lru_cache(maxsize=None)
@@ -139,8 +157,8 @@ def _faulhaber(r: int) -> tuple[tuple[int, ...], int]:
     """
     b = _bernoulli_plus(r)
     poly = [comb(r + 1, j) * b[j] / (r + 1) for j in range(r + 1)] + [Fraction(0)]
-    den = lcm(*(c.denominator for c in poly))
-    return tuple(int(c * den) for c in poly), den
+    nums, den = over_common_denominator(poly)
+    return tuple(nums), den
 
 
 @lru_cache(maxsize=None)

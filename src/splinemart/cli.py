@@ -51,6 +51,18 @@ def spline_order(text: str) -> int:
     return value
 
 
+#: the most trials `uncond --trials` accepts: about 205 bytes per trial at k=2, depth 8,
+#: so 272 MB peak RSS (7 s) at this cap and about 20 GB at 10**8 (2-core host)
+MAX_TRIALS = 10**6
+
+
+def trial_count(text: str) -> int:
+    value = positive_int(text)
+    if value > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_TRIALS}, got {text}")
+    return value
+
+
 def seed_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -294,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=spline_order, default=2)
     p.add_argument("--p", type=exponent, default=2.0)
     p.add_argument("--depth", type=positive_int, default=8)
-    p.add_argument("--trials", type=positive_int, default=100)
+    p.add_argument("--trials", type=trial_count, default=100)
     p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--json", action="store_true")
     _add_filtration_arg(p)

@@ -15,19 +15,20 @@ units p**-K of the owning pattern's level K, from birth. Tiling, lookup,
 the ledger and the E_n sampler compare and add these integers.
 
 A pattern stores g slot-wise, as scalar splines paired with slot keys that
-name witness vectors; `slot_vectors` builds those vectors, in integers
-over one denominator, and `BoundPattern` evaluates g with them. Point
-evaluation reads one run table per pattern (`SlotwisePattern.run_table`):
-per basis group (space, index shift, count), the disjoint runs (j0, j1,
-slot coefficients) of all its terms, with the correction bumps already
-expanded into slot keys.
+name witness vectors; `slot_vectors` builds those vectors from the bush
+values' integer numerators (`BushRep.numerators`), over one denominator,
+and `BoundPattern` evaluates g with them. Point evaluation reads one run
+table per pattern (`SlotwisePattern.run_table`): per basis group (space,
+index shift, count), the disjoint runs (j0, j1, slot coefficients) of all
+its terms, with the correction bumps already expanded into slot keys.
 
 Points are integers too: a point arrives as u / (d p**level), each space
 of the pattern takes its atom index and fractional part from one divmod,
 and g comes back as integer numerators over one denominator per slot
 (`SlotwisePattern.slot_numerators`) and per coordinate
 (`BoundPattern.g_numerators`). The caller builds the Fractions of its
-result once, however many steps it sums.
+result once, however many steps it sums. Every common denominator comes
+from `cardinal`'s number kernel (`over_common_denominator`, `add_numerators`).
 
 Step 1 works in integer units, with one Fraction per recorded result. The
 stopping scan counts ∫f_m, the block masses and the union lengths in grid
@@ -48,9 +49,8 @@ from typing import Optional, Sequence
 
 from ..errors import CapacityError, InfeasibleStoppingError, PreconditionError
 from ..intervals import Interval, frac
-from ..cardinal import over_common_denominator, span_numerators
+from ..cardinal import add_numerators, over_common_denominator, span_numerators
 from ..rle import PeriodicSpline, RleSpline, UniformSpace
-from ..witness import XVec, common_numerators
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -65,28 +65,26 @@ LEVEL_CAP = 1 << 20
 SlotKey = tuple
 
 
-def slot_vectors(xbar: XVec, points: Sequence[XVec], betas: Sequence[Fraction]) -> tuple[dict, int]:
-    """The witness vectors of the ("d", m) and ("dmix",) slots, as
-    ({slot key: {coordinate: integer numerator}}, den): x_m - xbar and
-    sum_j beta_j (x_j - xbar) are integer sums over one lcm, and no
-    Fraction is built."""
-    (nbar, *nums), den = common_numerators([xbar, *points])
-    bden = math.lcm(*(b.denominator for b in betas))
-    minus_bar = {c: -n for c, n in nbar.items()}
-    diffs = []
-    for x in nums:
-        d = dict(minus_bar)
-        for c, n in x.items():
-            d[c] = d.get(c, 0) + n
-        diffs.append({c: n for c, n in d.items() if n})
+def slot_vectors(xbar: tuple, points: Sequence[tuple], betas: Sequence[Fraction]) -> tuple:
+    """The ("d", m) and ("dmix",) slot vectors x_m - xbar and sum_j beta_j
+    (x_j - xbar) as ({slot key: numerator map}, den), from xbar and the points
+    x_m as ({coordinate: integer numerator}, den) pairs: no Fraction is built."""
+    # the numerators of 1 / d over the common denominator D are the factors D / d
+    (bar_up, *ups), den = over_common_denominator([(1, d) for _, d in (xbar, *points)])
+    bnums, bden = over_common_denominator(betas)
+    diffs = [combine_numerators(((up, x), (-bar_up, xbar[0]))) for (x, _), up in zip(points, ups)]
     slots = {("d", m): {c: n * bden for c, n in d.items()} for m, d in enumerate(diffs)}
-    mix: dict = {}
-    for b, d in zip(betas, diffs):
-        a = b.numerator * (bden // b.denominator)
-        for c, n in d.items():
-            mix[c] = mix.get(c, 0) + a * n
-    slots[("dmix",)] = {c: n for c, n in mix.items() if n}
+    slots[("dmix",)] = combine_numerators(zip(bnums, diffs))
     return slots, den * bden
+
+
+def combine_numerators(terms) -> dict:
+    """Σ a v over (integer a, numerator map v) terms: its non-zero entries."""
+    out: dict = {}
+    for a, vec in terms:
+        for c, n in vec.items():
+            out[c] = out.get(c, 0) + a * n
+    return {c: n for c, n in out.items() if n}
 
 
 class ConstructionContext:
@@ -305,9 +303,8 @@ class RunGroup:
             )
         self.space, self.shift, self.count, self.origin = space, shift, count, origin
         self.extent = count * shift  # indices origin .. origin + extent - 1
-        pairs = [c for *_, slots in entries for _, c in slots]
-        self.den = math.lcm(*(d for _, d in pairs))
-        nums = (n * (self.den // d) for n, d in pairs)
+        nums, self.den = over_common_denominator([c for *_, slots in entries for _, c in slots])
+        nums = iter(nums)
         self.entries = [
             (j0 - origin, j1 - origin, tuple((key, next(nums)) for key, _ in slots))
             for j0, j1, slots in entries
@@ -411,10 +408,10 @@ class SlotwisePattern:
         least as fine as `level`.
 
         Per space, one divmod of u p**(K - level) by d gives the atom index
-        and the fractional part rem / d. The denominators of the groups
-        that hit at the point (the correction bumps' one has about 1,500
-        bits at depth) are combined over their lcm; a group that does not
-        hit adds nothing, not even its denominator.
+        and the fractional part rem / d. The sums of the groups that hit at
+        the point (the correction bumps' denominator has about 1,500 bits at
+        depth) are added by `add_numerators`; a group that does not hit adds
+        nothing, not even its denominator.
         """
         sums: dict = {}
         den = 1
@@ -430,18 +427,8 @@ class SlotwisePattern:
                     )
                 window = windows[sp.level] = [*divmod(u * sp.p ** (sp.level - level), d), d, None]
             got = group.slot_sums(window)
-            if not got:
-                continue
-            gden = group.den * window[3][1]
-            if not sums:
-                sums, den = got, gden
-                continue
-            common = math.lcm(den, gden)
-            up, gup = common // den, common // gden
-            sums = {key: n * up for key, n in sums.items()}
-            for key, n in got.items():
-                sums[key] = sums.get(key, 0) + n * gup
-            den = common
+            if got:
+                sums, den = add_numerators((sums, den), (got, group.den * window[3][1]))
         return sums, den
 
     @cached_property
@@ -477,19 +464,14 @@ class BoundPattern:
         """max_i ||w_i||: each coordinate of w_i is an integer sum over w_den
         times the slot denominator, so one Fraction of the largest |sum|."""
         nums, den = self.slots
-        top = 0
-        for wd in self.pattern.w_data:
-            sums: dict = {}
-            for n, key in wd:
-                for coord, v in nums[key].items():
-                    sums[coord] = sums.get(coord, 0) + n * v
-            top = max([top, *map(abs, sums.values())])
+        ws = [combine_numerators((n, nums[key]) for n, key in wd) for wd in self.pattern.w_data]
+        top = max((abs(n) for w in ws for n in w.values()), default=0)
         return Fraction(top, self.pattern.w_den * den)
 
     def g_numerators(self, u: int, d: int, level: int) -> tuple[dict, int]:
         """g at the point u / (d p**level) as ({coordinate: integer
-        numerator}, den): the slot numerators of the run table times the
-        integer slot vectors, with no Fraction built."""
+        numerator}, den): the slot numerators times the integer slot vectors,
+        summed inline, as `combine_numerators` costs the query path about 10 %."""
         sums, den = self.pattern.slot_numerators(u, d, level)
         nums, sden = self.slots
         out: dict = {}

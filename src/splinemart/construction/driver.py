@@ -28,12 +28,12 @@ each of the step's masses is one Fraction.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
+from ..cardinal import add_numerators
 from ..errors import ConstructionPreconditionError, DomainError, PreconditionError
 from ..intervals import Interval, frac, long_decimals
 from ..witness import BushRep, XVec, bush_decompose, mix_reps
@@ -113,7 +113,9 @@ class SequenceResult:
         return len(self.steps)
 
     def _check_step(self, n: int, what: str, first: int = 1):
-        """Raise ValueError unless first <= n <= num_steps (explicit, for -O)."""
+        """Raise ValueError unless n is a non-bool int in first..num_steps (for -O)."""
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n must be an int: {what} needs {first}..{self.num_steps}, not {n!r}")
         if not first <= n <= self.num_steps:
             raise ValueError(f"n out of range: {what} needs {first}..{self.num_steps}, not {n}")
 
@@ -154,9 +156,9 @@ class SequenceResult:
         t's level-m_j atom onto its pattern's interval, tau = T / (S td)
         with T = (tn S mod td) + (interval start in step units) td, and the
         pattern reads g there as integer numerators over one denominator.
-        The partial sums share one running denominator, the lcm of the
-        steps' ones; the callers build one Fraction per coordinate of each
-        result they return.
+        The partial sums share one running denominator: `add_numerators`
+        adds each step's g; the callers build one Fraction per coordinate of
+        each result they return.
         """
         t = frac(t)
         if not 0 <= t <= 1:
@@ -175,14 +177,7 @@ class SequenceResult:
             pattern, parts, bound, start = self._bind(j, binding)
             level = self.m_levels[j]
             T = tn * self._scales[j] % td + start * td
-            g, gden = bound.g_numerators(T, td, level)
-            if g:
-                common = math.lcm(den, gden)
-                up, gup = common // den, common // gden
-                acc = {c: v * up for c, v in acc.items()}
-                for c, v in g.items():
-                    acc[c] = acc.get(c, 0) + v * gup
-                den = common
+            acc, den = add_numerators((acc, den), bound.g_numerators(T, td, level))
             cell, _shift = pattern.locate(T * p ** (pattern.K - level) // td)
             binding = _child_value(binding, parts, (cell.kind, cell.m))
         return before, (acc, den)
@@ -441,9 +436,9 @@ def build_sequence(
 
 
 def _bush_slots(binding: BushRep, parts, pattern: LemmaPattern) -> tuple[dict, int]:
-    """Slot vectors of an atom valued `binding` with decomposition `parts`."""
-    points = [rep.value() for _, rep in parts]
-    return slot_vectors(binding.value(), points, pattern.inner.trace.betas)
+    """Slot vectors of an atom valued `binding` with decomposition `parts`: no XVec, no Fraction."""
+    points = [rep.numerators() for _, rep in parts]
+    return slot_vectors(binding.numerators(), points, pattern.inner.trace.betas)
 
 
 def _child_value(binding: BushRep, parts, cell_key: tuple):

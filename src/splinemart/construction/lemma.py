@@ -227,8 +227,8 @@ def step2_correct(
     non-constant cells total at most `max_zombie_length`.
 
     No Fraction per coefficient: A^{-1} comes out of `invert_exact` as
-    integers over one denominator and each slot's z row over its lcm, so
-    w = -A^{-1} z and the check z + A w = 0 run in integers, and w_data
+    integers over one denominator and the z rows of all slots over another,
+    so w = -A^{-1} z and the check z + A w = 0 run in integers, and w_data
     keeps w as numerators over one denominator w_den per pattern.
 
     The bump level is the smallest level above base_level that puts a, b
@@ -308,27 +308,27 @@ def step2_correct(
     terms = [(PeriodicSpline(scal, d, piece_count), key) for scal, key in inner.terms]
 
     # exact z per slot over all pieces, then w = -A^{-1} z slotwise; with
-    # A^{-1} = ainv / aden, row j of A = M_j / d_j and z = zn / zd, w is
-    # wn / (aden zd) and z + A w = 0 reads zn_j d_j aden + M_j . wn = 0
+    # A^{-1} = ainv / aden, row j of A = M_j / d_j and z = zn / zd over all
+    # slots, w is wn / (aden zd) and z + A w = 0 reads zn_j d_j aden + M_j . wn = 0
     slot_moments: dict = {}
     for scal, key in terms:
         row = slot_moments.setdefault(key, [F0] * k)
         for j in range(k):
             row[j] += scal.moment(j, a)
+    keys = sorted(slot_moments, key=repr)
+    znums, zd = over_common_denominator([z for key in keys for z in slot_moments[key]])
     arows = [over_common_denominator(row) for row in amat]
     solved = []
-    for key, zrow in sorted(slot_moments.items(), key=lambda kv: repr(kv[0])):
-        zn, zd = over_common_denominator(zrow)
+    for i, key in enumerate(keys):
+        zn = znums[i * k:(i + 1) * k]
         wn = [-sum(x * z for x, z in zip(arow, zn)) for arow in ainv]
         # moment vanishing must be exact, slot by slot
         if any(zn[j] * dj * aden + sum(x * w for x, w in zip(mrow, wn))
                for j, (mrow, dj) in enumerate(arows)):
             raise AssertionError("moment correction failed to cancel exactly")
-        solved.append((key, wn, zd))
-    # one gcd over W = aden lcm(zd) and all numerators: W / g is the reduced lcm
-    zlcm = math.lcm(*(zd for *_, zd in solved))
-    solved = [(key, [n * (zlcm // zd) for n in wn]) for key, wn, zd in solved]
-    g = math.gcd(aden * zlcm, *(n for _, wn in solved for n in wn))
+        solved.append((key, wn))
+    # one gcd over W = aden zd and all numerators: W / g is the reduced denominator
+    g = math.gcd(aden * zd, *(n for _, wn in solved for n in wn))
     w_data = [[(wn[i] // g, key) for key, wn in solved if wn[i]] for i in range(k)]
     r_terms = [(bumps[i], ("w", i)) for i in range(k)]
 
@@ -362,7 +362,7 @@ def step2_correct(
         piece_count=piece_count,
         r_terms=r_terms,
         w_data=w_data,
-        w_den=aden * zlcm // g,
+        w_den=aden * zd // g,
         cells=cells,
         trace=trace,
     )

@@ -23,12 +23,9 @@ moment of a spline is B_e / (D p**(K(e+1))) for integers B_e over one D
 (`RleSpline.grid_moments`); n translates σ steps apart have moment r =
 Σ_q C(r,q) T_q B_{r-q} / (D p**(K(r+1))) with T_q = σ**q Σ_{ℓ<n} ℓ**q.
 
-One normalisation per result: a `Fraction` reduces by a gcd after every
-operation, and at the denominators of deep levels (thousands of bits)
-those gcds cost more than the spline algebra. So the exact kernels carry
-integer numerators over one common denominator through their sums and
-build one `Fraction` per result; the value is the same rational, so the
-outputs stay bit-identical.
+One normalisation per result: the moments sum integer numerators over
+one common denominator, put there by the number kernel of `cardinal`
+(`over_common_denominator`), and build one `Fraction` per result.
 
 Only interior basis functions (exact translates of the cardinal B-spline)
 ever appear; the construction keeps its supports away from 0 and 1.
@@ -41,9 +38,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb
 
 from .cardinal import moment_weights, over_common_denominator, power_sum, refinement_mask
+from .intervals import frac
 
 Run = tuple[int, int, Fraction]  # inclusive index range [j0, j1] with coefficient c
 
@@ -157,12 +155,12 @@ class RleSpline:
 
         ∫ (t - s h)**e N_j = h**(e+1) Σ_q C(e,q) mu_q (j - k + 1 - s)**(e-q)
         for the cardinal moments mu_q, so a run costs one power sum per power
-        up to the highest order. The weights C(e,q) mu_q are integers over
-        the lcm of their denominators, the run coefficients over the lcm of
-        theirs, and D is the product of the two lcms.
+        up to the highest order. The weights C(e,q) mu_q of each order are
+        integers over their own denominator d_e, and the run coefficients
+        over one common denominator; D is that times the lcm of the d_e.
         """
         weights = [moment_weights(self.space.k, e) for e in orders]
-        wden = lcm(*(d for _, d in weights))
+        ups, wden = over_common_denominator([(1, d) for _, d in weights])  # D / d_e
         coeffs, den = over_common_denominator([c for _, _, c in self.runs])
         off = self.space.k - 1 + s
         out = [0] * len(weights)
@@ -170,7 +168,7 @@ class RleSpline:
             sums = [power_sum(j0 - off, j1 - off, m) for m in range(max(orders) + 1)]
             for i, (w, _) in enumerate(weights):
                 out[i] += c * sum(x * sums[len(w) - 1 - q] for q, x in enumerate(w))
-        return [b * (wden // d) for b, (_, d) in zip(out, weights)], den * wden
+        return [b * up for b, up in zip(out, ups)], den * wden
 
     def refine_once(self) -> "RleSpline":
         sp = self.space
@@ -259,10 +257,11 @@ class PeriodicSpline:
         return Fraction(total, den * self.space.num_atoms ** (r + 1))
 
 
-def _moment_origin(space: UniformSpace, r: int, origin: Fraction) -> int:
-    """The origin in grid steps, for an order r that is a non-negative int."""
+def _moment_origin(space: UniformSpace, r: int, origin) -> int:
+    """The origin (any `frac` rational) in grid steps, for an order r >= 0 that is an int."""
     if not isinstance(r, int) or r < 0:
         raise ValueError(f"moment order {r!r} is not a non-negative int")
+    origin = frac(origin)
     s, rem = divmod(origin.numerator * space.num_atoms, origin.denominator)
     if rem:
         raise ValueError(f"moment origin {origin} is off the level-{space.level} grid")

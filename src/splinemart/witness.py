@@ -9,19 +9,17 @@ children and lies at sup-distance exactly 1 from each of them, which is
 what makes every point of the bush non-extremal at scale delta = 1.
 Every constant value of the construction is a convex combination of nodes.
 
-One normalisation per result: `BushRep.value` sums each coordinate as an
-integer numerator over the lcm of the weight denominators, in one pass up
-the path trie, and builds one Fraction per coordinate; it never
-materialises the node vectors x_s. The weight-sum check of a rep and the
-node weights of `mix_reps` are integer sums over one lcm too. Memo rule:
-the value, the shape and the hash of a rep are kept on the frozen rep
+Bush values take the number format of `cardinal`'s kernel:
+`BushRep.numerators` sums each coordinate as an integer numerator over the
+weights' common denominator in one pass up the path trie, never building
+the node vectors x_s, and `BushRep.value` is their XVec view. Memo rule:
+the numerators, value, shape and hash of a rep are kept on the frozen rep
 itself, never in a module-level cache, so no memo outlives the objects of
 the build that made the rep.
 """
 
 from __future__ import annotations
 
-import math
 import os.path
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,14 +73,9 @@ class XVec:
         return hash(frozenset(self._data.items()))
 
     @property
-    def sup_norm(self):
-        # |n1|/d1 > |n2|/d2 compared as integers; one abs at the end
-        top, tn, td = Fraction(0), 0, 1
-        for v in self._data.values():
-            n, d = abs(v.numerator), v.denominator
-            if n * td > tn * d:
-                top, tn, td = v, n, d
-        return abs(top)
+    def sup_norm(self) -> Fraction:
+        nums, den = over_common_denominator(self._data.values())
+        return Fraction(max(map(abs, nums), default=0), den)
 
     def add(self, other: "XVec") -> "XVec":
         out = dict(self._data)
@@ -108,13 +101,6 @@ class XVec:
     def __repr__(self):
         inner = ", ".join(f"{c}: {v}" for c, v in sorted(self._data.items()))
         return f"XVec({{{inner}}})"
-
-
-def common_numerators(vecs) -> tuple[list[dict], int]:
-    """Each vector as {coordinate: integer numerator} over one common
-    denominator, the lcm of all their entries' denominators."""
-    den = math.lcm(*(v.denominator for x in vecs for v in x._data.values()))
-    return [{c: v.numerator * (den // v.denominator) for c, v in x.items()} for x in vecs], den
 
 
 @dataclass(frozen=True)
@@ -153,26 +139,25 @@ class BushRep:
             memo = self.__dict__["_hash"] = hash(self.weights)
         return memo
 
-    def value(self) -> XVec:
-        """sum(w_s * x_s), memoized on the rep.
+    def numerators(self) -> tuple[dict, int]:
+        """sum(w_s * x_s) as ({coordinate: non-zero numerator}, den); memoized on the rep.
 
         Node s = b_1 .. b_n has heap index (1 << n) + int(s, 2), the
         coordinate a(s) it allocates; its children s0, s1 have 2c and
         2c + 1. x_s is +1 on a(q) for each proper prefix q that s continues
         with 0 and -1 for each it continues with 1, so coordinate c takes
         (weight at or below 2c) - (weight at or below 2c + 1). One pass from
-        the deepest nodes up sums those weights as integers over the lcm of
-        the weight denominators.
+        the deepest nodes up sums those weights as integer numerators.
         """
-        memo = self.__dict__.get("_value")
+        memo = self.__dict__.get("_numerators")
         if memo is not None:
             return memo
-        den = math.lcm(*(w.denominator for _, w in self.weights))
+        wnums, den = over_common_denominator([w for _, w in self.weights])
         below: list[dict] = [{} for _ in range(self.max_node_depth() + 1)]
-        for path, w in self.weights:
+        for (path, _), n in zip(self.weights, wnums):
             level = below[len(path)]
             node = (1 << len(path)) + int(path or "0", 2)
-            level[node] = level.get(node, 0) + w.numerator * (den // w.denominator)
+            level[node] = level.get(node, 0) + n
         sums: dict = {}
         for depth in range(len(below) - 1, 0, -1):
             up = below[depth - 1]
@@ -180,7 +165,14 @@ class BushRep:
                 c = node >> 1
                 up[c] = up.get(c, 0) + n
                 sums[c] = sums.get(c, 0) + (-n if node & 1 else n)
-        memo = self.__dict__["_value"] = XVec.over(sums, den)
+        memo = self.__dict__["_numerators"] = ({c: n for c, n in sums.items() if n}, den)
+        return memo
+
+    def value(self) -> XVec:
+        """The XVec of `numerators`, memoized on the rep."""
+        memo = self.__dict__.get("_value")
+        if memo is None:
+            memo = self.__dict__["_value"] = XVec.over(*self.numerators())
         return memo
 
     def max_node_depth(self) -> int:
@@ -214,17 +206,19 @@ def mix_reps(parts: list[tuple[Fraction, BushRep]]) -> BushRep:
     Coefficients must sum to 1; the node weights of the result must come
     out non-negative (the construction keeps its correction coefficients
     far smaller than the bush weights, so this holds with a large margin).
-    Each node weight sums integer numerators over the product of the lcms
-    of the coefficient and the weight denominators: one Fraction per node.
+    Each node weight sums integer numerators over the product of the
+    coefficients' and the weights' common denominators: one Fraction per
+    node.
     """
     cnums, cden = over_common_denominator([c for c, _ in parts])
     if sum(cnums) != cden:
         raise ValueError(f"coefficients sum to {Fraction(sum(cnums), cden)}, not 1")
-    wden = math.lcm(*(w.denominator for _, rep in parts for _, w in rep.weights))
+    wnums, wden = over_common_denominator([w for _, rep in parts for _, w in rep.weights])
+    weights = iter(wnums)
     acc: dict[str, int] = {}
     for cn, (_, rep) in zip(cnums, parts):
-        for path, w in rep.weights:
-            acc[path] = acc.get(path, 0) + cn * w.numerator * (wden // w.denominator)
+        for path, _ in rep.weights:
+            acc[path] = acc.get(path, 0) + cn * next(weights)
     den = cden * wden
     return BushRep(tuple((p, Fraction(n, den)) for p, n in sorted(acc.items()) if n))
 

@@ -25,8 +25,10 @@ them, the reference for `BoundPattern.w_norm`.
 
 `node_vector` materialises one bush node x_s; summing w_s * x_s with
 `XVec.add` and `XVec.scale` is the reference for `BushRep.value`, which
-sums integers up the path trie instead. `slot_xvecs` reads the integer
-slot vectors of `slot_vectors` as one XVec per slot.
+sums integers up the path trie instead. `xvec_numerators` turns an XVec
+into the ({coordinate: integer numerator}, den) pair that `slot_vectors`
+takes, and `slot_xvecs` reads the integer slot vectors of `slot_vectors`
+as one XVec per slot.
 
 `step_values` and `descend_random_cell` are the Fraction point walk and
 E_n sampler that the integer ones of `SequenceResult` replaced: every step
@@ -89,6 +91,13 @@ def node_sum(rep) -> XVec:
     for path, w in rep.weights:
         acc = acc.add(node_vector(path).scale(w))
     return acc
+
+
+def xvec_numerators(x: XVec) -> tuple[dict, int]:
+    """An XVec as ({coordinate: integer numerator}, den), den the lcm of its
+    entries' denominators: the form `slot_vectors` takes its vectors in."""
+    den = math.lcm(*(v.denominator for _, v in x.items()))
+    return {c: v.numerator * (den // v.denominator) for c, v in x.items()}, den
 
 
 def slot_xvecs(slots: tuple[dict, int]) -> dict:

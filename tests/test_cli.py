@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splinemart.construction as construction
+from splinemart import harness
 from splinemart.bspline import KnotVector, gram
-from splinemart.cli import MAX_ORDER, main
+from splinemart.cli import MAX_ORDER, MAX_TRIALS, main, trial_count
 from splinemart.construction.core import LEVEL_CAP
 from splinemart.errors import ConditioningError, InfeasibleStoppingError
 from splinemart.filtration import dyadic, parse_filtration_spec
@@ -336,6 +337,21 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**8])
+def test_uncond_refuses_trials_past_the_cap_before_any_draw(trials, capsys, monkeypatch):
+    # about 205 bytes per trial: --trials 10**8 would need about 20 GB
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the sign draw ran")
+
+    monkeypatch.setattr(harness, "unconditionality_ratio", no_draw)
+    assert main(["uncond", "--trials", str(trials)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0] == f"error: argument --trials: must lie in 1..{MAX_TRIALS}, got {trials}"
+    assert trial_count(str(MAX_TRIALS)) == MAX_TRIALS
 
 
 def test_constants_runs_at_the_largest_accepted_order(capsys):

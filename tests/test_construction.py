@@ -69,6 +69,7 @@ from fraction_oracle import (
     w_fractions,
     w_sup_norm,
     w_vectors,
+    xvec_numerators,
 )
 
 F = Fraction
@@ -85,7 +86,8 @@ def bush_slots(betas):
     """The root's bush decomposition and its slot vectors."""
     rep = BushRep.point("")
     parts = bush_decompose(rep, 1, target_count=2)
-    return parts, slot_vectors(rep.value(), [r.value() for _, r in parts], betas)
+    points = [xvec_numerators(r.value()) for _, r in parts]
+    return parts, slot_vectors(xvec_numerators(rep.value()), points, betas)
 
 
 class TestStopping:
@@ -664,8 +666,9 @@ def sequence_patterns(spec, k):
     out = []
     for _, pat in seq.all_patterns():
         betas = pat.inner.trace.betas
-        points = [XVec({m + 1: F(1)}) for m in range(len(betas))]
-        out.append((pat, BoundPattern(pat, slot_vectors(XVec.zero(), points, betas))))
+        points = [xvec_numerators(XVec({m + 1: F(1)})) for m in range(len(betas))]
+        slots = slot_vectors(xvec_numerators(XVec.zero()), points, betas)
+        out.append((pat, BoundPattern(pat, slots)))
     return out
 
 

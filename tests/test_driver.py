@@ -40,6 +40,7 @@ from splinemart.witness import BushRep, XVec, bush_decompose, mix_reps
 import fraction_oracle as oracle
 from fraction_oracle import (
     cell_ends, grid_unit, moment_slotwise, reference_locate, w_fractions, w_vectors,
+    xvec_numerators,
 )
 
 F = Fraction
@@ -89,6 +90,28 @@ def test_step_walk_matches_two_separate_walks(k):
     assert seq.step_values(F(1, 3), 0) == (XVec.zero(), XVec.zero())
     with pytest.raises(ValueError):
         seq.sup_diff_at(F(1, 3), 0)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_step_accessors_refuse_a_step_that_is_not_an_int(bad):
+    # True once read as step 1 and 1.0 or "1" escaped as a bare TypeError;
+    # each accessor now refuses them with an explicit ValueError (holds
+    # under python -O)
+    seq = build_sequence(dyadic(), 2, HALF, 2)
+    t = F(1, 3)
+    calls = {
+        "c_measure": lambda: seq.c_measure(bad),
+        "e_measure": lambda: seq.e_measure(bad),
+        "value_at": lambda: seq.value_at(t, bad),
+        "step_values": lambda: seq.step_values(t, bad),
+        "sup_diff_at": lambda: seq.sup_diff_at(t, bad),
+        "sample_e_points": lambda: seq.sample_e_points(bad, random.Random(0), 2),
+        "sample_e_intervals": lambda: seq.sample_e_intervals(bad, random.Random(0), 2),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"n must be an int: .* not {bad!r}"):
+            call()
+    assert seq.c_measure(1) == seq.steps[0].c_mass
 
 
 def test_e1_measure_bound(seq_k1):
@@ -291,6 +314,53 @@ def _depth_digest(seq) -> str:
 def test_outputs_at_depth_match_pinned_digests(spec, k, steps, digest):
     seq = build_sequence(parse_filtration_spec(spec), k, HALF, steps)
     assert _depth_digest(seq) == digest
+
+
+# sha256 of `_value_digest` per (spec, k, N) at eta = 1/2, recorded before
+# the walk summed its steps through the kernel's merge helper: the point walk
+# at fixed rationals (zone values) and inside ramp, rbump, zone and mix cells
+# (g with denominators of up to thousands of bits), which `dumps` never reads
+VALUE_PINS = [
+    ("dyadic", 3, 6, "f75ecec0ae783710a010b2f9984eb8615ecd920b5cfab44cbd8c2358abfb65cd"),
+    ("padic:5", 4, 4, "c21af8d003aab2328da14d5f38e4ee5ba834d7f4249ae2c8ca7a963f72a869f4"),
+]
+VALUE_POINTS = (F(0), F(1, 3), F(2, 5), F(31, 32), F(7, 11), F(13, 625), F(1000, 1001), F(1))
+VALUE_CELL_QUOTA = {"ramp": 2, "rbump": 2, "zone": 2, "mix": 1, "keep": 1}
+
+
+def value_pin_points(seq, n: int) -> list:
+    """The 8 fixed points, then lo + 3/7 (hi - lo) of the first cells of each
+    kind (`VALUE_CELL_QUOTA`), scanning the cells (a family's base instance)
+    of the first pattern of step n - 1: 16 points per step at k >= 2."""
+    pat = next(iter(seq.steps[n - 1].patterns.values()))
+    quota = dict(VALUE_CELL_QUOTA)
+    points = list(VALUE_POINTS)
+    for entry in pat.cells:
+        for cell in entry.cells if isinstance(entry, PeriodicFamily) else (entry,):
+            if quota.get(cell.kind, 0):
+                quota[cell.kind] -= 1
+                lo, hi = cell_ends(pat, cell)
+                points.append(lo + (hi - lo) * F(3, 7))
+    return points
+
+
+def _value_digest(seq) -> str:
+    payload = [
+        [[[c, str(v)] for c, v in sorted(seq.value_at(t, n).items())]
+         for t in value_pin_points(seq, n)]
+        for n in range(1, seq.num_steps + 1)
+    ]
+    return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec,k,steps,digest", VALUE_PINS, ids=[f"{s}-k{k}-N{n}" for s, k, n, _ in VALUE_PINS]
+)
+def test_value_at_matches_pinned_digests(spec, k, steps, digest):
+    seq = build_sequence(parse_filtration_spec(spec), k, HALF, steps)
+    for n in range(1, steps + 1):
+        assert len(value_pin_points(seq, n)) == 16
+    assert _value_digest(seq) == digest
 
 
 @pytest.fixture(scope="module")
@@ -595,8 +665,9 @@ def test_order_one_correction_vanishes_on_every_class(spec, eta, max_steps):
                     continue
                 parts = bush_decompose(row.rep_value, DELTA, target_count=2)
                 pat = sd.patterns[tuple(w for w, _ in parts)]
-                points = [rep.value() for _, rep in parts]
-                slots = slot_vectors(row.rep_value.value(), points, pat.inner.trace.betas)
+                points = [xvec_numerators(rep.value()) for _, rep in parts]
+                xbar = xvec_numerators(row.rep_value.value())
+                slots = slot_vectors(xbar, points, pat.inner.trace.betas)
                 w = w_vectors(w_fractions(pat), slots)
                 assert len(w) == 1 and all(len(v) == 0 for v in w)
                 assert BoundPattern(pat, slots).w_norm() == 0

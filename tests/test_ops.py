@@ -28,6 +28,7 @@ from fraction_oracle import (
     support_bounds,
     w_fractions,
     w_sup_norm,
+    xvec_numerators,
 )
 
 F = Fraction
@@ -41,7 +42,8 @@ def g_at(bound, t):
 
 
 def bind(pattern, xbar, xs, betas) -> BoundPattern:
-    return BoundPattern(pattern, slot_vectors(xbar, xs, betas))
+    points = [xvec_numerators(x) for x in xs]
+    return BoundPattern(pattern, slot_vectors(xvec_numerators(xbar), points, betas))
 
 
 def mean(bound: BoundPattern) -> XVec:

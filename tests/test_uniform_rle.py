@@ -251,6 +251,21 @@ def test_moment_rejects_off_grid_origin():
             scal.moment(1, origin=sp.h / 2)
 
 
+def test_moment_takes_a_float_origin_as_its_exact_binary_value():
+    # a float origin is coerced like every rational of the package: 0.5 is
+    # exactly 1/2, on the level-4 dyadic grid; 0.3 is 5404319552844595 /
+    # 2**54, off it, and is refused as off-grid, not as a float
+    sp = UniformSpace(2, 4, 3)
+    lo, _ = sp.interior_range()
+    f = RleSpline(sp, [(lo, lo + 4, F(3, 7)), (lo + 5, lo + 6, F(-2))])
+    per = PeriodicSpline(f, 8 * sp.h, 2)
+    for scal in (f, per):
+        for r in range(4):
+            assert scal.moment(r, 0.5) == scal.moment(r, F(1, 2))
+        with pytest.raises(ValueError, match="off the level-4 grid"):
+            scal.moment(1, 0.3)
+
+
 @pytest.mark.parametrize("r", [-1, -3, 1.0, F(1), "1", None])
 def test_moment_rejects_an_order_that_is_not_a_non_negative_int(r):
     sp = UniformSpace(3, 3, 2)

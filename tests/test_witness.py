@@ -15,7 +15,9 @@ from splinemart.construction.core import BoundPattern, slot_vectors
 from splinemart.errors import UnachievableSeparationError
 from splinemart.witness import BushRep, XVec, bush_decompose, mix_reps
 
-from fraction_oracle import combine, node_coordinate, node_sum, node_vector, slot_xvecs
+from fraction_oracle import (
+    combine, node_coordinate, node_sum, node_vector, slot_xvecs, xvec_numerators,
+)
 
 F = Fraction
 
@@ -245,7 +247,7 @@ vectors = st.dictionaries(st.integers(1, 64), small_fractions, max_size=12).map(
 )
 def test_integer_slot_vectors_and_combine_match_add_and_scale(xbar, points, data):
     betas = data.draw(st.lists(small_fractions, min_size=len(points), max_size=len(points)))
-    raw = slot_vectors(xbar, points, betas)
+    raw = slot_vectors(xvec_numerators(xbar), [xvec_numerators(x) for x in points], betas)
     slots = slot_xvecs(raw)
     diffs = [x.sub(xbar) for x in points]
     want_mix = XVec.zero()
