@@ -87,6 +87,8 @@ def exponent(text: str) -> float:
 def filtration_spec(spec: str):
     try:
         return parse_filtration_spec(spec)
+    except ZeroDivisionError:  # Fraction("1/0"), in the spec or the file it names
+        raise argparse.ArgumentTypeError(f"zero denominator in filtration {spec!r}")
     except (SplineMartError, OSError, ValueError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

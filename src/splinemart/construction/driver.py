@@ -9,10 +9,10 @@ constant (B-spline ramps and correction bumps, a set whose total measure
 is kept below an explicit budget) are carried along unchanged.
 
 Atoms are never enumerated. A census row is one congruence class of the
-atoms of a step: atoms whose values agree up to relabelling the bush below
-a common node prefix (`BushRep.shape`) and that share kind, cell kind,
-membership of C_n and E_n, norm bound and norm history. The row keeps one
-representative value and the summed length of its atoms. Congruent atoms
+atoms of a step: atoms whose values are bush nodes of one shape (root or
+not, and one expansion depth: `BushRep.shape`) and that share kind, cell
+kind, membership of C_n and E_n, norm bound and norm history. The row
+keeps one representative value and the summed length of its atoms. Congruent atoms
 decompose alike, share one lemma pattern per decomposition profile and
 spawn congruent children, so every count and measure is a product of exact
 per-pattern data with the class lengths, and the census grows with the
@@ -28,6 +28,7 @@ each of the step's masses is one Fraction.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -52,7 +53,7 @@ class ClassRow:
 
     The class holds every atom whose row fields agree with `key`: kind,
     cell kind, `in_c`, `in_e`, `norm_bound`, `chain_sup` and the shape of
-    its value under bush relabelling. `rep_value` is the value of one of
+    its value (`BushRep.shape`). `rep_value` is the value of one of
     them and `total_length` the summed length of all. Zombie classes carry
     no value and key on shape None.
     """
@@ -103,9 +104,9 @@ class SequenceResult:
         self.final_rows: list[ClassRow] = rows
         # p**m_n per level: the walk and the sampler work in grid units
         self._scales = [filt.uniform_base**m for m in m_levels]
-        # (step, binding) -> (pattern, parts, bound pattern, interval start
-        # in step units); queries walk few distinct bindings per step, so
-        # this stays small
+        # (step, binding) -> (pattern, parts, mix child, bound pattern,
+        # interval start in step units); queries walk few distinct bindings
+        # per step, so this stays small
         self._bound: dict = {}
 
     @property
@@ -158,8 +159,11 @@ class SequenceResult:
         pattern reads g there as integer numerators over one denominator.
         The partial sums share one running denominator: `add_numerators`
         adds each step's g; the callers build one Fraction per coordinate of
-        each result they return.
+        each result they return. A bool or a non-finite float is refused
+        before the walk: neither is a point of [0, 1].
         """
+        if isinstance(t, bool) or (isinstance(t, float) and not math.isfinite(t)):
+            raise DomainError(f"evaluation point {t!r} is not a finite rational")
         t = frac(t)
         if not 0 <= t <= 1:
             raise DomainError(f"evaluation point {t} outside [0, 1]")
@@ -169,22 +173,23 @@ class SequenceResult:
         acc: dict = {}  # f_0 is the bush root = 0
         den = 1
         before = acc, den
-        binding: Optional[BushRep] = BushRep.point("")
+        binding: Optional[BushRep] = BushRep("")
         for j in range(n):
             before = acc, den
             if binding is None:
                 break  # zombie region: later perturbations vanish here
-            pattern, parts, bound, start = self._bind(j, binding)
+            pattern, parts, mix, bound, start = self._bind(j, binding)
             level = self.m_levels[j]
             T = tn * self._scales[j] % td + start * td
             acc, den = add_numerators((acc, den), bound.g_numerators(T, td, level))
             cell, _shift = pattern.locate(T * p ** (pattern.K - level) // td)
-            binding = _child_value(binding, parts, (cell.kind, cell.m))
+            binding = _child_value(binding, parts, mix, (cell.kind, cell.m))
         return before, (acc, den)
 
     def _bind(self, j: int, binding: BushRep):
-        """Pattern, decomposed parts, bound pattern and the pattern interval's
-        start in level-m_j grid units, of `binding` at step j."""
+        """Pattern, decomposed parts, mix child, bound pattern and the pattern
+        interval's start in level-m_j grid units, of `binding` at step j: the
+        walk and the sampler take every child value from here."""
         key = (j, binding)
         hit = self._bound.get(key)
         if hit is None:
@@ -192,7 +197,7 @@ class SequenceResult:
             pattern = self.steps[j].patterns[tuple(w for w, _ in parts)]
             bound = BoundPattern(pattern, _bush_slots(binding, parts, pattern))
             start = grid_units(pattern.interval.lo, self._scales[j])
-            hit = self._bound[key] = (pattern, parts, bound, start)
+            hit = self._bound[key] = (pattern, parts, mix_reps(parts), bound, start)
         return hit
 
     # -- sampling ---------------------------------------------------------------
@@ -224,10 +229,10 @@ class SequenceResult:
         """
         p = self.filt.uniform_base
         lo, hi = 0, 1  # [0, 1] at level m_0 = 0
-        binding = BushRep.point("")
+        binding = BushRep("")
         for j in range(n):
             atom = rng.randint(lo, hi - 1)
-            pattern, parts, _bound, start = self._bind(j, binding)
+            pattern, parts, mix, _bound, start = self._bind(j, binding)
             cell, fam = rng.choice(pattern.draws[j >= n - 2])
             shift = 0 if fam is None else rng.randrange(fam.count) * fam.period
             down, up = pattern.K - self.m_levels[j], self.m_levels[j + 1] - pattern.K
@@ -235,7 +240,7 @@ class SequenceResult:
                 raise AssertionError(f"step {j}: pattern level {pattern.K} outside its step's levels")
             base = (atom - start) * p**down + shift
             lo, hi = (base + cell.lo) * p**up, (base + cell.hi) * p**up
-            binding = _child_value(binding, parts, (cell.kind, cell.m))
+            binding = _child_value(binding, parts, mix, (cell.kind, cell.m))
             if binding is None:
                 raise AssertionError("sampler entered a non-constant cell")
         return lo, hi
@@ -356,7 +361,7 @@ def build_sequence(
         ClassRow(
             kind="const",
             cell_kind="zone",
-            rep_value=BushRep.point(""),
+            rep_value=BushRep(""),
             total_length=F1,
             in_c=True,
             in_e=True,
@@ -441,18 +446,21 @@ def _bush_slots(binding: BushRep, parts, pattern: LemmaPattern) -> tuple[dict, i
     return slot_vectors(binding.numerators(), points, pattern.inner.trace.betas)
 
 
-def _child_value(binding: BushRep, parts, cell_key: tuple):
+def _child_value(binding: BushRep, parts, mix: BushRep, cell_key: tuple):
     """The value, on the cells of `cell_key` = (kind, m), of an atom valued
-    `binding` with decomposition `parts`; None off the constant cells. It
-    reads no witness vectors (see `_bind_representative`).
+    `binding` with decomposition `parts` and mix child `mix` =
+    `mix_reps(parts)`; None off the constant cells. It reads no witness
+    vectors (see `_bind_representative`).
 
-    The mix value xbar + Σ beta_m (x_m - xbar) has node coefficients
-    (1 - Σ beta) w_m + beta_m over the parts. Every decomposition has
-    equal weights (the root and zone children are points, a keep child is
-    its binding, a mix child the parts recombined), and equal alphas give
-    equal stopping offsets, hence equal betas: then each coefficient is
-    (1 - M beta) / M + beta = w_m, and the mix value is `mix_reps(parts)`.
-    `_bind_representative` raises unless both equalities hold.
+    A zone child is its part, the point x_{s u} for a descendant s u of the
+    binding's node s, and a keep child is the binding itself. The mix value
+    xbar + Σ beta_m (x_m - xbar) has node coefficients (1 - Σ beta) w_m +
+    beta_m over the parts. A decomposition has equal shares w_m = 1/M (a
+    `BushRep` holds no other), and equal alphas give equal stopping
+    offsets, hence equal betas: then each coefficient is (1 - M beta) / M +
+    beta = w_m, and the mix value is the parts recombined, BushRep(s, j),
+    whose value is x_s again. `_bind_representative` raises unless the
+    betas are equal.
     """
     kind, m = cell_key
     if kind == "zone":
@@ -460,7 +468,7 @@ def _child_value(binding: BushRep, parts, cell_key: tuple):
     if kind == "keep":
         return binding
     if kind == "mix":
-        return mix_reps(parts)
+        return mix
     return None  # ramp / rbump: the class goes non-constant
 
 
@@ -476,15 +484,13 @@ def _mass(rows, atoms, scale: int, member) -> Fraction:
 
 
 def _child_groups(pat: LemmaPattern) -> tuple:
-    """The pattern's ledger summed per child, as ((kind, m), grid units)
-    pairs in order of first appearance. Zone m stays apart, as part m gives
-    its child; keep, ramp and rbump cells give one child value and norm
-    whatever their m, so each kind sums to one entry with m = -1, and so
-    does the one mix m. M parts give M + 4 groups at most."""
+    """The pattern's ledger summed per cell kind, as (kind, grid units)
+    pairs in order of first appearance: every cell of one kind gives one
+    child value and norm whatever its m, as the zone parts are points of
+    one shape (see `_spawn_children`). So a pattern gives 5 groups at most."""
     units: dict = {}
-    for (kind, m), u in pat.ledger_units:
-        group = (kind, m if kind == "zone" else -1)
-        units[group] = units.get(group, 0) + u
+    for (kind, _), u in pat.ledger_units:
+        units[kind] = units.get(kind, 0) + u
     return tuple(units.items())
 
 
@@ -493,10 +499,8 @@ def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
     ||w|| on its trace and re-run the trace checks, eq:esty now among them.
     At order 1 w must be zero (the stopping betas make ∫ g = 0), as the
     bump atoms are keep cells; the mix cells take the parts recombined,
-    which needs equal part weights and equal betas (see `_child_value`).
-    Explicit raises hold under python -O."""
-    if len({w for w, _ in parts}) != 1:
-        raise AssertionError("decomposition part weights are not all equal")
+    which needs equal betas (see `_child_value`; the parts' shares are
+    equal by construction). Explicit raises hold under python -O."""
     if len(set(pat.inner.trace.betas)) != 1:
         raise AssertionError("stopping betas are not all equal")
     pat.trace.w_bound = BoundPattern(pat, _bush_slots(rep_value, parts, pat)).w_norm()
@@ -508,45 +512,33 @@ def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
 
 def _spawn_children(row: ClassRow, pat: LemmaPattern, parts, up: int, groups, census: dict):
     """Add the children of every atom of `row` to the census: one class per
-    child of `groups` (`_child_groups`), whose pattern grid units count `up`
-    census grid units each over all the atoms.
+    cell kind of `groups` (`_child_groups`), whose pattern grid units count
+    `up` census grid units each over all the atoms.
 
-    Zone parts of one shape give one child: their values agree up to
-    relabelling, hence so do their norms and class keys, and the norm is
-    taken once per shape. So each distinct child of the row is built, and
-    its key hashed, once, with its lengths summed as integers first;
-    `build_sequence` sets its `total_length` once the step is done. Besides
-    the ledger it reads only `w_bound`: it binds no witness vectors. For a
-    constant class `row.norm_bound` is the sup norm of its value, and a mix
-    child has its parent's value (`_child_value`).
+    The zone parts are points, all at one depth below the row's node, so
+    they share one shape (`BushRep.shape`) and one sup norm: they give
+    one child, whose class keeps `parts[0]` as its representative. So each
+    distinct child of the row is built, and its key hashed, once, with its
+    lengths summed as integers first; `build_sequence` sets its
+    `total_length` once the step is done. Besides the ledger it reads only
+    `w_bound`: it binds no witness vectors. For a constant class
+    `row.norm_bound` is the sup norm of its value, and a mix child has its
+    parent's value (`_child_value`).
     """
-    shapes: dict = {}  # part shape -> index into zone
-    zone: list = []  # per part shape: (first part of it, its sup norm)
-    zone_of: list = []  # part m -> its shape's index
-    for _, rep in parts:
-        i = shapes.setdefault(rep.shape(), len(zone))
-        if i == len(zone):
-            zone.append((rep, rep.value().sup_norm))
-        zone_of.append(i)
+    mix = mix_reps(parts)
+    zone_norm = parts[0][1].value().sup_norm
     # a ramp value is a convex combination of a child and the parent value
-    ramp_norm = max(row.norm_bound, *(norm for _, norm in zone))
-    children: dict = {}  # zone shape index or cell kind -> grid units
-    for (kind, m), units in groups:
-        child = zone_of[m] if kind == "zone" else kind
-        children[child] = children.get(child, 0) + units
-    for child, units in children.items():
-        if isinstance(child, int):
-            kind = "zone"
-            rep_value, norm = zone[child]
-        else:
-            kind = child
-            rep_value = _child_value(row.rep_value, parts, (kind, -1))
-            if rep_value is not None:  # keep / mix
-                norm = row.norm_bound
-            elif kind == "rbump":
-                norm = row.norm_bound + pat.trace.w_bound
-            else:  # ramp
-                norm = ramp_norm
+    ramp_norm = max(row.norm_bound, zone_norm)
+    for kind, units in groups:
+        rep_value = _child_value(row.rep_value, parts, mix, (kind, 0))
+        if kind == "zone":
+            norm = zone_norm
+        elif rep_value is not None:  # keep / mix
+            norm = row.norm_bound
+        elif kind == "rbump":
+            norm = row.norm_bound + pat.trace.w_bound
+        else:  # ramp
+            norm = ramp_norm
         _add_class(census, ClassRow(
             kind="const" if rep_value is not None else "zombie",
             cell_kind=kind,

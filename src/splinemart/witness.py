@@ -1,5 +1,5 @@
 """The non-RNP witness space: finitely supported sup-norm vectors, the
-dyadic bush, and bush values (`BushRep`): node weights and nothing else.
+dyadic bush, and bush values (`BushRep`): a node and an expansion depth.
 
 The bush assigns to every binary word s a vector x_s with entries in
 {-1, 0, +1}: the root is 0 and the children of s are x_s ± e_{a(s)} for a
@@ -7,20 +7,24 @@ fresh coordinate a(s) (heap numbering of the binary tree, so allocation
 is deterministic and reproducible). Every x_s is the average of its two
 children and lies at sup-distance exactly 1 from each of them, which is
 what makes every point of the bush non-extremal at scale delta = 1.
-Every constant value of the construction is a convex combination of nodes.
+
+Every constant value of the construction is one node x_s, held as the
+equal-weight average of the 2^i descendants of s at some depth i: the
+root, a decomposition part (i = 0), a keep child (its parent's rep) and a
+mix child (the parts recombined, one level deeper). So a rep is the path s
+and the depth i, and its value is x_s whatever i is; the depth says how
+the value was reached, and `bush_decompose` expands it one level further.
 
 Bush values take the number format of `cardinal`'s kernel:
-`BushRep.numerators` sums each coordinate as an integer numerator over the
-weights' common denominator in one pass up the path trie, never building
-the node vectors x_s, and `BushRep.value` is their XVec view. Memo rule:
-the numerators, value, shape and hash of a rep are kept on the frozen rep
-itself, never in a module-level cache, so no memo outlives the objects of
-the build that made the rep.
+`BushRep.numerators` reads ±1 off the path's proper prefixes over
+denominator 1, never building the node vectors of the descendants, and
+`BushRep.value` is their XVec view. Memo rule: the numerators and value of
+a rep are kept on the frozen rep itself, never in a module-level cache,
+so no memo outlives the objects of the build that made the rep.
 """
 
 from __future__ import annotations
 
-import os.path
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -29,7 +33,7 @@ from .cardinal import over_common_denominator
 from .errors import UnachievableSeparationError
 from .intervals import frac
 
-__all__ = ["XVec", "BushRep", "bush_decompose"]
+__all__ = ["XVec", "BushRep", "bush_decompose", "mix_reps"]
 
 
 class XVec:
@@ -105,67 +109,36 @@ class XVec:
 
 @dataclass(frozen=True)
 class BushRep:
-    """Convex combination of bush nodes.
+    """The equal-weight average of the 2^depth descendants of node `path`,
+    whose value is x_path: every constant value of the driver, which is what
+    lets it be split again with unit separation. The constructor refuses a
+    path that is not a binary word or a depth that is not an int >= 0 with
+    explicit raises, which hold under python -O."""
 
-    Represents the value sum(w_s * x_s) with non-negative rational weights
-    summing to one. This is the working currency of the driver: every
-    constant value it produces has this shape, which is exactly what lets
-    it be split again with unit separation.
-    """
-
-    weights: tuple[tuple[str, Fraction], ...]
+    path: str
+    depth: int = 0
     # not a field, always zero: only bench/workloads.construction_stats reads
     # it; ROADMAP item 5 deletes this constant together with that read
     pert = XVec.zero()
 
     def __post_init__(self):
-        weights = []
-        for path, w in self.weights:
-            w = frac(w)
-            if w.numerator < 0:
-                raise ValueError(f"negative weight {w} on node {path!r}")
-            weights.append(w)
-        nums, den = over_common_denominator(weights)
-        if sum(nums) != den:
-            raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
-
-    @classmethod
-    def point(cls, path: str) -> "BushRep":
-        return cls(((path, Fraction(1)),))
-
-    def __hash__(self):
-        memo = self.__dict__.get("_hash")
-        if memo is None:
-            memo = self.__dict__["_hash"] = hash(self.weights)
-        return memo
+        if type(self.path) is not str or self.path.strip("01"):
+            raise ValueError(f"node path must be a binary word, not {self.path!r}")
+        if type(self.depth) is not int or self.depth < 0:
+            raise ValueError(f"expansion depth must be an int >= 0, not {self.depth!r}")
 
     def numerators(self) -> tuple[dict, int]:
-        """sum(w_s * x_s) as ({coordinate: non-zero numerator}, den); memoized on the rep.
-
-        Node s = b_1 .. b_n has heap index (1 << n) + int(s, 2), the
-        coordinate a(s) it allocates; its children s0, s1 have 2c and
-        2c + 1. x_s is +1 on a(q) for each proper prefix q that s continues
-        with 0 and -1 for each it continues with 1, so coordinate c takes
-        (weight at or below 2c) - (weight at or below 2c + 1). One pass from
-        the deepest nodes up sums those weights as integer numerators.
-        """
+        """x_path as ({coordinate: ±1}, 1), memoized on the rep: +1 on a(q)
+        for each proper prefix q that the path continues with 0, -1 for each
+        it continues with 1. Node q's heap index a(q) = (1 << len(q)) +
+        int(q, 2) gives its children 2 a(q) and 2 a(q) + 1."""
         memo = self.__dict__.get("_numerators")
-        if memo is not None:
-            return memo
-        wnums, den = over_common_denominator([w for _, w in self.weights])
-        below: list[dict] = [{} for _ in range(self.max_node_depth() + 1)]
-        for (path, _), n in zip(self.weights, wnums):
-            level = below[len(path)]
-            node = (1 << len(path)) + int(path or "0", 2)
-            level[node] = level.get(node, 0) + n
-        sums: dict = {}
-        for depth in range(len(below) - 1, 0, -1):
-            up = below[depth - 1]
-            for node, n in below[depth].items():
-                c = node >> 1
-                up[c] = up.get(c, 0) + n
-                sums[c] = sums.get(c, 0) + (-n if node & 1 else n)
-        memo = self.__dict__["_numerators"] = ({c: n for c, n in sums.items() if n}, den)
+        if memo is None:
+            nums, node = {}, 1
+            for bit in self.path:
+                nums[node] = 1 if bit == "0" else -1
+                node = 2 * node + (bit == "1")
+            memo = self.__dict__["_numerators"] = (nums, 1)
         return memo
 
     def value(self) -> XVec:
@@ -175,73 +148,42 @@ class BushRep:
             memo = self.__dict__["_value"] = XVec.over(*self.numerators())
         return memo
 
-    def max_node_depth(self) -> int:
-        return max((len(p) for p, _ in self.weights), default=0)
-
     def shape(self) -> tuple:
-        """This value up to relabelling the bush below a common node prefix.
-
-        Returns (prefix is empty, node weights), with node paths rewritten
-        relative to the longest common prefix q of all of them. Two reps of
-        equal shape under prefixes q and q' differ by the relabelling
-        q + s -> q' + s, which keeps sup norms and `bush_decompose`
-        profiles in step. The prefix node's own vector x_q adds only +-1
-        entries on coordinates no later step touches; it is absent exactly
-        when q is empty, hence the flag. Memoized on the rep.
-        """
-        memo = self.__dict__.get("_shape")
-        if memo is None and len(self.weights) == 1:  # a node is its own prefix
-            path, w = self.weights[0]
-            memo = self.__dict__["_shape"] = (not path, (("", w),))
-        elif memo is None:
-            cut = len(os.path.commonprefix([p for p, _ in self.weights]))
-            rel = tuple((p[cut:], w) for p, w in self.weights)
-            memo = self.__dict__["_shape"] = (cut == 0, rel)
-        return memo
-
-
-def mix_reps(parts: list[tuple[Fraction, BushRep]]) -> BushRep:
-    """Affine combination of reps.
-
-    Coefficients must sum to 1; the node weights of the result must come
-    out non-negative (the construction keeps its correction coefficients
-    far smaller than the bush weights, so this holds with a large margin).
-    Each node weight sums integer numerators over the product of the
-    coefficients' and the weights' common denominators: one Fraction per
-    node.
-    """
-    cnums, cden = over_common_denominator([c for c, _ in parts])
-    if sum(cnums) != cden:
-        raise ValueError(f"coefficients sum to {Fraction(sum(cnums), cden)}, not 1")
-    wnums, wden = over_common_denominator([w for _, rep in parts for _, w in rep.weights])
-    weights = iter(wnums)
-    acc: dict[str, int] = {}
-    for cn, (_, rep) in zip(cnums, parts):
-        for path, _ in rep.weights:
-            acc[path] = acc.get(path, 0) + cn * next(weights)
-    den = cden * wden
-    return BushRep(tuple((p, Fraction(n, den)) for p, n in sorted(acc.items()) if n))
+        """(path is empty, depth): the rep up to the relabelling q + s -> q' + s
+        of the bush below its node, which keeps sup norms and `bush_decompose`
+        profiles in step. x_q adds ±1 entries on coordinates no later step
+        touches; they are absent exactly when q is empty, hence the flag."""
+        return (self.path == "", self.depth)
 
 
 def bush_decompose(rep: BushRep, delta, target_count: int = 2) -> list[tuple[Fraction, BushRep]]:
     """Split a bush value into deep-node points at sup-distance >= delta.
 
-    Expands every node of `rep` to its descendants at a common depth D
-    past every node depth, with dyadically split weights. The mixture
-    reproduces the value exactly and each output point differs from it by
-    exactly 1 in the output's own deepest coordinate (the sibling
-    contributions cancel there).
+    Expands node `rep.path` to its 2^j descendants, in path order, with j
+    the least depth past `rep.depth` that gives at least `target_count` of
+    them, all with the one share 2^-j. The mixture reproduces x_path
+    exactly, and each point differs from it by exactly 1 in the point's own
+    deepest coordinate (the sibling contributions cancel there).
     """
     delta = frac(delta)
     if delta > 1:
         raise UnachievableSeparationError(f"bush separation is 1, requested {delta}")
-    d = rep.max_node_depth() + 1
-    while sum(1 << (d - len(p)) for p, _ in rep.weights) < target_count:
-        d += 1
-    acc: dict[str, Fraction] = {}
-    for path, w in rep.weights:
-        share = w / (1 << (d - len(path)))
-        for suffix in range(1 << (d - len(path))):
-            desc = path + format(suffix, f"0{d - len(path)}b")
-            acc[desc] = acc.get(desc, Fraction(0)) + share
-    return [(acc[desc], BushRep.point(desc)) for desc in sorted(acc)]
+    j = rep.depth + 1
+    while 1 << j < target_count:
+        j += 1
+    share, spec = Fraction(1, 1 << j), f"0{j}b"
+    return [(share, BushRep(rep.path + format(i, spec))) for i in range(1 << j)]
+
+
+def mix_reps(parts: list[tuple[Fraction, BushRep]]) -> BushRep:
+    """The rep that a decomposition recombines to: `BushRep(s, j)` for the
+    2^j parts, j >= 1, that `bush_decompose` gives for a rep of node s and
+    depth j - 1. Anything else (unequal, negative or affine coefficients, a
+    part that is not a point, a missing, repeated or misplaced descendant)
+    is refused with a ValueError, an explicit raise that holds under
+    python -O."""
+    j = len(parts).bit_length() - 1
+    cut = len(parts[0][1].path) - j if parts and isinstance(parts[0][1], BushRep) else -1
+    if j < 1 or cut < 0 or parts != bush_decompose(BushRep(parts[0][1].path[:cut], j - 1), 1):
+        raise ValueError(f"the {len(parts)} parts are not the decomposition of one node")
+    return BushRep(parts[0][1].path[:cut], j)

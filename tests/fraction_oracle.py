@@ -24,8 +24,18 @@ times slot vectors with one Fraction per coordinate, and `w_vectors` and
 them, the reference for `BoundPattern.w_norm`.
 
 `node_vector` materialises one bush node x_s; summing w_s * x_s with
-`XVec.add` and `XVec.scale` is the reference for `BushRep.value`, which
-sums integers up the path trie instead. `xvec_numerators` turns an XVec
+`XVec.add` and `XVec.scale` (`node_sum`) is the reference for
+`BushRep.value`, which reads ±1 off the node's path instead.
+
+`GeneralRep` is the general bush value that `BushRep` replaced: any convex
+combination of nodes, as a tuple of Fraction weights checked to sum to
+one, with its value summed as integers up the path trie and its shape
+relabelled below the nodes' longest common prefix. `general_mix_reps` is
+its affine combination and `general_decompose` its expansion to the
+descendants at a common depth, one Fraction share per descendant.
+`as_general` reads a `BushRep` as the general value it stands for (equal
+weights on the 2^depth descendants of its node), so the compact forms can
+be checked against these wherever they apply. `xvec_numerators` turns an XVec
 into the ({coordinate: integer numerator}, den) pair that `slot_vectors`
 takes, and `slot_xvecs` reads the integer slot vectors of `slot_vectors`
 as one XVec per slot.
@@ -57,7 +67,8 @@ ledger widths as Fractions.
 import bisect
 import itertools
 import math
-from dataclasses import replace
+import os.path
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, floor
@@ -66,9 +77,10 @@ from splinemart.cardinal import over_common_denominator, span_numerators
 from splinemart.construction.core import PeriodicFamily
 from splinemart.construction.driver import DELTA, ClassRow, _child_value
 from splinemart.construction.lemma import invert_exact
+from splinemart.errors import UnachievableSeparationError
 from splinemart.intervals import frac
 from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
-from splinemart.witness import BushRep, XVec, bush_decompose
+from splinemart.witness import BushRep, XVec, bush_decompose, mix_reps
 
 
 def node_coordinate(path: str) -> int:
@@ -86,11 +98,124 @@ def node_vector(path: str) -> XVec:
 
 
 def node_sum(rep) -> XVec:
-    """A BushRep's value as sum of w_s * x_s, node vector by node vector."""
+    """A bush value's sum of w_s * x_s, node vector by node vector."""
     acc = XVec.zero()
-    for path, w in rep.weights:
+    for path, w in as_general(rep).weights:
         acc = acc.add(node_vector(path).scale(w))
     return acc
+
+
+@dataclass(frozen=True)
+class GeneralRep:
+    """Convex combination of bush nodes: the value sum(w_s * x_s) with
+    non-negative rational weights summing to one."""
+
+    weights: tuple[tuple[str, Fraction], ...]
+
+    def __post_init__(self):
+        weights = []
+        for path, w in self.weights:
+            w = frac(w)
+            if w.numerator < 0:
+                raise ValueError(f"negative weight {w} on node {path!r}")
+            weights.append(w)
+        nums, den = over_common_denominator(weights)
+        if sum(nums) != den:
+            raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
+
+    @classmethod
+    def point(cls, path: str) -> "GeneralRep":
+        return cls(((path, Fraction(1)),))
+
+    def numerators(self) -> tuple[dict, int]:
+        """sum(w_s * x_s) as ({coordinate: non-zero numerator}, den) over the
+        weights' common denominator, in one pass up the path trie: coordinate
+        c takes (weight at or below 2c) - (weight at or below 2c + 1)."""
+        wnums, den = over_common_denominator([w for _, w in self.weights])
+        below: list[dict] = [{} for _ in range(self.max_node_depth() + 1)]
+        for (path, _), n in zip(self.weights, wnums):
+            level = below[len(path)]
+            node = node_coordinate(path)
+            level[node] = level.get(node, 0) + n
+        sums: dict = {}
+        for depth in range(len(below) - 1, 0, -1):
+            up = below[depth - 1]
+            for node, n in below[depth].items():
+                c = node >> 1
+                up[c] = up.get(c, 0) + n
+                sums[c] = sums.get(c, 0) + (-n if node & 1 else n)
+        return {c: n for c, n in sums.items() if n}, den
+
+    def value(self) -> XVec:
+        return XVec.over(*self.numerators())
+
+    def max_node_depth(self) -> int:
+        return max((len(p) for p, _ in self.weights), default=0)
+
+    def shape(self) -> tuple:
+        """(prefix is empty, node weights with paths relative to the longest
+        common prefix of all of them)."""
+        cut = len(os.path.commonprefix([p for p, _ in self.weights]))
+        if len(self.weights) == 1:  # a node is its own prefix
+            cut = len(self.weights[0][0])
+        return (cut == 0, tuple((p[cut:], w) for p, w in self.weights))
+
+
+def as_general(rep) -> GeneralRep:
+    """A BushRep as the GeneralRep it stands for: weight 2^-depth on each
+    descendant of its node at relative depth `depth`, in path order. A
+    GeneralRep is returned as it is."""
+    if isinstance(rep, GeneralRep):
+        return rep
+    share = Fraction(1, 1 << rep.depth)
+    return GeneralRep(tuple(
+        (rep.path + "".join(bits), share) for bits in itertools.product("01", repeat=rep.depth)
+    ))
+
+
+def general_mix_reps(parts) -> GeneralRep:
+    """Affine combination of bush values whose coefficients sum to one;
+    the node weights of the result must come out non-negative. Each node
+    weight sums integer numerators over the product of the coefficients'
+    and the weights' common denominators: one Fraction per node."""
+    parts = [(c, as_general(rep)) for c, rep in parts]
+    cnums, cden = over_common_denominator([c for c, _ in parts])
+    if sum(cnums) != cden:
+        raise ValueError(f"coefficients sum to {Fraction(sum(cnums), cden)}, not 1")
+    wnums, wden = over_common_denominator([w for _, rep in parts for _, w in rep.weights])
+    weights = iter(wnums)
+    acc: dict[str, int] = {}
+    for cn, (_, rep) in zip(cnums, parts):
+        for path, _ in rep.weights:
+            acc[path] = acc.get(path, 0) + cn * next(weights)
+    den = cden * wden
+    return GeneralRep(tuple((p, Fraction(n, den)) for p, n in sorted(acc.items()) if n))
+
+
+def general_decompose(rep, delta, target_count: int = 2) -> list:
+    """Every node of a bush value expanded to its descendants at a common
+    depth D past every node depth, with dyadically split weights: one
+    Fraction share per descendant, as (share, GeneralRep point) pairs."""
+    rep = as_general(rep)
+    if frac(delta) > 1:
+        raise UnachievableSeparationError(f"bush separation is 1, requested {delta}")
+    d = rep.max_node_depth() + 1
+    while sum(1 << (d - len(p)) for p, _ in rep.weights) < target_count:
+        d += 1
+    acc: dict[str, Fraction] = {}
+    for path, w in rep.weights:
+        share = w / (1 << (d - len(path)))
+        for suffix in range(1 << (d - len(path))):
+            desc = path + format(suffix, f"0{d - len(path)}b")
+            acc[desc] = acc.get(desc, Fraction(0)) + share
+    return [(acc[desc], GeneralRep.point(desc)) for desc in sorted(acc)]
+
+
+def general_key(row) -> tuple:
+    """A census row's class key with the shape of its value read as a
+    GeneralRep's: the key the general form gives."""
+    shape = None if row.rep_value is None else as_general(row.rep_value).shape()
+    return (*row.key[:-1], shape)
 
 
 def xvec_numerators(x: XVec) -> tuple[dict, int]:
@@ -388,18 +513,18 @@ def step_values(seq, t, n: int) -> tuple[XVec, XVec]:
     Fractions."""
     t = frac(t)
     acc = before = XVec.zero()
-    binding = BushRep.point("")
+    binding = BushRep("")
     for j in range(n):
         before = acc
         if binding is None:
             break
-        pattern, parts, bound, _start = seq._bind(j, binding)
+        pattern, parts, mix, bound, _start = seq._bind(j, binding)
         scale = seq.filt.uniform_base ** seq.steps[j].m_level
         atom_lo = Fraction(t.numerator * scale // t.denominator, scale)
         tau = t - atom_lo + pattern.interval.lo
         acc = acc.add(g_eval(bound, tau))
         cell, _shift = reference_locate(pattern, tau)
-        binding = _child_value(binding, parts, (cell.kind, cell.m))
+        binding = _child_value(binding, parts, mix, (cell.kind, cell.m))
     return before, acc
 
 
@@ -423,18 +548,18 @@ def random_cell(rng, pattern, force_zone: bool):
 def descend_random_cell(seq, rng, n: int) -> tuple[Fraction, Fraction]:
     """A random zone cell of E_n's descent, in Fraction arithmetic."""
     lo, hi = Fraction(0), Fraction(1)
-    binding = BushRep.point("")
+    binding = BushRep("")
     for j in range(n):
         h = Fraction(1, seq.filt.uniform_base ** seq.steps[j].m_level)
         first = math.ceil(lo / h)
         last = math.floor(hi / h) - 1
         atom_lo = rng.randint(first, last) * h
-        pattern, parts, _bound, _start = seq._bind(j, binding)
+        pattern, parts, mix, _bound, _start = seq._bind(j, binding)
         cell, shift = random_cell(rng, pattern, j >= n - 2)
         base = atom_lo - pattern.interval.lo
         c_lo, c_hi = cell_ends(pattern, cell)
         lo, hi = base + shift + c_lo, base + shift + c_hi
-        binding = _child_value(binding, parts, (cell.kind, cell.m))
+        binding = _child_value(binding, parts, mix, (cell.kind, cell.m))
         if binding is None:
             raise AssertionError("sampler entered a non-constant cell")
     return lo, hi
@@ -658,8 +783,9 @@ def fraction_census(rows, sd, p: int) -> list:
         assert atom_count.denominator == 1, "class length not atom-aligned"
         part_norms = [rep.value().sup_norm for _, rep in parts]
         ramp_norm = max(row.norm_bound, *part_norms)
+        mix = mix_reps(parts)
         for (kind, m), width in ledger(pat):
-            rep_value = _child_value(row.rep_value, parts, (kind, m))
+            rep_value = _child_value(row.rep_value, parts, mix, (kind, m))
             if kind == "zone":
                 norm = part_norms[m]
             elif rep_value is not None:

@@ -339,6 +339,23 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("where", ["accum point", "limit set", "breakpoints"])
+def test_a_zero_denominator_in_a_filtration_is_refused_with_exit_2(where, tmp_path, capsys):
+    # Fraction(1, 0) once escaped as a ZeroDivisionError traceback with exit
+    # 1, the code for a failed check
+    if where == "accum point":
+        spec = "accum:1/0"
+    else:
+        path = tmp_path / "filtration.txt"
+        path.write_text("V: 0 1/0\n0 1/2 1\n" if where == "limit set" else "V: 0 1\n0 1/0 1\n")
+        spec = f"file:{path}"
+    assert main(["construct", "--filtration", spec, "--k", "1", "--steps", "1"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0] == f"error: argument --filtration: zero denominator in filtration {spec!r}"
+
+
 @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**8])
 def test_uncond_refuses_trials_past_the_cap_before_any_draw(trials, capsys, monkeypatch):
     # about 205 bytes per trial: --trials 10**8 would need about 20 GB

@@ -84,7 +84,7 @@ def g_at(bound, t):
 
 def bush_slots(betas):
     """The root's bush decomposition and its slot vectors."""
-    rep = BushRep.point("")
+    rep = BushRep("")
     parts = bush_decompose(rep, 1, target_count=2)
     points = [xvec_numerators(r.value()) for _, r in parts]
     return parts, slot_vectors(xvec_numerators(rep.value()), points, betas)
@@ -265,7 +265,7 @@ class TestLemma:
             )
             parts, _ = bush_slots(pat.inner.trace.betas)
             assert pat.trace.w_bound is None
-            _bind_representative(pat, BushRep.point(""), parts)
+            _bind_representative(pat, BushRep(""), parts)
             assert ("eq:esty", True) in pat.trace.checks
             assert pat.trace.w_bound is not None
             assert pat.trace.w_bound <= pat.trace.eps_tilde2

@@ -35,12 +35,12 @@ from splinemart.filtration import (
 )
 from splinemart.intervals import MeasurableUnion
 from splinemart.harness import verify_sequence
-from splinemart.witness import BushRep, XVec, bush_decompose, mix_reps
+from splinemart.witness import BushRep, XVec, bush_decompose
 
 import fraction_oracle as oracle
 from fraction_oracle import (
-    cell_ends, grid_unit, moment_slotwise, reference_locate, w_fractions, w_vectors,
-    xvec_numerators,
+    GeneralRep, as_general, cell_ends, general_decompose, general_key, general_mix_reps,
+    grid_unit, moment_slotwise, reference_locate, w_fractions, w_vectors, xvec_numerators,
 )
 
 F = Fraction
@@ -73,6 +73,25 @@ def test_value_at_refuses_points_outside_the_unit_interval():
     for t in (0, 1):
         assert seq.value_at(t, 3) == XVec.zero()
         assert seq.sup_diff_at(t, 3) == 0
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), True, False])
+def test_walk_refuses_a_bool_or_a_non_finite_point(bad):
+    # inf once escaped as OverflowError and nan as ValueError, while True
+    # and False walked as t = 1 and t = 0; the walk now refuses each with an
+    # explicit DomainError (holds under python -O) before it walks
+    seq = build_sequence(dyadic(), 2, HALF, 2)
+    calls = {
+        "value_at": lambda: seq.value_at(bad, 2),
+        "step_values": lambda: seq.step_values(bad, 2),
+        "sup_diff_at": lambda: seq.sup_diff_at(bad, 2),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DomainError, match="is not a finite rational"):
+            call()
+    # a finite float is an exact binary rational, and stays a point
+    assert seq.value_at(0.375, 2) == seq.value_at(F(3, 8), 2)
+    assert seq.sup_diff_at(0.375, 2) == seq.sup_diff_at(F(3, 8), 2)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -383,18 +402,27 @@ def test_census_row_counts(seq_k2_n5):
 
 
 def test_shape_forgets_the_prefix_but_not_its_absence():
-    rel_weights = [("0", F(1, 2)), ("10", F(1, 4)), ("11", F(1, 4))]
-
-    def under(prefix):
-        return BushRep(tuple((prefix + s, w) for s, w in rel_weights))
-
-    a, b, root = under("0"), under("110"), under("")
-    assert a.shape() == b.shape()
-    assert root.shape() != a.shape()
-    assert a.shape()[1:] == root.shape()[1:]  # only the empty-prefix flag differs
-    # equal shapes decompose alike and keep their norms
-    assert [w for w, _ in bush_decompose(a, 1)] == [w for w, _ in bush_decompose(b, 1)]
-    assert a.value().sup_norm == b.value().sup_norm
+    for depth in (0, 1, 3):
+        a, b, root = BushRep("0", depth), BushRep("110", depth), BushRep("", depth)
+        assert a.shape() == b.shape()
+        assert root.shape() != a.shape()
+        assert a.shape()[1:] == root.shape()[1:]  # only the empty-prefix flag differs
+        assert a.shape() != BushRep("0", depth + 1).shape()
+        # the general reference's shape, relabelled below the common
+        # prefix, makes the same classes
+        ga, gb, groot = (as_general(r).shape() for r in (a, b, root))
+        assert ga == gb and groot != ga and ga[1:] == groot[1:]
+        # equal shapes decompose alike and keep their norms
+        assert [w for w, _ in bush_decompose(a, 1)] == [w for w, _ in bush_decompose(b, 1)]
+        assert [w for w, _ in bush_decompose(a, 1)] == [w for w, _ in general_decompose(a, 1)]
+        assert a.value().sup_norm == b.value().sup_norm == as_general(a).value().sup_norm
+    # the general form's unequal weights have a shape of their own, which
+    # no BushRep holds: the constructor refuses its weight tuple
+    rel_weights = (("0", F(1, 2)), ("10", F(1, 4)), ("11", F(1, 4)))
+    under = GeneralRep(tuple(("0" + s, w) for s, w in rel_weights))
+    assert under.shape() == (False, rel_weights)
+    with pytest.raises(ValueError, match="node path must be a binary word"):
+        BushRep(under.weights)
 
 
 def test_depth_seven_builds_and_verifies():
@@ -504,11 +532,11 @@ def test_closed_form_stopping_matches_binary_search(spec, k, steps, eta):
         assert (tr.j_indices, int_f[: tr.M]) == reference_stopping(pat.inner)
 
 
-def general_mix_value(parts, betas) -> BushRep:
+def general_mix_value(parts, betas) -> GeneralRep:
     """xbar + sum beta_m (x_m - xbar) over the decomposed parts, for any
     weights w_m and betas: node coefficients (1 - sum beta) w_m + beta_m."""
     total = sum(betas, F(0))
-    return mix_reps([((1 - total) * w + betas[m], rep) for m, (w, rep) in enumerate(parts)])
+    return general_mix_reps([((1 - total) * w + betas[m], rep) for m, (w, rep) in enumerate(parts)])
 
 
 def reference_census(rows, sd, p):
@@ -516,14 +544,16 @@ def reference_census(rows, sd, p):
     spawn loop that the pattern ledger replaced: every cell instance of a
     pattern adds one class. Mix cells take the general mix formula and the
     sup norm of its value, where the build recombines the parts and reuses
-    the parent's norm."""
+    the parent's norm. Classes key on the general form's shape
+    (`general_key`)."""
     census = {}
 
     def add(row):
-        if row.key in census:
-            census[row.key].total_length += row.total_length
+        key = general_key(row)
+        if key in census:
+            census[key].total_length += row.total_length
         else:
-            census[row.key] = row
+            census[key] = row
 
     h_n = F(1, p**sd.m_level)
     for row in rows:
@@ -587,13 +617,13 @@ CENSUS_CASES = [("dyadic", k, 5, eta) for k in (1, 2, 3) for eta in ("1/2", "2/5
 def test_ledger_census_matches_per_cell_reference(spec, k, steps, eta):
     seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
     p = seq.filt.uniform_base
-    rows = [ClassRow("const", "zone", BushRep.point(""), F(1), True, True)]
+    rows = [ClassRow("const", "zone", BushRep(""), F(1), True, True)]
     for sd in seq.steps:
         for pat in sd.patterns.values():
             assert sum((w for _, w in oracle.ledger(pat)), F(0)) == pat.interval.length
         want = reference_census(rows, sd, p)
-        assert [(r.key, r.total_length) for r in sd.rows_after] == [
-            (r.key, r.total_length) for r in want
+        assert [(general_key(r), r.total_length) for r in sd.rows_after] == [
+            (general_key(r), r.total_length) for r in want
         ]
         for r in sd.rows_after:
             if r.kind == "const":
@@ -630,7 +660,7 @@ def test_integer_step1_and_census_match_the_fraction_oracle(spec, k, steps, eta)
         assert len(groups) <= tr.M + 4
         assert sum(u for _, u in groups) == sum(u for _, u in pat.ledger_units)
     p = seq.filt.uniform_base
-    rows = [ClassRow("const", "zone", BushRep.point(""), F(1), True, True)]
+    rows = [ClassRow("const", "zone", BushRep(""), F(1), True, True)]
     for sd in seq.steps:
         want = oracle.fraction_census(rows, sd, p)
         assert [(r.key, r.total_length) for r in sd.rows_after] == [
@@ -641,6 +671,43 @@ def test_integer_step1_and_census_match_the_fraction_oracle(spec, k, steps, eta)
         assert sd.e_mass == sum((r.total_length for r in want if r.in_e), F(0))
         assert sd.const_mass == sum((r.total_length for r in want if r.kind == "const"), F(0))
         rows = sd.rows_after
+
+
+COMPACT_CASES = CENSUS_CASES + [case for case in ORACLE_CASES if case not in CENSUS_CASES]
+
+
+@pytest.mark.parametrize(
+    "spec,k,steps,eta",
+    COMPACT_CASES,
+    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e in COMPACT_CASES],
+)
+def test_compact_reps_match_the_general_reference(spec, k, steps, eta):
+    # every constant value the build carries: the census rows, and every
+    # binding that the point walk and the E_n sampler reach
+    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+    rng = random.Random(5)
+    for n in range(1, steps + 1):
+        points = seq.sample_e_points(n, rng, 3) + [F(rng.randrange(1, 10**6), 10**6) for _ in range(3)]
+        for t in points:
+            seq.sup_diff_at(t, n)
+        seq.sample_e_intervals(n, rng, 2)
+    reps = {r.rep_value for sd in seq.steps for r in sd.rows_after if r.kind == "const"}
+    reps |= {binding for _, binding in seq._bound}
+    assert any(rep.depth for rep in reps)  # mix children are among them
+    classes: dict = {}  # compact shape -> the general shapes of its reps
+    for rep in reps:
+        general = as_general(rep)
+        (nums, den), (gnums, gden) = rep.numerators(), general.numerators()
+        assert {c: F(n, den) for c, n in nums.items()} == {c: F(n, gden) for c, n in gnums.items()}
+        assert rep.value() == general.value() == oracle.node_sum(general)
+        assert rep.value().sup_norm == general.value().sup_norm
+        parts, gparts = bush_decompose(rep, DELTA, 2), general_decompose(general, DELTA, 2)
+        assert [(w, as_general(r)) for w, r in parts] == gparts
+        classes.setdefault(rep.shape(), set()).add(general.shape())
+    # the compact shape makes the general form's classes: one general shape
+    # per compact shape, and no general shape under two
+    assert all(len(shapes) == 1 for shapes in classes.values())
+    assert len(set().union(*classes.values())) == len(classes)
 
 
 ORDER_ONE_CASES = [("dyadic", "1/2", 6), ("dyadic", "2/5", 6), ("padic:3", "1/2", 5),
@@ -658,7 +725,7 @@ def test_order_one_correction_vanishes_on_every_class(spec, eta, max_steps):
     filt = parse_filtration_spec(spec)
     for steps in range(1, max_steps + 1):
         seq = build_sequence(filt, 1, F(eta), steps)
-        rows = [ClassRow("const", "zone", BushRep.point(""), F(1), True, True)]
+        rows = [ClassRow("const", "zone", BushRep(""), F(1), True, True)]
         for sd in seq.steps:
             for row in rows:
                 if row.kind != "const":

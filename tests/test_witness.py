@@ -16,7 +16,8 @@ from splinemart.errors import UnachievableSeparationError
 from splinemart.witness import BushRep, XVec, bush_decompose, mix_reps
 
 from fraction_oracle import (
-    combine, node_coordinate, node_sum, node_vector, slot_xvecs, xvec_numerators,
+    GeneralRep, as_general, combine, general_decompose, general_mix_reps, node_coordinate,
+    node_sum, node_vector, slot_xvecs, xvec_numerators,
 )
 
 F = Fraction
@@ -67,18 +68,21 @@ def test_bush_averaging_exhaustive():
 
 
 def test_decompose_root():
-    rep = BushRep.point("")
+    rep = BushRep("")
     parts = bush_decompose(rep, 1, target_count=2)
-    assert [(w, r.weights[0][0]) for w, r in parts] == [(F(1, 2), "0"), (F(1, 2), "1")]
+    assert [(w, r) for w, r in parts] == [(F(1, 2), BushRep("0")), (F(1, 2), BushRep("1"))]
+    # the general reference expands the root alike
+    assert [(w, r.weights) for w, r in general_decompose(as_general(rep), 1)] == [
+        (w, as_general(r).weights) for w, r in parts
+    ]
     value = rep.value()
     for w, r in parts:
         assert value.sub(r.value()).sup_norm == 1
 
 
 def test_decompose_pair_of_children():
-    rep = mix_reps(
-        [(F(1, 2), BushRep.point("0")), (F(1, 2), BushRep.point("1"))]
-    )
+    rep = mix_reps([(F(1, 2), BushRep("0")), (F(1, 2), BushRep("1"))])
+    assert rep == BushRep("", 1)
     parts = bush_decompose(rep, 1)
     assert len(parts) == 4
     assert all(w == F(1, 4) for w, _ in parts)
@@ -92,7 +96,7 @@ def test_decompose_pair_of_children():
 @pytest.mark.parametrize("target", [2, 3, 8])
 def test_decompose_reconstruction_exhaustive(target):
     for path in all_paths(4):
-        rep = BushRep.point(path)
+        rep = BushRep(path)
         parts = bush_decompose(rep, 1, target_count=target)
         assert len(parts) >= target
         assert sum((w for w, _ in parts), F(0)) == 1
@@ -105,24 +109,38 @@ def test_decompose_reconstruction_exhaustive(target):
 
 def test_decompose_rejects_large_delta():
     with pytest.raises(UnachievableSeparationError):
-        bush_decompose(BushRep.point(""), F(3, 2))
+        bush_decompose(BushRep(""), F(3, 2))
 
 
 def test_mix_reps_affine_correction_stays_convex():
-    # y = xbar + beta (x0 - xbar) with small beta keeps node weights >= 0
-    x0, x1 = BushRep.point("00"), BushRep.point("01")
+    # the parts recombined are their node one level up; the affine
+    # correction y = xbar + beta (x0 - xbar) keeps the general node weights
+    # >= 0, but it is no equal-weight average, so mix_reps refuses it
+    x0, x1 = BushRep("00"), BushRep("01")
     xbar = mix_reps([(F(1, 2), x0), (F(1, 2), x1)])
+    assert xbar == BushRep("0", 1)
+    assert as_general(xbar) == general_mix_reps([(F(1, 2), x0), (F(1, 2), x1)])
+    assert xbar.value() == node_vector("0") == as_general(xbar).value()
     beta = F(1, 100)
-    y = mix_reps([(1 - beta, xbar), (beta, x0)])
+    y = general_mix_reps([(1 - beta, xbar), (beta, x0)])
     assert dict(y.weights) == {"00": F(1, 2) + beta / 2, "01": F(1, 2) - beta / 2}
     assert y.value() == xbar.value().add(x0.value().sub(xbar.value()).scale(beta))
+    with pytest.raises(ValueError, match="the 3 parts are not the decomposition of one node"):
+        mix_reps([(1 - beta, xbar), (beta, x0), (F(0), x1)])
+    with pytest.raises(ValueError, match="the 2 parts are not the decomposition of one node"):
+        mix_reps([(1 - beta, x0), (beta, x1)])
+    # a general value is no part, even at equal weights
+    with pytest.raises(ValueError, match="the 2 parts are not the decomposition of one node"):
+        mix_reps([(F(1, 2), GeneralRep.point("00")), (F(1, 2), GeneralRep.point("01"))])
 
 
 def test_mix_reps_rejects_negative_node_weights():
-    a = BushRep.point("00")
-    b = BushRep.point("01")
+    a = BushRep("00")
+    b = BushRep("01")
     with pytest.raises(ValueError):
         mix_reps([(F(-1, 8), a), (F(9, 8), b)])
+    with pytest.raises(ValueError, match="negative weight"):
+        general_mix_reps([(F(-1, 8), a), (F(9, 8), b)])
 
 
 paths = st.integers(0, 10).flatmap(
@@ -131,38 +149,50 @@ paths = st.integers(0, 10).flatmap(
 small_fractions = st.builds(
     Fraction, st.integers(-50, 50), st.sampled_from([1, 2, 3, 8, 10, 1 << 40, 3**30])
 )
+compact_reps = st.builds(BushRep, paths, st.integers(0, 5))
 
 
 @st.composite
-def reps(draw):
-    """A BushRep of 1 to 256 distinct nodes with non-negative weights, some
-    of them zero."""
+def general_reps(draw):
+    """A GeneralRep of 1 to 256 distinct nodes with non-negative weights,
+    some of them zero."""
     nodes = draw(st.lists(paths, min_size=1, max_size=256, unique=True))
     raw = draw(st.lists(st.integers(0, 9), min_size=len(nodes), max_size=len(nodes)))
     raw[0] += 1
     total = sum(raw)
-    return BushRep(tuple((p, Fraction(r, total)) for p, r in zip(nodes, raw)))
+    return GeneralRep(tuple((p, Fraction(r, total)) for p, r in zip(nodes, raw)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(rep=reps())
-def test_trie_value_matches_the_node_vector_sum(rep):
+@given(rep=compact_reps, general=general_reps())
+def test_trie_value_matches_the_node_vector_sum(rep, general):
+    # the compact rep reads x_path off its path; the general reference sums
+    # its descendants up the path trie; both agree with the node vectors
     value = rep.value()
-    assert value == node_sum(rep)
-    assert all(v != 0 for _, v in value.items())
-    assert value.sup_norm == max((abs(v) for _, v in value.items()), default=0)
+    assert value == node_vector(rep.path) == node_sum(rep) == as_general(rep).value()
+    nums, den = rep.numerators()
+    assert den == 1 and all(abs(n) == 1 for n in nums.values()) and len(nums) == len(rep.path)
+    assert value.sup_norm == (1 if rep.path else 0)
+    # the reference's trie pass, at weights no compact rep holds
+    assert general.value() == node_sum(general)
+    assert all(v != 0 for _, v in general.value().items())
 
 
 @settings(max_examples=100, deadline=None)
-@given(rep=reps())
+@given(rep=compact_reps)
 def test_memoized_value_shape_and_hash_match_a_fresh_rep(rep):
-    first = (rep.value(), rep.shape(), hash(rep))
-    assert (rep.value(), rep.shape(), hash(rep)) == first  # read from the memo
-    assert rep.value() is first[0]
-    fresh = BushRep(rep.weights)
+    first = (rep.numerators(), rep.value(), rep.shape(), hash(rep))
+    assert (rep.numerators(), rep.value(), rep.shape(), hash(rep)) == first  # read from the memo
+    assert rep.value() is first[1] and rep.numerators() is first[0]
+    fresh = BushRep(rep.path, rep.depth)
     assert fresh == rep
-    assert (fresh.value(), fresh.shape(), hash(fresh)) == first
-    assert hash(rep) == hash(rep.weights)
+    assert (fresh.numerators(), fresh.value(), fresh.shape(), hash(fresh)) == first
+    assert hash(rep) == hash((rep.path, rep.depth))
+    # the shape is the general reference's, up to relabelling
+    assert rep.shape() == (rep.path == "", rep.depth)
+    general = as_general(rep).shape()
+    assert general[0] == (rep.path == "")
+    assert general[1] == as_general(BushRep("0" * (rep.path != ""), rep.depth)).shape()[1]
 
 
 def fraction_mix(parts):
@@ -172,7 +202,7 @@ def fraction_mix(parts):
         raise ValueError(f"coefficients sum to {total}, not 1")
     acc: dict = {}
     for c, rep in parts:
-        for path, w in rep.weights:
+        for path, w in as_general(rep).weights:
             acc[path] = acc.get(path, Fraction(0)) + c * w
     weights = tuple((p, w) for p, w in sorted(acc.items()) if w != 0)
     if any(w < 0 for _, w in weights):
@@ -182,8 +212,8 @@ def fraction_mix(parts):
 
 @st.composite
 def mixes(draw):
-    """1 to 6 reps of up to 16 nodes each, and coefficients over assorted
-    denominators that sum to 1; some coefficients are negative."""
+    """1 to 6 general reps of up to 16 nodes each, and coefficients over
+    assorted denominators that sum to 1; some coefficients are negative."""
     count = draw(st.integers(1, 6))
     parts = []
     for _ in range(count):
@@ -191,22 +221,57 @@ def mixes(draw):
         raw = draw(st.lists(st.integers(1, 9), min_size=len(nodes), max_size=len(nodes)))
         den = draw(st.sampled_from([1, 3, 1 << 20, 3**12]))
         weights = tuple((p, Fraction(r * den, sum(raw) * den)) for p, r in zip(nodes, raw))
-        parts.append(BushRep(weights))
+        parts.append(GeneralRep(weights))
     coefs = [draw(small_fractions) for _ in range(count - 1)]
     coefs.append(1 - sum(coefs, Fraction(0)))
     return list(zip(coefs, parts))
 
 
+@st.composite
+def decompositions(draw):
+    """The parts of a compact rep's decomposition, maybe with one fault: a
+    coefficient moved between two parts, a part dropped, two parts
+    swapped, or a part that is not a point. Returns (rep, parts, whether
+    the parts are still a decomposition of one node)."""
+    rep = draw(compact_reps)
+    parts = bush_decompose(rep, 1, target_count=draw(st.integers(1, 8)))
+    fault = draw(st.sampled_from([None, "coefficient", "drop", "swap", "depth"]))
+    i = draw(st.integers(1, len(parts) - 1))  # a decomposition has 2 parts or more
+    if fault == "coefficient":
+        shift = draw(small_fractions.filter(bool))
+        parts[i] = (parts[i][0] + shift, parts[i][1])
+        parts[i - 1] = (parts[i - 1][0] - shift, parts[i - 1][1])
+    elif fault == "drop":
+        del parts[i]
+        parts = [(Fraction(1, len(parts)), r) for _, r in parts]
+    elif fault == "swap":
+        parts[i], parts[i - 1] = parts[i - 1], parts[i]
+    elif fault == "depth":
+        parts[i] = (parts[i][0], BushRep(parts[i][1].path, 1))
+    return rep, parts, fault is None
+
+
 @settings(max_examples=200, deadline=None)
-@given(parts=mixes())
-def test_integer_mix_reps_matches_the_fraction_sum(parts):
+@given(case=decompositions(), general=mixes())
+def test_integer_mix_reps_matches_the_fraction_sum(case, general):
+    rep, parts, valid = case
+    if valid:
+        # the parts recombined are their node one level up, as in the
+        # Fraction sum
+        got = mix_reps(parts)
+        assert as_general(got).weights == fraction_mix(parts)
+        assert got == BushRep(rep.path, len(parts).bit_length() - 1)
+    else:
+        with pytest.raises(ValueError):
+            mix_reps(parts)
+    # the general reference keeps the integer sum of the Fraction one
     try:
-        want = fraction_mix(parts)
+        want = fraction_mix(general)
     except ValueError:
         with pytest.raises(ValueError, match="negative weight"):
-            mix_reps(parts)
+            general_mix_reps(general)
     else:
-        got = mix_reps(parts)
+        got = general_mix_reps(general)
         assert got.weights == want
         assert all(type(w) is Fraction for _, w in got.weights)
 
@@ -216,24 +281,42 @@ def test_integer_mix_reps_matches_the_fraction_sum(parts):
 def test_rep_weight_checks_match_the_fraction_sum(weights, close):
     if close and weights:  # the last weight makes the sum 1
         weights[-1] = (weights[-1][0], 1 - sum((w for _, w in weights[:-1]), Fraction(0)))
+    # a weight tuple is no node path: the compact rep refuses every one
+    with pytest.raises(ValueError, match="node path must be a binary word"):
+        BushRep(tuple(weights))
+    # the general reference checks the weights as the Fraction sum does
     total = sum((w for _, w in weights), Fraction(0))
     negative = [(p, w) for p, w in weights if w < 0]
     if negative:
         path, w = negative[0]
         with pytest.raises(ValueError, match=f"negative weight {w} on node {path!r}"):
-            BushRep(tuple(weights))
+            GeneralRep(tuple(weights))
     elif total != 1:
         with pytest.raises(ValueError, match=f"weights sum to {total}, not 1"):
-            BushRep(tuple(weights))
+            GeneralRep(tuple(weights))
     else:
-        assert BushRep(tuple(weights)).weights == tuple(weights)
+        assert GeneralRep(tuple(weights)).weights == tuple(weights)
+
+
+@pytest.mark.parametrize("path,depth", [
+    ("012", 0), ("0 1", 0), (0, 0), (None, 0), ((("0", F(1)),), 0), ("01", -1),
+    ("01", True), ("01", 1.0), ("01", "1"),
+])
+def test_rep_constructor_refuses_what_is_not_a_node_and_a_depth(path, depth):
+    with pytest.raises(ValueError):
+        BushRep(path, depth)
 
 
 def test_mix_reps_refuses_coefficients_that_do_not_sum_to_one():
-    with pytest.raises(ValueError, match="coefficients sum to 3/4, not 1"):
-        mix_reps([(F(1, 4), BushRep.point("0")), (F(1, 2), BushRep.point("1"))])
-    with pytest.raises(ValueError, match="coefficients sum to 0, not 1"):
+    with pytest.raises(ValueError, match="the 2 parts are not the decomposition of one node"):
+        mix_reps([(F(1, 4), BushRep("0")), (F(1, 2), BushRep("1"))])
+    with pytest.raises(ValueError, match="the 0 parts are not the decomposition of one node"):
         mix_reps([])
+    # the general reference names the sum
+    with pytest.raises(ValueError, match="coefficients sum to 3/4, not 1"):
+        general_mix_reps([(F(1, 4), BushRep("0")), (F(1, 2), BushRep("1"))])
+    with pytest.raises(ValueError, match="coefficients sum to 0, not 1"):
+        general_mix_reps([])
 
 
 vectors = st.dictionaries(st.integers(1, 64), small_fractions, max_size=12).map(XVec)
@@ -287,9 +370,17 @@ def test_argument_checks_survive_optimised_python():
         if __debug__:
             raise SystemExit("not running optimised")
         calls = {
-            "coefficients sum to 2": lambda: mix_reps(
-                [(F(1), BushRep.point("0")), (F(1), BushRep.point("1"))]
+            "the 2 parts are not the decomposition": lambda: mix_reps(
+                [(F(1), BushRep("0")), (F(1), BushRep("1"))]
             ),
+            "the 4 parts are not the decomposition": lambda: mix_reps([  # affine
+                (F(1, 4), BushRep("00")), (F(1, 2), BushRep("01")),
+                (F(1, 2), BushRep("10")), (F(-1, 4), BushRep("11")),
+            ]),
+            "node path must be a binary word": lambda: BushRep(
+                (("0", F(1, 4)), ("1", F(3, 4)))  # unequal weights
+            ),
+            "expansion depth must be an int >= 0": lambda: BushRep("0", -1),
             "different spaces": lambda: RleSpline.zero(UniformSpace(2, 3, 2)).plus(
                 RleSpline.zero(UniformSpace(2, 4, 2))
             ),
