@@ -159,12 +159,16 @@ class SequenceResult:
         pattern reads g there as integer numerators over one denominator.
         The partial sums share one running denominator: `add_numerators`
         adds each step's g; the callers build one Fraction per coordinate of
-        each result they return. A bool or a non-finite float is refused
-        before the walk: neither is a point of [0, 1].
+        each result they return. A bool, a non-finite float or a string
+        that is no rational (such as "1/0") is refused before the walk:
+        none is a point of [0, 1].
         """
         if isinstance(t, bool) or (isinstance(t, float) and not math.isfinite(t)):
             raise DomainError(f"evaluation point {t!r} is not a finite rational")
-        t = frac(t)
+        try:
+            t = frac(t)
+        except (ValueError, ZeroDivisionError):  # a string such as "1/0" or "x"
+            raise DomainError(f"evaluation point {t!r} is not a rational") from None
         if not 0 <= t <= 1:
             raise DomainError(f"evaluation point {t} outside [0, 1]")
         self._check_step(n, "f_n", 0)

@@ -17,11 +17,13 @@ moment code with it, so each checks the other.
 
 `reference_w_data` is the Fraction path that the integer correction of
 `step2_correct` replaced: per slot, w = -A^{-1} z with one reduced
-Fraction(wn, aden zd) per coefficient. `w_fractions` reads a pattern's
-integer coefficients as Fractions, `combine` sums Fraction coefficients
-times slot vectors with one Fraction per coordinate, and `w_vectors` and
-`w_sup_norm` build the correction vectors and their largest sup norm from
-them, the reference for `BoundPattern.w_norm`.
+Fraction(wn, aden zd) per coefficient, A^{-1} the inverse of the rational
+moment matrix A itself. `reference_ainv_norm` takes ||A^{-1}|| from that
+inverse, where the build inverts A's integer rows instead. `w_fractions`
+reads a pattern's integer coefficients as Fractions, `combine` sums Fraction
+coefficients times slot vectors with one Fraction per coordinate, and
+`w_vectors` and `w_sup_norm` build the correction vectors and their largest
+sup norm from them, the reference for `BoundPattern.w_norm`.
 
 `node_vector` materialises one bush node x_s; summing w_s * x_s with
 `XVec.add` and `XVec.scale` (`node_sum`) is the reference for
@@ -253,6 +255,15 @@ def reference_w_data(pat) -> list:
             if wn:
                 out[i].append((Fraction(wn, aden * zd), key))
     return out
+
+
+def reference_ainv_norm(pat) -> Fraction:
+    """||A^{-1}||, the largest absolute row sum, of a lemma pattern's moment
+    matrix A, from the inverse of A's Fraction entries."""
+    a, k = pat.interval.lo, len(pat.r_terms)
+    amat = [[bump.moment(i, a) for bump, _ in pat.r_terms] for i in range(k)]
+    ainv, aden = invert_exact(amat)
+    return Fraction(max(sum(abs(v) for v in row) for row in ainv), aden)
 
 
 def w_fractions(pat) -> list:
@@ -697,7 +708,8 @@ def fraction_stopping(pattern) -> dict:
     p1 = a + d / 2
     U1, V1 = math.floor((p1 - eps3) * scale) + 1, math.ceil((p1 + eps3) * scale) - 1
     D = d * scale
-    assert D.denominator == 1
+    if D.denominator != 1:
+        raise AssertionError("piece width D is not on the level grid")
     D = int(D)
     L = n - 2
 
@@ -718,7 +730,8 @@ def fraction_stopping(pattern) -> dict:
     for m in range(M):
         r = j_prev + 2
         target = C * alphas[m]
-        assert r <= L and int_range(r, L) > target
+        if not (r <= L and int_range(r, L) > target):
+            raise AssertionError(f"no stopping index for part {m}")
         base = U1 - V1 + (2 - r) * D + k - 1
         units = target * scale
         jm = max(r, (units.numerator - base * units.denominator) // (D * units.denominator) + 1)
@@ -780,7 +793,8 @@ def fraction_census(rows, sd, p: int) -> list:
         parts = bush_decompose(row.rep_value, DELTA, target_count=2)
         pat = sd.patterns[tuple(w for w, _ in parts)]
         atom_count = row.total_length / h_n
-        assert atom_count.denominator == 1, "class length not atom-aligned"
+        if atom_count.denominator != 1:
+            raise AssertionError("class length not atom-aligned")
         part_norms = [rep.value().sup_norm for _, rep in parts]
         ramp_norm = max(row.norm_bound, *part_norms)
         mix = mix_reps(parts)

@@ -61,6 +61,7 @@ from fraction_oracle import (
     first_level,
     grid_unit,
     moment_slotwise,
+    reference_ainv_norm,
     reference_w_data,
     slot_xvecs,
     step1_level_search,
@@ -568,20 +569,25 @@ def test_levels_match_the_reference_search(monkeypatch):
 
 
 CORRECTION_CASES = [
-    (spec, k, eta) for spec in ("dyadic", "padic:3", "padic:5") for k in (1, 2, 3, 4)
+    (spec, k, eta, 2) for spec in ("dyadic", "padic:3", "padic:5") for k in (1, 2, 3, 4)
     for eta in ("1/2", "2/5")
 ]
+# the bench's deep shape, and a depth where the slot moments carry
+# denominators of thousands of bits
+DEEP_CORRECTION_CASES = [("padic:3", 4, "1/2", 3), ("dyadic", 3, "1/2", 5)]
 
 
 @pytest.mark.parametrize(
-    "spec,k,eta",
-    CORRECTION_CASES,
-    ids=[f"{s}-k{k}-eta{e.replace('/', '_')}" for s, k, e in CORRECTION_CASES],
+    "spec,k,eta,steps",
+    CORRECTION_CASES + DEEP_CORRECTION_CASES,
+    ids=[f"{s}-k{k}-eta{e.replace('/', '_')}" for s, k, e, _ in CORRECTION_CASES]
+    + [f"{s}-k{k}-eta{e.replace('/', '_')}-N{n}" for s, k, e, n in DEEP_CORRECTION_CASES],
 )
-def test_integer_correction_matches_the_fraction_path(spec, k, eta, monkeypatch):
+def test_integer_correction_matches_the_fraction_path(spec, k, eta, steps, monkeypatch):
     # every coefficient n / w_den equals the reduced Fraction(wn, aden zd) of
     # the Fraction path, in the same slot order; w_den is the lcm of their
-    # denominators; the recorded ||w|| equals the largest sup norm of the
+    # denominators; ||A^{-1}|| equals the one from the inverse of A's
+    # Fraction entries; the recorded ||w|| equals the largest sup norm of the
     # Fraction correction vectors at the slots the pattern was bound to
     bound = []
     bind = driver_module._bind_representative
@@ -591,12 +597,13 @@ def test_integer_correction_matches_the_fraction_path(spec, k, eta, monkeypatch)
         bound.append((pat, _bush_slots(rep_value, parts, pat)))
 
     monkeypatch.setattr(driver_module, "_bind_representative", recording)
-    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), 2)
+    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
     assert len(bound) == len(list(seq.all_patterns())) >= 2
     for pat, slots in bound:
         want = reference_w_data(pat)
         assert w_fractions(pat) == want
         assert pat.w_den == math.lcm(*(c.denominator for wd in want for c, _ in wd))
+        assert pat.trace.ainv_norm == reference_ainv_norm(pat)
         assert pat.trace.w_bound == w_sup_norm(want, slots)
         for r in range(k):
             assert not any(moment_slotwise(pat, r).values())

@@ -94,6 +94,53 @@ def test_walk_refuses_a_bool_or_a_non_finite_point(bad):
     assert seq.sup_diff_at(0.375, 2) == seq.sup_diff_at(F(3, 8), 2)
 
 
+WALK_STRING_CODE = """
+from fractions import Fraction
+from splinemart.construction.driver import build_sequence
+from splinemart.errors import DomainError
+from splinemart.filtration import dyadic
+
+seq = build_sequence(dyadic(), 1, Fraction(1, 2), 2)
+calls = {
+    "value_at": seq.value_at,
+    "step_values": seq.step_values,
+    "sup_diff_at": seq.sup_diff_at,
+}
+for bad in ("1/0", "3/0", "x"):
+    for name, call in calls.items():
+        try:
+            call(bad, 2)
+        except DomainError as exc:
+            if "is not a rational" not in str(exc):
+                raise SystemExit(f"{name}({bad!r}): {exc}")
+        else:
+            raise SystemExit(f"{name}({bad!r}) was accepted")
+# a string that is a rational stays a point
+if seq.value_at("3/8", 2) != seq.value_at(Fraction(3, 8), 2):
+    raise SystemExit("value_at('3/8') differs from value_at(3/8)")
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("optimise", [False, True], ids=["python", "python-O"])
+def test_walk_refuses_a_string_that_is_no_rational(optimise):
+    # "1/0" once escaped from value_at, step_values and sup_diff_at as
+    # ZeroDivisionError; the walk refuses it, and a malformed string, with an
+    # explicit DomainError, so the refusal holds under python -O too
+    path = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+    )
+    run = subprocess.run(
+        [sys.executable, *(["-O"] if optimise else []), "-c", WALK_STRING_CODE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr + run.stdout
+    assert run.stdout.strip() == "ok"
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_step_walk_matches_two_separate_walks(k):
     """sup_diff_at reads f_{n-1}(t) off the walk to f_n(t); both must equal

@@ -8,6 +8,7 @@ fire when a numerator is wrong.
 """
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -144,6 +145,79 @@ def test_invert_exact_refuses_a_dependent_row(a, data):
         a[-1] = [sum(w * row[j] for w, row in zip(weights, a[:-1])) for j in range(n)]
     with pytest.raises(PreconditionError, match="singular"):
         lemma.invert_exact(a)
+
+
+def fraction_solve(a, b):
+    """x with a x = b for a non-singular rational a, by Fraction Gauss-Jordan
+    elimination, one Fraction operation at a time."""
+    n = len(a)
+    m = [list(row) + [v] for row, v in zip(a, b)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n] for row in m]
+
+
+@st.composite
+def moment_systems(draw):
+    """(M, d, zcols) as `solve_moments` takes them: k <= 4 integer rows M of
+    up to 60 bits, some singular; row denominators d_j and per-order column
+    denominators zd_j that are powers of p in {2, 3, 5, 6} of up to
+    thousands of bits times a small cofactor; 0 to 4 slots whose numerators
+    carry powers of p of up to thousands of bits too."""
+    p, k = draw(st.sampled_from([2, 3, 5, 6])), draw(st.integers(1, 4))
+    small = st.integers(-(2**60), 2**60)
+    mrows = [[draw(small) for _ in range(k)] for _ in range(k)]
+    if draw(st.integers(0, 4)) == 0:
+        # the last row a combination of the others (zero when k = 1)
+        coefs = [draw(st.integers(-3, 3)) for _ in range(k - 1)]
+        mrows[-1] = [sum(c * row[i] for c, row in zip(coefs, mrows)) for i in range(k)]
+
+    def den():
+        return p ** draw(st.integers(0, 2500)) * draw(st.integers(1, 30))
+
+    def num():
+        return draw(small) * p ** draw(st.integers(0, 2500)) + draw(st.integers(-100, 100))
+
+    dens = [den() for _ in range(k)]
+    slots = draw(st.integers(0, 4))
+    zcols = [([num() for _ in range(slots)], den()) for _ in range(k)]
+    return mrows, dens, zcols
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=moment_systems())
+def test_solve_moments_matches_the_fraction_solve(system):
+    mrows, dens, zcols = system
+    k = len(mrows)
+    if fraction_rank([[F(x) for x in row] for row in mrows]) < k:
+        with pytest.raises(PreconditionError, match="singular"):
+            lemma.invert_exact(mrows)
+        return
+    inverse = lemma.invert_exact(mrows)
+    wnums, w_den = lemma.solve_moments(mrows, dens, inverse, zcols)
+    a = [[F(x, dj) for x in row] for row, dj in zip(mrows, dens)]
+    want = [
+        fraction_solve(a, [-F(col[s], zd) for col, zd in zcols])
+        for s in range(len(zcols[0][0]))
+    ]
+    assert [[F(n, w_den) for n in wn] for wn in wnums] == want
+    # w_den is the reduced common denominator: the lcm of the coefficients'
+    assert w_den == math.lcm(*(w.denominator for ws in want for w in ws))
+    # a wrong inverse entry is refused whenever it would change w
+    nums, den = inverse
+    tampered = ([row[:] for row in nums], den)
+    tampered[0][0][0] += 1
+    if any(zcols[0][0]):
+        with pytest.raises(AssertionError, match="moment correction failed to cancel exactly"):
+            lemma.solve_moments(mrows, dens, tampered, zcols)
+    else:
+        assert lemma.solve_moments(mrows, dens, tampered, zcols) == (wnums, w_den)
 
 
 def reference_moment(k, r):
