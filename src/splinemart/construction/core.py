@@ -17,18 +17,22 @@ the ledger and the E_n sampler compare and add these integers.
 A pattern stores g slot-wise, as scalar splines paired with slot keys that
 name witness vectors; `slot_vectors` builds those vectors from the bush
 values' integer numerators (`BushRep.numerators`), over one denominator,
-and `BoundPattern` evaluates g with them. Point evaluation reads one run
-table per pattern (`SlotwisePattern.run_table`): per basis group (space,
-index shift, count), the disjoint runs (j0, j1, slot coefficients) of all
-its terms, with the correction bumps already expanded into slot keys.
+and `BoundPattern` evaluates g with them. Each pattern has one run table
+(`SlotwisePattern.run_table`): per basis group (space, index shift,
+count), the disjoint runs (j0, j1, slot coefficients) of all its terms,
+with the correction bumps already expanded into slot keys. A bound
+pattern multiplies those coefficients into its slot vectors once, on its
+first read at a point level, and keeps the result as its coordinate table
+(`BoundPattern.coordinate_table`): each run then carries one tuple of
+coordinate numerators.
 
 Points are integers too: a point arrives as u / (d p**level), each space
 of the pattern takes its atom index and fractional part from one divmod,
-and g comes back as integer numerators over one denominator per slot
-(`SlotwisePattern.slot_numerators`) and per coordinate
-(`BoundPattern.g_numerators`). The caller builds the Fractions of its
-result once, however many steps it sums. Every common denominator comes
-from `cardinal`'s number kernel (`over_common_denominator`, `add_numerators`).
+and g comes back as integer numerators over one denominator per
+coordinate (`BoundPattern.g_numerators`). The caller builds the Fractions
+of its result once, however many steps it sums. Every common denominator
+comes from `cardinal`'s number kernel (`over_common_denominator`,
+`add_numerators`).
 
 Step 1 works in integer units, with one Fraction per recorded result. The
 stopping scan counts ∫f_m, the block masses and the union lengths in grid
@@ -280,10 +284,6 @@ class RunGroup:
     its runs span fewer indices than its shift, so index j lies in instance
     ell at entry index q for (ell, q) = divmod(j - origin, shift). A group
     of plain terms is one instance whose shift is its span.
-
-    One normalisation per result: at a point, the basis values are integer
-    numerators over one denominator (`cardinal.span_numerators`), so each
-    slot sums integers over the group and builds no Fraction.
     """
 
     __slots__ = ("space", "shift", "count", "origin", "extent", "starts", "entries", "den")
@@ -325,37 +325,6 @@ class RunGroup:
                     yield self.entries[e][2]
                 e += 1
 
-    def slot_sums(self, window: list) -> dict:
-        """Per slot, the terms' values at the point of window [a, rem, d,
-        spans] as integer numerators over den times the span denominator:
-        atom index a, fractional part rem / d, and the space's span
-        numerators there. The spans are taken on the first window index
-        that hits a run, with one gcd, and kept in the window for the other
-        groups of the space."""
-        k = self.space.k
-        rel = window[0] - self.origin
-        sums: dict = {}
-        if rel + k <= 0 or rel >= self.extent:
-            return sums  # the window a .. a+k-1 misses every instance
-        ell, q = divmod(rel, self.shift)
-        for i in range(k):
-            if 0 <= ell < self.count:
-                e = bisect.bisect_right(self.starts, q) - 1
-                if e >= 0 and q <= self.entries[e][1]:
-                    spans = window[3]
-                    if spans is None:
-                        rem, d = window[1], window[2]
-                        g = math.gcd(rem, d)
-                        spans = window[3] = span_numerators(k, rem // g, d // g)
-                    v = spans[0][k - 1 - i]
-                    if v:
-                        for key, c in self.entries[e][2]:
-                            sums[key] = sums.get(key, 0) + c * v
-            q += 1
-            if q == self.shift:
-                ell, q = ell + 1, 0
-        return sums
-
 
 def basis_group(scal) -> tuple[tuple, tuple]:
     """The group key (space, index shift or None, count) of an RleSpline or
@@ -375,16 +344,14 @@ class SlotwisePattern:
     ((scalar, ("w", i)) pairs), `w_data` (the (integer numerator, slot key)
     expansion of each correction vector i) and `w_den`, their denominator.
 
-    Point evaluation reads `run_table`: the runs of every term, merged per
-    basis group (space, index shift, count) into one sorted table whose
-    entries carry their slot coefficients, with each ("w", i) bump expanded
-    through w_data once, at build: run coefficient c and numerator n give
-    the pair (c.numerator n, c.denominator w_den). At t, a group takes the
-    atom index from one divmod (and one more onto the base instance if it
-    is periodic), looks up each of the k window indices with one bisection
-    and takes the space's span numerators only once an index hits a run.
-    The table holds no witness vectors, so every binding of the pattern
-    shares it; check (1) of the verification suite reads it too.
+    `run_table` holds the runs of every term, merged per basis group
+    (space, index shift, count) into one sorted table whose entries carry
+    their slot coefficients, with each ("w", i) bump expanded through
+    w_data once, at build: run coefficient c and numerator n give the pair
+    (c.numerator n, c.denominator w_den). The table holds no witness
+    vectors, so every binding of the pattern shares it: point evaluation
+    reads it through a binding's coordinate table (`BoundPattern`), and
+    check (1) of the verification suite reads it too.
     """
 
     @cached_property
@@ -401,35 +368,6 @@ class SlotwisePattern:
                     cn, cd = c.numerator, c.denominator * den
                     entries.append((j0, j1, tuple((key, (cn * n, cd)) for n, key in slots)))
         return tuple(RunGroup(*gkey, entries) for gkey, entries in groups.items())
-
-    def slot_numerators(self, u: int, d: int, level: int) -> tuple[dict, int]:
-        """g per slot at the point u / (d p**level), from the run table, as
-        ({slot key: integer numerator}, den); every group space must be at
-        least as fine as `level`.
-
-        Per space, one divmod of u p**(K - level) by d gives the atom index
-        and the fractional part rem / d. The sums of the groups that hit at
-        the point (the correction bumps' denominator has about 1,500 bits at
-        depth) are added by `add_numerators`; a group that does not hit adds
-        nothing, not even its denominator.
-        """
-        sums: dict = {}
-        den = 1
-        windows: dict = {}
-        for group in self.run_table:
-            sp = group.space
-            # the spaces of one pattern share p and k, so the level names one
-            window = windows.get(sp.level)
-            if window is None:
-                if sp.level < level:
-                    raise PreconditionError(
-                        f"a level-{sp.level} space cannot read a point of level {level}"
-                    )
-                window = windows[sp.level] = [*divmod(u * sp.p ** (sp.level - level), d), d, None]
-            got = group.slot_sums(window)
-            if got:
-                sums, den = add_numerators((sums, den), (got, group.den * window[3][1]))
-        return sums, den
 
     @cached_property
     def ledger_units(self) -> tuple:
@@ -454,11 +392,14 @@ class SlotwisePattern:
 
 class BoundPattern:
     """A pattern bound to the (numerators, den) slot vectors of
-    `slot_vectors`: g(t) and the sup norm of the correction vectors."""
+    `slot_vectors`: g(t) and the sup norm of the correction vectors. g is
+    read from one coordinate table per point level, built on the first read
+    and kept; the build takes only `w_norm` and builds no table."""
 
     def __init__(self, pattern: SlotwisePattern, slots: tuple[dict, int]):
         self.pattern = pattern
         self.slots = slots
+        self._tables: dict = {}  # point level -> coordinate table
 
     def w_norm(self) -> Fraction:
         """max_i ||w_i||: each coordinate of w_i is an integer sum over w_den
@@ -468,18 +409,76 @@ class BoundPattern:
         top = max((abs(n) for w in ws for n in w.values()), default=0)
         return Fraction(top, self.pattern.w_den * den)
 
+    def coordinate_table(self, level: int) -> tuple:
+        """The run table for points of `level`, each run's slot coefficients
+        multiplied into the integer slot vectors: per space level L,
+        (p**(L - level), k, groups), and per group (origin, shift, count,
+        extent, starts, ends, coordinates, den), coordinates[e] being the
+        (coordinate, numerator) pairs of entry e over den, the group
+        denominator times the slot denominator. A space coarser than
+        `level` cannot read such a point, and is refused here."""
+        nums, sden = self.slots
+        spaces: dict = {}
+        for group in self.pattern.run_table:
+            sp = group.space
+            if sp.level < level:
+                raise PreconditionError(
+                    f"a level-{sp.level} space cannot read a point of level {level}"
+                )
+            coords = [
+                tuple(combine_numerators((c, nums[key]) for key, c in slots).items())
+                for *_, slots in group.entries
+            ]
+            ends = [e[1] for e in group.entries]
+            # the spaces of one pattern share p and k, so the level names one
+            _, _, groups = spaces.setdefault(sp.level, (sp.p ** (sp.level - level), sp.k, []))
+            groups.append((group.origin, group.shift, group.count, group.extent,
+                           group.starts, ends, coords, group.den * sden))
+        return tuple(spaces.values())
+
     def g_numerators(self, u: int, d: int, level: int) -> tuple[dict, int]:
         """g at the point u / (d p**level) as ({coordinate: integer
-        numerator}, den): the slot numerators times the integer slot vectors,
-        summed inline, as `combine_numerators` costs the query path about 10 %."""
-        sums, den = self.pattern.slot_numerators(u, d, level)
-        nums, sden = self.slots
+        numerator}, den), from the coordinate table of `level`.
+
+        Per space level, one divmod of u p**(L - level) by d gives the atom
+        index a and the fractional part rem / d. Per group, one divmod puts
+        a onto its instance and a bisection looks up each window index
+        a .. a+k-1; B_k's span numerators are taken once an index hits a
+        run. The groups that hit are added over their lcm (`add_numerators`);
+        a group that misses adds nothing, not even its denominator (the
+        bumps' has thousands of bits at depth).
+        """
+        table = self._tables.get(level)
+        if table is None:
+            table = self._tables[level] = self.coordinate_table(level)
         out: dict = {}
-        for key, s in sums.items():
-            if s:
-                for coord, n in nums[key].items():
-                    out[coord] = out.get(coord, 0) + s * n
-        return out, den * sden
+        den = 1
+        for up, k, groups in table:
+            a, rem = divmod(u * up, d)
+            spans = None
+            for origin, shift, count, extent, starts, ends, coords, gden in groups:
+                rel = a - origin
+                if rel + k <= 0 or rel >= extent:
+                    continue  # the window a .. a+k-1 misses every instance
+                ell, q = divmod(rel, shift)
+                sums: dict = {}
+                for i in range(k - 1, -1, -1):
+                    if 0 <= ell < count:
+                        e = bisect.bisect_right(starts, q) - 1
+                        if e >= 0 and q <= ends[e]:
+                            if spans is None:
+                                g = math.gcd(rem, d)
+                                spans = span_numerators(k, rem // g, d // g)
+                            v = spans[0][i]
+                            if v:
+                                for c, n in coords[e]:
+                                    sums[c] = sums.get(c, 0) + n * v
+                    q += 1
+                    if q == shift:
+                        ell, q = ell + 1, 0
+                if sums:
+                    out, den = add_numerators((out, den), (sums, gden * spans[1]))
+        return out, den
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Exact Fraction oracles for the uniform-grid spline kernels, one Fraction
 operation per term.
 
-Patterns evaluate through their run table, which sums integer numerators
-over one denominator per basis group (`cardinal.span_numerators`, from
-the integer span table that `cardinal._local_spans` builds by the
-order recurrence). The functions here take B_k from its truncated-power
+Bound patterns evaluate through their coordinate table, the run table
+with each run's slot coefficients multiplied into the slot vectors, which
+sums integer coordinate numerators over one denominator per basis group
+(`cardinal.span_numerators`, from the integer span table that
+`cardinal._local_spans` builds by the order recurrence). `unit_slots`
+binds a pattern to one unit coordinate per slot key, so that table reads
+g slot by slot. The functions here take B_k from its truncated-power
 form instead (`truncated_power`, `span_polynomial`) and read nothing of
 `cardinal`'s spans, so a fault in the table or the kernel shows up as a
 disagreement. They also hold the single-spline helpers that only tests
@@ -45,10 +48,14 @@ as one XVec per slot.
 `step_values` and `descend_random_cell` are the Fraction point walk and
 E_n sampler that the integer ones of `SequenceResult` replaced: every step
 builds t's atom, the pattern coordinate tau and each group's slot values
-as Fractions (`eval_slotwise`, `g_eval`), finds the cell by a linear scan
-of Fraction cell bounds (`reference_locate`) and adds witness vectors
-with `XVec.add`. Cells hold their ends as integer grid units of the
-pattern's level K; the oracles read them as Fractions (`cell_ends`).
+as Fractions from the run table (`eval_slotwise`, the slot-wise
+evaluation that the coordinate table replaced, and `g_eval`), finds the
+cell by a linear scan of Fraction cell bounds (`reference_locate`) and
+adds witness vectors with `XVec.add`; `partial_sums` keeps every f_n(t)
+of one walk, and `fraction_steps` yields what each step reads. Cells hold
+their ends as integer grid units of the pattern's level K; the oracles
+read them as Fractions (`cell_ends`), and `cell_points` and `bump_ends`
+pick points on each cell and at each correction bump's support ends.
 
 `step1_level_search` and `bump_level_search` are the level searches that
 the closed-form levels of `step1_stopping` and `step2_correct` replaced:
@@ -500,17 +507,54 @@ def cell_ends(pattern, entry) -> tuple[Fraction, Fraction]:
     return entry.lo * h, entry.hi * h
 
 
+def cell_points(pat):
+    """lo, an interior point and the last level-K grid point of every cell,
+    in the first, second and last instance of a periodic family."""
+    h = grid_unit(pat)
+    for entry in pat.cells:
+        if isinstance(entry, PeriodicFamily):
+            shifts = sorted({0, min(1, entry.count - 1), entry.count - 1})
+            cells = [(c, s * entry.period * h) for c in entry.cells for s in shifts]
+        else:
+            cells = [(entry, Fraction(0))]
+        for cell, shift in cells:
+            lo, hi = (shift + x for x in cell_ends(pat, cell))
+            yield from (lo, lo + (hi - lo) * Fraction(3, 7), hi - h)
+
+
+def bump_ends(pat):
+    """Both ends of the support of every correction bump, in its first and
+    last instance."""
+    for scal, _ in pat.r_terms:
+        bounds = support_bounds(scal.base if isinstance(scal, PeriodicSpline) else scal)
+        if bounds is not None:
+            last = (scal.count - 1) * scal.shift if isinstance(scal, PeriodicSpline) else 0
+            yield from (x + s for x in bounds for s in sorted({0, last}))
+
+
+def unit_slots(pat) -> tuple[tuple[dict, int], list]:
+    """Slot vectors with one unit coordinate per slot key of a pattern's
+    run table, and the keys in coordinate order: bound to them, g's
+    coordinate i + 1 is its slot value at key i, so equal coordinates
+    mean equal slots."""
+    keys = list(dict.fromkeys(
+        key for group in pat.run_table for *_, slots in group.entries for key, _ in slots
+    ))
+    return ({key: {i + 1: 1} for i, key in enumerate(keys)}, 1), keys
+
+
 def reference_locate(pattern, t):
     """The linear scan over Fraction cell bounds that grid-unit bisection replaced."""
+    h = grid_unit(pattern)
     for entry in pattern.cells:
-        lo, hi = cell_ends(pattern, entry)
+        lo, hi = entry.lo * h, entry.hi * h
         if isinstance(entry, PeriodicFamily):
             if lo <= t < hi:
-                period = entry.period * grid_unit(pattern)
+                period = entry.period * h
                 idx = min(int((t - lo) / period), entry.count - 1)
                 local = t - idx * period
                 for c in entry.cells:
-                    c_lo, c_hi = cell_ends(pattern, c)
+                    c_lo, c_hi = c.lo * h, c.hi * h
                     if c_lo <= local < c_hi:
                         return c, idx * period
                 return None
@@ -521,22 +565,36 @@ def reference_locate(pattern, t):
 
 def step_values(seq, t, n: int) -> tuple[XVec, XVec]:
     """(f_{n-1}(t), f_n(t)) of a built sequence, walking the steps in
-    Fractions."""
+    Fractions (f_0(t) twice at n = 0)."""
+    sums = partial_sums(seq, t, n)
+    return sums[max(n - 1, 0)], sums[n]
+
+
+def partial_sums(seq, t, n: int) -> list[XVec]:
+    """[f_0(t), ..., f_n(t)] of a built sequence from one Fraction walk."""
+    acc = XVec.zero()
+    sums = [acc]
+    for bound, tau in fraction_steps(seq, t, n):
+        acc = acc.add(g_eval(bound, tau))
+        sums.append(acc)
+    return sums + [acc] * (n + 1 - len(sums))  # zombie region: later g vanish here
+
+
+def fraction_steps(seq, t, n: int):
+    """(bound pattern, pattern coordinate tau) of each step j < n that t
+    reaches in Fractions, up to where t leaves the constant cells."""
     t = frac(t)
-    acc = before = XVec.zero()
     binding = BushRep("")
     for j in range(n):
-        before = acc
         if binding is None:
-            break
+            return
         pattern, parts, mix, bound, _start = seq._bind(j, binding)
         scale = seq.filt.uniform_base ** seq.steps[j].m_level
         atom_lo = Fraction(t.numerator * scale // t.denominator, scale)
         tau = t - atom_lo + pattern.interval.lo
-        acc = acc.add(g_eval(bound, tau))
+        yield bound, tau
         cell, _shift = reference_locate(pattern, tau)
         binding = _child_value(binding, parts, mix, (cell.kind, cell.m))
-    return before, acc
 
 
 def random_cell(rng, pattern, force_zone: bool):

@@ -57,6 +57,7 @@ from fraction_oracle import (
     aligning_level,
     bump_level_search,
     cell_ends,
+    cell_points,
     evaluate,
     first_level,
     grid_unit,
@@ -67,6 +68,7 @@ from fraction_oracle import (
     step1_level_search,
     stopping_masses,
     support_bounds,
+    unit_slots,
     w_fractions,
     w_sup_norm,
     w_vectors,
@@ -124,7 +126,7 @@ class TestStopping:
             child = parts[cell.m][1].value()
             for v in vals:
                 assert v == child
-                assert v.sub(xbar).sup_norm == 1
+                assert v.add(xbar.scale(-1)).sup_norm == 1
 
     def test_trace_inequalities_recorded(self):
         ctx = ConstructionContext(dyadic(), 2)
@@ -679,30 +681,22 @@ def sequence_patterns(spec, k):
     return out
 
 
+def slotwise_g(pat, t):
+    """g(t) per slot from `BoundPattern.g_numerators`, bound to one unit
+    coordinate per slot key (`unit_slots`), so its coordinates are the
+    slot values."""
+    slots, keys = unit_slots(pat)
+    nums, den = BoundPattern(pat, slots).g_numerators(t.numerator, t.denominator, 0)
+    return {keys[c - 1]: F(n, den) for c, n in nums.items() if n}
+
+
 def matches_term_by_term(pat, bound, t):
     want = term_by_term_slotwise(pat, t)
-    nums, den = pat.slot_numerators(t.numerator, t.denominator, 0)
-    got = {key: F(n, den) for key, n in nums.items() if n}
     g = XVec.zero()
     slots = slot_xvecs(bound.slots)
     for key, v in want.items():
         g = g.add(slots[key].scale(v))
-    return got == want and g_at(bound, t) == g
-
-
-def cell_points(pat):
-    """lo, an interior point and the last level-K grid point of every cell,
-    in the first, second and last instance of a periodic family."""
-    h = grid_unit(pat)
-    for entry in pat.cells:
-        if isinstance(entry, PeriodicFamily):
-            shifts = sorted({0, min(1, entry.count - 1), entry.count - 1})
-            cells = [(c, s * entry.period * h) for c in entry.cells for s in shifts]
-        else:
-            cells = [(entry, F(0))]
-        for cell, shift in cells:
-            lo, hi = (shift + x for x in cell_ends(pat, cell))
-            yield from (lo, lo + (hi - lo) * F(3, 7), hi - h)
+    return slotwise_g(pat, t) == want and g_at(bound, t) == g
 
 
 @pytest.mark.parametrize("spec,k", RUN_TABLE_CASES)
@@ -778,9 +772,7 @@ def test_groups_that_hit_together_combine_over_their_lcm(x):
         (RleSpline(fine, [(151, 230, F(3, 17))]), ("d", 1)),
     ])
     assert len(pat.run_table) == 2
-    nums, den = pat.slot_numerators(x.numerator, x.denominator, 0)
-    got = {key: F(n, den) for key, n in nums.items() if n}
-    assert got == term_by_term_slotwise(pat, x)
+    assert slotwise_g(pat, x) == term_by_term_slotwise(pat, x)
 
 
 def test_changed_run_coefficient_fails_the_comparison():

@@ -40,11 +40,18 @@ from splinemart.witness import BushRep, XVec, bush_decompose
 import fraction_oracle as oracle
 from fraction_oracle import (
     GeneralRep, as_general, cell_ends, general_decompose, general_key, general_mix_reps,
-    grid_unit, moment_slotwise, reference_locate, w_fractions, w_vectors, xvec_numerators,
+    grid_unit, moment_slotwise, reference_locate, unit_slots, w_fractions, w_vectors,
+    xvec_numerators,
 )
 
 F = Fraction
 HALF = F(1, 2)
+
+
+def walk_values(seq, t, n):
+    """(f_{n-1}(t), f_n(t)) as XVecs from the one integer walk that
+    value_at and sup_diff_at read (f_0(t) twice at n = 0)."""
+    return tuple(XVec.over(*x) for x in seq._walk(t, n))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +90,7 @@ def test_walk_refuses_a_bool_or_a_non_finite_point(bad):
     seq = build_sequence(dyadic(), 2, HALF, 2)
     calls = {
         "value_at": lambda: seq.value_at(bad, 2),
-        "step_values": lambda: seq.step_values(bad, 2),
+        "walk": lambda: walk_values(seq, bad, 2),
         "sup_diff_at": lambda: seq.sup_diff_at(bad, 2),
     }
     for name, call in calls.items():
@@ -103,7 +110,7 @@ from splinemart.filtration import dyadic
 seq = build_sequence(dyadic(), 1, Fraction(1, 2), 2)
 calls = {
     "value_at": seq.value_at,
-    "step_values": seq.step_values,
+    "walk": seq._walk,
     "sup_diff_at": seq.sup_diff_at,
 }
 for bad in ("1/0", "3/0", "x"):
@@ -124,7 +131,7 @@ print("ok")
 
 @pytest.mark.parametrize("optimise", [False, True], ids=["python", "python-O"])
 def test_walk_refuses_a_string_that_is_no_rational(optimise):
-    # "1/0" once escaped from value_at, step_values and sup_diff_at as
+    # "1/0" once escaped from value_at, the step walk and sup_diff_at as
     # ZeroDivisionError; the walk refuses it, and a malformed string, with an
     # explicit DomainError, so the refusal holds under python -O too
     path = os.pathsep.join(
@@ -150,10 +157,10 @@ def test_step_walk_matches_two_separate_walks(k):
     pts = [F(rng.randrange(1, 10**6), 10**6) for _ in range(40)] + seq.sample_e_points(3, rng, 6)
     for t in pts:
         for n in range(1, 4):
-            before, after = seq.step_values(t, n)
+            before, after = walk_values(seq, t, n)
             assert before == seq.value_at(t, n - 1) and after == seq.value_at(t, n)
-            assert seq.sup_diff_at(t, n) == after.sub(before).sup_norm
-    assert seq.step_values(F(1, 3), 0) == (XVec.zero(), XVec.zero())
+            assert seq.sup_diff_at(t, n) == after.add(before.scale(-1)).sup_norm
+    assert walk_values(seq, F(1, 3), 0) == (XVec.zero(), XVec.zero())
     with pytest.raises(ValueError):
         seq.sup_diff_at(F(1, 3), 0)
 
@@ -169,7 +176,7 @@ def test_step_accessors_refuse_a_step_that_is_not_an_int(bad):
         "c_measure": lambda: seq.c_measure(bad),
         "e_measure": lambda: seq.e_measure(bad),
         "value_at": lambda: seq.value_at(t, bad),
-        "step_values": lambda: seq.step_values(t, bad),
+        "walk": lambda: walk_values(seq, t, bad),
         "sup_diff_at": lambda: seq.sup_diff_at(t, bad),
         "sample_e_points": lambda: seq.sample_e_points(bad, random.Random(0), 2),
         "sample_e_intervals": lambda: seq.sample_e_intervals(bad, random.Random(0), 2),
@@ -948,10 +955,10 @@ def test_point_walk_matches_the_fraction_walk(spec, k, data):
     t = data.draw(walk_points(seq))
     for n in range(seq.num_steps + 1):
         before, after = oracle.step_values(seq, t, n)
-        assert seq.step_values(t, n) == (before, after), (t, n)
+        assert walk_values(seq, t, n) == (before, after), (t, n)
         assert seq.value_at(t, n) == after, (t, n)
         if n:
-            assert seq.sup_diff_at(t, n) == after.sub(before).sup_norm, (t, n)
+            assert seq.sup_diff_at(t, n) == after.add(before.scale(-1)).sup_norm, (t, n)
 
 
 @pytest.mark.parametrize("spec,k", WALK_CASES)
@@ -971,8 +978,10 @@ def test_sampler_matches_the_fraction_sampler(spec, k, seed, data):
 
 def test_tampered_run_coefficient_changes_value_at(monkeypatch):
     """One coefficient numerator of the first step's run table, raised by
-    one, changes f_1 at a point on that run."""
-    seq = walk_sequence("dyadic", 2)
+    one on a freshly built sequence before its first walk, changes f_1 at a
+    point on that run: the coordinate table is built from the run table on
+    the first walk, and kept."""
+    seq = build_sequence(parse_filtration_spec("dyadic"), 2, HALF, WALK_STEPS)
     (pattern,) = seq.steps[0].patterns.values()
     group = pattern.run_table[0]
     j0, j1, slots = group.entries[0]
@@ -980,8 +989,10 @@ def test_tampered_run_coefficient_changes_value_at(monkeypatch):
     # instance 0 of index origin + j0: N_j is non-zero in the middle of its
     # support [(j - k + 1) h, (j + 1) h), and the first step reads t itself
     t = (group.origin + j0 - sp.k + 1) * sp.h + sp.k * sp.h / 2
-    value = seq.value_at(t, 1)
-    assert value == oracle.step_values(seq, t, 1)[1]
+    # the Fraction walk reads the run table and builds no coordinate table;
+    # an untampered build of the same sequence reads the same value
+    value = oracle.step_values(seq, t, 1)[1]
+    assert walk_sequence("dyadic", 2).value_at(t, 1) == value
     (key, c), *rest = slots
     monkeypatch.setattr(group, "entries", [(j0, j1, ((key, c + 1), *rest)), *group.entries[1:]])
     assert seq.value_at(t, 1) != value
@@ -991,7 +1002,7 @@ def test_sup_diff_at_refuses_n_before_walking(seq_k1, monkeypatch):
     def walked(t, n):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(seq_k1, "step_values", walked)
+    monkeypatch.setattr(seq_k1, "_walk", walked)
     for n in (0, -1, seq_k1.num_steps + 1):
         with pytest.raises(ValueError, match="n out of range"):
             seq_k1.sup_diff_at(F(1, 3), n)
@@ -1021,5 +1032,87 @@ def test_step_indices_outside_their_range_are_refused():
 def test_run_table_refuses_a_point_finer_than_its_spaces():
     seq = walk_sequence("dyadic", 2)
     (pattern,) = seq.steps[0].patterns.values()
+    bound = BoundPattern(pattern, unit_slots(pattern)[0])
     with pytest.raises(PreconditionError, match="cannot read a point"):
-        pattern.slot_numerators(1, 3, pattern.K + 1)
+        bound.g_numerators(1, 3, pattern.K + 1)
+
+
+def table_points(seq, rng, cells: bool = True) -> list:
+    """Points of [0, 1] for the walk: 0 and 1, two E_n sample points per
+    step and, if `cells`, per step j the cell points and bump ends of the
+    pattern that one sampled atom of level m_j reaches (the atom [0, 1) at
+    step 0), moved into that atom."""
+    points = {F(0), F(1)}
+    for n in range(1, seq.num_steps + 1):
+        points.update(seq.sample_e_points(n, rng, 2))
+    for j in range(seq.num_steps if cells else 0):
+        scale = seq.filt.uniform_base ** seq.m_levels[j]
+        atom = math.floor(seq.sample_e_points(j, rng, 1)[0] * scale) if j else 0
+        lo = F(atom, scale)
+        pattern = list(oracle.fraction_steps(seq, lo, j + 1))[j][0].pattern
+        for tau in [*oracle.cell_points(pattern), *oracle.bump_ends(pattern)]:
+            t = lo + tau - pattern.interval.lo
+            if t <= 1:
+                points.add(t)
+    return sorted(points)
+
+
+def matches_the_fraction_walk(seq, t) -> bool:
+    """Every (f_{n-1}(t), f_n(t)), n = 0 .. N, of the walk equals the
+    Fraction walk's."""
+    sums = oracle.partial_sums(seq, t, seq.num_steps)
+    return all(
+        walk_values(seq, t, n) == (sums[max(n - 1, 0)], sums[n]) for n in range(seq.num_steps + 1)
+    )
+
+
+# CENSUS_CASES + ORACLE_CASES; the cell points, about a thousand per case
+# at k = 4, are walked on CENSUS_CASES
+@pytest.mark.parametrize(
+    "spec,k,steps,eta",
+    COMPACT_CASES,
+    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e in COMPACT_CASES],
+)
+def test_coordinate_tables_match_the_fraction_walk(spec, k, steps, eta):
+    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+    cells = (spec, k, steps, eta) in CENSUS_CASES
+    for t in table_points(seq, random.Random(11), cells):
+        assert matches_the_fraction_walk(seq, t), t
+
+
+def test_coordinate_tables_match_the_fraction_walk_at_large_denominators():
+    # E_n sample points at dyadic k=3 N=6 have denominators of thousands of bits
+    seq = build_sequence(dyadic(), 3, HALF, 6)
+    points = table_points(seq, random.Random(12), cells=False)
+    assert max(t.denominator.bit_length() for t in points) > 2000
+    for t in points:
+        assert matches_the_fraction_walk(seq, t), t
+
+
+def test_build_sequence_builds_no_coordinate_table(monkeypatch):
+    """The build binds each pattern for its w_norm only; the first walk
+    builds the tables."""
+    def refused(self, level):
+        raise AssertionError("the build read a coordinate table")
+
+    with monkeypatch.context() as m:
+        m.setattr(BoundPattern, "coordinate_table", refused)
+        seq = build_sequence(parse_filtration_spec("padic:3"), 4, HALF, 3)
+    seq.value_at(F(1, 3), 3)
+    assert len(seq._bound) == 3
+    assert all(bound._tables for *_, bound, _ in seq._bound.values())
+
+
+@pytest.mark.parametrize(
+    "spec,k,steps,eta",
+    COMPACT_CASES,
+    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e in COMPACT_CASES],
+)
+def test_integer_sup_diff_at_equals_the_xvec_difference(spec, k, steps, eta):
+    # CENSUS_CASES + ORACLE_CASES, at the E_n sample points that check (3b) reads
+    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+    rng = random.Random(13)
+    for n in range(1, steps + 1):
+        for t in seq.sample_e_points(n, rng, 4):
+            before, after = walk_values(seq, t, n)
+            assert seq.sup_diff_at(t, n) == after.add(before.scale(-1)).sup_norm, (t, n)

@@ -56,11 +56,11 @@ class TestVerify:
     def test_fault_injection_flags_separation(self, seq2, monkeypatch):
         # corrupt values of f_n for n >= 1 so separation collapses; value_at
         # and sup_diff_at both read the step walk
-        step_values = seq2.step_values
+        walk = seq2._walk
         monkeypatch.setattr(
             seq2,
-            "step_values",
-            lambda t, n: (XVec.zero(), XVec.zero()) if n >= 1 else step_values(t, n),
+            "_walk",
+            lambda t, n: (({}, 1), ({}, 1)) if n >= 1 else walk(t, n),
         )
         report = verify_sequence(seq2)
         failed = {e.name for e in report.failed()}
@@ -244,10 +244,10 @@ class TestUnconditionality:
         assert abs(ratios[7] - ratios[6]) / ratios[7] < 0.25
 
 
-def per_trial_unconditionality_ratio(ctx, f, depth, p, trials, seed):
-    """unconditionality_ratio for f at level depth as it was before its
-    signs came from one draw: one rng.choice per trial, and Gauss nodes
-    from the rational breakpoints."""
+def per_trial_setup(ctx, f, depth):
+    """The martingale differences of f at level depth at the Gauss nodes of
+    the rational breakpoints, and the node weights: what the per-trial
+    reference reads for every seed, p and trial count."""
     projections = [ctx.project_scalar(f, n) for n in range(depth)] + [f]
     diffs, prev = [], np.zeros(f.kv.dim)
     for g in projections:
@@ -255,12 +255,19 @@ def per_trial_unconditionality_ratio(ctx, f, depth, p, trials, seed):
         diffs.append(fine.coeffs - prev)
         prev = fine.coeffs
     pts, wts = gauss_nodes(f.kv.breakpoints, NODES)
-    dvals = spline_values(np.array(diffs), *basis_values(f.kv, pts))
+    return spline_values(np.array(diffs), *basis_values(f.kv, pts)), wts
+
+
+def per_trial_unconditionality_ratio(setup, p, trials, seed):
+    """unconditionality_ratio, from the `per_trial_setup` of f and depth, as
+    it was before its signs came from one draw: one rng.choice per trial,
+    and Gauss nodes from the rational breakpoints."""
+    dvals, wts = setup
     fnorm = float((np.abs(dvals.sum(axis=0)) ** p) @ wts) ** (1.0 / p)
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
-        signs = rng.choice([-1.0, 1.0], size=len(diffs))
+        signs = rng.choice([-1.0, 1.0], size=len(dvals))
         ratio = float((np.abs(signs @ dvals) ** p) @ wts) ** (1.0 / p) / fnorm
         best = max(best, ratio)
     return best
@@ -273,10 +280,11 @@ def test_one_sign_draw_repr_identical_to_per_trial_draws(k, depth):
     ctx = ProjectionContext(dyadic(), k)
     kv = ctx.knot_vector(depth)
     f = ScalarSpline(kv, np.random.default_rng(depth).uniform(-1, 1, kv.dim))
+    setup = per_trial_setup(ctx, f, depth)
     for seed in (0, 3, 17, 2**40 + 1):
         for p, trials in ((1.5, 1), (3.0, 37), (1.5, 200), (2.0, 1000)):
             got = unconditionality_ratio(ctx, f, p, trials, seed=seed)
-            want = per_trial_unconditionality_ratio(ctx, f, depth, p, trials, seed)
+            want = per_trial_unconditionality_ratio(setup, p, trials, seed)
             assert repr(got) == repr(want), (k, depth, seed, p, trials)
 
 
