@@ -139,18 +139,19 @@ class SequenceResult:
         return XVec.over(*self._walk(t, n)[1])
 
     def sup_diff_at(self, t, n: int) -> Fraction:
-        """||f_n(t) - f_{n-1}(t)|| in the sup norm, exact: the walk's two
-        partial sums are subtracted over the lcm of their denominators, and
-        the largest |numerator| makes the one Fraction."""
+        """||f_n(t) - f_{n-1}(t)|| in the sup norm, exact."""
         self._check_step(n, "f_n - f_{n-1}")
-        (bnums, bden), after = self._walk(t, n)
-        nums, den = add_numerators(after, ({c: -v for c, v in bnums.items()}, bden))
-        return Fraction(max(map(abs, nums.values()), default=0), den)
+        before, after = self.step_values(t, n)
+        return after.sub(before).sup_norm
+
+    def step_values(self, t, n: int) -> tuple[XVec, XVec]:
+        """(f_{n-1}(t), f_n(t)) from one walk over the steps: f_{n-1}(t) is
+        the partial sum one step before the end (f_0(t) twice at n = 0)."""
+        before, after = self._walk(t, n)
+        return XVec.over(*before), XVec.over(*after)
 
     def _walk(self, t, n: int) -> tuple[tuple[dict, int], tuple[dict, int]]:
-        """f_{n-1}(t) and f_n(t) as ({coordinate: integer numerator}, den),
-        from one walk over the steps: f_{n-1}(t) is the partial sum one
-        step before the end (f_0(t) twice at n = 0).
+        """f_{n-1}(t) and f_n(t) as ({coordinate: integer numerator}, den).
 
         The walk is integer: with t = tn / td and S = p**m_j, step j moves
         t's level-m_j atom onto its pattern's interval, tau = T / (S td)

@@ -91,6 +91,9 @@ class XVec:
                 out[c] = w
         return XVec._of(out)
 
+    def sub(self, other: "XVec") -> "XVec":
+        return self.add(other.scale(-1))
+
     def scale(self, c) -> "XVec":
         if c == 0:
             return XVec()

@@ -126,7 +126,7 @@ class TestStopping:
             child = parts[cell.m][1].value()
             for v in vals:
                 assert v == child
-                assert v.add(xbar.scale(-1)).sup_norm == 1
+                assert v.sub(xbar).sup_norm == 1
 
     def test_trace_inequalities_recorded(self):
         ctx = ConstructionContext(dyadic(), 2)

@@ -48,12 +48,6 @@ F = Fraction
 HALF = F(1, 2)
 
 
-def walk_values(seq, t, n):
-    """(f_{n-1}(t), f_n(t)) as XVecs from the one integer walk that
-    value_at and sup_diff_at read (f_0(t) twice at n = 0)."""
-    return tuple(XVec.over(*x) for x in seq._walk(t, n))
-
-
 @pytest.fixture(scope="module")
 def seq_k1():
     return build_sequence(dyadic(), 1, HALF, 3)
@@ -90,7 +84,7 @@ def test_walk_refuses_a_bool_or_a_non_finite_point(bad):
     seq = build_sequence(dyadic(), 2, HALF, 2)
     calls = {
         "value_at": lambda: seq.value_at(bad, 2),
-        "walk": lambda: walk_values(seq, bad, 2),
+        "step_values": lambda: seq.step_values(bad, 2),
         "sup_diff_at": lambda: seq.sup_diff_at(bad, 2),
     }
     for name, call in calls.items():
@@ -110,7 +104,7 @@ from splinemart.filtration import dyadic
 seq = build_sequence(dyadic(), 1, Fraction(1, 2), 2)
 calls = {
     "value_at": seq.value_at,
-    "walk": seq._walk,
+    "step_values": seq.step_values,
     "sup_diff_at": seq.sup_diff_at,
 }
 for bad in ("1/0", "3/0", "x"):
@@ -131,7 +125,7 @@ print("ok")
 
 @pytest.mark.parametrize("optimise", [False, True], ids=["python", "python-O"])
 def test_walk_refuses_a_string_that_is_no_rational(optimise):
-    # "1/0" once escaped from value_at, the step walk and sup_diff_at as
+    # "1/0" once escaped from value_at, step_values and sup_diff_at as
     # ZeroDivisionError; the walk refuses it, and a malformed string, with an
     # explicit DomainError, so the refusal holds under python -O too
     path = os.pathsep.join(
@@ -157,10 +151,10 @@ def test_step_walk_matches_two_separate_walks(k):
     pts = [F(rng.randrange(1, 10**6), 10**6) for _ in range(40)] + seq.sample_e_points(3, rng, 6)
     for t in pts:
         for n in range(1, 4):
-            before, after = walk_values(seq, t, n)
+            before, after = seq.step_values(t, n)
             assert before == seq.value_at(t, n - 1) and after == seq.value_at(t, n)
-            assert seq.sup_diff_at(t, n) == after.add(before.scale(-1)).sup_norm
-    assert walk_values(seq, F(1, 3), 0) == (XVec.zero(), XVec.zero())
+            assert seq.sup_diff_at(t, n) == after.sub(before).sup_norm
+    assert seq.step_values(F(1, 3), 0) == (XVec.zero(), XVec.zero())
     with pytest.raises(ValueError):
         seq.sup_diff_at(F(1, 3), 0)
 
@@ -176,7 +170,7 @@ def test_step_accessors_refuse_a_step_that_is_not_an_int(bad):
         "c_measure": lambda: seq.c_measure(bad),
         "e_measure": lambda: seq.e_measure(bad),
         "value_at": lambda: seq.value_at(t, bad),
-        "walk": lambda: walk_values(seq, t, bad),
+        "step_values": lambda: seq.step_values(t, bad),
         "sup_diff_at": lambda: seq.sup_diff_at(t, bad),
         "sample_e_points": lambda: seq.sample_e_points(bad, random.Random(0), 2),
         "sample_e_intervals": lambda: seq.sample_e_intervals(bad, random.Random(0), 2),
@@ -955,10 +949,10 @@ def test_point_walk_matches_the_fraction_walk(spec, k, data):
     t = data.draw(walk_points(seq))
     for n in range(seq.num_steps + 1):
         before, after = oracle.step_values(seq, t, n)
-        assert walk_values(seq, t, n) == (before, after), (t, n)
+        assert seq.step_values(t, n) == (before, after), (t, n)
         assert seq.value_at(t, n) == after, (t, n)
         if n:
-            assert seq.sup_diff_at(t, n) == after.add(before.scale(-1)).sup_norm, (t, n)
+            assert seq.sup_diff_at(t, n) == after.sub(before).sup_norm, (t, n)
 
 
 @pytest.mark.parametrize("spec,k", WALK_CASES)
@@ -1002,7 +996,7 @@ def test_sup_diff_at_refuses_n_before_walking(seq_k1, monkeypatch):
     def walked(t, n):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(seq_k1, "_walk", walked)
+    monkeypatch.setattr(seq_k1, "step_values", walked)
     for n in (0, -1, seq_k1.num_steps + 1):
         with pytest.raises(ValueError, match="n out of range"):
             seq_k1.sup_diff_at(F(1, 3), n)
@@ -1062,7 +1056,7 @@ def matches_the_fraction_walk(seq, t) -> bool:
     Fraction walk's."""
     sums = oracle.partial_sums(seq, t, seq.num_steps)
     return all(
-        walk_values(seq, t, n) == (sums[max(n - 1, 0)], sums[n]) for n in range(seq.num_steps + 1)
+        seq.step_values(t, n) == (sums[max(n - 1, 0)], sums[n]) for n in range(seq.num_steps + 1)
     )
 
 
@@ -1101,18 +1095,3 @@ def test_build_sequence_builds_no_coordinate_table(monkeypatch):
     seq.value_at(F(1, 3), 3)
     assert len(seq._bound) == 3
     assert all(bound._tables for *_, bound, _ in seq._bound.values())
-
-
-@pytest.mark.parametrize(
-    "spec,k,steps,eta",
-    COMPACT_CASES,
-    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e in COMPACT_CASES],
-)
-def test_integer_sup_diff_at_equals_the_xvec_difference(spec, k, steps, eta):
-    # CENSUS_CASES + ORACLE_CASES, at the E_n sample points that check (3b) reads
-    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
-    rng = random.Random(13)
-    for n in range(1, steps + 1):
-        for t in seq.sample_e_points(n, rng, 4):
-            before, after = walk_values(seq, t, n)
-            assert seq.sup_diff_at(t, n) == after.add(before.scale(-1)).sup_norm, (t, n)

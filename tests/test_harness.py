@@ -56,11 +56,11 @@ class TestVerify:
     def test_fault_injection_flags_separation(self, seq2, monkeypatch):
         # corrupt values of f_n for n >= 1 so separation collapses; value_at
         # and sup_diff_at both read the step walk
-        walk = seq2._walk
+        step_values = seq2.step_values
         monkeypatch.setattr(
             seq2,
-            "_walk",
-            lambda t, n: (({}, 1), ({}, 1)) if n >= 1 else walk(t, n),
+            "step_values",
+            lambda t, n: (XVec.zero(), XVec.zero()) if n >= 1 else step_values(t, n),
         )
         report = verify_sequence(seq2)
         failed = {e.name for e in report.failed()}

@@ -70,7 +70,7 @@ def test_stopping_bush_children_example():
         t = lo + (hi - lo) / 3
         val = xbar.add(g_at(bound, t))
         assert val in (xs[0], xs[1])
-        assert val.add(xbar.scale(-1)).sup_norm == 1
+        assert val.sub(xbar).sup_norm == 1
 
 
 @settings(max_examples=10, deadline=None)
@@ -121,4 +121,4 @@ def test_moment_perturbation_end_to_end(k):
         t = lo + inst * fam.period * grid_unit(pat) + (hi - lo) / 3
         val = xbar.add(g_at(bound, t))
         assert val in tuple(xs)
-        assert val.add(xbar.scale(-1)).sup_norm == 1
+        assert val.sub(xbar).sup_norm == 1

@@ -63,8 +63,8 @@ def test_bush_averaging_exhaustive():
         v = node_vector(path)
         c0, c1 = node_vector(path + "0"), node_vector(path + "1")
         assert c0.add(c1).scale(F(1, 2)) == v
-        assert v.add(c0.scale(-1)).sup_norm == 1
-        assert v.add(c1.scale(-1)).sup_norm == 1
+        assert v.sub(c0).sup_norm == 1
+        assert v.sub(c1).sup_norm == 1
 
 
 def test_decompose_root():
@@ -77,7 +77,7 @@ def test_decompose_root():
     ]
     value = rep.value()
     for w, r in parts:
-        assert value.add(r.value().scale(-1)).sup_norm == 1
+        assert value.sub(r.value()).sup_norm == 1
 
 
 def test_decompose_pair_of_children():
@@ -89,7 +89,7 @@ def test_decompose_pair_of_children():
     mix = XVec.zero()
     for w, r in parts:
         mix = mix.add(r.value().scale(w))
-        assert rep.value().add(r.value().scale(-1)).sup_norm >= 1
+        assert rep.value().sub(r.value()).sup_norm >= 1
     assert mix == rep.value()
 
 
@@ -103,7 +103,7 @@ def test_decompose_reconstruction_exhaustive(target):
         mix = XVec.zero()
         for w, r in parts:
             mix = mix.add(r.value().scale(w))
-            assert rep.value().add(r.value().scale(-1)).sup_norm >= 1
+            assert rep.value().sub(r.value()).sup_norm >= 1
         assert mix == rep.value()
 
 
@@ -124,7 +124,7 @@ def test_mix_reps_affine_correction_stays_convex():
     beta = F(1, 100)
     y = general_mix_reps([(1 - beta, xbar), (beta, x0)])
     assert dict(y.weights) == {"00": F(1, 2) + beta / 2, "01": F(1, 2) - beta / 2}
-    assert y.value() == xbar.value().add(x0.value().add(xbar.value().scale(-1)).scale(beta))
+    assert y.value() == xbar.value().add(x0.value().sub(xbar.value()).scale(beta))
     with pytest.raises(ValueError, match="the 3 parts are not the decomposition of one node"):
         mix_reps([(1 - beta, xbar), (beta, x0), (F(0), x1)])
     with pytest.raises(ValueError, match="the 2 parts are not the decomposition of one node"):
@@ -332,7 +332,7 @@ def test_integer_slot_vectors_and_combine_match_add_and_scale(xbar, points, data
     betas = data.draw(st.lists(small_fractions, min_size=len(points), max_size=len(points)))
     raw = slot_vectors(xvec_numerators(xbar), [xvec_numerators(x) for x in points], betas)
     slots = slot_xvecs(raw)
-    diffs = [x.add(xbar.scale(-1)) for x in points]
+    diffs = [x.sub(xbar) for x in points]
     want_mix = XVec.zero()
     for b, dv in zip(betas, diffs):
         want_mix = want_mix.add(dv.scale(b))
