@@ -2,7 +2,6 @@ from .core import (
     BoundPattern,
     ConstructionContext,
     Step1Pattern,
-    slot_vectors,
     step1_stopping,
 )
 from .lemma import LemmaPattern, lemma_moments, step2_correct
@@ -12,7 +11,6 @@ __all__ = [
     "BoundPattern",
     "ConstructionContext",
     "Step1Pattern",
-    "slot_vectors",
     "step1_stopping",
     "LemmaPattern",
     "lemma_moments",

@@ -15,12 +15,11 @@ units p**-K of the owning pattern's level K, from birth. Tiling, lookup,
 the ledger and the E_n sampler compare and add these integers.
 
 A pattern stores g slot-wise, as scalar splines paired with slot keys that
-name witness vectors; `slot_vectors` builds those vectors from the bush
-values' integer numerators (`BushRep.numerators`), over one denominator,
-and `BoundPattern` evaluates g with them. Each pattern has one run table
-(`SlotwisePattern.run_table`): per basis group (space, index shift,
-count), the disjoint runs (j0, j1, slot coefficients) of all its terms,
-with the correction bumps already expanded into slot keys. A bound
+name witness vectors, and `BoundPattern` evaluates g with one integer
+vector per key, which the driver writes from node paths. Each pattern has
+one run table (`SlotwisePattern.run_table`): per basis group (space, index
+shift, count), the disjoint runs (j0, j1, slot coefficients) of all its
+terms, with the correction bumps already expanded into slot keys. A bound
 pattern multiplies those coefficients into its slot vectors once, on its
 first read at a point level, and keeps the result as its coordinate table
 (`BoundPattern.coordinate_table`): each run then carries one tuple of
@@ -67,19 +66,6 @@ LEVEL_CAP = 1 << 20
 #   ("dmix",)   -> sum_j beta_j (x_j - xbar)
 #   ("w", i)    -> i-th moment-correction vector (expanded via w_data / w_den)
 SlotKey = tuple
-
-
-def slot_vectors(xbar: tuple, points: Sequence[tuple], betas: Sequence[Fraction]) -> tuple:
-    """The ("d", m) and ("dmix",) slot vectors x_m - xbar and sum_j beta_j
-    (x_j - xbar) as ({slot key: numerator map}, den), from xbar and the points
-    x_m as ({coordinate: integer numerator}, den) pairs: no Fraction is built."""
-    # the numerators of 1 / d over the common denominator D are the factors D / d
-    (bar_up, *ups), den = over_common_denominator([(1, d) for _, d in (xbar, *points)])
-    bnums, bden = over_common_denominator(betas)
-    diffs = [combine_numerators(((up, x), (-bar_up, xbar[0]))) for (x, _), up in zip(points, ups)]
-    slots = {("d", m): {c: n * bden for c, n in d.items()} for m, d in enumerate(diffs)}
-    slots[("dmix",)] = combine_numerators(zip(bnums, diffs))
-    return slots, den * bden
 
 
 def combine_numerators(terms) -> dict:
@@ -391,23 +377,23 @@ class SlotwisePattern:
 
 
 class BoundPattern:
-    """A pattern bound to the (numerators, den) slot vectors of
-    `slot_vectors`: g(t) and the sup norm of the correction vectors. g is
-    read from one coordinate table per point level, built on the first read
-    and kept; the build takes only `w_norm` and builds no table."""
+    """A pattern bound to integer slot vectors, {slot key: {coordinate:
+    integer}}: g(t) and the sup norm of the correction vectors. g is read
+    from one coordinate table per point level, built on the first read and
+    kept; the build takes only `w_norm` and builds no table. A caller with
+    rational slot vectors scales them to integers first."""
 
-    def __init__(self, pattern: SlotwisePattern, slots: tuple[dict, int]):
+    def __init__(self, pattern: SlotwisePattern, slots: dict):
         self.pattern = pattern
         self.slots = slots
         self._tables: dict = {}  # point level -> coordinate table
 
     def w_norm(self) -> Fraction:
-        """max_i ||w_i||: each coordinate of w_i is an integer sum over w_den
-        times the slot denominator, so one Fraction of the largest |sum|."""
-        nums, den = self.slots
-        ws = [combine_numerators((n, nums[key]) for n, key in wd) for wd in self.pattern.w_data]
+        """max_i ||w_i||: each coordinate of w_i is an integer sum over
+        w_den, so one Fraction of the largest |sum|."""
+        ws = [combine_numerators((n, self.slots[k]) for n, k in wd) for wd in self.pattern.w_data]
         top = max((abs(n) for w in ws for n in w.values()), default=0)
-        return Fraction(top, self.pattern.w_den * den)
+        return Fraction(top, self.pattern.w_den)
 
     def coordinate_table(self, level: int) -> tuple:
         """The run table for points of `level`, each run's slot coefficients
@@ -415,9 +401,8 @@ class BoundPattern:
         (p**(L - level), k, groups), and per group (origin, shift, count,
         extent, starts, ends, coordinates, den), coordinates[e] being the
         (coordinate, numerator) pairs of entry e over den, the group
-        denominator times the slot denominator. A space coarser than
-        `level` cannot read such a point, and is refused here."""
-        nums, sden = self.slots
+        denominator. A space coarser than `level` cannot read such a point,
+        and is refused here."""
         spaces: dict = {}
         for group in self.pattern.run_table:
             sp = group.space
@@ -426,14 +411,14 @@ class BoundPattern:
                     f"a level-{sp.level} space cannot read a point of level {level}"
                 )
             coords = [
-                tuple(combine_numerators((c, nums[key]) for key, c in slots).items())
+                tuple(combine_numerators((c, self.slots[key]) for key, c in slots).items())
                 for *_, slots in group.entries
             ]
             ends = [e[1] for e in group.entries]
             # the spaces of one pattern share p and k, so the level names one
             _, _, groups = spaces.setdefault(sp.level, (sp.p ** (sp.level - level), sp.k, []))
             groups.append((group.origin, group.shift, group.count, group.extent,
-                           group.starts, ends, coords, group.den * sden))
+                           group.starts, ends, coords, group.den))
         return tuple(spaces.values())
 
     def g_numerators(self, u: int, d: int, level: int) -> tuple[dict, int]:

@@ -39,7 +39,7 @@ from ..errors import ConstructionPreconditionError, DomainError, PreconditionErr
 from ..intervals import Interval, frac, long_decimals
 from ..witness import BushRep, XVec, bush_decompose, mix_reps
 from .core import (
-    BoundPattern, ConstructionContext, F0, F1, grid_units, require_checks, slot_vectors,
+    BoundPattern, ConstructionContext, F0, F1, grid_units, require_checks,
 )
 from .lemma import LemmaPattern, lemma_moments
 
@@ -199,7 +199,7 @@ class SequenceResult:
         if hit is None:
             parts = bush_decompose(binding, DELTA, target_count=2)
             pattern = self.steps[j].patterns[tuple(w for w, _ in parts)]
-            bound = BoundPattern(pattern, _bush_slots(binding, parts, pattern))
+            bound = BoundPattern(pattern, _bush_slots(binding, parts))
             start = grid_units(pattern.interval.lo, self._scales[j])
             hit = self._bound[key] = (pattern, parts, mix_reps(parts), bound, start)
         return hit
@@ -444,10 +444,18 @@ def build_sequence(
     return SequenceResult(filt, order, eta, step_data, m_levels, rows)
 
 
-def _bush_slots(binding: BushRep, parts, pattern: LemmaPattern) -> tuple[dict, int]:
-    """Slot vectors of an atom valued `binding` with decomposition `parts`: no XVec, no Fraction."""
-    points = [rep.numerators() for _, rep in parts]
-    return slot_vectors(binding.numerators(), points, pattern.inner.trace.betas)
+def _bush_slots(binding: BushRep, parts) -> dict:
+    """The integer slot vectors of an atom valued x_s, s = `binding.path`,
+    whose `parts` are the 2^j descendants x_{su}. ("d", m) is x_m - x_s:
+    part m's ±1 entries on the prefixes of length >= |s|, whose heap
+    coordinates a(q) = 2^|q| + int(q, 2) are those >= 2^|s| (the shorter
+    ones cancel). ("dmix",) is Σ beta_m (x_m - x_s) = beta (Σ x_m - 2^j x_s)
+    = 0, as the betas are equal (`_bind_representative` raises otherwise)."""
+    cut = 1 << len(binding.path)
+    slots = {("d", m): {c: n for c, n in rep.numerators().items() if c >= cut}
+             for m, (_, rep) in enumerate(parts)}
+    slots[("dmix",)] = {}
+    return slots
 
 
 def _child_value(binding: BushRep, parts, mix: BushRep, cell_key: tuple):
@@ -507,7 +515,7 @@ def _bind_representative(pat: LemmaPattern, rep_value: BushRep, parts):
     equal by construction). Explicit raises hold under python -O."""
     if len(set(pat.inner.trace.betas)) != 1:
         raise AssertionError("stopping betas are not all equal")
-    pat.trace.w_bound = BoundPattern(pat, _bush_slots(rep_value, parts, pat)).w_norm()
+    pat.trace.w_bound = BoundPattern(pat, _bush_slots(rep_value, parts)).w_norm()
     if pat.inner.space.k == 1 and pat.trace.w_bound:
         raise AssertionError("order-1 moment correction is not zero")
     pat.trace.run_checks()

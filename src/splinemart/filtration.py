@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import CapacityError, DegenerateInputError, SearchCapError
-from .intervals import ONE, ZERO, Interval, MeasurableUnion, frac
+from .intervals import ONE, ZERO, Interval, MeasurableUnion, frac, long_decimals
 
 #: deepest non-uniform level a generator materializes
 MATERIALIZE_CAP = 64
@@ -117,7 +117,8 @@ class AccumulatingFiltration(FiltrationOracle):
             raise ValueError("accumulation point must lie in (0, 1)")
         super().__init__(MeasurableUnion([(c, c)]))
         self.point = c
-        self.kind = f"accum:{c}"
+        with long_decimals():
+            self.kind = f"accum:{c}"
 
     def breakpoints(self, level: int) -> list[Fraction]:
         self.check_level(level)

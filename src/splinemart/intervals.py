@@ -54,13 +54,15 @@ def long_decimals():
 
 
 def frac(x: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to an exact Fraction."""
+    """Coerce ints, 'p/q' strings and Fractions to an exact Fraction; a
+    string is parsed under `long_decimals`."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        with long_decimals():
+            return Fraction(x)
     if isinstance(x, float):
         # floats are exact binary rationals; accept them verbatim
         return Fraction(x)

@@ -15,12 +15,12 @@ mix child (the parts recombined, one level deeper). So a rep is the path s
 and the depth i, and its value is x_s whatever i is; the depth says how
 the value was reached, and `bush_decompose` expands it one level further.
 
-Bush values take the number format of `cardinal`'s kernel:
-`BushRep.numerators` reads ±1 off the path's proper prefixes over
-denominator 1, never building the node vectors of the descendants, and
-`BushRep.value` is their XVec view. Memo rule: the numerators and value of
-a rep are kept on the frozen rep itself, never in a module-level cache,
-so no memo outlives the objects of the build that made the rep.
+A bush value's entries are integers: `BushRep.numerators` reads the ±1
+map off the path's proper prefixes, never building the node vectors of
+the descendants; `BushRep.value` is its XVec view, and the driver's slot
+vectors are read off it too. Memo rule: the numerators and value of a
+rep are kept on the frozen rep itself, never in a module-level cache, so
+no memo outlives the objects of the build that made the rep.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ class BushRep:
         if type(self.depth) is not int or self.depth < 0:
             raise ValueError(f"expansion depth must be an int >= 0, not {self.depth!r}")
 
-    def numerators(self) -> tuple[dict, int]:
-        """x_path as ({coordinate: ±1}, 1), memoized on the rep: +1 on a(q)
+    def numerators(self) -> dict:
+        """x_path as {coordinate: ±1}, memoized on the rep: +1 on a(q)
         for each proper prefix q that the path continues with 0, -1 for each
         it continues with 1. Node q's heap index a(q) = (1 << len(q)) +
         int(q, 2) gives its children 2 a(q) and 2 a(q) + 1."""
@@ -138,14 +138,14 @@ class BushRep:
             for bit in self.path:
                 nums[node] = 1 if bit == "0" else -1
                 node = 2 * node + (bit == "1")
-            memo = self.__dict__["_numerators"] = (nums, 1)
+            memo = self.__dict__["_numerators"] = nums
         return memo
 
     def value(self) -> XVec:
         """The XVec of `numerators`, memoized on the rep."""
         memo = self.__dict__.get("_value")
         if memo is None:
-            memo = self.__dict__["_value"] = XVec.over(*self.numerators())
+            memo = self.__dict__["_value"] = XVec.over(self.numerators(), 1)
         return memo
 
     def shape(self) -> tuple:

@@ -40,22 +40,27 @@ its affine combination and `general_decompose` its expansion to the
 descendants at a common depth, one Fraction share per descendant.
 `as_general` reads a `BushRep` as the general value it stands for (equal
 weights on the 2^depth descendants of its node), so the compact forms can
-be checked against these wherever they apply. `xvec_numerators` turns an XVec
-into the ({coordinate: integer numerator}, den) pair that `slot_vectors`
-takes, and `slot_xvecs` reads the integer slot vectors of `slot_vectors`
-as one XVec per slot.
+be checked against these wherever they apply. `general_slot_vectors` is
+the general binding that the driver's node-path slots replaced: x_m - xbar
+and Σ beta_m (x_m - xbar) for any xbar, points and betas, over the lcm of
+their denominators; `xvec_numerators` turns an XVec into the
+({coordinate: integer numerator}, den) pair it takes, `RationalBound`
+binds a pattern to its result by dividing g and ||w|| by the denominator,
+and `slot_xvecs` reads integer slot vectors over a denominator as one XVec
+per slot.
 
 `step_values` and `descend_random_cell` are the Fraction point walk and
 E_n sampler that the integer ones of `SequenceResult` replaced: every step
 builds t's atom, the pattern coordinate tau and each group's slot values
 as Fractions from the run table (`eval_slotwise`, the slot-wise
 evaluation that the coordinate table replaced, and `g_eval`), finds the
-cell by a linear scan of Fraction cell bounds (`reference_locate`) and
-adds witness vectors with `XVec.add`; `partial_sums` keeps every f_n(t)
-of one walk, and `fraction_steps` yields what each step reads. Cells hold
-their ends as integer grid units of the pattern's level K; the oracles
-read them as Fractions (`cell_ends`), and `cell_points` and `bump_ends`
-pick points on each cell and at each correction bump's support ends.
+cell by bisection over Fraction cell starts that the oracle takes itself
+(`fraction_starts`, `reference_locate`) and adds witness vectors with
+`XVec.add`; `partial_sums` keeps every f_n(t) of one walk, and
+`fraction_steps` yields what each step reads. Cells hold their ends as
+integer grid units of the pattern's level K; the oracles read them as
+Fractions (`cell_ends`), and `cell_points` and `bump_ends` pick points on
+each cell and at each correction bump's support ends.
 
 `step1_level_search` and `bump_level_search` are the level searches that
 the closed-form levels of `step1_stopping` and `step2_correct` replaced:
@@ -77,13 +82,14 @@ import bisect
 import itertools
 import math
 import os.path
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, floor
 
 from splinemart.cardinal import over_common_denominator, span_numerators
-from splinemart.construction.core import PeriodicFamily
+from splinemart.construction.core import BoundPattern, PeriodicFamily, combine_numerators
 from splinemart.construction.driver import DELTA, ClassRow, _child_value
 from splinemart.construction.lemma import invert_exact
 from splinemart.errors import UnachievableSeparationError
@@ -229,16 +235,46 @@ def general_key(row) -> tuple:
 
 def xvec_numerators(x: XVec) -> tuple[dict, int]:
     """An XVec as ({coordinate: integer numerator}, den), den the lcm of its
-    entries' denominators: the form `slot_vectors` takes its vectors in."""
+    entries' denominators: the form `general_slot_vectors` takes its vectors in."""
     den = math.lcm(*(v.denominator for _, v in x.items()))
     return {c: v.numerator * (den // v.denominator) for c, v in x.items()}, den
 
 
-def slot_xvecs(slots: tuple[dict, int]) -> dict:
-    """The ({slot key: {coordinate: numerator}}, den) pair of
-    `slot_vectors` as {slot key: XVec}."""
-    nums, den = slots
-    return {key: XVec({c: Fraction(n, den) for c, n in vec.items()}) for key, vec in nums.items()}
+def general_slot_vectors(xbar: tuple, points, betas) -> tuple[dict, int]:
+    """The ("d", m) and ("dmix",) slot vectors x_m - xbar and sum_j beta_j
+    (x_j - xbar) as ({slot key: numerator map}, den), from xbar and the points
+    x_m as ({coordinate: integer numerator}, den) pairs: no Fraction is built."""
+    # the numerators of 1 / d over the common denominator D are the factors D / d
+    (bar_up, *ups), den = over_common_denominator([(1, d) for _, d in (xbar, *points)])
+    bnums, bden = over_common_denominator(betas)
+    diffs = [combine_numerators(((up, x), (-bar_up, xbar[0]))) for (x, _), up in zip(points, ups)]
+    slots = {("d", m): {c: n * bden for c, n in d.items()} for m, d in enumerate(diffs)}
+    slots[("dmix",)] = combine_numerators(zip(bnums, diffs))
+    return slots, den * bden
+
+
+class RationalBound(BoundPattern):
+    """A pattern bound to rational slot vectors, the ({slot key: numerator
+    map}, den) pair of `general_slot_vectors`: `BoundPattern` takes the
+    integer numerators, which scales g and ||w|| by den, and this divides
+    them by den again."""
+
+    def __init__(self, pattern, slots: tuple[dict, int]):
+        super().__init__(pattern, slots[0])
+        self.den = slots[1]
+
+    def w_norm(self) -> Fraction:
+        return super().w_norm() / self.den
+
+    def g_numerators(self, u: int, d: int, level: int) -> tuple[dict, int]:
+        nums, den = super().g_numerators(u, d, level)
+        return nums, den * self.den
+
+
+def slot_xvecs(slots: dict, den: int = 1) -> dict:
+    """{slot key: {coordinate: numerator}} slot vectors over den as
+    {slot key: XVec}."""
+    return {key: XVec({c: Fraction(n, den) for c, n in vec.items()}) for key, vec in slots.items()}
 
 
 def reference_w_data(pat) -> list:
@@ -278,12 +314,11 @@ def w_fractions(pat) -> list:
     return [[(Fraction(n, pat.w_den), key) for n, key in wd] for wd in pat.w_data]
 
 
-def combine(slots: tuple[dict, int], coefs) -> XVec:
+def combine(slots: dict, coefs, den: int = 1) -> XVec:
     """sum of coef * slot vector over (slot key, Fraction coef) pairs, with
-    the ({slot key: {coordinate: numerator}}, den) slots of `slot_vectors`:
-    integer sums per coordinate over one lcm, one Fraction per coordinate."""
-    nums, den = slots
-    coefs = [(nums[key], c) for key, c in coefs]
+    {slot key: {coordinate: numerator}} slots over den: integer sums per
+    coordinate over one lcm, one Fraction per coordinate."""
+    coefs = [(slots[key], c) for key, c in coefs]
     cden = math.lcm(*(c.denominator for _, c in coefs))
     sums: dict = {}
     for vec, c in coefs:
@@ -293,14 +328,15 @@ def combine(slots: tuple[dict, int], coefs) -> XVec:
     return XVec.over(sums, den * cden)
 
 
-def w_vectors(w_data, slots: tuple[dict, int]) -> list[XVec]:
-    """The moment-correction vectors of (Fraction, slot key) coefficients."""
-    return [combine(slots, ((key, coef) for coef, key in wd)) for wd in w_data]
+def w_vectors(w_data, slots: dict, den: int = 1) -> list[XVec]:
+    """The moment-correction vectors of (Fraction, slot key) coefficients,
+    with slot vectors over den."""
+    return [combine(slots, ((key, coef) for coef, key in wd), den) for wd in w_data]
 
 
-def w_sup_norm(w_data, slots: tuple[dict, int]) -> Fraction:
+def w_sup_norm(w_data, slots: dict, den: int = 1) -> Fraction:
     """The largest sup norm of the correction vectors: ||w|| as bound."""
-    return max((w.sup_norm for w in w_vectors(w_data, slots)), default=Fraction(0))
+    return max((w.sup_norm for w in w_vectors(w_data, slots, den)), default=Fraction(0))
 
 
 def truncated_power(k: int, u: Fraction) -> Fraction:
@@ -532,7 +568,7 @@ def bump_ends(pat):
             yield from (x + s for x in bounds for s in sorted({0, last}))
 
 
-def unit_slots(pat) -> tuple[tuple[dict, int], list]:
+def unit_slots(pat) -> tuple[dict, list]:
     """Slot vectors with one unit coordinate per slot key of a pattern's
     run table, and the keys in coordinate order: bound to them, g's
     coordinate i + 1 is its slot value at key i, so equal coordinates
@@ -540,27 +576,44 @@ def unit_slots(pat) -> tuple[tuple[dict, int], list]:
     keys = list(dict.fromkeys(
         key for group in pat.run_table for *_, slots in group.entries for key, _ in slots
     ))
-    return ({key: {i + 1: 1} for i, key in enumerate(keys)}, 1), keys
+    return {key: {i + 1: 1} for i, key in enumerate(keys)}, keys
+
+
+_STARTS: dict = {}  # id(pattern) -> its `fraction_starts`, dropped with the pattern
+
+
+def fraction_starts(pattern) -> tuple[list, dict, Fraction]:
+    """A pattern's cell starts as Fractions, for bisection: the entries',
+    per periodic family (by entry index) its own cells', and the end of the
+    last entry. Taken once per pattern object and kept until it is freed."""
+    hit = _STARTS.get(id(pattern))
+    if hit is None:
+        h = grid_unit(pattern)
+        families = {
+            i: [c.lo * h for c in e.cells]
+            for i, e in enumerate(pattern.cells) if isinstance(e, PeriodicFamily)
+        }
+        hit = _STARTS[id(pattern)] = (
+            [e.lo * h for e in pattern.cells], families, pattern.cells[-1].hi * h
+        )
+        weakref.finalize(pattern, _STARTS.pop, id(pattern), None)
+    return hit
 
 
 def reference_locate(pattern, t):
-    """The linear scan over Fraction cell bounds that grid-unit bisection replaced."""
-    h = grid_unit(pattern)
-    for entry in pattern.cells:
-        lo, hi = entry.lo * h, entry.hi * h
-        if isinstance(entry, PeriodicFamily):
-            if lo <= t < hi:
-                period = entry.period * h
-                idx = min(int((t - lo) / period), entry.count - 1)
-                local = t - idx * period
-                for c in entry.cells:
-                    c_lo, c_hi = c.lo * h, c.hi * h
-                    if c_lo <= local < c_hi:
-                        return c, idx * period
-                return None
-        elif lo <= t < hi:
-            return entry, Fraction(0)
-    return None
+    """(cell, instance shift) of the cell holding t, by bisection over the
+    Fraction cell starts of `fraction_starts`; None off the pattern."""
+    starts, families, end = fraction_starts(pattern)
+    if not starts[0] <= t < end:
+        return None
+    i = bisect.bisect_right(starts, t) - 1
+    entry = pattern.cells[i]
+    if i not in families:
+        return entry, Fraction(0)
+    period = entry.period * grid_unit(pattern)
+    idx = min((t - starts[i]) // period, entry.count - 1)
+    j = bisect.bisect_right(families[i], t - idx * period) - 1
+    return entry.cells[j], idx * period
 
 
 def step_values(seq, t, n: int) -> tuple[XVec, XVec]:

@@ -553,3 +553,29 @@ def test_construct_accepts_an_eta_below_the_binary64_range(tmp_path):
     assert main(["construct", "--k", "2", "--steps", "1", "--eta", eta, "--out", str(out)]) == 0
     with long_decimals():
         assert json.loads(out.read_text())["eta"] == eta
+
+
+def test_rationals_past_the_digit_limit_parse_and_build_alike(tmp_path, capsys):
+    # integers of 5,001 digits and more, past CPython's default limit of 4,300
+    limit = sys.get_int_max_str_digits()
+    z = "0" * 5000
+    assert frac("1/1" + z) == frac("0." + z[1:] + "1") == Fraction(1, 10**5000)
+    # eta = 2/5 + 10**-5002 in two spellings, and 2/5 in three; an eta near
+    # 1/2 builds in a fraction of a second, where 1e-5000 takes seconds
+    spellings = [
+        ("0.4" + z + "1", "4" + z + "1/1" + z + "00"),
+        ("2/5", "4" + z + "/1" + z + "0", "0.4" + z),
+    ]
+    for same in spellings:
+        outs = []
+        for i, eta in enumerate(same):
+            out = tmp_path / f"eta{i}.json"
+            argv = ["construct", "--k", "1", "--steps", "1", "--eta", eta, "--out", str(out)]
+            assert main(argv) == 0
+            outs.append(out.read_bytes())
+        assert outs.count(outs[0]) == len(outs)
+    spec = "accum:1/3" + z[:3000]
+    assert parse_filtration_spec(spec).kind == spec
+    assert main(["constants", "--filtration", spec, "--k", "2", "--levels", "3"]) == 0
+    assert capsys.readouterr().out.startswith("level,dimension,l1_norm")
+    assert sys.get_int_max_str_digits() == limit

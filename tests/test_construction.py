@@ -28,7 +28,6 @@ from splinemart.construction.core import (
     check_tiling,
     level_aligning,
     p_power_at_least,
-    slot_vectors,
     step1_stopping,
     tile,
 )
@@ -54,12 +53,14 @@ from splinemart.rle import RleSpline, UniformSpace
 from splinemart.witness import BushRep, XVec, bush_decompose
 
 from fraction_oracle import (
+    RationalBound,
     aligning_level,
     bump_level_search,
     cell_ends,
     cell_points,
     evaluate,
     first_level,
+    general_slot_vectors,
     grid_unit,
     moment_slotwise,
     reference_ainv_norm,
@@ -86,11 +87,11 @@ def g_at(bound, t):
 
 
 def bush_slots(betas):
-    """The root's bush decomposition and its slot vectors."""
+    """The root's bush decomposition and its general slot vectors."""
     rep = BushRep("")
     parts = bush_decompose(rep, 1, target_count=2)
     points = [xvec_numerators(r.value()) for _, r in parts]
-    return parts, slot_vectors(xvec_numerators(rep.value()), points, betas)
+    return parts, general_slot_vectors(xvec_numerators(rep.value()), points, betas)
 
 
 class TestStopping:
@@ -105,7 +106,7 @@ class TestStopping:
         # so the slot-weighted mean vanishes for the bush decomposition
         _, vecs = bush_slots(tr.betas)
         mean = XVec.zero()
-        vecs = slot_xvecs(vecs)
+        vecs = slot_xvecs(*vecs)
         for key, v in moment_slotwise(pat, 0).items():
             mean = mean.add(vecs[key].scale(v))
         assert mean.sup_norm == 0
@@ -115,7 +116,7 @@ class TestStopping:
         ctx = ConstructionContext(dyadic(), k)
         pat = step1_stopping(ctx, Interval(0, 1), [HALF, HALF], F(1, 4), 0, max_zombie_length=F(1))
         parts, vecs = bush_slots(pat.trace.betas)
-        bound = BoundPattern(pat, vecs)
+        bound = RationalBound(pat, vecs)
         xbar = XVec.zero()  # bush root
         for cell in pat.cells:
             if cell.kind != "zone":
@@ -296,8 +297,8 @@ class TestLemma:
         # because the mean already cancels vectorially on L
         assert len(pat.r_terms) == 1
         _, vecs = bush_slots(pat.inner.trace.betas)
-        assert w_vectors(w_fractions(pat), vecs)[0].sup_norm == 0
-        assert BoundPattern(pat, vecs).w_norm() == 0
+        assert w_vectors(w_fractions(pat), *vecs)[0].sup_norm == 0
+        assert RationalBound(pat, vecs).w_norm() == 0
 
     def test_support_interior(self):
         ctx = ConstructionContext(dyadic(), 2)
@@ -306,7 +307,7 @@ class TestLemma:
             ctx, iv, F(1, 4), 2, const_alphas=[HALF, HALF], max_zombie_length=iv.length
         )
         _, vecs = bush_slots(pat.inner.trace.betas)
-        bound = BoundPattern(pat, vecs)
+        bound = RationalBound(pat, vecs)
         # the first and last cells are keep cells hugging the boundary;
         # g vanishes there, so supp g stays inside int I
         first_lo, first_hi = cell_ends(pat, pat.cells[0])
@@ -596,7 +597,7 @@ def test_integer_correction_matches_the_fraction_path(spec, k, eta, steps, monke
 
     def recording(pat, rep_value, parts):
         bind(pat, rep_value, parts)
-        bound.append((pat, _bush_slots(rep_value, parts, pat)))
+        bound.append((pat, _bush_slots(rep_value, parts)))
 
     monkeypatch.setattr(driver_module, "_bind_representative", recording)
     seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
@@ -669,15 +670,15 @@ def term_by_term_slotwise(pat, t):
 
 @functools.cache
 def sequence_patterns(spec, k):
-    """Every lemma pattern of a two-step sequence, each bound to slot
-    vectors with one unit coordinate per part."""
+    """Every lemma pattern of a two-step sequence, each bound to the general
+    slot vectors of one unit coordinate per part and the pattern's betas."""
     seq = build_sequence(parse_filtration_spec(spec), k, HALF, 2)
     out = []
     for _, pat in seq.all_patterns():
         betas = pat.inner.trace.betas
         points = [xvec_numerators(XVec({m + 1: F(1)})) for m in range(len(betas))]
-        slots = slot_vectors(xvec_numerators(XVec.zero()), points, betas)
-        out.append((pat, BoundPattern(pat, slots)))
+        slots = general_slot_vectors(xvec_numerators(XVec.zero()), points, betas)
+        out.append((pat, RationalBound(pat, slots)))
     return out
 
 
@@ -693,7 +694,7 @@ def slotwise_g(pat, t):
 def matches_term_by_term(pat, bound, t):
     want = term_by_term_slotwise(pat, t)
     g = XVec.zero()
-    slots = slot_xvecs(bound.slots)
+    slots = slot_xvecs(bound.slots, bound.den)
     for key, v in want.items():
         g = g.add(slots[key].scale(v))
     return slotwise_g(pat, t) == want and g_at(bound, t) == g
@@ -787,7 +788,7 @@ def test_changed_run_coefficient_fails_the_comparison():
     assert matches_term_by_term(pat, bound, t)
     mutant = copy.copy(pat)
     mutant.__dict__["run_table"] = (changed, *pat.run_table[1:])
-    assert not matches_term_by_term(mutant, BoundPattern(mutant, bound.slots), t)
+    assert not matches_term_by_term(mutant, RationalBound(mutant, (bound.slots, bound.den)), t)
 
 
 @pytest.mark.parametrize("invariant", ["overlap", "periodic_span"])

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splinemart.construction.driver as driver
-from splinemart.construction.core import BoundPattern, PeriodicFamily, slot_vectors
+from splinemart.construction.core import BoundPattern, PeriodicFamily
 from splinemart.construction.driver import (
     DELTA, ClassRow, _bush_slots, build_sequence,
 )
@@ -39,9 +39,9 @@ from splinemart.witness import BushRep, XVec, bush_decompose
 
 import fraction_oracle as oracle
 from fraction_oracle import (
-    GeneralRep, as_general, cell_ends, general_decompose, general_key, general_mix_reps,
-    grid_unit, moment_slotwise, reference_locate, unit_slots, w_fractions, w_vectors,
-    xvec_numerators,
+    GeneralRep, RationalBound, as_general, cell_ends, general_decompose, general_key,
+    general_mix_reps, general_slot_vectors, grid_unit, moment_slotwise, reference_locate,
+    slot_xvecs, unit_slots, w_fractions, w_vectors, xvec_numerators,
 )
 
 F = Fraction
@@ -613,7 +613,7 @@ def reference_census(rows, sd, p):
         atom_count = row.total_length / h_n
         base_norm = row.rep_value.value().sup_norm
         part_norms = [rep.value().sup_norm for _, rep in parts]
-        bound = BoundPattern(pat, _bush_slots(row.rep_value, parts, pat))
+        bound = BoundPattern(pat, _bush_slots(row.rep_value, parts))
         for entry in pat.cells:
             if isinstance(entry, PeriodicFamily):
                 instances = [(c, entry.count) for c in entry.cells]
@@ -745,8 +745,8 @@ def test_compact_reps_match_the_general_reference(spec, k, steps, eta):
     classes: dict = {}  # compact shape -> the general shapes of its reps
     for rep in reps:
         general = as_general(rep)
-        (nums, den), (gnums, gden) = rep.numerators(), general.numerators()
-        assert {c: F(n, den) for c, n in nums.items()} == {c: F(n, gden) for c, n in gnums.items()}
+        nums, (gnums, gden) = rep.numerators(), general.numerators()
+        assert {c: F(n) for c, n in nums.items()} == {c: F(n, gden) for c, n in gnums.items()}
         assert rep.value() == general.value() == oracle.node_sum(general)
         assert rep.value().sup_norm == general.value().sup_norm
         parts, gparts = bush_decompose(rep, DELTA, 2), general_decompose(general, DELTA, 2)
@@ -756,6 +756,23 @@ def test_compact_reps_match_the_general_reference(spec, k, steps, eta):
     # per compact shape, and no general shape under two
     assert all(len(shapes) == 1 for shapes in classes.values())
     assert len(set().union(*classes.values())) == len(classes)
+    # every binding of the build and of the walks: the node-path slots are
+    # the general slot vectors of (x_s, parts, betas), whose dmix is zero
+    bindings = {key: (pattern, parts) for key, (pattern, parts, *_) in seq._bound.items()}
+    rows = [ClassRow("const", "zone", BushRep(""), F(1), True, True)]
+    for j, sd in enumerate(seq.steps):
+        for row in rows:
+            if row.kind == "const":
+                parts = bush_decompose(row.rep_value, DELTA, target_count=2)
+                bindings[j, row.rep_value] = sd.patterns[tuple(w for w, _ in parts)], parts
+        rows = sd.rows_after
+    for (_, binding), (pattern, parts) in bindings.items():
+        points = [xvec_numerators(rep.value()) for _, rep in parts]
+        nums, den = general_slot_vectors(
+            xvec_numerators(binding.value()), points, pattern.inner.trace.betas
+        )
+        assert not nums[("dmix",)]
+        assert slot_xvecs(_bush_slots(binding, parts)) == slot_xvecs(nums, den)
 
 
 ORDER_ONE_CASES = [("dyadic", "1/2", 6), ("dyadic", "2/5", 6), ("padic:3", "1/2", 5),
@@ -782,10 +799,10 @@ def test_order_one_correction_vanishes_on_every_class(spec, eta, max_steps):
                 pat = sd.patterns[tuple(w for w, _ in parts)]
                 points = [xvec_numerators(rep.value()) for _, rep in parts]
                 xbar = xvec_numerators(row.rep_value.value())
-                slots = slot_vectors(xbar, points, pat.inner.trace.betas)
-                w = w_vectors(w_fractions(pat), slots)
+                slots = general_slot_vectors(xbar, points, pat.inner.trace.betas)
+                w = w_vectors(w_fractions(pat), *slots)
                 assert len(w) == 1 and all(len(v) == 0 for v in w)
-                assert BoundPattern(pat, slots).w_norm() == 0
+                assert RationalBound(pat, slots).w_norm() == 0
             rows = sd.rows_after
 
 
@@ -1060,8 +1077,8 @@ def matches_the_fraction_walk(seq, t) -> bool:
     )
 
 
-# CENSUS_CASES + ORACLE_CASES; the cell points, about a thousand per case
-# at k = 4, are walked on CENSUS_CASES
+# CENSUS_CASES + ORACLE_CASES, each with its cell points (about a thousand
+# per case at k = 4)
 @pytest.mark.parametrize(
     "spec,k,steps,eta",
     COMPACT_CASES,
@@ -1069,8 +1086,7 @@ def matches_the_fraction_walk(seq, t) -> bool:
 )
 def test_coordinate_tables_match_the_fraction_walk(spec, k, steps, eta):
     seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
-    cells = (spec, k, steps, eta) in CENSUS_CASES
-    for t in table_points(seq, random.Random(11), cells):
+    for t in table_points(seq, random.Random(11)):
         assert matches_the_fraction_walk(seq, t), t
 
 

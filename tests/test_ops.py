@@ -1,6 +1,6 @@
 """The perturbations bound to witness vectors: each pattern builder, then
-slot_vectors, then BoundPattern, as the operations are stated
-mathematically."""
+the general slot vectors, then the bound pattern, as the operations are
+stated mathematically."""
 
 from fractions import Fraction
 
@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinemart.construction import (
-    BoundPattern,
     ConstructionContext,
     lemma_moments,
-    slot_vectors,
     step1_stopping,
 )
 from splinemart.filtration import dyadic
@@ -20,7 +18,9 @@ from splinemart.intervals import Interval
 from splinemart.witness import XVec
 
 from fraction_oracle import (
+    RationalBound,
     cell_ends,
+    general_slot_vectors,
     grid_unit,
     moment_slotwise,
     node_vector,
@@ -41,15 +41,15 @@ def g_at(bound, t):
     return XVec.over(*bound.g_numerators(t.numerator, t.denominator, 0))
 
 
-def bind(pattern, xbar, xs, betas) -> BoundPattern:
+def bind(pattern, xbar, xs, betas) -> RationalBound:
     points = [xvec_numerators(x) for x in xs]
-    return BoundPattern(pattern, slot_vectors(xvec_numerators(xbar), points, betas))
+    return RationalBound(pattern, general_slot_vectors(xvec_numerators(xbar), points, betas))
 
 
-def mean(bound: BoundPattern) -> XVec:
+def mean(bound: RationalBound) -> XVec:
     """∫ g as a witness vector: the slot-wise means times the slot vectors."""
     acc = XVec.zero()
-    slots = slot_xvecs(bound.slots)
+    slots = slot_xvecs(bound.slots, bound.den)
     for key, v in moment_slotwise(bound.pattern, 0).items():
         acc = acc.add(slots[key].scale(v))
     return acc
@@ -110,7 +110,7 @@ def test_moment_perturbation_end_to_end(k):
     # every slot's moment vanishes, so g's does for any slot vectors
     for j in range(k):
         assert not any(moment_slotwise(pat, j).values())
-    w_norm = w_sup_norm(w_fractions(pat), bound.slots)
+    w_norm = w_sup_norm(w_fractions(pat), bound.slots, bound.den)
     assert w_norm <= pat.trace.eps_tilde2
     assert bound.w_norm() == w_norm
     # zone values sit in the child set, at separation exactly one

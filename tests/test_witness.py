@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinemart.construction.core import BoundPattern, slot_vectors
 from splinemart.errors import UnachievableSeparationError
 from splinemart.witness import BushRep, XVec, bush_decompose, mix_reps
 
 from fraction_oracle import (
-    GeneralRep, as_general, combine, general_decompose, general_mix_reps, node_coordinate,
-    node_sum, node_vector, slot_xvecs, xvec_numerators,
+    GeneralRep, RationalBound, as_general, combine, general_decompose, general_mix_reps,
+    general_slot_vectors, node_coordinate, node_sum, node_vector, slot_xvecs, xvec_numerators,
 )
 
 F = Fraction
@@ -170,8 +169,9 @@ def test_trie_value_matches_the_node_vector_sum(rep, general):
     # its descendants up the path trie; both agree with the node vectors
     value = rep.value()
     assert value == node_vector(rep.path) == node_sum(rep) == as_general(rep).value()
-    nums, den = rep.numerators()
-    assert den == 1 and all(abs(n) == 1 for n in nums.values()) and len(nums) == len(rep.path)
+    nums = rep.numerators()
+    assert all(abs(n) == 1 for n in nums.values()) and len(nums) == len(rep.path)
+    assert value == XVec.over(nums, 1)
     assert value.sup_norm == (1 if rep.path else 0)
     # the reference's trie pass, at weights no compact rep holds
     assert general.value() == node_sum(general)
@@ -330,8 +330,8 @@ vectors = st.dictionaries(st.integers(1, 64), small_fractions, max_size=12).map(
 )
 def test_integer_slot_vectors_and_combine_match_add_and_scale(xbar, points, data):
     betas = data.draw(st.lists(small_fractions, min_size=len(points), max_size=len(points)))
-    raw = slot_vectors(xvec_numerators(xbar), [xvec_numerators(x) for x in points], betas)
-    slots = slot_xvecs(raw)
+    raw = general_slot_vectors(xvec_numerators(xbar), [xvec_numerators(x) for x in points], betas)
+    slots = slot_xvecs(*raw)
     diffs = [x.sub(xbar) for x in points]
     want_mix = XVec.zero()
     for b, dv in zip(betas, diffs):
@@ -351,11 +351,11 @@ def test_integer_slot_vectors_and_combine_match_add_and_scale(xbar, points, data
         want = XVec.zero()
         for n, key in wd:
             want = want.add(slots[key].scale(Fraction(n, w_den)))
-        vec = combine(raw, ((key, Fraction(n, w_den)) for n, key in wd))
+        vec = combine(raw[0], ((key, Fraction(n, w_den)) for n, key in wd), raw[1])
         assert vec == want
         assert all(v != 0 for _, v in vec.items())
         wants.append(want)
-    got = BoundPattern(SimpleNamespace(w_data=w_data, w_den=w_den), raw).w_norm()
+    got = RationalBound(SimpleNamespace(w_data=w_data, w_den=w_den), raw).w_norm()
     assert got == max((w.sup_norm for w in wants), default=Fraction(0))
 
 
