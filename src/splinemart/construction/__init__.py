@@ -4,7 +4,7 @@ from .core import (
     Step1Pattern,
     step1_stopping,
 )
-from .lemma import LemmaPattern, lemma_moments, step2_correct
+from .lemma import CorrectionFrame, LemmaPattern, correction_frame, lemma_moments, step2_correct
 from .driver import SequenceResult, build_sequence
 
 __all__ = [
@@ -12,7 +12,9 @@ __all__ = [
     "ConstructionContext",
     "Step1Pattern",
     "step1_stopping",
+    "CorrectionFrame",
     "LemmaPattern",
+    "correction_frame",
     "lemma_moments",
     "step2_correct",
     "SequenceResult",

@@ -41,7 +41,7 @@ from ..witness import BushRep, XVec, bush_decompose, mix_reps
 from .core import (
     BoundPattern, ConstructionContext, F0, F1, grid_units, require_checks,
 )
-from .lemma import LemmaPattern, lemma_moments
+from .lemma import LemmaPattern, correction_frame, lemma_moments
 
 DELTA = F1  # bush separation
 DEPTH_CAP = 12  # most steps build_sequence accepts
@@ -381,9 +381,13 @@ def build_sequence(
         zombie_budget = eta * Fraction(1, 2 ** (n + steps + 5))
         h_n = Fraction(1, p**m_n)
         rep_interval = Interval(0, 1) if m_n == 0 else Interval(h_n, 2 * h_n)
+        frame = correction_frame(
+            ctx, rep_interval, eps_n, m_n, max_zombie_length=zombie_budget * rep_interval.length
+        )
 
-        # one pattern per decomposition profile, in row order; f_{n+1}
-        # lives on the finest of their levels
+        # one pattern per decomposition profile, in row order, all on the
+        # step's one correction frame; f_{n+1} lives on the finest of their
+        # levels
         built: dict = {}  # decomposition profile -> (pattern, its `_child_groups`)
         decomposed: list = []  # per row: (parts, pattern, its groups), None if zombie
         new_m = m_n + 1
@@ -395,14 +399,7 @@ def build_sequence(
             profile = tuple(w for w, _ in parts)
             hit = built.get(profile)
             if hit is None:
-                pat = lemma_moments(
-                    ctx,
-                    rep_interval,
-                    eps_n,
-                    m_n,
-                    const_alphas=profile,
-                    max_zombie_length=zombie_budget * rep_interval.length,
-                )
+                pat = lemma_moments(frame, const_alphas=profile)
                 _bind_representative(pat, row.rep_value, parts)
                 hit = built[profile] = (pat, _child_groups(pat))
                 new_m = max(new_m, pat.K)

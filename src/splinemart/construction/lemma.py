@@ -9,6 +9,15 @@ coordinates tau, hence raw-moment vanishing for every translate too.
 The weights are constant, so all pieces are congruent and one Step-1
 pattern, which step2_correct builds on the second piece, serves every piece
 (closed-form sums over astronomically many translates).
+
+Two more congruences save moment work. Everything before the Step-1 call
+depends on no weight: the sliver, the bumps, their moment matrix and its
+one exact inverse, and the outer pieces. That is one `CorrectionFrame`
+per interval, and the driver builds one per step for all its
+decomposition profiles. With equal weights the M stopping terms are
+translates of one another by one index shift, so the slot moments take
+one `PeriodicSpline.moment` row per translate class and shift it to the
+other members by the binomial sum, in integers (`slot_moment_columns`).
 """
 
 from __future__ import annotations
@@ -18,12 +27,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from typing import Optional, Sequence
 
 from ..errors import PreconditionError
 from ..intervals import Interval, frac
 from ..cardinal import over_common_denominator
-from ..rle import PeriodicSpline, RleSpline
+from ..rle import PeriodicSpline, RleSpline, UniformSpace
 from .core import (
     CellSpec,
     ConstructionContext,
@@ -247,60 +257,61 @@ class LemmaPattern(SlotwisePattern):
         ]
 
 
-def step2_correct(
+@dataclass(frozen=True)
+class CorrectionFrame:
+    """The half of Step 2 that depends on no weight, for one interval: the
+    right sliver R = [c, b], the bumps on it and their moment matrix
+    A = diag(1/d_j) M with M's one exact inverse, ||A^{-1}||, and the outer
+    pieces (n_outer of width d). Every decomposition profile of a driver
+    step shares the interval, eps and zombie budget, so one frame, built
+    by `correction_frame`, serves every `step2_correct` of the step, and
+    their patterns share its bump splines."""
+
+    ctx: ConstructionContext
+    interval: Interval
+    eps: Fraction
+    base_level: int
+    max_zombie_length: Fraction
+    et: Fraction
+    c: Fraction
+    space_r: UniformSpace
+    picks: tuple
+    bumps: tuple
+    mrows: list
+    dens: list
+    inverse: tuple
+    ainv_norm: Fraction
+    eps1_outer: Fraction
+    n_outer: int
+    d: Fraction
+
+
+def correction_frame(
     ctx: ConstructionContext,
     interval: Interval,
     eps: Fraction,
     base_level: int,
-    alphas: Sequence[Fraction],
     *,
     max_zombie_length: Fraction,
-) -> LemmaPattern:
-    """Assemble the vanishing-moment construction for constant weights alphas.
-
-    The Step-1 pattern built on the second piece of L is reused for every
-    piece (valid for constant weights over uniform limit sets). The
-    non-constant cells total at most `max_zombie_length`.
-
-    No Fraction per coefficient, and no product with the powers of p that
-    cancel in w: A = diag(1/d_j) M, `invert_exact` inverts the integer M
-    once, and each order j's slot moments go over their own lcm zd_j, so
-    `solve_moments` runs w = -A^{-1} z and the check z + A w = 0 in
-    per-order integer units, and w_data keeps w as numerators over one
-    denominator w_den per pattern. At dyadic k=3 N=7 the entries of M and
-    M^{-1} have about 50 bits where those of A^{-1} over its common
-    denominator had thousands; under cProfile step2_correct went from 4.5
-    to 1.4 s of that build on a 2-core x86-64 host, 0.1 s of it the solve
-    and 1.1 s the slot moments of `PeriodicSpline.moment`.
+) -> CorrectionFrame:
+    """The correction frame of `interval`: the bump level, the k bumps,
+    the integer moment matrix M with its one `invert_exact`, ||A^{-1}||,
+    eps1_outer and the outer pieces.
 
     The bump level is the smallest level above base_level that puts a, b
     and c on its grid, holds k (k + 1) + 3 atoms strictly between c and b
     and, for k >= 2, fits the k**2 bump atoms into half the zombie budget.
     On the grid, (b - c) p**K - 2 atoms lie strictly between c and b, so
     the level is the largest of these lower bounds.
-
-    The pattern's level K is the inner pattern's, so the family shares
-    `inner.cells` as they are. The bump level is no finer when |I| = p**-m
-    (an atom, as the driver passes): both exceed base_level, and inner.K
-    aligns a + d and d, so a and c = a + p**s d (and b, or the tiling
-    below raises). The other bounds hold at inner.K: the inner ball puts
-    k + 1 atoms of width h on each side of its midpoint within
-    eps3 <= et**3 d / 2592, and d <= et |I| / 2, so R holds k (k + 1) + 3
-    of them for k < 5182; the inner ramps take 2 (M + 1) (k - 1) h
-    <= Z d / (2 |I|) of the zombie budget Z, so k**2 h <= Z / 2 for k <= 6.
-    On the 480 patterns of dyadic, padic:3 and padic:5, k = 1..4, four
-    etas and N = 4, inner.K passes the bump level by at least 19. A bump
-    level past inner.K raises.
     """
     ctx.require_uniform()
     p, k = ctx.p, ctx.k
     eps = frac(eps)
     a, b = interval.lo, interval.hi
-    width = interval.length
     et = cube_root_under(eps, p)
 
     # right sliver R with |R ∩ V| exactly et |I ∩ V|
-    c = b - et * width
+    c = b - et * interval.length
     lmass = c - a
 
     # the bump level (see above); the room, from the first atom strictly
@@ -317,11 +328,11 @@ def step2_correct(
         raise AssertionError(f"bump level {space_r.level} holds fewer than {need_atoms} atoms in R")
     if k > 1 and k * k * space_r.h > max_zombie_length / 2:
         raise AssertionError(f"bump level {space_r.level} overruns the zombie budget")
-    picks = [first + 1 + i * (k + 1) + k - 1 for i in range(k)]
+    picks = tuple(first + 1 + i * (k + 1) + k - 1 for i in range(k))
 
     # A = diag(1/d_j) M, row j the order-j moments of the bumps; A^{-1} =
     # M^{-1} diag(d_j), so ||A^{-1}|| comes from the one integer inverse of M
-    bumps = [RleSpline.from_index_range(space_r, m, m) for m in picks]
+    bumps = tuple(RleSpline.from_index_range(space_r, m, m) for m in picks)
     arows = [over_common_denominator([bump.moment(j, a) for bump in bumps]) for j in range(k)]
     mrows, dens = [nums for nums, _ in arows], [dj for _, dj in arows]
     inverse = invert_exact(mrows)
@@ -334,7 +345,105 @@ def step2_correct(
         p_power_at_least(p, PIECE_MARGIN * lmass / eps1_outer),
     )
     n_outer = p**s
-    d = lmass / n_outer
+    return CorrectionFrame(
+        ctx, interval, eps, base_level, max_zombie_length, et, c, space_r, picks, bumps,
+        mrows, dens, inverse, ainv_norm, eps1_outer, n_outer, lmass / n_outer,
+    )
+
+
+def translate_classes(terms) -> list[list[tuple[int, int]]]:
+    """The periodic `terms` ((PeriodicSpline, slot key) pairs) grouped into
+    translate classes: one space, index shift and count, and the same runs
+    relative to the first index. Each class lists (term position, delta),
+    delta the term's first index less that of the class's first term.
+
+    With equal weights the M stopping terms are translates (the stopping
+    scan gives each the same block count), so a pattern has two classes,
+    the parts and the mix term; unequal weights give one class per term.
+    """
+    classes: dict = {}
+    for i, (scal, _) in enumerate(terms):
+        runs = scal.base.runs
+        first = runs[0][0]
+        shape = tuple((j0 - first, j1 - first, c) for j0, j1, c in runs)
+        classes.setdefault((scal.space, scal.index_shift, scal.count, shape), []).append((i, first))
+    return [[(i, first - members[0][1]) for i, first in members] for members in classes.values()]
+
+
+def slot_moment_columns(terms, keys, k: int, origin: Fraction) -> list[tuple[list[int], int]]:
+    """Order j's moments about `origin` of the `terms`, summed per slot key
+    in the order of `keys`, for j < k: (numerators per key, zd_j) per order.
+
+    A translate class (`translate_classes`) takes its first term's moments
+    mu_0 .. mu_{k-1} from `PeriodicSpline.moment`. A member delta grid
+    steps on is the first moved by delta h, so its order-r moment is
+    Σ_q C(r,q) delta**q mu_{r-q} / p**(Kq). Per class and order the
+    mu_{r-q} / p**(Kq) go over one denominator (`over_common_denominator`),
+    so a member costs r + 1 integer products and builds no Fraction; each
+    order's column then puts the classes' denominators over one.
+    """
+    index = {key: i for i, key in enumerate(keys)}
+    entries: list = [[] for _ in range(k)]  # per order: (term position, numerator, den)
+    for members in translate_classes(terms):
+        lead = terms[members[0][0]][0]
+        mus = [lead.moment(e, origin) for e in range(k)]
+        big = lead.space.num_atoms
+        for r in range(k):
+            nus, den = over_common_denominator(
+                [(mu.numerator, mu.denominator * big ** (r - e)) for e, mu in enumerate(mus[: r + 1])]
+            )
+            for i, delta in members:
+                top = sum(comb(r, q) * delta**q * nus[r - q] for q in range(r + 1))
+                entries[r].append((i, top, den))
+    zcols = []
+    for order in entries:
+        nums, zd = over_common_denominator([(top, den) for _, top, den in order])
+        col = [0] * len(keys)
+        for (i, _, _), n in zip(order, nums):
+            col[index[terms[i][1]]] += n
+        zcols.append((col, zd))
+    return zcols
+
+
+def step2_correct(frame: CorrectionFrame, alphas: Sequence[Fraction]) -> LemmaPattern:
+    """Assemble the vanishing-moment construction for constant weights
+    alphas on the frame's interval.
+
+    The Step-1 pattern built on the second outer piece is reused for every
+    piece (valid for constant weights over uniform limit sets). The
+    non-constant cells total at most the frame's `max_zombie_length`.
+
+    No Fraction per coefficient, and no product with the powers of p that
+    cancel in w: the frame holds M's one inverse, and each order j's slot
+    moments go over their own denominator zd_j, so `solve_moments` runs
+    w = -A^{-1} z and the check z + A w = 0 in per-order integer units,
+    and w_data keeps w as numerators over one denominator w_den per
+    pattern. The slot moments take one `PeriodicSpline.moment` row per
+    translate class and shift it to the class's other terms in integers
+    (`slot_moment_columns`). w comes out the same over any denominators z
+    arrives in, as `solve_moments` reduces it by one final gcd. With one
+    frame per step and the translate classes, the dyadic k=3 N=8 build
+    makes 216 `PeriodicSpline.moment` calls where a frame per profile and
+    a moment per term made 3,120, and takes 1.3 s, down from 8.8 s, on a
+    2-core x86-64 host (`BENCH_37.json`).
+
+    The pattern's level K is the inner pattern's, so the family shares
+    `inner.cells` as they are. The bump level is no finer when |I| = p**-m
+    (an atom, as the driver passes): both exceed base_level, and inner.K
+    aligns a + d and d, so a and c = a + p**s d (and b, or the tiling
+    below raises). The other bounds hold at inner.K: the inner ball puts
+    k + 1 atoms of width h on each side of its midpoint within
+    eps3 <= et**3 d / 2592, and d <= et |I| / 2, so R holds k (k + 1) + 3
+    of them for k < 5182; the inner ramps take 2 (M + 1) (k - 1) h
+    <= Z d / (2 |I|) of the zombie budget Z, so k**2 h <= Z / 2 for k <= 6.
+    On the 480 patterns of dyadic, padic:3 and padic:5, k = 1..4, four
+    etas and N = 4, inner.K passes the bump level by at least 19. A bump
+    level past inner.K raises.
+    """
+    ctx, interval, d = frame.ctx, frame.interval, frame.d
+    p, k = ctx.p, ctx.k
+    a, b = interval.lo, interval.hi
+    n_outer = frame.n_outer
     piece_count = n_outer - 2
 
     # pieces are [a + (ell - 1) d, a + ell d] for ell = 1..n_outer; the
@@ -344,51 +453,43 @@ def step2_correct(
         ctx,
         Interval(a + d, a + 2 * d),
         alphas,
-        et,
-        base_level,
-        max_zombie_length=max_zombie_length * d / width / 2,
+        frame.et,
+        frame.base_level,
+        max_zombie_length=frame.max_zombie_length * d / interval.length / 2,
     )
-    K = inner.K
+    K, space_r = inner.K, frame.space_r
     if space_r.level > K:
         raise AssertionError(f"bump level {space_r.level} is finer than the pattern level {K}")
     terms = [(PeriodicSpline(scal, d, piece_count), key) for scal, key in inner.terms]
 
-    # exact z per slot over all pieces: order j's moments of every term over
-    # their own lcm zd_j, summed per slot as integers; then w = -A^{-1} z
-    # slot by slot in the sorted slot order
+    # exact z per slot over all pieces, in per-order units; then
+    # w = -A^{-1} z slot by slot in the sorted slot order
     keys = sorted({key for _, key in terms}, key=repr)
-    index = {key: i for i, key in enumerate(keys)}
-    zcols = []
-    for j in range(k):
-        nums, zd = over_common_denominator([scal.moment(j, a) for scal, _ in terms])
-        col = [0] * len(keys)
-        for n, (_, key) in zip(nums, terms):
-            col[index[key]] += n
-        zcols.append((col, zd))
-    wnums, w_den = solve_moments(mrows, dens, inverse, zcols)
+    zcols = slot_moment_columns(terms, keys, k, a)
+    wnums, w_den = solve_moments(frame.mrows, frame.dens, frame.inverse, zcols)
     w_data = [[(wn[i], key) for key, wn in zip(keys, wnums) if wn[i]] for i in range(k)]
-    r_terms = [(bumps[i], ("w", i)) for i in range(k)]
+    r_terms = [(bump, ("w", i)) for i, bump in enumerate(frame.bumps)]
 
     # cells in level-K units; a bump atom spans `up` of them
     A, D, up = grid_units(a, inner.scale), grid_units(d, inner.scale), p ** (K - space_r.level)
     blocks: list = [[
         CellSpec(A, A + D, "keep"),
         PeriodicFamily(tuple(inner.cells), D, piece_count),
-        CellSpec(A + (n_outer - 1) * D, grid_units(c, inner.scale), "keep"),
+        CellSpec(A + (n_outer - 1) * D, grid_units(frame.c, inner.scale), "keep"),
     ]]
     kind = "keep" if k == 1 else "rbump"  # the order-1 correction is zero: see CellSpec
-    for i, m in enumerate(picks):
+    for i, m in enumerate(frame.picks):
         blocks.append([CellSpec(j * up, (j + 1) * up, kind, i) for j in range(m - k + 1, m + 1)])
     cells = tile(A, grid_units(b, inner.scale), blocks)
 
     trace = LemmaTrace(
-        eps=eps,
-        eps_tilde2=et,
-        eps1_outer=eps1_outer,
-        ainv_norm=ainv_norm,
+        eps=frame.eps,
+        eps_tilde2=frame.et,
+        eps1_outer=frame.eps1_outer,
+        ainv_norm=frame.ainv_norm,
         n_outer=n_outer,
         interval=interval,
-        L_mass=lmass,
+        L_mass=frame.c - a,
         zone_mass=F0,
     )
     pattern = LemmaPattern(
@@ -406,7 +507,7 @@ def step2_correct(
     trace.zone_mass = pattern.zone_mass()
     trace.run_checks()
     require_checks(trace, "lemma construction")
-    if pattern.zombie_length() > max_zombie_length:
+    if pattern.zombie_length() > frame.max_zombie_length:
         raise AssertionError("zombie budget exceeded")
     return pattern
 
@@ -415,20 +516,10 @@ def step2_correct(
 # entry point
 
 
-def lemma_moments(
-    ctx: ConstructionContext,
-    interval: Interval,
-    eps: Fraction,
-    base_level: int,
-    *,
-    const_alphas: Sequence[Fraction],
-    max_zombie_length: Fraction,
-) -> LemmaPattern:
+def lemma_moments(frame: CorrectionFrame, *, const_alphas: Sequence[Fraction]) -> LemmaPattern:
     """The full vanishing-moment lemma for one convex decomposition.
 
     step2_correct builds the stopping-time construction for the constant
-    weights on the pieces and corrects its moments.
+    weights on the pieces of the frame's interval and corrects its moments.
     """
-    return step2_correct(
-        ctx, interval, eps, base_level, const_alphas, max_zombie_length=max_zombie_length
-    )
+    return step2_correct(frame, const_alphas)

@@ -22,6 +22,14 @@ index ranges shifted by s, with no re-centring afterwards. The order-e
 moment of a spline is B_e / (D p**(K(e+1))) for integers B_e over one D
 (`RleSpline.grid_moments`); n translates σ steps apart have moment r =
 Σ_q C(r,q) T_q B_{r-q} / (D p**(K(r+1))) with T_q = σ**q Σ_{ℓ<n} ℓ**q.
+Both spline kinds keep their orders 0 .. k-1 per origin in one table,
+made on the first moment asked about that origin. Step 2 asks for few
+moments: one row per bump of its step's correction frame, and one
+periodic row per translate class of stopping terms, shifted to the
+class's other members in integers (`construction.lemma`). A dyadic k=3
+N=8 build calls `PeriodicSpline.moment` 216 times and `RleSpline.moment`
+72 times; with a moment per term and order and a frame per profile it
+made 3,120 and 324 calls.
 
 One normalisation per result: the moments sum integer numerators over
 one common denominator, put there by the number kernel of `cardinal`
@@ -93,12 +101,13 @@ def _normalize(runs: list[Run]) -> tuple[Run, ...]:
 class RleSpline:
     """Scalar spline with run-length-encoded B-spline coefficients."""
 
-    __slots__ = ("space", "runs", "_starts")
+    __slots__ = ("space", "runs", "_starts", "_tables")
 
     def __init__(self, space: UniformSpace, runs: list[Run] | tuple[Run, ...]):
         self.space = space
         self.runs = _normalize(list(runs))
         self._starts = tuple(r[0] for r in self.runs)
+        self._tables: dict[int, tuple[list[int], int]] = {}
         lo, hi = space.interior_range()
         if self.runs and (self.runs[0][0] < lo or self.runs[-1][1] > hi):
             raise ValueError("runs leave the interior index range")
@@ -145,9 +154,18 @@ class RleSpline:
     # -- analysis --------------------------------------------------------------
 
     def moment(self, r: int, origin: Fraction = Fraction(0)) -> Fraction:
-        """∫ (t - origin)**r f(t) dt, exact; origin must sit on the grid."""
-        (num,), den = self.grid_moments(_moment_origin(self.space, r, origin), (r,))
-        return Fraction(num, den * self.space.num_atoms ** (r + 1))
+        """∫ (t - origin)**r f(t) dt, exact; origin must sit on the grid.
+
+        Callers ask for r = 0 .. k-1 about one origin in turn (the bump
+        moment matrix), so the `grid_moments` of orders up to max(k-1, r)
+        are built once per origin and kept, as in `PeriodicSpline.moment`.
+        """
+        s = _moment_origin(self.space, r, origin)
+        table = self._tables.get(s)
+        if table is None or len(table[0]) <= r:
+            table = self._tables[s] = self.grid_moments(s, range(max(self.space.k, r + 1)))
+        nums, den = table
+        return Fraction(nums[r], den * self.space.num_atoms ** (r + 1))
 
     def grid_moments(self, s: int, orders) -> tuple[list[int], int]:
         """∫ (t - s h)**e f(t) dt = B_e / (D p**(K(e+1))) for e in orders:
@@ -258,10 +276,14 @@ class PeriodicSpline:
 
 
 def _moment_origin(space: UniformSpace, r: int, origin) -> int:
-    """The origin (any `frac` rational) in grid steps, for an order r >= 0 that is an int."""
-    if not isinstance(r, int) or r < 0:
+    """The origin (any finite `frac` rational) in grid steps, for an order
+    r >= 0 that is an int and not a bool."""
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
         raise ValueError(f"moment order {r!r} is not a non-negative int")
-    origin = frac(origin)
+    try:
+        origin = frac(origin)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"moment origin {origin!r} is not a finite rational") from None
     s, rem = divmod(origin.numerator * space.num_atoms, origin.denominator)
     if rem:
         raise ValueError(f"moment origin {origin} is off the level-{space.level} grid")

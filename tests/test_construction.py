@@ -33,6 +33,7 @@ from splinemart.construction.core import (
 )
 from splinemart.construction.driver import _bind_representative, _bush_slots, build_sequence
 from splinemart.construction.lemma import (
+    correction_frame,
     cube_root_under,
     invert_exact,
     lemma_moments,
@@ -252,7 +253,8 @@ class TestLemma:
     def test_vanishing_moments_exact(self, k):
         ctx = ConstructionContext(dyadic(), k)
         pat = lemma_moments(
-            ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+            correction_frame(ctx, Interval(0, 1), F(1, 4), 0, max_zombie_length=F(1)),
+            const_alphas=[HALF, HALF],
         )
         # every slot's moment vanishes, so g's does for any slot vectors
         for j in range(k):
@@ -265,7 +267,8 @@ class TestLemma:
         for k in (1, 2, 3):
             ctx = ConstructionContext(dyadic(), k)
             pat = lemma_moments(
-                ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+                correction_frame(ctx, Interval(0, 1), F(1, 4), 0, max_zombie_length=F(1)),
+                const_alphas=[HALF, HALF],
             )
             parts, _ = bush_slots(pat.inner.trace.betas)
             assert pat.trace.w_bound is None
@@ -280,7 +283,8 @@ class TestLemma:
         ctx = ConstructionContext(dyadic(), 2)
         eps = F(1, 4)
         pat = lemma_moments(
-            ctx, Interval(0, 1), eps, 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+            correction_frame(ctx, Interval(0, 1), eps, 0, max_zombie_length=F(1)),
+            const_alphas=[HALF, HALF],
         )
         tr = pat.trace
         et = tr.eps_tilde2
@@ -291,7 +295,8 @@ class TestLemma:
     def test_k1_scalar_solve(self):
         ctx = ConstructionContext(dyadic(), 1)
         pat = lemma_moments(
-            ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+            correction_frame(ctx, Interval(0, 1), F(1, 4), 0, max_zombie_length=F(1)),
+            const_alphas=[HALF, HALF],
         )
         # A is 1x1 and positive; the assembled correction vector vanishes
         # because the mean already cancels vectorially on L
@@ -304,7 +309,8 @@ class TestLemma:
         ctx = ConstructionContext(dyadic(), 2)
         iv = Interval(F(1, 2), F(3, 4))
         pat = lemma_moments(
-            ctx, iv, F(1, 4), 2, const_alphas=[HALF, HALF], max_zombie_length=iv.length
+            correction_frame(ctx, iv, F(1, 4), 2, max_zombie_length=iv.length),
+            const_alphas=[HALF, HALF],
         )
         _, vecs = bush_slots(pat.inner.trace.betas)
         bound = RationalBound(pat, vecs)
@@ -336,7 +342,8 @@ class TestLemma:
         ctx = ConstructionContext(dyadic(), 2)
         with pytest.raises(AssertionError, match="finer than the pattern level"):
             lemma_moments(
-                ctx, Interval(0, 1), F(1, 4), 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+                correction_frame(ctx, Interval(0, 1), F(1, 4), 0, max_zombie_length=F(1)),
+                const_alphas=[HALF, HALF],
             )
 
 
@@ -548,6 +555,11 @@ def test_levels_match_the_reference_search(monkeypatch):
         def run(*args, **kwargs):
             pat = builder(*args, **kwargs)
             bound = signature.bind(*args, **kwargs).arguments
+            # step2_correct reads them from its correction frame
+            frame = bound.get("frame")
+            if frame is not None:
+                bound = {name: getattr(frame, name)
+                         for name in ("ctx", "base_level", "max_zombie_length")}
             calls.append((builder, bound["ctx"], pat, bound["base_level"],
                           bound["max_zombie_length"]))
             return pat

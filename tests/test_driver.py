@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splinemart.construction.driver as driver
+import splinemart.construction.lemma as lemma_module
 from splinemart.construction.core import BoundPattern, PeriodicFamily
 from splinemart.construction.driver import (
     DELTA, ClassRow, _bush_slots, build_sequence,
@@ -811,6 +812,27 @@ def test_order_one_census_row_counts():
     # they were a cell kind of their own
     seq = build_sequence(dyadic(), 1, HALF, 6)
     assert [len(sd.rows_after) for sd in seq.steps] == [3, 8, 12, 16, 20, 24]
+
+
+def test_one_correction_frame_per_step(monkeypatch):
+    # every decomposition profile of a step shares the step's frame: the
+    # moment matrix is inverted once per step (5 times, where a frame per
+    # profile inverted it 15 times), the patterns share the bump splines,
+    # and with equal weights each pattern's terms form two translate
+    # classes, the parts and the mix term
+    inversions = []
+    invert = lemma_module.invert_exact
+    monkeypatch.setattr(lemma_module, "invert_exact", lambda a: inversions.append(a) or invert(a))
+    seq = build_sequence(dyadic(), 2, HALF, 5)
+    assert len(inversions) == 5
+    assert sum(len(sd.patterns) for sd in seq.steps) == 15
+    for sd in seq.steps:
+        pats = list(sd.patterns.values())
+        for pat in pats:
+            assert all(b is b0 for (b, _), (b0, _) in zip(pat.r_terms, pats[0].r_terms))
+            classes = lemma_module.translate_classes(pat.terms)
+            assert len(classes) == 2
+            assert sorted(len(c) for c in classes) == [1, pat.inner.M]
 
 
 def _scale_one_correction(lemma_moments):

@@ -220,6 +220,45 @@ def test_solve_moments_matches_the_fraction_solve(system):
         assert lemma.solve_moments(mrows, dens, tampered, zcols) == (wnums, w_den)
 
 
+@st.composite
+def translate_families(draw):
+    """A periodic spline and translates of it by delta grid steps of both
+    signs (the same runs, instance spacing and count), on p-ary grids,
+    p in {2, 3, 5}, of order k <= 4, with an origin on the grid."""
+    p, k = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 4))
+    sp = UniformSpace(p, {2: 8, 3: 5, 5: 4}[p], k)  # >= 243 atoms
+    coeffs = fractions.filter(bool)
+    runs, j = [], 100
+    for _ in range(draw(st.integers(1, 3))):
+        j += draw(st.integers(0, 2))  # a gap, or none
+        width = draw(st.integers(1, 3))
+        runs.append((j, j + width - 1, draw(coeffs)))
+        j += width
+    span = j - 100
+    count, shift = draw(st.integers(1, 4)), span + draw(st.integers(0, 4))
+    deltas = draw(st.lists(st.integers(-60, 60).filter(bool), min_size=1, max_size=4))
+    family = [
+        PeriodicSpline(RleSpline(sp, [(j0 + d, j1 + d, c) for j0, j1, c in runs]), shift * sp.h, count)
+        for d in [0, *deltas]
+    ]
+    return family, [0, *deltas], draw(st.integers(0, 30)) * sp.h
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=translate_families())
+def test_translate_class_moments_match_each_members_own(case):
+    # one class, its first term's moments shifted by the binomial sum to
+    # every other member, must give each member's own PeriodicSpline.moment
+    family, deltas, origin = case
+    terms = [(f, ("d", i)) for i, f in enumerate(family)]
+    assert lemma.translate_classes(terms) == [list(enumerate(deltas))]
+    keys = [key for _, key in terms]
+    k = family[0].space.k
+    zcols = lemma.slot_moment_columns(terms, keys, k, origin)
+    for r, (col, zd) in enumerate(zcols):
+        assert [F(n, zd) for n in col] == [f.moment(r, origin) for f in family]
+
+
 def reference_moment(k, r):
     """∫ u^r B_k(u) du from the truncated-power spans: span i adds
     Σ_e c_e ∫₀¹ (x + i)^r x^e dx, one Fraction per term."""
@@ -286,10 +325,13 @@ def test_tampered_inverse_fails_the_exact_cancellation(spec, k, monkeypatch):
 
     ctx = ConstructionContext(parse_filtration_spec(spec), k)
     args = (ctx, Interval(0, 1), F(1, 4), 0)
-    lemma.lemma_moments(*args, const_alphas=[HALF, HALF], max_zombie_length=F(1))
+    lemma.lemma_moments(lemma.correction_frame(*args, max_zombie_length=F(1)),
+                        const_alphas=[HALF, HALF])
+    # the frame takes the one inverse, so it is built after the patch
     monkeypatch.setattr(lemma, "invert_exact", tampered)
+    frame = lemma.correction_frame(*args, max_zombie_length=F(1))
     with pytest.raises(AssertionError, match="moment correction failed to cancel exactly"):
-        lemma.lemma_moments(*args, const_alphas=[HALF, HALF], max_zombie_length=F(1))
+        lemma.lemma_moments(frame, const_alphas=[HALF, HALF])
 
 
 def test_tampered_inverse_fails_under_python_O():
@@ -313,11 +355,11 @@ def test_tampered_inverse_fails_under_python_O():
         lemma.invert_exact = tampered
         ctx = ConstructionContext(parse_filtration_spec("padic:3"), 4)
         half = Fraction(1, 2)
+        frame = lemma.correction_frame(
+            ctx, Interval(0, 1), Fraction(1, 4), 0, max_zombie_length=Fraction(1)
+        )
         try:
-            lemma.lemma_moments(
-                ctx, Interval(0, 1), Fraction(1, 4), 0, const_alphas=[half, half],
-                max_zombie_length=Fraction(1),
-            )
+            lemma.lemma_moments(frame, const_alphas=[half, half])
         except AssertionError as exc:
             print(exc)
         else:

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from splinemart.construction import (
     ConstructionContext,
+    correction_frame,
     lemma_moments,
     step1_stopping,
 )
+from splinemart.construction.lemma import translate_classes
 from splinemart.filtration import dyadic
 from splinemart.intervals import Interval
 from splinemart.witness import XVec
@@ -24,6 +26,7 @@ from fraction_oracle import (
     grid_unit,
     moment_slotwise,
     node_vector,
+    reference_w_data,
     slot_xvecs,
     support_bounds,
     w_fractions,
@@ -104,7 +107,8 @@ def test_moment_perturbation_end_to_end(k):
     xbar = node_vector("0")
     xs = [node_vector("00"), node_vector("01")]
     pat = lemma_moments(
-        ctx, Interval(0, 1), F(1, 8), 0, const_alphas=[HALF, HALF], max_zombie_length=F(1)
+        correction_frame(ctx, Interval(0, 1), F(1, 8), 0, max_zombie_length=F(1)),
+        const_alphas=[HALF, HALF],
     )
     bound = bind(pat, xbar, xs, pat.inner.trace.betas)
     # every slot's moment vanishes, so g's does for any slot vectors
@@ -122,3 +126,18 @@ def test_moment_perturbation_end_to_end(k):
         val = xbar.add(g_at(bound, t))
         assert val in tuple(xs)
         assert val.sub(xbar).sup_norm == 1
+
+
+def test_unequal_weights_form_one_translate_class_per_term():
+    # stopping terms of different weights have different lengths, so none
+    # is a translate of another: each term takes its own moments, and w is
+    # the Fraction reference's
+    ctx = ConstructionContext(dyadic(), 3)
+    pat = lemma_moments(
+        correction_frame(ctx, Interval(0, 1), F(1, 8), 0, max_zombie_length=F(1)),
+        const_alphas=[F(1, 4), F(3, 4)],
+    )
+    assert translate_classes(pat.terms) == [[(i, 0)] for i in range(len(pat.terms))]
+    assert w_fractions(pat) == reference_w_data(pat)
+    for j in range(3):
+        assert not any(moment_slotwise(pat, j).values())

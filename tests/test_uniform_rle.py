@@ -1,4 +1,5 @@
 import math
+import re
 import random
 from fractions import Fraction
 from math import comb
@@ -266,7 +267,7 @@ def test_moment_takes_a_float_origin_as_its_exact_binary_value():
             scal.moment(1, 0.3)
 
 
-@pytest.mark.parametrize("r", [-1, -3, 1.0, F(1), "1", None])
+@pytest.mark.parametrize("r", [-1, -3, 1.0, F(1), "1", None, True, False])
 def test_moment_rejects_an_order_that_is_not_a_non_negative_int(r):
     sp = UniformSpace(3, 3, 2)
     lo, _ = sp.interior_range()
@@ -277,6 +278,19 @@ def test_moment_rejects_an_order_that_is_not_a_non_negative_int(r):
             scal.moment(r)
         with pytest.raises(ValueError, match="moment order"):
             scal.moment(r, origin=sp.h)
+
+
+@pytest.mark.parametrize("origin", [float("inf"), float("-inf"), float("nan"), "1/0", "nan", None])
+def test_moment_rejects_an_origin_that_is_not_a_finite_rational(origin):
+    # one ValueError that names the origin, not an OverflowError,
+    # ZeroDivisionError or TypeError from the coercion
+    sp = UniformSpace(3, 3, 2)
+    lo, _ = sp.interior_range()
+    f = RleSpline(sp, [(lo, lo + 2, F(1, 2))])
+    per = PeriodicSpline(f, 3 * sp.h, 2)
+    for scal in (f, per, RleSpline.zero(sp)):
+        with pytest.raises(ValueError, match=f"moment origin {re.escape(repr(origin))} is not a finite rational"):
+            scal.moment(1, origin)
 
 
 def reference_cardinal(k, u):
