@@ -28,10 +28,13 @@ coordinate numerators.
 Points are integers too: a point arrives as u / (d p**level), each space
 of the pattern takes its atom index and fractional part from one divmod,
 and g comes back as integer numerators over one denominator per
-coordinate (`BoundPattern.g_numerators`). The caller builds the Fractions
-of its result once, however many steps it sums. Every common denominator
-comes from `cardinal`'s number kernel (`over_common_denominator`,
-`add_numerators`).
+coordinate (`BoundPattern.g_numerators`). Where one run holds the whole
+window of k indices that meet the point, B_k's translates sum to one there
+and g is that run's coordinates as they stand; only a window cut by a run
+edge, an instance boundary or a group's end takes B_k's span values. The
+caller builds the Fractions of its result once, however many steps it
+sums. Every common denominator comes from `cardinal`'s number kernel
+(`over_common_denominator`, `add_numerators`).
 
 Step 1 works in integer units, with one Fraction per recorded result. The
 stopping scan counts ∫f_m, the block masses and the union lengths in grid
@@ -427,8 +430,13 @@ class BoundPattern:
 
         Per space level, one divmod of u p**(L - level) by d gives the atom
         index a and the fractional part rem / d. Per group, one divmod puts
-        a onto its instance and a bisection looks up each window index
-        a .. a+k-1; B_k's span numerators are taken once an index hits a
+        a onto its instance (ell, q) and one bisection finds the run holding
+        q. When that run, in the same instance, also holds q + k - 1, the
+        k translates of B_k that meet the point sum to one, so g is the
+        run's coordinates over the group denominator as they stand. A window
+        cut by a run edge, an instance boundary or the group's ends looks up
+        each index a .. a+k-1 with a bisection, and B_k's span numerators
+        are taken once per space level, when such an index first hits a
         run. The groups that hit are added over their lcm (`add_numerators`);
         a group that misses adds nothing, not even its denominator (the
         bumps' has thousands of bits at depth).
@@ -446,6 +454,12 @@ class BoundPattern:
                 if rel + k <= 0 or rel >= extent:
                     continue  # the window a .. a+k-1 misses every instance
                 ell, q = divmod(rel, shift)
+                if 0 <= ell < count and q + k <= shift:
+                    e = bisect.bisect_right(starts, q) - 1
+                    if e >= 0 and q + k - 1 <= ends[e]:  # one run holds the window
+                        if coords[e]:
+                            out, den = add_numerators((out, den), (dict(coords[e]), gden))
+                        continue
                 sums: dict = {}
                 for i in range(k - 1, -1, -1):
                     if 0 <= ell < count:

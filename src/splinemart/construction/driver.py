@@ -105,8 +105,8 @@ class SequenceResult:
         # p**m_n per level: the walk and the sampler work in grid units
         self._scales = [filt.uniform_base**m for m in m_levels]
         # (step, binding) -> (pattern, parts, mix child, bound pattern,
-        # interval start in step units); queries walk few distinct bindings
-        # per step, so this stays small
+        # interval start in step units, p**(K - m_j)); queries walk few
+        # distinct bindings per step, so this stays small
         self._bound: dict = {}
 
     @property
@@ -159,21 +159,24 @@ class SequenceResult:
         pattern reads g there as integer numerators over one denominator.
         The partial sums share one running denominator: `add_numerators`
         adds each step's g; the callers build one Fraction per coordinate of
-        each result they return. A bool, a non-finite float or a string
-        that is no rational (such as "1/0") is refused before the walk:
-        none is a point of [0, 1].
+        each result they return. A bool, a non-finite float, a string that
+        is no rational (such as "1/0") or a value of another type (such as
+        None or a Decimal) is refused before the walk: none is a point of
+        [0, 1].
         """
         if isinstance(t, bool) or (isinstance(t, float) and not math.isfinite(t)):
             raise DomainError(f"evaluation point {t!r} is not a finite rational")
         try:
             t = frac(t)
-        except (ValueError, ZeroDivisionError):  # a string such as "1/0" or "x"
-            raise DomainError(f"evaluation point {t!r} is not a rational") from None
+        except (TypeError, ValueError, ZeroDivisionError):  # None, Decimal, "1/0", "x"
+            raise DomainError(
+                f"evaluation point {t!r} is not a rational: a point is an int, a Fraction, "
+                "a finite float or a 'p/q' string"
+            ) from None
         if not 0 <= t <= 1:
             raise DomainError(f"evaluation point {t} outside [0, 1]")
         self._check_step(n, "f_n", 0)
         tn, td = t.numerator, t.denominator
-        p = self.filt.uniform_base
         acc: dict = {}  # f_0 is the bush root = 0
         den = 1
         before = acc, den
@@ -182,18 +185,18 @@ class SequenceResult:
             before = acc, den
             if binding is None:
                 break  # zombie region: later perturbations vanish here
-            pattern, parts, mix, bound, start = self._bind(j, binding)
-            level = self.m_levels[j]
+            pattern, parts, mix, bound, start, units = self._bind(j, binding)
             T = tn * self._scales[j] % td + start * td
-            acc, den = add_numerators((acc, den), bound.g_numerators(T, td, level))
-            cell, _shift = pattern.locate(T * p ** (pattern.K - level) // td)
+            acc, den = add_numerators((acc, den), bound.g_numerators(T, td, self.m_levels[j]))
+            cell, _shift = pattern.locate(T * units // td)
             binding = _child_value(binding, parts, mix, (cell.kind, cell.m))
         return before, (acc, den)
 
     def _bind(self, j: int, binding: BushRep):
-        """Pattern, decomposed parts, mix child, bound pattern and the pattern
-        interval's start in level-m_j grid units, of `binding` at step j: the
-        walk and the sampler take every child value from here."""
+        """Pattern, decomposed parts, mix child, bound pattern, the pattern
+        interval's start in level-m_j grid units and p**(K - m_j), the
+        pattern's grid units per step unit, of `binding` at step j: the walk
+        and the sampler take every child value from here."""
         key = (j, binding)
         hit = self._bound.get(key)
         if hit is None:
@@ -201,7 +204,8 @@ class SequenceResult:
             pattern = self.steps[j].patterns[tuple(w for w, _ in parts)]
             bound = BoundPattern(pattern, _bush_slots(binding, parts))
             start = grid_units(pattern.interval.lo, self._scales[j])
-            hit = self._bound[key] = (pattern, parts, mix_reps(parts), bound, start)
+            units = self.filt.uniform_base ** (pattern.K - self.m_levels[j])
+            hit = self._bound[key] = (pattern, parts, mix_reps(parts), bound, start, units)
         return hit
 
     # -- sampling ---------------------------------------------------------------
@@ -236,7 +240,7 @@ class SequenceResult:
         binding = BushRep("")
         for j in range(n):
             atom = rng.randint(lo, hi - 1)
-            pattern, parts, mix, _bound, start = self._bind(j, binding)
+            pattern, parts, mix, _bound, start, _units = self._bind(j, binding)
             cell, fam = rng.choice(pattern.draws[j >= n - 2])
             shift = 0 if fam is None else rng.randrange(fam.count) * fam.period
             down, up = pattern.K - self.m_levels[j], self.m_levels[j + 1] - pattern.K

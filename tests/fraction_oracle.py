@@ -641,7 +641,7 @@ def fraction_steps(seq, t, n: int):
     for j in range(n):
         if binding is None:
             return
-        pattern, parts, mix, bound, _start = seq._bind(j, binding)
+        pattern, parts, mix, bound, _start, _units = seq._bind(j, binding)
         scale = seq.filt.uniform_base ** seq.steps[j].m_level
         atom_lo = Fraction(t.numerator * scale // t.denominator, scale)
         tau = t - atom_lo + pattern.interval.lo
@@ -676,7 +676,7 @@ def descend_random_cell(seq, rng, n: int) -> tuple[Fraction, Fraction]:
         first = math.ceil(lo / h)
         last = math.floor(hi / h) - 1
         atom_lo = rng.randint(first, last) * h
-        pattern, parts, mix, _bound, _start = seq._bind(j, binding)
+        pattern, parts, mix, _bound, _start, _units = seq._bind(j, binding)
         cell, shift = random_cell(rng, pattern, j >= n - 2)
         base = atom_lo - pattern.interval.lo
         c_lo, c_hi = cell_ends(pattern, cell)

@@ -50,7 +50,7 @@ from splinemart.filtration import (
     parse_filtration_spec,
 )
 from splinemart.intervals import Interval
-from splinemart.rle import RleSpline, UniformSpace
+from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
 from splinemart.witness import BushRep, XVec, bush_decompose
 
 from fraction_oracle import (
@@ -767,9 +767,9 @@ def test_swapped_span_polynomials_fail_the_comparison(monkeypatch):
     assert not all_match()
 
 
-class TwoGroups(core.SlotwisePattern):
-    """Plain terms on two spaces whose supports overlap, so two run-table
-    groups hit at one point; built sequences never overlap their groups."""
+class TermPattern(core.SlotwisePattern):
+    """A pattern of the given (scalar, slot key) terms and no correction
+    bumps: only its run table is read."""
 
     def __init__(self, terms):
         self.terms, self.r_terms, self.w_data = terms, (), ()
@@ -778,8 +778,10 @@ class TwoGroups(core.SlotwisePattern):
 @settings(max_examples=60, deadline=None)
 @given(x=st.fractions(min_value=F(1, 4), max_value=F(3, 4), max_denominator=10**9))
 def test_groups_that_hit_together_combine_over_their_lcm(x):
+    # plain terms on two spaces whose supports overlap, so two run-table
+    # groups hit at one point; built sequences never overlap their groups
     coarse, fine = UniformSpace(3, 3, 3), UniformSpace(3, 5, 3)
-    pat = TwoGroups([
+    pat = TermPattern([
         (RleSpline(coarse, [(4, 24, F(2, 7))]), ("d", 0)),
         (RleSpline(fine, [(10, 120, F(5, 11)), (121, 150, F(-1, 13))]), ("d", 0)),
         (RleSpline(fine, [(151, 230, F(3, 17))]), ("d", 1)),
@@ -801,6 +803,85 @@ def test_changed_run_coefficient_fails_the_comparison():
     mutant = copy.copy(pat)
     mutant.__dict__["run_table"] = (changed, *pat.run_table[1:])
     assert not matches_term_by_term(mutant, RationalBound(mutant, (bound.slots, bound.den)), t)
+
+
+@st.composite
+def window_groups(draw):
+    """One basis group of up to three terms of one run each, plain or
+    periodic, on a level-L space of order k: (k, pattern, every run of the
+    group over all its instances as index pairs, the atoms a whose windows
+    a .. a+k-1 are to be read). The first run is longer than k, and a gap
+    of 0 puts the next term's run against the one before."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.sampled_from([1, 2, 4, 16]))
+    lengths = [draw(st.integers(k + 1, 2 * k + 3))]
+    lengths += draw(st.lists(st.integers(1, 2 * k + 3), max_size=2))
+    origin = k - 1 + draw(st.integers(0, k))
+    runs, j = [], origin
+    for i, length in enumerate(lengths):
+        j += draw(st.integers(0, k + 1)) if i else 0
+        runs.append((j, j + length - 1))
+        j += length
+    periodic = draw(st.booleans())
+    shift = j - origin + (draw(st.integers(1, k + 1)) if periodic else 0)
+    count = draw(st.integers(2, 3)) if periodic else 1
+    extent = count * shift
+    level = 1
+    while p**level <= origin + extent:
+        level += 1
+    space = UniformSpace(p, level, k)
+    coeff = st.fractions(-3, 3, max_denominator=20).filter(bool)
+    terms = []
+    for i, (j0, j1) in enumerate(runs):
+        scal = RleSpline(space, [(j0, j1, draw(coeff))])
+        terms.append((PeriodicSpline(scal, shift * space.h, count) if periodic else scal, ("d", i)))
+    every_run = [(j0 + ell * shift, j1 + ell * shift) for ell in range(count) for j0, j1 in runs]
+
+    def pick(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    ell = pick(0, count - 1)
+    j0, j1 = every_run[ell * len(runs)]
+    atoms = [j0, j1 - k + 1, pick(j0, j1 - k + 1)]  # inside one run
+    atoms += [origin - k + 1, origin, origin + extent - k, origin + extent - 1]  # the group's ends
+    if k > 1:
+        j0, j1 = draw(st.sampled_from(every_run))
+        atoms += [j0 - 1, j1 - k + 2, pick(j0 - k + 1, j0 - 1), pick(j1 - k + 2, j1)]  # a run edge
+        if periodic:  # an instance boundary: q + k > shift
+            atoms.append(origin + ell * shift + pick(shift - k + 1, shift - 1))
+    return k, TermPattern(terms), every_run, atoms
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=window_groups(), data=st.data())
+def test_whole_windows_read_the_run_and_cut_windows_the_spans(case, data):
+    """A window that one run holds reads the run's coefficients as they
+    stand and takes no span value; a window cut by a run edge, an instance
+    boundary or the group's ends takes B_k's spans once if an index hits a
+    run, and a window that hits none reads nothing. Each window is read at
+    its grid point (rem = 0) or at a point inside its atom, against the
+    term-by-term formula; at k = 1 every hit is whole."""
+    k, pat, every_run, atoms = case
+    scale = pat.run_table[0].space.num_atoms
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cardinal.span_numerators(*args)
+
+    for a in atoms:
+        window = range(a, a + k)
+        whole = any(j0 <= a and a + k - 1 <= j1 for j0, j1 in every_run)
+        hit = any(j0 <= j <= j1 for j in window for j0, j1 in every_run)
+        x = data.draw(st.just(F(0)) | st.fractions(0, 1, max_denominator=10**6).filter(lambda x: 0 < x < 1))
+        t = (a + x) / scale
+        del calls[:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "span_numerators", counted)
+            got = slotwise_g(pat, t)
+        assert got == term_by_term_slotwise(pat, t), (a, x)
+        assert len(calls) == (0 if whole or not hit else 1), (a, x, whole, hit)
+        assert k > 1 or not calls
 
 
 @pytest.mark.parametrize("invariant", ["overlap", "periodic_span"])

@@ -97,6 +97,7 @@ def test_walk_refuses_a_bool_or_a_non_finite_point(bad):
 
 
 WALK_STRING_CODE = """
+from decimal import Decimal
 from fractions import Fraction
 from splinemart.construction.driver import build_sequence
 from splinemart.errors import DomainError
@@ -108,12 +109,13 @@ calls = {
     "step_values": seq.step_values,
     "sup_diff_at": seq.sup_diff_at,
 }
-for bad in ("1/0", "3/0", "x"):
+for bad in ("1/0", "3/0", "x", None, Decimal("0.25"), [1, 2]):
+    want = f"evaluation point {bad!r} is not a rational: a point is an int, a Fraction"
     for name, call in calls.items():
         try:
             call(bad, 2)
         except DomainError as exc:
-            if "is not a rational" not in str(exc):
+            if want not in str(exc):
                 raise SystemExit(f"{name}({bad!r}): {exc}")
         else:
             raise SystemExit(f"{name}({bad!r}) was accepted")
@@ -127,8 +129,9 @@ print("ok")
 @pytest.mark.parametrize("optimise", [False, True], ids=["python", "python-O"])
 def test_walk_refuses_a_string_that_is_no_rational(optimise):
     # "1/0" once escaped from value_at, step_values and sup_diff_at as
-    # ZeroDivisionError; the walk refuses it, and a malformed string, with an
-    # explicit DomainError, so the refusal holds under python -O too
+    # ZeroDivisionError, and None or a Decimal as frac's TypeError; the walk
+    # refuses each, and a malformed string, with an explicit DomainError
+    # that names the point and the accepted types, under python -O too
     path = os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
     )
@@ -1132,4 +1135,4 @@ def test_build_sequence_builds_no_coordinate_table(monkeypatch):
         seq = build_sequence(parse_filtration_spec("padic:3"), 4, HALF, 3)
     seq.value_at(F(1, 3), 3)
     assert len(seq._bound) == 3
-    assert all(bound._tables for *_, bound, _ in seq._bound.values())
+    assert all(bound._tables for _, _, _, bound, _, _ in seq._bound.values())
