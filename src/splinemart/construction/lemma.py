@@ -421,11 +421,7 @@ def step2_correct(frame: CorrectionFrame, alphas: Sequence[Fraction]) -> LemmaPa
     pattern. The slot moments take one `PeriodicSpline.moment` row per
     translate class and shift it to the class's other terms in integers
     (`slot_moment_columns`). w comes out the same over any denominators z
-    arrives in, as `solve_moments` reduces it by one final gcd. With one
-    frame per step and the translate classes, the dyadic k=3 N=8 build
-    makes 216 `PeriodicSpline.moment` calls where a frame per profile and
-    a moment per term made 3,120, and takes 1.3 s, down from 8.8 s, on a
-    2-core x86-64 host (`BENCH_37.json`).
+    arrives in, as `solve_moments` reduces it by one final gcd.
 
     The pattern's level K is the inner pattern's, so the family shares
     `inner.cells` as they are. The bump level is no finer when |I| = p**-m

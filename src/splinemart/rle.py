@@ -26,10 +26,7 @@ Both spline kinds keep their orders 0 .. k-1 per origin in one table,
 made on the first moment asked about that origin. Step 2 asks for few
 moments: one row per bump of its step's correction frame, and one
 periodic row per translate class of stopping terms, shifted to the
-class's other members in integers (`construction.lemma`). A dyadic k=3
-N=8 build calls `PeriodicSpline.moment` 216 times and `RleSpline.moment`
-72 times; with a moment per term and order and a frame per profile it
-made 3,120 and 324 calls.
+class's other members in integers (`construction.lemma`).
 
 One normalisation per result: the moments sum integer numerators over
 one common denominator, put there by the number kernel of `cardinal`

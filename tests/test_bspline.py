@@ -28,6 +28,7 @@ from splinemart.filtration import FileFiltration, dyadic, parse_filtration_spec
 from splinemart.intervals import Interval, MeasurableUnion
 
 from float_helpers import design_matrix, dense_gram
+from pins import KERNEL_PIN
 
 F = Fraction
 
@@ -451,13 +452,6 @@ def test_eval_basis_matches_the_reference_next_to_breakpoints(spec, k):
             assert abs(cox_de_boor_reference(knots, k, i, t) - got.get(i, 0.0)) < 1e-12
 
 
-#: sha256 of basis_values' (first, vals) bytes and of repr(eval_basis) over
-#: pin_knot_vectors x pin_points, recorded before the two evaluation paths
-#: shared one de Boor kernel
-KERNEL_PIN = (
-    "076bf4e91333205ade62571f311f228e92f4af0cbb8b4321d7b2f82e7a0e6dab",
-    "a5b45c708b59bcdcf6b3e96931c1573b93bf3b0fbe153773e4f93a68748e98ec",
-)
 PIN_LEVELS = {
     "dyadic": (0, 1, 2, 5, 8),
     "padic:3": (0, 1, 3, 5),

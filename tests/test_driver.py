@@ -1,5 +1,4 @@
 import functools
-import hashlib
 import json
 import math
 import os
@@ -44,6 +43,7 @@ from fraction_oracle import (
     general_mix_reps, general_slot_vectors, grid_unit, moment_slotwise, reference_locate,
     slot_xvecs, unit_slots, w_fractions, w_vectors, xvec_numerators,
 )
+import pins
 
 F = Fraction
 HALF = F(1, 2)
@@ -294,8 +294,6 @@ def test_eta_quarter_bounds_scale():
 
 
 def test_json_roundtrip(seq_k1):
-    import json
-
     blob = seq_k1.to_json(trace="full")
     encoded = json.dumps(blob)
     back = json.loads(encoded)
@@ -311,127 +309,14 @@ def test_result_record_refuses_an_unknown_trace(seq_k1, trace):
             write(trace=trace)
 
 
-# sha256 of `_fingerprint` per (spec, k, N, eta), recorded before the census
-# was keyed by congruence class; the quotient must not move a single output
-GOLDEN = [
-("dyadic", 1, 2, "1/2", "0ef22372d60b3aea9e7d167d634e667bf3f3920e6f74cc117e6d67c35902d1ec"),
-    ("dyadic", 1, 2, "2/5", "3fe70afad6d603fc7b90dc475913ef0b0c32978bc80676eb427d1b01ffb96cec"),
-    ("dyadic", 1, 4, "1/2", "80d7b4ca8229cc6b4b59881dea9829455d509ddc9185707494080067edab8384"),
-    ("dyadic", 1, 4, "2/5", "7f33aa81d13eb4fd390ac6f22b688547268e5e9774925c3d9cc859e516cdfae5"),
-    ("dyadic", 2, 2, "1/2", "f1ea86af5e5038f2b3f0d2ba5e2878e51f247ba1f420baf1f90ee62ec6746a4e"),
-    ("dyadic", 2, 2, "2/5", "424276bb89908f3ff971739a39cecfd764ae50dc81b61b0592f8c8e43d68c872"),
-    ("dyadic", 2, 4, "1/2", "4bd3780f5f12ffc0705c76a6bc02a1c464af1742151640ffaf8b4736c726ccc3"),
-    ("dyadic", 2, 4, "2/5", "afaa22ce900ccca8ae2389aaaefafdb06ef9606b3b8c66acf35e877318d4b58e"),
-    ("dyadic", 3, 2, "1/2", "b9244276a475b978e98e25daccf7ba5af00e7740ac6d0dff4bbdf2cf9999a72e"),
-    ("dyadic", 3, 2, "2/5", "1f0dd50214b7c1f75bbfd698d2d35fc6058c10a07af9f20d74c9091efd9e385b"),
-    ("dyadic", 3, 4, "1/2", "0b08bb7e0800aa0869c0804f95ea61f058b5dc2c4ca8323baded1e5507a59d5e"),
-    ("dyadic", 3, 4, "2/5", "dada9786a1a55e59aa5f128a4ae777dcc9ccff6c6a46f78cb86b3444e3e348f3"),
-    ("padic:3", 2, 2, "1/2", "3a7b11493c48b787ee51abca4e3398393a32f70afbffdb19a909757f39eb174f"),
-    ("padic:3", 2, 2, "2/5", "32c548edbb73529e36ba26a232704fbaa9830b7c0f47d8aa54bb76afffb633a8"),
-    ("padic:3", 2, 4, "1/2", "5af33591e4d0c7b9f516c7c76176c780c2c7ac14b745b5e13bd66e156f19651c"),
-    ("padic:3", 2, 4, "2/5", "beab43d19f53404ea05f6b7dcb4499427898ba27d8622110b03f18e2c1d0515e"),
-]
-
-
-def _fingerprint(seq) -> str:
-    n = seq.num_steps
-    payload = {
-        "blob": seq.to_json(trace="full", seed=0),
-        "masses": [[str(sd.e_mass), str(sd.c_mass), str(sd.const_mass)] for sd in seq.steps],
-        "chain_sup": str(max(r.chain_sup for r in seq.final_rows)),
-        "values": [
-            [[c, str(v)] for c, v in sorted(seq.value_at(t, n).items())]
-            for t in (F(1, 7), F(2, 5), F(5, 9), F(31, 32))
-        ],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-@pytest.mark.parametrize(
-    "spec,k,steps,eta,digest",
-    GOLDEN,
-    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e, _ in GOLDEN],
-)
-def test_outputs_match_golden_digests(spec, k, steps, eta, digest):
-    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
-    assert _fingerprint(seq) == digest
-
-
-# sha256 of `_depth_digest` per (spec, k, N) at eta = 1/2, recorded before
-# bush values and slot vectors were summed in integers; these reach reps of
-# up to 2**8 nodes, which the golden digests above (N <= 4) do not
-DEPTH_PINS = [
-    ("dyadic", 1, 8, "af8b7908f5546ba03ba0f92275720cb41c95af096681767e0c0a7cd199949b02"),
-    ("dyadic", 2, 7, "cf870fbcd88d4bd1b5395683ffb06ba75577f64ee494bce4167a9c88f4053b63"),
-    ("dyadic", 3, 5, "cef70fa90d92ba8202906933a2707a520a1086b8e1840be4d52e135b07709862"),
-    ("padic:3", 2, 4, "8d1891a67dafa2111247ed0baf893bb01f7ff1206cfe56c79677aea7374c2e1f"),
-]
-
-
-def _depth_digest(seq) -> str:
-    n = seq.num_steps
-    payload = json.dumps({
-        "dumps": seq.dumps(trace="full"),
-        "E": [str(seq.e_measure(j)) for j in range(1, n + 1)],
-        "C": [str(seq.c_measure(j)) for j in range(n + 1)],
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-@pytest.mark.parametrize(
-    "spec,k,steps,digest", DEPTH_PINS, ids=[f"{s}-k{k}-N{n}" for s, k, n, _ in DEPTH_PINS]
-)
-def test_outputs_at_depth_match_pinned_digests(spec, k, steps, digest):
-    seq = build_sequence(parse_filtration_spec(spec), k, HALF, steps)
-    assert _depth_digest(seq) == digest
-
-
-# sha256 of `_value_digest` per (spec, k, N) at eta = 1/2, recorded before
-# the walk summed its steps through the kernel's merge helper: the point walk
-# at fixed rationals (zone values) and inside ramp, rbump, zone and mix cells
-# (g with denominators of up to thousands of bits), which `dumps` never reads
-VALUE_PINS = [
-    ("dyadic", 3, 6, "f75ecec0ae783710a010b2f9984eb8615ecd920b5cfab44cbd8c2358abfb65cd"),
-    ("padic:5", 4, 4, "c21af8d003aab2328da14d5f38e4ee5ba834d7f4249ae2c8ca7a963f72a869f4"),
-]
-VALUE_POINTS = (F(0), F(1, 3), F(2, 5), F(31, 32), F(7, 11), F(13, 625), F(1000, 1001), F(1))
-VALUE_CELL_QUOTA = {"ramp": 2, "rbump": 2, "zone": 2, "mix": 1, "keep": 1}
-
-
-def value_pin_points(seq, n: int) -> list:
-    """The 8 fixed points, then lo + 3/7 (hi - lo) of the first cells of each
-    kind (`VALUE_CELL_QUOTA`), scanning the cells (a family's base instance)
-    of the first pattern of step n - 1: 16 points per step at k >= 2."""
-    pat = next(iter(seq.steps[n - 1].patterns.values()))
-    quota = dict(VALUE_CELL_QUOTA)
-    points = list(VALUE_POINTS)
-    for entry in pat.cells:
-        for cell in entry.cells if isinstance(entry, PeriodicFamily) else (entry,):
-            if quota.get(cell.kind, 0):
-                quota[cell.kind] -= 1
-                lo, hi = cell_ends(pat, cell)
-                points.append(lo + (hi - lo) * F(3, 7))
-    return points
-
-
-def _value_digest(seq) -> str:
-    payload = [
-        [[[c, str(v)] for c, v in sorted(seq.value_at(t, n).items())]
-         for t in value_pin_points(seq, n)]
-        for n in range(1, seq.num_steps + 1)
-    ]
-    return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
-
-
-@pytest.mark.parametrize(
-    "spec,k,steps,digest", VALUE_PINS, ids=[f"{s}-k{k}-N{n}" for s, k, n, _ in VALUE_PINS]
-)
-def test_value_at_matches_pinned_digests(spec, k, steps, digest):
-    seq = build_sequence(parse_filtration_spec(spec), k, HALF, steps)
-    for n in range(1, steps + 1):
-        assert len(value_pin_points(seq, n)) == 16
-    assert _value_digest(seq) == digest
+@pytest.mark.parametrize("pin", pins.GOLDEN, ids=pins.case_id)
+def test_outputs_match_golden_digests(pin):
+    seq = pins.build(pin)
+    rows = tuple(len(sd.rows_after) for sd in seq.steps)
+    got = pin._replace(rows=rows, digest=pins.fingerprint(seq))
+    assert got == pin, (
+        f"{pins.case_id(pin)}: rows {pin.rows} -> {got.rows}, digest {pin.digest} -> {got.digest}"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -445,12 +330,6 @@ def test_census_rows_are_distinct_classes(fixture, request):
     for sd in seq.steps:
         keys = [r.key for r in sd.rows_after]
         assert len(set(keys)) == len(keys)
-
-
-def test_census_row_counts(seq_k2_n5):
-    # one row per class: 8404 rows at step 5 when keyed by parent row
-    assert [len(sd.rows_after) for sd in seq_k2_n5.steps] == [5, 13, 22, 33, 46]
-    assert len(seq_k2_n5.final_rows) == 46
 
 
 def test_shape_forgets_the_prefix_but_not_its_absence():
@@ -571,13 +450,11 @@ def reference_stopping(inner):
     return tuple(j_indices), tuple(int_f)
 
 
-@pytest.mark.parametrize(
-    "spec,k,steps,eta",
-    [g[:4] for g in GOLDEN],
-    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e, _ in GOLDEN],
-)
-def test_closed_form_stopping_matches_binary_search(spec, k, steps, eta):
-    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+# the reference scan runs interval arithmetic on every pattern: the table
+# rows past N = 4 would add about 4 s
+@pytest.mark.parametrize("pin", [pin for pin in pins.GOLDEN if pin.steps <= 4], ids=pins.case_id)
+def test_closed_form_stopping_matches_binary_search(pin):
+    seq = pins.build(pin)
     for _, pat in seq.all_patterns():
         tr = pat.inner.trace
         int_f = oracle.stopping_masses(tr)["int_f"]
@@ -661,13 +538,9 @@ CENSUS_CASES = [("dyadic", k, 5, eta) for k in (1, 2, 3) for eta in ("1/2", "2/5
 ]
 
 
-@pytest.mark.parametrize(
-    "spec,k,steps,eta",
-    CENSUS_CASES,
-    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e in CENSUS_CASES],
-)
-def test_ledger_census_matches_per_cell_reference(spec, k, steps, eta):
-    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+@pytest.mark.parametrize("case", CENSUS_CASES, ids=pins.case_id)
+def test_ledger_census_matches_per_cell_reference(case):
+    seq = pins.build(case)
     p = seq.filt.uniform_base
     rows = [ClassRow("const", "zone", BushRep(""), F(1), True, True)]
     for sd in seq.steps:
@@ -691,13 +564,9 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "spec,k,steps,eta",
-    ORACLE_CASES,
-    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e in ORACLE_CASES],
-)
-def test_integer_step1_and_census_match_the_fraction_oracle(spec, k, steps, eta):
-    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=pins.case_id)
+def test_integer_step1_and_census_match_the_fraction_oracle(case):
+    seq = pins.build(case)
     for _, pat in seq.all_patterns():
         tr = pat.inner.trace
         want = oracle.fraction_stopping(pat.inner)
@@ -728,17 +597,13 @@ def test_integer_step1_and_census_match_the_fraction_oracle(spec, k, steps, eta)
 COMPACT_CASES = CENSUS_CASES + [case for case in ORACLE_CASES if case not in CENSUS_CASES]
 
 
-@pytest.mark.parametrize(
-    "spec,k,steps,eta",
-    COMPACT_CASES,
-    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e in COMPACT_CASES],
-)
-def test_compact_reps_match_the_general_reference(spec, k, steps, eta):
+@pytest.mark.parametrize("case", COMPACT_CASES, ids=pins.case_id)
+def test_compact_reps_match_the_general_reference(case):
     # every constant value the build carries: the census rows, and every
     # binding that the point walk and the E_n sampler reach
-    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+    seq = pins.build(case)
     rng = random.Random(5)
-    for n in range(1, steps + 1):
+    for n in range(1, seq.num_steps + 1):
         points = seq.sample_e_points(n, rng, 3) + [F(rng.randrange(1, 10**6), 10**6) for _ in range(3)]
         for t in points:
             seq.sup_diff_at(t, n)
@@ -808,13 +673,6 @@ def test_order_one_correction_vanishes_on_every_class(spec, eta, max_steps):
                 assert len(w) == 1 and all(len(v) == 0 for v in w)
                 assert RationalBound(pat, slots).w_norm() == 0
             rows = sd.rows_after
-
-
-def test_order_one_census_row_counts():
-    # the bump atoms join the keep classes: [4, 11, 17, 23, 29, 35] while
-    # they were a cell kind of their own
-    seq = build_sequence(dyadic(), 1, HALF, 6)
-    assert [len(sd.rows_after) for sd in seq.steps] == [3, 8, 12, 16, 20, 24]
 
 
 def test_one_correction_frame_per_step(monkeypatch):
@@ -1104,13 +962,9 @@ def matches_the_fraction_walk(seq, t) -> bool:
 
 # CENSUS_CASES + ORACLE_CASES, each with its cell points (about a thousand
 # per case at k = 4)
-@pytest.mark.parametrize(
-    "spec,k,steps,eta",
-    COMPACT_CASES,
-    ids=[f"{s}-k{k}-N{n}-eta{e.replace('/', '_')}" for s, k, n, e in COMPACT_CASES],
-)
-def test_coordinate_tables_match_the_fraction_walk(spec, k, steps, eta):
-    seq = build_sequence(parse_filtration_spec(spec), k, F(eta), steps)
+@pytest.mark.parametrize("case", COMPACT_CASES, ids=pins.case_id)
+def test_coordinate_tables_match_the_fraction_walk(case):
+    seq = pins.build(case)
     for t in table_points(seq, random.Random(11)):
         assert matches_the_fraction_walk(seq, t), t
 

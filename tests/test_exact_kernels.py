@@ -30,6 +30,7 @@ from splinemart.intervals import Interval
 from splinemart.rle import PeriodicSpline, RleSpline, UniformSpace
 
 from fraction_oracle import span_polynomial, span_value
+from pins import SPAN_TABLE_DIGEST
 
 F = Fraction
 HALF = F(1, 2)
@@ -271,12 +272,6 @@ def reference_moment(k, r):
         ),
         F(0),
     )
-
-
-# sha256 of the reprs of _local_spans(k), then cardinal_moment(k, r) and
-# moment_weights(k, r) for r = 0..8, k = 1..16, as the Fraction span
-# recurrence gave them before the integer table replaced it
-SPAN_TABLE_DIGEST = "3dbfb8c24b1b667272f2b8c8782fb29f7c4314a5c91107a1ce875ed1ad9f43b1"
 
 
 def test_span_table_and_moments_match_the_truncated_power_form():
