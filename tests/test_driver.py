@@ -33,7 +33,7 @@ from splinemart.filtration import (
     dyadic,
     parse_filtration_spec,
 )
-from splinemart.intervals import MeasurableUnion
+from splinemart.intervals import MeasurableUnion, long_decimals
 from splinemart.harness import verify_sequence
 from splinemart.witness import BushRep, XVec, bush_decompose
 
@@ -317,6 +317,25 @@ def test_outputs_match_golden_digests(pin):
     assert got == pin, (
         f"{pins.case_id(pin)}: rows {pin.rows} -> {got.rows}, digest {pin.digest} -> {got.digest}"
     )
+
+
+# deep bush reps (up to 2**8 nodes), and padic:3 at N = 4, at eta = 1/2
+DEPTH_CASES = [("dyadic", 1, 8), ("dyadic", 2, 7), ("dyadic", 3, 5), ("padic:3", 2, 4)]
+
+
+@pytest.mark.parametrize(
+    "spec,k,steps", DEPTH_CASES, ids=[f"{s}-k{k}-N{n}" for s, k, n in DEPTH_CASES]
+)
+def test_outputs_at_depth_match_pinned_digests(spec, k, steps):
+    """The outputs at depth -- `dumps(trace="full")`, |E_n| and |C_n| -- are
+    the record `pins.fingerprint` hashes, so the table row's digest pins them."""
+    pin = next(p for p in pins.GOLDEN if p[:4] == (spec, k, steps, "1/2"))
+    seq = pins.build(pin)
+    with long_decimals():
+        record = seq.to_json(trace="full", seed=0)
+        assert json.loads(seq.dumps(trace="full")) == json.loads(json.dumps(record))
+    assert [e["measure"] for e in record["E"]] == [str(seq.e_measure(j)) for j in range(1, steps + 1)]
+    assert record["C"] == [str(seq.c_measure(j)) for j in range(steps + 1)]
 
 
 @pytest.fixture(scope="module")
