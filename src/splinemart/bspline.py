@@ -197,25 +197,38 @@ def basis_values(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
 
 def spline_values(coeffs: np.ndarray, first: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """sum_r coeffs[..., first + r] * vals[:, r], accumulated in order of r
-    like ScalarSpline.eval; coeffs may stack several splines along axis 0."""
-    out = coeffs[..., first] * vals[:, 0]
+    like ScalarSpline.eval; coeffs may stack several splines along axis 0.
+    The table is C-ordered with shape (..., points), so a row per spline
+    is contiguous."""
+    out = np.take(coeffs, first, axis=-1)
+    out *= vals[:, 0]
     for r in range(1, vals.shape[1]):
-        out = out + coeffs[..., first + r] * vals[:, r]
+        term = np.take(coeffs, first + r, axis=-1)
+        term *= vals[:, r]
+        out += term
     return out
+
+
+def _frozen_row(coeffs, dim: int) -> tuple[np.ndarray, list[float]]:
+    """A read-only copy of a length-dim coefficient row and its entries as
+    Python floats, which point evaluation reads."""
+    row = np.array(coeffs, dtype=float)
+    if row.shape != (dim,):
+        raise ValueError(f"need {dim} coefficients, got {row.shape}")
+    row.flags.writeable = False
+    return row, row.tolist()
 
 
 class ScalarSpline:
     """A spline as a coefficient sequence over a knot vector."""
 
     def __init__(self, kv: KnotVector, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (kv.dim,):
-            raise ValueError(f"need {kv.dim} coefficients, got {coeffs.shape}")
         self.kv = kv
-        self.coeffs = coeffs
+        self.coeffs, self._row = _frozen_row(coeffs, kv.dim)
 
     def eval(self, t: float) -> float:
-        return sum(self.coeffs[i] * v for i, v in eval_basis(self.kv, t))
+        row = self._row
+        return sum(row[i] * v for i, v in eval_basis(self.kv, t))
 
     def eval_many(self, ts) -> np.ndarray:
         return spline_values(self.coeffs, *basis_values(self.kv, ts))

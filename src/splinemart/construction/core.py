@@ -433,13 +433,15 @@ class BoundPattern:
         a onto its instance (ell, q) and one bisection finds the run holding
         q. When that run, in the same instance, also holds q + k - 1, the
         k translates of B_k that meet the point sum to one, so g is the
-        run's coordinates over the group denominator as they stand. A window
-        cut by a run edge, an instance boundary or the group's ends looks up
-        each index a .. a+k-1 with a bisection, and B_k's span numerators
-        are taken once per space level, when such an index first hits a
-        run. The groups that hit are added over their lcm (`add_numerators`);
-        a group that misses adds nothing, not even its denominator (the
-        bumps' has thousands of bits at depth).
+        run's coordinates over the group denominator as they stand; when no
+        run holds q and the next starts after q + k - 1, the window lies in a
+        gap and adds nothing. A window cut by a run edge, an instance
+        boundary or the group's ends looks up each index a .. a+k-1 with a
+        bisection, and B_k's span numerators are taken once per space
+        level, when such an index first hits a run. The groups that hit are
+        added over their lcm (`add_numerators`); a group that misses adds
+        nothing, not even its denominator (the bumps' has thousands of bits
+        at depth).
         """
         table = self._tables.get(level)
         if table is None:
@@ -460,6 +462,8 @@ class BoundPattern:
                         if coords[e]:
                             out, den = add_numerators((out, den), (dict(coords[e]), gden))
                         continue
+                    if (e < 0 or ends[e] < q) and (e + 1 == len(starts) or q + k <= starts[e + 1]):
+                        continue  # the window lies in a gap between runs
                 sums: dict = {}
                 for i in range(k - 1, -1, -1):
                     if 0 <= ell < count:

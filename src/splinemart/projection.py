@@ -38,6 +38,7 @@ from .bspline import (
     GramOperator,
     KnotVector,
     ScalarSpline,
+    _frozen_row,
     _linalg,
     aligned_values,
     basis_values,
@@ -68,12 +69,9 @@ class VectorSpline:
 
     def __init__(self, kv: KnotVector, components: dict[int, np.ndarray]):
         self.kv = kv
-        self.components = {
-            int(c): np.asarray(v, dtype=float) for c, v in components.items()
-        }
-        for v in self.components.values():
-            if v.shape != (kv.dim,):
-                raise ValueError("component length mismatch")
+        frozen = {int(c): _frozen_row(v, kv.dim) for c, v in components.items()}
+        self.components = {c: v for c, (v, _) in frozen.items()}
+        self._rows = [(c, row) for c, (_, row) in frozen.items()]
 
     def active_coords(self) -> list[int]:
         return sorted(self.components)
@@ -86,9 +84,7 @@ class VectorSpline:
 
     def eval(self, t: float) -> dict[int, float]:
         basis = eval_basis(self.kv, t)
-        return {
-            c: sum(v[i] * b for i, b in basis) for c, v in self.components.items()
-        }
+        return {c: sum(row[i] * b for i, b in basis) for c, row in self._rows}
 
 
 class ProjectionContext:

@@ -22,6 +22,7 @@ from splinemart.bspline import (
     moment,
     moment_matrix,
     refine_coeffs,
+    spline_values,
 )
 from splinemart.errors import CapacityError, DomainError, NestingError, PreconditionError
 from splinemart.filtration import FileFiltration, dyadic, parse_filtration_spec
@@ -518,6 +519,30 @@ def test_eval_many_bit_identical_to_eval():
             s = ScalarSpline(kv, rng.uniform(-1, 1, kv.dim))
             ts = np.concatenate([[0.0, 1.0], [float(b) for b in kv.breakpoints], rng.random(200)])
             assert s.eval_many(ts).tolist() == [s.eval(t) for t in ts]
+
+
+def test_spline_values_stacked_table_is_c_ordered_rows_of_eval_many():
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 4):
+        kv = KnotVector.from_filtration(FILTRATIONS["padic:3"], 3, k)
+        coeffs = rng.uniform(-1, 1, (5, kv.dim))
+        ts = np.concatenate([[0.0, 1.0], rng.random(300)])
+        table = spline_values(coeffs, *basis_values(kv, ts))
+        assert table.shape == (5, len(ts)) and table.flags.c_contiguous
+        for row, c in zip(table, coeffs):
+            assert row.tolist() == ScalarSpline(kv, c).eval_many(ts).tolist()
+
+
+def test_scalar_spline_copies_its_coefficients_read_only():
+    kv = KnotVector.from_filtration(FILTRATIONS["dyadic"], 3, 3)
+    source = np.random.default_rng(12).uniform(-1, 1, kv.dim)
+    ts = np.linspace(0.0, 1.0, 41)
+    s = ScalarSpline(kv, source)
+    before = s.eval_many(ts).tolist(), [s.eval(t) for t in ts]
+    source[:] = 7.0
+    assert (s.eval_many(ts).tolist(), [s.eval(t) for t in ts]) == before
+    with pytest.raises(ValueError):
+        s.coeffs[0] = 1.0
 
 
 def boehm_reference(coarse, fine_kv):

@@ -1,4 +1,5 @@
 import ast
+import bisect
 import copy
 import functools
 import inspect
@@ -11,6 +12,7 @@ import textwrap
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -844,6 +846,7 @@ def window_groups(draw):
     j0, j1 = every_run[ell * len(runs)]
     atoms = [j0, j1 - k + 1, pick(j0, j1 - k + 1)]  # inside one run
     atoms += [origin - k + 1, origin, origin + extent - k, origin + extent - 1]  # the group's ends
+    atoms += [j1 + 1 for _, j1 in every_run]  # a gap after a run, when it is k or more wide
     if k > 1:
         j0, j1 = draw(st.sampled_from(every_run))
         atoms += [j0 - 1, j1 - k + 2, pick(j0 - k + 1, j0 - 1), pick(j1 - k + 2, j1)]  # a run edge
@@ -858,30 +861,42 @@ def test_whole_windows_read_the_run_and_cut_windows_the_spans(case, data):
     """A window that one run holds reads the run's coefficients as they
     stand and takes no span value; a window cut by a run edge, an instance
     boundary or the group's ends takes B_k's spans once if an index hits a
-    run, and a window that hits none reads nothing. Each window is read at
-    its grid point (rem = 0) or at a point inside its atom, against the
-    term-by-term formula; at k = 1 every hit is whole."""
+    run, and a window that hits none reads nothing. A window inside one
+    instance that one run holds, or that lies in a gap between runs, takes
+    one bisection. Each window is read at its grid point (rem = 0) or at a
+    point inside its atom, against the term-by-term formula; at k = 1 every
+    hit is whole."""
     k, pat, every_run, atoms = case
-    scale = pat.run_table[0].space.num_atoms
-    calls = []
+    group = pat.run_table[0]
+    scale = group.space.num_atoms
+    calls, bisects = [], []
 
     def counted(*args):
         calls.append(args)
         return cardinal.span_numerators(*args)
 
+    def counted_bisect(*args):
+        bisects.append(args)
+        return bisect.bisect_right(*args)
+
     for a in atoms:
         window = range(a, a + k)
         whole = any(j0 <= a and a + k - 1 <= j1 for j0, j1 in every_run)
         hit = any(j0 <= j <= j1 for j in window for j0, j1 in every_run)
+        ell, q = divmod(a - group.origin, group.shift)
+        inside = 0 <= ell < group.count and q + k <= group.shift
         x = data.draw(st.just(F(0)) | st.fractions(0, 1, max_denominator=10**6).filter(lambda x: 0 < x < 1))
         t = (a + x) / scale
-        del calls[:]
+        del calls[:], bisects[:]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "span_numerators", counted)
+            mp.setattr(core, "bisect", SimpleNamespace(bisect_right=counted_bisect))
             got = slotwise_g(pat, t)
         assert got == term_by_term_slotwise(pat, t), (a, x)
         assert len(calls) == (0 if whole or not hit else 1), (a, x, whole, hit)
         assert k > 1 or not calls
+        if inside and (whole or not hit):
+            assert len(bisects) == 1, (a, x, whole, hit)
 
 
 @pytest.mark.parametrize("invariant", ["overlap", "periodic_span"])

@@ -162,6 +162,33 @@ def test_project_vector_tensor_identity(ctx2):
         assert np.max(np.abs(p.components[c] - expect.components[c])) < 1e-10
 
 
+def test_vector_spline_copies_its_components_read_only():
+    kv = ProjectionContext(dyadic(), 3).knot_vector(3)
+    rng = np.random.default_rng(13)
+    sources = {1: rng.uniform(-1, 1, kv.dim), 4: rng.uniform(-1, 1, kv.dim)}
+    ts = np.linspace(0.0, 1.0, 41)
+    f = VectorSpline(kv, sources)
+    before = [f.eval(t) for t in ts]
+    for v in sources.values():
+        v[:] = 7.0
+    assert [f.eval(t) for t in ts] == before
+    for c in f.active_coords():
+        with pytest.raises(ValueError):
+            f.components[c][0] = 1.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_vector_spline_eval_bit_identical_to_numpy_scalar_sum(k):
+    kv = ProjectionContext(dyadic(), k).knot_vector(4)
+    rng = np.random.default_rng(k)
+    comps = {c: rng.uniform(-1, 1, kv.dim) for c in (1, 2, 5)}
+    f = VectorSpline(kv, comps)
+    for t in [0.0, 1.0, *rng.random(100).tolist()]:
+        basis = eval_basis(kv, t)
+        want = {c: float(sum(v[i] * b for i, b in basis)).hex() for c, v in comps.items()}
+        assert {c: x.hex() for c, x in f.eval(t).items()} == want, t
+
+
 def test_atom_supported_moment_free_bump_projects_to_zero():
     # the construction's key orthogonality step, cross-checked on the
     # float path: a perturbation supported in one coarse atom with
