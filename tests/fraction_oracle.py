@@ -1,5 +1,5 @@
-"""Exact Fraction oracles for the uniform-grid spline kernels, one Fraction
-operation per term.
+"""Exact oracles for the uniform-grid spline kernels, in Fractions or in
+integers, one operation per term.
 
 Bound patterns evaluate through their coordinate table, the run table
 with each run's slot coefficients multiplied into the slot vectors, which
@@ -49,18 +49,23 @@ binds a pattern to its result by dividing g and ||w|| by the denominator,
 and `slot_xvecs` reads integer slot vectors over a denominator as one XVec
 per slot.
 
-`step_values` and `descend_random_cell` are the Fraction point walk and
-E_n sampler that the integer ones of `SequenceResult` replaced: every step
-builds t's atom, the pattern coordinate tau and each group's slot values
-as Fractions from the run table (`eval_slotwise`, the slot-wise
-evaluation that the coordinate table replaced, and `g_eval`), finds the
-cell by bisection over Fraction cell starts that the oracle takes itself
-(`fraction_starts`, `reference_locate`) and adds witness vectors with
-`XVec.add`; `partial_sums` keeps every f_n(t) of one walk, and
-`fraction_steps` yields what each step reads. Cells hold their ends as
-integer grid units of the pattern's level K; the oracles read them as
-Fractions (`cell_ends`), and `cell_points` and `bump_ends` pick points on
-each cell and at each correction bump's support ends.
+`step_values` and `descend_random_cell` are the reference point walk and
+E_n sampler for those of `SequenceResult`. The walk is integer: per step,
+`fraction_steps` moves t onto its pattern (tau), `g_integers` reads g(tau)
+from the run table index by index, with no whole-window shortcut and the
+span values of `span_integers`, and `reference_locate` scans the cells'
+integer ends for floor(tau p**K). It reads no coordinate table, no
+`cardinal` span and no `LemmaPattern.locate`
+(`test_reference_walk_reads_no_engine_kernel`). It shares with the engine
+the run table, checked against the term-by-term formula
+(`test_run_table_matches_term_by_term_*`); `SequenceResult._bind` and its
+bound slot vectors, against `general_slot_vectors`
+(`test_compact_reps_match_the_general_reference`); and `_child_value`,
+against the per-cell census (`test_ledger_census_matches_per_cell_reference`).
+Cells hold their ends as integer grid units of the pattern's level K; the
+oracles read them as Fractions (`cell_ends`), and `cell_points` and
+`bump_ends` pick points on each cell and at each correction bump's support
+ends.
 
 `step1_level_search` and `bump_level_search` are the level searches that
 the closed-form levels of `step1_stopping` and `step2_correct` replaced:
@@ -82,13 +87,12 @@ import bisect
 import itertools
 import math
 import os.path
-import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, floor
 
-from splinemart.cardinal import over_common_denominator, span_numerators
+from splinemart.cardinal import over_common_denominator
 from splinemart.construction.core import BoundPattern, PeriodicFamily, combine_numerators
 from splinemart.construction.driver import DELTA, ClassRow, _child_value
 from splinemart.construction.lemma import invert_exact
@@ -349,15 +353,15 @@ def truncated_power(k: int, u: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def span_polynomial(k: int, i: int) -> tuple[Fraction, ...]:
-    """Span i of B_k in its local coordinate, x -> B_k(i + x) on [0, 1), as
-    coefficients in ascending powers of x: the truncated-power sum over
-    j <= i with each (x + i - j)**(k-1) expanded binomially."""
-    out = [Fraction(0)] * k
-    for j in range(i + 1):
-        for e in range(k):
-            out[e] += (-1) ** j * comb(k, j) * comb(k - 1, e) * (i - j) ** (k - 1 - e)
-    return tuple(c / factorial(k - 1) for c in out)
+def span_polynomial(k: int, i: int) -> tuple[int, ...]:
+    """(k-1)! times span i of B_k in its local coordinate, x -> B_k(i + x)
+    on [0, 1), as integer coefficients in ascending powers of x: the
+    truncated-power sum over j <= i with each (x + i - j)**(k-1) expanded
+    binomially."""
+    return tuple(
+        sum((-1) ** j * comb(k, j) * comb(k - 1, e) * (i - j) ** (k - 1 - e) for j in range(i + 1))
+        for e in range(k)
+    )
 
 
 def span_value(k: int, i: int, x: Fraction) -> Fraction:
@@ -365,7 +369,8 @@ def span_value(k: int, i: int, x: Fraction) -> Fraction:
     polynomial in the local coordinate x."""
     if not 0 <= i < k:
         return Fraction(0)
-    return sum((c * x**e for e, c in enumerate(span_polynomial(k, i))), Fraction(0))
+    terms = (c * x**e for e, c in enumerate(span_polynomial(k, i)))
+    return sum(terms, Fraction(0)) / factorial(k - 1)
 
 
 def eval_cardinal(k: int, u: Fraction) -> Fraction:
@@ -406,7 +411,8 @@ def basis_at(space: UniformSpace, t: Fraction) -> tuple[int, tuple[Fraction, ...
     periodic instance may reach past the last interior index, and its
     translates there must read as they do at the shifted point.
     """
-    a, x = atom_at(space, t)
+    a, rem = divmod(t.numerator * space.num_atoms, t.denominator)
+    x = Fraction(rem, t.denominator)
     return a, tuple(span_value(space.k, space.k - 1 - i, x) for i in range(space.k))
 
 
@@ -446,10 +452,15 @@ def periodic_combine(per: PeriodicSpline, a: int, values) -> Fraction:
     return total
 
 
+def combine_window(scal, a: int, values) -> Fraction:
+    """The value of an RleSpline or a PeriodicSpline from basis_at(space, t)."""
+    at = periodic_combine if isinstance(scal, PeriodicSpline) else rle_combine
+    return at(scal, a, values)
+
+
 def evaluate(scal, t: Fraction) -> Fraction:
     """The value at t of an RleSpline or a PeriodicSpline."""
-    at = periodic_combine if isinstance(scal, PeriodicSpline) else rle_combine
-    return at(scal, *basis_at(scal.space, t))
+    return combine_window(scal, *basis_at(scal.space, t))
 
 
 def moment_slotwise(pat, r: int, origin: Fraction | None = None) -> dict:
@@ -476,59 +487,6 @@ def moment_slotwise(pat, r: int, origin: Fraction | None = None) -> dict:
         den = math.lcm(*(d for _, d in pairs))
         out[key] = Fraction(sum(n * (den // d) for n, d in pairs), den)
     return out
-
-
-def atom_at(space: UniformSpace, t: Fraction) -> tuple[int, Fraction]:
-    """The atom index a = floor(t / h) and the fractional part t / h - a."""
-    a, rem = divmod(t.numerator * space.num_atoms, t.denominator)
-    return a, Fraction(rem, t.denominator)
-
-
-def accumulate(group, window: list, out: dict):
-    """Add to out, per slot, a run-table group's values at the point of
-    window [a, x, spans]: atom index a, fractional part x, and the span
-    numerators at x, taken on the first window index that hits a run; each
-    slot of the group becomes one Fraction."""
-    a, x, span_nums = window
-    k = group.space.k
-    ell, q = divmod(a - group.origin, group.shift)
-    sums: dict = {}
-    for i in range(k):
-        if 0 <= ell < group.count:
-            e = bisect.bisect_right(group.starts, q) - 1
-            if e >= 0 and q <= group.entries[e][1]:
-                if span_nums is None:
-                    span_nums = window[2] = span_numerators(k, x.numerator, x.denominator)
-                v = span_nums[0][k - 1 - i]
-                if v:
-                    for key, c in group.entries[e][2]:
-                        sums[key] = sums.get(key, 0) + c * v
-        q += 1
-        if q == group.shift:
-            ell, q = ell + 1, 0
-    if sums:
-        den = group.den * span_nums[1]
-        for key, n in sums.items():
-            v = Fraction(n, den)
-            out[key] = out[key] + v if key in out else v
-
-
-def eval_slotwise(pat, t: Fraction) -> dict:
-    """g(t) per slot as Fractions, from the run table; the atom of t and its
-    basis values are taken once per space."""
-    out: dict = {}
-    windows: dict = {}
-    for group in pat.run_table:
-        window = windows.get(group.space)
-        if window is None:
-            window = windows[group.space] = [*atom_at(group.space, t), None]
-        accumulate(group, window, out)
-    return out
-
-
-def g_eval(bound, t) -> XVec:
-    """g(t) of a bound pattern from the Fraction slot values."""
-    return combine(bound.slots, eval_slotwise(bound.pattern, frac(t)).items())
 
 
 def grid_unit(pattern) -> Fraction:
@@ -579,63 +537,84 @@ def unit_slots(pat) -> tuple[dict, list]:
     return {key: {i + 1: 1} for i, key in enumerate(keys)}, keys
 
 
-_STARTS: dict = {}  # id(pattern) -> its `fraction_starts`, dropped with the pattern
-
-
-def fraction_starts(pattern) -> tuple[list, dict, Fraction]:
-    """A pattern's cell starts as Fractions, for bisection: the entries',
-    per periodic family (by entry index) its own cells', and the end of the
-    last entry. Taken once per pattern object and kept until it is freed."""
-    hit = _STARTS.get(id(pattern))
-    if hit is None:
-        h = grid_unit(pattern)
-        families = {
-            i: [c.lo * h for c in e.cells]
-            for i, e in enumerate(pattern.cells) if isinstance(e, PeriodicFamily)
-        }
-        hit = _STARTS[id(pattern)] = (
-            [e.lo * h for e in pattern.cells], families, pattern.cells[-1].hi * h
-        )
-        weakref.finalize(pattern, _STARTS.pop, id(pattern), None)
-    return hit
-
-
 def reference_locate(pattern, t):
-    """(cell, instance shift) of the cell holding t, by bisection over the
-    Fraction cell starts of `fraction_starts`; None off the pattern."""
-    starts, families, end = fraction_starts(pattern)
-    if not starts[0] <= t < end:
+    """(cell, instance shift) of the cell holding t, by a scan of the
+    cells' integer ends against u = floor(t p**K); None off the pattern."""
+    u = t.numerator * pattern.scale // t.denominator
+    entry = next((e for e in pattern.cells if u < e.hi), None)
+    if entry is None or u < entry.lo:
         return None
-    i = bisect.bisect_right(starts, t) - 1
-    entry = pattern.cells[i]
-    if i not in families:
+    if not isinstance(entry, PeriodicFamily):
         return entry, Fraction(0)
-    period = entry.period * grid_unit(pattern)
-    idx = min((t - starts[i]) // period, entry.count - 1)
-    j = bisect.bisect_right(families[i], t - idx * period) - 1
-    return entry.cells[j], idx * period
+    shift = (u - entry.lo) // entry.period * entry.period
+    return next(c for c in entry.cells if u - shift < c.hi), Fraction(shift, pattern.scale)
+
+
+def span_integers(k: int, num: int, den: int) -> tuple[list[int], int]:
+    """B_k(i + num / den), i = 0 .. k-1, as integer numerators over (k-1)!
+    d**(k-1), d the reduced denominator: `span_polynomial` at num / den."""
+    g = math.gcd(num, den)
+    terms = [(num // g) ** e * (den // g) ** (k - 1 - e) for e in range(k)]
+    spans = [sum(c * v for c, v in zip(span_polynomial(k, i), terms)) for i in range(k)]
+    return spans, factorial(k - 1) * (den // g) ** (k - 1)
+
+
+def g_integers(bound, tau: Fraction) -> tuple[dict, int]:
+    """g(tau) of a bound pattern as ({coordinate: integer numerator}, den).
+    Per space level, tau's atom a and, once an index hits a run, the span
+    values at its remainder; per run-table group, each index a .. a+k-1
+    looked up in its instance, the slot coefficients of the run holding it
+    times its span value; the slot sums into the slot vectors over the lcm
+    of the groups' denominators."""
+    windows: dict = {}  # space level -> [a, remainder, (spans, den) once an index hits]
+    hits = []
+    for group in bound.pattern.run_table:
+        sp = group.space
+        if sp.level not in windows:
+            windows[sp.level] = [*divmod(tau.numerator * sp.num_atoms, tau.denominator), None]
+        a, rem, spans = windows[sp.level]
+        ell, q = divmod(a - group.origin, group.shift)
+        sums: dict = {}
+        for i in range(sp.k - 1, -1, -1):
+            if 0 <= ell < group.count:
+                e = bisect.bisect_right(group.starts, q) - 1
+                if e >= 0 and q <= group.entries[e][1]:
+                    if spans is None:
+                        spans = windows[sp.level][2] = span_integers(sp.k, rem, tau.denominator)
+                    for key, c in group.entries[e][2]:
+                        sums[key] = sums.get(key, 0) + c * spans[0][i]
+            q += 1
+            if q == group.shift:
+                ell, q = ell + 1, 0
+        if sums:
+            hits.append((sums, group.den * spans[1]))
+    den = math.lcm(*(d for _, d in hits))
+    coords: dict = {}
+    for sums, d in hits:
+        for key, s in sums.items():
+            for c, v in bound.slots[key].items():
+                coords[c] = coords.get(c, 0) + s * (den // d) * v
+    return coords, den
 
 
 def step_values(seq, t, n: int) -> tuple[XVec, XVec]:
-    """(f_{n-1}(t), f_n(t)) of a built sequence, walking the steps in
-    Fractions (f_0(t) twice at n = 0)."""
+    """(f_{n-1}(t), f_n(t)) of a built sequence from the reference walk
+    (f_0(t) twice at n = 0)."""
     sums = partial_sums(seq, t, n)
     return sums[max(n - 1, 0)], sums[n]
 
 
 def partial_sums(seq, t, n: int) -> list[XVec]:
-    """[f_0(t), ..., f_n(t)] of a built sequence from one Fraction walk."""
-    acc = XVec.zero()
-    sums = [acc]
+    """[f_0(t), ..., f_n(t)] of a built sequence from one reference walk."""
+    sums = [XVec.zero()]
     for bound, tau in fraction_steps(seq, t, n):
-        acc = acc.add(g_eval(bound, tau))
-        sums.append(acc)
-    return sums + [acc] * (n + 1 - len(sums))  # zombie region: later g vanish here
+        sums.append(sums[-1].add(XVec.over(*g_integers(bound, tau))))
+    return sums + sums[-1:] * (n + 1 - len(sums))  # zombie region: later g vanish here
 
 
 def fraction_steps(seq, t, n: int):
     """(bound pattern, pattern coordinate tau) of each step j < n that t
-    reaches in Fractions, up to where t leaves the constant cells."""
+    reaches, up to where t leaves the constant cells."""
     t = frac(t)
     binding = BushRep("")
     for j in range(n):
@@ -643,8 +622,8 @@ def fraction_steps(seq, t, n: int):
             return
         pattern, parts, mix, bound, _start, _units = seq._bind(j, binding)
         scale = seq.filt.uniform_base ** seq.steps[j].m_level
-        atom_lo = Fraction(t.numerator * scale // t.denominator, scale)
-        tau = t - atom_lo + pattern.interval.lo
+        tau = Fraction(t.numerator * scale % t.denominator, scale * t.denominator)
+        tau += pattern.interval.lo  # t's level-m_j atom moved onto the pattern
         yield bound, tau
         cell, _shift = reference_locate(pattern, tau)
         binding = _child_value(binding, parts, mix, (cell.kind, cell.m))

@@ -58,10 +58,11 @@ from splinemart.witness import BushRep, XVec, bush_decompose
 from fraction_oracle import (
     RationalBound,
     aligning_level,
+    basis_at,
     bump_level_search,
     cell_ends,
     cell_points,
-    evaluate,
+    combine_window,
     first_level,
     general_slot_vectors,
     grid_unit,
@@ -670,14 +671,17 @@ RUN_TABLE_CASES = [("dyadic", k) for k in (1, 2, 3, 4)] + [("padic:3", 2), ("pad
 
 
 def term_by_term_slotwise(pat, t):
-    """g(t) per slot, term by term: Σ evaluate(scal, t) per slot, with each
+    """g(t) per slot, term by term: each term's value at t per slot, from
+    the basis values of its space (`basis_at`, once per space), with each
     ("w", i) bump expanded through w_data, each numerator over w_den."""
+    w = w_fractions(pat)
+    terms = [(scal, ((F(1), key),)) for scal, key in pat.terms]
+    terms += [(scal, w[i]) for scal, (_, i) in pat.r_terms]
+    bases = {sp: basis_at(sp, t) for sp in {scal.space for scal, _ in terms}}
     out = {}
-    for scal, key in pat.terms:
-        out[key] = out.get(key, F(0)) + evaluate(scal, t)
-    for scal, (_, i) in pat.r_terms:
-        v = evaluate(scal, t)
-        for coef, key in w_fractions(pat)[i]:
+    for scal, coefs in terms:
+        v = combine_window(scal, *bases[scal.space])
+        for coef, key in coefs:
             out[key] = out.get(key, F(0)) + v * coef
     return {key: v for key, v in out.items() if v}
 
@@ -744,19 +748,19 @@ def test_run_table_matches_term_by_term_at_random_points(spec, k, data):
     assert matches_term_by_term(pat, bound, t), (pat.interval, t)
 
 
+def swapped_spans(k, local_spans=cardinal._local_spans):
+    """cardinal's integer span table of B_k with spans 0 and k-1 traded."""
+    coeffs, den = local_spans(k)
+    rows = list(coeffs)
+    rows[0], rows[-1] = rows[-1], rows[0]
+    return tuple(rows), den
+
+
 def test_swapped_span_polynomials_fail_the_comparison(monkeypatch):
     """The oracle takes B_k's spans from the truncated-power form and reads
     nothing of cardinal's table, so a fault in the integer span table that
     the run table reads shows up in the comparison: here spans 0 and k-1
     of B_3 trade places."""
-    local_spans = cardinal._local_spans
-
-    def swapped(k):
-        coeffs, den = local_spans(k)
-        rows = list(coeffs)
-        rows[0], rows[-1] = rows[-1], rows[0]
-        return tuple(rows), den
-
     def all_match():
         return all(
             matches_term_by_term(pat, bound, t)
@@ -765,7 +769,7 @@ def test_swapped_span_polynomials_fail_the_comparison(monkeypatch):
         )
 
     assert all_match()
-    monkeypatch.setattr(cardinal, "_local_spans", swapped)
+    monkeypatch.setattr(cardinal, "_local_spans", swapped_spans)
     assert not all_match()
 
 

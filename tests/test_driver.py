@@ -1,3 +1,4 @@
+import ast
 import functools
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splinemart.cardinal as cardinal
 import splinemart.construction.driver as driver
 import splinemart.construction.lemma as lemma_module
 from splinemart.construction.core import BoundPattern, PeriodicFamily
@@ -44,6 +46,7 @@ from fraction_oracle import (
     slot_xvecs, unit_slots, w_fractions, w_vectors, xvec_numerators,
 )
 import pins
+from test_construction import swapped_spans
 
 F = Fraction
 HALF = F(1, 2)
@@ -902,7 +905,7 @@ def test_tampered_run_coefficient_changes_value_at(monkeypatch):
     # instance 0 of index origin + j0: N_j is non-zero in the middle of its
     # support [(j - k + 1) h, (j + 1) h), and the first step reads t itself
     t = (group.origin + j0 - sp.k + 1) * sp.h + sp.k * sp.h / 2
-    # the Fraction walk reads the run table and builds no coordinate table;
+    # the reference walk reads the run table and builds no coordinate table;
     # an untampered build of the same sequence reads the same value
     value = oracle.step_values(seq, t, 1)[1]
     assert walk_sequence("dyadic", 2).value_at(t, 1) == value
@@ -972,7 +975,7 @@ def table_points(seq, rng, cells: bool = True) -> list:
 
 def matches_the_fraction_walk(seq, t) -> bool:
     """Every (f_{n-1}(t), f_n(t)), n = 0 .. N, of the walk equals the
-    Fraction walk's."""
+    reference walk's (`fraction_oracle.partial_sums`)."""
     sums = oracle.partial_sums(seq, t, seq.num_steps)
     return all(
         seq.step_values(t, n) == (sums[max(n - 1, 0)], sums[n]) for n in range(seq.num_steps + 1)
@@ -995,6 +998,26 @@ def test_coordinate_tables_match_the_fraction_walk_at_large_denominators():
     assert max(t.denominator.bit_length() for t in points) > 2000
     for t in points:
         assert matches_the_fraction_walk(seq, t), t
+
+
+def test_swapped_span_rows_fail_the_walk_comparison(monkeypatch):
+    """Spans 0 and k-1 of B_3 traded in cardinal's table make a cut window of
+    a small build differ from the reference walk, stopping at the first."""
+    seq = build_sequence(dyadic(), 3, HALF, 2)
+    points = table_points(seq, random.Random(11))
+    assert all(matches_the_fraction_walk(seq, t) for t in points)
+    monkeypatch.setattr(cardinal, "_local_spans", swapped_spans)
+    assert not all(matches_the_fraction_walk(seq, t) for t in points)
+
+
+def test_reference_walk_reads_no_engine_kernel():
+    """The oracle's code names no span kernel, coordinate table, grid_units or .locate."""
+    nodes = list(ast.walk(ast.parse(Path(oracle.__file__).read_text())))
+    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    names = attrs | {getattr(n, "id", getattr(n, "name", None)) for n in nodes}  # Name, alias
+    banned = {"span_numerators", "_local_spans", "coordinate_table", "grid_units"} & names
+    banned |= {"locate"} & attrs
+    assert not banned, sorted(banned)
 
 
 def test_build_sequence_builds_no_coordinate_table(monkeypatch):

@@ -262,10 +262,10 @@ def test_translate_class_moments_match_each_members_own(case):
 
 def reference_moment(k, r):
     """∫ u^r B_k(u) du from the truncated-power spans: span i adds
-    Σ_e c_e ∫₀¹ (x + i)^r x^e dx, one Fraction per term."""
+    Σ_e c_e ∫₀¹ (x + i)^r x^e dx / (k-1)!, one Fraction per term."""
     return sum(
         (
-            c * comb(r, q) * i ** (r - q) / (e + q + 1)
+            F(c * comb(r, q) * i ** (r - q), (e + q + 1) * factorial(k - 1))
             for i in range(k)
             for e, c in enumerate(span_polynomial(k, i))
             for q in range(r + 1)
@@ -279,9 +279,7 @@ def test_span_table_and_moments_match_the_truncated_power_form():
     for k in range(1, 17):
         coeffs, den = _local_spans(k)
         assert den == factorial(k - 1)
-        assert [tuple(F(c, den) for c in reversed(poly)) for poly in coeffs] == [
-            span_polynomial(k, i) for i in range(k)
-        ]
+        assert [tuple(reversed(p)) for p in coeffs] == [span_polynomial(k, i) for i in range(k)]
         rows.append(repr(_local_spans(k)))
         for r in range(9):
             assert cardinal_moment(k, r) == reference_moment(k, r)

@@ -33,15 +33,10 @@ from fraction_oracle import (
     w_sup_norm,
     xvec_numerators,
 )
+from test_construction import g_at
 
 F = Fraction
 HALF = F(1, 2)
-
-
-def g_at(bound, t):
-    """g(t) from the integer kernel of a bound pattern."""
-    t = F(t)
-    return XVec.over(*bound.g_numerators(t.numerator, t.denominator, 0))
 
 
 def bind(pattern, xbar, xs, betas) -> RationalBound:
